@@ -25,8 +25,10 @@ import numpy as np
 from . import barriers as bmod
 from . import forms, grid, plaplace, sysfix, verify
 from .barriers import ProblemSpec, Regime
-from .errors import (CalibrationError, ConfigError, EnvelopeError,
-                     MixedSignError, OrderingError, SolveError)
+from .errors import (BisectionError, BoundViolationError, CalibrationError,
+                     ConfigError, EnvelopeError, MeshCompatibilityError,
+                     MixedSignError, NonFiniteFieldError, OrderingError,
+                     SolveError)
 from .expspace import ExponentField
 from .grid import DomainSpec, GridFunction
 from .plaplace import SolverOptions
@@ -279,7 +281,9 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
             f.write(verify.certificate_to_json(cert))
         ok = pipeline.report.converged and cert["all_audits_pass"]
         return 0 if ok else 2
-    except (CalibrationError, SolveError, OrderingError, EnvelopeError) as exc:
+    except (CalibrationError, SolveError, OrderingError, EnvelopeError,
+            NonFiniteFieldError, MeshCompatibilityError, BisectionError,
+            BoundViolationError) as exc:
         stub = {"error": str(exc), "schema_version": 1}
         with open(paths["certificate_json"], "w") as f:
             f.write(verify.certificate_to_json(stub))

@@ -81,8 +81,9 @@ class Mesh:
     obtained by splitting tensor quads along one diagonal.
 
     Immutable after construction.  Precomputes cell gradients of the P1
-    basis, quadrature points/weights with their owning cell, and the
-    basis values at quadrature points.
+    basis, quadrature points/weights with their owning cell (points are
+    stored cell by cell, the same number per cell), the nodes of each
+    quadrature point's cell, and the basis values at quadrature points.
     """
 
     def __init__(self, domain: DomainSpec, n: int):
@@ -100,8 +101,9 @@ class Mesh:
         self.interior_nodes = np.setdiff1d(
             np.arange(self.nodes.shape[0]), self.boundary_nodes
         )
+        self.qconn = self.cells[self.qcells]
         for arr in (self.nodes, self.cells, self.qweights, self.qbasis,
-                    self.grad_basis, self.distance):
+                    self.qconn, self.grad_basis, self.distance):
             arr.setflags(write=False)
 
     def _build_1d(self):
@@ -309,7 +311,7 @@ def check_same_mesh(mesh: Mesh, *objs):
 def at_quad(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
     """Nodal field evaluated at all quadrature points."""
     vals = np.asarray(nodal_values, dtype=float)
-    return np.einsum("qk,qk->q", mesh.qbasis, vals[mesh.cells[mesh.qcells]])
+    return np.einsum("qk,qk->q", mesh.qbasis, vals[mesh.qconn])
 
 
 def as_quad_values(mesh: Mesh, h) -> np.ndarray:
@@ -359,9 +361,8 @@ def load_vector(mesh: Mesh, h) -> np.ndarray:
     """Nodal vector of integrals of ``h`` against every hat function."""
     hq = as_quad_values(mesh, h)
     contrib = (mesh.qweights * hq)[:, None] * mesh.qbasis
-    b = np.zeros(mesh.n_nodes)
-    np.add.at(b, mesh.cells[mesh.qcells], contrib)
-    return b
+    return np.bincount(mesh.qconn.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def boundary_strip(mesh: Mesh, delta: float) -> np.ndarray:

@@ -15,9 +15,11 @@ tolerances behave across the two scaling regimes of the data.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -28,6 +30,13 @@ from .grid import GridFunction, Mesh
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACK = 40
+# Newton stops once the normalized regularized residual falls this far
+# below tol_residual: past that point a step only chases roundoff.
+_NEWTON_FORCING = 1e-4
+# A predicted decrease below this fraction of the energy is roundoff to
+# the Armijo test; Newton is then in its quadratic regime and takes the
+# full step instead of backtracking on noise.
+_ENERGY_RTOL = 1e-13
 
 
 @dataclass
@@ -51,9 +60,92 @@ class ScalarSolveResult:
     u: GridFunction
     residual: float          # unregularized weak residual, normalized
     energy: float
-    newton_iters: int
+    newton_iters: int        # Newton systems solved
     converged: bool
     energies: list = field(default_factory=list, repr=False)
+
+
+class _Layout:
+    """Assembly data that depends on the mesh alone.
+
+    P1 gradients are constant on each cell, so quadrature-weighted
+    coefficients are summed per cell first; the (cell, k, l) entries of
+    the element matrices are then scattered with one ``bincount`` into
+    the data array of a fixed interior pattern.  In 1D that pattern is
+    the upper band of the tridiagonal matrix (LAPACK banded Cholesky),
+    in 2D a CSC pattern for sparse LU.  Holds no reference to the mesh,
+    so the weak per-mesh cache below can release it.
+    """
+
+    def __init__(self, mesh: Mesh):
+        cells, gb = mesh.cells, mesh.grad_basis
+        nc, k = cells.shape
+        self.q_per_cell = mesh.qweights.size // nc
+        self.dots = np.einsum("ckd,cld->ckl", gb, gb)
+        m = mesh.interior_nodes.size
+        pos = np.full(mesh.n_nodes, -1)
+        pos[mesh.interior_nodes] = np.arange(m)
+        rows = np.broadcast_to(pos[cells][:, :, None], (nc, k, k)).ravel()
+        cols = np.broadcast_to(pos[cells][:, None, :], (nc, k, k)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        self.m = m
+        self.banded = mesh.dim == 1
+        if self.banded:
+            # interval cells join consecutive nodes: keep the upper band
+            # in LAPACK storage ab[1 + i - j, j]
+            keep &= rows <= cols
+            self.slot = (1 + rows[keep] - cols[keep]) * m + cols[keep]
+            self.size = 2 * m
+        else:
+            keys, self.slot = np.unique(cols[keep] * m + rows[keep],
+                                        return_inverse=True)
+            self.indices = (keys % m).astype(np.int32)
+            self.indptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(keys // m, minlength=m))]
+            ).astype(np.int32)
+            self.size = keys.size
+        self.keep = np.flatnonzero(keep)
+        volumes = self.cell_sum(mesh.qweights)
+        self.poisson = self.factor(self.assemble(volumes[:, None, None] * self.dots))
+
+    def cell_sum(self, qvalues: np.ndarray) -> np.ndarray:
+        """Per-cell sums of quadrature-point values (points are stored
+        cell by cell)."""
+        return qvalues.reshape(-1, self.q_per_cell).sum(axis=1)
+
+    def assemble(self, local: np.ndarray) -> np.ndarray:
+        """Interior matrix data from element matrices of shape (nc, k, k)."""
+        return np.bincount(self.slot, weights=local.ravel()[self.keep],
+                           minlength=self.size)
+
+    def factor(self, data: np.ndarray):
+        """Solve function for the interior system with matrix ``data``."""
+        try:
+            if self.banded:
+                cf = sla.cholesky_banded(data.reshape(2, self.m))
+                return lambda rhs: sla.cho_solve_banded((cf, False), rhs)
+            H = sp.csc_matrix((data, self.indices, self.indptr),
+                              shape=(self.m, self.m))
+            return spla.splu(H, permc_spec="MMD_AT_PLUS_A",
+                             options={"SymmetricMode": True}).solve
+        except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+            raise SolveError(f"interior system could not be factorized: {exc}")
+
+
+_LAYOUTS = weakref.WeakKeyDictionary()  # Mesh -> _Layout
+
+
+def _layout(mesh: Mesh) -> _Layout:
+    lay = _LAYOUTS.get(mesh)
+    if lay is None:
+        lay = _LAYOUTS[mesh] = _Layout(mesh)
+    return lay
+
+
+def _cell_g2(mesh, lay, u_values):
+    """Cell gradients and their squared norms repeated per quad point."""
+    g = grid.cell_gradients(mesh, u_values)
+    return g, np.repeat((g ** 2).sum(axis=1), lay.q_per_cell)
 
 
 def _unreg_flux_coeff(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
@@ -67,58 +159,52 @@ def apply_operator(mesh: Mesh, p: ExponentField, u_values: np.ndarray,
                    eps: float = 0.0) -> np.ndarray:
     """Nodal vector of int |grad u|^(p-2) grad u . grad(hat_j) dx for
     every node j (regularized variant when eps > 0)."""
+    lay = _layout(mesh)
     pq = p.at_quad()
-    g = grid.cell_gradients(mesh, u_values)
-    gq = g[mesh.qcells]
-    g2 = (gq ** 2).sum(axis=1)
+    g, g2 = _cell_g2(mesh, lay, u_values)
     if eps > 0.0:
         coeff = np.power(g2 + eps * eps, (pq - 2.0) / 2.0)
     else:
         coeff = _unreg_flux_coeff(g2, pq)
-    flux = coeff[:, None] * gq
-    gb = mesh.grad_basis[mesh.qcells]
-    contrib = np.einsum("qd,qkd->qk", flux, gb) * mesh.qweights[:, None]
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.cells[mesh.qcells], contrib)
-    return out
+    w = lay.cell_sum(mesh.qweights * coeff)
+    contrib = w[:, None] * np.einsum("cd,ckd->ck", g, mesh.grad_basis)
+    return np.bincount(mesh.cells.ravel(), weights=contrib.ravel(),
+                       minlength=mesh.n_nodes)
 
 
-def _energy(mesh, pq, hq, u_values, eps):
-    g = grid.cell_gradients(mesh, u_values)
-    g2 = (g[mesh.qcells] ** 2).sum(axis=1)
+def _energy(mesh, lay, pq, b, u_values, eps):
+    """Regularized energy; ``b`` is the load vector of the data, so the
+    linear term int h u is the nodal product b . u."""
+    _, g2 = _cell_g2(mesh, lay, u_values)
     dens = np.power(g2 + eps * eps, pq / 2.0) / pq
-    uq = grid.at_quad(mesh, u_values)
-    return float(mesh.qweights @ (dens - hq * uq))
+    return float(mesh.qweights @ dens) - float(b @ u_values)
 
 
-def _assemble_matrix(mesh, aa, bb, gq):
-    """Sparse matrix of the bilinear form with isotropic weight aa and
-    rank-one weight bb along the frozen gradient gq, per quad point."""
-    gb = mesh.grad_basis[mesh.qcells]          # (nq, k, d)
-    gdot = np.einsum("qd,qkd->qk", gq, gb)     # (nq, k)
-    dots = np.einsum("qkd,qld->qkl", gb, gb)   # (nq, k, l)
-    local = (aa[:, None, None] * dots
-             + bb[:, None, None] * gdot[:, :, None] * gdot[:, None, :])
-    local *= mesh.qweights[:, None, None]
-    conn = mesh.cells[mesh.qcells]             # (nq, k)
-    k = conn.shape[1]
-    rows = np.repeat(conn, k, axis=1).ravel()
-    cols = np.tile(conn, (1, k)).ravel()
-    H = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes))
-    return H.tocsr()
-
-
-def _hessian(mesh, pq, u_values, eps):
-    """Energy Hessian; needs eps > 0 so the weights stay finite at
-    vanishing gradients."""
-    g = grid.cell_gradients(mesh, u_values)
-    gq = g[mesh.qcells]
-    g2 = (gq ** 2).sum(axis=1)
+def _hessian(mesh, lay, pq, u_values, eps):
+    """Interior data of the energy Hessian: isotropic weight plus a
+    rank-one weight along the frozen gradient.  Needs eps > 0 so the
+    weights stay finite at vanishing gradients."""
+    g, g2 = _cell_g2(mesh, lay, u_values)
     base = g2 + eps * eps
     aa = np.power(base, (pq - 2.0) / 2.0)
-    bb = (pq - 2.0) * np.power(base, (pq - 4.0) / 2.0)
-    return _assemble_matrix(mesh, aa, bb, gq)
+    bb = (pq - 2.0) * aa / base
+    A = lay.cell_sum(mesh.qweights * aa)
+    B = lay.cell_sum(mesh.qweights * bb)
+    gdot = np.einsum("cd,ckd->ck", g, mesh.grad_basis)
+    local = (A[:, None, None] * lay.dots
+             + B[:, None, None] * gdot[:, :, None] * gdot[:, None, :])
+    return lay.assemble(local)
+
+
+def _data_scale(mesh, hq) -> float:
+    """int|h| + 1, the normalization of every reported residual."""
+    return float(mesh.qweights @ np.abs(hq)) + 1.0
+
+
+def _residual(mesh, p, u_values, b, scale, eps=0.0):
+    """Interior weak-form defect and its max norm divided by ``scale``."""
+    r = (apply_operator(mesh, p, u_values, eps=eps) - b)[mesh.interior_nodes]
+    return r, float(np.abs(r).max() / scale)
 
 
 def weak_residual(mesh: Mesh, p: ExponentField, u, h) -> float:
@@ -126,20 +212,8 @@ def weak_residual(mesh: Mesh, p: ExponentField, u, h) -> float:
     defect, normalized by int|h| + 1."""
     uv = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     hq = grid.as_quad_values(mesh, h)
-    r = apply_operator(mesh, p, uv) - grid.load_vector(mesh, hq)
-    scale = float(mesh.qweights @ np.abs(hq)) + 1.0
-    return float(np.abs(r[mesh.interior_nodes]).max() / scale)
-
-
-def _poisson_init(mesh, hq):
-    nq = mesh.qweights.shape[0]
-    K = _assemble_matrix(mesh, np.ones(nq), np.zeros(nq),
-                         np.zeros((nq, mesh.dim)))
-    ii = mesh.interior_nodes
-    b = grid.load_vector(mesh, hq)
-    u = np.zeros(mesh.n_nodes)
-    u[ii] = spla.spsolve(K[ii][:, ii].tocsc(), b[ii])
-    return u
+    return _residual(mesh, p, uv, grid.load_vector(mesh, hq),
+                     _data_scale(mesh, hq))[1]
 
 
 def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
@@ -148,9 +222,14 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
     residual.  Initialization is the linear Poisson solve with the same
     data, which has the right sign structure and is cheap.
 
-    Non-convergence returns the best iterate flagged ``converged=False``
-    rather than raising; a singular Newton system raises SolveError
-    (impossible for p_minus > 1 with regularization intact).
+    Newton stops when the regularized residual, normalized like the
+    reported one, reaches ``_NEWTON_FORCING * tol_residual``, when the
+    line search stagnates, or after ``max_newton`` steps; the
+    unregularized residual against ``tol_residual`` then sets the
+    ``converged`` flag.  Non-convergence returns the best iterate
+    flagged ``converged=False`` rather than raising; a singular Newton
+    system raises SolveError (impossible for p_minus > 1 with
+    regularization intact).
     """
     opts = opts or SolverOptions()
     grid.check_same_mesh(mesh, p)
@@ -160,36 +239,35 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
     if not np.all(np.isfinite(hq)):
         raise NonFiniteFieldError("right-hand side has non-finite values")
 
+    lay = _layout(mesh)
     eps = opts.eps_reg
     pq = p.at_quad()
     b = grid.load_vector(mesh, hq)
+    scale = _data_scale(mesh, hq)
     ii = mesh.interior_nodes
-    scale = float(np.abs(b).max()) + 1e-30
 
-    u = _poisson_init(mesh, hq)
-    energies = [_energy(mesh, pq, hq, u, eps)]
-    it = 0
-    for it in range(1, opts.max_newton + 1):
-        r = (apply_operator(mesh, p, u, eps=eps) - b)[ii]
-        rnorm = float(np.abs(r).max())
-        if rnorm <= 1e-13 * scale:
+    u = np.zeros(mesh.n_nodes)
+    u[ii] = lay.poisson(b[ii])
+    energies = [_energy(mesh, lay, pq, b, u, eps)]
+    steps = 0
+    while steps < opts.max_newton:
+        r, rnorm = _residual(mesh, p, u, b, scale, eps)
+        if rnorm <= _NEWTON_FORCING * opts.tol_residual:
             break
-        H = _hessian(mesh, pq, u, eps)
-        try:
-            du = spla.spsolve(H[ii][:, ii].tocsc(), -r)
-        except Exception as exc:  # singular factorization is an internal fault
-            raise SolveError(f"Newton system could not be factorized: {exc}")
+        du = lay.factor(_hessian(mesh, lay, pq, u, eps))(-r)
+        steps += 1
         if not np.all(np.isfinite(du)):
             raise SolveError("Newton direction is non-finite")
         slope = float(r @ du)
         e0 = energies[-1]
+        resolved = -slope > _ENERGY_RTOL * abs(e0)
         t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACK):
             trial = u.copy()
             trial[ii] += t * du
-            et = _energy(mesh, pq, hq, trial, eps)
-            if et <= e0 + _ARMIJO * t * slope:
+            et = _energy(mesh, lay, pq, b, trial, eps)
+            if et <= e0 + _ARMIJO * t * slope or not resolved:
                 u = trial
                 energies.append(et)
                 accepted = True
@@ -202,7 +280,7 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
     converged = bool(res <= opts.tol_residual)
     uf = GridFunction(mesh, u, zero_trace=True)
     return ScalarSolveResult(u=uf, residual=res, energy=energies[-1],
-                             newton_iters=it, converged=converged,
+                             newton_iters=steps, converged=converged,
                              energies=energies)
 
 

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from varpx import cli
 from varpx.cli import main, parse_config, run, run_pipeline, sweep
-from varpx.errors import ConfigError
+from varpx.errors import (BisectionError, BoundViolationError, ConfigError,
+                          MeshCompatibilityError, NonFiniteFieldError)
 from varpx import Regime
 
 from conftest import config_path
@@ -108,6 +110,20 @@ def test_run_nonconvergence_exit2(tmp_path):
     assert code == 2
     assert (tmp_path / "certificate.json").exists()
     assert (tmp_path / "trace.json").exists()
+
+
+@pytest.mark.parametrize("exc_type", [NonFiniteFieldError, MeshCompatibilityError,
+                                      BisectionError, BoundViolationError])
+def test_solve_time_error_exit2_with_stubs(tmp_path, monkeypatch, exc_type):
+    def fail(config, mesh_n=None):
+        raise exc_type("injected fault")
+
+    monkeypatch.setattr(cli, "run_pipeline", fail)
+    code = main(["solve", config_path("trivial.json"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    for name in ("certificate.json", "trace.json"):
+        stub = json.loads((tmp_path / name).read_text())
+        assert stub == {"error": "injected fault", "schema_version": 1}
 
 
 def test_cli_main_invalid_config_exit1(tmp_path):

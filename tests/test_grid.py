@@ -161,6 +161,15 @@ def test_load_vector_against_hat_integrals():
     np.testing.assert_allclose(b[m.boundary_nodes], 0.05, atol=1e-14)
 
 
+def test_load_vector_matches_add_at_reference():
+    for m in (build_mesh(DomainSpec.interval(0.0, 1.0), 17),
+              build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 5)):
+        hq = np.cos(3.0 * m.qpoints.sum(axis=1))
+        ref = np.zeros(m.n_nodes)
+        np.add.at(ref, m.cells[m.qcells], (m.qweights * hq)[:, None] * m.qbasis)
+        np.testing.assert_allclose(load_vector(m, hq), ref, rtol=1e-14, atol=1e-16)
+
+
 def test_at_quad_reproduces_affine():
     m = build_mesh(DomainSpec.interval(0, 1), 8)
     vals = 2.0 * m.nodes[:, 0] + 1.0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from varpx import (DomainSpec, ExponentField, GridFunction, SolverOptions,
-                   build_mesh, solve_dirichlet, torsion, torsion_delta,
-                   weak_residual)
+                   build_mesh, grid, plaplace, solve_dirichlet, torsion,
+                   torsion_delta, weak_residual)
 from varpx.errors import DeltaTooLargeError
 from varpx.verify import random_lipschitz_field
 
@@ -217,3 +219,135 @@ def test_quad_valued_singular_rhs():
     res = solve_dirichlet(m, p, hq)
     assert res.converged
     assert np.all(res.u.values[m.interior_nodes] > 0)
+
+
+def test_newton_iters_zero_when_poisson_start_is_exact():
+    m = mesh1d(64)
+    res = solve_dirichlet(m, ExponentField.constant(m, 2.0),
+                          GridFunction.constant(m, 1.0))
+    assert res.converged
+    assert res.newton_iters == 0
+    assert len(res.energies) == 1
+
+
+def test_newton_iters_counts_solved_systems():
+    m = mesh1d(512)
+    opts = SolverOptions()
+    res = solve_dirichlet(m, ExponentField.constant(m, 3.0),
+                          GridFunction.constant(m, 1.0), opts)
+    assert res.converged
+    assert 0 < res.newton_iters <= opts.max_newton // 4
+    # every step taken was accepted by the line search
+    assert res.newton_iters == len(res.energies) - 1
+
+
+def test_max_newton_caps_steps():
+    m = mesh1d(128)
+    res = solve_dirichlet(m, ExponentField.constant(m, 3.0),
+                          GridFunction.constant(m, 1.0),
+                          SolverOptions(max_newton=2))
+    assert res.newton_iters == 2
+    assert not res.converged
+
+
+# Plain per-quadrature-point COO assembly: the reference the cached
+# per-mesh layout must reproduce.
+
+def _coo_scatter(mesh, local):
+    conn = mesh.cells[mesh.qcells]
+    k = conn.shape[1]
+    rows = np.repeat(conn, k, axis=1).ravel()
+    cols = np.tile(conn, (1, k)).ravel()
+    H = sp.coo_matrix((local.ravel(), (rows, cols)),
+                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    ii = mesh.interior_nodes
+    return H[ii][:, ii].toarray()
+
+
+def _reference_hessian(mesh, p, u, eps):
+    pq = p.at_quad()
+    gq = grid.cell_gradients(mesh, u)[mesh.qcells]
+    base = (gq ** 2).sum(axis=1) + eps * eps
+    aa = np.power(base, (pq - 2.0) / 2.0)
+    bb = (pq - 2.0) * np.power(base, (pq - 4.0) / 2.0)
+    gb = mesh.grad_basis[mesh.qcells]
+    gdot = np.einsum("qd,qkd->qk", gq, gb)
+    dots = np.einsum("qkd,qld->qkl", gb, gb)
+    local = (aa[:, None, None] * dots
+             + bb[:, None, None] * gdot[:, :, None] * gdot[:, None, :])
+    return _coo_scatter(mesh, local * mesh.qweights[:, None, None])
+
+
+def _reference_operator(mesh, p, u, eps):
+    pq = p.at_quad()
+    gq = grid.cell_gradients(mesh, u)[mesh.qcells]
+    g2 = (gq ** 2).sum(axis=1)
+    coeff = np.power(g2 + eps * eps, (pq - 2.0) / 2.0)
+    gb = mesh.grad_basis[mesh.qcells]
+    contrib = np.einsum("qd,qkd->qk", coeff[:, None] * gq, gb)
+    out = np.zeros(mesh.n_nodes)
+    np.add.at(out, mesh.cells[mesh.qcells], contrib * mesh.qweights[:, None])
+    return out
+
+
+def _layout_matrix(lay, data):
+    if lay.banded:
+        ab = data.reshape(2, lay.m)
+        H = sp.diags([ab[0, 1:], ab[1], ab[0, 1:]], [-1, 0, 1])
+    else:
+        H = sp.csc_matrix((data, lay.indices, lay.indptr), shape=(lay.m, lay.m))
+    return H.toarray()
+
+
+_CASE_IDS = ["1d_p_above_2", "1d_p_below_2", "2d"]
+
+
+def _variable_cases():
+    rng = np.random.default_rng(3)
+    m1 = mesh1d(40)
+    x = m1.nodes[:, 0]
+    u1 = np.sin(np.pi * x) + 0.05 * rng.normal(size=m1.n_nodes)
+    u1[m1.boundary_nodes] = 0.0
+    m2 = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 7)
+    x, y = m2.nodes[:, 0], m2.nodes[:, 1]
+    u2 = x * (1 - x) * y * (2 - y) + 0.02 * rng.normal(size=m2.n_nodes)
+    u2[m2.boundary_nodes] = 0.0
+    return [
+        (m1, ExponentField.from_callable(m1, lambda x: 2.5 + 0.4 * np.sin(4 * x)), u1),
+        (m1, ExponentField.from_callable(m1, lambda x: 1.6 + 0.5 * x), u1),
+        (m2, ExponentField.from_callable(m2, lambda x, y: 2.2 + 0.5 * x + 0.3 * y), u2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
+def test_layout_hessian_matches_coo_reference(case):
+    mesh, p, u = _variable_cases()[case]
+    eps = 1e-3
+    lay = plaplace._layout(mesh)
+    data = plaplace._hessian(mesh, lay, p.at_quad(), u, eps)
+    got = _layout_matrix(lay, data)
+    ref = _reference_hessian(mesh, p, u, eps)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    rhs = np.linspace(-1.0, 1.0, lay.m)
+    np.testing.assert_allclose(lay.factor(data)(rhs), np.linalg.solve(ref, rhs),
+                               rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
+def test_apply_operator_matches_coo_reference(case):
+    mesh, p, u = _variable_cases()[case]
+    for eps in (0.0, 1e-3):
+        got = plaplace.apply_operator(mesh, p, u, eps=eps)
+        ref = _reference_operator(mesh, p, u, eps)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+def test_layout_poisson_factor_matches_sparse_solve():
+    for mesh in (mesh1d(33), build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 9)):
+        p = ExponentField.constant(mesh, 2.0)
+        ref = _reference_hessian(mesh, p, np.zeros(mesh.n_nodes), 1.0)
+        b = grid.load_vector(mesh, 1.0)[mesh.interior_nodes]
+        np.testing.assert_allclose(plaplace._layout(mesh).poisson(b),
+                                   spla.spsolve(sp.csc_matrix(ref), b),
+                                   rtol=1e-12, atol=1e-15)
