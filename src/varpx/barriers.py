@@ -295,51 +295,41 @@ def _power_quad(mesh, base: GridFunction, expo: ExponentField) -> np.ndarray:
     return out
 
 
-def _weak_margin(mesh, lhs_vec, rhs_vec):
-    """min over interior hats of rhs - lhs with mixed tolerance applied
-    by the caller; returns the raw margin array."""
+# Sign-case table: the end of the barrier box (0 = floor, 1 = top) at
+# which s**e is smallest, by the sign class of e.  Its largest value
+# sits at the other end.
+_SMALLEST_AT = {"nonneg": 0, "negative": 1}
+
+
+def _product_bound(spec, i, ends, upper=False):
+    """s1^alpha_i s2^beta_i at quadrature points, bounded over the box
+    ends[0][j] <= s_j <= ends[1][j] from below (from above if ``upper``).
+
+    A scalar top is the sup-norm cap L > 1 of the singular regime, for
+    lower bounds only: its factors enter as the scalar extreme
+    L ** (sum of their exponents' p_minus)."""
+    mesh = spec.mesh
+    cap, expo, factors = 1.0, 0.0, []
+    for j, e in enumerate((spec.alpha[i], spec.beta[i])):
+        k = _SMALLEST_AT[sign_class(e)]
+        end = ends[1 - k if upper else k][j]
+        if isinstance(end, GridFunction):
+            factors.append(_power_quad(mesh, end, e))
+        else:
+            cap, expo = end, expo + e.p_minus
+    out = np.full_like(mesh.qweights, cap ** expo)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _weak_inequality(mesh, small, large) -> float:
+    """Smallest margin of large >= small over the interior hats, slacked
+    by _INEQ_ATOL + _INEQ_RTOL * max(|small|, |large|)."""
     ii = mesh.interior_nodes
-    return rhs_vec[ii] - lhs_vec[ii]
-
-
-def _case_lower(spec, pair, i):
-    """Product envelope minorized over the barrier box, per the sign
-    case of (alpha_i, beta_i)."""
-    mesh = spec.mesh
-    sa, sb = sign_class(spec.alpha[i]), sign_class(spec.beta[i])
-    u1, u2 = pair.under
-    o1, o2 = pair.over
-    if sa == "nonneg" and sb == "nonneg":
-        return (_power_quad(mesh, u1, spec.alpha[i])
-                * _power_quad(mesh, u2, spec.beta[i]))
-    if sa == "negative" and sb == "nonneg":
-        return (_power_quad(mesh, o1, spec.alpha[i])
-                * _power_quad(mesh, u2, spec.beta[i]))
-    if sa == "nonneg" and sb == "negative":
-        return (_power_quad(mesh, u1, spec.alpha[i])
-                * _power_quad(mesh, o2, spec.beta[i]))
-    # both negative cannot occur in the positive-sum regime
-    return (_power_quad(mesh, o1, spec.alpha[i])
-            * _power_quad(mesh, o2, spec.beta[i]))
-
-
-def _case_upper(spec, pair, i):
-    """Product envelope majorized over the barrier box."""
-    mesh = spec.mesh
-    sa, sb = sign_class(spec.alpha[i]), sign_class(spec.beta[i])
-    u1, u2 = pair.under
-    o1, o2 = pair.over
-    if sa == "nonneg" and sb == "nonneg":
-        return (_power_quad(mesh, o1, spec.alpha[i])
-                * _power_quad(mesh, o2, spec.beta[i]))
-    if sa == "negative" and sb == "nonneg":
-        return (_power_quad(mesh, u1, spec.alpha[i])
-                * _power_quad(mesh, o2, spec.beta[i]))
-    if sa == "nonneg" and sb == "negative":
-        return (_power_quad(mesh, o1, spec.alpha[i])
-                * _power_quad(mesh, u2, spec.beta[i]))
-    return (_power_quad(mesh, u1, spec.alpha[i])
-            * _power_quad(mesh, u2, spec.beta[i]))
+    s, g = small[ii], large[ii]
+    tol = _INEQ_ATOL + _INEQ_RTOL * np.maximum(np.abs(s), np.abs(g))
+    return float((g - s + tol).min())
 
 
 def check_barriers_positive_regime(mesh: Mesh, spec: ProblemSpec,
@@ -354,26 +344,19 @@ def check_barriers_positive_regime(mesh: Mesh, spec: ProblemSpec,
     fields, so both are asserted in the tested sense.
     """
     margins = {}
-    worst = np.inf
+    box = (pair.under, pair.over)
     for i in (0, 1):
         lhs = plaplace.apply_operator(mesh, spec.p[i], pair.under[i].values)
-        rhs = grid.load_vector(mesh, spec.m[i] * _case_lower(spec, pair, i))
-        raw = _weak_margin(mesh, lhs, rhs)
-        tol = _INEQ_ATOL + _INEQ_RTOL * np.maximum(np.abs(lhs[mesh.interior_nodes]),
-                                                   np.abs(rhs[mesh.interior_nodes]))
-        m_sub = float((raw + tol).min())
-        margins[f"subsolution_{i+1}"] = m_sub
+        rhs = grid.load_vector(mesh, spec.m[i] * _product_bound(spec, i, box))
+        margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
 
         gmax = max(spec.gamma[i].p_plus, spec.gamma_bar[i].p_plus)
         bulk = 2.0 * spec.M[i] * (pair.R * pair.C) ** gmax
-        rhs2 = grid.load_vector(mesh, bulk + spec.M[i] * _case_upper(spec, pair, i))
+        rhs2 = grid.load_vector(
+            mesh, bulk + spec.M[i] * _product_bound(spec, i, box, upper=True))
         lhs2 = plaplace.apply_operator(mesh, spec.p[i], pair.over[i].values)
-        raw2 = _weak_margin(mesh, rhs2, lhs2)  # want lhs2 >= rhs2
-        tol2 = _INEQ_ATOL + _INEQ_RTOL * np.maximum(np.abs(lhs2[mesh.interior_nodes]),
-                                                    np.abs(rhs2[mesh.interior_nodes]))
-        m_sup = float((raw2 + tol2).min())
-        margins[f"supersolution_{i+1}"] = m_sup
-        worst = min(worst, m_sub, m_sup)
+        margins[f"supersolution_{i+1}"] = _weak_inequality(mesh, rhs2, lhs2)
+    worst = min(margins.values())
     return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
 
 
@@ -386,28 +369,12 @@ def check_barriers_singular_regime(mesh: Mesh, spec: ProblemSpec,
     if not L > 1.0:
         raise ValueError("sup-norm cap L must exceed 1")
     margins = {}
-    worst = np.inf
     for i in (0, 1):
-        sa, sb = sign_class(spec.alpha[i]), sign_class(spec.beta[i])
-        u1, u2 = pair.under
-        if sa == "negative" and sb == "nonneg":
-            rhs_q = (L ** spec.alpha[i].p_minus) * _power_quad(mesh, u2, spec.beta[i])
-        elif sa == "nonneg" and sb == "negative":
-            rhs_q = (L ** spec.beta[i].p_minus) * _power_quad(mesh, u1, spec.alpha[i])
-        elif sa == "negative" and sb == "negative":
-            rhs_q = np.full_like(mesh.qweights,
-                                 L ** (spec.alpha[i].p_minus + spec.beta[i].p_minus))
-        else:
-            rhs_q = (_power_quad(mesh, u1, spec.alpha[i])
-                     * _power_quad(mesh, u2, spec.beta[i]))
         lhs = plaplace.apply_operator(mesh, spec.p[i], pair.under[i].values)
-        rhs = grid.load_vector(mesh, spec.m[i] * rhs_q)
-        raw = _weak_margin(mesh, lhs, rhs)
-        tol = _INEQ_ATOL + _INEQ_RTOL * np.maximum(np.abs(lhs[mesh.interior_nodes]),
-                                                   np.abs(rhs[mesh.interior_nodes]))
-        m_sub = float((raw + tol).min())
-        margins[f"subsolution_{i+1}"] = m_sub
-        worst = min(worst, m_sub)
+        rhs = grid.load_vector(
+            mesh, spec.m[i] * _product_bound(spec, i, (pair.under, (L, L))))
+        margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
+    worst = min(margins.values())
     return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
 
 

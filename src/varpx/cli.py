@@ -7,7 +7,8 @@ CSV, the iteration trace JSON, and the certificate JSON.
 
 Exit codes: 0 converged and all audits pass; 1 config or hypothesis
 error (nothing solved); 2 anything else (artifacts still written when
-possible).  VARPX_THREADS caps the worker count for sweep rows.
+possible), and for a sweep with any failed or unconverged row.
+VARPX_THREADS caps the worker count for sweep rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import copy
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +27,7 @@ import numpy as np
 from . import barriers as bmod
 from . import forms, grid, plaplace, sysfix, verify
 from .barriers import ProblemSpec, Regime
-from .errors import (BisectionError, BoundViolationError, CalibrationError,
-                     ConfigError, EnvelopeError, MeshCompatibilityError,
-                     MixedSignError, NonFiniteFieldError, OrderingError,
-                     SolveError)
+from .errors import ConfigError, EnvelopeError, MixedSignError
 from .expspace import ExponentField
 from .grid import DomainSpec, GridFunction
 from .plaplace import SolverOptions
@@ -226,10 +225,7 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None) -> PipelineResult
                                          opts=config.iteration,
                                          solver_opts=config.solver)
         caps = (cres.L, cres.L_tilde)
-        solution, report = sysfix.fixed_point_iterate(
-            mesh, problem, cal.pair, opts=config.iteration,
-            solver_opts=config.solver, regime=regime,
-            L=cres.L, L_tilde=cres.L_tilde)
+        solution, report = cres.solution, cres.report
     return PipelineResult(mesh=mesh, problem=problem, calibration=cal,
                           solution=solution, report=report, caps=caps)
 
@@ -281,9 +277,8 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
             f.write(verify.certificate_to_json(cert))
         ok = pipeline.report.converged and cert["all_audits_pass"]
         return 0 if ok else 2
-    except (CalibrationError, SolveError, OrderingError, EnvelopeError,
-            NonFiniteFieldError, MeshCompatibilityError, BisectionError,
-            BoundViolationError) as exc:
+    except Exception as exc:  # the config was accepted, so any failure is exit 2
+        traceback.print_exc()
         stub = {"error": str(exc), "schema_version": 1}
         with open(paths["certificate_json"], "w") as f:
             f.write(verify.certificate_to_json(stub))
@@ -440,7 +435,7 @@ def main(argv=None) -> int:
                          mesh_n=args.mesh_n)
             for r in rows:
                 print(r)
-            return 0
+            return 2 if any(r["error"] or not r["converged"] for r in rows) else 0
         config = parse_config(text, mesh_n=args.mesh_n)
         if args.command == "solve":
             return run(config, out_dir=args.out_dir)

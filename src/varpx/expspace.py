@@ -245,10 +245,8 @@ def _gauss_batch(a, b):
     b = np.atleast_1d(np.asarray(b, dtype=float))
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    t = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
-    w = np.array([5.0, 8.0, 5.0]) / 9.0
-    pts = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    pts = (mid[:, None] + half[:, None] * grid._G3_T[None, :]).ravel()
+    wts = (half[:, None] * grid._G3_W[None, :]).ravel()
     return pts, wts
 
 

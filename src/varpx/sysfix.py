@@ -17,6 +17,7 @@ failure of the theory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,28 +49,36 @@ class IterationOptions:
 
 @dataclass
 class SystemState:
-    """Frozen state: the two fields, their gradients, and the norms the
-    membership test needs."""
+    """Frozen state: the two fields, and what the map and the membership
+    test read from them.  The gradients, their norms and the frozen data
+    are computed on first read, so a state computes each at most once
+    and never one that nothing reads."""
 
     z: tuple                  # (GridFunction, GridFunction)
-    grad_z: tuple             # (VectorField, VectorField)
-    grad_inf_norm: tuple
-    grad_lux_norm: tuple
-    in_set: bool = False
+    mesh: Mesh = field(repr=False)
+    p: tuple = field(repr=False)          # (ExponentField, ExponentField)
+    _frozen: tuple | None = field(default=None, repr=False)  # (pair, data)
 
     @staticmethod
     def build(mesh: Mesh, spec: ProblemSpec, z1: GridFunction,
               z2: GridFunction) -> "SystemState":
-        g1 = grid.gradient(mesh, z1)
-        g2 = grid.gradient(mesh, z2)
-        lux = []
-        for gi, pi in ((g1, spec.p1), (g2, spec.p2)):
-            mags = gi.magnitudes[mesh.qcells]
-            lux.append(expspace.luxemburg_norm_from_samples(
-                mags, pi.at_quad(), mesh.qweights, mesh.domain.measure))
-        return SystemState(z=(z1, z2), grad_z=(g1, g2),
-                           grad_inf_norm=(g1.inf_norm, g2.inf_norm),
-                           grad_lux_norm=tuple(lux))
+        grid.check_same_mesh(mesh, z1, z2)
+        return SystemState(z=(z1, z2), mesh=mesh, p=spec.p)
+
+    @cached_property
+    def grad_z(self) -> tuple:
+        return tuple(grid.gradient(self.mesh, zi) for zi in self.z)
+
+    @cached_property
+    def grad_inf_norm(self) -> tuple:
+        return tuple(g.inf_norm for g in self.grad_z)
+
+    @cached_property
+    def grad_lux_norm(self) -> tuple:
+        mesh = self.mesh
+        return tuple(expspace.luxemburg_norm_from_samples(
+            g.magnitudes[mesh.qcells], pi.at_quad(), mesh.qweights,
+            mesh.domain.measure) for g, pi in zip(self.grad_z, self.p))
 
 
 @dataclass
@@ -88,6 +97,9 @@ class IterationReport:
     converged: bool
     damping_used: float
     iterates: list = field(default_factory=list, repr=False)
+    # per iteration: the cap-free membership inputs of the raw map output,
+    # which calibrate_caps judges again once it has picked the caps
+    extremes: list = field(default_factory=list, repr=False)
 
     def as_dict(self):
         return {
@@ -104,8 +116,13 @@ class IterationReport:
 
 def freeze_rhs(spec: ProblemSpec, state: SystemState, pair: BarrierPair):
     """Data for the decoupled solves: nonlinearities at the clamped
-    state, sampled at interior quadrature points only."""
-    return bmod.frozen_rhs_quad(spec.mesh, spec, state.z[0], state.z[1], pair)
+    state, sampled at interior quadrature points only.  The state keeps
+    it, so the residual test of an iterate and the map application that
+    follows share one evaluation."""
+    if state._frozen is None or state._frozen[0] is not pair:
+        state._frozen = (pair, bmod.frozen_rhs_quad(
+            spec.mesh, spec, state.z[0], state.z[1], pair))
+    return state._frozen[1]
 
 
 def apply_map(mesh: Mesh, spec: ProblemSpec, state: SystemState,
@@ -126,50 +143,60 @@ def apply_map(mesh: Mesh, spec: ProblemSpec, state: SystemState,
 
 def membership_check(state: SystemState, pair: BarrierPair, regime: Regime,
                      L: float | None = None, L_tilde: float | None = None):
-    """(member, worst_violation) for the invariant set of the regime.
+    """(member, worst_violation, parts) for the invariant set of the regime.
 
     positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
     negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
     <= L_tilde.  Violations are measured beyond a mixed tolerance.
+    ``parts`` holds the box and gradient verdicts and the cap-free
+    ``extremes`` they were judged from.
     """
-    viol = []
-    split = {}
+    if regime is Regime.NEGATIVE_SUM and (L is None or L_tilde is None):
+        raise ValueError("negative-sum membership needs L and L_tilde")
+    extremes = []
     for i in (0, 1):
         zi = state.z[i].values
-        lower = pair.under[i].values
-        low_v = float((lower - zi).max())
+        low_v = float((pair.under[i].values - zi).max())
         if regime is Regime.POSITIVE_SUM:
-            upper = pair.over[i].values
-            up_v = float((zi - upper).max())
-            cap = pair.C * pair.R
-            g_v = state.grad_inf_norm[i] - cap
-            scale = float(np.abs(upper).max())
+            extremes.append((low_v, float((zi - pair.over[i].values).max()),
+                             state.grad_inf_norm[i]))
         else:
-            if L is None or L_tilde is None:
-                raise ValueError("negative-sum membership needs L and L_tilde")
-            up_v = float((zi - L).max())
-            g_v = state.grad_lux_norm[i] - L_tilde
-            scale = L
+            extremes.append((low_v, float(zi.max()), state.grad_lux_norm[i]))
+    member, worst, parts = _judge(extremes, pair, regime, L, L_tilde)
+    parts["extremes"] = extremes
+    return member, worst, parts
+
+
+def _judge(extremes, pair: BarrierPair, regime: Regime, L, L_tilde):
+    """Membership verdict from per-component (depth below ``under``,
+    excess over ``over`` or the maximum, gradient norm)."""
+    box, grad = [], []
+    for i, (low_v, up, g) in enumerate(extremes):
+        if regime is Regime.POSITIVE_SUM:
+            up_v, g_v = up, g - pair.C * pair.R
+            scale = float(np.abs(pair.over[i].values).max())
+        else:
+            # max(z) - L rounds exactly as max(z - L) does
+            up_v, g_v, scale = up - L, g - L_tilde, L
         tol = _MEMBER_ATOL + _MEMBER_RTOL * scale
-        viol.append(max(low_v, up_v, g_v) - tol)
-        split.setdefault("box", []).append(max(low_v, up_v) - tol)
-        split.setdefault("grad", []).append(g_v - tol)
-    worst = max(viol)
-    state.in_set = worst <= 0.0
-    return state.in_set, max(worst, 0.0), {
-        "box_ok": max(split["box"]) <= 0.0,
-        "grad_ok": max(split["grad"]) <= 0.0,
-    }
+        box.append(max(low_v, up_v) - tol)
+        grad.append(g_v - tol)
+    worst = max(*box, *grad)
+    return worst <= 0.0, max(worst, 0.0), {"box_ok": max(box) <= 0.0,
+                                           "grad_ok": max(grad) <= 0.0}
 
 
 def coupled_residual(mesh: Mesh, spec: ProblemSpec, z1: GridFunction,
                      z2: GridFunction, pair: BarrierPair):
     """Weak residual of each component equation with the nonlinearity
     evaluated at the pair itself (zero exactly at a discrete fixed point)."""
-    h1, h2 = bmod.frozen_rhs_quad(mesh, spec, z1, z2, pair)
-    r1 = plaplace.weak_residual(mesh, spec.p1, z1, h1)
-    r2 = plaplace.weak_residual(mesh, spec.p2, z2, h2)
-    return r1, r2
+    return _state_residual(spec, SystemState.build(mesh, spec, z1, z2), pair)
+
+
+def _state_residual(spec: ProblemSpec, state: SystemState, pair: BarrierPair):
+    h1, h2 = freeze_rhs(spec, state, pair)
+    return (plaplace.weak_residual(state.mesh, spec.p1, state.z[0], h1),
+            plaplace.weak_residual(state.mesh, spec.p2, state.z[1], h2))
 
 
 def _anderson_step(x_hist, g_hist, depth):
@@ -216,15 +243,15 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
         z2 = pair.under[1].copy()
     else:
         z1, z2 = init.z[0].copy(), init.z[1].copy()
+    state = SystemState.build(mesh, spec, z1, z2)
 
     nn = mesh.n_nodes
     x_hist, g_hist = [], []
     steps, residuals, member_trace, box_trace, grad_trace = [], [], [], [], []
-    iterates = []
+    iterates, extremes = [], []
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        state = SystemState.build(mesh, spec, z1, z2)
         (u1, u2), _ = apply_map(mesh, spec, state, pair, solver_opts)
         out_state = SystemState.build(mesh, spec, u1, u2)
         member, _, parts = membership_check(out_state, pair, regime, L, L_tilde)
@@ -249,13 +276,15 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
         s2 = float(np.abs(v2 - z2.values).max())
         z1 = GridFunction(mesh, v1, zero_trace=True)
         z2 = GridFunction(mesh, v2, zero_trace=True)
+        state = SystemState.build(mesh, spec, z1, z2)
 
-        r1, r2 = coupled_residual(mesh, spec, z1, z2, pair)
+        r1, r2 = _state_residual(spec, state, pair)
         steps.append((s1, s2))
         residuals.append(max(r1, r2))
         member_trace.append(bool(member))
         box_trace.append(bool(parts["box_ok"]))
         grad_trace.append(bool(parts["grad_ok"]))
+        extremes.append(parts["extremes"])
         if store_iterates:
             iterates.append((v1.copy(), v2.copy()))
         if max(s1, s2) <= opts.tol_step and residuals[-1] <= opts.tol_residual:
@@ -267,81 +296,65 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
     report = IterationReport(iters=it, step_norms=steps, residuals=residuals,
                              membership_trace=member_trace, box_trace=box_trace,
                              grad_cap_trace=grad_trace, converged=converged,
-                             damping_used=opts.theta, iterates=iterates)
+                             damping_used=opts.theta, iterates=iterates,
+                             extremes=extremes)
     return (z1, z2), report
 
 
 @dataclass
 class CapsResult:
+    """Caps of the singular regime and the run they were read from.  The
+    clamp at L never binds on that run, so the run is the iteration's
+    solution under these caps."""
+
     L: float
     L_tilde: float
-    pilot_iters: int
-    pilot_converged: bool
     max_sup: float
     max_grad_lux: float
-    formula_L: float | None = None   # measured-constant sup bound, when available
+    solution: tuple
+    report: IterationReport
+
+    @property
+    def pilot_iters(self) -> int:
+        return self.report.iters
 
 
 def calibrate_caps(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
                    opts: IterationOptions | None = None,
-                   solver_opts: SolverOptions | None = None,
-                   linfty_constants: tuple | None = None) -> CapsResult:
+                   solver_opts: SolverOptions | None = None) -> CapsResult:
     """Doubling search for the sup-norm cap L and the Luxemburg gradient
-    cap L_tilde of the singular regime.
+    cap L_tilde of the singular regime, by one run of the iteration.
 
-    A pilot run of the iteration (upper clamp disabled) records the
-    largest sup norm and gradient norm any iterate attains; each cap is
-    then the smallest power of two with 5 percent headroom above the
-    record (and L > 1 always).  When measured constants from the sup-norm
-    estimate audit are supplied, the bound const * |h|_LN^(1/(p_pm-1))
-    evaluated at the final frozen data joins the search floor.  The caps
-    exist for 'large enough' constants only; this search finds concrete
-    ones.
+    The run starts at the lower barrier with the upper clamp disabled.
+    Each cap is the smallest power of two with 5 percent headroom above
+    the largest sup norm or gradient norm of the run's clamped iterates,
+    initial state included (and L > 1 always).  The run's membership is
+    then judged against those caps.  The caps exist for 'large enough'
+    constants only; this search finds concrete ones.
     """
-    opts = opts or IterationOptions()
     big = float(np.finfo(float).max) ** 0.25
-    z1 = pair.under[0].copy()
-    z2 = pair.under[1].copy()
-    max_sup = max(float(np.abs(z1.values).max()), float(np.abs(z2.values).max()))
-    st = SystemState.build(mesh, spec, z1, z2)
-    max_lux = max(st.grad_lux_norm)
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        state = SystemState.build(mesh, spec, z1, z2)
-        (u1, u2), _ = apply_map(mesh, spec, state, pair, solver_opts)
-        v1 = (1.0 - opts.theta) * z1.values + opts.theta * u1.values
-        v2 = (1.0 - opts.theta) * z2.values + opts.theta * u2.values
-        v1 = np.minimum(np.maximum(v1, pair.under[0].values), big)
-        v2 = np.minimum(np.maximum(v2, pair.under[1].values), big)
-        s = max(float(np.abs(v1 - z1.values).max()),
-                float(np.abs(v2 - z2.values).max()))
-        z1 = GridFunction(mesh, v1, zero_trace=True)
-        z2 = GridFunction(mesh, v2, zero_trace=True)
-        st = SystemState.build(mesh, spec, z1, z2)
-        max_sup = max(max_sup, float(np.abs(v1).max()), float(np.abs(v2).max()))
-        max_lux = max(max_lux, *st.grad_lux_norm)
-        if s <= opts.tol_step:
-            converged = True
-            break
-
-    formula_L = None
-    if linfty_constants is not None:
-        N = max(mesh.dim, 2)
-        hqs = bmod.frozen_rhs_quad(mesh, spec, z1, z2, pair)
-        formula_L = 0.0
-        for i in (0, 1):
-            hn = float((mesh.qweights @ np.abs(hqs[i].values) ** N) ** (1.0 / N))
-            expo = spec.p[i].p_minus if hn > 1.0 else spec.p[i].p_plus
-            formula_L = max(formula_L,
-                            linfty_constants[i] * hn ** (1.0 / (expo - 1.0)))
-
-    target = max(max_sup, formula_L or 0.0)
+    solution, report = fixed_point_iterate(
+        mesh, spec, pair, opts=opts, solver_opts=solver_opts,
+        regime=Regime.NEGATIVE_SUM, L=big, L_tilde=big, store_iterates=True)
+    iterates = [(pair.under[0].values, pair.under[1].values), *report.iterates]
+    report.iterates = []      # kept for the cap rule only
+    max_sup = max(float(np.abs(v).max()) for vs in iterates for v in vs)
+    max_lux = max(max(SystemState.build(
+        mesh, spec, GridFunction(mesh, v1), GridFunction(mesh, v2)).grad_lux_norm)
+        for v1, v2 in iterates)
     L = 2.0
-    while L < 1.05 * target:
+    while L < 1.05 * max_sup:
         L *= 2.0
     Lt = 1.0
     while Lt < 1.05 * max_lux:
         Lt *= 2.0
-    return CapsResult(L=L, L_tilde=Lt, pilot_iters=it, pilot_converged=converged,
-                      max_sup=max_sup, max_grad_lux=max_lux, formula_L=formula_L)
+
+    verdicts = [_judge(e, pair, Regime.NEGATIVE_SUM, L, Lt) for e in report.extremes]
+    report.membership_trace = [bool(v[0]) for v in verdicts]
+    report.box_trace = [bool(v[2]["box_ok"]) for v in verdicts]
+    report.grad_cap_trace = [bool(v[2]["grad_ok"]) for v in verdicts]
+    # under the disabled caps every map output is a member, so the run
+    # converged iff its stop test fired; the caps decide the rest
+    report.converged = report.converged and report.membership_trace[-1]
+    return CapsResult(L=L, L_tilde=Lt, max_sup=max_sup, max_grad_lux=max_lux,
+                      solution=solution, report=report)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from varpx import (DomainSpec, ExponentField, Regime, build_barriers,
-                   build_mesh, calibrate_barriers,
+                   build_mesh, calibrate_barriers, grid, plaplace,
                    check_barriers_positive_regime,
                    check_barriers_singular_regime, torsion, torsion_delta,
                    validate_hypotheses)
-from varpx.barriers import ProblemSpec, sign_class, signed_extreme
+from varpx import barriers
+from varpx.barriers import (ProblemSpec, resolve_delta, sign_class,
+                           signed_extreme)
 from varpx.errors import CalibrationError, EnvelopeError, MixedSignError
 from varpx.forms import parse_expr
 
@@ -255,3 +257,80 @@ def test_benchmark_calibration_regression():
     assert cal.C == 4.0
     assert cal.delta == pytest.approx(0.05)
     assert cal.pair.c0_measured > 0
+
+
+# Barrier products per sign case of (alpha, beta), written out: pq(base, e)
+# is base^e at the quadrature points, u/o the under/over barriers, L the
+# singular-regime cap entering through the scalar extremes.
+_SIGN_CASE_PRODUCTS = {
+    (0.3, 0.2): {
+        "lower": lambda pq, u, o, a, b, L: pq(u[0], a) * pq(u[1], b),
+        "upper": lambda pq, u, o, a, b, L: pq(o[0], a) * pq(o[1], b),
+        "singular": lambda pq, u, o, a, b, L: pq(u[0], a) * pq(u[1], b)},
+    (-0.1, 0.3): {
+        "lower": lambda pq, u, o, a, b, L: pq(o[0], a) * pq(u[1], b),
+        "upper": lambda pq, u, o, a, b, L: pq(u[0], a) * pq(o[1], b),
+        "singular": lambda pq, u, o, a, b, L: L ** a.p_minus * pq(u[1], b)},
+    (0.3, -0.1): {
+        "lower": lambda pq, u, o, a, b, L: pq(u[0], a) * pq(o[1], b),
+        "upper": lambda pq, u, o, a, b, L: pq(o[0], a) * pq(u[1], b),
+        "singular": lambda pq, u, o, a, b, L: L ** b.p_minus * pq(u[0], a)},
+    (-0.05, -0.06): {
+        "lower": lambda pq, u, o, a, b, L: pq(o[0], a) * pq(o[1], b),
+        "upper": lambda pq, u, o, a, b, L: pq(u[0], a) * pq(u[1], b),
+        "singular": lambda pq, u, o, a, b, L:
+            np.full(len(u[0].mesh.qweights), L ** (a.p_minus + b.p_minus))},
+}
+
+
+@pytest.mark.parametrize("regime", ["positive", "singular"])
+@pytest.mark.parametrize("case", list(_SIGN_CASE_PRODUCTS))
+def test_sign_case_products_and_margins(case, regime):
+    m = mesh1d(64)
+    a0, b0 = case
+    cf = lambda c: ExponentField.constant(m, c)
+    alpha = ExponentField.from_callable(m, lambda x: a0 * (1.0 + 0.3 * x))
+    f = parse_expr({"mul": [{"pow": {"base": "s1", "exp": a0}},
+                            {"pow": {"base": "s2", "exp": b0}}]})
+    spec = ProblemSpec(mesh=m, p1=cf(2.5), p2=cf(2.5), alpha=(alpha, alpha),
+                       beta=(cf(b0), cf(b0)), gamma=(cf(0.0), cf(0.0)),
+                       gamma_bar=(cf(0.0), cf(0.0)), m=(1.3, 1.3), M=(1.5, 1.5),
+                       f=(f, f), N_dim=2)
+    delta, xi, xid = resolve_delta(m, spec)
+    pair = build_barriers(m, spec, 4.0, delta, torsions=(xi, xid))
+    L = 4.0
+
+    def pq(base, e):
+        return grid.at_quad(m, base.values) ** e.at_quad()
+
+    def product(side):
+        return _SIGN_CASE_PRODUCTS[case][side](pq, pair.under, pair.over,
+                                               alpha, spec.beta[0], L)
+
+    def margin(small, large):
+        ii = m.interior_nodes
+        tol = (barriers._INEQ_ATOL + barriers._INEQ_RTOL
+               * np.maximum(np.abs(small[ii]), np.abs(large[ii])))
+        return float((large[ii] - small[ii] + tol).min())
+
+    sub = plaplace.apply_operator(m, spec.p1, pair.under[0].values)
+    if regime == "singular":
+        lower = product("singular")
+        np.testing.assert_array_equal(
+            barriers._product_bound(spec, 0, (pair.under, (L, L))), lower)
+        rep = check_barriers_singular_regime(m, spec, pair, L)
+    else:
+        lower, upper = product("lower"), product("upper")
+        box = (pair.under, pair.over)
+        np.testing.assert_array_equal(barriers._product_bound(spec, 0, box), lower)
+        np.testing.assert_array_equal(
+            barriers._product_bound(spec, 0, box, upper=True), upper)
+        rep = check_barriers_positive_regime(m, spec, pair)
+        gmax = max(spec.gamma[0].p_plus, spec.gamma_bar[0].p_plus)
+        bulk = 2.0 * spec.M[0] * (pair.R * pair.C) ** gmax
+        sup = plaplace.apply_operator(m, spec.p1, pair.over[0].values)
+        rhs2 = grid.load_vector(m, bulk + spec.M[0] * upper)
+        assert rep.margins["supersolution_1"] == margin(rhs2, sup)
+    rhs = grid.load_vector(m, spec.m[0] * lower)
+    assert rep.margins["subsolution_1"] == margin(sub, rhs)
+    assert rep.worst_margin == min(rep.margins.values())

@@ -113,7 +113,8 @@ def test_run_nonconvergence_exit2(tmp_path):
 
 
 @pytest.mark.parametrize("exc_type", [NonFiniteFieldError, MeshCompatibilityError,
-                                      BisectionError, BoundViolationError])
+                                      BisectionError, BoundViolationError,
+                                      ValueError])
 def test_solve_time_error_exit2_with_stubs(tmp_path, monkeypatch, exc_type):
     def fail(config, mesh_n=None):
         raise exc_type("injected fault")
@@ -124,6 +125,34 @@ def test_solve_time_error_exit2_with_stubs(tmp_path, monkeypatch, exc_type):
     for name in ("certificate.json", "trace.json"):
         stub = json.loads((tmp_path / name).read_text())
         assert stub == {"error": "injected fault", "schema_version": 1}
+
+
+def test_audit_time_zero_division_exit2_with_stubs(tmp_path, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise ZeroDivisionError("degenerate test field: int h phi vanishes")
+
+    monkeypatch.setattr(cli.verify, "mvt_ratio", degenerate)
+    code = main(["solve", config_path("trivial.json"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    for name in ("certificate.json", "trace.json"):
+        stub = json.loads((tmp_path / name).read_text())
+        assert stub["error"] == "degenerate test field: int h phi vanishes"
+
+
+@pytest.mark.parametrize("param,values", [("resolution", "64,4"),
+                                          ("iteration.max_iters", "50,1")])
+def test_sweep_exit2_on_failed_or_unconverged_row(tmp_path, param, values):
+    code = main(["sweep", config_path("trivial.json"), "--param", param,
+                 "--values", values, "--out-dir", str(tmp_path)])
+    assert code == 2
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[1].split(",")[1] == "True"
+
+
+def test_sweep_exit0_when_every_row_converges(tmp_path):
+    code = main(["sweep", config_path("trivial.json"), "--param", "resolution",
+                 "--values", "32,64", "--out-dir", str(tmp_path)])
+    assert code == 0
 
 
 def test_cli_main_invalid_config_exit1(tmp_path):

@@ -195,3 +195,77 @@ def test_trace_report_roundtrip():
     assert len(d["step_norms"]) == rep.iters
     assert len(d["residuals"]) == rep.iters
     assert d["converged"] is True
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_pipeline_maps_once_per_cap_search(monkeypatch):
+    from varpx import cli, sysfix
+    from conftest import config_path
+    with open(config_path("singular.json")) as f:
+        cfg = cli.parse_config(f.read(), mesh_n=64)
+    searches = []
+    orig_caps = sysfix.calibrate_caps
+
+    def recorded(*args, **kwargs):
+        searches.append(orig_caps(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(sysfix, "calibrate_caps", recorded)
+    maps = _count_calls(monkeypatch, sysfix, "apply_map")
+    pv = cli.run_pipeline(cfg)
+    assert pv.report is searches[-1].report
+    assert len(maps) == sum(s.report.iters for s in searches)
+
+
+def test_positive_regime_iteration_runs_no_luxemburg_bisection(monkeypatch):
+    from varpx import expspace
+    m, spec, cal = setup_positive(64)
+    bisections = _count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
+    _, rep = fixed_point_iterate(m, spec, cal.pair)
+    assert rep.converged and bisections == []
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
+    from varpx import barriers
+    if singular:
+        m = build_mesh(DomainSpec.interval(0, 1), 64)
+        spec = singular_spec(m)
+        cal = calibrate_barriers(m, spec)
+        kw = dict(regime=Regime.NEGATIVE_SUM, L=4.0, L_tilde=4.0)
+    else:
+        m, spec, cal = setup_positive(64)
+        kw = {}
+    evals = _count_calls(monkeypatch, barriers, "frozen_rhs_quad")
+    _, rep = fixed_point_iterate(m, spec, cal.pair, **kw)
+    assert rep.iters > 1
+    assert len(evals) == rep.iters + 1
+
+
+@pytest.mark.parametrize("anderson_depth", [0, 2])
+def test_cap_search_run_is_the_capped_solution(anderson_depth):
+    m = build_mesh(DomainSpec.interval(0, 1), 128)
+    spec = singular_spec(m)
+    cal = calibrate_barriers(m, spec)
+    opts = IterationOptions(anderson_depth=anderson_depth)
+    caps = calibrate_caps(m, spec, cal.pair, opts=opts)
+    sol, rep = fixed_point_iterate(m, spec, cal.pair, opts=opts,
+                                   regime=Regime.NEGATIVE_SUM,
+                                   L=caps.L, L_tilde=caps.L_tilde)
+    for i in (0, 1):
+        assert np.array_equal(caps.solution[i].values, sol[i].values)
+    assert caps.report.as_dict() == rep.as_dict()
+    assert caps.report.extremes == rep.extremes
+    assert caps.report.iterates == rep.iterates == []
+    assert caps.pilot_iters == rep.iters and rep.converged

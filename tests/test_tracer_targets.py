@@ -1,0 +1,33 @@
+"""The benchmark's layer trace wraps varpx functions by name; a renamed
+or removed target stops every traced bench worker.  This reads
+bench/tracer.py without installing it (and without writing bytecode
+next to it) and resolves each target the way the tracer does."""
+
+import importlib
+import os
+import types
+
+from conftest import REPO_ROOT
+
+
+def _load_tracer():
+    path = os.path.join(REPO_ROOT, "bench", "tracer.py")
+    mod = types.ModuleType("varpx_bench_tracer")
+    mod.__file__ = path
+    with open(path) as f:
+        exec(compile(f.read(), path, "exec"), mod.__dict__)
+    return mod
+
+
+def test_every_trace_target_resolves():
+    tracer = _load_tracer()
+    missing = []
+    for module, attr, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"varpx.{module}")
+        name = attr
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = vars(owner).get(cls_name)
+        if owner is None or vars(owner).get(attr) is None:
+            missing.append(f"{module}.{name}")
+    assert tracer.TARGETS and missing == []
