@@ -268,6 +268,7 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
             pipeline.mesh, pipeline.problem, pipeline.solution,
             pipeline.calibration.pair, pipeline.report, caps=pipeline.caps,
             refined=(refined.solution, refined.mesh),
+            refined_report=refined.report,
             rng=np.random.default_rng(config.seed),
             solver_opts=config.solver)
         _write_fields_csv(paths["fields_csv"], pipeline.mesh, pipeline)

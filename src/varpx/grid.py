@@ -139,9 +139,6 @@ class Mesh:
         self.nodes = np.column_stack([X.ravel(), Y.ravel()])
         self.xs, self.ys = xs, ys
 
-        def idx(ix, iy):
-            return iy * (n + 1) + ix
-
         onb = (np.isclose(self.nodes[:, 0], ax) | np.isclose(self.nodes[:, 0], bx)
                | np.isclose(self.nodes[:, 1], ay) | np.isclose(self.nodes[:, 1], by))
         self.boundary_nodes = np.flatnonzero(onb)
@@ -149,18 +146,18 @@ class Mesh:
         # Split each quad along a diagonal that never creates a triangle
         # with all three vertices on the boundary: zero-trace fields must
         # stay positive at interior quadrature points, and an all-boundary
-        # triangle would interpolate to zero throughout.
-        tris = []
-        for iy in range(n):
-            for ix in range(n):
-                v00, v10 = idx(ix, iy), idx(ix + 1, iy)
-                v01, v11 = idx(ix, iy + 1), idx(ix + 1, iy + 1)
-                main = [(v00, v10, v11), (v00, v11, v01)]
-                if any(all(onb[v] for v in t) for t in main):
-                    tris.extend([(v00, v10, v01), (v10, v11, v01)])
-                else:
-                    tris.extend(main)
-        self.cells = np.array(tris)
+        # triangle would interpolate to zero throughout.  Quads run
+        # row-major, two triangles each.
+        iy, ix = np.divmod(np.arange(n * n), n)
+        v00 = iy * (n + 1) + ix
+        v10, v01 = v00 + 1, v00 + n + 1
+        v11 = v01 + 1
+        main = np.stack([np.column_stack([v00, v10, v11]),
+                         np.column_stack([v00, v11, v01])], axis=1)
+        other = np.stack([np.column_stack([v00, v10, v01]),
+                          np.column_stack([v10, v11, v01])], axis=1)
+        flip = onb[main].all(axis=2).any(axis=1)
+        self.cells = np.where(flip[:, None, None], other, main).reshape(-1, 3)
 
         p0 = self.nodes[self.cells[:, 0]]
         p1 = self.nodes[self.cells[:, 1]]

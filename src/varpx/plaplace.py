@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import grid
 from .errors import DeltaTooLargeError, NonFiniteFieldError, SolveError
@@ -71,10 +69,11 @@ class _Layout:
     P1 gradients are constant on each cell, so quadrature-weighted
     coefficients are summed per cell first; the (cell, k, l) entries of
     the element matrices are then scattered with one ``bincount`` into
-    the data array of a fixed interior pattern.  In 1D that pattern is
-    the upper band of the tridiagonal matrix (LAPACK banded Cholesky),
-    in 2D a CSC pattern for sparse LU.  Holds no reference to the mesh,
-    so the weak per-mesh cache below can release it.
+    the upper band of the interior matrix in LAPACK storage
+    ``ab[bw + i - j, j]``, factorized by banded Cholesky.  Interior
+    nodes are numbered row-major, so a cell couples nodes at most
+    ``bw`` apart: 1 in 1D, ``n`` in 2D.  Holds no reference to the
+    mesh, so the weak per-mesh cache below can release it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -87,23 +86,11 @@ class _Layout:
         pos[mesh.interior_nodes] = np.arange(m)
         rows = np.broadcast_to(pos[cells][:, :, None], (nc, k, k)).ravel()
         cols = np.broadcast_to(pos[cells][:, None, :], (nc, k, k)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
+        keep = (rows >= 0) & (rows <= cols)
         self.m = m
-        self.banded = mesh.dim == 1
-        if self.banded:
-            # interval cells join consecutive nodes: keep the upper band
-            # in LAPACK storage ab[1 + i - j, j]
-            keep &= rows <= cols
-            self.slot = (1 + rows[keep] - cols[keep]) * m + cols[keep]
-            self.size = 2 * m
-        else:
-            keys, self.slot = np.unique(cols[keep] * m + rows[keep],
-                                        return_inverse=True)
-            self.indices = (keys % m).astype(np.int32)
-            self.indptr = np.concatenate(
-                [[0], np.cumsum(np.bincount(keys // m, minlength=m))]
-            ).astype(np.int32)
-            self.size = keys.size
+        self.bw = 1 if mesh.dim == 1 else mesh.n
+        self.slot = (self.bw + rows[keep] - cols[keep]) * m + cols[keep]
+        self.size = (self.bw + 1) * m
         self.keep = np.flatnonzero(keep)
         volumes = self.cell_sum(mesh.qweights)
         self.poisson = self.factor(self.assemble(volumes[:, None, None] * self.dots))
@@ -121,15 +108,10 @@ class _Layout:
     def factor(self, data: np.ndarray):
         """Solve function for the interior system with matrix ``data``."""
         try:
-            if self.banded:
-                cf = sla.cholesky_banded(data.reshape(2, self.m))
-                return lambda rhs: sla.cho_solve_banded((cf, False), rhs)
-            H = sp.csc_matrix((data, self.indices, self.indptr),
-                              shape=(self.m, self.m))
-            return spla.splu(H, permc_spec="MMD_AT_PLUS_A",
-                             options={"SymmetricMode": True}).solve
-        except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+            cf = sla.cholesky_banded(data.reshape(self.bw + 1, self.m))
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise SolveError(f"interior system could not be factorized: {exc}")
+        return lambda rhs: sla.cho_solve_banded((cf, False), rhs)
 
 
 _LAYOUTS = weakref.WeakKeyDictionary()  # Mesh -> _Layout

@@ -187,10 +187,13 @@ def _judge(extremes, pair: BarrierPair, regime: Regime, L, L_tilde):
 
 
 def coupled_residual(mesh: Mesh, spec: ProblemSpec, z1: GridFunction,
-                     z2: GridFunction, pair: BarrierPair):
+                     z2: GridFunction, pair: BarrierPair,
+                     state: SystemState | None = None):
     """Weak residual of each component equation with the nonlinearity
-    evaluated at the pair itself (zero exactly at a discrete fixed point)."""
-    return _state_residual(spec, SystemState.build(mesh, spec, z1, z2), pair)
+    evaluated at the pair itself (zero exactly at a discrete fixed point).
+    A ``state`` of (z1, z2) passed in keeps the frozen data for the caller."""
+    state = state or SystemState.build(mesh, spec, z1, z2)
+    return _state_residual(spec, state, pair)
 
 
 def _state_residual(spec: ProblemSpec, state: SystemState, pair: BarrierPair):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import barriers as bmod
 from . import grid, plaplace, sysfix
 from .barriers import BarrierPair, ProblemSpec, validate_hypotheses
 from .expspace import ExponentField
@@ -219,12 +218,15 @@ def distance_ratio(mesh: Mesh, u_values: np.ndarray):
 
 
 def sandwich_audit(solution, mesh: Mesh, pair: BarrierPair,
-                   refined=None, tol_rel: float = 0.2) -> dict:
+                   refined=None, tol_rel: float = 0.2,
+                   refined_report=None) -> dict:
     """Distance-comparability constants of an accepted solution pair:
     c0 = min u_i/d, c1 = max u_i/d over interior nodes.  Pass requires
     c0 > 0 with both constants stable within tol_rel under one mesh
     refinement; ``refined`` supplies (solution, mesh) at the finer
-    resolution when that part of the audit is wanted."""
+    resolution when that part of the audit is wanted, and
+    ``refined_report`` the IterationReport of that run: an unconverged
+    refined run establishes no stability, so the audit fails."""
     per = []
     for i in (0, 1):
         c0_i, c1_i = distance_ratio(mesh, solution[i].values)
@@ -248,19 +250,26 @@ def sandwich_audit(solution, mesh: Mesh, pair: BarrierPair,
         out["drift"] = {"c0": drift0, "c1": drift1}
         if drift0 > tol_rel or drift1 > tol_rel or fc0 <= 0.0:
             out["verdict"] = "fail"
+        if refined_report is not None:
+            out["refined"].update(iters=refined_report.iters,
+                                  converged=bool(refined_report.converged))
+            if not refined_report.converged:
+                out["verdict"] = "fail"
+                out["notes"] = ["refined run did not converge: "
+                                "stability is not established"]
     return out
 
 
-def mvt_spot_checks(mesh: Mesh, spec: ProblemSpec, solution, pair: BarrierPair,
-                    rng: np.random.Generator, n_checks: int = 5,
+def mvt_spot_checks(mesh: Mesh, spec: ProblemSpec, solution, frozen,
+                    residuals, rng: np.random.Generator, n_checks: int = 5,
                     f_range=(0.5, 2.0)) -> list:
     """Mean-value checks on the solution's own component equations with
-    random Lipschitz weights and the solution itself as test field."""
-    h1, h2 = bmod.frozen_rhs_quad(mesh, spec, solution[0], solution[1], pair)
+    random Lipschitz weights and the solution itself as test field;
+    ``frozen`` holds each component's data at the solution and
+    ``residuals`` its weak residual against that data."""
     checks = []
-    for i, hq in ((0, h1), (1, h2)):
+    for i, (hq, resid) in enumerate(zip(frozen, residuals)):
         u = solution[i]
-        resid = plaplace.weak_residual(mesh, spec.p[i], u, hq)
         tol = mvt_tolerance(mesh, resid)
         for _ in range(n_checks):
             f = random_lipschitz_field(mesh, rng, *f_range)
@@ -282,7 +291,7 @@ def certificate_to_json(cert: dict) -> str:
 
 def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
                          pair: BarrierPair, report, caps=None,
-                         refined=None, rng=None,
+                         refined=None, refined_report=None, rng=None,
                          solver_opts: SolverOptions | None = None,
                          audit_scales=DEFAULT_SCALES) -> dict:
     """Machine-readable verification record for a completed run:
@@ -290,7 +299,8 @@ def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
     estimate audits, and mean-value spot checks.  Deterministic given
     the same inputs and rng seed."""
     rng = rng or np.random.default_rng(0)
-    r1, r2 = sysfix.coupled_residual(mesh, spec, solution[0], solution[1], pair)
+    state = sysfix.SystemState.build(mesh, spec, solution[0], solution[1])
+    r1, r2 = sysfix.coupled_residual(mesh, spec, *solution, pair, state=state)
     hyp = validate_hypotheses(spec)
     audits = []
     ones = GridFunction.constant(mesh, 1.0)
@@ -301,8 +311,10 @@ def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
         a = linfty_estimate_audit(mesh, spec.p[i], ones, audit_scales, solver_opts)
         a.name = f"linfty_estimate_p{i+1}"
         audits.append(a)
-    sandwich = sandwich_audit(solution, mesh, pair, refined=refined)
-    mvt = mvt_spot_checks(mesh, spec, solution, pair, rng)
+    sandwich = sandwich_audit(solution, mesh, pair, refined=refined,
+                              refined_report=refined_report)
+    mvt = mvt_spot_checks(mesh, spec, solution, sysfix.freeze_rhs(spec, state, pair),
+                          (r1, r2), rng)
     cert = {
         "schema_version": 1,
         "mesh": {"dim": mesh.dim, "n": mesh.n, "h": mesh.h},

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from varpx.errors import (BisectionError, BoundViolationError, ConfigError,
                           MeshCompatibilityError, NonFiniteFieldError)
 from varpx import Regime
 
-from conftest import config_path
+from conftest import REPO_ROOT, config_path
 
 
 def load(name):
@@ -125,6 +128,44 @@ def test_solve_time_error_exit2_with_stubs(tmp_path, monkeypatch, exc_type):
     for name in ("certificate.json", "trace.json"):
         stub = json.loads((tmp_path / name).read_text())
         assert stub == {"error": "injected fault", "schema_version": 1}
+
+
+def test_unconverged_refined_run_fails_sandwich(tmp_path, monkeypatch):
+    real = cli.run_pipeline
+
+    def stalled_refinement(config, mesh_n=None):
+        pv = real(config, mesh_n)
+        if mesh_n is not None:
+            pv.report = dataclasses.replace(pv.report, converged=False)
+        return pv
+
+    monkeypatch.setattr(cli, "run_pipeline", stalled_refinement)
+    code = main(["solve", config_path("trivial.json"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    sandwich = json.loads((tmp_path / "certificate.json").read_text())["sandwich"]
+    assert sandwich["verdict"] == "fail"
+    assert sandwich["refined"]["converged"] is False
+    assert sandwich["refined"]["iters"] >= 1
+    assert any("did not converge" in note for note in sandwich["notes"])
+
+
+def test_refined_run_recorded_in_certificate(tmp_path):
+    code = main(["solve", config_path("trivial.json"), "--out-dir", str(tmp_path)])
+    assert code == 0
+    sandwich = json.loads((tmp_path / "certificate.json").read_text())["sandwich"]
+    assert sandwich["verdict"] == "pass"
+    assert sandwich["refined"]["converged"] is True
+    assert sandwich["refined"]["iters"] >= 1
+    assert "notes" not in sandwich
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    code = "import sys, varpx.cli; sys.exit('scipy.sparse' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0
 
 
 def test_audit_time_zero_division_exit2_with_stubs(tmp_path, monkeypatch):

@@ -36,6 +36,31 @@ def test_no_all_boundary_triangles():
         assert not np.any(onb[m.cells].all(axis=1))
 
 
+def _loop_triangles(n, onb):
+    """Quad-by-quad split: the main diagonal unless one of its triangles
+    has all three vertices on the boundary."""
+    tris = []
+    for iy in range(n):
+        for ix in range(n):
+            v00, v10 = iy * (n + 1) + ix, iy * (n + 1) + ix + 1
+            v01, v11 = v00 + n + 1, v10 + n + 1
+            main = [(v00, v10, v11), (v00, v11, v01)]
+            if any(all(onb[v] for v in t) for t in main):
+                tris.extend([(v00, v10, v01), (v10, v11, v01)])
+            else:
+                tris.extend(main)
+    return np.array(tris)
+
+
+def test_triangle_split_matches_loop_reference():
+    for bounds in ((0, 1, 0, 1), (0, 3, 0, 1), (-1, 0.5, 2, 4.5)):
+        for n in (2, 3, 4, 7, 16):
+            m = build_mesh(DomainSpec.rectangle(*bounds), n)
+            onb = np.zeros(m.n_nodes, dtype=bool)
+            onb[m.boundary_nodes] = True
+            np.testing.assert_array_equal(m.cells, _loop_triangles(n, onb))
+
+
 def test_quadrature_points_strictly_interior_to_cells():
     # zero-trace fields must stay positive at quadrature points, so no
     # quadrature point may sit on a cell face or the boundary

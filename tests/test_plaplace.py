@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -291,15 +292,20 @@ def _reference_operator(mesh, p, u, eps):
 
 
 def _layout_matrix(lay, data):
-    if lay.banded:
-        ab = data.reshape(2, lay.m)
-        H = sp.diags([ab[0, 1:], ab[1], ab[0, 1:]], [-1, 0, 1])
-    else:
-        H = sp.csc_matrix((data, lay.indices, lay.indptr), shape=(lay.m, lay.m))
-    return H.toarray()
+    """Dense symmetric matrix from the upper band ab[bw + i - j, j]."""
+    ab = data.reshape(lay.bw + 1, lay.m)
+    H = np.zeros((lay.m, lay.m))
+    for d in range(lay.bw + 1):  # d = j - i, the superdiagonal
+        # the first d entries of row bw - d lie outside the matrix
+        assert not ab[lay.bw - d, :d].any()
+        if d < lay.m:
+            H += np.diag(ab[lay.bw - d, d:], d)
+            if d:
+                H += np.diag(ab[lay.bw - d, d:], -d)
+    return H
 
 
-_CASE_IDS = ["1d_p_above_2", "1d_p_below_2", "2d"]
+_CASE_IDS = ["1d_p_above_2", "1d_p_below_2", "2d", "2d_p_below_2"]
 
 
 def _variable_cases():
@@ -316,10 +322,11 @@ def _variable_cases():
         (m1, ExponentField.from_callable(m1, lambda x: 2.5 + 0.4 * np.sin(4 * x)), u1),
         (m1, ExponentField.from_callable(m1, lambda x: 1.6 + 0.5 * x), u1),
         (m2, ExponentField.from_callable(m2, lambda x, y: 2.2 + 0.5 * x + 0.3 * y), u2),
+        (m2, ExponentField.from_callable(m2, lambda x, y: 1.4 + 0.3 * x + 0.1 * y), u2),
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
+@pytest.mark.parametrize("case", range(len(_CASE_IDS)), ids=_CASE_IDS)
 def test_layout_hessian_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
     eps = 1e-3
@@ -333,7 +340,40 @@ def test_layout_hessian_matches_coo_reference(case):
                                rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", range(3), ids=_CASE_IDS)
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(2, 12),
+       width=st.floats(0.2, 3.0), aspect=st.floats(1.1, 4.0),
+       tall=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_layout_band_property(dim, n, width, aspect, tall, seed):
+    """On random meshes, variable exponents and zero-trace fields the
+    banded layout holds the COO reference Hessian and its factor solves
+    that matrix."""
+    if dim == 1:
+        domain = DomainSpec.interval(-width, width * aspect)
+    else:
+        other = width * aspect
+        domain = (DomainSpec.rectangle(0.0, width, 0.0, other) if tall
+                  else DomainSpec.rectangle(0.0, other, 0.0, width))
+    mesh = build_mesh(domain, n)
+    rng = np.random.default_rng(seed)
+    p = ExponentField(mesh, rng.uniform(1.3, 3.5, mesh.n_nodes))
+    u = rng.normal(size=mesh.n_nodes)
+    u[mesh.boundary_nodes] = 0.0
+    eps = 1e-3
+    lay = plaplace._layout(mesh)
+    assert lay.bw == (n if dim == 2 else 1)
+    data = plaplace._hessian(mesh, lay, p.at_quad(), u, eps)
+    H = _layout_matrix(lay, data)
+    ref = _reference_hessian(mesh, p, u, eps)
+    np.testing.assert_allclose(H, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    rhs = rng.normal(size=lay.m)
+    x = lay.factor(data)(rhs)
+    backward = np.abs(ref @ x - rhs).max()
+    assert backward <= 1e-10 * (np.abs(ref).sum(axis=1).max() * np.abs(x).max()
+                                + np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("case", range(len(_CASE_IDS)), ids=_CASE_IDS)
 def test_apply_operator_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
     for eps in (0.0, 1e-3):

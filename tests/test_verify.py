@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from varpx import barriers, plaplace
+
 from varpx import (DomainSpec, ExponentField, GridFunction, build_mesh,
                    calibrate_barriers, fixed_point_iterate,
                    gradient_estimate_audit, linfty_estimate_audit, mvt_ratio,
@@ -219,3 +221,29 @@ def test_certificate_detects_tampering():
     cert = solution_certificate(m, spec, (bad0, sol[1]), cal.pair, rep,
                                 rng=np.random.default_rng(5))
     assert cert["residuals"]["max"] > 1e-3
+
+
+def test_certificate_evaluates_frozen_data_once(monkeypatch):
+    m, spec, cal, sol, rep = _small_run()
+    expected = solution_certificate(m, spec, sol, cal.pair, rep,
+                                    rng=np.random.default_rng(5))
+    calls = {"frozen": 0, "residual": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(barriers, "frozen_rhs_quad",
+                        counting("frozen", barriers.frozen_rhs_quad))
+    monkeypatch.setattr(plaplace, "weak_residual",
+                        counting("residual", plaplace.weak_residual))
+    monkeypatch.setattr(plaplace, "solve_dirichlet",
+                        counting("solve", plaplace.solve_dirichlet))
+    cert = solution_certificate(m, spec, sol, cal.pair, rep,
+                                rng=np.random.default_rng(5))
+    assert certificate_to_json(cert) == certificate_to_json(expected)
+    assert calls["frozen"] == 1
+    # one residual per audit solve, plus one per component at the solution
+    assert calls["residual"] == calls["solve"] + 2
