@@ -35,6 +35,9 @@ from .plaplace import SolverOptions
 _INEQ_ATOL = 1e-8
 _INEQ_RTOL = 1e-6
 
+# The barrier scale search stops at C = 2^_C_MAX_EXP.
+_C_MAX_EXP = 20
+
 
 class Regime(str, enum.Enum):
     POSITIVE_SUM = "positive_sum"
@@ -389,12 +392,11 @@ class CalibrationResult:
 
 
 def resolve_delta(mesh: Mesh, spec: ProblemSpec,
-                  opts: SolverOptions | None = None,
-                  delta0: float | None = None):
+                  opts: SolverOptions | None = None):
     """Strip width search: start at 0.1 * max distance and halve until
     the strip-loaded torsion fields stay positive, flooring at two mesh
     widths.  Returns (delta, xi, xi_delta) with the solved fields."""
-    delta = delta0 if delta0 is not None else 0.1 * mesh.max_distance
+    delta = 0.1 * mesh.max_distance
     floor = 2.0 * mesh.h
     xi = tuple(plaplace.torsion(mesh, spec.p[i], opts) for i in (0, 1))
     while True:
@@ -412,10 +414,8 @@ def resolve_delta(mesh: Mesh, spec: ProblemSpec,
 
 def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
                        opts: SolverOptions | None = None,
-                       L: float | None = None,
-                       c_max_exp: int = 20,
-                       delta0: float | None = None) -> CalibrationResult:
-    """Doubling search C in {2, 4, ..., 2^c_max_exp} with delta halved
+                       L: float | None = None) -> CalibrationResult:
+    """Doubling search C in {2, 4, ..., 2^_C_MAX_EXP} with delta halved
     from 0.1 * max distance on positivity failure (floor two mesh
     widths).  Returns the first success; exhaustion raises
     CalibrationError, which cannot distinguish 'C must be larger' from
@@ -430,9 +430,9 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
     if regime is Regime.NEGATIVE_SUM and L is None:
         L = 2.0  # provisional cap; refreshed by the cap search afterwards
 
-    delta, xi, xid = resolve_delta(mesh, spec, opts, delta0)
+    delta, xi, xid = resolve_delta(mesh, spec, opts)
     trajectory = []
-    for k in range(1, c_max_exp + 1):
+    for k in range(1, _C_MAX_EXP + 1):
         C = 2.0 ** k
         try:
             pair = build_barriers(mesh, spec, C, delta, opts, torsions=(xi, xid))
@@ -448,7 +448,7 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
             return CalibrationResult(C=C, delta=delta, pair=pair, regime=regime,
                                      trajectory=trajectory, L=L)
     raise CalibrationError(
-        f"no C <= 2^{c_max_exp} satisfied the comparison inequalities; "
+        f"no C <= 2^{_C_MAX_EXP} satisfied the comparison inequalities; "
         "either C must be larger or the discretization is too coarse "
         "(indistinguishable at this resolution)")
 

@@ -8,13 +8,12 @@ CSV, the iteration trace JSON, and the certificate JSON.
 Exit codes: 0 converged and all audits pass; 1 config or hypothesis
 error (nothing solved); 2 anything else (artifacts still written when
 possible), and for a sweep with any failed or unconverged row.
-VARPX_THREADS caps the worker count for sweep rows.
+Sweep rows run serially in value order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
 import os
@@ -84,6 +83,9 @@ def _parse_domain(obj, path="domain"):
     raise ConfigError(f"{path}.kind", f"unknown domain kind {kind!r}")
 
 
+_EXPONENTS = ("p", "alpha", "beta", "gamma", "gamma_bar")
+
+
 def _exponent_pair(mesh, obj, path):
     if not isinstance(obj, list) or len(obj) != 2:
         raise ConfigError(path, "expected a two-element list of expressions")
@@ -93,6 +95,29 @@ def _exponent_pair(mesh, obj, path):
         vals = forms.evaluate_spatial(expr, mesh.nodes)
         out.append(ExponentField(mesh, vals))
     return tuple(out)
+
+
+def _materialize(raw: dict, mesh) -> ProblemSpec:
+    """The configured problem on ``mesh``: the five exponent pairs, the
+    envelope constants m and M, the nonlinearities f and N_dim."""
+    ex = {k: _exponent_pair(mesh, _get(raw, k, "$", list), f"$.{k}")
+          for k in _EXPONENTS}
+    mm = _get(raw, "m", "$", list)
+    MM = _get(raw, "M", "$", list)
+    if len(mm) != 2 or len(MM) != 2:
+        raise ConfigError("$.m", "m and M must be two-element lists")
+    fobj = _get(raw, "f", "$", list)
+    if not isinstance(fobj, list) or len(fobj) != 2:
+        raise ConfigError("$.f", "expected a two-element list of expressions")
+    f = tuple(forms.parse_expr(e, f"$.f[{i}]") for i, e in enumerate(fobj))
+    p1, p2 = ex.pop("p")
+    try:
+        return ProblemSpec(mesh=mesh, p1=p1, p2=p2, **ex,
+                           m=tuple(float(v) for v in mm),
+                           M=tuple(float(v) for v in MM),
+                           f=f, N_dim=int(_get(raw, "N_dim", "$", int, default=2)))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("$", str(exc))
 
 
 def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
@@ -113,29 +138,10 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     if resolution < MIN_RESOLUTION:
         raise ConfigError("$.resolution", f"must be >= {MIN_RESOLUTION}")
     mesh = grid.build_mesh(domain, resolution)
-
-    p = _exponent_pair(mesh, _get(raw, "p", "$", list), "$.p")
-    alpha = _exponent_pair(mesh, _get(raw, "alpha", "$", list), "$.alpha")
-    beta = _exponent_pair(mesh, _get(raw, "beta", "$", list), "$.beta")
-    gamma = _exponent_pair(mesh, _get(raw, "gamma", "$", list), "$.gamma")
-    gamma_bar = _exponent_pair(mesh, _get(raw, "gamma_bar", "$", list), "$.gamma_bar")
-
-    mm = _get(raw, "m", "$", list)
-    MM = _get(raw, "M", "$", list)
-    if len(mm) != 2 or len(MM) != 2:
-        raise ConfigError("$.m", "m and M must be two-element lists")
-    fobj = _get(raw, "f", "$", list)
-    if not isinstance(fobj, list) or len(fobj) != 2:
-        raise ConfigError("$.f", "expected a two-element list of expressions")
-    f = tuple(forms.parse_expr(e, f"$.f[{i}]") for i, e in enumerate(fobj))
+    problem = _materialize(raw, mesh)
 
     seed = int(_get(raw, "seed", "$", int, default=0))
     try:
-        problem = ProblemSpec(mesh=mesh, p1=p[0], p2=p[1], alpha=alpha, beta=beta,
-                              gamma=gamma, gamma_bar=gamma_bar,
-                              m=tuple(float(v) for v in mm),
-                              M=tuple(float(v) for v in MM),
-                              f=f, N_dim=int(_get(raw, "N_dim", "$", int, default=2)))
         problem.envelope_check(np.random.default_rng(seed))
     except (ValueError, TypeError, EnvelopeError) as exc:
         raise ConfigError("$.f" if isinstance(exc, EnvelopeError) else "$",
@@ -185,7 +191,7 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None) -> PipelineResult
     """Calibrate and iterate; no audits, no artifacts."""
     if mesh_n is not None and mesh_n != config.resolution:
         mesh = grid.build_mesh(config.domain, mesh_n)
-        problem = _rematerialize(config, mesh)
+        problem = _materialize(config.raw, mesh)
     else:
         mesh, problem = config.mesh, config.problem
 
@@ -228,20 +234,6 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None) -> PipelineResult
         solution, report = cres.solution, cres.report
     return PipelineResult(mesh=mesh, problem=problem, calibration=cal,
                           solution=solution, report=report, caps=caps)
-
-
-def _rematerialize(config: RunConfig, mesh) -> ProblemSpec:
-    raw = config.raw
-
-    def pair(key):
-        return _exponent_pair(mesh, raw[key], f"$.{key}")
-
-    p = pair("p")
-    return ProblemSpec(mesh=mesh, p1=p[0], p2=p[1], alpha=pair("alpha"),
-                       beta=pair("beta"), gamma=pair("gamma"),
-                       gamma_bar=pair("gamma_bar"),
-                       m=config.problem.m, M=config.problem.M,
-                       f=config.problem.f, N_dim=config.problem.N_dim)
 
 
 def _write_fields_csv(path, mesh, pipeline: PipelineResult):
@@ -309,7 +301,7 @@ def _sweep_row(raw, param, value, mesh_n):
     try:
         cfg = parse_config(json.dumps(cfg_dict), mesh_n=mesh_n)
         pv = run_pipeline(cfg)
-        sandwich = verify.sandwich_audit(pv.solution, pv.mesh, pv.calibration.pair)
+        sandwich = verify.sandwich_audit(pv.solution, pv.mesh)
         row.update(converged=pv.report.converged, iters=pv.report.iters,
                    c0=sandwich["c0"], c1=sandwich["c1"],
                    member=all(pv.report.membership_trace),
@@ -324,17 +316,7 @@ def sweep(raw_config: dict, param: str, values: list,
     """Run the pipeline once per parameter value; partial failures are
     recorded per row and the sweep continues."""
     os.makedirs(out_dir, exist_ok=True)
-    workers = max(1, int(os.environ.get("VARPX_THREADS", "1")))
-    rows = [None] * len(values)
-    if workers > 1 and len(values) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = {ex.submit(_sweep_row, raw_config, param, v, mesh_n): i
-                    for i, v in enumerate(values)}
-            for fut in concurrent.futures.as_completed(futs):
-                rows[futs[fut]] = fut.result()
-    else:
-        for i, v in enumerate(values):
-            rows[i] = _sweep_row(raw_config, param, v, mesh_n)
+    rows = [_sweep_row(raw_config, param, v, mesh_n) for v in values]
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w") as f:
         f.write("value,converged,iters,c0,c1,residual,member,error\n")

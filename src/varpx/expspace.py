@@ -151,10 +151,10 @@ def luxemburg_norm_from_samples(values, exps, weights, measure: float) -> float:
                      np.asarray(weights, dtype=float), measure)
 
 
-def modular(u: GridFunction, p: ExponentField, mesh: Mesh | None = None) -> float:
+def modular(u: GridFunction, p: ExponentField) -> float:
     """Quadrature approximation of int |u|^p(x) dx."""
-    mesh = mesh or u.mesh
-    grid.check_same_mesh(mesh, u, p)
+    mesh = u.mesh
+    grid.check_same_mesh(mesh, p)
     uq = np.abs(grid.at_quad(mesh, u.values))
     val = _modular_quad(uq, p.at_quad(), mesh.qweights)
     if not np.isfinite(val):
@@ -162,27 +162,25 @@ def modular(u: GridFunction, p: ExponentField, mesh: Mesh | None = None) -> floa
     return val
 
 
-def luxemburg_norm(u: GridFunction, p: ExponentField, mesh: Mesh | None = None) -> float:
+def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     """Luxemburg norm: the infimal tau > 0 with modular(u/tau) <= 1.
 
     For constant p this reduces to the classical Lp norm; for u = 0 it
     returns 0.
     """
-    mesh = mesh or u.mesh
-    grid.check_same_mesh(mesh, u, p)
+    mesh = u.mesh
+    grid.check_same_mesh(mesh, p)
     if p.p_minus <= 1.0:
         raise ValueError(f"norm requires p_minus > 1, got {p.p_minus}")
     uq = np.abs(grid.at_quad(mesh, u.values))
     return _lux_quad(uq, p.at_quad(), mesh.qweights, mesh.domain.measure)
 
 
-def modular_norm_bounds(u: GridFunction, p: ExponentField,
-                        mesh: Mesh | None = None) -> ModularReport:
+def modular_norm_bounds(u: GridFunction, p: ExponentField) -> ModularReport:
     """Compute modular and norm and certify the two-sided power bounds
     between them, branching on whether the norm exceeds one."""
-    mesh = mesh or u.mesh
-    rho = modular(u, p, mesh)
-    nrm = luxemburg_norm(u, p, mesh)
+    rho = modular(u, p)
+    nrm = luxemburg_norm(u, p)
     if nrm > 1.0:
         side = "norm_gt_one"
         lo, hi = nrm ** p.p_minus, nrm ** p.p_plus
@@ -197,8 +195,7 @@ def modular_norm_bounds(u: GridFunction, p: ExponentField,
                          lower_bound=lo, upper_bound=hi)
 
 
-def power_norm_identity(u: GridFunction, m: ExponentField, k: ExponentField,
-                        mesh: Mesh | None = None):
+def power_norm_identity(u: GridFunction, m: ExponentField, k: ExponentField):
     """Norm of |u|^m(x) in the exponent-k(x)/m(x) space.
 
     The value equals norm_k(u) raised to m(x0) for some interior point
@@ -206,8 +203,8 @@ def power_norm_identity(u: GridFunction, m: ExponentField, k: ExponentField,
     norm^m_plus.  Returns (value, lo, hi) and certifies membership; the
     realizing point itself is not produced.
     """
-    mesh = mesh or u.mesh
-    grid.check_same_mesh(mesh, u, m, k)
+    mesh = u.mesh
+    grid.check_same_mesh(mesh, m, k)
     if m.p_minus <= 0.0:
         raise ValueError("m must be strictly positive")
     if k.p_minus <= 0.0:
@@ -237,6 +234,8 @@ def power_norm_identity(u: GridFunction, m: ExponentField, k: ExponentField,
 # ratio; at ratio 1 the layer sums diverge (exponent -1 exactly).
 _TAIL_RATIO_MAX = 0.985
 _STABLE_ATOL = 1e-9
+# Deepest boundary grading of the distance-power quadrature.
+_GRADING_LEVELS = 20
 
 
 def _gauss_batch(a, b):
@@ -300,11 +299,10 @@ def _distance_power_value(e: ExponentField, mesh: Mesh, levels: int) -> float:
     return float(W @ vals)
 
 
-def distance_power_modular(e: ExponentField, mesh: Mesh,
-                           refinement_levels: int = 20):
+def distance_power_modular(e: ExponentField, mesh: Mesh):
     """int d(x)^e(x) dx with boundary-graded quadrature.
 
-    Runs the grading depth from 1 to ``refinement_levels`` and inspects
+    Runs the grading depth from 1 to ``_GRADING_LEVELS`` and inspects
     the increment sequence.  A geometrically decaying tail (ratio below
     one) means the singular boundary layers sum to a finite value and
     the reported value includes the extrapolated tail; a flat or growing
@@ -312,10 +310,8 @@ def distance_power_modular(e: ExponentField, mesh: Mesh,
     an error).  Agreement with the analytic criterion min e > -1 near
     the boundary holds away from the threshold itself.
     """
-    if refinement_levels < 3:
-        raise ValueError("need at least 3 refinement levels")
     seq = np.array([_distance_power_value(e, mesh, L)
-                    for L in range(1, refinement_levels + 1)])
+                    for L in range(1, _GRADING_LEVELS + 1)])
     incs = np.diff(seq)
     v = float(seq[-1])
     last = incs[-1]

@@ -204,16 +204,21 @@ class Mesh:
         if self.dim == 1:
             x = pts[..., 0] if pts.ndim > 1 else pts
             return np.interp(x, self.nodes[:, 0], vals)
-        grid = vals.reshape(self.n + 1, self.n + 1)  # [iy, ix]
-        x, y = pts[..., 0], pts[..., 1]
-        ix = np.clip(np.searchsorted(self.xs, x) - 1, 0, self.n - 1)
-        iy = np.clip(np.searchsorted(self.ys, y) - 1, 0, self.n - 1)
-        tx = (x - self.xs[ix]) / (self.xs[ix + 1] - self.xs[ix])
-        ty = (y - self.ys[iy]) / (self.ys[iy + 1] - self.ys[iy])
-        return ((1 - tx) * (1 - ty) * grid[iy, ix]
-                + tx * (1 - ty) * grid[iy, ix + 1]
-                + (1 - tx) * ty * grid[iy + 1, ix]
-                + tx * ty * grid[iy + 1, ix + 1])
+        return bilinear(self.xs, self.ys, vals.reshape(self.n + 1, self.n + 1),
+                        pts[..., 0], pts[..., 1])
+
+
+def bilinear(xs: np.ndarray, ys: np.ndarray, table: np.ndarray, x, y):
+    """Bilinear interpolant of ``table[iy, ix]``, given at the tensor
+    grid of ascending ``xs`` and ``ys``, evaluated at the points (x, y)."""
+    ix = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
+    iy = np.clip(np.searchsorted(ys, y) - 1, 0, len(ys) - 2)
+    tx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
+    ty = (y - ys[iy]) / (ys[iy + 1] - ys[iy])
+    return ((1 - tx) * (1 - ty) * table[iy, ix]
+            + tx * (1 - ty) * table[iy, ix + 1]
+            + (1 - tx) * ty * table[iy + 1, ix]
+            + tx * ty * table[iy + 1, ix + 1])
 
 
 def build_mesh(domain: DomainSpec, n: int) -> Mesh:

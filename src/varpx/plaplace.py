@@ -258,7 +258,7 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
         if not accepted:
             break  # stagnation: the residual check below decides the flag
 
-    res = weak_residual(mesh, p, u, hq)
+    res = _residual(mesh, p, u, b, scale)[1]
     converged = bool(res <= opts.tol_residual)
     uf = GridFunction(mesh, u, zero_trace=True)
     return ScalarSolveResult(u=uf, residual=res, energy=energies[-1],

@@ -32,6 +32,13 @@ DEFAULT_SCALES = (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 # than this fraction (blow-up), or if any ratio is non-finite.
 _TREND_TOL = 0.05
 
+# The sandwich constants may drift by this fraction under one refinement.
+_SANDWICH_TOL = 0.2
+
+# Mean-value spot checks per component, and the range of their weights.
+_MVT_CHECKS = 5
+_MVT_RANGE = (0.5, 2.0)
+
 
 @dataclass
 class EstimateAudit:
@@ -184,13 +191,7 @@ def random_lipschitz_field(mesh: Mesh, rng: np.random.Generator, lo: float,
         kx = np.linspace(ax, bx, knots)
         ky = np.linspace(ay, by, knots)
         kv = rng.normal(size=(knots, knots))
-        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        ix = np.clip(np.searchsorted(kx, x) - 1, 0, knots - 2)
-        iy = np.clip(np.searchsorted(ky, y) - 1, 0, knots - 2)
-        tx = (x - kx[ix]) / (kx[ix + 1] - kx[ix])
-        ty = (y - ky[iy]) / (ky[iy + 1] - ky[iy])
-        vals = ((1 - tx) * (1 - ty) * kv[iy, ix] + tx * (1 - ty) * kv[iy, ix + 1]
-                + (1 - tx) * ty * kv[iy + 1, ix] + tx * ty * kv[iy + 1, ix + 1])
+        vals = grid.bilinear(kx, ky, kv, mesh.nodes[:, 0], mesh.nodes[:, 1])
     vmin, vmax = vals.min(), vals.max()
     if vmax - vmin < 1e-12:
         vals = np.full_like(vals, 0.5 * (lo + hi))
@@ -199,12 +200,11 @@ def random_lipschitz_field(mesh: Mesh, rng: np.random.Generator, lo: float,
     return GridFunction(mesh, vals)
 
 
-def random_sign_constant_test(mesh: Mesh, rng: np.random.Generator,
-                              knots: int = 9) -> GridFunction:
+def random_sign_constant_test(mesh: Mesh, rng: np.random.Generator) -> GridFunction:
     """Nonnegative zero-trace test field: a coarse random positive
     profile times the distance field (keeping the Lipschitz scale
     mesh-independent and the trace exactly zero)."""
-    base = random_lipschitz_field(mesh, rng, 0.1, 1.0, knots=knots)
+    base = random_lipschitz_field(mesh, rng, 0.1, 1.0, knots=9)
     vals = base.values * mesh.distance
     vals[mesh.boundary_nodes] = 0.0
     return GridFunction(mesh, vals, zero_trace=True)
@@ -217,12 +217,11 @@ def distance_ratio(mesh: Mesh, u_values: np.ndarray):
     return float(q.min()), float(q.max())
 
 
-def sandwich_audit(solution, mesh: Mesh, pair: BarrierPair,
-                   refined=None, tol_rel: float = 0.2,
+def sandwich_audit(solution, mesh: Mesh, refined=None,
                    refined_report=None) -> dict:
     """Distance-comparability constants of an accepted solution pair:
     c0 = min u_i/d, c1 = max u_i/d over interior nodes.  Pass requires
-    c0 > 0 with both constants stable within tol_rel under one mesh
+    c0 > 0 with both constants stable within _SANDWICH_TOL under one mesh
     refinement; ``refined`` supplies (solution, mesh) at the finer
     resolution when that part of the audit is wanted, and
     ``refined_report`` the IterationReport of that run: an unconverged
@@ -248,7 +247,7 @@ def sandwich_audit(solution, mesh: Mesh, pair: BarrierPair,
         drift0 = abs(fc0 - c0) / max(abs(c0), 1e-30)
         drift1 = abs(fc1 - c1) / max(abs(c1), 1e-30)
         out["drift"] = {"c0": drift0, "c1": drift1}
-        if drift0 > tol_rel or drift1 > tol_rel or fc0 <= 0.0:
+        if drift0 > _SANDWICH_TOL or drift1 > _SANDWICH_TOL or fc0 <= 0.0:
             out["verdict"] = "fail"
         if refined_report is not None:
             out["refined"].update(iters=refined_report.iters,
@@ -261,25 +260,25 @@ def sandwich_audit(solution, mesh: Mesh, pair: BarrierPair,
 
 
 def mvt_spot_checks(mesh: Mesh, spec: ProblemSpec, solution, frozen,
-                    residuals, rng: np.random.Generator, n_checks: int = 5,
-                    f_range=(0.5, 2.0)) -> list:
+                    residuals, rng: np.random.Generator) -> list:
     """Mean-value checks on the solution's own component equations with
     random Lipschitz weights and the solution itself as test field;
     ``frozen`` holds each component's data at the solution and
     ``residuals`` its weak residual against that data."""
+    lo, hi = _MVT_RANGE
     checks = []
     for i, (hq, resid) in enumerate(zip(frozen, residuals)):
         u = solution[i]
         tol = mvt_tolerance(mesh, resid)
-        for _ in range(n_checks):
-            f = random_lipschitz_field(mesh, rng, *f_range)
+        for _ in range(_MVT_CHECKS):
+            f = random_lipschitz_field(mesh, rng, lo, hi)
             gam = mvt_ratio(mesh, spec.p[i], u, hq, f, u)
             checks.append({
                 "component": i + 1,
                 "gamma_hat": gam,
-                "range": [f_range[0], f_range[1]],
+                "range": [lo, hi],
                 "tolerance": tol,
-                "ok": bool(f_range[0] - tol <= gam <= f_range[1] + tol),
+                "ok": bool(lo - tol <= gam <= hi + tol),
             })
     return checks
 
@@ -292,8 +291,7 @@ def certificate_to_json(cert: dict) -> str:
 def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
                          pair: BarrierPair, report, caps=None,
                          refined=None, refined_report=None, rng=None,
-                         solver_opts: SolverOptions | None = None,
-                         audit_scales=DEFAULT_SCALES) -> dict:
+                         solver_opts: SolverOptions | None = None) -> dict:
     """Machine-readable verification record for a completed run:
     residuals, membership, sandwich constants, hypothesis report, the
     estimate audits, and mean-value spot checks.  Deterministic given
@@ -305,13 +303,13 @@ def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
     audits = []
     ones = GridFunction.constant(mesh, 1.0)
     for i in (0, 1):
-        a = gradient_estimate_audit(mesh, spec.p[i], ones, audit_scales, solver_opts)
+        a = gradient_estimate_audit(mesh, spec.p[i], ones, opts=solver_opts)
         a.name = f"gradient_estimate_p{i+1}"
         audits.append(a)
-        a = linfty_estimate_audit(mesh, spec.p[i], ones, audit_scales, solver_opts)
+        a = linfty_estimate_audit(mesh, spec.p[i], ones, opts=solver_opts)
         a.name = f"linfty_estimate_p{i+1}"
         audits.append(a)
-    sandwich = sandwich_audit(solution, mesh, pair, refined=refined,
+    sandwich = sandwich_audit(solution, mesh, refined=refined,
                               refined_report=refined_report)
     mvt = mvt_spot_checks(mesh, spec, solution, sysfix.freeze_rhs(spec, state, pair),
                           (r1, r2), rng)

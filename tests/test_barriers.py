@@ -205,6 +205,14 @@ def test_larger_m_accepts_smaller_C():
     assert c_big <= c_small
 
 
+def test_exhausted_scale_search_names_its_bound():
+    # a lower envelope of 1e-12 needs a barrier scale far beyond 2^20
+    m = mesh1d(32)
+    spec = envelope_spec(m, alpha=0.3, beta=0.3, m=1e-12, M=1e-12, p=2.0)
+    with pytest.raises(CalibrationError, match=r"2\^20"):
+        calibrate_barriers(m, spec)
+
+
 def test_infeasible_spec_rejected_before_search():
     m = mesh1d(64)
     spec = envelope_spec(m, alpha=-0.3, beta=-0.25, p=2.0)  # fails smallness

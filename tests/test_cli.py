@@ -91,6 +91,20 @@ def test_mesh_n_override():
     assert cfg.mesh.n == 48
 
 
+def test_refined_problem_matches_parsed_problem():
+    raw = json.loads(load("trivial.json"))
+    raw["resolution"] = 32
+    raw["p"] = [{"add": [2.0, {"mul": [0.3, "x"]}]}, {"add": [2.2, {"mul": [-0.1, "x"]}]}]
+    text = json.dumps(raw)
+    fine = run_pipeline(parse_config(text), mesh_n=64).problem
+    ref = parse_config(text, mesh_n=64).problem
+    for name in ("p", "alpha", "beta", "gamma", "gamma_bar"):
+        for got, want in zip(getattr(fine, name), getattr(ref, name)):
+            assert got.mesh is fine.mesh
+            assert got.values.tobytes() == want.values.tobytes()
+    assert (fine.m, fine.M, fine.N_dim) == (ref.m, ref.M, ref.N_dim)
+
+
 def test_run_trivial_exit0(tmp_path):
     cfg = parse_config(load("trivial.json"))
     code = run(cfg, out_dir=str(tmp_path))
@@ -293,17 +307,6 @@ def test_sweep_partial_failure_recorded(tmp_path):
     rows = sweep(raw, "resolution", [64, 4], out_dir=str(tmp_path))
     assert rows[0]["converged"]
     assert rows[1]["error"]
-
-
-def test_sweep_threaded_matches_sequential(tmp_path):
-    raw = json.loads(load("trivial.json"))
-    seq = sweep(raw, "resolution", [32, 64], out_dir=str(tmp_path / "a"))
-    os.environ["VARPX_THREADS"] = "2"
-    try:
-        par = sweep(raw, "resolution", [32, 64], out_dir=str(tmp_path / "b"))
-    finally:
-        del os.environ["VARPX_THREADS"]
-    assert [r["c0"] for r in seq] == [r["c0"] for r in par]
 
 
 def test_audit_command(tmp_path, capsys):

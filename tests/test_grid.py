@@ -211,3 +211,16 @@ def test_csv_export_roundtrip(tmp_path):
     assert len(lines) == 1 + m.n_nodes
     row = [float(v) for v in lines[2].split(",")]
     assert row == [0.25, 0.0625, 0.25]
+
+
+def test_interpolate_reproduces_bilinear_on_rectangle():
+    m = build_mesh(DomainSpec.rectangle(-1.0, 2.0, 0.5, 1.25), 7)
+    a, b, c, d = 0.3, -1.7, 2.2, 0.9
+
+    def f(x, y):
+        return a + b * x + c * y + d * x * y
+
+    rng = np.random.default_rng(3)
+    pts = np.column_stack([rng.uniform(-1.0, 2.0, 200), rng.uniform(0.5, 1.25, 200)])
+    got = m.interpolate(f(m.nodes[:, 0], m.nodes[:, 1]), pts)
+    np.testing.assert_allclose(got, f(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-13)
