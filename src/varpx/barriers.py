@@ -414,12 +414,15 @@ def resolve_delta(mesh: Mesh, spec: ProblemSpec,
 
 def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
                        opts: SolverOptions | None = None,
-                       L: float | None = None) -> CalibrationResult:
+                       L: float | None = None,
+                       C: float | None = None) -> CalibrationResult:
     """Doubling search C in {2, 4, ..., 2^_C_MAX_EXP} with delta halved
     from 0.1 * max distance on positivity failure (floor two mesh
     widths).  Returns the first success; exhaustion raises
     CalibrationError, which cannot distinguish 'C must be larger' from
-    'discretization too coarse' and says so.
+    'discretization too coarse' and says so.  A given ``C`` is a one-value
+    search that returns its pair even when the check fails, and raises
+    OrderingError when the pair is out of order.
     """
     report = validate_hypotheses(spec)
     if not report.passed:
@@ -431,12 +434,14 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
         L = 2.0  # provisional cap; refreshed by the cap search afterwards
 
     delta, xi, xid = resolve_delta(mesh, spec, opts)
+    fixed = C is not None
     trajectory = []
-    for k in range(1, _C_MAX_EXP + 1):
-        C = 2.0 ** k
+    for C in [C] if fixed else [2.0 ** k for k in range(1, _C_MAX_EXP + 1)]:
         try:
             pair = build_barriers(mesh, spec, C, delta, opts, torsions=(xi, xid))
         except OrderingError:
+            if fixed:
+                raise
             trajectory.append((C, -np.inf))
             continue
         if regime is Regime.POSITIVE_SUM:
@@ -444,7 +449,7 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
         else:
             rep = check_barriers_singular_regime(mesh, spec, pair, L)
         trajectory.append((C, rep.worst_margin))
-        if rep.ok:
+        if rep.ok or fixed:
             return CalibrationResult(C=C, delta=delta, pair=pair, regime=regime,
                                      trajectory=trajectory, L=L)
     raise CalibrationError(

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import barriers as bmod
-from . import forms, grid, plaplace, sysfix, verify
+from . import forms, grid, sysfix, verify
 from .barriers import ProblemSpec, Regime
 from .errors import ConfigError, EnvelopeError, MixedSignError
 from .expspace import ExponentField
-from .grid import DomainSpec, GridFunction
+from .grid import DomainSpec
 from .plaplace import SolverOptions
 from .sysfix import IterationOptions
 
@@ -195,37 +195,21 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None) -> PipelineResult
     else:
         mesh, problem = config.mesh, config.problem
 
-    regime = bmod.validate_hypotheses(problem).regime
+    cal = bmod.calibrate_barriers(mesh, problem, config.solver, C=config.barrier_C)
     caps = None
-    if config.barrier_C is not None:
-        # fixed scale requested: build the pair at that C and let the
-        # membership trace expose whether it is large enough
-        delta, xi, xid = bmod.resolve_delta(mesh, problem, config.solver)
-        pair = bmod.build_barriers(mesh, problem, config.barrier_C, delta,
-                                   config.solver, torsions=(xi, xid))
-        if regime is Regime.POSITIVE_SUM:
-            chk = bmod.check_barriers_positive_regime(mesh, problem, pair)
-        else:
-            chk = bmod.check_barriers_singular_regime(mesh, problem, pair, 2.0)
-        cal = bmod.CalibrationResult(C=config.barrier_C, delta=delta, pair=pair,
-                                     regime=regime,
-                                     trajectory=[(config.barrier_C,
-                                                  chk.worst_margin)])
-    else:
-        cal = bmod.calibrate_barriers(mesh, problem, config.solver)
-
-    if regime is Regime.POSITIVE_SUM:
+    if cal.regime is Regime.POSITIVE_SUM:
         solution, report = sysfix.fixed_point_iterate(
             mesh, problem, cal.pair, opts=config.iteration,
-            solver_opts=config.solver, regime=regime)
+            solver_opts=config.solver, regime=cal.regime)
     else:
         cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
                                      opts=config.iteration,
                                      solver_opts=config.solver)
         # rechecks with the found cap; escalates C when the provisional
-        # pass no longer holds at the final L
-        chk = bmod.check_barriers_singular_regime(mesh, problem, cal.pair, cres.L)
-        if not chk.ok and config.barrier_C is None:
+        # pass no longer holds at the final L (a fixed C is kept and the
+        # membership trace shows whether it is large enough)
+        if config.barrier_C is None and not bmod.check_barriers_singular_regime(
+                mesh, problem, cal.pair, cres.L).ok:
             cal = bmod.calibrate_barriers(mesh, problem, config.solver, L=cres.L)
             cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
                                          opts=config.iteration,
@@ -271,13 +255,17 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
         ok = pipeline.report.converged and cert["all_audits_pass"]
         return 0 if ok else 2
     except Exception as exc:  # the config was accepted, so any failure is exit 2
-        traceback.print_exc()
-        stub = {"error": str(exc), "schema_version": 1}
-        with open(paths["certificate_json"], "w") as f:
-            f.write(verify.certificate_to_json(stub))
-        with open(paths["trace_json"], "w") as f:
-            f.write(verify.certificate_to_json(stub))
+        _write_stubs([paths["certificate_json"], paths["trace_json"]], exc)
         return 2
+
+
+def _write_stubs(paths, exc):
+    """Print the traceback and write a stub carrying the error to ``paths``."""
+    traceback.print_exc()
+    stub = verify.certificate_to_json({"error": str(exc), "schema_version": 1})
+    for path in paths:
+        with open(path, "w") as f:
+            f.write(stub)
 
 
 def _set_path(d, dotted, value):
@@ -334,50 +322,30 @@ _AUDIT_NAMES = ("gradient", "linfty", "mvt")
 def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int:
     """Standalone estimate audits on the configured exponents with unit
     data; 'mvt' runs the mean-value sampling on the first component."""
+    if only is not None and only not in _AUDIT_NAMES:
+        raise ConfigError("--only", f"unknown audit {only!r}; pick from {_AUDIT_NAMES}")
     names = _AUDIT_NAMES if only is None else (only,)
-    for n in names:
-        if n not in _AUDIT_NAMES:
-            raise ConfigError("--only", f"unknown audit {n!r}; pick from {_AUDIT_NAMES}")
-    mesh, problem = config.mesh, config.problem
-    ones = GridFunction.constant(mesh, 1.0)
-    out = []
-    ok = True
-    for name in names:
-        if name == "gradient":
-            for i in (0, 1):
-                a = verify.gradient_estimate_audit(mesh, problem.p[i], ones,
-                                                   opts=config.solver)
-                a.name = f"gradient_estimate_p{i+1}"
-                out.append(a.as_dict())
-                ok &= a.verdict == "pass"
-        elif name == "linfty":
-            for i in (0, 1):
-                a = verify.linfty_estimate_audit(mesh, problem.p[i], ones,
-                                                 opts=config.solver)
-                a.name = f"linfty_estimate_p{i+1}"
-                out.append(a.as_dict())
-                ok &= a.verdict == "pass"
-        else:
-            rng = np.random.default_rng(config.seed)
-            res = plaplace.solve_dirichlet(mesh, problem.p1, ones, config.solver)
-            tol = verify.mvt_tolerance(mesh, res.residual)
-            checks = []
-            for _ in range(50):
-                f = verify.random_lipschitz_field(mesh, rng, 0.5, 2.0)
-                phi = verify.random_sign_constant_test(mesh, rng)
-                gam = verify.mvt_ratio(mesh, problem.p1, res.u, ones, f, phi)
-                checks.append({"gamma_hat": gam,
-                               "ok": bool(0.5 - tol <= gam <= 2.0 + tol)})
-            ok &= all(c["ok"] for c in checks)
-            out.append({"name": "mvt_sampling", "tolerance": tol,
-                        "checks": checks,
-                        "verdict": "pass" if all(c["ok"] for c in checks) else "fail"})
     os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "audit.json")
+    mesh, problem = config.mesh, config.problem
+    out = []
+    try:
+        for name in names:
+            if name == "mvt":
+                out.append(verify.mvt_sampling(mesh, problem.p1,
+                                               np.random.default_rng(config.seed),
+                                               config.solver))
+            else:
+                out += [a.as_dict() for a in
+                        verify.estimate_audits(mesh, problem.p, (name,), config.solver)]
+    except Exception as exc:  # the config was accepted, so any failure is exit 2
+        _write_stubs([path], exc)
+        return 2
     payload = verify.certificate_to_json({"audits": out})
-    with open(os.path.join(out_dir, "audit.json"), "w") as f:
+    with open(path, "w") as f:
         f.write(payload)
     sys.stdout.write(payload)
-    return 0 if ok else 2
+    return 0 if all(a["verdict"] == "pass" for a in out) else 2
 
 
 def main(argv=None) -> int:

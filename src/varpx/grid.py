@@ -56,14 +56,6 @@ class DomainSpec:
         ax, bx, ay, by = self.bounds
         return (bx - ax) * (by - ay)
 
-    @property
-    def diameter(self) -> float:
-        if self.kind == "interval":
-            a, b = self.bounds
-            return b - a
-        ax, bx, ay, by = self.bounds
-        return float(np.hypot(bx - ax, by - ay))
-
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Exact euclidean distance to the boundary for points inside."""
         pts = np.asarray(points, dtype=float)

@@ -106,12 +106,16 @@ class _Layout:
                            minlength=self.size)
 
     def factor(self, data: np.ndarray):
-        """Solve function for the interior system with matrix ``data``."""
+        """Solve function for the interior system with matrix ``data``.
+        Skips LAPACK's finiteness checks: a non-finite Hessian from the
+        assembly yields a non-finite Newton direction, which
+        ``solve_dirichlet`` rejects."""
         try:
-            cf = sla.cholesky_banded(data.reshape(self.bw + 1, self.m))
+            cf = sla.cholesky_banded(data.reshape(self.bw + 1, self.m),
+                                     check_finite=False)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise SolveError(f"interior system could not be factorized: {exc}")
-        return lambda rhs: sla.cho_solve_banded((cf, False), rhs)
+        return lambda rhs: sla.cho_solve_banded((cf, False), rhs, check_finite=False)
 
 
 _LAYOUTS = weakref.WeakKeyDictionary()  # Mesh -> _Layout

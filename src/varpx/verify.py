@@ -16,7 +16,7 @@ identity is exact only for the exact weak solution).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,8 +35,10 @@ _TREND_TOL = 0.05
 # The sandwich constants may drift by this fraction under one refinement.
 _SANDWICH_TOL = 0.2
 
-# Mean-value spot checks per component, and the range of their weights.
+# Mean-value spot checks per component, draws of the standalone
+# sampling, and the range of their weights.
 _MVT_CHECKS = 5
+_MVT_SAMPLES = 50
 _MVT_RANGE = (0.5, 2.0)
 
 
@@ -77,9 +79,26 @@ def _family_verdict(ratios):
     return "pass", spread
 
 
-def _branch_exponent(p: ExponentField, norm_of_h: float) -> float:
-    """p_minus when the data norm exceeds one, p_plus otherwise."""
-    return p.p_minus if norm_of_h > 1.0 else p.p_plus
+def _scale_family_audit(name, mesh: Mesh, p: ExponentField, base, field_type,
+                        norm, size, scales, opts, notes=()) -> EstimateAudit:
+    """Ratios size(u) / norm(h)^(1/(p_pm - 1)) of the solves u with the
+    data h = field_type(mesh, lam * base) at each scale lam, with p_minus
+    as the branch exponent when norm(h) exceeds one and p_plus otherwise."""
+    if np.any(base > 0) and np.any(base < 0):
+        raise ValueError("h_base must be sign-constant")
+    family = []
+    for lam in scales:
+        h = field_type(mesh, lam * base)
+        res = plaplace.solve_dirichlet(mesh, p, h, opts)
+        if not res.converged:
+            raise plaplace.SolveError(f"audit solve stalled at scale {lam}")
+        hnorm = norm(h)
+        expo = p.p_minus if hnorm > 1.0 else p.p_plus
+        family.append((float(lam), float(size(res.u) / hnorm ** (1.0 / (expo - 1.0)))))
+    verdict, spread = _family_verdict(family)
+    return EstimateAudit(name=name, measured_ratio=max(r for _, r in family),
+                         scale_family=family, verdict=verdict,
+                         tolerance=_TREND_TOL, spread=spread, notes=list(notes))
 
 
 def gradient_estimate_audit(mesh: Mesh, p: ExponentField, h_base: GridFunction,
@@ -89,24 +108,12 @@ def gradient_estimate_audit(mesh: Mesh, p: ExponentField, h_base: GridFunction,
     of the data, with the branch exponent chosen by whether |h|_inf
     exceeds one.  Passes when the family stays bounded (no growth trend
     at the top scales)."""
-    hb = h_base.values
-    if np.any(hb > 0) and np.any(hb < 0):
-        raise ValueError("h_base must be sign-constant")
-    if not np.any(hb != 0):
+    if not np.any(h_base.values != 0):
         raise ValueError("h_base must be nontrivial")
-    family = []
-    for lam in scales:
-        res = plaplace.solve_dirichlet(mesh, p, GridFunction(mesh, lam * hb), opts)
-        if not res.converged:
-            raise plaplace.SolveError(f"audit solve stalled at scale {lam}")
-        hinf = float(np.abs(lam * hb).max())
-        expo = _branch_exponent(p, hinf)
-        ratio = grid.gradient(mesh, res.u).inf_norm / hinf ** (1.0 / (expo - 1.0))
-        family.append((float(lam), float(ratio)))
-    verdict, spread = _family_verdict(family)
-    return EstimateAudit(name="gradient_estimate", measured_ratio=max(r for _, r in family),
-                         scale_family=family, verdict=verdict,
-                         tolerance=_TREND_TOL, spread=spread)
+    return _scale_family_audit(
+        "gradient_estimate", mesh, p, h_base.values, GridFunction,
+        lambda h: float(np.abs(h.values).max()),
+        lambda u: grid.gradient(mesh, u).inf_norm, scales, opts)
 
 
 def lebesgue_n_norm(mesh: Mesh, h, N: int) -> float:
@@ -125,22 +132,29 @@ def linfty_estimate_audit(mesh: Mesh, p: ExponentField, h_base,
     if N < 2:
         N = 2
         notes.append("dim=1: N=2 used for the exponent arithmetic")
-    hq = grid.as_quad_values(mesh, h_base)
-    if np.any(hq > 0) and np.any(hq < 0):
-        raise ValueError("h_base must be sign-constant")
-    family = []
-    for lam in scales:
-        res = plaplace.solve_dirichlet(mesh, p, QuadField(mesh, lam * hq), opts)
-        if not res.converged:
-            raise plaplace.SolveError(f"audit solve stalled at scale {lam}")
-        hn = lebesgue_n_norm(mesh, QuadField(mesh, lam * hq), N)
-        expo = _branch_exponent(p, hn)
-        ratio = float(np.abs(res.u.values).max()) / hn ** (1.0 / (expo - 1.0))
-        family.append((float(lam), float(ratio)))
-    verdict, spread = _family_verdict(family)
-    return EstimateAudit(name="linfty_estimate", measured_ratio=max(r for _, r in family),
-                         scale_family=family, verdict=verdict,
-                         tolerance=_TREND_TOL, spread=spread, notes=notes)
+    return _scale_family_audit(
+        "linfty_estimate", mesh, p, grid.as_quad_values(mesh, h_base), QuadField,
+        lambda h: lebesgue_n_norm(mesh, h, N),
+        lambda u: float(np.abs(u.values).max()), scales, opts, notes)
+
+
+def estimate_audits(mesh: Mesh, ps, kinds, opts: SolverOptions | None = None) -> list:
+    """Unit-data audits of each kind ("gradient", "linfty") for each
+    exponent of ``ps``, component by component, named
+    ``<kind>_estimate_p<i>``; equal exponents share their audits."""
+    ones = GridFunction.constant(mesh, 1.0)
+    by_exponent = {}
+    out = []
+    for i, p in enumerate(ps):
+        key = p.values.tobytes()
+        if key not in by_exponent:
+            # looked up per call, so a wrapper bound to the module name applies
+            run = {"gradient": gradient_estimate_audit,
+                   "linfty": linfty_estimate_audit}
+            by_exponent[key] = [run[kind](mesh, p, ones, opts=opts) for kind in kinds]
+        out += [replace(a, name=f"{kind}_estimate_p{i + 1}")
+                for kind, a in zip(kinds, by_exponent[key])]
+    return out
 
 
 def mvt_ratio(mesh: Mesh, p: ExponentField, u: GridFunction, h,
@@ -272,15 +286,35 @@ def mvt_spot_checks(mesh: Mesh, spec: ProblemSpec, solution, frozen,
         tol = mvt_tolerance(mesh, resid)
         for _ in range(_MVT_CHECKS):
             f = random_lipschitz_field(mesh, rng, lo, hi)
-            gam = mvt_ratio(mesh, spec.p[i], u, hq, f, u)
-            checks.append({
-                "component": i + 1,
-                "gamma_hat": gam,
-                "range": [lo, hi],
-                "tolerance": tol,
-                "ok": bool(lo - tol <= gam <= hi + tol),
-            })
+            checks.append({"component": i + 1, "range": [lo, hi], "tolerance": tol,
+                           **_mvt_check(mesh, spec.p[i], u, hq, f, u, tol)})
     return checks
+
+
+def _mvt_check(mesh, p, u, h, f, phi, tol) -> dict:
+    """gamma_hat, and whether it lies in _MVT_RANGE up to ``tol``."""
+    gam = mvt_ratio(mesh, p, u, h, f, phi)
+    lo, hi = _MVT_RANGE
+    return {"gamma_hat": gam, "ok": bool(lo - tol <= gam <= hi + tol)}
+
+
+def mvt_sampling(mesh: Mesh, p: ExponentField, rng: np.random.Generator,
+                 opts: SolverOptions | None = None) -> dict:
+    """Mean-value checks on the unit-data solve, drawing a random
+    Lipschitz weight f and then a sign-constant test field phi per check."""
+    ones = GridFunction.constant(mesh, 1.0)
+    res = plaplace.solve_dirichlet(mesh, p, ones, opts)
+    if not res.converged:
+        raise plaplace.SolveError(
+            f"mean-value sampling solve stalled at residual {res.residual:.3e}")
+    tol = mvt_tolerance(mesh, res.residual)
+    checks = []
+    for _ in range(_MVT_SAMPLES):
+        f = random_lipschitz_field(mesh, rng, *_MVT_RANGE)
+        phi = random_sign_constant_test(mesh, rng)
+        checks.append(_mvt_check(mesh, p, res.u, ones, f, phi, tol))
+    return {"name": "mvt_sampling", "tolerance": tol, "checks": checks,
+            "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
 
 
 def certificate_to_json(cert: dict) -> str:
@@ -300,15 +334,7 @@ def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
     state = sysfix.SystemState.build(mesh, spec, solution[0], solution[1])
     r1, r2 = sysfix.coupled_residual(mesh, spec, *solution, pair, state=state)
     hyp = validate_hypotheses(spec)
-    audits = []
-    ones = GridFunction.constant(mesh, 1.0)
-    for i in (0, 1):
-        a = gradient_estimate_audit(mesh, spec.p[i], ones, opts=solver_opts)
-        a.name = f"gradient_estimate_p{i+1}"
-        audits.append(a)
-        a = linfty_estimate_audit(mesh, spec.p[i], ones, opts=solver_opts)
-        a.name = f"linfty_estimate_p{i+1}"
-        audits.append(a)
+    audits = estimate_audits(mesh, spec.p, ("gradient", "linfty"), solver_opts)
     sandwich = sandwich_audit(solution, mesh, refined=refined,
                               refined_report=refined_report)
     mvt = mvt_spot_checks(mesh, spec, solution, sysfix.freeze_rhs(spec, state, pair),

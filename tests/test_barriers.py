@@ -9,7 +9,8 @@ from varpx import (DomainSpec, ExponentField, Regime, build_barriers,
 from varpx import barriers
 from varpx.barriers import (ProblemSpec, resolve_delta, sign_class,
                            signed_extreme)
-from varpx.errors import CalibrationError, EnvelopeError, MixedSignError
+from varpx.errors import (CalibrationError, EnvelopeError, MixedSignError,
+                          OrderingError)
 from varpx.forms import parse_expr
 
 from conftest import benchmark_spec, envelope_spec, singular_spec, trivial_spec
@@ -182,6 +183,31 @@ def test_small_C_violates():
     pair = build_barriers(m, spec, C=1.01, delta=0.05)
     rep = check_barriers_positive_regime(m, spec, pair)
     assert not rep.ok
+
+
+def test_fixed_scale_is_a_one_value_search(monkeypatch):
+    m = build_mesh(DomainSpec.interval(0, 1), 256)
+    spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return real(*args, **kwargs)
+
+    real = barriers.build_barriers
+    monkeypatch.setattr(barriers, "build_barriers", counting)
+    # a failing fixed C still returns its pair, with a one-entry trajectory
+    cal = calibrate_barriers(m, spec, C=1.01)
+    assert built == [1.01]
+    assert cal.C == cal.pair.C == 1.01
+    assert len(cal.trajectory) == 1 and cal.trajectory[0][1] < 0.0
+
+    def unordered(*args, **kwargs):
+        raise OrderingError("injected")
+
+    monkeypatch.setattr(barriers, "build_barriers", unordered)
+    with pytest.raises(OrderingError):
+        calibrate_barriers(m, spec, C=1.01)
 
 
 def test_vanishing_lower_envelope_fails_outside_strip():

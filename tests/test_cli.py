@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from varpx import cli
+from varpx import cli, verify
 from varpx.cli import main, parse_config, run, run_pipeline, sweep
 from varpx.errors import (BisectionError, BoundViolationError, ConfigError,
-                          MeshCompatibilityError, NonFiniteFieldError)
+                          MeshCompatibilityError, NonFiniteFieldError,
+                          SolveError)
 from varpx import Regime
 
 from conftest import REPO_ROOT, config_path
@@ -326,6 +327,39 @@ def test_audit_command_mvt(tmp_path, capsys):
     entry = payload["audits"][0]
     assert entry["name"] == "mvt_sampling" and entry["verdict"] == "pass"
     assert len(entry["checks"]) == 50
+
+
+@pytest.mark.parametrize("exc_type", [SolveError, ZeroDivisionError,
+                                      NonFiniteFieldError])
+def test_audit_time_error_exit2_with_stub(tmp_path, monkeypatch, exc_type):
+    def fail(*args, **kwargs):
+        raise exc_type("injected fault")
+
+    monkeypatch.setattr(verify, "gradient_estimate_audit", fail)
+    code = main(["audit", config_path("trivial.json"), "--out-dir", str(tmp_path)])
+    assert code == 2
+    stub = json.loads((tmp_path / "audit.json").read_text())
+    assert stub == {"error": "injected fault", "schema_version": 1}
+
+
+@pytest.mark.parametrize("name", ["benchmark.json", "singular.json"])
+def test_audit_matches_certificate_audits(tmp_path, name):
+    main(["solve", config_path(name), "--mesh-n", "64",
+          "--out-dir", str(tmp_path / "solve")])
+    main(["audit", config_path(name), "--mesh-n", "64",
+          "--out-dir", str(tmp_path / "audit")])
+    cert = json.loads((tmp_path / "solve" / "certificate.json").read_text())
+    audits = json.loads((tmp_path / "audit" / "audit.json").read_text())["audits"]
+    # the certificate lists each component's audits together, audit.json
+    # each kind's together
+    assert [a["name"] for a in cert["audits"]] == [
+        "gradient_estimate_p1", "linfty_estimate_p1",
+        "gradient_estimate_p2", "linfty_estimate_p2"]
+    assert [a["name"] for a in audits[:4]] == [
+        "gradient_estimate_p1", "gradient_estimate_p2",
+        "linfty_estimate_p1", "linfty_estimate_p2"]
+    by_name = {a["name"]: a for a in cert["audits"]}
+    assert all(a == by_name[a["name"]] for a in audits[:4])
 
 
 def test_crash_free_on_fixture_corpus(tmp_path):

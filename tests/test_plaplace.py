@@ -251,6 +251,18 @@ def test_max_newton_caps_steps():
     assert not res.converged
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_hessian_raises_solve_error(monkeypatch, bad):
+    # the banded factorization skips its own finiteness checks; a
+    # non-finite Hessian must still end the solve with SolveError
+    monkeypatch.setattr(plaplace, "_hessian",
+                        lambda mesh, lay, *args: np.full(lay.size, bad))
+    m = mesh1d(64)
+    with pytest.raises(plaplace.SolveError):
+        solve_dirichlet(m, ExponentField.constant(m, 3.0),
+                        GridFunction.constant(m, 1.0))
+
+
 # Plain per-quadrature-point COO assembly: the reference the cached
 # per-mesh layout must reproduce.
 

@@ -31,3 +31,20 @@ def test_every_trace_target_resolves():
         if owner is None or vars(owner).get(attr) is None:
             missing.append(f"{module}.{name}")
     assert tracer.TARGETS and missing == []
+
+
+def test_traced_run_counts_audit_solves(tmp_path):
+    # p1 == p2 in singular.json: the second component reuses the first
+    # one's twelve audit solves
+    from varpx import cli
+
+    with open(os.path.join(REPO_ROOT, "configs", "singular.json")) as f:
+        config = cli.parse_config(f.read(), mesh_n=32)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.root("solve", cli.run, config, out_dir=str(tmp_path))
+    finally:
+        tracer.uninstall()
+    assert tracer.selfcheck() == []
+    assert tracer.counts["verify.audit_solves"] == 12

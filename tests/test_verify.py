@@ -3,8 +3,8 @@ import pytest
 
 from varpx import barriers, plaplace
 
-from varpx import (DomainSpec, ExponentField, GridFunction, build_mesh,
-                   calibrate_barriers, fixed_point_iterate,
+from varpx import (DomainSpec, ExponentField, GridFunction, Regime, build_mesh,
+                   calibrate_barriers, calibrate_caps, fixed_point_iterate,
                    gradient_estimate_audit, linfty_estimate_audit, mvt_ratio,
                    sandwich_audit, solution_certificate, solve_dirichlet,
                    torsion)
@@ -12,7 +12,7 @@ from varpx.grid import QuadField
 from varpx.verify import (certificate_to_json, mvt_tolerance,
                           random_lipschitz_field, random_sign_constant_test)
 
-from conftest import benchmark_spec
+from conftest import benchmark_spec, singular_spec
 
 
 def mesh1d(n):
@@ -198,11 +198,15 @@ def test_sandwich_stability_accepts_converging_solution():
 
 # -- certificate -------------------------------------------------------------
 
-def _small_run(n=128):
+def _small_run(n=128, spec_fn=benchmark_spec):
     m = mesh1d(n)
-    spec = benchmark_spec(m)
+    spec = spec_fn(m)
     cal = calibrate_barriers(m, spec)
-    sol, rep = fixed_point_iterate(m, spec, cal.pair)
+    if cal.regime is Regime.POSITIVE_SUM:
+        sol, rep = fixed_point_iterate(m, spec, cal.pair)
+    else:
+        caps = calibrate_caps(m, spec, cal.pair)
+        sol, rep = caps.solution, caps.report
     return m, spec, cal, sol, rep
 
 
@@ -229,8 +233,10 @@ def test_certificate_detects_tampering():
     assert cert["residuals"]["max"] > 1e-3
 
 
-def test_certificate_evaluates_frozen_data_once(monkeypatch):
-    m, spec, cal, sol, rep = _small_run()
+@pytest.mark.parametrize("spec_fn,audit_solves", [(benchmark_spec, 24),
+                                                  (singular_spec, 12)])
+def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, audit_solves):
+    m, spec, cal, sol, rep = _small_run(spec_fn=spec_fn)
     expected = solution_certificate(m, spec, sol, cal.pair, rep,
                                     rng=np.random.default_rng(5))
     calls = {"frozen": 0, "residual": 0, "solve": 0}
@@ -254,3 +260,6 @@ def test_certificate_evaluates_frozen_data_once(monkeypatch):
     # solves report their residual from the data they already hold, so
     # only the two component residuals at the solution call weak_residual
     assert calls["residual"] == 2
+    # every solve is an audit solve: six scales per audit and component,
+    # and none for a component whose exponent equals the first one's
+    assert calls["solve"] == audit_solves
