@@ -394,10 +394,12 @@ class CalibrationResult:
 def resolve_delta(mesh: Mesh, spec: ProblemSpec,
                   opts: SolverOptions | None = None):
     """Strip width search: start at 0.1 * max distance and halve until
-    the strip-loaded torsion fields stay positive, flooring at two mesh
-    widths.  Returns (delta, xi, xi_delta) with the solved fields."""
+    the strip-loaded torsion fields stay positive, flooring at 1.5 times
+    the largest axis spacing, so the strip always holds the first
+    interior node row.  Returns (delta, xi, xi_delta) with the solved
+    fields."""
     delta = 0.1 * mesh.max_distance
-    floor = 2.0 * mesh.h
+    floor = 1.5 * float(np.ptp(mesh.nodes, axis=0).max()) / mesh.n
     xi = tuple(plaplace.torsion(mesh, spec.p[i], opts) for i in (0, 1))
     while True:
         try:
@@ -417,8 +419,8 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
                        L: float | None = None,
                        C: float | None = None) -> CalibrationResult:
     """Doubling search C in {2, 4, ..., 2^_C_MAX_EXP} with delta halved
-    from 0.1 * max distance on positivity failure (floor two mesh
-    widths).  Returns the first success; exhaustion raises
+    from 0.1 * max distance on positivity failure (floor 1.5 axis
+    spacings).  Returns the first success; exhaustion raises
     CalibrationError, which cannot distinguish 'C must be larger' from
     'discretization too coarse' and says so.  A given ``C`` is a one-value
     search that returns its pair even when the check fails, and raises

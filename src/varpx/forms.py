@@ -35,9 +35,6 @@ class Expr:
     def free_vars(self):
         raise NotImplementedError
 
-    def to_json(self):
-        raise NotImplementedError
-
 
 class Const(Expr):
     def __init__(self, value):
@@ -48,9 +45,6 @@ class Const(Expr):
 
     def free_vars(self):
         return set()
-
-    def to_json(self):
-        return self.value
 
 
 class Var(Expr):
@@ -67,9 +61,6 @@ class Var(Expr):
     def free_vars(self):
         return {self.name}
 
-    def to_json(self):
-        return self.name
-
 
 class Add(Expr):
     def __init__(self, terms):
@@ -84,9 +75,6 @@ class Add(Expr):
     def free_vars(self):
         return set().union(*(t.free_vars() for t in self.terms))
 
-    def to_json(self):
-        return {"add": [t.to_json() for t in self.terms]}
-
 
 class Mul(Expr):
     def __init__(self, factors):
@@ -100,9 +88,6 @@ class Mul(Expr):
 
     def free_vars(self):
         return set().union(*(t.free_vars() for t in self.factors))
-
-    def to_json(self):
-        return {"mul": [t.to_json() for t in self.factors]}
 
 
 class Pow(Expr):
@@ -120,9 +105,6 @@ class Pow(Expr):
 
     def free_vars(self):
         return self.base.free_vars() | self.exp.free_vars()
-
-    def to_json(self):
-        return {"pow": {"base": self.base.to_json(), "exp": self.exp.to_json()}}
 
 
 def parse_expr(obj, path="expr") -> Expr:

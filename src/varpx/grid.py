@@ -106,8 +106,7 @@ class Mesh:
         self.cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
         self.boundary_nodes = np.array([0, n])
         h = (b - a) / n
-        self.cell_volumes = np.full(n, h)
-        self.cell_diameters = self.cell_volumes
+        self.cell_diameters = np.full(n, h)
         # gradients of the two hats on each cell
         gb = np.empty((n, 2, 1))
         gb[:, 0, 0] = -1.0 / h
@@ -157,7 +156,6 @@ class Mesh:
         e1, e2 = p1 - p0, p2 - p0
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         area = 0.5 * np.abs(det)
-        self.cell_volumes = area
         self.cell_diameters = np.maximum.reduce([
             np.hypot(*(p1 - p0).T), np.hypot(*(p2 - p1).T), np.hypot(*(p0 - p2).T)
         ])

@@ -86,7 +86,8 @@ class IterationReport:
     """Trace of one damped fixed-point run.  Membership flags refer to
     the raw map output of each iteration (the invariance evidence);
     clamped iterates sit inside the value box by construction, so
-    recording them would be vacuous."""
+    recording them would be vacuous.  ``caps`` holds (L, L_tilde) when
+    the run was a negative-sum cap search."""
 
     iters: int
     step_norms: list          # per iteration: (step_1, step_2)
@@ -96,10 +97,7 @@ class IterationReport:
     grad_cap_trace: list      # gradient-cap part only
     converged: bool
     damping_used: float
-    iterates: list = field(default_factory=list, repr=False)
-    # per iteration: the cap-free membership inputs of the raw map output,
-    # which calibrate_caps judges again once it has picked the caps
-    extremes: list = field(default_factory=list, repr=False)
+    caps: tuple | None = None
 
     def as_dict(self):
         return {
@@ -148,11 +146,16 @@ def membership_check(state: SystemState, pair: BarrierPair, regime: Regime,
     positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
     negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
     <= L_tilde.  Violations are measured beyond a mixed tolerance.
-    ``parts`` holds the box and gradient verdicts and the cap-free
-    ``extremes`` they were judged from.
+    ``parts`` holds the box and gradient verdicts.
     """
     if regime is Regime.NEGATIVE_SUM and (L is None or L_tilde is None):
         raise ValueError("negative-sum membership needs L and L_tilde")
+    return _judge(_extremes(state, pair, regime), pair, regime, L, L_tilde)
+
+
+def _extremes(state: SystemState, pair: BarrierPair, regime: Regime) -> list:
+    """Cap-free membership inputs per component: (depth below ``under``,
+    excess over ``over`` or the maximum, gradient norm of the regime)."""
     extremes = []
     for i in (0, 1):
         zi = state.z[i].values
@@ -162,14 +165,11 @@ def membership_check(state: SystemState, pair: BarrierPair, regime: Regime,
                              state.grad_inf_norm[i]))
         else:
             extremes.append((low_v, float(zi.max()), state.grad_lux_norm[i]))
-    member, worst, parts = _judge(extremes, pair, regime, L, L_tilde)
-    parts["extremes"] = extremes
-    return member, worst, parts
+    return extremes
 
 
 def _judge(extremes, pair: BarrierPair, regime: Regime, L, L_tilde):
-    """Membership verdict from per-component (depth below ``under``,
-    excess over ``over`` or the maximum, gradient norm)."""
+    """Membership verdict from the per-component ``_extremes``."""
     box, grad = [], []
     for i, (low_v, up, g) in enumerate(extremes):
         if regime is Regime.POSITIVE_SUM:
@@ -224,13 +224,20 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
                         init: SystemState | None = None,
                         opts: IterationOptions | None = None,
                         solver_opts: SolverOptions | None = None,
-                        regime: Regime | None = None,
-                        L: float | None = None,
-                        L_tilde: float | None = None,
-                        store_iterates: bool = False):
+                        regime: Regime | None = None):
     """Damped iteration z <- (1-theta) z + theta T(z), clamped back into
     the invariant box nodewise after every step (clamping preserves the
     zero trace; gradient-cap violations are only flagged, never edited).
+
+    In the negative-sum regime the run is also the cap search: there is
+    no upper clamp, and the caps (L, L_tilde) are the smallest powers of
+    two with 5 percent headroom above the largest sup norm and Luxemburg
+    gradient norm of the clamped iterates, initial state included (and
+    L > 1 always).  The caps exist for 'large enough' constants only;
+    this run finds concrete ones, and since L clears every clamped
+    iterate, a clamp at L would never have bound.  Each iteration's
+    membership is judged once the run ends, against the caps in that
+    regime.
 
     Stops when the step norm <= tol_step AND the coupled weak residual
     <= tol_residual.  Returns ((z1, z2), IterationReport).
@@ -238,8 +245,7 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
     opts = opts or IterationOptions()
     if regime is None:
         regime = bmod.validate_hypotheses(spec).regime
-    if regime is Regime.NEGATIVE_SUM and (L is None or L_tilde is None):
-        raise ValueError("negative-sum iteration needs calibrated caps L, L_tilde")
+    singular = regime is Regime.NEGATIVE_SUM
 
     if init is None:
         z1 = pair.under[0].copy()
@@ -247,17 +253,17 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
     else:
         z1, z2 = init.z[0].copy(), init.z[1].copy()
     state = SystemState.build(mesh, spec, z1, z2)
+    # negative-sum: (sup norm, Luxemburg gradient norm) per clamped iterate
+    norms = [_cap_norms(state)] if singular else []
 
     nn = mesh.n_nodes
     x_hist, g_hist = [], []
-    steps, residuals, member_trace, box_trace, grad_trace = [], [], [], [], []
-    iterates, extremes = [], []
-    converged = False
+    steps, residuals, extremes = [], [], []
+    stopped = False
     it = 0
     for it in range(1, opts.max_iters + 1):
         (u1, u2), _ = apply_map(mesh, spec, state, pair, solver_opts)
-        out_state = SystemState.build(mesh, spec, u1, u2)
-        member, _, parts = membership_check(out_state, pair, regime, L, L_tilde)
+        extremes.append(_extremes(SystemState.build(mesh, spec, u1, u2), pair, regime))
         x = np.concatenate([z1.values, z2.values])
         g = (1.0 - opts.theta) * x + opts.theta * np.concatenate([u1.values, u2.values])
         if opts.anderson_depth > 0:
@@ -271,49 +277,60 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
         v1, v2 = x_new[:nn].copy(), x_new[nn:].copy()
         for i, v in ((0, v1), (1, v2)):
             np.maximum(v, pair.under[i].values, out=v)
-            if regime is Regime.POSITIVE_SUM:
+            if not singular:
                 np.minimum(v, pair.over[i].values, out=v)
-            else:
-                np.minimum(v, L, out=v)
         s1 = float(np.abs(v1 - z1.values).max())
         s2 = float(np.abs(v2 - z2.values).max())
         z1 = GridFunction(mesh, v1, zero_trace=True)
         z2 = GridFunction(mesh, v2, zero_trace=True)
         state = SystemState.build(mesh, spec, z1, z2)
+        if singular:
+            norms.append(_cap_norms(state))
 
         r1, r2 = _state_residual(spec, state, pair)
         steps.append((s1, s2))
         residuals.append(max(r1, r2))
-        member_trace.append(bool(member))
-        box_trace.append(bool(parts["box_ok"]))
-        grad_trace.append(bool(parts["grad_ok"]))
-        extremes.append(parts["extremes"])
-        if store_iterates:
-            iterates.append((v1.copy(), v2.copy()))
         if max(s1, s2) <= opts.tol_step and residuals[-1] <= opts.tol_residual:
-            # stationary and consistent; success additionally requires the
-            # final map output to sit inside the invariant set
-            converged = bool(member)
+            stopped = True
             break
 
-    report = IterationReport(iters=it, step_norms=steps, residuals=residuals,
-                             membership_trace=member_trace, box_trace=box_trace,
-                             grad_cap_trace=grad_trace, converged=converged,
-                             damping_used=opts.theta, iterates=iterates,
-                             extremes=extremes)
+    caps = None
+    if singular:
+        caps = (_power_of_two_above(max(n[0] for n in norms), 2.0),
+                _power_of_two_above(max(n[1] for n in norms), 1.0))
+    verdicts = [_judge(e, pair, regime, *(caps or (None, None))) for e in extremes]
+    report = IterationReport(
+        iters=it, step_norms=steps, residuals=residuals,
+        membership_trace=[bool(v[0]) for v in verdicts],
+        box_trace=[bool(v[2]["box_ok"]) for v in verdicts],
+        grad_cap_trace=[bool(v[2]["grad_ok"]) for v in verdicts],
+        # stationary and consistent; success additionally requires the
+        # final map output to sit inside the invariant set
+        converged=stopped and bool(verdicts[-1][0]),
+        damping_used=opts.theta, caps=caps)
     return (z1, z2), report
+
+
+def _cap_norms(state: SystemState):
+    return (max(float(np.abs(z.values).max()) for z in state.z),
+            max(state.grad_lux_norm))
+
+
+def _power_of_two_above(norm: float, start: float) -> float:
+    """Smallest start * 2^k with 5 percent headroom above ``norm``."""
+    cap = start
+    while cap < 1.05 * norm:
+        cap *= 2.0
+    return cap
 
 
 @dataclass
 class CapsResult:
-    """Caps of the singular regime and the run they were read from.  The
-    clamp at L never binds on that run, so the run is the iteration's
-    solution under these caps."""
+    """Caps of the singular regime and the run they were read from, which
+    is the iteration's solution under these caps."""
 
     L: float
     L_tilde: float
-    max_sup: float
-    max_grad_lux: float
     solution: tuple
     report: IterationReport
 
@@ -325,39 +342,10 @@ class CapsResult:
 def calibrate_caps(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
                    opts: IterationOptions | None = None,
                    solver_opts: SolverOptions | None = None) -> CapsResult:
-    """Doubling search for the sup-norm cap L and the Luxemburg gradient
-    cap L_tilde of the singular regime, by one run of the iteration.
-
-    The run starts at the lower barrier with the upper clamp disabled.
-    Each cap is the smallest power of two with 5 percent headroom above
-    the largest sup norm or gradient norm of the run's clamped iterates,
-    initial state included (and L > 1 always).  The run's membership is
-    then judged against those caps.  The caps exist for 'large enough'
-    constants only; this search finds concrete ones.
-    """
-    big = float(np.finfo(float).max) ** 0.25
+    """Sup-norm cap L and Luxemburg gradient cap L_tilde of the singular
+    regime, read off one negative-sum run of ``fixed_point_iterate`` from
+    the lower barrier."""
     solution, report = fixed_point_iterate(
         mesh, spec, pair, opts=opts, solver_opts=solver_opts,
-        regime=Regime.NEGATIVE_SUM, L=big, L_tilde=big, store_iterates=True)
-    iterates = [(pair.under[0].values, pair.under[1].values), *report.iterates]
-    report.iterates = []      # kept for the cap rule only
-    max_sup = max(float(np.abs(v).max()) for vs in iterates for v in vs)
-    max_lux = max(max(SystemState.build(
-        mesh, spec, GridFunction(mesh, v1), GridFunction(mesh, v2)).grad_lux_norm)
-        for v1, v2 in iterates)
-    L = 2.0
-    while L < 1.05 * max_sup:
-        L *= 2.0
-    Lt = 1.0
-    while Lt < 1.05 * max_lux:
-        Lt *= 2.0
-
-    verdicts = [_judge(e, pair, Regime.NEGATIVE_SUM, L, Lt) for e in report.extremes]
-    report.membership_trace = [bool(v[0]) for v in verdicts]
-    report.box_trace = [bool(v[2]["box_ok"]) for v in verdicts]
-    report.grad_cap_trace = [bool(v[2]["grad_ok"]) for v in verdicts]
-    # under the disabled caps every map output is a member, so the run
-    # converged iff its stop test fired; the caps decide the rest
-    report.converged = report.converged and report.membership_trace[-1]
-    return CapsResult(L=L, L_tilde=Lt, max_sup=max_sup, max_grad_lux=max_lux,
-                      solution=solution, report=report)
+        regime=Regime.NEGATIVE_SUM)
+    return CapsResult(*report.caps, solution=solution, report=report)

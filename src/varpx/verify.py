@@ -143,18 +143,26 @@ def estimate_audits(mesh: Mesh, ps, kinds, opts: SolverOptions | None = None) ->
     exponent of ``ps``, component by component, named
     ``<kind>_estimate_p<i>``; equal exponents share their audits."""
     ones = GridFunction.constant(mesh, 1.0)
-    by_exponent = {}
-    out = []
-    for i, p in enumerate(ps):
+
+    def audits(p):
+        # looked up per call, so a wrapper bound to the module name applies
+        run = {"gradient": gradient_estimate_audit, "linfty": linfty_estimate_audit}
+        return [run[kind](mesh, p, ones, opts=opts) for kind in kinds]
+
+    return [replace(a, name=f"{kind}_estimate_p{i + 1}")
+            for i, per in enumerate(_per_exponent(ps, audits))
+            for kind, a in zip(kinds, per)]
+
+
+def _per_exponent(ps, run) -> list:
+    """run(p) for each exponent of ``ps`` in order; an exponent equal to
+    an earlier one's reuses that result."""
+    done = {}
+    for p in ps:
         key = p.values.tobytes()
-        if key not in by_exponent:
-            # looked up per call, so a wrapper bound to the module name applies
-            run = {"gradient": gradient_estimate_audit,
-                   "linfty": linfty_estimate_audit}
-            by_exponent[key] = [run[kind](mesh, p, ones, opts=opts) for kind in kinds]
-        out += [replace(a, name=f"{kind}_estimate_p{i + 1}")
-                for kind, a in zip(kinds, by_exponent[key])]
-    return out
+        if key not in done:
+            done[key] = run(p)
+    return [done[p.values.tobytes()] for p in ps]
 
 
 def mvt_ratio(mesh: Mesh, p: ExponentField, u: GridFunction, h,
@@ -298,23 +306,30 @@ def _mvt_check(mesh, p, u, h, f, phi, tol) -> dict:
     return {"gamma_hat": gam, "ok": bool(lo - tol <= gam <= hi + tol)}
 
 
-def mvt_sampling(mesh: Mesh, p: ExponentField, rng: np.random.Generator,
-                 opts: SolverOptions | None = None) -> dict:
-    """Mean-value checks on the unit-data solve, drawing a random
-    Lipschitz weight f and then a sign-constant test field phi per check."""
+def mvt_sampling(mesh: Mesh, ps, rng: np.random.Generator,
+                 opts: SolverOptions | None = None) -> list:
+    """Mean-value checks on each exponent's unit-data solve, named
+    ``mvt_sampling_p<i>``, drawing a random Lipschitz weight f and then a
+    sign-constant test field phi per check from ``rng``, component by
+    component; equal exponents share their checks."""
     ones = GridFunction.constant(mesh, 1.0)
-    res = plaplace.solve_dirichlet(mesh, p, ones, opts)
-    if not res.converged:
-        raise plaplace.SolveError(
-            f"mean-value sampling solve stalled at residual {res.residual:.3e}")
-    tol = mvt_tolerance(mesh, res.residual)
-    checks = []
-    for _ in range(_MVT_SAMPLES):
-        f = random_lipschitz_field(mesh, rng, *_MVT_RANGE)
-        phi = random_sign_constant_test(mesh, rng)
-        checks.append(_mvt_check(mesh, p, res.u, ones, f, phi, tol))
-    return {"name": "mvt_sampling", "tolerance": tol, "checks": checks,
-            "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
+
+    def sample(p):
+        res = plaplace.solve_dirichlet(mesh, p, ones, opts)
+        if not res.converged:
+            raise plaplace.SolveError(
+                f"mean-value sampling solve stalled at residual {res.residual:.3e}")
+        tol = mvt_tolerance(mesh, res.residual)
+        checks = []
+        for _ in range(_MVT_SAMPLES):
+            f = random_lipschitz_field(mesh, rng, *_MVT_RANGE)
+            phi = random_sign_constant_test(mesh, rng)
+            checks.append(_mvt_check(mesh, p, res.u, ones, f, phi, tol))
+        return {"tolerance": tol, "checks": checks,
+                "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
+
+    return [{"name": f"mvt_sampling_p{i + 1}", **entry}
+            for i, entry in enumerate(_per_exponent(ps, sample))]
 
 
 def certificate_to_json(cert: dict) -> str:
@@ -323,7 +338,7 @@ def certificate_to_json(cert: dict) -> str:
 
 
 def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
-                         pair: BarrierPair, report, caps=None,
+                         pair: BarrierPair, report,
                          refined=None, refined_report=None, rng=None,
                          solver_opts: SolverOptions | None = None) -> dict:
     """Machine-readable verification record for a completed run:
@@ -358,8 +373,8 @@ def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
         "audits": [a.as_dict() for a in audits],
         "mvt_spot_checks": mvt,
     }
-    if caps is not None:
-        cert["caps"] = {"L": caps[0], "L_tilde": caps[1]}
+    if report.caps is not None:
+        cert["caps"] = {"L": report.caps[0], "L_tilde": report.caps[1]}
     audits_pass = (all(a.verdict == "pass" for a in audits)
                    and sandwich["verdict"] == "pass"
                    and all(c["ok"] for c in mvt))

@@ -210,6 +210,17 @@ def test_fixed_scale_is_a_one_value_search(monkeypatch):
         calibrate_barriers(m, spec, C=1.01)
 
 
+@pytest.mark.parametrize("n", [16, 40, 48, 64])
+def test_resolve_delta_on_the_unit_square(n):
+    # the search starts at 0.05; a floor of two cell diagonals lay above
+    # that start at n=40 and n=48 and ended the search after one try
+    m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
+    delta, _, xid = resolve_delta(m, benchmark_spec(m))
+    assert 0.0 < delta <= 0.05
+    for x in xid:
+        assert np.all(x.values[m.interior_nodes] > 0.0)
+
+
 def test_vanishing_lower_envelope_fails_outside_strip():
     # as m -> 0 the subsolution requirement degenerates to -Lap(under) <= 0,
     # which can only hold where the strip data is negative; this is why

@@ -323,10 +323,27 @@ def test_audit_command_mvt(tmp_path, capsys):
     code = main(["audit", config_path("trivial.json"),
                  "--only", "mvt", "--out-dir", str(tmp_path)])
     assert code == 0
-    payload = json.loads((tmp_path / "audit.json").read_text())
-    entry = payload["audits"][0]
-    assert entry["name"] == "mvt_sampling" and entry["verdict"] == "pass"
-    assert len(entry["checks"]) == 50
+    audits = json.loads((tmp_path / "audit.json").read_text())["audits"]
+    # p1 == p2 in trivial.json: the second entry reuses the first's checks
+    assert [a["name"] for a in audits] == ["mvt_sampling_p1", "mvt_sampling_p2"]
+    assert audits[0]["verdict"] == "pass" and len(audits[0]["checks"]) == 50
+    assert audits[1]["checks"] == audits[0]["checks"]
+
+
+def test_audit_mvt_samples_each_exponent(tmp_path, capsys):
+    # p1 = 2.2 and p2 = 2.4: one sampling per exponent, p1 first from the
+    # seeded generator, so the p1 entry is what p1 alone would give
+    code = main(["audit", config_path("benchmark.json"),
+                 "--only", "mvt", "--out-dir", str(tmp_path)])
+    assert code == 0
+    audits = json.loads((tmp_path / "audit.json").read_text())["audits"]
+    assert [a["name"] for a in audits] == ["mvt_sampling_p1", "mvt_sampling_p2"]
+    assert all(a["verdict"] == "pass" and len(a["checks"]) == 50 for a in audits)
+    assert audits[0]["tolerance"] != audits[1]["tolerance"]
+    cfg = parse_config(load("benchmark.json"))
+    alone = verify.mvt_sampling(cfg.mesh, cfg.problem.p[:1],
+                                np.random.default_rng(cfg.seed), cfg.solver)
+    assert audits[0] == json.loads(verify.certificate_to_json(alone[0]))
 
 
 @pytest.mark.parametrize("exc_type", [SolveError, ZeroDivisionError,

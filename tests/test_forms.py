@@ -49,12 +49,3 @@ def test_evaluate_spatial_broadcasts_constants():
     expr = parse_expr(2.0)
     pts = np.linspace(0, 1, 5)
     np.testing.assert_allclose(evaluate_spatial(expr, pts), 2.0)
-
-
-def test_roundtrip_to_json():
-    obj = {"add": [1.0, {"mul": [2.0, "x"]},
-                   {"pow": {"base": "s2", "exp": "x"}}]}
-    expr = parse_expr(obj)
-    again = parse_expr(expr.to_json())
-    env = {"x": np.array([0.25]), "s2": np.array([3.0])}
-    np.testing.assert_allclose(expr.evaluate(env), again.evaluate(env))

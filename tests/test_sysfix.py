@@ -22,8 +22,7 @@ def test_constant_map_fixed_point_two_iterations():
     spec = trivial_spec(m)
     cal = calibrate_barriers(m, spec)
     sol, rep = fixed_point_iterate(m, spec, cal.pair,
-                                   opts=IterationOptions(theta=1.0),
-                                   L=cal.L, L_tilde=4.0)
+                                   opts=IterationOptions(theta=1.0))
     assert rep.converged and rep.iters <= 2
     xi = torsion(m, spec.p1)
     np.testing.assert_allclose(sol[0].values, xi.values, atol=1e-10)
@@ -123,16 +122,18 @@ def test_benchmark_iteration_converges():
     assert max(r1, r2) <= 1e-6
 
 
-def test_monotone_iteration_from_subsolution():
+def test_monotone_iteration_from_subsolution(monkeypatch):
     # cooperative spec with pure lower-envelope data: damped iterates
     # started at the subsolution are nodewise nondecreasing
+    from varpx import sysfix
     m, spec, cal = setup_positive(128, lambda mm: envelope_spec(mm, 0.3, 0.3))
-    sol, rep = fixed_point_iterate(m, spec, cal.pair, store_iterates=True)
-    assert rep.converged
-    prev = cal.pair.under[0].values
-    for v1, _ in rep.iterates:
+    mapped = _record_map(monkeypatch, sysfix)
+    sol, rep = fixed_point_iterate(m, spec, cal.pair)
+    assert rep.converged and len(mapped) == rep.iters
+    iterates = [z[0].values for z, _ in mapped] + [sol[0].values]
+    assert np.array_equal(iterates[0], cal.pair.under[0].values)
+    for prev, v1 in zip(iterates, iterates[1:]):
         assert np.all(v1 >= prev - 1e-12)
-        prev = v1
 
 
 def test_anderson_acceleration_converges():
@@ -172,19 +173,22 @@ def test_singular_regime_full_loop():
     cal = calibrate_barriers(m, spec)
     caps = calibrate_caps(m, spec, cal.pair)
     assert caps.L > 1.0 and caps.L_tilde > 0.0
-    sol, rep = fixed_point_iterate(m, spec, cal.pair, regime=Regime.NEGATIVE_SUM,
-                                   L=caps.L, L_tilde=caps.L_tilde)
+    sol, rep = caps.solution, caps.report
     assert rep.converged
     assert all(rep.membership_trace)
     assert np.all(sol[0].values[m.interior_nodes] > 0)
 
 
-def test_negative_sum_requires_caps():
+def test_negative_sum_membership_needs_caps():
     m = build_mesh(DomainSpec.interval(0, 1), 64)
     spec = singular_spec(m)
     cal = calibrate_barriers(m, spec)
-    with pytest.raises(ValueError):
-        fixed_point_iterate(m, spec, cal.pair, regime=Regime.NEGATIVE_SUM)
+    st = SystemState.build(m, spec, cal.pair.under[0], cal.pair.under[1])
+    for caps in ((), (4.0,), (None, 4.0)):
+        with pytest.raises(ValueError):
+            membership_check(st, cal.pair, Regime.NEGATIVE_SUM, *caps)
+    member, worst, _ = membership_check(st, cal.pair, Regime.NEGATIVE_SUM, 4.0, 4.0)
+    assert member and worst == 0.0
 
 
 def test_trace_report_roundtrip():
@@ -207,6 +211,20 @@ def _count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _record_map(monkeypatch, sysfix):
+    """(input fields, output fields) of every map application."""
+    mapped = []
+    orig = sysfix.apply_map
+
+    def recorded(mesh, spec, state, *args, **kwargs):
+        out = orig(mesh, spec, state, *args, **kwargs)
+        mapped.append((state.z, out[0]))
+        return out
+
+    monkeypatch.setattr(sysfix, "apply_map", recorded)
+    return mapped
 
 
 def test_pipeline_maps_once_per_cap_search(monkeypatch):
@@ -243,7 +261,7 @@ def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
         m = build_mesh(DomainSpec.interval(0, 1), 64)
         spec = singular_spec(m)
         cal = calibrate_barriers(m, spec)
-        kw = dict(regime=Regime.NEGATIVE_SUM, L=4.0, L_tilde=4.0)
+        kw = dict(regime=Regime.NEGATIVE_SUM)
     else:
         m, spec, cal = setup_positive(64)
         kw = {}
@@ -254,18 +272,27 @@ def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
 
 
 @pytest.mark.parametrize("anderson_depth", [0, 2])
-def test_cap_search_run_is_the_capped_solution(anderson_depth):
+def test_cap_search_reads_caps_off_one_run(monkeypatch, anderson_depth):
+    from varpx import expspace, sysfix
     m = build_mesh(DomainSpec.interval(0, 1), 128)
     spec = singular_spec(m)
     cal = calibrate_barriers(m, spec)
-    opts = IterationOptions(anderson_depth=anderson_depth)
-    caps = calibrate_caps(m, spec, cal.pair, opts=opts)
-    sol, rep = fixed_point_iterate(m, spec, cal.pair, opts=opts,
-                                   regime=Regime.NEGATIVE_SUM,
-                                   L=caps.L, L_tilde=caps.L_tilde)
-    for i in (0, 1):
-        assert np.array_equal(caps.solution[i].values, sol[i].values)
-    assert caps.report.as_dict() == rep.as_dict()
-    assert caps.report.extremes == rep.extremes
-    assert caps.report.iterates == rep.iterates == []
-    assert caps.pilot_iters == rep.iters and rep.converged
+    mapped = _record_map(monkeypatch, sysfix)
+    bisections = _count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
+    caps = calibrate_caps(m, spec, cal.pair,
+                          opts=IterationOptions(anderson_depth=anderson_depth))
+    rep = caps.report
+    # two components each: the initial state, then per iteration the raw
+    # map output (membership) and the clamped iterate (the cap rule)
+    assert len(bisections) == 2 * (2 * rep.iters + 1)
+    assert rep.caps == (caps.L, caps.L_tilde) and "caps" not in rep.as_dict()
+    assert caps.pilot_iters == rep.iters == len(mapped) and rep.converged
+    clamped = [z for z, _ in mapped] + [caps.solution]
+    sup = max(float(np.abs(z.values).max()) for zs in clamped for z in zs)
+    assert caps.L >= 1.05 * sup and (caps.L == 2.0 or caps.L < 2.1 * sup)
+    lux = max(max(SystemState.build(m, spec, *zs).grad_lux_norm) for zs in clamped)
+    assert caps.L_tilde >= 1.05 * lux and (caps.L_tilde == 1.0 or caps.L_tilde < 2.1 * lux)
+    for (u1, u2), member in zip((out for _, out in mapped), rep.membership_trace):
+        st = SystemState.build(m, spec, u1, u2)
+        assert membership_check(st, cal.pair, Regime.NEGATIVE_SUM,
+                                caps.L, caps.L_tilde)[0] == member
