@@ -139,18 +139,35 @@ def apply_map(mesh: Mesh, spec: ProblemSpec, state: SystemState,
     return (results[0].u, results[1].u), (results[0], results[1])
 
 
-def membership_check(state: SystemState, pair: BarrierPair, regime: Regime,
+def membership_check(state, pair: BarrierPair, regime: Regime,
                      L: float | None = None, L_tilde: float | None = None):
     """(member, worst_violation, parts) for the invariant set of the regime.
 
     positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
     negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
     <= L_tilde.  Violations are measured beyond a mixed tolerance.
+    ``state`` is a SystemState or the ``_extremes`` already taken from
+    one, so a run can judge its iterates once its caps are known.
     ``parts`` holds the box and gradient verdicts.
     """
     if regime is Regime.NEGATIVE_SUM and (L is None or L_tilde is None):
         raise ValueError("negative-sum membership needs L and L_tilde")
-    return _judge(_extremes(state, pair, regime), pair, regime, L, L_tilde)
+    if isinstance(state, SystemState):
+        state = _extremes(state, pair, regime)
+    box, grad = [], []
+    for i, (low_v, up, g) in enumerate(state):
+        if regime is Regime.POSITIVE_SUM:
+            up_v, g_v = up, g - pair.C * pair.R
+            scale = float(np.abs(pair.over[i].values).max())
+        else:
+            # max(z) - L rounds exactly as max(z - L) does
+            up_v, g_v, scale = up - L, g - L_tilde, L
+        tol = _MEMBER_ATOL + _MEMBER_RTOL * scale
+        box.append(max(low_v, up_v) - tol)
+        grad.append(g_v - tol)
+    worst = max(*box, *grad)
+    return worst <= 0.0, max(worst, 0.0), {"box_ok": max(box) <= 0.0,
+                                           "grad_ok": max(grad) <= 0.0}
 
 
 def _extremes(state: SystemState, pair: BarrierPair, regime: Regime) -> list:
@@ -166,24 +183,6 @@ def _extremes(state: SystemState, pair: BarrierPair, regime: Regime) -> list:
         else:
             extremes.append((low_v, float(zi.max()), state.grad_lux_norm[i]))
     return extremes
-
-
-def _judge(extremes, pair: BarrierPair, regime: Regime, L, L_tilde):
-    """Membership verdict from the per-component ``_extremes``."""
-    box, grad = [], []
-    for i, (low_v, up, g) in enumerate(extremes):
-        if regime is Regime.POSITIVE_SUM:
-            up_v, g_v = up, g - pair.C * pair.R
-            scale = float(np.abs(pair.over[i].values).max())
-        else:
-            # max(z) - L rounds exactly as max(z - L) does
-            up_v, g_v, scale = up - L, g - L_tilde, L
-        tol = _MEMBER_ATOL + _MEMBER_RTOL * scale
-        box.append(max(low_v, up_v) - tol)
-        grad.append(g_v - tol)
-    worst = max(*box, *grad)
-    return worst <= 0.0, max(worst, 0.0), {"box_ok": max(box) <= 0.0,
-                                           "grad_ok": max(grad) <= 0.0}
 
 
 def coupled_residual(mesh: Mesh, spec: ProblemSpec, z1: GridFunction,
@@ -298,7 +297,8 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
     if singular:
         caps = (_power_of_two_above(max(n[0] for n in norms), 2.0),
                 _power_of_two_above(max(n[1] for n in norms), 1.0))
-    verdicts = [_judge(e, pair, regime, *(caps or (None, None))) for e in extremes]
+    verdicts = [membership_check(e, pair, regime, *(caps or (None, None)))
+                for e in extremes]
     report = IterationReport(
         iters=it, step_norms=steps, residuals=residuals,
         membership_trace=[bool(v[0]) for v in verdicts],
@@ -329,10 +329,16 @@ class CapsResult:
     """Caps of the singular regime and the run they were read from, which
     is the iteration's solution under these caps."""
 
-    L: float
-    L_tilde: float
     solution: tuple
     report: IterationReport
+
+    @property
+    def L(self) -> float:
+        return self.report.caps[0]
+
+    @property
+    def L_tilde(self) -> float:
+        return self.report.caps[1]
 
     @property
     def pilot_iters(self) -> int:
@@ -348,4 +354,4 @@ def calibrate_caps(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
     solution, report = fixed_point_iterate(
         mesh, spec, pair, opts=opts, solver_opts=solver_opts,
         regime=Regime.NEGATIVE_SUM)
-    return CapsResult(*report.caps, solution=solution, report=report)
+    return CapsResult(solution, report)

@@ -35,12 +35,14 @@ def test_every_trace_target_resolves():
 
 def test_traced_run_counts_audit_solves(tmp_path):
     # p1 == p2 in singular.json: the second component reuses the first
-    # one's twelve audit solves
+    # one's twelve audit solves.  The bench suite fails on a target no
+    # workload reaches; a singular run reaches every sysfix target.
     from varpx import cli
 
     with open(os.path.join(REPO_ROOT, "configs", "singular.json")) as f:
         config = cli.parse_config(f.read(), mesh_n=32)
-    tracer = _load_tracer().Tracer()
+    module = _load_tracer()
+    tracer = module.Tracer()
     tracer.install()
     try:
         tracer.root("solve", cli.run, config, out_dir=str(tmp_path))
@@ -48,3 +50,5 @@ def test_traced_run_counts_audit_solves(tmp_path):
         tracer.uninstall()
     assert tracer.selfcheck() == []
     assert tracer.counts["verify.audit_solves"] == 12
+    sysfix_targets = [n for n in module.TARGET_NAMES if n.startswith("sysfix.")]
+    assert sorted(set(sysfix_targets) - set(tracer.hit())) == []
