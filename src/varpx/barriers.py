@@ -26,7 +26,7 @@ import numpy as np
 from . import grid, plaplace
 from .errors import (CalibrationError, DeltaTooLargeError, EnvelopeError,
                      MixedSignError, OrderingError)
-from .expspace import ExponentField
+from .expspace import ExponentField, per_exponent
 from .forms import Expr
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
@@ -397,14 +397,14 @@ def resolve_delta(mesh: Mesh, spec: ProblemSpec,
     the strip-loaded torsion fields stay positive, flooring at 1.5 times
     the largest axis spacing, so the strip always holds the first
     interior node row.  Returns (delta, xi, xi_delta) with the solved
-    fields."""
+    fields; equal exponents share their solves."""
     delta = 0.1 * mesh.max_distance
     floor = 1.5 * float(np.ptp(mesh.nodes, axis=0).max()) / mesh.n
-    xi = tuple(plaplace.torsion(mesh, spec.p[i], opts) for i in (0, 1))
+    xi = tuple(per_exponent(spec.p, lambda p: plaplace.torsion(mesh, p, opts)))
     while True:
         try:
-            xid = tuple(plaplace.torsion_delta(mesh, spec.p[i], delta, opts,
-                                               xi=xi[i]) for i in (0, 1))
+            xid = tuple(per_exponent(spec.p, lambda p, ref: plaplace.torsion_delta(
+                mesh, p, delta, opts, xi=ref), xi))
             return delta, xi, xid
         except DeltaTooLargeError:
             if delta <= floor:

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def _get(d, key, path, types=None, default=_REQUIRED):
             raise ConfigError(f"{path}.{key}", "missing required key")
         return default
     v = d[key]
-    if types is not None and not isinstance(v, types):
+    if types is not None and (isinstance(v, bool) or not isinstance(v, types)):
         raise ConfigError(f"{path}.{key}",
                           f"expected {types}, got {type(v).__name__}")
     return v
@@ -70,17 +70,28 @@ class RunConfig:
     barrier_C: float | None = None  # fixed scale; None means calibrate
 
 
+def _options(cls, raw, key):
+    """``cls`` from the config section ``key``: every entry names a field
+    of ``cls``, holds a number of its type and passes the checks of ``cls``."""
+    section = _get(raw, key, "$", dict, default={})
+    types = {f.name: int if type(f.default) is int else (int, float) for f in fields(cls)}
+    for name in section:
+        if name not in types:
+            raise ConfigError(f"$.{key}.{name}", "unknown key")
+        _get(section, name, f"$.{key}", types[name])
+        try:
+            cls(**{name: section[name]})
+        except ValueError as exc:
+            raise ConfigError(f"$.{key}.{name}", str(exc))
+    return cls(**section)
+
+
 def _parse_domain(obj, path="domain"):
     kind = _get(obj, "kind", path, str)
-    if kind == "interval":
-        return DomainSpec.interval(_get(obj, "a", path, (int, float)),
-                                   _get(obj, "b", path, (int, float)))
-    if kind == "rectangle":
-        return DomainSpec.rectangle(_get(obj, "ax", path, (int, float)),
-                                    _get(obj, "bx", path, (int, float)),
-                                    _get(obj, "ay", path, (int, float)),
-                                    _get(obj, "by", path, (int, float)))
-    raise ConfigError(f"{path}.kind", f"unknown domain kind {kind!r}")
+    bounds = {"interval": ("a", "b"), "rectangle": ("ax", "bx", "ay", "by")}.get(kind)
+    if bounds is None:
+        raise ConfigError(f"{path}.kind", f"unknown domain kind {kind!r}")
+    return getattr(DomainSpec, kind)(*(_get(obj, k, path, (int, float)) for k in bounds))
 
 
 _EXPONENTS = ("p", "alpha", "beta", "gamma", "gamma_bar")
@@ -157,18 +168,12 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
             "$.hypotheses",
             f"violated {c.name}: lhs={c.lhs:.6g} vs rhs={c.rhs:.6g}")
 
-    sopts = _get(raw, "solver", "$", dict, default={})
-    solver = SolverOptions(**{k: sopts[k] for k in
-                              ("eps_reg", "tol_residual", "max_newton",
-                               "line_search_shrink") if k in sopts})
-    iopts = _get(raw, "iteration", "$", dict, default={})
-    iteration = IterationOptions(**{k: iopts[k] for k in
-                                    ("theta", "tol_step", "tol_residual",
-                                     "max_iters", "anderson_depth") if k in iopts})
+    solver = _options(SolverOptions, raw, "solver")
+    iteration = _options(IterationOptions, raw, "iteration")
     outputs = dict(_DEFAULT_OUTPUTS)
     outputs.update(_get(raw, "outputs", "$", dict, default={}))
     barr = _get(raw, "barriers", "$", dict, default={})
-    barrier_C = barr.get("C")
+    barrier_C = _get(barr, "C", "$.barriers", (int, float, type(None)), default=None)
     if barrier_C is not None and not barrier_C > 1.0:
         raise ConfigError("$.barriers.C", "barrier scale must exceed 1")
     return RunConfig(domain=domain, resolution=resolution, mesh=mesh,
@@ -267,14 +272,11 @@ def _write_stubs(paths, exc):
 
 def _set_path(d, dotted, value):
     keys = dotted.split(".")
-    cur = d
-    for k in keys[:-1]:
-        if not isinstance(cur, dict) or k not in cur:
+    for k in keys:
+        if not isinstance(d, dict) or k not in d:
             raise ConfigError(dotted, "path does not address an existing key")
-        cur = cur[k]
-    if not isinstance(cur, dict) or keys[-1] not in cur:
-        raise ConfigError(dotted, "path does not address an existing key")
-    cur[keys[-1]] = value
+        parent, d = d, d[k]
+    parent[keys[-1]] = value
 
 
 def _sweep_row(raw, param, value, mesh_n):

@@ -85,6 +85,17 @@ class ExponentField:
         return grid.at_quad(self.mesh, self.values)
 
 
+def per_exponent(ps, run, *more) -> list:
+    """run(p, *rest) for each exponent p of ``ps`` and the matching entries
+    of ``more``; an exponent equal to an earlier one's reuses its result."""
+    done = {}
+    for args in zip(ps, *more):
+        key = args[0].values.tobytes()
+        if key not in done:
+            done[key] = run(*args)
+    return [done[p.values.tobytes()] for p in ps]
+
+
 @dataclass
 class ModularReport:
     """Modular, norm, and the certified two-sided power bounds."""

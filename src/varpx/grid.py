@@ -2,8 +2,8 @@
 
 Geometric substrate for everything else: node/cell arrays, exact
 distance-to-boundary fields, per-cell P1 gradients, and fixed quadrature
-(3-point Gauss per interval cell, edge midpoints per triangle) exposed as
-flat arrays so assembly can be fully vectorized.
+(3-point Gauss per interval cell, the interior 3-point rule ``_TRI_BARY``
+per triangle) exposed as flat arrays so assembly can be fully vectorized.
 """
 
 from __future__ import annotations

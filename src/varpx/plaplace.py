@@ -45,10 +45,8 @@ class SolverOptions:
     line_search_shrink: float = 0.5
 
     def __post_init__(self):
-        if not self.eps_reg > 0:
-            raise ValueError("eps_reg must be positive")
-        if not self.tol_residual > 0:
-            raise ValueError("tol_residual must be positive")
+        if not (self.eps_reg > 0 and self.tol_residual > 0 and self.max_newton >= 0):
+            raise ValueError("eps_reg and tol_residual must be positive, max_newton >= 0")
         if not 0.0 < self.line_search_shrink < 1.0:
             raise ValueError("line_search_shrink must lie in (0,1)")
 
@@ -57,7 +55,6 @@ class SolverOptions:
 class ScalarSolveResult:
     u: GridFunction
     residual: float          # unregularized weak residual, normalized
-    energy: float
     newton_iters: int        # Newton systems solved
     converged: bool
     energies: list = field(default_factory=list, repr=False)
@@ -141,21 +138,19 @@ def _unreg_flux_coeff(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
     return np.where(g2 > 0.0, c, 0.0)
 
 
-def apply_operator(mesh: Mesh, p: ExponentField, u_values: np.ndarray,
-                   eps: float = 0.0) -> np.ndarray:
-    """Nodal vector of int |grad u|^(p-2) grad u . grad(hat_j) dx for
-    every node j (regularized variant when eps > 0)."""
-    lay = _layout(mesh)
-    pq = p.at_quad()
-    g, g2 = _cell_g2(mesh, lay, u_values)
-    if eps > 0.0:
-        coeff = np.power(g2 + eps * eps, (pq - 2.0) / 2.0)
-    else:
-        coeff = _unreg_flux_coeff(g2, pq)
-    w = lay.cell_sum(mesh.qweights * coeff)
-    contrib = w[:, None] * np.einsum("cd,ckd->ck", g, mesh.grad_basis)
-    return np.bincount(mesh.cells.ravel(), weights=contrib.ravel(),
+def _flux_values(mesh, w, gdot):
+    """Nodal sums of the cell weights ``w`` times grad u . grad(hat_k)."""
+    return np.bincount(mesh.cells.ravel(), weights=(w[:, None] * gdot).ravel(),
                        minlength=mesh.n_nodes)
+
+
+def apply_operator(mesh: Mesh, p: ExponentField, u_values: np.ndarray) -> np.ndarray:
+    """Nodal vector of int |grad u|^(p-2) grad u . grad(hat_j) dx for
+    every node j."""
+    lay = _layout(mesh)
+    g, g2 = _cell_g2(mesh, lay, u_values)
+    w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(g2, p.at_quad()))
+    return _flux_values(mesh, w, np.einsum("cd,ckd->ck", g, mesh.grad_basis))
 
 
 def _energy(mesh, lay, pq, b, u_values, eps):
@@ -166,20 +161,23 @@ def _energy(mesh, lay, pq, b, u_values, eps):
     return float(mesh.qweights @ dens) - float(b @ u_values)
 
 
-def _hessian(mesh, lay, pq, u_values, eps):
-    """Interior data of the energy Hessian: isotropic weight plus a
-    rank-one weight along the frozen gradient.  Needs eps > 0 so the
+def _linearize(mesh, lay, pq, u_values, eps):
+    """Regularized operator at ``u_values``, and a function assembling the
+    energy Hessian there from the same cell arrays: isotropic weight plus
+    a rank-one weight along the frozen gradient.  Needs eps > 0 so the
     weights stay finite at vanishing gradients."""
     g, g2 = _cell_g2(mesh, lay, u_values)
     base = g2 + eps * eps
     aa = np.power(base, (pq - 2.0) / 2.0)
-    bb = (pq - 2.0) * aa / base
     A = lay.cell_sum(mesh.qweights * aa)
-    B = lay.cell_sum(mesh.qweights * bb)
     gdot = np.einsum("cd,ckd->ck", g, mesh.grad_basis)
-    local = (A[:, None, None] * lay.dots
-             + B[:, None, None] * gdot[:, :, None] * gdot[:, None, :])
-    return lay.assemble(local)
+
+    def hessian():
+        B = lay.cell_sum(mesh.qweights * ((pq - 2.0) * aa / base))
+        return lay.assemble(A[:, None, None] * lay.dots
+                            + B[:, None, None] * gdot[:, :, None] * gdot[:, None, :])
+
+    return _flux_values(mesh, A, gdot), hessian
 
 
 def _data_scale(mesh, hq) -> float:
@@ -187,9 +185,9 @@ def _data_scale(mesh, hq) -> float:
     return float(mesh.qweights @ np.abs(hq)) + 1.0
 
 
-def _residual(mesh, p, u_values, b, scale, eps=0.0):
-    """Interior weak-form defect and its max norm divided by ``scale``."""
-    r = (apply_operator(mesh, p, u_values, eps=eps) - b)[mesh.interior_nodes]
+def _residual(mesh, values, b, scale):
+    """Interior defect of the operator ``values`` and its max norm / ``scale``."""
+    r = (values - b)[mesh.interior_nodes]
     return r, float(np.abs(r).max() / scale)
 
 
@@ -198,8 +196,8 @@ def weak_residual(mesh: Mesh, p: ExponentField, u, h) -> float:
     defect, normalized by int|h| + 1."""
     uv = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     hq = grid.as_quad_values(mesh, h)
-    return _residual(mesh, p, uv, grid.load_vector(mesh, hq),
-                     _data_scale(mesh, hq))[1]
+    return _residual(mesh, apply_operator(mesh, p, uv),
+                     grid.load_vector(mesh, hq), _data_scale(mesh, hq))[1]
 
 
 def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
@@ -237,10 +235,11 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
     energies = [_energy(mesh, lay, pq, b, u, eps)]
     steps = 0
     while steps < opts.max_newton:
-        r, rnorm = _residual(mesh, p, u, b, scale, eps)
+        values, hessian = _linearize(mesh, lay, pq, u, eps)
+        r, rnorm = _residual(mesh, values, b, scale)
         if rnorm <= _NEWTON_FORCING * opts.tol_residual:
             break
-        du = lay.factor(_hessian(mesh, lay, pq, u, eps))(-r)
+        du = lay.factor(hessian())(-r)
         steps += 1
         if not np.all(np.isfinite(du)):
             raise SolveError("Newton direction is non-finite")
@@ -262,11 +261,10 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
         if not accepted:
             break  # stagnation: the residual check below decides the flag
 
-    res = _residual(mesh, p, u, b, scale)[1]
+    res = _residual(mesh, apply_operator(mesh, p, u), b, scale)[1]
     converged = bool(res <= opts.tol_residual)
     uf = GridFunction(mesh, u, zero_trace=True)
-    return ScalarSolveResult(u=uf, residual=res, energy=energies[-1],
-                             newton_iters=steps, converged=converged,
+    return ScalarSolveResult(u=uf, residual=res, newton_iters=steps, converged=converged,
                              energies=energies)
 
 

@@ -43,8 +43,9 @@ class IterationOptions:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping theta must lie in (0, 1]")
-        if self.anderson_depth < 0:
-            raise ValueError("anderson_depth must be >= 0")
+        if not (self.tol_step > 0 and self.tol_residual > 0 and self.max_iters >= 1
+                and self.anderson_depth >= 0):
+            raise ValueError("need tolerances > 0, max_iters >= 1, anderson_depth >= 0")
 
 
 @dataclass
@@ -259,7 +260,6 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
     x_hist, g_hist = [], []
     steps, residuals, extremes = [], [], []
     stopped = False
-    it = 0
     for it in range(1, opts.max_iters + 1):
         (u1, u2), _ = apply_map(mesh, spec, state, pair, solver_opts)
         extremes.append(_extremes(SystemState.build(mesh, spec, u1, u2), pair, regime))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import grid, plaplace, sysfix
 from .barriers import BarrierPair, ProblemSpec, validate_hypotheses
-from .expspace import ExponentField
+from .expspace import ExponentField, per_exponent
 from .grid import GridFunction, Mesh, QuadField
 from .plaplace import SolverOptions
 
@@ -150,19 +150,8 @@ def estimate_audits(mesh: Mesh, ps, kinds, opts: SolverOptions | None = None) ->
         return [run[kind](mesh, p, ones, opts=opts) for kind in kinds]
 
     return [replace(a, name=f"{kind}_estimate_p{i + 1}")
-            for i, per in enumerate(_per_exponent(ps, audits))
+            for i, per in enumerate(per_exponent(ps, audits))
             for kind, a in zip(kinds, per)]
-
-
-def _per_exponent(ps, run) -> list:
-    """run(p) for each exponent of ``ps`` in order; an exponent equal to
-    an earlier one's reuses that result."""
-    done = {}
-    for p in ps:
-        key = p.values.tobytes()
-        if key not in done:
-            done[key] = run(p)
-    return [done[p.values.tobytes()] for p in ps]
 
 
 def mvt_ratio(mesh: Mesh, p: ExponentField, u: GridFunction, h,
@@ -329,7 +318,7 @@ def mvt_sampling(mesh: Mesh, ps, rng: np.random.Generator,
                 "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
 
     return [{"name": f"mvt_sampling_p{i + 1}", **entry}
-            for i, entry in enumerate(_per_exponent(ps, sample))]
+            for i, entry in enumerate(per_exponent(ps, sample))]
 
 
 def certificate_to_json(cert: dict) -> str:

@@ -210,10 +210,11 @@ def test_fixed_scale_is_a_one_value_search(monkeypatch):
         calibrate_barriers(m, spec, C=1.01)
 
 
-@pytest.mark.parametrize("n", [16, 40, 48, 64])
+@pytest.mark.parametrize("n", range(16, 65, 4))
 def test_resolve_delta_on_the_unit_square(n):
     # the search starts at 0.05; a floor of two cell diagonals lay above
-    # that start at n=40 and n=48 and ended the search after one try
+    # that start at n=40 and n=48 and ended the search after one try;
+    # every n from 16 to 64 in steps of 4 must find a positive delta
     m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
     delta, _, xid = resolve_delta(m, benchmark_spec(m))
     assert 0.0 < delta <= 0.05

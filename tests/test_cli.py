@@ -216,6 +216,31 @@ def test_cli_main_invalid_config_exit1(tmp_path):
                  "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("iteration", "theta", "0.7"),
+    ("barriers", "C", "3"),
+    ("iteration", "max_iters", "5"),
+    ("iteration", "max_iters", -1),
+    ("iteration", "max_iters", 5.0),
+    ("iteration", "max_iter", 5),
+    ("iteration", "tol_step", 0.0),
+    ("solver", "max_newton", "5"),
+    ("solver", "max_newton", True),
+    ("solver", "max_newton", -1),
+    ("solver", "tol_residual", -1e-6),
+    ("solver", "eps", 1e-8),
+])
+def test_cli_main_bad_option_exit1(tmp_path, capsys, section, key, value):
+    # rejected while parsing, before any solve, with the key named
+    raw = json.loads(load("trivial.json"))
+    raw.setdefault(section, {})[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"config error: $.{section}.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_main_missing_file_exit1():
     assert main(["solve", "/nonexistent/config.json"]) == 1
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -251,12 +251,32 @@ def test_max_newton_caps_steps():
     assert not res.converged
 
 
+def test_one_linearization_per_newton_step(monkeypatch):
+    # each step's residual and Hessian come from one _linearize call;
+    # only the reported residual applies the unregularized operator
+    calls = {"apply_operator": 0, "_linearize": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(plaplace, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(plaplace, name, counted)
+    m = mesh1d(128)
+    opts = SolverOptions()
+    res = solve_dirichlet(m, ExponentField.constant(m, 3.0),
+                          GridFunction.constant(m, 1.0), opts)
+    # every step accepted and fewer than max_newton: the forcing test stopped it
+    assert res.converged and res.newton_iters < opts.max_newton
+    assert len(res.energies) == res.newton_iters + 1
+    assert calls == {"apply_operator": 1, "_linearize": res.newton_iters + 1}
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_hessian_raises_solve_error(monkeypatch, bad):
     # the banded factorization skips its own finiteness checks; a
     # non-finite Hessian must still end the solve with SolveError
-    monkeypatch.setattr(plaplace, "_hessian",
-                        lambda mesh, lay, *args: np.full(lay.size, bad))
+    linearize = plaplace._linearize
+    monkeypatch.setattr(plaplace, "_linearize", lambda mesh, lay, *args: (
+        linearize(mesh, lay, *args)[0], lambda: np.full(lay.size, bad)))
     m = mesh1d(64)
     with pytest.raises(plaplace.SolveError):
         solve_dirichlet(m, ExponentField.constant(m, 3.0),
@@ -343,7 +363,7 @@ def test_layout_hessian_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
     eps = 1e-3
     lay = plaplace._layout(mesh)
-    data = plaplace._hessian(mesh, lay, p.at_quad(), u, eps)
+    data = plaplace._linearize(mesh, lay, p.at_quad(), u, eps)[1]()
     got = _layout_matrix(lay, data)
     ref = _reference_hessian(mesh, p, u, eps)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -352,21 +372,27 @@ def test_layout_hessian_matches_coo_reference(case):
                                rtol=1e-9, atol=1e-12)
 
 
+def _random_domain(dim, width, aspect, tall):
+    """An interval, or a rectangle that is not a square."""
+    if dim == 1:
+        return DomainSpec.interval(-width, width * aspect)
+    other = width * aspect
+    return (DomainSpec.rectangle(0.0, width, 0.0, other) if tall
+            else DomainSpec.rectangle(0.0, other, 0.0, width))
+
+
+_MESHES = dict(dim=st.sampled_from([1, 2]), n=st.integers(2, 12),
+               width=st.floats(0.2, 3.0), aspect=st.floats(1.1, 4.0),
+               tall=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+
+
 @settings(max_examples=60, deadline=None)
-@given(dim=st.sampled_from([1, 2]), n=st.integers(2, 12),
-       width=st.floats(0.2, 3.0), aspect=st.floats(1.1, 4.0),
-       tall=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@given(**_MESHES)
 def test_layout_band_property(dim, n, width, aspect, tall, seed):
     """On random meshes, variable exponents and zero-trace fields the
     banded layout holds the COO reference Hessian and its factor solves
     that matrix."""
-    if dim == 1:
-        domain = DomainSpec.interval(-width, width * aspect)
-    else:
-        other = width * aspect
-        domain = (DomainSpec.rectangle(0.0, width, 0.0, other) if tall
-                  else DomainSpec.rectangle(0.0, other, 0.0, width))
-    mesh = build_mesh(domain, n)
+    mesh = build_mesh(_random_domain(dim, width, aspect, tall), n)
     rng = np.random.default_rng(seed)
     p = ExponentField(mesh, rng.uniform(1.3, 3.5, mesh.n_nodes))
     u = rng.normal(size=mesh.n_nodes)
@@ -374,7 +400,7 @@ def test_layout_band_property(dim, n, width, aspect, tall, seed):
     eps = 1e-3
     lay = plaplace._layout(mesh)
     assert lay.bw == (n if dim == 2 else 1)
-    data = plaplace._hessian(mesh, lay, p.at_quad(), u, eps)
+    data = plaplace._linearize(mesh, lay, p.at_quad(), u, eps)[1]()
     H = _layout_matrix(lay, data)
     ref = _reference_hessian(mesh, p, u, eps)
     np.testing.assert_allclose(H, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -385,11 +411,35 @@ def test_layout_band_property(dim, n, width, aspect, tall, seed):
                                 + np.abs(rhs).max())
 
 
+@settings(max_examples=40, deadline=None)
+@given(**_MESHES, log_scale=st.floats(-2.0, 2.0))
+def test_weak_comparison_property(dim, n, width, aspect, tall, seed, log_scale):
+    """Nodal data h1 <= h2 give solutions u1 <= u2, up to a slack of the
+    solver tolerance, for variable exponents in [1.3, 3.5] and data of
+    either sign scaled from 1e-2 to 1e2."""
+    mesh = build_mesh(_random_domain(dim, width, aspect, tall),
+                      4 * n if dim == 1 else n)
+    rng = np.random.default_rng(seed)
+    p = ExponentField(mesh, rng.uniform(1.3, 3.5, mesh.n_nodes))
+    scale = 10.0 ** log_scale
+    h1 = scale * rng.normal(size=mesh.n_nodes)
+    bump = rng.exponential(size=mesh.n_nodes) * (rng.random(mesh.n_nodes) < rng.random())
+    opts = SolverOptions()
+    r1, r2 = (solve_dirichlet(mesh, p, GridFunction(mesh, h), opts)
+              for h in (h1, h1 + scale * bump))
+    assume(r1.converged and r2.converged)
+    u1, u2 = r1.u.values, r2.u.values
+    slack = opts.tol_residual * (1.0 + np.abs(u1).max() + np.abs(u2).max())
+    assert np.all(u1 <= u2 + slack)
+
+
 @pytest.mark.parametrize("case", range(len(_CASE_IDS)), ids=_CASE_IDS)
 def test_apply_operator_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
+    lay = plaplace._layout(mesh)
     for eps in (0.0, 1e-3):
-        got = plaplace.apply_operator(mesh, p, u, eps=eps)
+        got = (plaplace._linearize(mesh, lay, p.at_quad(), u, eps)[0] if eps
+               else plaplace.apply_operator(mesh, p, u))
         ref = _reference_operator(mesh, p, u, eps)
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-13 * np.abs(ref).max())

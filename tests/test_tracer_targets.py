@@ -4,6 +4,7 @@ bench/tracer.py without installing it (and without writing bytecode
 next to it) and resolves each target the way the tracer does."""
 
 import importlib
+import json
 import os
 import types
 
@@ -36,19 +37,24 @@ def test_every_trace_target_resolves():
 def test_traced_run_counts_audit_solves(tmp_path):
     # p1 == p2 in singular.json: the second component reuses the first
     # one's twelve audit solves.  The bench suite fails on a target no
-    # workload reaches; a singular run reaches every sysfix target.
+    # workload reaches; a singular run and a one-row positive sweep
+    # together reach every target.
     from varpx import cli
 
     with open(os.path.join(REPO_ROOT, "configs", "singular.json")) as f:
         config = cli.parse_config(f.read(), mesh_n=32)
+    with open(os.path.join(REPO_ROOT, "configs", "benchmark.json")) as f:
+        raw = json.load(f)
     module = _load_tracer()
     tracer = module.Tracer()
     tracer.install()
     try:
         tracer.root("solve", cli.run, config, out_dir=str(tmp_path))
+        audit_solves = tracer.counts["verify.audit_solves"]
+        tracer.root("sweep", cli.sweep, raw, "iteration.theta", [0.7],
+                    out_dir=str(tmp_path), mesh_n=32)
     finally:
         tracer.uninstall()
     assert tracer.selfcheck() == []
-    assert tracer.counts["verify.audit_solves"] == 12
-    sysfix_targets = [n for n in module.TARGET_NAMES if n.startswith("sysfix.")]
-    assert sorted(set(sysfix_targets) - set(tracer.hit())) == []
+    assert audit_solves == 12
+    assert sorted(set(module.TARGET_NAMES) - set(tracer.hit())) == []
