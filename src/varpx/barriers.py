@@ -246,21 +246,14 @@ def _c1_bound(mesh, u: GridFunction) -> float:
 
 
 def build_barriers(mesh: Mesh, spec: ProblemSpec, C: float, delta: float,
-                   opts: SolverOptions | None = None,
-                   torsions: tuple | None = None) -> BarrierPair:
-    """Construct the barrier pair at scale C > 1 and strip width delta.
-
-    ``torsions`` may carry precomputed (xi, xi_delta) pairs so the
-    calibration search does not re-solve per C.  Raises OrderingError if
+                   torsions: tuple) -> BarrierPair:
+    """Construct the barrier pair at scale C > 1 and strip width delta
+    from ``torsions``, the (xi, xi_delta) field pairs that
+    ``resolve_delta`` solved at that delta.  Raises OrderingError if
     under > over anywhere (C too small)."""
     if not C > 1.0:
         raise ValueError("barrier scale C must exceed 1")
-    if torsions is None:
-        xi = tuple(plaplace.torsion(mesh, spec.p[i], opts) for i in (0, 1))
-        xid = tuple(plaplace.torsion_delta(mesh, spec.p[i], delta, opts, xi=xi[i])
-                    for i in (0, 1))
-    else:
-        xi, xid = torsions
+    xi, xid = torsions
     under = tuple(GridFunction(mesh, xid[i].values / C, zero_trace=True)
                   for i in (0, 1))
     over = tuple(GridFunction(mesh, C * xi[i].values, zero_trace=True)
@@ -440,7 +433,7 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
     trajectory = []
     for C in [C] if fixed else [2.0 ** k for k in range(1, _C_MAX_EXP + 1)]:
         try:
-            pair = build_barriers(mesh, spec, C, delta, opts, torsions=(xi, xid))
+            pair = build_barriers(mesh, spec, C, delta, (xi, xid))
         except OrderingError:
             if fixed:
                 raise

@@ -191,23 +191,34 @@ class PipelineResult:
     report: sysfix.IterationReport
 
 
-def run_pipeline(config: RunConfig, mesh_n: int | None = None) -> PipelineResult:
-    """Calibrate and iterate; no audits, no artifacts."""
+def run_pipeline(config: RunConfig, mesh_n: int | None = None,
+                 coarse: PipelineResult | None = None) -> PipelineResult:
+    """Calibrate and iterate; no audits, no artifacts.
+
+    With ``coarse``, a run on a coarser mesh, the iteration starts at its
+    solution interpolated to this mesh and clamped into this run's
+    barrier box (nested iteration); otherwise at the lower barrier.
+    Membership is judged on every raw map output either way, and in the
+    singular regime the caps are read off this run's own clamped
+    iterates, the interpolated start included."""
     if mesh_n is not None and mesh_n != config.resolution:
         mesh = grid.build_mesh(config.domain, mesh_n)
         problem = _materialize(config.raw, mesh)
     else:
         mesh, problem = config.mesh, config.problem
+    init = None if coarse is None else sysfix.SystemState.build(
+        mesh, problem, *(grid.GridFunction(mesh, coarse.mesh.interpolate(
+            z.values, mesh.nodes)) for z in coarse.solution))
 
     cal = bmod.calibrate_barriers(mesh, problem, config.solver, C=config.barrier_C)
     if cal.regime is Regime.POSITIVE_SUM:
         solution, report = sysfix.fixed_point_iterate(
-            mesh, problem, cal.pair, opts=config.iteration,
+            mesh, problem, cal.pair, init=init, opts=config.iteration,
             solver_opts=config.solver, regime=cal.regime)
     else:
         cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
                                      opts=config.iteration,
-                                     solver_opts=config.solver)
+                                     solver_opts=config.solver, init=init)
         # rechecks with the found cap; escalates C when the provisional
         # pass no longer holds at the final L (a fixed C is kept and the
         # membership trace shows whether it is large enough)
@@ -216,7 +227,7 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None) -> PipelineResult
             cal = bmod.calibrate_barriers(mesh, problem, config.solver, L=cres.L)
             cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
                                          opts=config.iteration,
-                                         solver_opts=config.solver)
+                                         solver_opts=config.solver, init=init)
         solution, report = cres.solution, cres.report
     return PipelineResult(mesh=mesh, problem=problem, calibration=cal,
                           solution=solution, report=report)
@@ -241,7 +252,7 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
     paths = {k: os.path.join(out_dir, v) for k, v in config.outputs.items()}
     try:
         pipeline = run_pipeline(config)
-        refined = run_pipeline(config, mesh_n=2 * pipeline.mesh.n)
+        refined = run_pipeline(config, mesh_n=2 * pipeline.mesh.n, coarse=pipeline)
         cert = verify.solution_certificate(
             pipeline.mesh, pipeline.problem, pipeline.solution,
             pipeline.calibration.pair, pipeline.report,

@@ -201,9 +201,12 @@ def weak_residual(mesh: Mesh, p: ExponentField, u, h) -> float:
 
 
 def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
-                    opts: SolverOptions | None = None) -> ScalarSolveResult:
+                    opts: SolverOptions | None = None,
+                    start: GridFunction | None = None) -> ScalarSolveResult:
     """Minimize the regularized energy; report the unregularized weak
-    residual.  Initialization is the linear Poisson solve with the same
+    residual.  Newton starts at the interior values of ``start`` when it
+    is given (a field near the answer, such as the frozen state of a
+    fixed-point map), else at the linear Poisson solve with the same
     data, which has the right sign structure and is cheap.
 
     Newton stops when the regularized residual, normalized like the
@@ -231,7 +234,11 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
     ii = mesh.interior_nodes
 
     u = np.zeros(mesh.n_nodes)
-    u[ii] = lay.poisson(b[ii])
+    if start is None:
+        u[ii] = lay.poisson(b[ii])
+    else:
+        grid.check_same_mesh(mesh, start)
+        u[ii] = start.values[ii]
     energies = [_energy(mesh, lay, pq, b, u, eps)]
     steps = 0
     while steps < opts.max_newton:

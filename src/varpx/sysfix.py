@@ -2,12 +2,14 @@
 
 Freezing the state (z1, z2) decouples the system: each component then
 solves an independent scalar Dirichlet problem whose data is the
-nonlinearity evaluated at the frozen state.  Iterating that map with
-damping, starting from the lower barrier and clamping back into the
-barrier box after each step, realizes the existence argument as a
-computation: convergence is certified by a small step norm AND a small
-weak residual of the coupled system at the final iterate, with set
-membership recorded at every step.
+nonlinearity evaluated at the frozen state, and whose Newton solve
+starts at the frozen state itself.  Iterating that map with damping,
+starting from the lower barrier (or from a given state clamped into
+the barrier box, such as a coarse solution prolongated to a finer mesh)
+and clamping back into the box after each step, realizes the existence
+argument as a computation: convergence is certified by a small step
+norm AND a small weak residual of the coupled system at the final
+iterate, with set membership recorded at every step.
 
 The underlying existence proof is non-constructive, so non-convergence
 of this particular iteration is a reported outcome, never an assertion
@@ -128,11 +130,12 @@ def apply_map(mesh: Mesh, spec: ProblemSpec, state: SystemState,
               pair: BarrierPair, opts: SolverOptions | None = None):
     """One application of the frozen-state map: two independent scalar
     solves.  Component order is irrelevant because the frozen data
-    decouples them."""
+    decouples them.  Component i's Newton starts at the frozen state's
+    own ``z[i]``, which is exact at a fixed point."""
     h1, h2 = freeze_rhs(spec, state, pair)
     results = []
     for i, hq in ((0, h1), (1, h2)):
-        res = plaplace.solve_dirichlet(mesh, spec.p[i], hq, opts)
+        res = plaplace.solve_dirichlet(mesh, spec.p[i], hq, opts, start=state.z[i])
         if not res.converged:
             raise SolveError(
                 f"component {i+1} solve stalled at residual {res.residual:.3e}")
@@ -228,14 +231,18 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
     """Damped iteration z <- (1-theta) z + theta T(z), clamped back into
     the invariant box nodewise after every step (clamping preserves the
     zero trace; gradient-cap violations are only flagged, never edited).
+    The run starts at ``init`` clamped into the box, else at the lower
+    barrier; each map application starts its Newton solves at the
+    current iterate.
 
     In the negative-sum regime the run is also the cap search: there is
     no upper clamp, and the caps (L, L_tilde) are the smallest powers of
     two with 5 percent headroom above the largest sup norm and Luxemburg
-    gradient norm of the clamped iterates, initial state included (and
-    L > 1 always).  The caps exist for 'large enough' constants only;
-    this run finds concrete ones, and since L clears every clamped
-    iterate, a clamp at L would never have bound.  Each iteration's
+    gradient norm of the clamped iterates, initial state included
+    whether it is the lower barrier or ``init`` (and L > 1 always).  The
+    caps exist for 'large enough' constants only; this run finds
+    concrete ones, and since L clears every clamped iterate, a clamp at
+    L would never have bound.  Each iteration's
     membership is judged once the run ends, against the caps in that
     regime.
 
@@ -247,11 +254,8 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
         regime = bmod.validate_hypotheses(spec).regime
     singular = regime is Regime.NEGATIVE_SUM
 
-    if init is None:
-        z1 = pair.under[0].copy()
-        z2 = pair.under[1].copy()
-    else:
-        z1, z2 = init.z[0].copy(), init.z[1].copy()
+    z1, z2 = _clamp(pair, [z.values for z in (pair.under if init is None else init.z)],
+                    singular)
     state = SystemState.build(mesh, spec, z1, z2)
     # negative-sum: (sup norm, Luxemburg gradient norm) per clamped iterate
     norms = [_cap_norms(state)] if singular else []
@@ -273,15 +277,10 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
             x_hist, g_hist = x_hist[-keep:], g_hist[-keep:]
         else:
             x_new = g
-        v1, v2 = x_new[:nn].copy(), x_new[nn:].copy()
-        for i, v in ((0, v1), (1, v2)):
-            np.maximum(v, pair.under[i].values, out=v)
-            if not singular:
-                np.minimum(v, pair.over[i].values, out=v)
-        s1 = float(np.abs(v1 - z1.values).max())
-        s2 = float(np.abs(v2 - z2.values).max())
-        z1 = GridFunction(mesh, v1, zero_trace=True)
-        z2 = GridFunction(mesh, v2, zero_trace=True)
+        prev = (z1, z2)
+        z1, z2 = _clamp(pair, (x_new[:nn], x_new[nn:]), singular)
+        s1 = float(np.abs(z1.values - prev[0].values).max())
+        s2 = float(np.abs(z2.values - prev[1].values).max())
         state = SystemState.build(mesh, spec, z1, z2)
         if singular:
             norms.append(_cap_norms(state))
@@ -309,6 +308,19 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
         converged=stopped and bool(verdicts[-1][0]),
         damping_used=opts.theta, caps=caps)
     return (z1, z2), report
+
+
+def _clamp(pair: BarrierPair, values, singular: bool) -> tuple:
+    """Zero-trace fields of the nodal ``values``, one array per component,
+    clamped into the barrier box: at ``under`` from below, and at ``over``
+    from above unless the regime is singular, which has no upper clamp."""
+    out = []
+    for i, v in enumerate(values):
+        v = np.maximum(v, pair.under[i].values)
+        if not singular:
+            v = np.minimum(v, pair.over[i].values)
+        out.append(GridFunction(pair.under[i].mesh, v, zero_trace=True))
+    return tuple(out)
 
 
 def _cap_norms(state: SystemState):
@@ -347,11 +359,13 @@ class CapsResult:
 
 def calibrate_caps(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
                    opts: IterationOptions | None = None,
-                   solver_opts: SolverOptions | None = None) -> CapsResult:
+                   solver_opts: SolverOptions | None = None,
+                   init: SystemState | None = None) -> CapsResult:
     """Sup-norm cap L and Luxemburg gradient cap L_tilde of the singular
     regime, read off one negative-sum run of ``fixed_point_iterate`` from
-    the lower barrier."""
+    ``init`` (default: the lower barrier); the caps cover every clamped
+    iterate of that run, its start included."""
     solution, report = fixed_point_iterate(
-        mesh, spec, pair, opts=opts, solver_opts=solver_opts,
+        mesh, spec, pair, init=init, opts=opts, solver_opts=solver_opts,
         regime=Regime.NEGATIVE_SUM)
     return CapsResult(solution, report)

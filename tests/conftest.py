@@ -2,7 +2,8 @@ import os
 
 import pytest
 
-from varpx import DomainSpec, ExponentField, ProblemSpec, build_mesh
+from varpx import (DomainSpec, ExponentField, ProblemSpec, build_mesh, torsion,
+                   torsion_delta)
 from varpx.forms import parse_expr
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -21,6 +22,13 @@ def unit_interval():
 @pytest.fixture
 def unit_square():
     return build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 12)
+
+
+def torsion_pairs(mesh, spec, delta):
+    """(xi, xi_delta) per component at strip width ``delta``: the fields
+    ``build_barriers`` scales into a barrier pair."""
+    xi = tuple(torsion(mesh, p) for p in spec.p)
+    return xi, tuple(torsion_delta(mesh, p, delta, xi=x) for p, x in zip(spec.p, xi))
 
 
 def constant_fields(mesh, values):

@@ -4,8 +4,7 @@ import pytest
 from varpx import (DomainSpec, ExponentField, Regime, build_barriers,
                    build_mesh, calibrate_barriers, grid, plaplace,
                    check_barriers_positive_regime,
-                   check_barriers_singular_regime, torsion, torsion_delta,
-                   validate_hypotheses)
+                   check_barriers_singular_regime, validate_hypotheses)
 from varpx import barriers
 from varpx.barriers import (ProblemSpec, resolve_delta, sign_class,
                            signed_extreme)
@@ -13,7 +12,8 @@ from varpx.errors import (CalibrationError, EnvelopeError, MixedSignError,
                           OrderingError)
 from varpx.forms import parse_expr
 
-from conftest import benchmark_spec, envelope_spec, singular_spec, trivial_spec
+from conftest import (benchmark_spec, envelope_spec, singular_spec, torsion_pairs,
+                      trivial_spec)
 
 
 def mesh1d(n=64):
@@ -126,12 +126,10 @@ def test_envelope_check_catches_escape():
 def test_build_barriers_scalings():
     m = mesh1d(128)
     spec = trivial_spec(m)
-    p = ExponentField.constant(m, 2.0)
-    xi = torsion(m, p)
-    xid = torsion_delta(m, p, 0.1, xi=xi)
-    pair = build_barriers(m, spec, C=2.0, delta=0.1)
-    np.testing.assert_allclose(pair.under[0].values, xid.values / 2, atol=1e-12)
-    np.testing.assert_allclose(pair.over[0].values, 2 * xi.values, atol=1e-12)
+    xi, xid = torsion_pairs(m, spec, 0.1)
+    pair = build_barriers(m, spec, C=2.0, delta=0.1, torsions=(xi, xid))
+    np.testing.assert_allclose(pair.under[0].values, xid[0].values / 2, atol=1e-12)
+    np.testing.assert_allclose(pair.over[0].values, 2 * xi[0].values, atol=1e-12)
     assert np.all(pair.under[0].values <= pair.over[0].values)
     for i in (0, 1):
         assert np.all(pair.under[i].values[m.boundary_nodes] == 0)
@@ -144,8 +142,9 @@ def test_ordering_margin_grows_with_C():
     m = mesh1d(128)
     spec = trivial_spec(m)
     margins = []
+    torsions = torsion_pairs(m, spec, 0.1)
     for C in (2.0, 4.0, 8.0):
-        pair = build_barriers(m, spec, C=C, delta=0.1)
+        pair = build_barriers(m, spec, C=C, delta=0.1, torsions=torsions)
         gap = min(np.min(pair.over[i].values[m.interior_nodes]
                          - pair.under[i].values[m.interior_nodes])
                   for i in (0, 1))
@@ -155,8 +154,9 @@ def test_ordering_margin_grows_with_C():
 
 def test_build_barriers_requires_C_above_one():
     m = mesh1d(64)
+    spec = trivial_spec(m)
     with pytest.raises(ValueError):
-        build_barriers(m, trivial_spec(m), C=1.0, delta=0.1)
+        build_barriers(m, spec, C=1.0, delta=0.1, torsions=torsion_pairs(m, spec, 0.1))
 
 
 # -- inequality checks and calibration --------------------------------------
@@ -180,7 +180,8 @@ def test_calibration_positive_regime_cooperative():
 def test_small_C_violates():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
-    pair = build_barriers(m, spec, C=1.01, delta=0.05)
+    pair = build_barriers(m, spec, C=1.01, delta=0.05,
+                          torsions=torsion_pairs(m, spec, 0.05))
     rep = check_barriers_positive_regime(m, spec, pair)
     assert not rep.ok
 
@@ -228,7 +229,8 @@ def test_vanishing_lower_envelope_fails_outside_strip():
     # the contract demands m > 0
     m = build_mesh(DomainSpec.interval(0, 1), 128)
     spec = envelope_spec(m, alpha=0.3, beta=0.3, m=1e-12, M=1e-12, p=2.0)
-    pair = build_barriers(m, spec, C=2.0, delta=0.05)
+    pair = build_barriers(m, spec, C=2.0, delta=0.05,
+                          torsions=torsion_pairs(m, spec, 0.05))
     rep = check_barriers_positive_regime(m, spec, pair)
     assert not rep.ok
     assert rep.margins["subsolution_1"] < 0.0
@@ -275,8 +277,9 @@ def test_supersolution_margin_monotone_in_C():
     spec = benchmark_spec(m)
     cal = calibrate_barriers(m, spec)
     sup = []
+    torsions = torsion_pairs(m, spec, cal.delta)
     for C in (cal.C, 2 * cal.C, 4 * cal.C):
-        pair = build_barriers(m, spec, C=C, delta=cal.delta)
+        pair = build_barriers(m, spec, C=C, delta=cal.delta, torsions=torsions)
         rep = check_barriers_positive_regime(m, spec, pair)
         sup.append(min(rep.margins["supersolution_1"],
                        rep.margins["supersolution_2"]))
@@ -289,7 +292,8 @@ def test_barrier_constants_stable_under_refinement():
     for n in (256, 512):
         m = build_mesh(DomainSpec.interval(0, 1), n)
         spec = trivial_spec(m)
-        pair = build_barriers(m, spec, C=2.0, delta=0.05)
+        pair = build_barriers(m, spec, C=2.0, delta=0.05,
+                              torsions=torsion_pairs(m, spec, 0.05))
         c0s[n] = pair.c0_measured
         deltas[n] = pair.delta
     assert abs(c0s[512] - c0s[256]) / c0s[256] <= 0.2

@@ -148,8 +148,8 @@ def test_solve_time_error_exit2_with_stubs(tmp_path, monkeypatch, exc_type):
 def test_unconverged_refined_run_fails_sandwich(tmp_path, monkeypatch):
     real = cli.run_pipeline
 
-    def stalled_refinement(config, mesh_n=None):
-        pv = real(config, mesh_n)
+    def stalled_refinement(config, mesh_n=None, coarse=None):
+        pv = real(config, mesh_n, coarse)
         if mesh_n is not None:
             pv.report = dataclasses.replace(pv.report, converged=False)
         return pv
@@ -162,6 +162,23 @@ def test_unconverged_refined_run_fails_sandwich(tmp_path, monkeypatch):
     assert sandwich["refined"]["converged"] is False
     assert sandwich["refined"]["iters"] >= 1
     assert any("did not converge" in note for note in sandwich["notes"])
+
+
+@pytest.mark.parametrize("name", ["benchmark.json", "singular.json"])
+def test_nested_iteration_starts_from_coarse_solution(name):
+    with open(config_path(name)) as f:
+        cfg = parse_config(f.read(), mesh_n=32)
+    coarse = cli.run_pipeline(cfg)
+    nested = cli.run_pipeline(cfg, mesh_n=64, coarse=coarse)
+    fresh = cli.run_pipeline(cfg, mesh_n=64)
+    rep = nested.report
+    assert rep.converged and fresh.report.converged
+    assert len(rep.membership_trace) == rep.iters and all(rep.membership_trace)
+    assert rep.iters < fresh.report.iters
+    # singular regime: caps read off the nested run's own iterates
+    assert rep.caps == fresh.report.caps
+    for a, b in zip(nested.solution, fresh.solution):
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-7)
 
 
 def test_refined_run_recorded_in_certificate(tmp_path):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from varpx import (DomainSpec, ExponentField, GridFunction, SolverOptions,
                    build_mesh, grid, plaplace, solve_dirichlet, torsion,
                    torsion_delta, weak_residual)
-from varpx.errors import DeltaTooLargeError
+from varpx.errors import DeltaTooLargeError, MeshCompatibilityError
 from varpx.verify import random_lipschitz_field
 
 
@@ -231,6 +231,23 @@ def test_newton_iters_zero_when_poisson_start_is_exact():
     assert len(res.energies) == 1
 
 
+def test_start_at_converged_output_takes_no_newton_step():
+    m = mesh1d(512)
+    p, h = ExponentField.constant(m, 3.0), GridFunction.constant(m, 1.0)
+    res = solve_dirichlet(m, p, h)
+    assert res.converged and res.newton_iters > 0
+    again = solve_dirichlet(m, p, h, start=res.u)
+    assert again.converged and again.newton_iters == 0
+    assert np.array_equal(again.u.values, res.u.values)
+
+
+def test_start_on_another_mesh_rejected():
+    m = mesh1d(32)
+    with pytest.raises(MeshCompatibilityError):
+        solve_dirichlet(m, ExponentField.constant(m, 2.0), 1.0,
+                        start=GridFunction.constant(mesh1d(32), 0.0))
+
+
 def test_newton_iters_counts_solved_systems():
     m = mesh1d(512)
     opts = SolverOptions()
@@ -431,6 +448,30 @@ def test_weak_comparison_property(dim, n, width, aspect, tall, seed, log_scale):
     u1, u2 = r1.u.values, r2.u.values
     slack = opts.tol_residual * (1.0 + np.abs(u1).max() + np.abs(u2).max())
     assert np.all(u1 <= u2 + slack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_MESHES, log_scale=st.floats(-2.0, 2.0), log_start=st.floats(-2.0, 2.0),
+       negative=st.booleans())
+def test_start_independence_property(dim, n, width, aspect, tall, seed, log_scale,
+                                     log_start, negative):
+    """Newton started at a random zero-trace field reaches the solution of
+    the Poisson start within the solver tolerance, for variable exponents
+    in [1.3, 3.5] and sign-constant data scaled from 1e-2 to 1e2."""
+    mesh = build_mesh(_random_domain(dim, width, aspect, tall),
+                      4 * n if dim == 1 else n)
+    rng = np.random.default_rng(seed)
+    p = ExponentField(mesh, rng.uniform(1.3, 3.5, mesh.n_nodes))
+    h = GridFunction(mesh, (-1.0 if negative else 1.0) * 10.0 ** log_scale
+                     * rng.exponential(size=mesh.n_nodes))
+    s = 10.0 ** log_start * rng.normal(size=mesh.n_nodes)
+    s[mesh.boundary_nodes] = 0.0
+    opts = SolverOptions()
+    ref = solve_dirichlet(mesh, p, h, opts)
+    warm = solve_dirichlet(mesh, p, h, opts, start=GridFunction(mesh, s, zero_trace=True))
+    assume(ref.converged and warm.converged)
+    u = ref.u.values
+    assert np.abs(warm.u.values - u).max() <= opts.tol_residual * (1.0 + np.abs(u).max())
 
 
 @pytest.mark.parametrize("case", range(len(_CASE_IDS)), ids=_CASE_IDS)

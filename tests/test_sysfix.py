@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varpx import (DomainSpec, GridFunction, IterationOptions, Regime,
                    SystemState, apply_map, build_mesh, calibrate_barriers,
@@ -53,8 +54,8 @@ def test_decoupling_matches_componentwise_solves():
     st = SystemState.build(m, spec, cal.pair.under[0], cal.pair.under[1])
     (u1, u2), _ = apply_map(m, spec, st, cal.pair)
     h1, h2 = freeze_rhs(spec, st, cal.pair)
-    d1 = solve_dirichlet(m, spec.p1, h1).u.values
-    d2 = solve_dirichlet(m, spec.p2, h2).u.values
+    d1 = solve_dirichlet(m, spec.p1, h1, start=st.z[0]).u.values
+    d2 = solve_dirichlet(m, spec.p2, h2, start=st.z[1]).u.values
     # bit-level: the map is literally two independent solves
     assert np.array_equal(u1.values, d1)
     assert np.array_equal(u2.values, d2)
@@ -165,6 +166,41 @@ def test_invariance_random_members():
         out = SystemState.build(m, spec, u1, u2)
         member, worst, _ = membership_check(out, pair, Regime.POSITIVE_SUM)
         assert member, f"image left the box by {worst}"
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    """(mesh, spec, calibration) of the positive and the singular spec on
+    an interval and on a square."""
+    meshes = {1: build_mesh(DomainSpec.interval(0.0, 1.0), 32),
+              2: build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 12)}
+    return {(dim, fn.__name__): (m, fn(m), calibrate_barriers(m, fn(m)))
+            for dim, m in meshes.items() for fn in (benchmark_spec, singular_spec)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]),
+       name=st.sampled_from(["benchmark_spec", "singular_spec"]),
+       theta=st.floats(0.05, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_clamped_step_stays_in_box_property(calibrated, dim, name, theta, seed):
+    """One clamped damped step from a random state inside the barrier box
+    lands in [under, over] nodewise, and so does the raw map output up to
+    the membership slack; the singular regime clamps below only."""
+    m, spec, cal = calibrated[dim, name]
+    pair = cal.pair
+    rng = np.random.default_rng(seed)
+    z = [GridFunction(m, lo.values + rng.random(m.n_nodes) * (hi.values - lo.values),
+                      zero_trace=True) for lo, hi in zip(pair.under, pair.over)]
+    (v1, v2), rep = fixed_point_iterate(
+        m, spec, pair, init=SystemState.build(m, spec, *z),
+        opts=IterationOptions(theta=theta, max_iters=1), regime=cal.regime)
+    assert rep.iters == 1
+    for i, v in ((0, v1), (1, v2)):
+        assert np.all(v.values >= pair.under[i].values)
+    if cal.regime is Regime.POSITIVE_SUM:
+        assert all(np.all(v.values <= pair.over[i].values) for i, v in enumerate((v1, v2)))
+        # the raw map output sits in the box too, up to the membership slack
+        assert rep.box_trace == [True]
 
 
 def test_singular_regime_full_loop():

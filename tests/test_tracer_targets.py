@@ -51,10 +51,14 @@ def test_traced_run_counts_audit_solves(tmp_path):
     try:
         tracer.root("solve", cli.run, config, out_dir=str(tmp_path))
         audit_solves = tracer.counts["verify.audit_solves"]
+        refined_iters = tracer.counts["sysfix.outer_iters.refined"]
         tracer.root("sweep", cli.sweep, raw, "iteration.theta", [0.7],
                     out_dir=str(tmp_path), mesh_n=32)
     finally:
         tracer.uninstall()
     assert tracer.selfcheck() == []
     assert audit_solves == 12
+    # the refined rerun keeps its own span, so cli.refined.s cannot read 0
+    assert tracer.stats["cli.run_pipeline.refined"][0] == 1
+    assert refined_iters > 0
     assert sorted(set(module.TARGET_NAMES) - set(tracer.hit())) == []
