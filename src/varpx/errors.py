@@ -10,8 +10,8 @@ class NonFiniteFieldError(ValueError):
 
 
 class BisectionError(RuntimeError):
-    """Norm bisection failed to bracket or converge, which signals an
-    invalid exponent field (the scaled modular must be strictly
+    """The Luxemburg root search failed to bracket or close, which
+    signals an invalid exponent field (the scaled modular must be strictly
     decreasing in the scaling parameter)."""
 
 

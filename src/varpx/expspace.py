@@ -2,10 +2,13 @@
 
 The modular of a field u with exponent p is the quadrature value of
 int |u(x)|^p(x) dx.  The Luxemburg norm is the unique tau > 0 with
-modular(u/tau) = 1, found by bisection: tau -> modular(u/tau) is
-continuous and strictly decreasing for u != 0, so the root is safe to
-bracket and the norm inherits homogeneity and the triangle inequality
-even though the modular itself is not homogeneous.
+modular(u/tau) = 1: tau -> modular(u/tau) is continuous and strictly
+decreasing for u != 0, so the root is safe to bracket and the norm
+inherits homogeneity and the triangle inequality even though the
+modular itself is not homogeneous.  One modular evaluation at
+tau = max|u| and the power bounds below bracket the root; the bracket
+is exact up to rounding when p is constant, and a few bracketed secant
+steps close it otherwise.
 
 Between modular and norm the two-sided power bounds hold:
 
@@ -25,11 +28,13 @@ from . import grid
 from .errors import BisectionError, BoundViolationError, NonFiniteFieldError
 from .grid import GridFunction, Mesh
 
-# Bisection terminates at this relative bracket width; all downstream
-# norm tolerances are dominated by quadrature, not by root finding.
+# The Luxemburg root search stops at this relative bracket width; all
+# downstream norm tolerances are dominated by quadrature, not by root
+# finding.  The power-bound bracket is first widened by _WIDEN on each
+# side, so a constant exponent closes it with no secant step.
 _REL_WIDTH = 1e-13
-_MAX_EXPAND = 300
-_MAX_BISECT = 500
+_WIDEN = _REL_WIDTH / 4
+_MAX_STEPS = 100
 
 # Tolerance for the certified power bounds (quadrature noise floor).
 _BOUND_RTOL = 1e-6
@@ -112,54 +117,77 @@ def _modular_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) ->
         return float(weights @ np.power(absvals, exps))
 
 
-def _lux_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray,
-              measure: float) -> float:
-    """Bisection for the Luxemburg norm from quadrature-point samples.
+def _lux_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) -> float:
+    """Luxemburg norm from quadrature-point samples: the midpoint of a
+    bracket [lo, hi] with modular(u/lo) > 1 >= modular(u/hi), both sides
+    evaluated, once hi - lo <= _REL_WIDTH * hi.
 
-    Requires min(exps) > 0.  Bracket start follows the safe choice
-    [machine epsilon, max|u| * |Omega|^(1/pmin) + 1]; the upper end is
-    doubled until the scaled modular drops below one.
+    Requires min(exps) > 0.  f(x) = log modular(u/e^x) is convex and
+    decreasing with slope in [-pmax, -pmin].  At t0 = max|u| the modular
+    lies in (0, |Omega|], so it neither overflows nor vanishes, and the
+    power bounds put the root between t0 * modular(u/t0)^(1/pmax) and
+    t0 * modular(u/t0)^(1/pmin).  An end that rounding puts on the wrong
+    side is widened further.  Illinois steps (regula falsi on f against
+    log tau, halving the value of a side kept twice) close the rest.
     """
-    vmax = float(absvals.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-    pmin = float(exps.min())
+    t0 = float(absvals.max(initial=0.0))
+    if not 0.0 < t0 < np.inf:  # zero field, or samples that overflowed
+        return t0
+    pmin, pmax = float(exps.min()), float(exps.max())
     if pmin <= 0.0:
-        raise BisectionError("exponent must be positive for norm bisection")
+        raise BisectionError("exponent must be positive for the Luxemburg norm")
 
-    def rho(tau):
-        return _modular_quad(absvals / tau, exps, weights)
+    def logrho(tau):
+        with np.errstate(divide="ignore"):
+            return float(np.log(_modular_quad(absvals / tau, exps, weights)))
 
-    hi = vmax * measure ** (1.0 / pmin) + 1.0
-    k = 0
-    while rho(hi) > 1.0:
-        hi *= 2.0
-        k += 1
-        if k > _MAX_EXPAND:
-            raise BisectionError("upper bracket expansion did not terminate")
-    lo = np.finfo(float).eps
-    if rho(lo) <= 1.0:
-        return lo
-    k = 0
-    while hi - lo > _REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) > 1.0:
-            lo = mid
+    f0 = logrho(t0)
+    a, b = sorted((t0 * np.exp(f0 / pmax), t0 * np.exp(f0 / pmin)))
+    w = _WIDEN
+    lo, hi = a / (1.0 + w), b * (1.0 + w)
+    flo, fhi = logrho(lo), logrho(hi)
+    while not flo > 0.0 >= fhi:
+        w *= 100.0
+        if w > 1.0:
+            raise BisectionError("power-bound bracket failed its check")
+        if flo <= 0.0:
+            hi, fhi, lo = lo, flo, a / (1.0 + w)
+            flo = logrho(lo)
         else:
-            hi = mid
-        k += 1
-        if k > _MAX_BISECT:
-            raise BisectionError("bisection failed to converge")
-    return 0.5 * (lo + hi)
+            lo, flo, hi = hi, fhi, b * (1.0 + w)
+            fhi = logrho(hi)
+    kept = 0  # +1 after a step that moved lo, -1 after one that moved hi
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= _REL_WIDTH * hi:
+            return 0.5 * (lo + hi)
+        if np.isfinite(flo - fhi):
+            xl, xh = np.log(lo), np.log(hi)
+            tau = float(np.exp(xh - fhi * (xh - xl) / (fhi - flo)))
+        else:  # a side's modular overflowed or underflowed
+            tau = 0.5 * (lo + hi)
+        margin = 0.25 * _REL_WIDTH * hi
+        tau = min(max(tau, lo + margin), hi - margin)
+        f = logrho(tau)
+        if f > 0.0:
+            lo, flo = tau, f
+            if kept > 0:
+                fhi *= 0.5
+            kept = 1
+        else:
+            hi, fhi = tau, f
+            if kept < 0:
+                flo *= 0.5
+            kept = -1
+    raise BisectionError("Luxemburg bracket did not close")
 
 
-def luxemburg_norm_from_samples(values, exps, weights, measure: float) -> float:
+def luxemburg_norm_from_samples(values, exps, weights) -> float:
     """Luxemburg norm straight from quadrature-point samples, for data
     that never exists nodally (cellwise gradient magnitudes, powered
-    integrands).  Same bisection contract as the nodal entry point."""
+    integrands).  Same bracket contract as the nodal entry point."""
     return _lux_quad(np.abs(np.asarray(values, dtype=float)),
                      np.asarray(exps, dtype=float),
-                     np.asarray(weights, dtype=float), measure)
+                     np.asarray(weights, dtype=float))
 
 
 def modular(u: GridFunction, p: ExponentField) -> float:
@@ -184,7 +212,7 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     if p.p_minus <= 1.0:
         raise ValueError(f"norm requires p_minus > 1, got {p.p_minus}")
     uq = np.abs(grid.at_quad(mesh, u.values))
-    return _lux_quad(uq, p.at_quad(), mesh.qweights, mesh.domain.measure)
+    return _lux_quad(uq, p.at_quad(), mesh.qweights)
 
 
 def modular_norm_bounds(u: GridFunction, p: ExponentField) -> ModularReport:
@@ -225,11 +253,10 @@ def power_norm_identity(u: GridFunction, m: ExponentField, k: ExponentField):
     if not np.isfinite(_modular_quad(uq, kq, mesh.qweights)):
         raise NonFiniteFieldError("infinite modular: u is not in the k(x) space")
     w = mesh.qweights
-    meas = mesh.domain.measure
     with np.errstate(over="ignore"):
         powered = np.power(uq, mq)
-    value = _lux_quad(powered, kq / mq, w, meas)
-    base = _lux_quad(uq, kq, w, meas)
+    value = _lux_quad(powered, kq / mq, w)
+    base = _lux_quad(uq, kq, w)
     b_lo, b_hi = base ** m.p_minus, base ** m.p_plus
     lo, hi = min(b_lo, b_hi), max(b_lo, b_hi)
     slack = _BOUND_ATOL + _BOUND_RTOL * max(1.0, hi)

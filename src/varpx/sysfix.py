@@ -80,8 +80,8 @@ class SystemState:
     def grad_lux_norm(self) -> tuple:
         mesh = self.mesh
         return tuple(expspace.luxemburg_norm_from_samples(
-            g.magnitudes[mesh.qcells], pi.at_quad(), mesh.qweights,
-            mesh.domain.measure) for g, pi in zip(self.grad_z, self.p))
+            g.magnitudes[mesh.qcells], pi.at_quad(), mesh.qweights)
+            for g, pi in zip(self.grad_z, self.p))
 
 
 @dataclass

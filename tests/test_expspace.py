@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+from hypothesis import assume, given, settings, strategies as st
 
-from varpx import (DomainSpec, ExponentField, GridFunction, build_mesh,
-                   distance_power_modular, luxemburg_norm, modular,
+from varpx import (DomainSpec, ExponentField, GridFunction, build_mesh, expspace,
+                   distance_power_modular, grid, luxemburg_norm, modular,
                    modular_norm_bounds, power_norm_identity)
-from varpx.errors import NonFiniteFieldError
+from varpx.errors import BisectionError, NonFiniteFieldError
 
 
 def mesh1d(n=256):
@@ -105,6 +106,179 @@ def test_triangle_inequality():
         rs = (luxemburg_norm(GridFunction(m, u), p)
               + luxemburg_norm(GridFunction(m, v), p))
         assert ls <= rs + 1e-12 * max(1.0, rs)
+
+
+@pytest.mark.parametrize("s", [1e-20, 1e-200])
+def test_luxemburg_norm_of_a_tiny_constant(s):
+    # a bracket anchored at max|u| keeps homogeneity below machine epsilon
+    m = mesh1d(64)
+    nrm = luxemburg_norm(GridFunction.constant(m, s), ExponentField.constant(m, 2.0))
+    assert nrm == pytest.approx(s, rel=1e-12, abs=0.0)
+
+
+def test_luxemburg_rejects_a_nonpositive_exponent():
+    m = mesh1d(16)
+    uq = np.ones(m.qweights.shape)
+    with pytest.raises(BisectionError):
+        expspace._lux_quad(uq, np.zeros(uq.shape), m.qweights)
+
+
+# -- the Luxemburg root search against the bisection it replaced ----------
+
+def _bisection_norm(absvals, exps, weights, measure):
+    """Safe bisection over [machine eps, max|u| * measure^(1/pmin) + 1],
+    doubling the upper end until the scaled modular drops below one.
+    Valid while the norm is above machine epsilon."""
+    rho = lambda tau: expspace._modular_quad(absvals / tau, exps, weights)
+    hi = float(absvals.max()) * measure ** (1.0 / float(exps.min())) + 1.0
+    while rho(hi) > 1.0:
+        hi *= 2.0
+    lo = np.finfo(float).eps
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if rho(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _mesh(dim, n):
+    dom = DomainSpec.interval(0.0, 1.5) if dim == 1 else DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0)
+    return build_mesh(dom, n)
+
+
+def _smooth_exponent(mesh, base, amp, freq):
+    """base + amp * sin^2 of a linear phase: smooth, in [base, base + amp]."""
+    x = mesh.nodes[:, 0] + (mesh.nodes[:, 1] if mesh.dim == 2 else 0.0)
+    return ExponentField(mesh, base + amp * np.sin(freq * x) ** 2)
+
+
+def _samples(mesh, rng, log_scale, zero_share):
+    """|u| at the quadrature points of a random nodal field scaled by
+    10^log_scale, with a share of its nodes set exactly to zero."""
+    u = rng.normal(size=mesh.n_nodes) * 10.0 ** log_scale
+    u[rng.random(mesh.n_nodes) < zero_share] = 0.0
+    u[rng.integers(mesh.n_nodes)] = 10.0 ** log_scale
+    return np.abs(grid.at_quad(mesh, u))
+
+
+def _exponent_samples(mesh, kind, rng, uq):
+    """(samples, exponents at the quadrature points) for a constant, a
+    smooth variable, or a derived exponent k/m; the derived kind powers
+    the samples by m as ``power_norm_identity`` does."""
+    if kind == "constant":
+        return uq, ExponentField.constant(mesh, rng.uniform(1.01, 4.0)).at_quad()
+    k = _smooth_exponent(mesh, rng.uniform(1.01, 3.0), rng.uniform(0.0, 1.0),
+                         rng.uniform(0.5, 6.0))
+    if kind == "variable":
+        return uq, k.at_quad()
+    mq = _smooth_exponent(mesh, rng.uniform(0.3, 1.5), rng.uniform(0.0, 1.0),
+                          rng.uniform(0.5, 6.0)).at_quad()
+    powered = np.power(uq / uq.max(), mq) * uq.max()
+    return powered, k.at_quad() / mq
+
+
+_NORM_CASES = dict(dim=st.sampled_from([1, 2]), n=st.integers(2, 16),
+                   kind=st.sampled_from(["constant", "variable", "derived"]),
+                   log_scale=st.floats(-8.0, 8.0), zero_share=st.sampled_from([0.0, 0.3]),
+                   seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_NORM_CASES)
+def test_luxemburg_matches_the_bisection_reference(dim, n, kind, log_scale,
+                                                   zero_share, seed):
+    mesh = _mesh(dim, n)
+    rng = np.random.default_rng(seed)
+    vals, exps = _exponent_samples(mesh, kind, rng, _samples(mesh, rng, log_scale, zero_share))
+    ref = _bisection_norm(vals, exps, mesh.qweights, mesh.domain.measure)
+    assume(ref > np.finfo(float).eps)  # the reference's own lower end
+    assert expspace._lux_quad(vals, exps, mesh.qweights) == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
+# -- Luxemburg norm properties for variable exponents ----------------------
+
+_PROPERTY_CASES = dict(dim=st.sampled_from([1, 2]), n=st.integers(2, 16),
+                       base=st.floats(1.01, 3.0), amp=st.floats(0.0, 1.0),
+                       freq=st.floats(0.5, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_PROPERTY_CASES, log_lam=st.floats(-20.0, 20.0), negative=st.booleans())
+def test_luxemburg_homogeneity_property(dim, n, base, amp, freq, seed, log_lam, negative):
+    mesh = _mesh(dim, n)
+    p = _smooth_exponent(mesh, base, amp, freq)
+    u = np.random.default_rng(seed).normal(size=mesh.n_nodes)
+    lam = (-1.0 if negative else 1.0) * 10.0 ** log_lam
+    got = luxemburg_norm(GridFunction(mesh, lam * u), p)
+    assert got == pytest.approx(abs(lam) * luxemburg_norm(GridFunction(mesh, u), p),
+                                rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_PROPERTY_CASES, log_ratio=st.floats(-3.0, 3.0))
+def test_luxemburg_triangle_inequality_property(dim, n, base, amp, freq, seed, log_ratio):
+    mesh = _mesh(dim, n)
+    p = _smooth_exponent(mesh, base, amp, freq)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=mesh.n_nodes)
+    v = rng.normal(size=mesh.n_nodes) * 10.0 ** log_ratio
+    ls = luxemburg_norm(GridFunction(mesh, u + v), p)
+    rs = luxemburg_norm(GridFunction(mesh, u), p) + luxemburg_norm(GridFunction(mesh, v), p)
+    assert ls <= rs * (1.0 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_PROPERTY_CASES, log_scale=st.floats(-4.0, 4.0))
+def test_modular_norm_power_bounds_property(dim, n, base, amp, freq, seed, log_scale):
+    mesh = _mesh(dim, n)
+    p = _smooth_exponent(mesh, base, amp, freq)
+    u = np.random.default_rng(seed).normal(size=mesh.n_nodes) * 10.0 ** log_scale
+    modular_norm_bounds(GridFunction(mesh, u), p)  # raises BoundViolationError
+
+
+# -- how many modular evaluations one norm costs ---------------------------
+
+def _modular_evals(monkeypatch, vals, exps, weights):
+    """Number of ``_modular_quad`` calls one Luxemburg norm makes."""
+    calls = []
+    orig = expspace._modular_quad
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expspace, "_modular_quad", counted)
+        expspace._lux_quad(vals, exps, weights)
+    return len(calls)
+
+
+def test_constant_exponent_norm_takes_three_modular_evaluations(monkeypatch):
+    # the power bounds meet at the root, so checking both widened ends
+    # already closes the bracket, at any data scale
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        mesh = _mesh(1 + i % 2, int(rng.integers(2, 17)))
+        uq = _samples(mesh, rng, rng.uniform(-30.0, 30.0), 0.3 * (i % 3 == 0))
+        exps = ExponentField.constant(mesh, rng.uniform(0.25, 4.0)).at_quad()
+        assert _modular_evals(monkeypatch, uq, exps, mesh.qweights) <= 3
+
+
+# Measured maximum of the evaluations per norm over the cases below.
+_VARIABLE_EVALS_MAX = 11
+
+
+def test_variable_exponent_norm_evaluation_count(monkeypatch):
+    rng = np.random.default_rng(12)
+    worst = 0
+    for i in range(300):
+        mesh = _mesh(1 + i % 2, int(rng.integers(2, 17)))
+        uq = _samples(mesh, rng, rng.uniform(-8.0, 8.0), 0.3 * (i % 3 == 0))
+        vals, exps = _exponent_samples(mesh, ("variable", "derived")[i % 2], rng, uq)
+        worst = max(worst, _modular_evals(monkeypatch, vals, exps, mesh.qweights))
+    assert worst <= _VARIABLE_EVALS_MAX
 
 
 def test_modular_norm_bounds_equality_case():

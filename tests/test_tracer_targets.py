@@ -51,6 +51,8 @@ def test_traced_run_counts_audit_solves(tmp_path):
     try:
         tracer.root("solve", cli.run, config, out_dir=str(tmp_path))
         audit_solves = tracer.counts["verify.audit_solves"]
+        norms = tracer.stats["expspace.luxemburg_norm_from_samples"][0]
+        modular_evals = tracer.stats["expspace._modular_quad"][0]
         refined_iters = tracer.counts["sysfix.outer_iters.refined"]
         tracer.root("sweep", cli.sweep, raw, "iteration.theta", [0.7],
                     out_dir=str(tmp_path), mesh_n=32)
@@ -58,6 +60,9 @@ def test_traced_run_counts_audit_solves(tmp_path):
         tracer.uninstall()
     assert tracer.selfcheck() == []
     assert audit_solves == 12
+    # p = 3 is constant: the power bounds meet at the root, so each
+    # Luxemburg norm costs three modular evaluations at most
+    assert 0 < modular_evals <= 3 * norms
     # the refined rerun keeps its own span, so cli.refined.s cannot read 0
     assert tracer.stats["cli.run_pipeline.refined"][0] == 1
     assert refined_iters > 0
