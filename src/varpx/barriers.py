@@ -381,7 +381,6 @@ class CalibrationResult:
     pair: BarrierPair
     regime: Regime
     trajectory: list        # (C, worst_margin) along the doubling search
-    L: float | None = None  # only for the singular regime
 
 
 def resolve_delta(mesh: Mesh, spec: ProblemSpec,
@@ -446,7 +445,7 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
         trajectory.append((C, rep.worst_margin))
         if rep.ok or fixed:
             return CalibrationResult(C=C, delta=delta, pair=pair, regime=regime,
-                                     trajectory=trajectory, L=L)
+                                     trajectory=trajectory)
     raise CalibrationError(
         f"no C <= 2^{_C_MAX_EXP} satisfied the comparison inequalities; "
         "either C must be larger or the discretization is too coarse "

@@ -5,15 +5,18 @@ failures are rejected up front with the violated inequality named),
 calibrate barriers, iterate to a fixed point, audit, and emit the fields
 CSV, the iteration trace JSON, and the certificate JSON.
 
-Exit codes: 0 converged and all audits pass; 1 config or hypothesis
-error (nothing solved); 2 anything else (artifacts still written when
-possible), and for a sweep with any failed or unconverged row.
-Sweep rows run serially in value order.
+Exit codes are mapped in ``main`` alone; ``run``, ``audit`` and ``sweep``
+raise.  Before the config is accepted (reading it, the sweep's JSON and
+values, ``parse_config``) any exception exits 1 with one line, creating
+nothing; after it, 2 with the traceback and an error stub at each stub
+path the command owns that can be written.  Else 0 when converged with
+all audits passed (a sweep: every row), or 2.  Sweep rows run in value order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
@@ -170,8 +173,12 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
 
     solver = _options(SolverOptions, raw, "solver")
     iteration = _options(IterationOptions, raw, "iteration")
-    outputs = dict(_DEFAULT_OUTPUTS)
-    outputs.update(_get(raw, "outputs", "$", dict, default={}))
+    outputs = _get(raw, "outputs", "$", dict, default={})
+    for key in outputs:
+        if key not in _DEFAULT_OUTPUTS:
+            raise ConfigError(f"$.outputs.{key}", "unknown key")
+        _get(outputs, key, "$.outputs", str)
+    outputs = {**_DEFAULT_OUTPUTS, **outputs}
     barr = _get(raw, "barriers", "$", dict, default={})
     barrier_C = _get(barr, "C", "$.barriers", (int, float, type(None)), default=None)
     if barrier_C is not None and not barrier_C > 1.0:
@@ -216,18 +223,18 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
             mesh, problem, cal.pair, init=init, opts=config.iteration,
             solver_opts=config.solver, regime=cal.regime)
     else:
-        cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
-                                     opts=config.iteration,
-                                     solver_opts=config.solver, init=init)
-        # rechecks with the found cap; escalates C when the provisional
-        # pass no longer holds at the final L (a fixed C is kept and the
-        # membership trace shows whether it is large enough)
-        if config.barrier_C is None and not bmod.check_barriers_singular_regime(
-                mesh, problem, cal.pair, cres.L).ok:
-            cal = bmod.calibrate_barriers(mesh, problem, config.solver, L=cres.L)
+        # check each found cap against the pair it ran with, escalating C at
+        # that cap until it holds; the check only tightens as L grows, so this
+        # ends once the cap stops growing or the C search passes 2^20.  A fixed
+        # C is kept; the membership trace shows whether it is large enough.
+        while True:
             cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
                                          opts=config.iteration,
                                          solver_opts=config.solver, init=init)
+            if config.barrier_C is not None or bmod.check_barriers_singular_regime(
+                    mesh, problem, cal.pair, cres.L).ok:
+                break
+            cal = bmod.calibrate_barriers(mesh, problem, config.solver, L=cres.L)
         solution, report = cres.solution, cres.report
     return PipelineResult(mesh=mesh, problem=problem, calibration=cal,
                           solution=solution, report=report)
@@ -247,38 +254,26 @@ def _write_fields_csv(path, mesh, pipeline: PipelineResult):
 
 
 def run(config: RunConfig, out_dir: str = ".") -> int:
-    """Full pipeline with audits and artifacts; returns the exit status."""
+    """Full pipeline with audits and artifacts; returns the verdict status
+    (0 converged and all audits pass, else 2) and raises on failure."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {k: os.path.join(out_dir, v) for k, v in config.outputs.items()}
-    try:
-        pipeline = run_pipeline(config)
-        refined = run_pipeline(config, mesh_n=2 * pipeline.mesh.n, coarse=pipeline)
-        cert = verify.solution_certificate(
-            pipeline.mesh, pipeline.problem, pipeline.solution,
-            pipeline.calibration.pair, pipeline.report,
-            refined=(refined.solution, refined.mesh),
-            refined_report=refined.report,
-            rng=np.random.default_rng(config.seed),
-            solver_opts=config.solver)
-        _write_fields_csv(paths["fields_csv"], pipeline.mesh, pipeline)
-        with open(paths["trace_json"], "w") as f:
-            f.write(verify.certificate_to_json(pipeline.report.as_dict()))
-        with open(paths["certificate_json"], "w") as f:
-            f.write(verify.certificate_to_json(cert))
-        ok = pipeline.report.converged and cert["all_audits_pass"]
-        return 0 if ok else 2
-    except Exception as exc:  # the config was accepted, so any failure is exit 2
-        _write_stubs([paths["certificate_json"], paths["trace_json"]], exc)
-        return 2
-
-
-def _write_stubs(paths, exc):
-    """Print the traceback and write a stub carrying the error to ``paths``."""
-    traceback.print_exc()
-    stub = verify.certificate_to_json({"error": str(exc), "schema_version": 1})
-    for path in paths:
-        with open(path, "w") as f:
-            f.write(stub)
+    pipeline = run_pipeline(config)
+    refined = run_pipeline(config, mesh_n=2 * pipeline.mesh.n, coarse=pipeline)
+    cert = verify.solution_certificate(
+        pipeline.mesh, pipeline.problem, pipeline.solution,
+        pipeline.calibration.pair, pipeline.report,
+        refined=(refined.solution, refined.mesh),
+        refined_report=refined.report,
+        rng=np.random.default_rng(config.seed),
+        solver_opts=config.solver)
+    _write_fields_csv(paths["fields_csv"], pipeline.mesh, pipeline)
+    with open(paths["trace_json"], "w") as f:
+        f.write(verify.certificate_to_json(pipeline.report.as_dict()))
+    with open(paths["certificate_json"], "w") as f:
+        f.write(verify.certificate_to_json(cert))
+    ok = pipeline.report.converged and cert["all_audits_pass"]
+    return 0 if ok else 2
 
 
 def _set_path(d, dotted, value):
@@ -340,18 +335,14 @@ def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int
     path = os.path.join(out_dir, "audit.json")
     mesh, problem = config.mesh, config.problem
     out = []
-    try:
-        for name in names:
-            if name == "mvt":
-                out += verify.mvt_sampling(mesh, problem.p,
-                                           np.random.default_rng(config.seed),
-                                           config.solver)
-            else:
-                out += [a.as_dict() for a in
-                        verify.estimate_audits(mesh, problem.p, (name,), config.solver)]
-    except Exception as exc:  # the config was accepted, so any failure is exit 2
-        _write_stubs([path], exc)
-        return 2
+    for name in names:
+        if name == "mvt":
+            out += verify.mvt_sampling(mesh, problem.p,
+                                       np.random.default_rng(config.seed),
+                                       config.solver)
+        else:
+            out += [a.as_dict() for a in
+                    verify.estimate_audits(mesh, problem.p, (name,), config.solver)]
     payload = verify.certificate_to_json({"audits": out})
     with open(path, "w") as f:
         f.write(payload)
@@ -381,33 +372,41 @@ def main(argv=None) -> int:
     pa.add_argument("--only", default=None, choices=_AUDIT_NAMES)
 
     args = parser.parse_args(argv)
-    try:
+    try:  # until the config is accepted, any failure is exit 1
         with open(args.config) as f:
             text = f.read()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "sweep":
             raw = json.loads(text)
             values = [json.loads(v) for v in args.values.split(",")] \
                 if args.values else []
+            stubs = []
+        else:
+            config = parse_config(text, mesh_n=args.mesh_n)
+            stubs = ([config.outputs["certificate_json"], config.outputs["trace_json"]]
+                     if args.command == "solve" else ["audit.json"])
+    except Exception as exc:
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 1
+
+    try:  # the config was accepted, so any failure is exit 2
+        if args.command == "sweep":
             rows = sweep(raw, args.param, values, out_dir=args.out_dir,
                          mesh_n=args.mesh_n)
             for r in rows:
                 print(r)
             return 2 if any(r["error"] or not r["converged"] for r in rows) else 0
-        config = parse_config(text, mesh_n=args.mesh_n)
         if args.command == "solve":
             return run(config, out_dir=args.out_dir)
         return audit(config, only=args.only, out_dir=args.out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        traceback.print_exc()
+        stub = verify.certificate_to_json({"error": str(exc), "schema_version": 1})
+        for name in stubs:
+            with contextlib.suppress(OSError), \
+                    open(os.path.join(args.out_dir, name), "w") as f:
+                f.write(stub)
+        return 2
 
 
 if __name__ == "__main__":

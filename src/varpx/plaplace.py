@@ -27,6 +27,7 @@ from .expspace import ExponentField
 from .grid import GridFunction, Mesh
 
 _ARMIJO = 1e-4
+_SHRINK = 0.5
 _MAX_BACKTRACK = 40
 # Newton stops once the normalized regularized residual falls this far
 # below tol_residual: past that point a step only chases roundoff.
@@ -42,13 +43,10 @@ class SolverOptions:
     eps_reg: float = 1e-8
     tol_residual: float = 1e-6
     max_newton: int = 60
-    line_search_shrink: float = 0.5
 
     def __post_init__(self):
         if not (self.eps_reg > 0 and self.tol_residual > 0 and self.max_newton >= 0):
             raise ValueError("eps_reg and tol_residual must be positive, max_newton >= 0")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise ValueError("line_search_shrink must lie in (0,1)")
 
 
 @dataclass
@@ -264,7 +262,7 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
                 energies.append(et)
                 accepted = True
                 break
-            t *= opts.line_search_shrink
+            t *= _SHRINK
         if not accepted:
             break  # stagnation: the residual check below decides the flag
 

@@ -7,11 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from varpx import cli, verify
+from varpx import barriers, cli, errors, sysfix, verify
 from varpx.cli import main, parse_config, run, run_pipeline, sweep
-from varpx.errors import (BisectionError, BoundViolationError, ConfigError,
-                          MeshCompatibilityError, NonFiniteFieldError,
-                          SolveError)
+from varpx.errors import ConfigError, SolveError
 from varpx import Regime
 
 from conftest import REPO_ROOT, config_path
@@ -20,6 +18,20 @@ from conftest import REPO_ROOT, config_path
 def load(name):
     with open(config_path(name)) as f:
         return f.read()
+
+
+# every exception class of the package, plus the bare classes that
+# escape it: each must follow the exit-code contract
+ERROR_CLASSES = sorted((c for c in vars(errors).values()
+                        if isinstance(c, type) and issubclass(c, Exception)),
+                       key=lambda c: c.__name__)
+FAULTS = ERROR_CLASSES + [OSError, AssertionError]
+
+
+def injected(exc_type):
+    if exc_type is ConfigError:
+        return ConfigError("$", "injected fault")
+    return exc_type("injected fault")
 
 
 def minimal_config(**overrides):
@@ -130,19 +142,68 @@ def test_run_nonconvergence_exit2(tmp_path):
     assert (tmp_path / "trace.json").exists()
 
 
-@pytest.mark.parametrize("exc_type", [NonFiniteFieldError, MeshCompatibilityError,
-                                      BisectionError, BoundViolationError,
-                                      ValueError])
+@pytest.mark.parametrize("exc_type", FAULTS + [ValueError])
 def test_solve_time_error_exit2_with_stubs(tmp_path, monkeypatch, exc_type):
+    exc = injected(exc_type)
+
     def fail(config, mesh_n=None):
-        raise exc_type("injected fault")
+        raise exc
 
     monkeypatch.setattr(cli, "run_pipeline", fail)
     code = main(["solve", config_path("trivial.json"), "--out-dir", str(tmp_path)])
     assert code == 2
     for name in ("certificate.json", "trace.json"):
         stub = json.loads((tmp_path / name).read_text())
-        assert stub == {"error": "injected fault", "schema_version": 1}
+        assert stub == {"error": str(exc), "schema_version": 1}
+
+
+def test_run_raises_instead_of_mapping_exit_codes(tmp_path, monkeypatch):
+    # the library call leaves the exception to its caller and writes no stub
+    def fail(config, mesh_n=None):
+        raise SolveError("injected fault")
+
+    monkeypatch.setattr(cli, "run_pipeline", fail)
+    with pytest.raises(SolveError):
+        run(parse_config(load("trivial.json")), out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_escalated_cap_is_checked_against_its_pair(monkeypatch):
+    # injected caps 4, 8, 8: each recheck at a grown cap fails against the
+    # pair calibrated at a smaller one (the check tightens as L grows), so
+    # C is recalibrated until the reported cap passes with its own pair
+    cfg = parse_config(load("singular.json"), mesh_n=cli.MIN_RESOLUTION)
+    real_caps = sysfix.calibrate_caps
+    real_check = barriers.check_barriers_singular_regime
+    real_calibrate = barriers.calibrate_barriers
+    caps = iter([4.0, 8.0, 8.0])
+    calibrated, checked = [], []
+
+    def growing_caps(*args, **kwargs):
+        res = real_caps(*args, **kwargs)
+        res.report = dataclasses.replace(res.report,
+                                         caps=(next(caps), res.report.caps[1]))
+        return res
+
+    def calibrate(mesh, spec, opts=None, L=None, C=None):
+        res = real_calibrate(mesh, spec, opts, L=L, C=C)
+        calibrated.append((res.pair, 2.0 if L is None else L))
+        return res
+
+    def check(mesh, spec, pair, L):
+        rep = real_check(mesh, spec, pair, L)
+        cal_L = next((c for p, c in calibrated if p is pair), np.inf)
+        rep = dataclasses.replace(rep, ok=rep.ok and L <= cal_L)
+        checked.append((pair, L, rep.ok))
+        return rep
+
+    monkeypatch.setattr(sysfix, "calibrate_caps", growing_caps)
+    monkeypatch.setattr(barriers, "calibrate_barriers", calibrate)
+    monkeypatch.setattr(barriers, "check_barriers_singular_regime", check)
+    pv = run_pipeline(cfg)
+    assert pv.report.caps[0] == 8.0 and len(calibrated) == 3
+    assert any(pair is pv.calibration.pair and L == pv.report.caps[0] and ok
+               for pair, L, ok in checked)
 
 
 def test_unconverged_refined_run_fails_sandwich(tmp_path, monkeypatch):
@@ -246,6 +307,9 @@ def test_cli_main_invalid_config_exit1(tmp_path):
     ("solver", "max_newton", -1),
     ("solver", "tol_residual", -1e-6),
     ("solver", "eps", 1e-8),
+    ("solver", "line_search_shrink", 0.5),
+    ("outputs", "fields_csv", 5),
+    ("outputs", "fields", "fields.csv"),
 ])
 def test_cli_main_bad_option_exit1(tmp_path, capsys, section, key, value):
     # rejected while parsing, before any solve, with the key named
@@ -260,6 +324,100 @@ def test_cli_main_bad_option_exit1(tmp_path, capsys, section, key, value):
 
 def test_cli_main_missing_file_exit1():
     assert main(["solve", "/nonexistent/config.json"]) == 1
+
+
+def _exit1_one_line_nothing_created(capsys, argv, out):
+    # before the config is accepted: one line, exit 1, nothing created
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(("config error: ", "error: "))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("key, value", [
+    ("p", [float("nan"), 2.0]),
+    ("p", [0.5, 2.0]),
+    ("m", [0.0, 1.0]),
+    ("m", [10 ** 400, 1.0]),
+])
+def test_cli_main_parse_phase_error_exit1(tmp_path, capsys, command, key, value):
+    raw = json.loads(load("trivial.json"))
+    raw[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    _exit1_one_line_nothing_created(capsys, [command, str(path)], tmp_path / "out")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{dir}"],
+    ["audit", "{dir}"],
+    ["sweep", "{dir}", "--param", "seed", "--values", "2"],
+    ["sweep", "{text}", "--param", "seed", "--values", "2"],
+    ["sweep", "{trivial}", "--param", "seed", "--values", "2,x"],
+])
+def test_cli_main_unreadable_input_exit1(tmp_path, capsys, argv):
+    # a directory as the config file, a config that is not JSON, a value
+    # that is not JSON
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "text").write_text("not json")
+    paths = {"dir": tmp_path / "dir", "text": tmp_path / "text",
+             "trivial": config_path("trivial.json")}
+    argv = [a.format(**paths) for a in argv]
+    _exit1_one_line_nothing_created(capsys, argv, tmp_path / "out")
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("solve", "afile"), ("audit", "afile"), ("sweep", "afile"),
+    ("audit", "audit.json"), ("sweep", "sweep.csv"),
+])
+def test_cli_main_unwritable_output_exit2(tmp_path, capsys, command, blocked):
+    # the output directory would lie below a regular file, or a directory
+    # stands where the artifact goes: both fail after the config is accepted
+    if blocked == "afile":
+        (tmp_path / blocked).write_text("")
+        out = tmp_path / blocked / "out"
+    else:
+        (tmp_path / blocked).mkdir()
+        out = tmp_path
+    extra = {"solve": [], "audit": ["--only", "gradient"],
+             "sweep": ["--param", "seed", "--values", "2"]}[command]
+    assert main([command, config_path("trivial.json"), "--mesh-n", "16",
+                 "--out-dir", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert ("NotADirectoryError" if blocked == "afile" else "IsADirectoryError") in err
+
+
+def test_cli_main_unwritable_certificate_exit2_with_trace_stub(tmp_path):
+    # the solve runs, then the certificate cannot be written: the trace
+    # path still takes the stub
+    raw = json.loads(load("trivial.json"))
+    raw["outputs"] = {"certificate_json": "nodir/certificate.json"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--mesh-n", "16", "--out-dir", str(out)]) == 2
+    stub = json.loads((out / "trace.json").read_text())
+    assert stub["schema_version"] == 1 and "nodir" in stub["error"]
+    assert not (out / "nodir").exists()
+
+
+@pytest.mark.parametrize("exc_type", [errors.BoundViolationError, OSError])
+def test_sweep_row_error_recorded_exit2(tmp_path, monkeypatch, exc_type):
+    real = cli.run_pipeline
+
+    def fail_second(config, mesh_n=None, coarse=None):
+        if config.seed == 3:
+            raise exc_type("injected fault")
+        return real(config, mesh_n, coarse)
+
+    monkeypatch.setattr(cli, "run_pipeline", fail_second)
+    code = main(["sweep", config_path("trivial.json"), "--param", "seed",
+                 "--values", "2,3", "--mesh-n", "16", "--out-dir", str(tmp_path)])
+    assert code == 2
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].split(",")[1] == "True" and rows[1].endswith(",")
+    assert rows[2].endswith(f",{exc_type.__name__}: injected fault")
 
 
 def test_sweep_resolution_error_decreasing(tmp_path):
@@ -388,17 +546,18 @@ def test_audit_mvt_samples_each_exponent(tmp_path, capsys):
     assert audits[0] == json.loads(verify.certificate_to_json(alone[0]))
 
 
-@pytest.mark.parametrize("exc_type", [SolveError, ZeroDivisionError,
-                                      NonFiniteFieldError])
+@pytest.mark.parametrize("exc_type", FAULTS + [ZeroDivisionError])
 def test_audit_time_error_exit2_with_stub(tmp_path, monkeypatch, exc_type):
+    exc = injected(exc_type)
+
     def fail(*args, **kwargs):
-        raise exc_type("injected fault")
+        raise exc
 
     monkeypatch.setattr(verify, "gradient_estimate_audit", fail)
     code = main(["audit", config_path("trivial.json"), "--out-dir", str(tmp_path)])
     assert code == 2
     stub = json.loads((tmp_path / "audit.json").read_text())
-    assert stub == {"error": "injected fault", "schema_version": 1}
+    assert stub == {"error": str(exc), "schema_version": 1}
 
 
 @pytest.mark.parametrize("name", ["benchmark.json", "singular.json"])

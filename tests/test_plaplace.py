@@ -208,8 +208,6 @@ def test_square_torsion_series_oracle():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(eps_reg=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(line_search_shrink=1.0)
 
 
 def test_quad_valued_singular_rhs():
