@@ -235,8 +235,6 @@ class BarrierPair:
     R: float
     c0_measured: float
     c1_measured: float
-    xi: tuple = None
-    xi_delta: tuple = None
 
 
 def _c1_bound(mesh, u: GridFunction) -> float:
@@ -270,7 +268,7 @@ def build_barriers(mesh: Mesh, spec: ProblemSpec, C: float, delta: float,
     c0 = min(float((under[i].values[ii] / d).min()) for i in (0, 1))
     c1 = max(float((over[i].values[ii] / d).max()) for i in (0, 1))
     return BarrierPair(under=under, over=over, C=float(C), delta=float(delta),
-                       R=R, c0_measured=c0, c1_measured=c1, xi=xi, xi_delta=xid)
+                       R=R, c0_measured=c0, c1_measured=c1)
 
 
 @dataclass
@@ -376,8 +374,6 @@ def check_barriers_singular_regime(mesh: Mesh, spec: ProblemSpec,
 
 @dataclass
 class CalibrationResult:
-    C: float
-    delta: float
     pair: BarrierPair
     regime: Regime
     trajectory: list        # (C, worst_margin) along the doubling search
@@ -408,15 +404,12 @@ def resolve_delta(mesh: Mesh, spec: ProblemSpec,
 
 def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
                        opts: SolverOptions | None = None,
-                       L: float | None = None,
-                       C: float | None = None) -> CalibrationResult:
+                       L: float | None = None) -> CalibrationResult:
     """Doubling search C in {2, 4, ..., 2^_C_MAX_EXP} with delta halved
     from 0.1 * max distance on positivity failure (floor 1.5 axis
     spacings).  Returns the first success; exhaustion raises
     CalibrationError, which cannot distinguish 'C must be larger' from
-    'discretization too coarse' and says so.  A given ``C`` is a one-value
-    search that returns its pair even when the check fails, and raises
-    OrderingError when the pair is out of order.
+    'discretization too coarse' and says so.
     """
     report = validate_hypotheses(spec)
     if not report.passed:
@@ -428,14 +421,11 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
         L = 2.0  # provisional cap; refreshed by the cap search afterwards
 
     delta, xi, xid = resolve_delta(mesh, spec, opts)
-    fixed = C is not None
     trajectory = []
-    for C in [C] if fixed else [2.0 ** k for k in range(1, _C_MAX_EXP + 1)]:
+    for C in [2.0 ** k for k in range(1, _C_MAX_EXP + 1)]:
         try:
             pair = build_barriers(mesh, spec, C, delta, (xi, xid))
         except OrderingError:
-            if fixed:
-                raise
             trajectory.append((C, -np.inf))
             continue
         if regime is Regime.POSITIVE_SUM:
@@ -443,9 +433,8 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
         else:
             rep = check_barriers_singular_regime(mesh, spec, pair, L)
         trajectory.append((C, rep.worst_margin))
-        if rep.ok or fixed:
-            return CalibrationResult(C=C, delta=delta, pair=pair, regime=regime,
-                                     trajectory=trajectory)
+        if rep.ok:
+            return CalibrationResult(pair=pair, regime=regime, trajectory=trajectory)
     raise CalibrationError(
         f"no C <= 2^{_C_MAX_EXP} satisfied the comparison inequalities; "
         "either C must be larger or the discretization is too coarse "

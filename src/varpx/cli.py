@@ -70,7 +70,14 @@ class RunConfig:
     seed: int
     hypothesis_report: object
     raw: dict
-    barrier_C: float | None = None  # fixed scale; None means calibrate
+
+
+def _known_keys(obj, path, names):
+    """Reject the first key of the config object at ``path`` that is not
+    one of ``names``."""
+    for name in obj:
+        if name not in names:
+            raise ConfigError(f"{path}.{name}", "unknown key")
 
 
 def _options(cls, raw, key):
@@ -78,9 +85,8 @@ def _options(cls, raw, key):
     of ``cls``, holds a number of its type and passes the checks of ``cls``."""
     section = _get(raw, key, "$", dict, default={})
     types = {f.name: int if type(f.default) is int else (int, float) for f in fields(cls)}
+    _known_keys(section, f"$.{key}", types)
     for name in section:
-        if name not in types:
-            raise ConfigError(f"$.{key}.{name}", "unknown key")
         _get(section, name, f"$.{key}", types[name])
         try:
             cls(**{name: section[name]})
@@ -89,15 +95,18 @@ def _options(cls, raw, key):
     return cls(**section)
 
 
-def _parse_domain(obj, path="domain"):
+def _parse_domain(obj, path="$.domain"):
     kind = _get(obj, "kind", path, str)
     bounds = {"interval": ("a", "b"), "rectangle": ("ax", "bx", "ay", "by")}.get(kind)
     if bounds is None:
         raise ConfigError(f"{path}.kind", f"unknown domain kind {kind!r}")
+    _known_keys(obj, path, ("kind", *bounds))
     return getattr(DomainSpec, kind)(*(_get(obj, k, path, (int, float)) for k in bounds))
 
 
 _EXPONENTS = ("p", "alpha", "beta", "gamma", "gamma_bar")
+_TOP_KEYS = ("domain", "resolution", *_EXPONENTS, "m", "M", "f", "N_dim", "seed",
+             "solver", "iteration", "outputs")
 
 
 def _exponent_pair(mesh, obj, path):
@@ -145,6 +154,7 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
         raise ConfigError("$", f"not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("$", "top level must be an object")
+    _known_keys(raw, "$", _TOP_KEYS)
 
     domain = _parse_domain(_get(raw, "domain", "$", dict))
     resolution = int(mesh_n if mesh_n is not None else
@@ -174,19 +184,13 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     solver = _options(SolverOptions, raw, "solver")
     iteration = _options(IterationOptions, raw, "iteration")
     outputs = _get(raw, "outputs", "$", dict, default={})
+    _known_keys(outputs, "$.outputs", _DEFAULT_OUTPUTS)
     for key in outputs:
-        if key not in _DEFAULT_OUTPUTS:
-            raise ConfigError(f"$.outputs.{key}", "unknown key")
         _get(outputs, key, "$.outputs", str)
     outputs = {**_DEFAULT_OUTPUTS, **outputs}
-    barr = _get(raw, "barriers", "$", dict, default={})
-    barrier_C = _get(barr, "C", "$.barriers", (int, float, type(None)), default=None)
-    if barrier_C is not None and not barrier_C > 1.0:
-        raise ConfigError("$.barriers.C", "barrier scale must exceed 1")
     return RunConfig(domain=domain, resolution=resolution, mesh=mesh,
                      problem=problem, solver=solver, iteration=iteration,
-                     outputs=outputs, seed=seed, hypothesis_report=report,
-                     barrier_C=barrier_C, raw=raw)
+                     outputs=outputs, seed=seed, hypothesis_report=report, raw=raw)
 
 
 @dataclass
@@ -217,7 +221,7 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
         mesh, problem, *(grid.GridFunction(mesh, coarse.mesh.interpolate(
             z.values, mesh.nodes)) for z in coarse.solution))
 
-    cal = bmod.calibrate_barriers(mesh, problem, config.solver, C=config.barrier_C)
+    cal = bmod.calibrate_barriers(mesh, problem, config.solver)
     if cal.regime is Regime.POSITIVE_SUM:
         solution, report = sysfix.fixed_point_iterate(
             mesh, problem, cal.pair, init=init, opts=config.iteration,
@@ -225,14 +229,12 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
     else:
         # check each found cap against the pair it ran with, escalating C at
         # that cap until it holds; the check only tightens as L grows, so this
-        # ends once the cap stops growing or the C search passes 2^20.  A fixed
-        # C is kept; the membership trace shows whether it is large enough.
+        # ends once the cap stops growing or the C search passes 2^20
         while True:
             cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
                                          opts=config.iteration,
                                          solver_opts=config.solver, init=init)
-            if config.barrier_C is not None or bmod.check_barriers_singular_regime(
-                    mesh, problem, cal.pair, cres.L).ok:
+            if bmod.check_barriers_singular_regime(mesh, problem, cal.pair, cres.L).ok:
                 break
             cal = bmod.calibrate_barriers(mesh, problem, config.solver, L=cres.L)
         solution, report = cres.solution, cres.report

@@ -8,8 +8,7 @@ from varpx import (DomainSpec, ExponentField, Regime, build_barriers,
 from varpx import barriers
 from varpx.barriers import (ProblemSpec, resolve_delta, sign_class,
                            signed_extreme)
-from varpx.errors import (CalibrationError, EnvelopeError, MixedSignError,
-                          OrderingError)
+from varpx.errors import CalibrationError, EnvelopeError, MixedSignError
 from varpx.forms import parse_expr
 
 from conftest import (benchmark_spec, envelope_spec, singular_spec, torsion_pairs,
@@ -166,13 +165,13 @@ def test_calibration_positive_regime_cooperative():
     spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
     cal = calibrate_barriers(m, spec)
     assert cal.regime is Regime.POSITIVE_SUM
-    assert cal.C <= 2 ** 20
+    assert cal.pair.C <= 2 ** 20
     rep = check_barriers_positive_regime(m, spec, cal.pair)
     assert rep.ok and rep.worst_margin >= 0.0
     # recorded regression value for this spec at this resolution; the
     # cooperative product envelope vanishes like d^0.6 at the boundary,
     # so the doubling search runs further than for the mixed-sign specs
-    assert cal.C == 512.0
+    assert cal.pair.C == 512.0
     margins = [w for _, w in cal.trajectory]
     assert margins == sorted(margins)
 
@@ -184,31 +183,6 @@ def test_small_C_violates():
                           torsions=torsion_pairs(m, spec, 0.05))
     rep = check_barriers_positive_regime(m, spec, pair)
     assert not rep.ok
-
-
-def test_fixed_scale_is_a_one_value_search(monkeypatch):
-    m = build_mesh(DomainSpec.interval(0, 1), 256)
-    spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(args[2])
-        return real(*args, **kwargs)
-
-    real = barriers.build_barriers
-    monkeypatch.setattr(barriers, "build_barriers", counting)
-    # a failing fixed C still returns its pair, with a one-entry trajectory
-    cal = calibrate_barriers(m, spec, C=1.01)
-    assert built == [1.01]
-    assert cal.C == cal.pair.C == 1.01
-    assert len(cal.trajectory) == 1 and cal.trajectory[0][1] < 0.0
-
-    def unordered(*args, **kwargs):
-        raise OrderingError("injected")
-
-    monkeypatch.setattr(barriers, "build_barriers", unordered)
-    with pytest.raises(OrderingError):
-        calibrate_barriers(m, spec, C=1.01)
 
 
 @pytest.mark.parametrize("n", range(16, 65, 4))
@@ -240,8 +214,8 @@ def test_larger_m_accepts_smaller_C():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     big = envelope_spec(m, alpha=0.3, beta=0.3, m=4.0, M=4.0, p=2.0)
     small = envelope_spec(m, alpha=0.3, beta=0.3, m=0.25, M=0.25, p=2.0)
-    c_big = calibrate_barriers(m, big).C
-    c_small = calibrate_barriers(m, small).C
+    c_big = calibrate_barriers(m, big).pair.C
+    c_small = calibrate_barriers(m, small).pair.C
     assert c_big <= c_small
 
 
@@ -277,9 +251,9 @@ def test_supersolution_margin_monotone_in_C():
     spec = benchmark_spec(m)
     cal = calibrate_barriers(m, spec)
     sup = []
-    torsions = torsion_pairs(m, spec, cal.delta)
-    for C in (cal.C, 2 * cal.C, 4 * cal.C):
-        pair = build_barriers(m, spec, C=C, delta=cal.delta, torsions=torsions)
+    torsions = torsion_pairs(m, spec, cal.pair.delta)
+    for C in (cal.pair.C, 2 * cal.pair.C, 4 * cal.pair.C):
+        pair = build_barriers(m, spec, C=C, delta=cal.pair.delta, torsions=torsions)
         rep = check_barriers_positive_regime(m, spec, pair)
         sup.append(min(rep.margins["supersolution_1"],
                        rep.margins["supersolution_2"]))
@@ -304,8 +278,8 @@ def test_benchmark_calibration_regression():
     spec = benchmark_spec(m)
     cal = calibrate_barriers(m, spec)
     assert cal.regime is Regime.POSITIVE_SUM
-    assert cal.C == 4.0
-    assert cal.delta == pytest.approx(0.05)
+    assert cal.pair.C == 4.0
+    assert cal.pair.delta == pytest.approx(0.05)
     assert cal.pair.c0_measured > 0
 
 

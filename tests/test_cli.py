@@ -185,8 +185,8 @@ def test_escalated_cap_is_checked_against_its_pair(monkeypatch):
                                          caps=(next(caps), res.report.caps[1]))
         return res
 
-    def calibrate(mesh, spec, opts=None, L=None, C=None):
-        res = real_calibrate(mesh, spec, opts, L=L, C=C)
+    def calibrate(mesh, spec, opts=None, L=None):
+        res = real_calibrate(mesh, spec, opts, L=L)
         calibrated.append((res.pair, 2.0 if L is None else L))
         return res
 
@@ -287,6 +287,8 @@ def test_sweep_exit0_when_every_row_converges(tmp_path):
     code = main(["sweep", config_path("trivial.json"), "--param", "resolution",
                  "--values", "32,64", "--out-dir", str(tmp_path)])
     assert code == 0
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    assert header == "value,converged,iters,c0,c1,residual,member,error"
 
 
 def test_cli_main_invalid_config_exit1(tmp_path):
@@ -296,7 +298,6 @@ def test_cli_main_invalid_config_exit1(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [
     ("iteration", "theta", "0.7"),
-    ("barriers", "C", "3"),
     ("iteration", "max_iters", "5"),
     ("iteration", "max_iters", -1),
     ("iteration", "max_iters", 5.0),
@@ -332,6 +333,7 @@ def _exit1_one_line_nothing_created(capsys, argv, out):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(("config error: ", "error: "))
     assert not out.exists()
+    return err
 
 
 @pytest.mark.parametrize("command", ["solve", "audit"])
@@ -347,6 +349,26 @@ def test_cli_main_parse_phase_error_exit1(tmp_path, capsys, command, key, value)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     _exit1_one_line_nothing_created(capsys, [command, str(path)], tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("key, value", [
+    ("barriers", {"C": 2.0}),
+    ("seeed", 3),
+    ("domain.z", 0.0),
+])
+def test_cli_main_unknown_key_exit1(tmp_path, capsys, command, key, value):
+    # an unknown key is rejected at every level, top level and domain included
+    raw = json.loads(load("trivial.json"))
+    *parents, name = key.split(".")
+    section = raw
+    for k in parents:
+        section = section[k]
+    section[name] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    err = _exit1_one_line_nothing_created(capsys, [command, str(path)], tmp_path / "out")
+    assert err == f"config error: $.{key}: unknown key\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,21 +460,6 @@ def test_sweep_resolution_error_decreasing(tmp_path):
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.0)
     assert (tmp_path / "sweep.csv").exists()
-
-
-def test_sweep_fixed_barrier_scale_membership(tmp_path):
-    # small fixed C: the map output escapes the box and the iteration
-    # cannot settle; calibrated-size C restores membership
-    raw = json.loads(load("benchmark.json"))
-    raw["resolution"] = 128
-    raw["barriers"] = {"C": None}
-    raw["iteration"]["max_iters"] = 80
-    rows = sweep(raw, "barriers.C", [1.05, 2.0, 4.0], out_dir=str(tmp_path))
-    assert rows[0]["member"] is False and rows[0]["converged"] is False
-    assert rows[1]["member"] is True and rows[1]["converged"] is True
-    assert rows[2]["member"] is True
-    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
-    assert header == "value,converged,iters,c0,c1,residual,member,error"
 
 
 def test_2d_pipeline_trivial(tmp_path):

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from varpx import (DomainSpec, GridFunction, IterationOptions, Regime,
-                   SystemState, apply_map, build_mesh, calibrate_barriers,
-                   calibrate_caps, coupled_residual, fixed_point_iterate,
-                   freeze_rhs, membership_check, torsion)
+                   SystemState, apply_map, build_barriers, build_mesh,
+                   calibrate_barriers, calibrate_caps, coupled_residual,
+                   fixed_point_iterate, freeze_rhs, membership_check, torsion)
+from varpx.barriers import resolve_delta
+from varpx.cli import parse_config
 from varpx.plaplace import solve_dirichlet
 
-from conftest import benchmark_spec, envelope_spec, singular_spec, trivial_spec
+from conftest import (benchmark_spec, config_path, envelope_spec, singular_spec,
+                      trivial_spec)
 
 
 def setup_positive(n=128, spec_fn=benchmark_spec):
@@ -121,6 +126,24 @@ def test_benchmark_iteration_converges():
     assert all(rep.grad_cap_trace)
     r1, r2 = coupled_residual(m, spec, sol[0], sol[1], cal.pair)
     assert max(r1, r2) <= 1e-6
+
+
+def test_barrier_scale_decides_membership():
+    # benchmark.json at n=128: at C=1.05 the map output escapes the box
+    # and the iteration cannot settle; at C=2.0 every iterate is a member
+    with open(config_path("benchmark.json")) as f:
+        cfg = parse_config(f.read(), mesh_n=128)
+    m, spec = cfg.mesh, cfg.problem
+    opts = dataclasses.replace(cfg.iteration, max_iters=80)
+    delta, xi, xid = resolve_delta(m, spec, cfg.solver)
+    reports = {}
+    for C in (1.05, 2.0):
+        pair = build_barriers(m, spec, C, delta, (xi, xid))
+        _, reports[C] = fixed_point_iterate(m, spec, pair, opts=opts,
+                                            solver_opts=cfg.solver,
+                                            regime=Regime.POSITIVE_SUM)
+    assert False in reports[1.05].membership_trace and not reports[1.05].converged
+    assert all(reports[2.0].membership_trace) and reports[2.0].converged
 
 
 def test_monotone_iteration_from_subsolution(monkeypatch):
