@@ -23,7 +23,7 @@ from .barriers import (BarrierPair, HypothesisReport, ProblemSpec, Regime,
                        check_barriers_singular_regime, validate_hypotheses)
 from .sysfix import (IterationOptions, IterationReport, SystemState, apply_map,
                      calibrate_caps, coupled_residual, fixed_point_iterate,
-                     freeze_rhs, membership_check)
+                     membership_check)
 from .verify import (EstimateAudit, gradient_estimate_audit,
                      linfty_estimate_audit, mvt_ratio, sandwich_audit,
                      solution_certificate)

@@ -243,7 +243,7 @@ def _c1_bound(mesh, u: GridFunction) -> float:
     return float(np.abs(u.values).max()) + gmax
 
 
-def build_barriers(mesh: Mesh, spec: ProblemSpec, C: float, delta: float,
+def build_barriers(spec: ProblemSpec, C: float, delta: float,
                    torsions: tuple) -> BarrierPair:
     """Construct the barrier pair at scale C > 1 and strip width delta
     from ``torsions``, the (xi, xi_delta) field pairs that
@@ -251,6 +251,7 @@ def build_barriers(mesh: Mesh, spec: ProblemSpec, C: float, delta: float,
     under > over anywhere (C too small)."""
     if not C > 1.0:
         raise ValueError("barrier scale C must exceed 1")
+    mesh = spec.mesh
     xi, xid = torsions
     under = tuple(GridFunction(mesh, xid[i].values / C, zero_trace=True)
                   for i in (0, 1))
@@ -326,7 +327,7 @@ def _weak_inequality(mesh, small, large) -> float:
     return float((g - s + tol).min())
 
 
-def check_barriers_positive_regime(mesh: Mesh, spec: ProblemSpec,
+def check_barriers_positive_regime(spec: ProblemSpec,
                                    pair: BarrierPair) -> InequalityReport:
     """Weak-form comparison inequalities for the positive-sum regime.
 
@@ -337,6 +338,7 @@ def check_barriers_positive_regime(mesh: Mesh, spec: ProblemSpec,
     majorized product.  Pointwise second derivatives do not exist for P1
     fields, so both are asserted in the tested sense.
     """
+    mesh = spec.mesh
     margins = {}
     box = (pair.under, pair.over)
     for i in (0, 1):
@@ -354,14 +356,15 @@ def check_barriers_positive_regime(mesh: Mesh, spec: ProblemSpec,
     return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
 
 
-def check_barriers_singular_regime(mesh: Mesh, spec: ProblemSpec,
-                                   pair: BarrierPair, L: float) -> InequalityReport:
+def check_barriers_singular_regime(spec: ProblemSpec, pair: BarrierPair,
+                                   L: float) -> InequalityReport:
     """Subsolution inequalities for the strongly singular regime, where
     iterates are capped above by the constant L > 1: the lower envelope
     is minorized with L replacing any component raised to a negative
     exponent."""
     if not L > 1.0:
         raise ValueError("sup-norm cap L must exceed 1")
+    mesh = spec.mesh
     margins = {}
     for i in (0, 1):
         lhs = plaplace.apply_operator(mesh, spec.p[i], pair.under[i].values)
@@ -379,20 +382,20 @@ class CalibrationResult:
     trajectory: list        # (C, worst_margin) along the doubling search
 
 
-def resolve_delta(mesh: Mesh, spec: ProblemSpec,
-                  opts: SolverOptions | None = None):
+def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     """Strip width search: start at 0.1 * max distance and halve until
     the strip-loaded torsion fields stay positive, flooring at 1.5 times
     the largest axis spacing, so the strip always holds the first
     interior node row.  Returns (delta, xi, xi_delta) with the solved
     fields; equal exponents share their solves."""
+    mesh = spec.mesh
     delta = 0.1 * mesh.max_distance
     floor = 1.5 * float(np.ptp(mesh.nodes, axis=0).max()) / mesh.n
     xi = tuple(per_exponent(spec.p, lambda p: plaplace.torsion(mesh, p, opts)))
     while True:
         try:
             xid = tuple(per_exponent(spec.p, lambda p, ref: plaplace.torsion_delta(
-                mesh, p, delta, opts, xi=ref), xi))
+                mesh, p, delta, ref, opts), xi))
             return delta, xi, xid
         except DeltaTooLargeError:
             if delta <= floor:
@@ -402,8 +405,7 @@ def resolve_delta(mesh: Mesh, spec: ProblemSpec,
             delta = max(delta / 2.0, floor)
 
 
-def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
-                       opts: SolverOptions | None = None,
+def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
                        L: float | None = None) -> CalibrationResult:
     """Doubling search C in {2, 4, ..., 2^_C_MAX_EXP} with delta halved
     from 0.1 * max distance on positivity failure (floor 1.5 axis
@@ -420,18 +422,18 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
     if regime is Regime.NEGATIVE_SUM and L is None:
         L = 2.0  # provisional cap; refreshed by the cap search afterwards
 
-    delta, xi, xid = resolve_delta(mesh, spec, opts)
+    delta, xi, xid = resolve_delta(spec, opts)
     trajectory = []
     for C in [2.0 ** k for k in range(1, _C_MAX_EXP + 1)]:
         try:
-            pair = build_barriers(mesh, spec, C, delta, (xi, xid))
+            pair = build_barriers(spec, C, delta, (xi, xid))
         except OrderingError:
             trajectory.append((C, -np.inf))
             continue
         if regime is Regime.POSITIVE_SUM:
-            rep = check_barriers_positive_regime(mesh, spec, pair)
+            rep = check_barriers_positive_regime(spec, pair)
         else:
-            rep = check_barriers_singular_regime(mesh, spec, pair, L)
+            rep = check_barriers_singular_regime(spec, pair, L)
         trajectory.append((C, rep.worst_margin))
         if rep.ok:
             return CalibrationResult(pair=pair, regime=regime, trajectory=trajectory)
@@ -441,11 +443,12 @@ def calibrate_barriers(mesh: Mesh, spec: ProblemSpec,
         "(indistinguishable at this resolution)")
 
 
-def frozen_rhs_quad(mesh: Mesh, spec: ProblemSpec, z1: GridFunction,
-                    z2: GridFunction, pair: BarrierPair):
+def frozen_rhs_quad(spec: ProblemSpec, z1: GridFunction, z2: GridFunction,
+                    pair: BarrierPair):
     """Quadrature-point data f_i(x, z1^, z2^, grad z1, grad z2) with the
     singular floor clamp z^ = max(z, under).  Interior quadrature points
     keep negative powers finite because the floor is positive there."""
+    mesh = spec.mesh
     zc1 = np.maximum(z1.values, pair.under[0].values)
     zc2 = np.maximum(z2.values, pair.under[1].values)
     s1 = grid.at_quad(mesh, zc1)

@@ -6,11 +6,12 @@ calibrate barriers, iterate to a fixed point, audit, and emit the fields
 CSV, the iteration trace JSON, and the certificate JSON.
 
 Exit codes are mapped in ``main`` alone; ``run``, ``audit`` and ``sweep``
-raise.  Before the config is accepted (reading it, the sweep's JSON and
-values, ``parse_config``) any exception exits 1 with one line, creating
-nothing; after it, 2 with the traceback and an error stub at each stub
-path the command owns that can be written.  Else 0 when converged with
-all audits passed (a sweep: every row), or 2.  Sweep rows run in value order.
+raise.  Before the config is accepted (reading it, the sweep's JSON,
+parameter path and values, ``parse_config``) any exception exits 1 with
+one line, creating nothing; after it, 2 with the traceback and an error
+stub at each stub path the command owns that can be written.  Else 0
+when converged with all audits passed (a sweep: every row), or 2.  Sweep
+rows run in value order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import copy
 import json
+import math
 import os
 import sys
 import traceback
@@ -62,7 +64,6 @@ def _get(d, key, path, types=None, default=_REQUIRED):
 class RunConfig:
     domain: DomainSpec
     resolution: int
-    mesh: grid.Mesh
     problem: ProblemSpec
     solver: SolverOptions
     iteration: IterationOptions
@@ -120,25 +121,31 @@ def _exponent_pair(mesh, obj, path):
     return tuple(out)
 
 
+def _number_pair(raw, key):
+    """The two numbers of the config list ``key``, as floats."""
+    pair = _get(raw, key, "$", list)
+    if len(pair) != 2:
+        raise ConfigError(f"$.{key}", "expected a two-element list of numbers")
+    for i, v in enumerate(pair):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(f"$.{key}[{i}]", f"expected a finite number, got {v!r}")
+    return tuple(float(v) for v in pair)
+
+
 def _materialize(raw: dict, mesh) -> ProblemSpec:
     """The configured problem on ``mesh``: the five exponent pairs, the
     envelope constants m and M, the nonlinearities f and N_dim."""
     ex = {k: _exponent_pair(mesh, _get(raw, k, "$", list), f"$.{k}")
           for k in _EXPONENTS}
-    mm = _get(raw, "m", "$", list)
-    MM = _get(raw, "M", "$", list)
-    if len(mm) != 2 or len(MM) != 2:
-        raise ConfigError("$.m", "m and M must be two-element lists")
+    mM = {k: _number_pair(raw, k) for k in ("m", "M")}
     fobj = _get(raw, "f", "$", list)
     if not isinstance(fobj, list) or len(fobj) != 2:
         raise ConfigError("$.f", "expected a two-element list of expressions")
     f = tuple(forms.parse_expr(e, f"$.f[{i}]") for i, e in enumerate(fobj))
     p1, p2 = ex.pop("p")
     try:
-        return ProblemSpec(mesh=mesh, p1=p1, p2=p2, **ex,
-                           m=tuple(float(v) for v in mm),
-                           M=tuple(float(v) for v in MM),
-                           f=f, N_dim=int(_get(raw, "N_dim", "$", int, default=2)))
+        return ProblemSpec(mesh=mesh, p1=p1, p2=p2, **ex, **mM, f=f,
+                           N_dim=int(_get(raw, "N_dim", "$", int, default=2)))
     except (ValueError, TypeError) as exc:
         raise ConfigError("$", str(exc))
 
@@ -188,14 +195,13 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     for key in outputs:
         _get(outputs, key, "$.outputs", str)
     outputs = {**_DEFAULT_OUTPUTS, **outputs}
-    return RunConfig(domain=domain, resolution=resolution, mesh=mesh,
-                     problem=problem, solver=solver, iteration=iteration,
-                     outputs=outputs, seed=seed, hypothesis_report=report, raw=raw)
+    return RunConfig(domain=domain, resolution=resolution, problem=problem,
+                     solver=solver, iteration=iteration, outputs=outputs,
+                     seed=seed, hypothesis_report=report, raw=raw)
 
 
 @dataclass
 class PipelineResult:
-    mesh: grid.Mesh
     problem: ProblemSpec
     calibration: bmod.CalibrationResult
     solution: tuple
@@ -212,37 +218,36 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
     Membership is judged on every raw map output either way, and in the
     singular regime the caps are read off this run's own clamped
     iterates, the interpolated start included."""
+    problem = config.problem
     if mesh_n is not None and mesh_n != config.resolution:
-        mesh = grid.build_mesh(config.domain, mesh_n)
-        problem = _materialize(config.raw, mesh)
-    else:
-        mesh, problem = config.mesh, config.problem
-    init = None if coarse is None else sysfix.SystemState.build(
-        mesh, problem, *(grid.GridFunction(mesh, coarse.mesh.interpolate(
-            z.values, mesh.nodes)) for z in coarse.solution))
+        problem = _materialize(config.raw, grid.build_mesh(config.domain, mesh_n))
+    mesh = problem.mesh
+    init = None if coarse is None else tuple(
+        grid.GridFunction(mesh, coarse.problem.mesh.interpolate(z.values, mesh.nodes))
+        for z in coarse.solution)
 
-    cal = bmod.calibrate_barriers(mesh, problem, config.solver)
+    cal = bmod.calibrate_barriers(problem, config.solver)
     if cal.regime is Regime.POSITIVE_SUM:
         solution, report = sysfix.fixed_point_iterate(
-            mesh, problem, cal.pair, init=init, opts=config.iteration,
+            problem, cal.pair, init=init, opts=config.iteration,
             solver_opts=config.solver, regime=cal.regime)
     else:
         # check each found cap against the pair it ran with, escalating C at
         # that cap until it holds; the check only tightens as L grows, so this
         # ends once the cap stops growing or the C search passes 2^20
         while True:
-            cres = sysfix.calibrate_caps(mesh, problem, cal.pair,
-                                         opts=config.iteration,
+            cres = sysfix.calibrate_caps(problem, cal.pair, opts=config.iteration,
                                          solver_opts=config.solver, init=init)
-            if bmod.check_barriers_singular_regime(mesh, problem, cal.pair, cres.L).ok:
+            if bmod.check_barriers_singular_regime(problem, cal.pair, cres.L).ok:
                 break
-            cal = bmod.calibrate_barriers(mesh, problem, config.solver, L=cres.L)
+            cal = bmod.calibrate_barriers(problem, config.solver, L=cres.L)
         solution, report = cres.solution, cres.report
-    return PipelineResult(mesh=mesh, problem=problem, calibration=cal,
+    return PipelineResult(problem=problem, calibration=cal,
                           solution=solution, report=report)
 
 
-def _write_fields_csv(path, mesh, pipeline: PipelineResult):
+def _write_fields_csv(path, pipeline: PipelineResult):
+    mesh = pipeline.problem.mesh
     cols = {
         "u1": pipeline.solution[0].values,
         "u2": pipeline.solution[1].values,
@@ -261,15 +266,14 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
     os.makedirs(out_dir, exist_ok=True)
     paths = {k: os.path.join(out_dir, v) for k, v in config.outputs.items()}
     pipeline = run_pipeline(config)
-    refined = run_pipeline(config, mesh_n=2 * pipeline.mesh.n, coarse=pipeline)
+    refined = run_pipeline(config, mesh_n=2 * pipeline.problem.mesh.n, coarse=pipeline)
     cert = verify.solution_certificate(
-        pipeline.mesh, pipeline.problem, pipeline.solution,
-        pipeline.calibration.pair, pipeline.report,
-        refined=(refined.solution, refined.mesh),
+        pipeline.problem, pipeline.solution, pipeline.calibration.pair,
+        pipeline.report, refined=(refined.solution, refined.problem.mesh),
         refined_report=refined.report,
         rng=np.random.default_rng(config.seed),
         solver_opts=config.solver)
-    _write_fields_csv(paths["fields_csv"], pipeline.mesh, pipeline)
+    _write_fields_csv(paths["fields_csv"], pipeline)
     with open(paths["trace_json"], "w") as f:
         f.write(verify.certificate_to_json(pipeline.report.as_dict()))
     with open(paths["certificate_json"], "w") as f:
@@ -278,29 +282,29 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
     return 0 if ok else 2
 
 
-def _set_path(d, dotted, value):
-    keys = dotted.split(".")
-    for k in keys:
+def _path_parent(d, dotted):
+    """The config object that holds the last key of the dotted path."""
+    for k in dotted.split("."):
         if not isinstance(d, dict) or k not in d:
             raise ConfigError(dotted, "path does not address an existing key")
         parent, d = d, d[k]
-    parent[keys[-1]] = value
+    return parent
 
 
 def _sweep_row(raw, param, value, mesh_n):
     cfg_dict = copy.deepcopy(raw)
-    _set_path(cfg_dict, param, value)
+    _path_parent(cfg_dict, param)[param.split(".")[-1]] = value
     row = {"value": value, "converged": False, "iters": None,
            "c0": None, "c1": None, "residual": None, "member": None,
            "error": ""}
     try:
         cfg = parse_config(json.dumps(cfg_dict), mesh_n=mesh_n)
         pv = run_pipeline(cfg)
-        sandwich = verify.sandwich_audit(pv.solution, pv.mesh)
+        sandwich = verify.sandwich_audit(pv.solution, pv.problem.mesh)
         row.update(converged=pv.report.converged, iters=pv.report.iters,
                    c0=sandwich["c0"], c1=sandwich["c1"],
                    member=all(pv.report.membership_trace),
-                   residual=pv.report.residuals[-1] if pv.report.residuals else None)
+                   residual=pv.report.residuals[-1])
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -335,7 +339,7 @@ def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int
     names = _AUDIT_NAMES if only is None else (only,)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "audit.json")
-    mesh, problem = config.mesh, config.problem
+    mesh, problem = config.problem.mesh, config.problem
     out = []
     for name in names:
         if name == "mvt":
@@ -379,6 +383,7 @@ def main(argv=None) -> int:
             text = f.read()
         if args.command == "sweep":
             raw = json.loads(text)
+            _path_parent(raw, args.param)
             values = [json.loads(v) for v in args.values.split(",")] \
                 if args.values else []
             stubs = []

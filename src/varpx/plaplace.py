@@ -283,15 +283,14 @@ def torsion(mesh: Mesh, p: ExponentField,
     return res.u
 
 
-def torsion_delta(mesh: Mesh, p: ExponentField, delta: float,
-                  opts: SolverOptions | None = None,
-                  xi: GridFunction | None = None) -> GridFunction:
+def torsion_delta(mesh: Mesh, p: ExponentField, delta: float, xi: GridFunction,
+                  opts: SolverOptions | None = None) -> GridFunction:
     """Torsion-like field with source +1 away from the boundary and -1
     on the strip {d < delta}.
 
     Checks a posteriori that the result stays positive at interior nodes
     (raises DeltaTooLargeError otherwise, so callers can halve delta)
-    and that it sits below the plain torsion field nodewise.
+    and that it sits below ``xi``, the plain torsion field, nodewise.
     """
     strip = grid.boundary_strip(mesh, delta)
     hv = np.ones(mesh.n_nodes)
@@ -304,9 +303,8 @@ def torsion_delta(mesh: Mesh, p: ExponentField, delta: float,
     if np.any(xd.values[interior] <= 0.0):
         raise DeltaTooLargeError(
             f"strip field loses positivity for delta={delta}; halve delta")
-    ref = xi if xi is not None else torsion(mesh, p, opts)
-    tol = 1e-10 * (1.0 + float(np.abs(ref.values).max()))
-    if np.any(xd.values > ref.values + tol):
+    tol = 1e-10 * (1.0 + float(np.abs(xi.values).max()))
+    if np.any(xd.values > xi.values + tol):
         raise SolveError("strip field exceeds the torsion field; "
                          "comparison violated beyond tolerance")
     return xd

@@ -11,6 +11,12 @@ argument as a computation: convergence is certified by a small step
 norm AND a small weak residual of the coupled system at the final
 iterate, with set membership recorded at every step.
 
+A state means nothing apart from its problem and the barrier pair whose
+invariant set it is tested against, so a ``SystemState`` carries both:
+the map, the coupled residual and the membership extremes take the
+state alone, and its frozen data is evaluated once however many of them
+read it.
+
 The underlying existence proof is non-constructive, so non-convergence
 of this particular iteration is a reported outcome, never an assertion
 failure of the theory.
@@ -27,7 +33,7 @@ from . import barriers as bmod
 from . import expspace, grid, plaplace
 from .barriers import BarrierPair, ProblemSpec, Regime
 from .errors import SolveError
-from .grid import GridFunction, Mesh
+from .grid import GridFunction
 from .plaplace import SolverOptions
 
 _MEMBER_ATOL = 1e-8
@@ -52,36 +58,55 @@ class IterationOptions:
 
 @dataclass
 class SystemState:
-    """Frozen state: the two fields, and what the map and the membership
-    test read from them.  The gradients, their norms and the frozen data
-    are computed on first read, so a state computes each at most once
-    and never one that nothing reads."""
+    """Frozen state of one problem, tested against the invariant set of
+    one barrier pair: the two fields, and what the map, the residual and
+    the membership test read from them.  The gradients, their Luxemburg
+    norms and the frozen data are computed on first read, so a state
+    computes each at most once and never one that nothing reads."""
 
     z: tuple                  # (GridFunction, GridFunction)
-    mesh: Mesh = field(repr=False)
-    p: tuple = field(repr=False)          # (ExponentField, ExponentField)
-    _frozen: tuple | None = field(default=None, repr=False)  # (pair, data)
+    spec: ProblemSpec = field(repr=False)
+    pair: BarrierPair = field(repr=False)
 
     @staticmethod
-    def build(mesh: Mesh, spec: ProblemSpec, z1: GridFunction,
+    def build(spec: ProblemSpec, pair: BarrierPair, z1: GridFunction,
               z2: GridFunction) -> "SystemState":
-        grid.check_same_mesh(mesh, z1, z2)
-        return SystemState(z=(z1, z2), mesh=mesh, p=spec.p)
+        grid.check_same_mesh(spec.mesh, z1, z2)
+        return SystemState(z=(z1, z2), spec=spec, pair=pair)
 
     @cached_property
     def grad_z(self) -> tuple:
-        return tuple(grid.gradient(self.mesh, zi) for zi in self.z)
-
-    @cached_property
-    def grad_inf_norm(self) -> tuple:
-        return tuple(g.inf_norm for g in self.grad_z)
+        return tuple(grid.gradient(self.spec.mesh, zi) for zi in self.z)
 
     @cached_property
     def grad_lux_norm(self) -> tuple:
-        mesh = self.mesh
+        mesh = self.spec.mesh
         return tuple(expspace.luxemburg_norm_from_samples(
             g.magnitudes[mesh.qcells], pi.at_quad(), mesh.qweights)
-            for g, pi in zip(self.grad_z, self.p))
+            for g, pi in zip(self.grad_z, self.spec.p))
+
+    @cached_property
+    def frozen(self) -> tuple:
+        """Data for the decoupled solves: nonlinearities at the clamped
+        state, sampled at interior quadrature points only.  The residual
+        test of an iterate and the map application that follows share
+        this one evaluation."""
+        return bmod.frozen_rhs_quad(self.spec, *self.z, self.pair)
+
+    def extremes(self, regime: Regime) -> list:
+        """Cap-free membership inputs per component: (depth below
+        ``under``, excess over ``over`` or the maximum, gradient norm of
+        the regime)."""
+        out = []
+        for i in (0, 1):
+            zi = self.z[i].values
+            low_v = float((self.pair.under[i].values - zi).max())
+            if regime is Regime.POSITIVE_SUM:
+                out.append((low_v, float((zi - self.pair.over[i].values).max()),
+                            self.grad_z[i].inf_norm))
+            else:
+                out.append((low_v, float(zi.max()), self.grad_lux_norm[i]))
+        return out
 
 
 @dataclass
@@ -115,27 +140,15 @@ class IterationReport:
         }
 
 
-def freeze_rhs(spec: ProblemSpec, state: SystemState, pair: BarrierPair):
-    """Data for the decoupled solves: nonlinearities at the clamped
-    state, sampled at interior quadrature points only.  The state keeps
-    it, so the residual test of an iterate and the map application that
-    follows share one evaluation."""
-    if state._frozen is None or state._frozen[0] is not pair:
-        state._frozen = (pair, bmod.frozen_rhs_quad(
-            spec.mesh, spec, state.z[0], state.z[1], pair))
-    return state._frozen[1]
-
-
-def apply_map(mesh: Mesh, spec: ProblemSpec, state: SystemState,
-              pair: BarrierPair, opts: SolverOptions | None = None):
+def apply_map(state: SystemState, opts: SolverOptions | None = None):
     """One application of the frozen-state map: two independent scalar
     solves.  Component order is irrelevant because the frozen data
     decouples them.  Component i's Newton starts at the frozen state's
     own ``z[i]``, which is exact at a fixed point."""
-    h1, h2 = freeze_rhs(spec, state, pair)
+    spec = state.spec
     results = []
-    for i, hq in ((0, h1), (1, h2)):
-        res = plaplace.solve_dirichlet(mesh, spec.p[i], hq, opts, start=state.z[i])
+    for i, hq in enumerate(state.frozen):
+        res = plaplace.solve_dirichlet(spec.mesh, spec.p[i], hq, opts, start=state.z[i])
         if not res.converged:
             raise SolveError(
                 f"component {i+1} solve stalled at residual {res.residual:.3e}")
@@ -143,23 +156,21 @@ def apply_map(mesh: Mesh, spec: ProblemSpec, state: SystemState,
     return (results[0].u, results[1].u), (results[0], results[1])
 
 
-def membership_check(state, pair: BarrierPair, regime: Regime,
+def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
                      L: float | None = None, L_tilde: float | None = None):
     """(member, worst_violation, parts) for the invariant set of the regime.
 
     positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
     negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
     <= L_tilde.  Violations are measured beyond a mixed tolerance.
-    ``state`` is a SystemState or the ``_extremes`` already taken from
-    one, so a run can judge its iterates once its caps are known.
-    ``parts`` holds the box and gradient verdicts.
+    ``extremes`` are a state's ``extremes(regime)``, so a run can judge
+    its iterates once its caps are known.  ``parts`` holds the box and
+    gradient verdicts.
     """
     if regime is Regime.NEGATIVE_SUM and (L is None or L_tilde is None):
         raise ValueError("negative-sum membership needs L and L_tilde")
-    if isinstance(state, SystemState):
-        state = _extremes(state, pair, regime)
     box, grad = [], []
-    for i, (low_v, up, g) in enumerate(state):
+    for i, (low_v, up, g) in enumerate(extremes):
         if regime is Regime.POSITIVE_SUM:
             up_v, g_v = up, g - pair.C * pair.R
             scale = float(np.abs(pair.over[i].values).max())
@@ -174,35 +185,14 @@ def membership_check(state, pair: BarrierPair, regime: Regime,
                                            "grad_ok": max(grad) <= 0.0}
 
 
-def _extremes(state: SystemState, pair: BarrierPair, regime: Regime) -> list:
-    """Cap-free membership inputs per component: (depth below ``under``,
-    excess over ``over`` or the maximum, gradient norm of the regime)."""
-    extremes = []
-    for i in (0, 1):
-        zi = state.z[i].values
-        low_v = float((pair.under[i].values - zi).max())
-        if regime is Regime.POSITIVE_SUM:
-            extremes.append((low_v, float((zi - pair.over[i].values).max()),
-                             state.grad_inf_norm[i]))
-        else:
-            extremes.append((low_v, float(zi.max()), state.grad_lux_norm[i]))
-    return extremes
-
-
-def coupled_residual(mesh: Mesh, spec: ProblemSpec, z1: GridFunction,
-                     z2: GridFunction, pair: BarrierPair,
-                     state: SystemState | None = None):
+def coupled_residual(state: SystemState):
     """Weak residual of each component equation with the nonlinearity
-    evaluated at the pair itself (zero exactly at a discrete fixed point).
-    A ``state`` of (z1, z2) passed in keeps the frozen data for the caller."""
-    state = state or SystemState.build(mesh, spec, z1, z2)
-    return _state_residual(spec, state, pair)
-
-
-def _state_residual(spec: ProblemSpec, state: SystemState, pair: BarrierPair):
-    h1, h2 = freeze_rhs(spec, state, pair)
-    return (plaplace.weak_residual(state.mesh, spec.p1, state.z[0], h1),
-            plaplace.weak_residual(state.mesh, spec.p2, state.z[1], h2))
+    evaluated at the state itself (zero exactly at a discrete fixed
+    point)."""
+    spec = state.spec
+    h1, h2 = state.frozen
+    return (plaplace.weak_residual(spec.mesh, spec.p1, state.z[0], h1),
+            plaplace.weak_residual(spec.mesh, spec.p2, state.z[1], h2))
 
 
 def _anderson_step(x_hist, g_hist, depth):
@@ -223,17 +213,17 @@ def _anderson_step(x_hist, g_hist, depth):
     return g_hist[-1] - G @ coef
 
 
-def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
-                        init: SystemState | None = None,
+def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
+                        init: tuple | None = None,
                         opts: IterationOptions | None = None,
                         solver_opts: SolverOptions | None = None,
                         regime: Regime | None = None):
     """Damped iteration z <- (1-theta) z + theta T(z), clamped back into
     the invariant box nodewise after every step (clamping preserves the
     zero trace; gradient-cap violations are only flagged, never edited).
-    The run starts at ``init`` clamped into the box, else at the lower
-    barrier; each map application starts its Newton solves at the
-    current iterate.
+    The run starts at the fields ``init`` = (z1, z2) clamped into the
+    box, else at the lower barrier; each map application starts its
+    Newton solves at the current iterate.
 
     In the negative-sum regime the run is also the cap search: there is
     no upper clamp, and the caps (L, L_tilde) are the smallest powers of
@@ -254,19 +244,18 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
         regime = bmod.validate_hypotheses(spec).regime
     singular = regime is Regime.NEGATIVE_SUM
 
-    z1, z2 = _clamp(pair, [z.values for z in (pair.under if init is None else init.z)],
-                    singular)
-    state = SystemState.build(mesh, spec, z1, z2)
+    z1, z2 = _clamp(pair, [z.values for z in init or pair.under], singular)
+    state = SystemState.build(spec, pair, z1, z2)
     # negative-sum: (sup norm, Luxemburg gradient norm) per clamped iterate
     norms = [_cap_norms(state)] if singular else []
 
-    nn = mesh.n_nodes
+    nn = spec.mesh.n_nodes
     x_hist, g_hist = [], []
     steps, residuals, extremes = [], [], []
     stopped = False
     for it in range(1, opts.max_iters + 1):
-        (u1, u2), _ = apply_map(mesh, spec, state, pair, solver_opts)
-        extremes.append(_extremes(SystemState.build(mesh, spec, u1, u2), pair, regime))
+        (u1, u2), _ = apply_map(state, solver_opts)
+        extremes.append(SystemState.build(spec, pair, u1, u2).extremes(regime))
         x = np.concatenate([z1.values, z2.values])
         g = (1.0 - opts.theta) * x + opts.theta * np.concatenate([u1.values, u2.values])
         if opts.anderson_depth > 0:
@@ -281,11 +270,11 @@ def fixed_point_iterate(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
         z1, z2 = _clamp(pair, (x_new[:nn], x_new[nn:]), singular)
         s1 = float(np.abs(z1.values - prev[0].values).max())
         s2 = float(np.abs(z2.values - prev[1].values).max())
-        state = SystemState.build(mesh, spec, z1, z2)
+        state = SystemState.build(spec, pair, z1, z2)
         if singular:
             norms.append(_cap_norms(state))
 
-        r1, r2 = _state_residual(spec, state, pair)
+        r1, r2 = coupled_residual(state)
         steps.append((s1, s2))
         residuals.append(max(r1, r2))
         if max(s1, s2) <= opts.tol_step and residuals[-1] <= opts.tol_residual:
@@ -357,15 +346,15 @@ class CapsResult:
         return self.report.iters
 
 
-def calibrate_caps(mesh: Mesh, spec: ProblemSpec, pair: BarrierPair,
+def calibrate_caps(spec: ProblemSpec, pair: BarrierPair,
                    opts: IterationOptions | None = None,
                    solver_opts: SolverOptions | None = None,
-                   init: SystemState | None = None) -> CapsResult:
+                   init: tuple | None = None) -> CapsResult:
     """Sup-norm cap L and Luxemburg gradient cap L_tilde of the singular
     regime, read off one negative-sum run of ``fixed_point_iterate`` from
     ``init`` (default: the lower barrier); the caps cover every clamped
     iterate of that run, its start included."""
     solution, report = fixed_point_iterate(
-        mesh, spec, pair, init=init, opts=opts, solver_opts=solver_opts,
+        spec, pair, init=init, opts=opts, solver_opts=solver_opts,
         regime=Regime.NEGATIVE_SUM)
     return CapsResult(solution, report)

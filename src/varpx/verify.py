@@ -270,12 +270,13 @@ def sandwich_audit(solution, mesh: Mesh, refined=None,
     return out
 
 
-def mvt_spot_checks(mesh: Mesh, spec: ProblemSpec, solution, frozen,
-                    residuals, rng: np.random.Generator) -> list:
+def mvt_spot_checks(spec: ProblemSpec, solution, frozen, residuals,
+                    rng: np.random.Generator) -> list:
     """Mean-value checks on the solution's own component equations with
     random Lipschitz weights and the solution itself as test field;
     ``frozen`` holds each component's data at the solution and
     ``residuals`` its weak residual against that data."""
+    mesh = spec.mesh
     lo, hi = _MVT_RANGE
     checks = []
     for i, (hq, resid) in enumerate(zip(frozen, residuals)):
@@ -326,29 +327,28 @@ def certificate_to_json(cert: dict) -> str:
     return json.dumps(cert, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def solution_certificate(mesh: Mesh, spec: ProblemSpec, solution,
-                         pair: BarrierPair, report,
+def solution_certificate(spec: ProblemSpec, solution, pair: BarrierPair, report,
                          refined=None, refined_report=None, rng=None,
                          solver_opts: SolverOptions | None = None) -> dict:
     """Machine-readable verification record for a completed run:
     residuals, membership, sandwich constants, hypothesis report, the
     estimate audits, and mean-value spot checks.  Deterministic given
     the same inputs and rng seed."""
+    mesh = spec.mesh
     rng = rng or np.random.default_rng(0)
-    state = sysfix.SystemState.build(mesh, spec, solution[0], solution[1])
-    r1, r2 = sysfix.coupled_residual(mesh, spec, *solution, pair, state=state)
+    state = sysfix.SystemState.build(spec, pair, *solution)
+    r1, r2 = sysfix.coupled_residual(state)
     hyp = validate_hypotheses(spec)
     audits = estimate_audits(mesh, spec.p, ("gradient", "linfty"), solver_opts)
     sandwich = sandwich_audit(solution, mesh, refined=refined,
                               refined_report=refined_report)
-    mvt = mvt_spot_checks(mesh, spec, solution, sysfix.freeze_rhs(spec, state, pair),
-                          (r1, r2), rng)
+    mvt = mvt_spot_checks(spec, solution, state.frozen, (r1, r2), rng)
     cert = {
         "schema_version": 1,
         "mesh": {"dim": mesh.dim, "n": mesh.n, "h": mesh.h},
         "residuals": {"component_1": r1, "component_2": r2, "max": max(r1, r2)},
         "membership": {
-            "final": bool(report.membership_trace[-1]) if report.membership_trace else False,
+            "final": bool(report.membership_trace[-1]),
             "all_iterations": bool(all(report.membership_trace)),
             "gradient_cap_all": bool(all(report.grad_cap_trace)),
         },

@@ -179,8 +179,8 @@ def test_acceptance_07_positive_regime_pipeline():
     t0 = time.time()
     m = build_mesh(DomainSpec.interval(0, 1), 512)
     spec = benchmark_spec(m)
-    cal = calibrate_barriers(m, spec)
-    sol, rep = fixed_point_iterate(m, spec, cal.pair)
+    cal = calibrate_barriers(spec)
+    sol, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged and rep.iters <= 500
     assert rep.residuals[-1] <= 1e-6
     assert all(rep.membership_trace)
@@ -190,8 +190,8 @@ def test_acceptance_07_positive_regime_pipeline():
     # refinement stability of the sandwich constant
     m2 = build_mesh(DomainSpec.interval(0, 1), 1024)
     spec2 = benchmark_spec(m2)
-    cal2 = calibrate_barriers(m2, spec2)
-    sol2, rep2 = fixed_point_iterate(m2, spec2, cal2.pair)
+    cal2 = calibrate_barriers(spec2)
+    sol2, rep2 = fixed_point_iterate(spec2, cal2.pair)
     assert rep2.converged
     c0f = min(distance_ratio(m2, sol2[0].values)[0],
               distance_ratio(m2, sol2[1].values)[0])
@@ -205,8 +205,8 @@ def test_acceptance_07_positive_regime_pipeline():
 def test_acceptance_08_singular_regime_pipeline():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = singular_spec(m)
-    cal = calibrate_barriers(m, spec)
-    caps = calibrate_caps(m, spec, cal.pair)
+    cal = calibrate_barriers(spec)
+    caps = calibrate_caps(spec, cal.pair)
     assert caps.L > 1.0
     rep = caps.report
     assert rep.converged
@@ -219,7 +219,7 @@ def test_acceptance_08_singular_regime_pipeline():
 def test_acceptance_09_invariance_sampling():
     m = build_mesh(DomainSpec.interval(0, 1), 512)
     spec = benchmark_spec(m)
-    cal = calibrate_barriers(m, spec)
+    cal = calibrate_barriers(spec)
     pair = cal.pair
     rng = np.random.default_rng(99)
     violations = 0
@@ -232,10 +232,11 @@ def test_acceptance_09_invariance_sampling():
             v = np.clip(mix + noise, pair.under[i].values, pair.over[i].values)
             v[m.boundary_nodes] = 0.0
             z.append(GridFunction(m, v, zero_trace=True))
-        st = SystemState.build(m, spec, z[0], z[1])
-        (u1, u2), _ = apply_map(m, spec, st, pair)
-        out = SystemState.build(m, spec, u1, u2)
-        member, _, _ = membership_check(out, pair, Regime.POSITIVE_SUM)
+        st = SystemState.build(spec, pair, z[0], z[1])
+        (u1, u2), _ = apply_map(st)
+        out = SystemState.build(spec, pair, u1, u2)
+        member, _, _ = membership_check(out.extremes(Regime.POSITIVE_SUM), pair,
+                                        Regime.POSITIVE_SUM)
         violations += int(not member)
     assert violations == 0
     _report(9, "invariance of the barrier box under the frozen map",

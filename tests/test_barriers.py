@@ -126,7 +126,7 @@ def test_build_barriers_scalings():
     m = mesh1d(128)
     spec = trivial_spec(m)
     xi, xid = torsion_pairs(m, spec, 0.1)
-    pair = build_barriers(m, spec, C=2.0, delta=0.1, torsions=(xi, xid))
+    pair = build_barriers(spec, C=2.0, delta=0.1, torsions=(xi, xid))
     np.testing.assert_allclose(pair.under[0].values, xid[0].values / 2, atol=1e-12)
     np.testing.assert_allclose(pair.over[0].values, 2 * xi[0].values, atol=1e-12)
     assert np.all(pair.under[0].values <= pair.over[0].values)
@@ -143,7 +143,7 @@ def test_ordering_margin_grows_with_C():
     margins = []
     torsions = torsion_pairs(m, spec, 0.1)
     for C in (2.0, 4.0, 8.0):
-        pair = build_barriers(m, spec, C=C, delta=0.1, torsions=torsions)
+        pair = build_barriers(spec, C=C, delta=0.1, torsions=torsions)
         gap = min(np.min(pair.over[i].values[m.interior_nodes]
                          - pair.under[i].values[m.interior_nodes])
                   for i in (0, 1))
@@ -155,7 +155,7 @@ def test_build_barriers_requires_C_above_one():
     m = mesh1d(64)
     spec = trivial_spec(m)
     with pytest.raises(ValueError):
-        build_barriers(m, spec, C=1.0, delta=0.1, torsions=torsion_pairs(m, spec, 0.1))
+        build_barriers(spec, C=1.0, delta=0.1, torsions=torsion_pairs(m, spec, 0.1))
 
 
 # -- inequality checks and calibration --------------------------------------
@@ -163,10 +163,10 @@ def test_build_barriers_requires_C_above_one():
 def test_calibration_positive_regime_cooperative():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
-    cal = calibrate_barriers(m, spec)
+    cal = calibrate_barriers(spec)
     assert cal.regime is Regime.POSITIVE_SUM
     assert cal.pair.C <= 2 ** 20
-    rep = check_barriers_positive_regime(m, spec, cal.pair)
+    rep = check_barriers_positive_regime(spec, cal.pair)
     assert rep.ok and rep.worst_margin >= 0.0
     # recorded regression value for this spec at this resolution; the
     # cooperative product envelope vanishes like d^0.6 at the boundary,
@@ -179,9 +179,9 @@ def test_calibration_positive_regime_cooperative():
 def test_small_C_violates():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
-    pair = build_barriers(m, spec, C=1.01, delta=0.05,
+    pair = build_barriers(spec, C=1.01, delta=0.05,
                           torsions=torsion_pairs(m, spec, 0.05))
-    rep = check_barriers_positive_regime(m, spec, pair)
+    rep = check_barriers_positive_regime(spec, pair)
     assert not rep.ok
 
 
@@ -191,7 +191,7 @@ def test_resolve_delta_on_the_unit_square(n):
     # that start at n=40 and n=48 and ended the search after one try;
     # every n from 16 to 64 in steps of 4 must find a positive delta
     m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
-    delta, _, xid = resolve_delta(m, benchmark_spec(m))
+    delta, _, xid = resolve_delta(benchmark_spec(m))
     assert 0.0 < delta <= 0.05
     for x in xid:
         assert np.all(x.values[m.interior_nodes] > 0.0)
@@ -203,9 +203,9 @@ def test_vanishing_lower_envelope_fails_outside_strip():
     # the contract demands m > 0
     m = build_mesh(DomainSpec.interval(0, 1), 128)
     spec = envelope_spec(m, alpha=0.3, beta=0.3, m=1e-12, M=1e-12, p=2.0)
-    pair = build_barriers(m, spec, C=2.0, delta=0.05,
+    pair = build_barriers(spec, C=2.0, delta=0.05,
                           torsions=torsion_pairs(m, spec, 0.05))
-    rep = check_barriers_positive_regime(m, spec, pair)
+    rep = check_barriers_positive_regime(spec, pair)
     assert not rep.ok
     assert rep.margins["subsolution_1"] < 0.0
 
@@ -214,8 +214,8 @@ def test_larger_m_accepts_smaller_C():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     big = envelope_spec(m, alpha=0.3, beta=0.3, m=4.0, M=4.0, p=2.0)
     small = envelope_spec(m, alpha=0.3, beta=0.3, m=0.25, M=0.25, p=2.0)
-    c_big = calibrate_barriers(m, big).pair.C
-    c_small = calibrate_barriers(m, small).pair.C
+    c_big = calibrate_barriers(big).pair.C
+    c_small = calibrate_barriers(small).pair.C
     assert c_big <= c_small
 
 
@@ -224,37 +224,37 @@ def test_exhausted_scale_search_names_its_bound():
     m = mesh1d(32)
     spec = envelope_spec(m, alpha=0.3, beta=0.3, m=1e-12, M=1e-12, p=2.0)
     with pytest.raises(CalibrationError, match=r"2\^20"):
-        calibrate_barriers(m, spec)
+        calibrate_barriers(spec)
 
 
 def test_infeasible_spec_rejected_before_search():
     m = mesh1d(64)
     spec = envelope_spec(m, alpha=-0.3, beta=-0.25, p=2.0)  # fails smallness
     with pytest.raises(CalibrationError):
-        calibrate_barriers(m, spec)
+        calibrate_barriers(spec)
 
 
 def test_singular_regime_check_and_monotone_L_margin():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = singular_spec(m)
-    cal = calibrate_barriers(m, spec, L=2.0)
-    rep2 = check_barriers_singular_regime(m, spec, cal.pair, 2.0)
+    cal = calibrate_barriers(spec, L=2.0)
+    rep2 = check_barriers_singular_regime(spec, cal.pair, 2.0)
     assert rep2.ok
     # both exponents negative: the right side shrinks as L grows, so a
     # larger cap can only tighten the margin
-    rep8 = check_barriers_singular_regime(m, spec, cal.pair, 8.0)
+    rep8 = check_barriers_singular_regime(spec, cal.pair, 8.0)
     assert rep8.worst_margin <= rep2.worst_margin + 1e-12
 
 
 def test_supersolution_margin_monotone_in_C():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = benchmark_spec(m)
-    cal = calibrate_barriers(m, spec)
+    cal = calibrate_barriers(spec)
     sup = []
     torsions = torsion_pairs(m, spec, cal.pair.delta)
     for C in (cal.pair.C, 2 * cal.pair.C, 4 * cal.pair.C):
-        pair = build_barriers(m, spec, C=C, delta=cal.pair.delta, torsions=torsions)
-        rep = check_barriers_positive_regime(m, spec, pair)
+        pair = build_barriers(spec, C=C, delta=cal.pair.delta, torsions=torsions)
+        rep = check_barriers_positive_regime(spec, pair)
         sup.append(min(rep.margins["supersolution_1"],
                        rep.margins["supersolution_2"]))
     assert sup[0] <= sup[1] <= sup[2]
@@ -266,7 +266,7 @@ def test_barrier_constants_stable_under_refinement():
     for n in (256, 512):
         m = build_mesh(DomainSpec.interval(0, 1), n)
         spec = trivial_spec(m)
-        pair = build_barriers(m, spec, C=2.0, delta=0.05,
+        pair = build_barriers(spec, C=2.0, delta=0.05,
                               torsions=torsion_pairs(m, spec, 0.05))
         c0s[n] = pair.c0_measured
         deltas[n] = pair.delta
@@ -276,7 +276,7 @@ def test_barrier_constants_stable_under_refinement():
 def test_benchmark_calibration_regression():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = benchmark_spec(m)
-    cal = calibrate_barriers(m, spec)
+    cal = calibrate_barriers(spec)
     assert cal.regime is Regime.POSITIVE_SUM
     assert cal.pair.C == 4.0
     assert cal.pair.delta == pytest.approx(0.05)
@@ -320,8 +320,8 @@ def test_sign_case_products_and_margins(case, regime):
                        beta=(cf(b0), cf(b0)), gamma=(cf(0.0), cf(0.0)),
                        gamma_bar=(cf(0.0), cf(0.0)), m=(1.3, 1.3), M=(1.5, 1.5),
                        f=(f, f), N_dim=2)
-    delta, xi, xid = resolve_delta(m, spec)
-    pair = build_barriers(m, spec, 4.0, delta, torsions=(xi, xid))
+    delta, xi, xid = resolve_delta(spec)
+    pair = build_barriers(spec, 4.0, delta, torsions=(xi, xid))
     L = 4.0
 
     def pq(base, e):
@@ -342,14 +342,14 @@ def test_sign_case_products_and_margins(case, regime):
         lower = product("singular")
         np.testing.assert_array_equal(
             barriers._product_bound(spec, 0, (pair.under, (L, L))), lower)
-        rep = check_barriers_singular_regime(m, spec, pair, L)
+        rep = check_barriers_singular_regime(spec, pair, L)
     else:
         lower, upper = product("lower"), product("upper")
         box = (pair.under, pair.over)
         np.testing.assert_array_equal(barriers._product_bound(spec, 0, box), lower)
         np.testing.assert_array_equal(
             barriers._product_bound(spec, 0, box, upper=True), upper)
-        rep = check_barriers_positive_regime(m, spec, pair)
+        rep = check_barriers_positive_regime(spec, pair)
         gmax = max(spec.gamma[0].p_plus, spec.gamma_bar[0].p_plus)
         bulk = 2.0 * spec.M[0] * (pair.R * pair.C) ** gmax
         sup = plaplace.apply_operator(m, spec.p1, pair.over[0].values)

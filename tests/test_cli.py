@@ -101,7 +101,7 @@ def test_singular_fixture_parses():
 
 def test_mesh_n_override():
     cfg = parse_config(load("trivial.json"), mesh_n=48)
-    assert cfg.mesh.n == 48
+    assert cfg.problem.mesh.n == 48
 
 
 def test_refined_problem_matches_parsed_problem():
@@ -185,13 +185,13 @@ def test_escalated_cap_is_checked_against_its_pair(monkeypatch):
                                          caps=(next(caps), res.report.caps[1]))
         return res
 
-    def calibrate(mesh, spec, opts=None, L=None):
-        res = real_calibrate(mesh, spec, opts, L=L)
+    def calibrate(spec, opts=None, L=None):
+        res = real_calibrate(spec, opts, L=L)
         calibrated.append((res.pair, 2.0 if L is None else L))
         return res
 
-    def check(mesh, spec, pair, L):
-        rep = real_check(mesh, spec, pair, L)
+    def check(spec, pair, L):
+        rep = real_check(spec, pair, L)
         cal_L = next((c for p, c in calibrated if p is pair), np.inf)
         rep = dataclasses.replace(rep, ok=rep.ok and L <= cal_L)
         checked.append((pair, L, rep.ok))
@@ -336,19 +336,29 @@ def _exit1_one_line_nothing_created(capsys, argv, out):
     return err
 
 
+_PARSE_ERRORS = [  # (key, value, start of the one error line)
+    ("p", [float("nan"), 2.0], "error: "),
+    ("p", [0.5, 2.0], "config error: $.hypotheses: "),
+    ("m", [0.0, 1.0], "config error: $: "),
+    ("m", [10 ** 400, 1.0], "error: "),
+    ("m", ["1.0", "1.0"], "config error: $.m[0]: "),
+    ("m", [True, True], "config error: $.m[0]: "),
+    ("M", ["2", "2"], "config error: $.M[0]: "),
+    ("M", [1.0], "config error: $.M: "),
+    ("M", [float("inf"), 1.0], "config error: $.M[0]: "),
+]
+
+
 @pytest.mark.parametrize("command", ["solve", "audit"])
-@pytest.mark.parametrize("key, value", [
-    ("p", [float("nan"), 2.0]),
-    ("p", [0.5, 2.0]),
-    ("m", [0.0, 1.0]),
-    ("m", [10 ** 400, 1.0]),
-])
-def test_cli_main_parse_phase_error_exit1(tmp_path, capsys, command, key, value):
+@pytest.mark.parametrize("key, value, start", _PARSE_ERRORS,
+                         ids=[f"{k}-value{i}" for i, (k, _, _) in enumerate(_PARSE_ERRORS)])
+def test_cli_main_parse_phase_error_exit1(tmp_path, capsys, command, key, value, start):
     raw = json.loads(load("trivial.json"))
     raw[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
-    _exit1_one_line_nothing_created(capsys, [command, str(path)], tmp_path / "out")
+    err = _exit1_one_line_nothing_created(capsys, [command, str(path)], tmp_path / "out")
+    assert err.startswith(start)
 
 
 @pytest.mark.parametrize("command", ["solve", "audit"])
@@ -377,10 +387,11 @@ def test_cli_main_unknown_key_exit1(tmp_path, capsys, command, key, value):
     ["sweep", "{dir}", "--param", "seed", "--values", "2"],
     ["sweep", "{text}", "--param", "seed", "--values", "2"],
     ["sweep", "{trivial}", "--param", "seed", "--values", "2,x"],
+    ["sweep", "{trivial}", "--param", "nope", "--values", "1"],
 ])
 def test_cli_main_unreadable_input_exit1(tmp_path, capsys, argv):
     # a directory as the config file, a config that is not JSON, a value
-    # that is not JSON
+    # that is not JSON, a sweep parameter that addresses no key
     (tmp_path / "dir").mkdir()
     (tmp_path / "text").write_text("not json")
     paths = {"dir": tmp_path / "dir", "text": tmp_path / "text",
@@ -453,7 +464,7 @@ def test_sweep_resolution_error_decreasing(tmp_path):
     for n in (64, 128, 256):
         cfg = parse_config(json.dumps({**raw, "resolution": n}))
         pv = run_pipeline(cfg)
-        x = pv.mesh.nodes[:, 0]
+        x = pv.problem.mesh.nodes[:, 0]
         exact = (2 / 3) * (0.5 ** 1.5 - np.abs(x - 0.5) ** 1.5)
         errs.append(np.abs(pv.solution[0].values - exact).max())
     assert errs[0] > errs[1] > errs[2]
@@ -476,7 +487,7 @@ def test_2d_pipeline_trivial(tmp_path):
     pv = run_pipeline(cfg)
     assert pv.report.converged and pv.report.iters <= 3
     assert all(pv.report.membership_trace)
-    assert np.all(pv.solution[0].values[pv.mesh.interior_nodes] > 0)
+    assert np.all(pv.solution[0].values[pv.problem.mesh.interior_nodes] > 0)
 
 
 def test_2d_pipeline_singular_convective():
@@ -548,7 +559,7 @@ def test_audit_mvt_samples_each_exponent(tmp_path, capsys):
     assert all(a["verdict"] == "pass" and len(a["checks"]) == 50 for a in audits)
     assert audits[0]["tolerance"] != audits[1]["tolerance"]
     cfg = parse_config(load("benchmark.json"))
-    alone = verify.mvt_sampling(cfg.mesh, cfg.problem.p[:1],
+    alone = verify.mvt_sampling(cfg.problem.mesh, cfg.problem.p[:1],
                                 np.random.default_rng(cfg.seed), cfg.solver)
     assert audits[0] == json.loads(verify.certificate_to_json(alone[0]))
 

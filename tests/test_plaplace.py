@@ -85,7 +85,8 @@ def test_torsion_delta_matches_piecewise_oracle():
     errs = {}
     for n in (128, 1024):
         m = mesh1d(n)
-        xd = torsion_delta(m, ExponentField.constant(m, 2.0), delta)
+        p = ExponentField.constant(m, 2.0)
+        xd = torsion_delta(m, p, delta, xi=torsion(m, p))
         errs[n] = np.abs(xd.values - strip_torsion_exact(m.nodes[:, 0], delta)).max()
         assert errs[n] < 0.1 * m.h
     assert errs[1024] < errs[128]
@@ -104,8 +105,9 @@ def test_torsion_delta_below_torsion_and_positive():
 
 def test_torsion_delta_rejects_large_delta():
     m = mesh1d(128)
+    p = ExponentField.constant(m, 2.0)
     with pytest.raises(DeltaTooLargeError):
-        torsion_delta(m, ExponentField.constant(m, 2.0), 0.4)
+        torsion_delta(m, p, 0.4, xi=torsion(m, p))
 
 
 def test_torsion_delta_converges_to_torsion():

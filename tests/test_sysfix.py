@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from varpx import (DomainSpec, GridFunction, IterationOptions, Regime,
                    SystemState, apply_map, build_barriers, build_mesh,
                    calibrate_barriers, calibrate_caps, coupled_residual,
-                   fixed_point_iterate, freeze_rhs, membership_check, torsion)
+                   fixed_point_iterate, membership_check, torsion)
 from varpx.barriers import resolve_delta
 from varpx.cli import parse_config
 from varpx.plaplace import solve_dirichlet
@@ -19,15 +19,15 @@ from conftest import (benchmark_spec, config_path, envelope_spec, singular_spec,
 def setup_positive(n=128, spec_fn=benchmark_spec):
     m = build_mesh(DomainSpec.interval(0.0, 1.0), n)
     spec = spec_fn(m)
-    cal = calibrate_barriers(m, spec)
+    cal = calibrate_barriers(spec)
     return m, spec, cal
 
 
 def test_constant_map_fixed_point_two_iterations():
     m = build_mesh(DomainSpec.interval(0, 1), 64)
     spec = trivial_spec(m)
-    cal = calibrate_barriers(m, spec)
-    sol, rep = fixed_point_iterate(m, spec, cal.pair,
+    cal = calibrate_barriers(spec)
+    sol, rep = fixed_point_iterate(spec, cal.pair,
                                    opts=IterationOptions(theta=1.0))
     assert rep.converged and rep.iters <= 2
     xi = torsion(m, spec.p1)
@@ -38,27 +38,27 @@ def test_constant_map_fixed_point_two_iterations():
 def test_constant_map_is_idempotent():
     m = build_mesh(DomainSpec.interval(0, 1), 64)
     spec = trivial_spec(m)
-    cal = calibrate_barriers(m, spec)
-    st = SystemState.build(m, spec, cal.pair.under[0], cal.pair.under[1])
-    (u1, u2), _ = apply_map(m, spec, st, cal.pair)
-    st2 = SystemState.build(m, spec, u1, u2)
-    (v1, v2), _ = apply_map(m, spec, st2, cal.pair)
+    cal = calibrate_barriers(spec)
+    st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
+    (u1, u2), _ = apply_map(st)
+    st2 = SystemState.build(spec, cal.pair, u1, u2)
+    (v1, v2), _ = apply_map(st2)
     np.testing.assert_allclose(u1.values, v1.values, atol=1e-11)
     np.testing.assert_allclose(u2.values, v2.values, atol=1e-11)
 
 
 def test_symmetric_spec_gives_equal_components():
     m, spec, cal = setup_positive(128, lambda mm: envelope_spec(mm, 0.2, 0.2))
-    sol, rep = fixed_point_iterate(m, spec, cal.pair)
+    sol, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged
     np.testing.assert_allclose(sol[0].values, sol[1].values, atol=1e-10)
 
 
 def test_decoupling_matches_componentwise_solves():
     m, spec, cal = setup_positive(128)
-    st = SystemState.build(m, spec, cal.pair.under[0], cal.pair.under[1])
-    (u1, u2), _ = apply_map(m, spec, st, cal.pair)
-    h1, h2 = freeze_rhs(spec, st, cal.pair)
+    st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
+    (u1, u2), _ = apply_map(st)
+    h1, h2 = st.frozen
     d1 = solve_dirichlet(m, spec.p1, h1, start=st.z[0]).u.values
     d2 = solve_dirichlet(m, spec.p2, h2, start=st.z[1]).u.values
     # bit-level: the map is literally two independent solves
@@ -68,8 +68,8 @@ def test_decoupling_matches_componentwise_solves():
 
 def test_freeze_rhs_finite_and_positive():
     m, spec, cal = setup_positive(128)
-    st = SystemState.build(m, spec, cal.pair.under[0], cal.pair.under[1])
-    h1, h2 = freeze_rhs(spec, st, cal.pair)
+    st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
+    h1, h2 = st.frozen
     assert np.all(np.isfinite(h1.values)) and np.all(np.isfinite(h2.values))
     assert np.all(h1.values > 0) and np.all(h2.values > 0)
 
@@ -82,22 +82,22 @@ def test_freeze_rhs_clamp_lifts_to_floor():
     m, spec, cal = setup_positive(128, lambda mm: envelope_spec(mm, 0.3, -0.1))
     pair = cal.pair
     below = GridFunction(m, pair.under[0].values * 0.5, zero_trace=True)
-    st = SystemState.build(m, spec, below, pair.under[1])
-    g_below, _ = freeze_rhs(spec, st, pair)
-    st_floor = SystemState.build(m, spec, pair.under[0], pair.under[1])
-    g_floor, _ = freeze_rhs(spec, st_floor, pair)
+    st = SystemState.build(spec, pair, below, pair.under[1])
+    g_below, _ = st.frozen
+    st_floor = SystemState.build(spec, pair, pair.under[0], pair.under[1])
+    g_floor, _ = st_floor.frozen
     np.testing.assert_allclose(g_below.values, g_floor.values, atol=1e-14)
     lifted = GridFunction(m, pair.under[0].values * 1.5, zero_trace=True)
-    st2 = SystemState.build(m, spec, lifted, pair.under[1])
-    g_lift, _ = freeze_rhs(spec, st2, pair)
+    st2 = SystemState.build(spec, pair, lifted, pair.under[1])
+    g_lift, _ = st2.frozen
     assert not np.allclose(g_lift.values, g_floor.values)
 
 
 def test_barrier_input_maps_into_box():
     m, spec, cal = setup_positive(256)
     pair = cal.pair
-    st = SystemState.build(m, spec, pair.under[0], pair.under[1])
-    (u1, u2), _ = apply_map(m, spec, st, cal.pair)
+    st = SystemState.build(spec, pair, pair.under[0], pair.under[1])
+    (u1, u2), _ = apply_map(st)
     tol = 1e-8
     for i, u in ((0, u1), (1, u2)):
         assert np.all(u.values >= pair.under[i].values - tol)
@@ -107,24 +107,26 @@ def test_barrier_input_maps_into_box():
 def test_membership_check_boundary_cases():
     m, spec, cal = setup_positive(128)
     pair = cal.pair
-    st = SystemState.build(m, spec, pair.under[0], pair.under[1])
-    member, worst, parts = membership_check(st, pair, Regime.POSITIVE_SUM)
+    st = SystemState.build(spec, pair, pair.under[0], pair.under[1])
+    member, worst, parts = membership_check(st.extremes(Regime.POSITIVE_SUM), pair,
+                                            Regime.POSITIVE_SUM)
     assert member and worst == 0.0 and parts["box_ok"]
     big = GridFunction(m, 2.0 * pair.over[0].values, zero_trace=True)
-    st2 = SystemState.build(m, spec, big, pair.under[1])
-    member2, worst2, _ = membership_check(st2, pair, Regime.POSITIVE_SUM)
+    st2 = SystemState.build(spec, pair, big, pair.under[1])
+    member2, worst2, _ = membership_check(st2.extremes(Regime.POSITIVE_SUM), pair,
+                                          Regime.POSITIVE_SUM)
     assert not member2
     assert worst2 == pytest.approx(np.max(pair.over[0].values), rel=1e-4)
 
 
 def test_benchmark_iteration_converges():
     m, spec, cal = setup_positive(256)
-    sol, rep = fixed_point_iterate(m, spec, cal.pair)
+    sol, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged
     assert rep.residuals[-1] <= 1e-6
     assert all(rep.membership_trace)
     assert all(rep.grad_cap_trace)
-    r1, r2 = coupled_residual(m, spec, sol[0], sol[1], cal.pair)
+    r1, r2 = coupled_residual(SystemState.build(spec, cal.pair, sol[0], sol[1]))
     assert max(r1, r2) <= 1e-6
 
 
@@ -133,13 +135,13 @@ def test_barrier_scale_decides_membership():
     # and the iteration cannot settle; at C=2.0 every iterate is a member
     with open(config_path("benchmark.json")) as f:
         cfg = parse_config(f.read(), mesh_n=128)
-    m, spec = cfg.mesh, cfg.problem
+    spec = cfg.problem
     opts = dataclasses.replace(cfg.iteration, max_iters=80)
-    delta, xi, xid = resolve_delta(m, spec, cfg.solver)
+    delta, xi, xid = resolve_delta(spec, cfg.solver)
     reports = {}
     for C in (1.05, 2.0):
-        pair = build_barriers(m, spec, C, delta, (xi, xid))
-        _, reports[C] = fixed_point_iterate(m, spec, pair, opts=opts,
+        pair = build_barriers(spec, C, delta, (xi, xid))
+        _, reports[C] = fixed_point_iterate(spec, pair, opts=opts,
                                             solver_opts=cfg.solver,
                                             regime=Regime.POSITIVE_SUM)
     assert False in reports[1.05].membership_trace and not reports[1.05].converged
@@ -152,7 +154,7 @@ def test_monotone_iteration_from_subsolution(monkeypatch):
     from varpx import sysfix
     m, spec, cal = setup_positive(128, lambda mm: envelope_spec(mm, 0.3, 0.3))
     mapped = _record_map(monkeypatch, sysfix)
-    sol, rep = fixed_point_iterate(m, spec, cal.pair)
+    sol, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged and len(mapped) == rep.iters
     iterates = [z[0].values for z, _ in mapped] + [sol[0].values]
     assert np.array_equal(iterates[0], cal.pair.under[0].values)
@@ -162,8 +164,8 @@ def test_monotone_iteration_from_subsolution(monkeypatch):
 
 def test_anderson_acceleration_converges():
     m, spec, cal = setup_positive(256)
-    sol0, rep0 = fixed_point_iterate(m, spec, cal.pair)
-    sol1, rep1 = fixed_point_iterate(m, spec, cal.pair,
+    sol0, rep0 = fixed_point_iterate(spec, cal.pair)
+    sol1, rep1 = fixed_point_iterate(spec, cal.pair,
                                      opts=IterationOptions(anderson_depth=3))
     assert rep1.converged
     np.testing.assert_allclose(sol1[0].values, sol0[0].values, atol=1e-6)
@@ -184,10 +186,11 @@ def test_invariance_random_members():
             v = np.clip(mix + noise, pair.under[i].values, pair.over[i].values)
             v[m.boundary_nodes] = 0.0
             z.append(GridFunction(m, v, zero_trace=True))
-        st = SystemState.build(m, spec, z[0], z[1])
-        (u1, u2), _ = apply_map(m, spec, st, pair)
-        out = SystemState.build(m, spec, u1, u2)
-        member, worst, _ = membership_check(out, pair, Regime.POSITIVE_SUM)
+        st = SystemState.build(spec, pair, z[0], z[1])
+        (u1, u2), _ = apply_map(st)
+        out = SystemState.build(spec, pair, u1, u2)
+        member, worst, _ = membership_check(out.extremes(Regime.POSITIVE_SUM), pair,
+                                            Regime.POSITIVE_SUM)
         assert member, f"image left the box by {worst}"
 
 
@@ -197,7 +200,7 @@ def calibrated():
     an interval and on a square."""
     meshes = {1: build_mesh(DomainSpec.interval(0.0, 1.0), 32),
               2: build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 12)}
-    return {(dim, fn.__name__): (m, fn(m), calibrate_barriers(m, fn(m)))
+    return {(dim, fn.__name__): (m, fn(m), calibrate_barriers(fn(m)))
             for dim, m in meshes.items() for fn in (benchmark_spec, singular_spec)}
 
 
@@ -215,7 +218,7 @@ def test_clamped_step_stays_in_box_property(calibrated, dim, name, theta, seed):
     z = [GridFunction(m, lo.values + rng.random(m.n_nodes) * (hi.values - lo.values),
                       zero_trace=True) for lo, hi in zip(pair.under, pair.over)]
     (v1, v2), rep = fixed_point_iterate(
-        m, spec, pair, init=SystemState.build(m, spec, *z),
+        spec, pair, init=tuple(z),
         opts=IterationOptions(theta=theta, max_iters=1), regime=cal.regime)
     assert rep.iters == 1
     for i, v in ((0, v1), (1, v2)):
@@ -229,8 +232,8 @@ def test_clamped_step_stays_in_box_property(calibrated, dim, name, theta, seed):
 def test_singular_regime_full_loop():
     m = build_mesh(DomainSpec.interval(0, 1), 128)
     spec = singular_spec(m)
-    cal = calibrate_barriers(m, spec)
-    caps = calibrate_caps(m, spec, cal.pair)
+    cal = calibrate_barriers(spec)
+    caps = calibrate_caps(spec, cal.pair)
     assert caps.L > 1.0 and caps.L_tilde > 0.0
     sol, rep = caps.solution, caps.report
     assert rep.converged
@@ -241,18 +244,19 @@ def test_singular_regime_full_loop():
 def test_negative_sum_membership_needs_caps():
     m = build_mesh(DomainSpec.interval(0, 1), 64)
     spec = singular_spec(m)
-    cal = calibrate_barriers(m, spec)
-    st = SystemState.build(m, spec, cal.pair.under[0], cal.pair.under[1])
+    cal = calibrate_barriers(spec)
+    st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
+    ext = st.extremes(Regime.NEGATIVE_SUM)
     for caps in ((), (4.0,), (None, 4.0)):
         with pytest.raises(ValueError):
-            membership_check(st, cal.pair, Regime.NEGATIVE_SUM, *caps)
-    member, worst, _ = membership_check(st, cal.pair, Regime.NEGATIVE_SUM, 4.0, 4.0)
+            membership_check(ext, cal.pair, Regime.NEGATIVE_SUM, *caps)
+    member, worst, _ = membership_check(ext, cal.pair, Regime.NEGATIVE_SUM, 4.0, 4.0)
     assert member and worst == 0.0
 
 
 def test_trace_report_roundtrip():
     m, spec, cal = setup_positive(128)
-    _, rep = fixed_point_iterate(m, spec, cal.pair)
+    _, rep = fixed_point_iterate(spec, cal.pair)
     d = rep.as_dict()
     assert d["iters"] == rep.iters
     assert len(d["step_norms"]) == rep.iters
@@ -277,8 +281,8 @@ def _record_map(monkeypatch, sysfix):
     mapped = []
     orig = sysfix.apply_map
 
-    def recorded(mesh, spec, state, *args, **kwargs):
-        out = orig(mesh, spec, state, *args, **kwargs)
+    def recorded(state, *args, **kwargs):
+        out = orig(state, *args, **kwargs)
         mapped.append((state.z, out[0]))
         return out
 
@@ -309,7 +313,7 @@ def test_positive_regime_iteration_runs_no_luxemburg_bisection(monkeypatch):
     from varpx import expspace
     m, spec, cal = setup_positive(64)
     bisections = _count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
-    _, rep = fixed_point_iterate(m, spec, cal.pair)
+    _, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged and bisections == []
 
 
@@ -319,13 +323,13 @@ def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
     if singular:
         m = build_mesh(DomainSpec.interval(0, 1), 64)
         spec = singular_spec(m)
-        cal = calibrate_barriers(m, spec)
+        cal = calibrate_barriers(spec)
         kw = dict(regime=Regime.NEGATIVE_SUM)
     else:
         m, spec, cal = setup_positive(64)
         kw = {}
     evals = _count_calls(monkeypatch, barriers, "frozen_rhs_quad")
-    _, rep = fixed_point_iterate(m, spec, cal.pair, **kw)
+    _, rep = fixed_point_iterate(spec, cal.pair, **kw)
     assert rep.iters > 1
     assert len(evals) == rep.iters + 1
 
@@ -335,10 +339,10 @@ def test_cap_search_reads_caps_off_one_run(monkeypatch, anderson_depth):
     from varpx import expspace, sysfix
     m = build_mesh(DomainSpec.interval(0, 1), 128)
     spec = singular_spec(m)
-    cal = calibrate_barriers(m, spec)
+    cal = calibrate_barriers(spec)
     mapped = _record_map(monkeypatch, sysfix)
     bisections = _count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
-    caps = calibrate_caps(m, spec, cal.pair,
+    caps = calibrate_caps(spec, cal.pair,
                           opts=IterationOptions(anderson_depth=anderson_depth))
     rep = caps.report
     # two components each: the initial state, then per iteration the raw
@@ -349,9 +353,11 @@ def test_cap_search_reads_caps_off_one_run(monkeypatch, anderson_depth):
     clamped = [z for z, _ in mapped] + [caps.solution]
     sup = max(float(np.abs(z.values).max()) for zs in clamped for z in zs)
     assert caps.L >= 1.05 * sup and (caps.L == 2.0 or caps.L < 2.1 * sup)
-    lux = max(max(SystemState.build(m, spec, *zs).grad_lux_norm) for zs in clamped)
+    lux = max(max(SystemState.build(spec, cal.pair, *zs).grad_lux_norm)
+              for zs in clamped)
     assert caps.L_tilde >= 1.05 * lux and (caps.L_tilde == 1.0 or caps.L_tilde < 2.1 * lux)
     for (u1, u2), member in zip((out for _, out in mapped), rep.membership_trace):
-        st = SystemState.build(m, spec, u1, u2)
-        assert membership_check(st, cal.pair, Regime.NEGATIVE_SUM,
+        st = SystemState.build(spec, cal.pair, u1, u2)
+        assert membership_check(st.extremes(Regime.NEGATIVE_SUM), cal.pair,
+                                Regime.NEGATIVE_SUM,
                                 caps.L, caps.L_tilde)[0] == member

@@ -201,20 +201,20 @@ def test_sandwich_stability_accepts_converging_solution():
 def _small_run(n=128, spec_fn=benchmark_spec):
     m = mesh1d(n)
     spec = spec_fn(m)
-    cal = calibrate_barriers(m, spec)
+    cal = calibrate_barriers(spec)
     if cal.regime is Regime.POSITIVE_SUM:
-        sol, rep = fixed_point_iterate(m, spec, cal.pair)
+        sol, rep = fixed_point_iterate(spec, cal.pair)
     else:
-        caps = calibrate_caps(m, spec, cal.pair)
+        caps = calibrate_caps(spec, cal.pair)
         sol, rep = caps.solution, caps.report
     return m, spec, cal, sol, rep
 
 
 def test_certificate_deterministic_and_complete():
     m, spec, cal, sol, rep = _small_run()
-    c1 = solution_certificate(m, spec, sol, cal.pair, rep,
+    c1 = solution_certificate(spec, sol, cal.pair, rep,
                               rng=np.random.default_rng(5))
-    c2 = solution_certificate(m, spec, sol, cal.pair, rep,
+    c2 = solution_certificate(spec, sol, cal.pair, rep,
                               rng=np.random.default_rng(5))
     assert certificate_to_json(c1) == certificate_to_json(c2)
     for key in ("residuals", "membership", "sandwich", "audits",
@@ -228,7 +228,7 @@ def test_certificate_detects_tampering():
     m, spec, cal, sol, rep = _small_run()
     bad0 = GridFunction(m, np.where(m.distance > 0, sol[0].values + 0.1, 0.0),
                         zero_trace=True)
-    cert = solution_certificate(m, spec, (bad0, sol[1]), cal.pair, rep,
+    cert = solution_certificate(spec, (bad0, sol[1]), cal.pair, rep,
                                 rng=np.random.default_rng(5))
     assert cert["residuals"]["max"] > 1e-3
 
@@ -237,7 +237,7 @@ def test_certificate_detects_tampering():
                                                   (singular_spec, 12)])
 def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, audit_solves):
     m, spec, cal, sol, rep = _small_run(spec_fn=spec_fn)
-    expected = solution_certificate(m, spec, sol, cal.pair, rep,
+    expected = solution_certificate(spec, sol, cal.pair, rep,
                                     rng=np.random.default_rng(5))
     calls = {"frozen": 0, "residual": 0, "solve": 0}
 
@@ -253,7 +253,7 @@ def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, audit_solv
                         counting("residual", plaplace.weak_residual))
     monkeypatch.setattr(plaplace, "solve_dirichlet",
                         counting("solve", plaplace.solve_dirichlet))
-    cert = solution_certificate(m, spec, sol, cal.pair, rep,
+    cert = solution_certificate(spec, sol, cal.pair, rep,
                                 rng=np.random.default_rng(5))
     assert certificate_to_json(cert) == certificate_to_json(expected)
     assert calls["frozen"] == 1
