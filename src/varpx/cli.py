@@ -46,6 +46,24 @@ _DEFAULT_OUTPUTS = {
 MIN_RESOLUTION = 16
 
 _REQUIRED = object()
+_REAL = (int, float)
+
+
+def _checked(v, path, types):
+    """``v`` if it is of ``types`` and no bool; a real (``_REAL``) must
+    also convert to a finite float."""
+    real = types == _REAL
+    if isinstance(v, bool) or not isinstance(v, types):
+        want = "a number" if real else types.__name__
+        raise ConfigError(path, f"expected {want}, got {type(v).__name__}")
+    if real:
+        try:
+            bad = not math.isfinite(v) and repr(v)
+        except OverflowError:
+            bad = "an int beyond the float range"
+        if bad:
+            raise ConfigError(path, f"expected a finite number, got {bad}")
+    return v
 
 
 def _get(d, key, path, types=None, default=_REQUIRED):
@@ -53,11 +71,7 @@ def _get(d, key, path, types=None, default=_REQUIRED):
         if default is _REQUIRED:
             raise ConfigError(f"{path}.{key}", "missing required key")
         return default
-    v = d[key]
-    if types is not None and (isinstance(v, bool) or not isinstance(v, types)):
-        raise ConfigError(f"{path}.{key}",
-                          f"expected {types}, got {type(v).__name__}")
-    return v
+    return d[key] if types is None else _checked(d[key], f"{path}.{key}", types)
 
 
 @dataclass
@@ -85,7 +99,7 @@ def _options(cls, raw, key):
     """``cls`` from the config section ``key``: every entry names a field
     of ``cls``, holds a number of its type and passes the checks of ``cls``."""
     section = _get(raw, key, "$", dict, default={})
-    types = {f.name: int if type(f.default) is int else (int, float) for f in fields(cls)}
+    types = {f.name: int if type(f.default) is int else _REAL for f in fields(cls)}
     _known_keys(section, f"$.{key}", types)
     for name in section:
         _get(section, name, f"$.{key}", types[name])
@@ -102,7 +116,7 @@ def _parse_domain(obj, path="$.domain"):
     if bounds is None:
         raise ConfigError(f"{path}.kind", f"unknown domain kind {kind!r}")
     _known_keys(obj, path, ("kind", *bounds))
-    return getattr(DomainSpec, kind)(*(_get(obj, k, path, (int, float)) for k in bounds))
+    return getattr(DomainSpec, kind)(*(_get(obj, k, path, _REAL) for k in bounds))
 
 
 _EXPONENTS = ("p", "alpha", "beta", "gamma", "gamma_bar")
@@ -126,10 +140,7 @@ def _number_pair(raw, key):
     pair = _get(raw, key, "$", list)
     if len(pair) != 2:
         raise ConfigError(f"$.{key}", "expected a two-element list of numbers")
-    for i, v in enumerate(pair):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ConfigError(f"$.{key}[{i}]", f"expected a finite number, got {v!r}")
-    return tuple(float(v) for v in pair)
+    return tuple(float(_checked(v, f"$.{key}[{i}]", _REAL)) for i, v in enumerate(pair))
 
 
 def _materialize(raw: dict, mesh) -> ProblemSpec:

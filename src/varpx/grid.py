@@ -90,9 +90,11 @@ class Mesh:
             self._build_2d()
         self.h = float(self.cell_diameters.max())
         self.distance = domain.distance(self.nodes)
-        self.interior_nodes = np.setdiff1d(
-            np.arange(self.nodes.shape[0]), self.boundary_nodes
-        )
+        # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first
+        # use, a cost every process would pay during set-up
+        interior = np.ones(self.nodes.shape[0], dtype=bool)
+        interior[self.boundary_nodes] = False
+        self.interior_nodes = np.flatnonzero(interior)
         self.qconn = self.cells[self.qcells]
         for arr in (self.nodes, self.cells, self.qweights, self.qbasis,
                     self.qconn, self.grad_basis, self.distance):

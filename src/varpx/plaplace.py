@@ -11,15 +11,24 @@ gradient vanishes (needed for p > 2); the reported residual is always
 that of the UNregularized weak form, tested against every interior hat
 function and normalized by the L1 mass of the data plus one, so
 tolerances behave across the two scaling regimes of the data.
+
+Every Newton system is factorized by LAPACK's banded Cholesky
+``dpbtrf`` and solved by ``dpbtrs``, called through ctypes from the
+OpenBLAS that numpy's own ``linalg`` links (the numpy wheels bundle an
+ILP64 OpenBLAS in ``numpy.libs``), so no SciPy import sits on the
+solver's path.  Where numpy links no such library (a conda or distro
+numpy, say), the same two routines run through SciPy's
+``cholesky_banded`` and ``cho_solve_banded`` instead; which path runs
+is fixed at import by what the platform provides.
 """
 
 from __future__ import annotations
 
+import ctypes
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import grid
 from .errors import DeltaTooLargeError, NonFiniteFieldError, SolveError
@@ -65,7 +74,9 @@ class _Layout:
     coefficients are summed per cell first; the (cell, k, l) entries of
     the element matrices are then scattered with one ``bincount`` into
     the upper band of the interior matrix in LAPACK storage
-    ``ab[bw + i - j, j]``, factorized by banded Cholesky.  Interior
+    ``ab[bw + i - j, j]``, factorized by ``dpbtrf`` and solved by
+    ``dpbtrs`` from numpy's OpenBLAS (through SciPy where numpy ships
+    none, see the module docstring).  Interior
     nodes are numbered row-major, so a cell couples nodes at most
     ``bw`` apart: 1 in 1D, ``n`` in 2D.  Holds no reference to the
     mesh, so the weak per-mesh cache below can release it.
@@ -105,12 +116,73 @@ class _Layout:
         Skips LAPACK's finiteness checks: a non-finite Hessian from the
         assembly yields a non-finite Newton direction, which
         ``solve_dirichlet`` rejects."""
-        try:
-            cf = sla.cholesky_banded(data.reshape(self.bw + 1, self.m),
-                                     check_finite=False)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolveError(f"interior system could not be factorized: {exc}")
-        return lambda rhs: sla.cho_solve_banded((cf, False), rhs, check_finite=False)
+        ab = np.array(data.reshape(self.bw + 1, self.m), order="F")
+        return (_band_cholesky if _PBTRF_PBTRS else _band_cholesky_fallback)(ab)
+
+
+def _find_pbtrf_pbtrs():
+    """``dpbtrf`` and ``dpbtrs`` of the OpenBLAS numpy's ``linalg`` links,
+    as ctypes functions, or None when that library or either symbol is
+    missing.  dlsym on the extension's handle searches its dependencies;
+    the wheels' OpenBLAS prefixes and suffixes its LAPACK names and takes
+    64-bit integers."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        trf, trs = lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    band, vec = (np.ctypeslib.ndpointer(np.float64, ndim=d, flags="F_CONTIGUOUS,WRITEABLE")
+                 for d in (2, 1))
+    # (uplo, n, kd, [nrhs,] ab, ldab, [b, ldb,] info), then gfortran's
+    # hidden length of the character argument uplo
+    trf.argtypes = [ctypes.c_char_p, i64, i64, band, i64, i64, ctypes.c_size_t]
+    trs.argtypes = [ctypes.c_char_p, i64, i64, i64, band, i64, vec, i64, i64,
+                    ctypes.c_size_t]
+    trf.restype = trs.restype = None
+    return trf, trs
+
+
+_PBTRF_PBTRS = _find_pbtrf_pbtrs()
+
+
+def _band_cholesky(ab: np.ndarray):
+    """Solve function for the SPD matrix whose upper band ``ab`` holds
+    (Fortran order, ``ab[kd + i - j, j]``), factorized in place."""
+    trf, trs = _PBTRF_PBTRS
+    ldab, n = (ctypes.c_int64(v) for v in ab.shape)
+    kd, info = ctypes.c_int64(ldab.value - 1), ctypes.c_int64()
+    trf(b"U", n, kd, ab, ldab, info, 1)
+    if info.value > 0:
+        raise SolveError("interior system could not be factorized: "
+                         f"{info.value}-th leading minor not positive definite")
+    if info.value:
+        raise SolveError("interior system could not be factorized: "
+                         f"dpbtrf rejected argument {-info.value}")
+
+    def solve(rhs):
+        x, info = np.array(rhs, dtype=np.float64), ctypes.c_int64()
+        if x.shape != (n.value,):
+            raise ValueError(f"right-hand side of shape {x.shape} for {n.value} unknowns")
+        trs(b"U", n, kd, ctypes.c_int64(1), ab, ldab, x, n, info, 1)
+        if info.value:
+            raise SolveError("interior system could not be solved: "
+                             f"dpbtrs rejected argument {-info.value}")
+        return x
+
+    return solve
+
+
+def _band_cholesky_fallback(ab: np.ndarray):
+    """``_band_cholesky`` through SciPy, where numpy's OpenBLAS or one of
+    its two routines is not found."""
+    import scipy.linalg as sla
+    try:
+        cf = sla.cholesky_banded(ab, check_finite=False)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolveError(f"interior system could not be factorized: {exc}")
+    return lambda rhs: sla.cho_solve_banded((cf, False), rhs, check_finite=False)
 
 
 _LAYOUTS = weakref.WeakKeyDictionary()  # Mesh -> _Layout

@@ -252,13 +252,20 @@ def test_refined_run_recorded_in_certificate(tmp_path):
     assert "notes" not in sandwich
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    code = "import sys, varpx.cli; sys.exit('scipy.sparse' in sys.modules)"
+def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # a whole solve, so a fallback to SciPy at the first factorization shows
+    code = ("import sys, varpx.cli\n"
+            "code = varpx.cli.main(['solve', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO_ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
-    assert proc.returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code, config_path("trivial.json"),
+                           str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "certificate.json").exists()
 
 
 def test_audit_time_zero_division_exit2_with_stubs(tmp_path, monkeypatch):
@@ -340,12 +347,16 @@ _PARSE_ERRORS = [  # (key, value, start of the one error line)
     ("p", [float("nan"), 2.0], "error: "),
     ("p", [0.5, 2.0], "config error: $.hypotheses: "),
     ("m", [0.0, 1.0], "config error: $: "),
-    ("m", [10 ** 400, 1.0], "error: "),
+    ("m", [10 ** 400, 1.0], "config error: $.m[0]: "),
     ("m", ["1.0", "1.0"], "config error: $.m[0]: "),
     ("m", [True, True], "config error: $.m[0]: "),
     ("M", ["2", "2"], "config error: $.M[0]: "),
     ("M", [1.0], "config error: $.M: "),
     ("M", [float("inf"), 1.0], "config error: $.M[0]: "),
+    ("solver", {"eps_reg": 10 ** 400}, "config error: $.solver.eps_reg: "),
+    ("solver", {"tol_residual": 10 ** 400}, "config error: $.solver.tol_residual: "),
+    ("domain", {"kind": "interval", "a": 0.0, "b": 10 ** 400},
+     "config error: $.domain.b: "),
 ]
 
 

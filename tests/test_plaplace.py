@@ -1,13 +1,16 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from varpx import (DomainSpec, ExponentField, GridFunction, SolverOptions,
                    build_mesh, grid, plaplace, solve_dirichlet, torsion,
                    torsion_delta, weak_residual)
-from varpx.errors import DeltaTooLargeError, MeshCompatibilityError
+from varpx.errors import DeltaTooLargeError, MeshCompatibilityError, SolveError
 from varpx.verify import random_lipschitz_field
 
 
@@ -494,3 +497,83 @@ def test_layout_poisson_factor_matches_sparse_solve():
         np.testing.assert_allclose(plaplace._layout(mesh).poisson(b),
                                    spla.spsolve(sp.csc_matrix(ref), b),
                                    rtol=1e-12, atol=1e-15)
+
+
+def _random_band_system(lay, rng, spd=True):
+    """Layout data of a random symmetric band matrix, diagonally dominant
+    (so SPD) or with one negative diagonal entry, and a right-hand side."""
+    A = rng.normal(size=(lay.m, lay.m))
+    A = np.triu(np.tril(A + A.T, lay.bw), -lay.bw)
+    A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, lay.m))
+    if not spd:
+        k = rng.integers(lay.m)
+        A[k, k] = -A[k, k]
+    ab = np.zeros((lay.bw + 1, lay.m))
+    for d in range(min(lay.bw, lay.m - 1) + 1):
+        ab[lay.bw - d, d:] = np.diag(A, d)
+    return ab.ravel(), rng.normal(size=lay.m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(2, 40),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_cholesky_matches_scipy_bitwise(dim, n, log_scale, seed):
+    """The binding's factor-and-solve equals SciPy's ``cholesky_banded``
+    plus ``cho_solve_banded`` bit for bit on random SPD band matrices in
+    the 1D (bw = 1) and 2D (bw = n) layouts; on a matrix that is not
+    positive definite both the binding and the fallback raise SolveError."""
+    mesh = (mesh1d(4 * n) if dim == 1
+            else build_mesh(DomainSpec.rectangle(0, 1, 0, 1), min(n, 16)))
+    lay = plaplace._layout(mesh)
+    rng = np.random.default_rng(seed)
+    data, rhs = _random_band_system(lay, rng)
+    data *= 10.0 ** log_scale
+    cf = sla.cholesky_banded(data.reshape(lay.bw + 1, lay.m), check_finite=False)
+    oracle = sla.cho_solve_banded((cf, False), rhs, check_finite=False)
+    assert np.array_equal(lay.factor(data)(rhs), oracle)
+    bad, _ = _random_band_system(lay, rng, spd=False)
+    ab = np.array(bad.reshape(lay.bw + 1, lay.m), order="F")
+    for factor in (plaplace._band_cholesky, plaplace._band_cholesky_fallback):
+        with pytest.raises(SolveError, match="could not be factorized"):
+            factor(ab.copy(order="F"))
+
+
+@pytest.mark.parametrize("missing", ["library", "symbol"])
+def test_factor_falls_back_to_scipy(monkeypatch, missing):
+    """Without numpy's OpenBLAS, or without one of its two routines, the
+    factorization runs through SciPy and gives the binding's numbers."""
+    systems = []
+    for mesh in (mesh1d(40), build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 9)):
+        lay = plaplace._layout(mesh)
+        data, rhs = _random_band_system(lay, np.random.default_rng(mesh.dim))
+        systems.append((lay, data, rhs, lay.factor(data)(rhs)))
+
+    def cdll(path):
+        if missing == "library":
+            raise OSError(f"{path}: cannot open shared object file")
+        return types.SimpleNamespace(scipy_dpbtrs_64_=None)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(plaplace.ctypes, "CDLL", cdll)
+        found = plaplace._find_pbtrf_pbtrs()
+    assert found is None
+    monkeypatch.setattr(plaplace, "_PBTRF_PBTRS", found)
+    calls = []
+
+    def spy(name):
+        real = getattr(sla, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("cholesky_banded", "cho_solve_banded"):
+        monkeypatch.setattr(sla, name, spy(name))
+    for lay, data, rhs, expected in systems:
+        assert np.array_equal(lay.factor(data)(rhs), expected)
+    assert calls == ["cholesky_banded", "cho_solve_banded"] * len(systems)
+    lay = systems[0][0]
+    bad, _ = _random_band_system(lay, np.random.default_rng(5), spd=False)
+    with pytest.raises(SolveError, match="could not be factorized"):
+        lay.factor(bad)
