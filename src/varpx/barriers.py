@@ -237,9 +237,9 @@ class BarrierPair:
     c1_measured: float
 
 
-def _c1_bound(mesh, u: GridFunction) -> float:
+def _c1_bound(u: GridFunction) -> float:
     """Discrete C1-style size: max nodal value plus max cell gradient."""
-    gmax = grid.gradient(mesh, u).inf_norm
+    gmax = grid.gradient(u).inf_norm
     return float(np.abs(u.values).max()) + gmax
 
 
@@ -262,8 +262,8 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
         if np.any(gap < 0.0):
             raise OrderingError(
                 f"under exceeds over for component {i+1}; escalate C")
-    R = max(1.0, *(_c1_bound(mesh, xi[i]) for i in (0, 1)),
-            *(_c1_bound(mesh, xid[i]) for i in (0, 1)))
+    R = max(1.0, *(_c1_bound(xi[i]) for i in (0, 1)),
+            *(_c1_bound(xid[i]) for i in (0, 1)))
     ii = mesh.interior_nodes
     d = mesh.distance[ii]
     c0 = min(float((under[i].values[ii] / d).min()) for i in (0, 1))
@@ -279,9 +279,9 @@ class InequalityReport:
     margins: dict           # name -> min margin over interior tests
 
 
-def _power_quad(mesh, base: GridFunction, expo: ExponentField) -> np.ndarray:
+def _power_quad(base: GridFunction, expo: ExponentField) -> np.ndarray:
     """base(x)^expo(x) at quadrature points; base must be positive there."""
-    vals = grid.at_quad(mesh, base.values)
+    vals = grid.at_quad(base.mesh, base.values)
     ev = expo.at_quad()
     with np.errstate(over="ignore", divide="ignore"):
         out = np.power(vals, ev)
@@ -309,7 +309,7 @@ def _product_bound(spec, i, ends, upper=False):
         k = _SMALLEST_AT[sign_class(e)]
         end = ends[1 - k if upper else k][j]
         if isinstance(end, GridFunction):
-            factors.append(_power_quad(mesh, end, e))
+            factors.append(_power_quad(end, e))
         else:
             cap, expo = end, expo + e.p_minus
     out = np.full_like(mesh.qweights, cap ** expo)
@@ -342,7 +342,7 @@ def check_barriers_positive_regime(spec: ProblemSpec,
     margins = {}
     box = (pair.under, pair.over)
     for i in (0, 1):
-        lhs = plaplace.apply_operator(mesh, spec.p[i], pair.under[i].values)
+        lhs = plaplace.apply_operator(spec.p[i], pair.under[i].values)
         rhs = grid.load_vector(mesh, spec.m[i] * _product_bound(spec, i, box))
         margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
 
@@ -350,7 +350,7 @@ def check_barriers_positive_regime(spec: ProblemSpec,
         bulk = 2.0 * spec.M[i] * (pair.R * pair.C) ** gmax
         rhs2 = grid.load_vector(
             mesh, bulk + spec.M[i] * _product_bound(spec, i, box, upper=True))
-        lhs2 = plaplace.apply_operator(mesh, spec.p[i], pair.over[i].values)
+        lhs2 = plaplace.apply_operator(spec.p[i], pair.over[i].values)
         margins[f"supersolution_{i+1}"] = _weak_inequality(mesh, rhs2, lhs2)
     worst = min(margins.values())
     return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
@@ -367,7 +367,7 @@ def check_barriers_singular_regime(spec: ProblemSpec, pair: BarrierPair,
     mesh = spec.mesh
     margins = {}
     for i in (0, 1):
-        lhs = plaplace.apply_operator(mesh, spec.p[i], pair.under[i].values)
+        lhs = plaplace.apply_operator(spec.p[i], pair.under[i].values)
         rhs = grid.load_vector(
             mesh, spec.m[i] * _product_bound(spec, i, (pair.under, (L, L))))
         margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
@@ -391,11 +391,11 @@ def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     mesh = spec.mesh
     delta = 0.1 * mesh.max_distance
     floor = 1.5 * float(np.ptp(mesh.nodes, axis=0).max()) / mesh.n
-    xi = tuple(per_exponent(spec.p, lambda p: plaplace.torsion(mesh, p, opts)))
+    xi = tuple(per_exponent(spec.p, lambda p: plaplace.torsion(p, opts)))
     while True:
         try:
             xid = tuple(per_exponent(spec.p, lambda p, ref: plaplace.torsion_delta(
-                mesh, p, delta, ref, opts), xi))
+                p, delta, ref, opts), xi))
             return delta, xi, xid
         except DeltaTooLargeError:
             if delta <= floor:

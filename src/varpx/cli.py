@@ -131,6 +131,8 @@ def _exponent_pair(mesh, obj, path):
     for i, e in enumerate(obj):
         expr = forms.spatial_only(forms.parse_expr(e, f"{path}[{i}]"), f"{path}[{i}]")
         vals = forms.evaluate_spatial(expr, mesh.nodes)
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{path}[{i}]", "exponent is not finite at every mesh node")
         out.append(ExponentField(mesh, vals))
     return tuple(out)
 
@@ -280,8 +282,7 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
     refined = run_pipeline(config, mesh_n=2 * pipeline.problem.mesh.n, coarse=pipeline)
     cert = verify.solution_certificate(
         pipeline.problem, pipeline.solution, pipeline.calibration.pair,
-        pipeline.report, refined=(refined.solution, refined.problem.mesh),
-        refined_report=refined.report,
+        pipeline.report, refined=refined.solution, refined_report=refined.report,
         rng=np.random.default_rng(config.seed),
         solver_opts=config.solver)
     _write_fields_csv(paths["fields_csv"], pipeline)
@@ -311,7 +312,7 @@ def _sweep_row(raw, param, value, mesh_n):
     try:
         cfg = parse_config(json.dumps(cfg_dict), mesh_n=mesh_n)
         pv = run_pipeline(cfg)
-        sandwich = verify.sandwich_audit(pv.solution, pv.problem.mesh)
+        sandwich = verify.sandwich_audit(pv.solution)
         row.update(converged=pv.report.converged, iters=pv.report.iters,
                    c0=sandwich["c0"], c1=sandwich["c1"],
                    member=all(pv.report.membership_trace),
@@ -350,16 +351,15 @@ def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int
     names = _AUDIT_NAMES if only is None else (only,)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "audit.json")
-    mesh, problem = config.problem.mesh, config.problem
+    ps = config.problem.p
     out = []
     for name in names:
         if name == "mvt":
-            out += verify.mvt_sampling(mesh, problem.p,
-                                       np.random.default_rng(config.seed),
+            out += verify.mvt_sampling(ps, np.random.default_rng(config.seed),
                                        config.solver)
         else:
             out += [a.as_dict() for a in
-                    verify.estimate_audits(mesh, problem.p, (name,), config.solver)]
+                    verify.estimate_audits(ps, (name,), config.solver)]
     payload = verify.certificate_to_json({"audits": out})
     with open(path, "w") as f:
         f.write(payload)

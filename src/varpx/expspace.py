@@ -314,31 +314,28 @@ def _graded_rule_1d(a: float, b: float, n: int, levels: int):
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _distance_power_value(e: ExponentField, mesh: Mesh, levels: int) -> float:
+def _distance_power_value(e: ExponentField, levels: int) -> float:
+    """int d(x)^e(x) dx by the graded rule of ``levels`` layers per
+    boundary cell, a tensor product of the axis rules on rectangles."""
+    mesh = e.mesh
     dom = mesh.domain
+    rules = [_graded_rule_1d(lo, hi, mesh.n, levels)
+             for lo, hi in zip(dom.bounds[::2], dom.bounds[1::2])]
     if mesh.dim == 1:
-        a, b = dom.bounds
-        pts, wts = _graded_rule_1d(a, b, mesh.n, levels)
-        d = dom.distance(pts)
-        ev = mesh.interpolate(e.values, pts)
-        with np.errstate(over="ignore", divide="ignore"):
-            vals = np.power(d, ev)
-        return float(wts @ vals)
-    ax, bx, ay, by = dom.bounds
-    px, wx = _graded_rule_1d(ax, bx, mesh.n, levels)
-    py, wy = _graded_rule_1d(ay, by, mesh.n, levels)
-    X, Y = np.meshgrid(px, py)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    d = dom.distance(pts)
-    ev = mesh.interpolate(e.values, pts)
+        pts, wts = rules[0]
+    else:
+        (px, wx), (py, wy) = rules
+        X, Y = np.meshgrid(px, py)
+        pts = np.column_stack([X.ravel(), Y.ravel()])
+        wts = np.outer(wy, wx).ravel()
     with np.errstate(over="ignore", divide="ignore"):
-        vals = np.power(d, ev)
-    W = np.outer(wy, wx).ravel()
-    return float(W @ vals)
+        vals = np.power(dom.distance(pts), mesh.interpolate(e.values, pts))
+    return float(wts @ vals)
 
 
-def distance_power_modular(e: ExponentField, mesh: Mesh):
-    """int d(x)^e(x) dx with boundary-graded quadrature.
+def distance_power_modular(e: ExponentField):
+    """int d(x)^e(x) dx over the domain of the mesh of ``e``, with
+    boundary-graded quadrature.
 
     Runs the grading depth from 1 to ``_GRADING_LEVELS`` and inspects
     the increment sequence.  A geometrically decaying tail (ratio below
@@ -348,7 +345,7 @@ def distance_power_modular(e: ExponentField, mesh: Mesh):
     an error).  Agreement with the analytic criterion min e > -1 near
     the boundary holds away from the threshold itself.
     """
-    seq = np.array([_distance_power_value(e, mesh, L)
+    seq = np.array([_distance_power_value(e, L)
                     for L in range(1, _GRADING_LEVELS + 1)])
     incs = np.diff(seq)
     v = float(seq[-1])

@@ -112,7 +112,7 @@ def parse_expr(obj, path="expr") -> Expr:
     if isinstance(obj, bool):
         raise ConfigError(path, "booleans are not expressions")
     if isinstance(obj, (int, float)):
-        return Const(obj)
+        return _const(obj, path)
     if isinstance(obj, str):
         if obj not in VARIABLES:
             raise ConfigError(path, f"unknown variable {obj!r}")
@@ -122,7 +122,7 @@ def parse_expr(obj, path="expr") -> Expr:
             raise ConfigError(path, "expression node must have exactly one key")
         key, val = next(iter(obj.items()))
         if key == "const":
-            return Const(val)
+            return _const(val, f"{path}.const")
         if key == "var":
             return Var(val)
         if key == "add":
@@ -140,6 +140,13 @@ def parse_expr(obj, path="expr") -> Expr:
                        parse_expr(val["exp"], f"{path}.pow.exp"))
         raise ConfigError(path, f"unknown operation {key!r}")
     raise ConfigError(path, f"cannot parse {type(obj).__name__} as an expression")
+
+
+def _const(value, path) -> Const:
+    try:
+        return Const(value)
+    except OverflowError:
+        raise ConfigError(path, "expected a number, got an int beyond the float range")
 
 
 def spatial_only(expr: Expr, path="expr"):

@@ -296,10 +296,9 @@ class QuadField:
 
 
 def check_same_mesh(mesh: Mesh, *objs):
-    for o in objs:
-        m = o.mesh if hasattr(o, "mesh") else o
-        if m is not mesh:
-            raise MeshCompatibilityError("objects live on different meshes")
+    """Raise unless every object of ``objs`` lives on ``mesh``."""
+    if any(o.mesh is not mesh for o in objs):
+        raise MeshCompatibilityError("objects live on different meshes")
 
 
 def at_quad(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
@@ -333,10 +332,9 @@ def cell_gradients(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
     return np.einsum("ckd,ck->cd", mesh.grad_basis, vals[mesh.cells])
 
 
-def gradient(mesh: Mesh, u: GridFunction) -> VectorField:
+def gradient(u: GridFunction) -> VectorField:
     """Gradient of the P1 interpolant; exact for affine nodal data."""
-    check_same_mesh(mesh, u)
-    return VectorField(mesh, cell_gradients(mesh, u.values))
+    return VectorField(u.mesh, cell_gradients(u.mesh, u.values))
 
 
 def integrate(mesh: Mesh, integrand) -> float:

@@ -214,9 +214,10 @@ def _flux_values(mesh, w, gdot):
                        minlength=mesh.n_nodes)
 
 
-def apply_operator(mesh: Mesh, p: ExponentField, u_values: np.ndarray) -> np.ndarray:
+def apply_operator(p: ExponentField, u_values: np.ndarray) -> np.ndarray:
     """Nodal vector of int |grad u|^(p-2) grad u . grad(hat_j) dx for
-    every node j."""
+    every node j of the mesh of ``p``."""
+    mesh = p.mesh
     lay = _layout(mesh)
     g, g2 = _cell_g2(mesh, lay, u_values)
     w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(g2, p.at_quad()))
@@ -261,23 +262,23 @@ def _residual(mesh, values, b, scale):
     return r, float(np.abs(r).max() / scale)
 
 
-def weak_residual(mesh: Mesh, p: ExponentField, u, h) -> float:
-    """Max over interior hat functions of the unregularized weak-form
-    defect, normalized by int|h| + 1."""
+def weak_residual(p: ExponentField, u, h) -> float:
+    """Max over interior hat functions of the mesh of ``p`` of the
+    unregularized weak-form defect, normalized by int|h| + 1."""
+    mesh = p.mesh
     uv = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
     hq = grid.as_quad_values(mesh, h)
-    return _residual(mesh, apply_operator(mesh, p, uv),
+    return _residual(mesh, apply_operator(p, uv),
                      grid.load_vector(mesh, hq), _data_scale(mesh, hq))[1]
 
 
-def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
-                    opts: SolverOptions | None = None,
+def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
                     start: GridFunction | None = None) -> ScalarSolveResult:
-    """Minimize the regularized energy; report the unregularized weak
-    residual.  Newton starts at the interior values of ``start`` when it
-    is given (a field near the answer, such as the frozen state of a
-    fixed-point map), else at the linear Poisson solve with the same
-    data, which has the right sign structure and is cheap.
+    """Minimize the regularized energy on the mesh of ``p``; report the
+    unregularized weak residual.  Newton starts at the interior values
+    of ``start`` when it is given (a field near the answer, such as the
+    frozen state of a fixed-point map), else at the linear Poisson solve
+    with the same data, which has the right sign structure and is cheap.
 
     Newton stops when the regularized residual, normalized like the
     reported one, reaches ``_NEWTON_FORCING * tol_residual``, when the
@@ -289,7 +290,7 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
     regularization intact).
     """
     opts = opts or SolverOptions()
-    grid.check_same_mesh(mesh, p)
+    mesh = p.mesh
     if p.p_minus <= 1.0:
         raise ValueError(f"solver requires p_minus > 1, got {p.p_minus}")
     hq = grid.as_quad_values(mesh, h)
@@ -338,36 +339,37 @@ def solve_dirichlet(mesh: Mesh, p: ExponentField, h,
         if not accepted:
             break  # stagnation: the residual check below decides the flag
 
-    res = _residual(mesh, apply_operator(mesh, p, u), b, scale)[1]
+    res = _residual(mesh, apply_operator(p, u), b, scale)[1]
     converged = bool(res <= opts.tol_residual)
     uf = GridFunction(mesh, u, zero_trace=True)
     return ScalarSolveResult(u=uf, residual=res, newton_iters=steps, converged=converged,
                              energies=energies)
 
 
-def torsion(mesh: Mesh, p: ExponentField,
-            opts: SolverOptions | None = None) -> GridFunction:
-    """Zero-trace field with unit source: the reference profile whose
-    distance-comparability anchors every positivity estimate."""
-    res = solve_dirichlet(mesh, p, GridFunction.constant(mesh, 1.0), opts)
+def torsion(p: ExponentField, opts: SolverOptions | None = None) -> GridFunction:
+    """Zero-trace field with unit source on the mesh of ``p``: the
+    reference profile whose distance-comparability anchors every
+    positivity estimate."""
+    res = solve_dirichlet(p, GridFunction.constant(p.mesh, 1.0), opts)
     if not res.converged:
         raise SolveError(f"torsion solve stalled at residual {res.residual:.3e}")
     return res.u
 
 
-def torsion_delta(mesh: Mesh, p: ExponentField, delta: float, xi: GridFunction,
+def torsion_delta(p: ExponentField, delta: float, xi: GridFunction,
                   opts: SolverOptions | None = None) -> GridFunction:
-    """Torsion-like field with source +1 away from the boundary and -1
-    on the strip {d < delta}.
+    """Torsion-like field on the mesh of ``p`` with source +1 away from
+    the boundary and -1 on the strip {d < delta}.
 
     Checks a posteriori that the result stays positive at interior nodes
     (raises DeltaTooLargeError otherwise, so callers can halve delta)
     and that it sits below ``xi``, the plain torsion field, nodewise.
     """
+    mesh = p.mesh
     strip = grid.boundary_strip(mesh, delta)
     hv = np.ones(mesh.n_nodes)
     hv[strip] = -1.0
-    res = solve_dirichlet(mesh, p, GridFunction(mesh, hv), opts)
+    res = solve_dirichlet(p, GridFunction(mesh, hv), opts)
     if not res.converged:
         raise SolveError(f"strip solve stalled at residual {res.residual:.3e}")
     xd = res.u

@@ -76,7 +76,7 @@ class SystemState:
 
     @cached_property
     def grad_z(self) -> tuple:
-        return tuple(grid.gradient(self.spec.mesh, zi) for zi in self.z)
+        return tuple(grid.gradient(zi) for zi in self.z)
 
     @cached_property
     def grad_lux_norm(self) -> tuple:
@@ -145,10 +145,9 @@ def apply_map(state: SystemState, opts: SolverOptions | None = None):
     solves.  Component order is irrelevant because the frozen data
     decouples them.  Component i's Newton starts at the frozen state's
     own ``z[i]``, which is exact at a fixed point."""
-    spec = state.spec
     results = []
     for i, hq in enumerate(state.frozen):
-        res = plaplace.solve_dirichlet(spec.mesh, spec.p[i], hq, opts, start=state.z[i])
+        res = plaplace.solve_dirichlet(state.spec.p[i], hq, opts, start=state.z[i])
         if not res.converged:
             raise SolveError(
                 f"component {i+1} solve stalled at residual {res.residual:.3e}")
@@ -189,10 +188,8 @@ def coupled_residual(state: SystemState):
     """Weak residual of each component equation with the nonlinearity
     evaluated at the state itself (zero exactly at a discrete fixed
     point)."""
-    spec = state.spec
-    h1, h2 = state.frozen
-    return (plaplace.weak_residual(spec.mesh, spec.p1, state.z[0], h1),
-            plaplace.weak_residual(spec.mesh, spec.p2, state.z[1], h2))
+    return tuple(plaplace.weak_residual(p, z, h)
+                 for p, z, h in zip(state.spec.p, state.z, state.frozen))
 
 
 def _anderson_step(x_hist, g_hist, depth):

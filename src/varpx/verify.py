@@ -79,17 +79,17 @@ def _family_verdict(ratios):
     return "pass", spread
 
 
-def _scale_family_audit(name, mesh: Mesh, p: ExponentField, base, field_type,
-                        norm, size, scales, opts, notes=()) -> EstimateAudit:
+def _scale_family_audit(name, p: ExponentField, base, field_type, norm, size,
+                        scales, opts, notes=()) -> EstimateAudit:
     """Ratios size(u) / norm(h)^(1/(p_pm - 1)) of the solves u with the
-    data h = field_type(mesh, lam * base) at each scale lam, with p_minus
+    data h = field_type(p.mesh, lam * base) at each scale lam, with p_minus
     as the branch exponent when norm(h) exceeds one and p_plus otherwise."""
     if np.any(base > 0) and np.any(base < 0):
         raise ValueError("h_base must be sign-constant")
     family = []
     for lam in scales:
-        h = field_type(mesh, lam * base)
-        res = plaplace.solve_dirichlet(mesh, p, h, opts)
+        h = field_type(p.mesh, lam * base)
+        res = plaplace.solve_dirichlet(p, h, opts)
         if not res.converged:
             raise plaplace.SolveError(f"audit solve stalled at scale {lam}")
         hnorm = norm(h)
@@ -101,64 +101,58 @@ def _scale_family_audit(name, mesh: Mesh, p: ExponentField, base, field_type,
                          tolerance=_TREND_TOL, spread=spread, notes=list(notes))
 
 
-def gradient_estimate_audit(mesh: Mesh, p: ExponentField, h_base: GridFunction,
+def gradient_estimate_audit(p: ExponentField, h_base: GridFunction,
                             scales=DEFAULT_SCALES,
                             opts: SolverOptions | None = None) -> EstimateAudit:
     """Ratio |grad u|_inf / |h|_inf^(1/(p_pm - 1)) across a scale family
     of the data, with the branch exponent chosen by whether |h|_inf
     exceeds one.  Passes when the family stays bounded (no growth trend
     at the top scales)."""
+    grid.check_same_mesh(p.mesh, h_base)
     if not np.any(h_base.values != 0):
         raise ValueError("h_base must be nontrivial")
     return _scale_family_audit(
-        "gradient_estimate", mesh, p, h_base.values, GridFunction,
+        "gradient_estimate", p, h_base.values, GridFunction,
         lambda h: float(np.abs(h.values).max()),
-        lambda u: grid.gradient(mesh, u).inf_norm, scales, opts)
+        lambda u: grid.gradient(u).inf_norm, scales, opts)
 
 
-def lebesgue_n_norm(mesh: Mesh, h, N: int) -> float:
-    hq = grid.as_quad_values(mesh, h)
-    return float((mesh.qweights @ np.abs(hq) ** N) ** (1.0 / N))
-
-
-def linfty_estimate_audit(mesh: Mesh, p: ExponentField, h_base,
-                          scales=DEFAULT_SCALES,
+def linfty_estimate_audit(p: ExponentField, h_base, scales=DEFAULT_SCALES,
                           opts: SolverOptions | None = None) -> EstimateAudit:
     """Ratio |u|_inf / |h|_LN^(1/(p_pm - 1)) across a scale family.  The
     exponent N is the ambient dimension; on one-dimensional meshes N=2
     is used for the exponent arithmetic and recorded as a deviation."""
-    notes = []
-    N = mesh.dim
-    if N < 2:
-        N = 2
-        notes.append("dim=1: N=2 used for the exponent arithmetic")
+    N = max(p.mesh.dim, 2)
+    notes = ["dim=1: N=2 used for the exponent arithmetic"] if p.mesh.dim < 2 else []
     return _scale_family_audit(
-        "linfty_estimate", mesh, p, grid.as_quad_values(mesh, h_base), QuadField,
-        lambda h: lebesgue_n_norm(mesh, h, N),
+        "linfty_estimate", p, grid.as_quad_values(p.mesh, h_base), QuadField,
+        lambda h: float((h.mesh.qweights @ np.abs(h.values) ** N) ** (1.0 / N)),
         lambda u: float(np.abs(u.values).max()), scales, opts, notes)
 
 
-def estimate_audits(mesh: Mesh, ps, kinds, opts: SolverOptions | None = None) -> list:
+def estimate_audits(ps, kinds, opts: SolverOptions | None = None) -> list:
     """Unit-data audits of each kind ("gradient", "linfty") for each
     exponent of ``ps``, component by component, named
     ``<kind>_estimate_p<i>``; equal exponents share their audits."""
-    ones = GridFunction.constant(mesh, 1.0)
+    ones = GridFunction.constant(ps[0].mesh, 1.0)
 
     def audits(p):
         # looked up per call, so a wrapper bound to the module name applies
         run = {"gradient": gradient_estimate_audit, "linfty": linfty_estimate_audit}
-        return [run[kind](mesh, p, ones, opts=opts) for kind in kinds]
+        return [run[kind](p, ones, opts=opts) for kind in kinds]
 
     return [replace(a, name=f"{kind}_estimate_p{i + 1}")
             for i, per in enumerate(per_exponent(ps, audits))
             for kind, a in zip(kinds, per)]
 
 
-def mvt_ratio(mesh: Mesh, p: ExponentField, u: GridFunction, h,
-              f: GridFunction, phi: GridFunction) -> float:
+def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
+              phi: GridFunction) -> float:
     """The flux-weighted mean value gamma_hat of f against the test
     field phi; f Lipschitz with known range, phi sign-constant with zero
-    trace, h the sign-constant data of the solve that produced u."""
+    trace, h the sign-constant data of the solve that produced u, all on
+    the mesh of ``p``."""
+    mesh = p.mesh
     grid.check_same_mesh(mesh, u, f, phi)
     pv = phi.values
     if np.any(pv > 0) and np.any(pv < 0):
@@ -221,26 +215,22 @@ def random_sign_constant_test(mesh: Mesh, rng: np.random.Generator) -> GridFunct
     return GridFunction(mesh, vals, zero_trace=True)
 
 
-def distance_ratio(mesh: Mesh, u_values: np.ndarray):
-    """(min, max) of u/d over interior nodes."""
-    ii = mesh.interior_nodes
-    q = np.asarray(u_values, dtype=float)[ii] / mesh.distance[ii]
+def distance_ratio(u: GridFunction):
+    """(min, max) of u/d over the interior nodes of the mesh of ``u``."""
+    ii = u.mesh.interior_nodes
+    q = u.values[ii] / u.mesh.distance[ii]
     return float(q.min()), float(q.max())
 
 
-def sandwich_audit(solution, mesh: Mesh, refined=None,
-                   refined_report=None) -> dict:
+def sandwich_audit(solution, refined=None, refined_report=None) -> dict:
     """Distance-comparability constants of an accepted solution pair:
     c0 = min u_i/d, c1 = max u_i/d over interior nodes.  Pass requires
     c0 > 0 with both constants stable within _SANDWICH_TOL under one mesh
-    refinement; ``refined`` supplies (solution, mesh) at the finer
+    refinement; ``refined`` supplies the solution pair at the finer
     resolution when that part of the audit is wanted, and
     ``refined_report`` the IterationReport of that run: an unconverged
     refined run establishes no stability, so the audit fails."""
-    per = []
-    for i in (0, 1):
-        c0_i, c1_i = distance_ratio(mesh, solution[i].values)
-        per.append({"c0": c0_i, "c1": c1_i})
+    per = [dict(zip(("c0", "c1"), distance_ratio(u))) for u in solution]
     c0 = min(p["c0"] for p in per)
     c1 = max(p["c1"] for p in per)
     out = {"c0": c0, "c1": c1, "per_component": per,
@@ -249,8 +239,7 @@ def sandwich_audit(solution, mesh: Mesh, refined=None,
         out["verdict"] = "fail"
         return out
     if refined is not None:
-        fine_solution, fine_mesh = refined
-        f_per = [distance_ratio(fine_mesh, fine_solution[i].values) for i in (0, 1)]
+        f_per = [distance_ratio(u) for u in refined]
         fc0 = min(v[0] for v in f_per)
         fc1 = max(v[1] for v in f_per)
         out["stability_checked"] = True
@@ -285,27 +274,28 @@ def mvt_spot_checks(spec: ProblemSpec, solution, frozen, residuals,
         for _ in range(_MVT_CHECKS):
             f = random_lipschitz_field(mesh, rng, lo, hi)
             checks.append({"component": i + 1, "range": [lo, hi], "tolerance": tol,
-                           **_mvt_check(mesh, spec.p[i], u, hq, f, u, tol)})
+                           **_mvt_check(spec.p[i], u, hq, f, u, tol)})
     return checks
 
 
-def _mvt_check(mesh, p, u, h, f, phi, tol) -> dict:
+def _mvt_check(p, u, h, f, phi, tol) -> dict:
     """gamma_hat, and whether it lies in _MVT_RANGE up to ``tol``."""
-    gam = mvt_ratio(mesh, p, u, h, f, phi)
+    gam = mvt_ratio(p, u, h, f, phi)
     lo, hi = _MVT_RANGE
     return {"gamma_hat": gam, "ok": bool(lo - tol <= gam <= hi + tol)}
 
 
-def mvt_sampling(mesh: Mesh, ps, rng: np.random.Generator,
+def mvt_sampling(ps, rng: np.random.Generator,
                  opts: SolverOptions | None = None) -> list:
     """Mean-value checks on each exponent's unit-data solve, named
     ``mvt_sampling_p<i>``, drawing a random Lipschitz weight f and then a
     sign-constant test field phi per check from ``rng``, component by
     component; equal exponents share their checks."""
+    mesh = ps[0].mesh
     ones = GridFunction.constant(mesh, 1.0)
 
     def sample(p):
-        res = plaplace.solve_dirichlet(mesh, p, ones, opts)
+        res = plaplace.solve_dirichlet(p, ones, opts)
         if not res.converged:
             raise plaplace.SolveError(
                 f"mean-value sampling solve stalled at residual {res.residual:.3e}")
@@ -314,7 +304,7 @@ def mvt_sampling(mesh: Mesh, ps, rng: np.random.Generator,
         for _ in range(_MVT_SAMPLES):
             f = random_lipschitz_field(mesh, rng, *_MVT_RANGE)
             phi = random_sign_constant_test(mesh, rng)
-            checks.append(_mvt_check(mesh, p, res.u, ones, f, phi, tol))
+            checks.append(_mvt_check(p, res.u, ones, f, phi, tol))
         return {"tolerance": tol, "checks": checks,
                 "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
 
@@ -332,16 +322,16 @@ def solution_certificate(spec: ProblemSpec, solution, pair: BarrierPair, report,
                          solver_opts: SolverOptions | None = None) -> dict:
     """Machine-readable verification record for a completed run:
     residuals, membership, sandwich constants, hypothesis report, the
-    estimate audits, and mean-value spot checks.  Deterministic given
+    estimate audits, and mean-value spot checks; ``refined`` and
+    ``refined_report`` go to ``sandwich_audit``.  Deterministic given
     the same inputs and rng seed."""
     mesh = spec.mesh
     rng = rng or np.random.default_rng(0)
     state = sysfix.SystemState.build(spec, pair, *solution)
     r1, r2 = sysfix.coupled_residual(state)
     hyp = validate_hypotheses(spec)
-    audits = estimate_audits(mesh, spec.p, ("gradient", "linfty"), solver_opts)
-    sandwich = sandwich_audit(solution, mesh, refined=refined,
-                              refined_report=refined_report)
+    audits = estimate_audits(spec.p, ("gradient", "linfty"), solver_opts)
+    sandwich = sandwich_audit(solution, refined=refined, refined_report=refined_report)
     mvt = mvt_spot_checks(spec, solution, state.frozen, (r1, r2), rng)
     cert = {
         "schema_version": 1,

@@ -27,8 +27,8 @@ def unit_square():
 def torsion_pairs(mesh, spec, delta):
     """(xi, xi_delta) per component at strip width ``delta``: the fields
     ``build_barriers`` scales into a barrier pair."""
-    xi = tuple(torsion(mesh, p) for p in spec.p)
-    return xi, tuple(torsion_delta(mesh, p, delta, xi=x) for p, x in zip(spec.p, xi))
+    xi = tuple(torsion(p) for p in spec.p)
+    return xi, tuple(torsion_delta(p, delta, xi=x) for p, x in zip(spec.p, xi))
 
 
 def constant_fields(mesh, values):

@@ -41,7 +41,7 @@ def test_acceptance_01_analytic_torsion_reproduction():
     for n in (128, 256, 512, 1024):
         m = build_mesh(DomainSpec.interval(0, 1), n)
         for pc in (2.0, 3.0):
-            u = torsion(m, ExponentField.constant(m, pc)).values
+            u = torsion(ExponentField.constant(m, pc)).values
             errs[pc].append(np.abs(u - exact[pc](m.nodes[:, 0])).max())
     for pc in (2.0, 3.0):
         assert errs[pc][-1] <= 1e-4, f"p={pc}: n=1024 error {errs[pc][-1]}"
@@ -120,9 +120,9 @@ def test_acceptance_04_distance_power_finiteness():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     expected_finite = {-1.2: False, -0.9: True, -0.5: True, 0.0: True, 1.0: True}
     for e, want in expected_finite.items():
-        _, fin = distance_power_modular(ExponentField.constant(m, e), m)
+        _, fin = distance_power_modular(ExponentField.constant(m, e))
         assert fin == want, f"e={e}: finite={fin}, expected {want}"
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.5), m)
+    v, fin = distance_power_modular(ExponentField.constant(m, -0.5))
     assert fin and abs(v - 2.0 * np.sqrt(2.0)) <= 1e-3
     _report(4, "boundary-singular integrability classification",
             f"(value@-0.5={v:.6f})")
@@ -140,21 +140,21 @@ def test_acceptance_05_mean_value_property():
             bases.append((p, h))
     lo, hi = 0.7, 1.9
     for p, h in bases:
-        res = solve_dirichlet(m, p, h)
+        res = solve_dirichlet(p, h)
         assert res.converged
         tol = mvt_tolerance(m, res.residual)
         for _ in range(200):
             f = random_lipschitz_field(m, rng, lo, hi)
             phi = random_sign_constant_test(m, rng)
-            gam = mvt_ratio(m, p, res.u, h, f, phi)
+            gam = mvt_ratio(p, res.u, h, f, phi)
             assert lo - tol <= gam <= hi + tol
     # closed-form spot value
     m2 = build_mesh(DomainSpec.interval(0, 1), 1024)
     p2 = ExponentField.constant(m2, 2.0)
     h1 = GridFunction.constant(m2, 1.0)
-    res = solve_dirichlet(m2, p2, h1)
+    res = solve_dirichlet(p2, h1)
     f = GridFunction.from_callable(m2, lambda x: 1 + x)
-    gam = mvt_ratio(m2, p2, res.u, h1, f, res.u)
+    gam = mvt_ratio(p2, res.u, h1, f, res.u)
     assert abs(gam - 1.5) <= 1e-3
     _report(5, "mean value property", f"(closed-form {gam:.6f})")
 
@@ -163,11 +163,11 @@ def test_acceptance_06_gradient_estimate():
     m = build_mesh(DomainSpec.interval(0, 1), 512)
     ones = GridFunction.constant(m, 1.0)
     for pc in (2.0, 3.0):
-        a = gradient_estimate_audit(m, ExponentField.constant(m, pc), ones)
+        a = gradient_estimate_audit(ExponentField.constant(m, pc), ones)
         assert a.verdict == "pass"
         assert a.spread < 0.10, f"constant p={pc}: spread {a.spread}"
     a = gradient_estimate_audit(
-        m, ExponentField.from_callable(m, lambda x: 2 + x), ones)
+        ExponentField.from_callable(m, lambda x: 2 + x), ones)
     assert a.verdict == "pass"
     ratios = [r for _, r in a.scale_family]
     assert ratios[-1] <= ratios[-2] * 1.05  # no monotone growth at the top
@@ -184,8 +184,8 @@ def test_acceptance_07_positive_regime_pipeline():
     assert rep.converged and rep.iters <= 500
     assert rep.residuals[-1] <= 1e-6
     assert all(rep.membership_trace)
-    c0, _ = distance_ratio(m, sol[0].values)
-    c0 = min(c0, distance_ratio(m, sol[1].values)[0])
+    c0, _ = distance_ratio(sol[0])
+    c0 = min(c0, distance_ratio(sol[1])[0])
     assert c0 > 0
     # refinement stability of the sandwich constant
     m2 = build_mesh(DomainSpec.interval(0, 1), 1024)
@@ -193,8 +193,7 @@ def test_acceptance_07_positive_regime_pipeline():
     cal2 = calibrate_barriers(spec2)
     sol2, rep2 = fixed_point_iterate(spec2, cal2.pair)
     assert rep2.converged
-    c0f = min(distance_ratio(m2, sol2[0].values)[0],
-              distance_ratio(m2, sol2[1].values)[0])
+    c0f = min(distance_ratio(sol2[0])[0], distance_ratio(sol2[1])[0])
     assert abs(c0f - c0) / c0 <= 0.2
     elapsed = time.time() - t0
     assert elapsed <= 120.0

@@ -344,7 +344,7 @@ def _exit1_one_line_nothing_created(capsys, argv, out):
 
 
 _PARSE_ERRORS = [  # (key, value, start of the one error line)
-    ("p", [float("nan"), 2.0], "error: "),
+    ("p", [float("nan"), 2.0], "config error: $.p[0]: "),
     ("p", [0.5, 2.0], "config error: $.hypotheses: "),
     ("m", [0.0, 1.0], "config error: $: "),
     ("m", [10 ** 400, 1.0], "config error: $.m[0]: "),
@@ -357,6 +357,9 @@ _PARSE_ERRORS = [  # (key, value, start of the one error line)
     ("solver", {"tol_residual": 10 ** 400}, "config error: $.solver.tol_residual: "),
     ("domain", {"kind": "interval", "a": 0.0, "b": 10 ** 400},
      "config error: $.domain.b: "),
+    ("p", [{"pow": {"base": "x", "exp": -1}}, 2.0], "config error: $.p[0]: "),
+    ("p", [2.0, 10 ** 400], "config error: $.p[1]: "),
+    ("f", [10 ** 400, 1.0], "config error: $.f[0]: "),
 ]
 
 
@@ -570,7 +573,7 @@ def test_audit_mvt_samples_each_exponent(tmp_path, capsys):
     assert all(a["verdict"] == "pass" and len(a["checks"]) == 50 for a in audits)
     assert audits[0]["tolerance"] != audits[1]["tolerance"]
     cfg = parse_config(load("benchmark.json"))
-    alone = verify.mvt_sampling(cfg.problem.mesh, cfg.problem.p[:1],
+    alone = verify.mvt_sampling(cfg.problem.p[:1],
                                 np.random.default_rng(cfg.seed), cfg.solver)
     assert audits[0] == json.loads(verify.certificate_to_json(alone[0]))
 

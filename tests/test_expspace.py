@@ -364,30 +364,30 @@ def test_power_norm_identity_random_triples():
 
 def test_distance_power_trivial_and_closed_forms():
     m = mesh1d(256)
-    v, fin = distance_power_modular(ExponentField.constant(m, 0.0), m)
+    v, fin = distance_power_modular(ExponentField.constant(m, 0.0))
     assert fin and v == pytest.approx(1.0, abs=1e-10)
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.5), m)
+    v, fin = distance_power_modular(ExponentField.constant(m, -0.5))
     assert fin and v == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-3)
-    v, fin = distance_power_modular(ExponentField.constant(m, 1.0), m)
+    v, fin = distance_power_modular(ExponentField.constant(m, 1.0))
     assert fin and v == pytest.approx(0.25, abs=1e-10)
 
 
 def test_distance_power_divergence():
     m = mesh1d(256)
-    _, fin = distance_power_modular(ExponentField.constant(m, -1.2), m)
+    _, fin = distance_power_modular(ExponentField.constant(m, -1.2))
     assert not fin
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.9), m)
+    v, fin = distance_power_modular(ExponentField.constant(m, -0.9))
     # int min(x,1-x)^(-0.9) = 2 * 0.5^0.1 / 0.1
     assert fin and v == pytest.approx(2.0 * 0.5 ** 0.1 / 0.1, rel=0.02)
 
 
 def test_distance_power_2d():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 16)
-    v, fin = distance_power_modular(ExponentField.constant(m, 0.0), m)
+    v, fin = distance_power_modular(ExponentField.constant(m, 0.0))
     assert fin and v == pytest.approx(1.0, rel=1e-9)
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.5), m)
+    v, fin = distance_power_modular(ExponentField.constant(m, -0.5))
     assert fin and v > 0
-    _, fin = distance_power_modular(ExponentField.constant(m, -1.2), m)
+    _, fin = distance_power_modular(ExponentField.constant(m, -1.2))
     assert not fin
 
 

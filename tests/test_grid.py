@@ -3,7 +3,7 @@ import pytest
 
 from varpx import (DomainSpec, GridFunction, boundary_strip, build_mesh,
                    export_csv, gradient, integrate)
-from varpx.errors import MeshCompatibilityError, NonFiniteFieldError
+from varpx.errors import NonFiniteFieldError
 from varpx.grid import at_quad, load_vector
 
 
@@ -119,14 +119,14 @@ def test_distance_is_1lipschitz():
 def test_gradient_affine_exact_1d():
     m = build_mesh(DomainSpec.interval(0, 1), 16)
     u = GridFunction(m, 3.0 * m.nodes[:, 0] - 1.0)
-    g = gradient(m, u)
+    g = gradient(u)
     np.testing.assert_allclose(g.values[:, 0], 3.0, atol=1e-14)
 
 
 def test_gradient_affine_exact_2d():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 4)
     u = GridFunction(m, 2.0 * m.nodes[:, 0] - 3.0 * m.nodes[:, 1])
-    g = gradient(m, u)
+    g = gradient(u)
     np.testing.assert_allclose(g.values[:, 0], 2.0, atol=1e-13)
     np.testing.assert_allclose(g.values[:, 1], -3.0, atol=1e-13)
 
@@ -135,7 +135,7 @@ def test_gradient_quadratic_midpoint_values():
     m = build_mesh(DomainSpec.interval(0, 1), 1024)
     x = m.nodes[:, 0]
     u = GridFunction(m, x * (1 - x) / 2)
-    g = gradient(m, u).values[:, 0]
+    g = gradient(u).values[:, 0]
     mid = 0.5 * (x[:-1] + x[1:])
     # cell slope of the interpolant equals the derivative at the midpoint
     np.testing.assert_allclose(g, (1 - 2 * mid) / 2, atol=1e-12)
@@ -168,14 +168,6 @@ def test_integrate_rejects_nonfinite():
     m = build_mesh(DomainSpec.interval(0, 1), 8)
     with pytest.raises(NonFiniteFieldError):
         integrate(m, lambda pts: np.full(len(pts), np.inf))
-
-
-def test_mesh_mismatch_raises():
-    m1 = build_mesh(DomainSpec.interval(0, 1), 8)
-    m2 = build_mesh(DomainSpec.interval(0, 1), 8)
-    u = GridFunction.constant(m2, 1.0)
-    with pytest.raises(MeshCompatibilityError):
-        gradient(m1, u)
 
 
 def test_load_vector_against_hat_integrals():

@@ -38,7 +38,7 @@ def strip_torsion_exact(x, delta):
 
 def test_linear_poisson_exact():
     m = mesh1d(64)
-    res = solve_dirichlet(m, ExponentField.constant(m, 2.0),
+    res = solve_dirichlet(ExponentField.constant(m, 2.0),
                           GridFunction.constant(m, 1.0))
     x = m.nodes[:, 0]
     assert res.converged
@@ -48,7 +48,7 @@ def test_linear_poisson_exact():
 
 def test_p3_torsion_closed_form():
     m = mesh1d(512)
-    res = solve_dirichlet(m, ExponentField.constant(m, 3.0),
+    res = solve_dirichlet(ExponentField.constant(m, 3.0),
                           GridFunction.constant(m, 1.0))
     exact = const_p_torsion_exact(m.nodes[:, 0], 3.0)
     assert res.converged
@@ -59,7 +59,7 @@ def test_p3_torsion_closed_form():
 
 def test_zero_data_gives_zero():
     m = mesh1d(32)
-    res = solve_dirichlet(m, ExponentField.constant(m, 2.0),
+    res = solve_dirichlet(ExponentField.constant(m, 2.0),
                           GridFunction.constant(m, 0.0))
     np.testing.assert_allclose(res.u.values, 0.0, atol=1e-14)
 
@@ -67,7 +67,7 @@ def test_zero_data_gives_zero():
 def test_torsion_positive_interior():
     m = mesh1d(128)
     for pc in (2.0, 3.0, 1.6):
-        xi = torsion(m, ExponentField.constant(m, pc))
+        xi = torsion(ExponentField.constant(m, pc))
         assert np.all(xi.values[m.interior_nodes] > 0)
         assert np.all(xi.values[m.boundary_nodes] == 0)
 
@@ -75,7 +75,7 @@ def test_torsion_positive_interior():
 def test_variable_exponent_solve_converges():
     m = mesh1d(256)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
-    res = solve_dirichlet(m, p, GridFunction.constant(m, 1.0))
+    res = solve_dirichlet(p, GridFunction.constant(m, 1.0))
     assert res.converged and res.residual < 1e-8
     assert np.all(res.u.values[m.interior_nodes] > 0)
 
@@ -89,7 +89,7 @@ def test_torsion_delta_matches_piecewise_oracle():
     for n in (128, 1024):
         m = mesh1d(n)
         p = ExponentField.constant(m, 2.0)
-        xd = torsion_delta(m, p, delta, xi=torsion(m, p))
+        xd = torsion_delta(p, delta, xi=torsion(p))
         errs[n] = np.abs(xd.values - strip_torsion_exact(m.nodes[:, 0], delta)).max()
         assert errs[n] < 0.1 * m.h
     assert errs[1024] < errs[128]
@@ -98,8 +98,8 @@ def test_torsion_delta_matches_piecewise_oracle():
 def test_torsion_delta_below_torsion_and_positive():
     m = mesh1d(256)
     p = ExponentField.constant(m, 2.0)
-    xi = torsion(m, p)
-    xd = torsion_delta(m, p, 0.05, xi=xi)
+    xi = torsion(p)
+    xd = torsion_delta(p, 0.05, xi=xi)
     assert np.all(xd.values <= xi.values + 1e-10)
     ii = m.interior_nodes
     c0 = (xd.values[ii] / m.distance[ii]).min()
@@ -110,16 +110,16 @@ def test_torsion_delta_rejects_large_delta():
     m = mesh1d(128)
     p = ExponentField.constant(m, 2.0)
     with pytest.raises(DeltaTooLargeError):
-        torsion_delta(m, p, 0.4, xi=torsion(m, p))
+        torsion_delta(p, 0.4, xi=torsion(p))
 
 
 def test_torsion_delta_converges_to_torsion():
     m = mesh1d(512)
     p = ExponentField.constant(m, 2.0)
-    xi = torsion(m, p)
+    xi = torsion(p)
     gaps = []
     for delta in (0.2, 0.1, 0.05):
-        xd = torsion_delta(m, p, delta, xi=xi)
+        xd = torsion_delta(p, delta, xi=xi)
         gaps.append(np.abs(xd.values - xi.values).max())
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -128,21 +128,21 @@ def test_weak_residual_contract():
     m = mesh1d(64)
     p = ExponentField.constant(m, 2.0)
     h = GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
-    assert weak_residual(m, p, res.u, h) < 1e-12
+    res = solve_dirichlet(p, h)
+    assert weak_residual(p, res.u, h) < 1e-12
     # u = 0 against h = 1: max_j int(hat_j) / (int|h| + 1) = h_cell / 2
     zero = GridFunction.constant(m, 0.0)
-    assert weak_residual(m, p, zero, h) == pytest.approx(m.h / 2.0, rel=1e-12)
+    assert weak_residual(p, zero, h) == pytest.approx(m.h / 2.0, rel=1e-12)
     # perturbing the solution strictly increases the residual
     pert = res.u.values.copy()
     pert[m.n_nodes // 2] += 0.1
-    assert weak_residual(m, p, GridFunction(m, pert), h) > 1e-3
+    assert weak_residual(p, GridFunction(m, pert), h) > 1e-3
 
 
 def test_energy_decreases_along_newton():
     m = mesh1d(128)
     p = ExponentField.from_callable(m, lambda x: 2.5 + 0.4 * np.sin(4 * x))
-    res = solve_dirichlet(m, p, GridFunction.constant(m, 3.0))
+    res = solve_dirichlet(p, GridFunction.constant(m, 3.0))
     diffs = np.diff(res.energies)
     assert np.all(diffs <= 1e-13 * (1 + np.abs(res.energies[0])))
 
@@ -155,8 +155,8 @@ def test_weak_comparison_principle():
         for _ in range(3):
             h1 = random_lipschitz_field(m, rng, 0.0, 1.0)
             h2 = GridFunction(m, h1.values + rng.uniform(0.0, 1.0))
-            u1 = solve_dirichlet(m, p, h1).u.values
-            u2 = solve_dirichlet(m, p, h2).u.values
+            u1 = solve_dirichlet(p, h1).u.values
+            u2 = solve_dirichlet(p, h2).u.values
             assert np.all(u1 <= u2 + 1e-9)
 
 
@@ -164,9 +164,9 @@ def test_constant_p_scaling_homogeneity():
     m = mesh1d(128)
     p = ExponentField.constant(m, 3.0)
     h = GridFunction.constant(m, 1.0)
-    base = solve_dirichlet(m, p, h).u.values
+    base = solve_dirichlet(p, h).u.values
     for lam in (0.1, 2.0, 100.0):
-        got = solve_dirichlet(m, p, GridFunction.constant(m, lam)).u.values
+        got = solve_dirichlet(p, GridFunction.constant(m, lam)).u.values
         np.testing.assert_allclose(got, lam ** 0.5 * base, rtol=1e-6, atol=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_positivity_random_nonnegative_data():
     p = ExponentField.from_callable(m, lambda x: 2 + x / 2)
     for _ in range(5):
         h = random_lipschitz_field(m, rng, 0.0, 2.0)
-        u = solve_dirichlet(m, p, h).u.values
+        u = solve_dirichlet(p, h).u.values
         assert np.all(u[m.interior_nodes] > 0)
 
 
@@ -185,7 +185,7 @@ def test_mesh_convergence_order():
     for n in (128, 256, 512):
         m = mesh1d(n)
         for pc in (2.0, 3.0):
-            u = torsion(m, ExponentField.constant(m, pc)).values
+            u = torsion(ExponentField.constant(m, pc)).values
             exact = const_p_torsion_exact(m.nodes[:, 0], pc)
             errs[pc].append(np.abs(u - exact).max())
     # p=2 is nodally exact; p=3 must refine at order >= 1
@@ -196,7 +196,7 @@ def test_mesh_convergence_order():
 
 def test_square_torsion_series_oracle():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 32)
-    xi = torsion(m, ExponentField.constant(m, 2.0))
+    xi = torsion(ExponentField.constant(m, 2.0))
 
     def series(x, y, terms=41):
         s = 0.0
@@ -220,14 +220,14 @@ def test_quad_valued_singular_rhs():
     p = ExponentField.constant(m, 2.0)
     from varpx.grid import QuadField
     hq = QuadField(m, m.domain.distance(m.qpoints[:, 0]) ** -0.3)
-    res = solve_dirichlet(m, p, hq)
+    res = solve_dirichlet(p, hq)
     assert res.converged
     assert np.all(res.u.values[m.interior_nodes] > 0)
 
 
 def test_newton_iters_zero_when_poisson_start_is_exact():
     m = mesh1d(64)
-    res = solve_dirichlet(m, ExponentField.constant(m, 2.0),
+    res = solve_dirichlet(ExponentField.constant(m, 2.0),
                           GridFunction.constant(m, 1.0))
     assert res.converged
     assert res.newton_iters == 0
@@ -237,9 +237,9 @@ def test_newton_iters_zero_when_poisson_start_is_exact():
 def test_start_at_converged_output_takes_no_newton_step():
     m = mesh1d(512)
     p, h = ExponentField.constant(m, 3.0), GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
+    res = solve_dirichlet(p, h)
     assert res.converged and res.newton_iters > 0
-    again = solve_dirichlet(m, p, h, start=res.u)
+    again = solve_dirichlet(p, h, start=res.u)
     assert again.converged and again.newton_iters == 0
     assert np.array_equal(again.u.values, res.u.values)
 
@@ -247,14 +247,14 @@ def test_start_at_converged_output_takes_no_newton_step():
 def test_start_on_another_mesh_rejected():
     m = mesh1d(32)
     with pytest.raises(MeshCompatibilityError):
-        solve_dirichlet(m, ExponentField.constant(m, 2.0), 1.0,
+        solve_dirichlet(ExponentField.constant(m, 2.0), 1.0,
                         start=GridFunction.constant(mesh1d(32), 0.0))
 
 
 def test_newton_iters_counts_solved_systems():
     m = mesh1d(512)
     opts = SolverOptions()
-    res = solve_dirichlet(m, ExponentField.constant(m, 3.0),
+    res = solve_dirichlet(ExponentField.constant(m, 3.0),
                           GridFunction.constant(m, 1.0), opts)
     assert res.converged
     assert 0 < res.newton_iters <= opts.max_newton // 4
@@ -264,7 +264,7 @@ def test_newton_iters_counts_solved_systems():
 
 def test_max_newton_caps_steps():
     m = mesh1d(128)
-    res = solve_dirichlet(m, ExponentField.constant(m, 3.0),
+    res = solve_dirichlet(ExponentField.constant(m, 3.0),
                           GridFunction.constant(m, 1.0),
                           SolverOptions(max_newton=2))
     assert res.newton_iters == 2
@@ -282,7 +282,7 @@ def test_one_linearization_per_newton_step(monkeypatch):
         monkeypatch.setattr(plaplace, name, counted)
     m = mesh1d(128)
     opts = SolverOptions()
-    res = solve_dirichlet(m, ExponentField.constant(m, 3.0),
+    res = solve_dirichlet(ExponentField.constant(m, 3.0),
                           GridFunction.constant(m, 1.0), opts)
     # every step accepted and fewer than max_newton: the forcing test stopped it
     assert res.converged and res.newton_iters < opts.max_newton
@@ -299,7 +299,7 @@ def test_non_finite_hessian_raises_solve_error(monkeypatch, bad):
         linearize(mesh, lay, *args)[0], lambda: np.full(lay.size, bad)))
     m = mesh1d(64)
     with pytest.raises(plaplace.SolveError):
-        solve_dirichlet(m, ExponentField.constant(m, 3.0),
+        solve_dirichlet(ExponentField.constant(m, 3.0),
                         GridFunction.constant(m, 1.0))
 
 
@@ -445,7 +445,7 @@ def test_weak_comparison_property(dim, n, width, aspect, tall, seed, log_scale):
     h1 = scale * rng.normal(size=mesh.n_nodes)
     bump = rng.exponential(size=mesh.n_nodes) * (rng.random(mesh.n_nodes) < rng.random())
     opts = SolverOptions()
-    r1, r2 = (solve_dirichlet(mesh, p, GridFunction(mesh, h), opts)
+    r1, r2 = (solve_dirichlet(p, GridFunction(mesh, h), opts)
               for h in (h1, h1 + scale * bump))
     assume(r1.converged and r2.converged)
     u1, u2 = r1.u.values, r2.u.values
@@ -470,8 +470,8 @@ def test_start_independence_property(dim, n, width, aspect, tall, seed, log_scal
     s = 10.0 ** log_start * rng.normal(size=mesh.n_nodes)
     s[mesh.boundary_nodes] = 0.0
     opts = SolverOptions()
-    ref = solve_dirichlet(mesh, p, h, opts)
-    warm = solve_dirichlet(mesh, p, h, opts, start=GridFunction(mesh, s, zero_trace=True))
+    ref = solve_dirichlet(p, h, opts)
+    warm = solve_dirichlet(p, h, opts, start=GridFunction(mesh, s, zero_trace=True))
     assume(ref.converged and warm.converged)
     u = ref.u.values
     assert np.abs(warm.u.values - u).max() <= opts.tol_residual * (1.0 + np.abs(u).max())
@@ -483,7 +483,7 @@ def test_apply_operator_matches_coo_reference(case):
     lay = plaplace._layout(mesh)
     for eps in (0.0, 1e-3):
         got = (plaplace._linearize(mesh, lay, p.at_quad(), u, eps)[0] if eps
-               else plaplace.apply_operator(mesh, p, u))
+               else plaplace.apply_operator(p, u))
         ref = _reference_operator(mesh, p, u, eps)
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-13 * np.abs(ref).max())

@@ -1,12 +1,15 @@
-"""A ProblemSpec carries its mesh, so no public function of the system
-layers takes both a spec and a mesh: the separate mesh could only repeat
-``spec.mesh`` or disagree with it."""
+"""Each fact has one owner.  A ProblemSpec carries its mesh, and so does
+every field (ExponentField, GridFunction), so no public function takes a
+mesh beside a spec or beside a field: the separate mesh could only repeat
+the one the spec or field already holds, or disagree with it."""
 
 import inspect
 
 import pytest
 
-from varpx import barriers, sysfix, verify
+from varpx import barriers, expspace, grid, plaplace, sysfix, verify
+
+MODULES = [grid, expspace, plaplace, barriers, sysfix, verify]
 
 
 def _public_functions(module):
@@ -23,17 +26,31 @@ def _public_functions(module):
                     yield f"{name}.{attr}", fn
 
 
-def _takes(param, name, annotation):
-    return param.name == name or annotation in str(param.annotation)
+def _takes(param, names, annotations):
+    return param.name in names or any(a in str(param.annotation) for a in annotations)
 
 
-@pytest.mark.parametrize("module", [barriers, sysfix, verify],
-                         ids=lambda m: m.__name__)
-def test_no_function_takes_a_spec_and_a_mesh(module):
+def _taking_both(module, first, second):
+    """Public functions of ``module`` with a parameter matching each of
+    the (names, annotations) pairs ``first`` and ``second``."""
     both = []
     for name, fn in _public_functions(module):
         params = inspect.signature(fn).parameters.values()
-        if (any(_takes(p, "spec", "ProblemSpec") for p in params)
-                and any(_takes(p, "mesh", "Mesh") for p in params)):
+        if (any(_takes(p, *first) for p in params)
+                and any(_takes(p, *second) for p in params)):
             both.append(name)
-    assert both == []
+    return both
+
+
+MESH = (("mesh",), ("Mesh",))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_function_takes_a_spec_and_a_mesh(module):
+    assert _taking_both(module, (("spec",), ("ProblemSpec",)), MESH) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_function_takes_a_field_and_a_mesh(module):
+    field = (("p", "ps"), ("ExponentField", "GridFunction"))
+    assert _taking_both(module, field, MESH) == []

@@ -30,7 +30,7 @@ def test_constant_map_fixed_point_two_iterations():
     sol, rep = fixed_point_iterate(spec, cal.pair,
                                    opts=IterationOptions(theta=1.0))
     assert rep.converged and rep.iters <= 2
-    xi = torsion(m, spec.p1)
+    xi = torsion(spec.p1)
     np.testing.assert_allclose(sol[0].values, xi.values, atol=1e-10)
     np.testing.assert_allclose(sol[1].values, xi.values, atol=1e-10)
 
@@ -59,8 +59,8 @@ def test_decoupling_matches_componentwise_solves():
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
     (u1, u2), _ = apply_map(st)
     h1, h2 = st.frozen
-    d1 = solve_dirichlet(m, spec.p1, h1, start=st.z[0]).u.values
-    d2 = solve_dirichlet(m, spec.p2, h2, start=st.z[1]).u.values
+    d1 = solve_dirichlet(spec.p1, h1, start=st.z[0]).u.values
+    d2 = solve_dirichlet(spec.p2, h2, start=st.z[1]).u.values
     # bit-level: the map is literally two independent solves
     assert np.array_equal(u1.values, d1)
     assert np.array_equal(u2.values, d2)

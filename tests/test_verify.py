@@ -8,6 +8,7 @@ from varpx import (DomainSpec, ExponentField, GridFunction, Regime, build_mesh,
                    gradient_estimate_audit, linfty_estimate_audit, mvt_ratio,
                    sandwich_audit, solution_certificate, solve_dirichlet,
                    torsion)
+from varpx.errors import MeshCompatibilityError
 from varpx.grid import QuadField
 from varpx.verify import (certificate_to_json, mvt_tolerance,
                           random_lipschitz_field, random_sign_constant_test)
@@ -25,12 +26,12 @@ def test_mvt_constant_weight_factors_out():
     m = mesh1d(256)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     h = GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
+    res = solve_dirichlet(p, h)
     rng = np.random.default_rng(11)
     phi = random_sign_constant_test(m, rng)
     for c in (0.5, 1.0, 3.0):
         f = GridFunction.constant(m, c)
-        got = mvt_ratio(m, p, res.u, h, f, phi)
+        got = mvt_ratio(p, res.u, h, f, phi)
         assert got == pytest.approx(c, abs=1e-9)
 
 
@@ -39,9 +40,9 @@ def test_mvt_closed_form_case():
     m = mesh1d(1024)
     p = ExponentField.constant(m, 2.0)
     h = GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
+    res = solve_dirichlet(p, h)
     f = GridFunction.from_callable(m, lambda x: 1 + x)
-    got = mvt_ratio(m, p, res.u, h, f, res.u)
+    got = mvt_ratio(p, res.u, h, f, res.u)
     assert got == pytest.approx(1.5, abs=1e-3)
     assert 1.0 <= got <= 2.0
 
@@ -52,11 +53,11 @@ def test_mvt_two_level_weight_interior_value():
     m = mesh1d(512)
     p = ExponentField.constant(m, 2.0)
     h = GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
+    res = solve_dirichlet(p, h)
     x = m.nodes[:, 0]
     ramp = np.clip((x - 0.45) / 0.1, 0.0, 1.0)
     f = GridFunction(m, 1.0 + ramp)
-    got = mvt_ratio(m, p, res.u, h, f, res.u)
+    got = mvt_ratio(p, res.u, h, f, res.u)
     assert 1.0 + 1e-3 < got < 2.0 - 1e-3
 
 
@@ -65,12 +66,12 @@ def test_mvt_random_sampling_within_range():
     rng = np.random.default_rng(12)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     h = GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
+    res = solve_dirichlet(p, h)
     tol = mvt_tolerance(m, res.residual)
     for _ in range(50):
         f = random_lipschitz_field(m, rng, 0.7, 1.9)
         phi = random_sign_constant_test(m, rng)
-        got = mvt_ratio(m, p, res.u, h, f, phi)
+        got = mvt_ratio(p, res.u, h, f, phi)
         assert 0.7 - tol <= got <= 1.9 + tol
 
 
@@ -84,21 +85,36 @@ def test_mvt_degenerate_denominator_raises():
     m = mesh1d(64)
     p = ExponentField.constant(m, 2.0)
     h = GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
+    res = solve_dirichlet(p, h)
     zero_phi = GridFunction.constant(m, 0.0)
     f = GridFunction.constant(m, 1.0)
     with pytest.raises(ZeroDivisionError):
-        mvt_ratio(m, p, res.u, h, f, zero_phi)
+        mvt_ratio(p, res.u, h, f, zero_phi)
 
 
 def test_mvt_rejects_sign_changing_phi():
     m = mesh1d(64)
     p = ExponentField.constant(m, 2.0)
     h = GridFunction.constant(m, 1.0)
-    res = solve_dirichlet(m, p, h)
+    res = solve_dirichlet(p, h)
     phi = GridFunction.from_callable(m, lambda x: np.sin(2 * np.pi * x))
     with pytest.raises(ValueError):
-        mvt_ratio(m, p, res.u, h, GridFunction.constant(m, 1.0), phi)
+        mvt_ratio(p, res.u, h, GridFunction.constant(m, 1.0), phi)
+
+
+def test_mvt_ratio_rejects_fields_on_another_mesh():
+    # a field carries its mesh, so two fields on equal but distinct
+    # meshes are still two meshes
+    m, other = mesh1d(8), mesh1d(8)
+    p = ExponentField.constant(m, 2.0)
+    h = GridFunction.constant(m, 1.0)
+    u = solve_dirichlet(p, h).u
+    f = GridFunction.constant(m, 1.0)
+    foreign_f = GridFunction.constant(other, 1.0)
+    foreign_u = GridFunction(other, u.values, zero_trace=True)
+    for args in ((foreign_u, h, f, u), (u, h, foreign_f, u), (u, h, f, foreign_u)):
+        with pytest.raises(MeshCompatibilityError):
+            mvt_ratio(p, *args)
 
 
 # -- estimate audits ---------------------------------------------------------
@@ -106,7 +122,7 @@ def test_mvt_rejects_sign_changing_phi():
 def test_gradient_audit_linear_case_is_flat():
     m = mesh1d(512)
     p = ExponentField.constant(m, 2.0)
-    a = gradient_estimate_audit(m, p, GridFunction.constant(m, 1.0))
+    a = gradient_estimate_audit(p, GridFunction.constant(m, 1.0))
     assert a.verdict == "pass"
     assert a.spread < 1e-10
     # |u'|_max = (1-h)/2 for the discrete hat profile
@@ -115,7 +131,7 @@ def test_gradient_audit_linear_case_is_flat():
 
 def test_gradient_audit_p3_flat_by_homogeneity():
     m = mesh1d(512)
-    a = gradient_estimate_audit(m, ExponentField.constant(m, 3.0),
+    a = gradient_estimate_audit(ExponentField.constant(m, 3.0),
                                 GridFunction.constant(m, 1.0))
     assert a.verdict == "pass" and a.spread < 1e-8
     assert a.measured_ratio == pytest.approx(2 ** -0.5, rel=1e-2)
@@ -124,7 +140,7 @@ def test_gradient_audit_p3_flat_by_homogeneity():
 def test_gradient_audit_variable_p_bounded():
     m = mesh1d(512)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
-    a = gradient_estimate_audit(m, p, GridFunction.constant(m, 1.0))
+    a = gradient_estimate_audit(p, GridFunction.constant(m, 1.0))
     assert a.verdict == "pass"
     ratios = [r for _, r in a.scale_family]
     assert ratios[-1] <= max(ratios)  # no blow-up at the top scale
@@ -133,7 +149,7 @@ def test_gradient_audit_variable_p_bounded():
 def test_linfty_audit_linear_case():
     m = mesh1d(512)
     p = ExponentField.constant(m, 2.0)
-    a = linfty_estimate_audit(m, p, GridFunction.constant(m, 1.0))
+    a = linfty_estimate_audit(p, GridFunction.constant(m, 1.0))
     assert a.verdict == "pass"
     fam = dict((round(np.log10(s)), r) for s, r in a.scale_family)
     # |u|_inf = 1/8 and |h|_L2 = 1 at unit scale; linearity keeps the
@@ -147,7 +163,7 @@ def test_linfty_audit_branch_continuity():
     m = mesh1d(256)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     scales = tuple(float(s) for s in np.linspace(0.9, 1.1, 11))
-    a = linfty_estimate_audit(m, p, GridFunction.constant(m, 1.0), scales=scales)
+    a = linfty_estimate_audit(p, GridFunction.constant(m, 1.0), scales=scales)
     ratios = np.array([r for _, r in a.scale_family])
     jumps = np.abs(np.diff(ratios)) / ratios[:-1]
     assert jumps.max() < 0.05
@@ -157,16 +173,25 @@ def test_linfty_audit_singular_data():
     m = mesh1d(256)
     p = ExponentField.constant(m, 2.0)
     hq = QuadField(m, m.domain.distance(m.qpoints[:, 0]) ** -0.3)
-    a = linfty_estimate_audit(m, p, hq)
+    a = linfty_estimate_audit(p, hq)
     assert np.isfinite(a.measured_ratio) and a.measured_ratio > 0
+
+
+@pytest.mark.parametrize("audit", [gradient_estimate_audit, linfty_estimate_audit])
+def test_estimate_audits_reject_data_on_another_mesh(audit):
+    # same node count, other domain: the values alone would fit
+    p = ExponentField.constant(mesh1d(32), 2.0)
+    h_base = GridFunction.constant(build_mesh(DomainSpec.interval(0.0, 2.0), 32), 1.0)
+    with pytest.raises(MeshCompatibilityError):
+        audit(p, h_base)
 
 
 # -- sandwich audit ----------------------------------------------------------
 
 def test_sandwich_audit_torsion():
     m = mesh1d(512)
-    xi = torsion(m, ExponentField.constant(m, 2.0))
-    out = sandwich_audit((xi, xi), m)
+    xi = torsion(ExponentField.constant(m, 2.0))
+    out = sandwich_audit((xi, xi))
     assert out["verdict"] == "pass"
     # u/d = (1-x)/2 on the left half: extremes 1/4 and (1-h)/2
     assert out["c0"] == pytest.approx(0.25, rel=1e-6)
@@ -176,23 +201,23 @@ def test_sandwich_audit_torsion():
 def test_sandwich_audit_synthetic_profiles():
     m = mesh1d(256)
     d = GridFunction(m, m.distance.copy(), zero_trace=True)
-    out = sandwich_audit((d, d), m)
+    out = sandwich_audit((d, d))
     assert out["c0"] == pytest.approx(1.0) and out["c1"] == pytest.approx(1.0)
     # boundary-flat profiles leak c0 -> 0 under refinement; the paired
     # stability audit must flag that
     m2 = mesh1d(512)
     flat2 = GridFunction(m2, m2.distance ** 2, zero_trace=True)
     paired = sandwich_audit((GridFunction(m, m.distance ** 2, zero_trace=True),) * 2,
-                            m, refined=((flat2, flat2), m2))
+                            refined=(flat2, flat2))
     assert paired["verdict"] == "fail"
 
 
 def test_sandwich_stability_accepts_converging_solution():
     m = mesh1d(256)
     m2 = mesh1d(512)
-    xi = torsion(m, ExponentField.constant(m, 2.0))
-    xi2 = torsion(m2, ExponentField.constant(m2, 2.0))
-    out = sandwich_audit((xi, xi), m, refined=((xi2, xi2), m2))
+    xi = torsion(ExponentField.constant(m, 2.0))
+    xi2 = torsion(ExponentField.constant(m2, 2.0))
+    out = sandwich_audit((xi, xi), refined=(xi2, xi2))
     assert out["verdict"] == "pass" and out["stability_checked"]
 
 
