@@ -24,7 +24,7 @@ from .barriers import (BarrierPair, HypothesisReport, ProblemSpec, Regime,
 from .sysfix import (IterationOptions, IterationReport, SystemState, apply_map,
                      calibrate_caps, coupled_residual, fixed_point_iterate,
                      membership_check)
-from .verify import (EstimateAudit, gradient_estimate_audit,
+from .verify import (EstimateAudit, ScaleFamily, gradient_estimate_audit,
                      linfty_estimate_audit, mvt_ratio, sandwich_audit,
                      solution_certificate)
 

@@ -443,20 +443,15 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
         "(indistinguishable at this resolution)")
 
 
-def frozen_rhs_quad(spec: ProblemSpec, z1: GridFunction, z2: GridFunction,
-                    pair: BarrierPair):
-    """Quadrature-point data f_i(x, z1^, z2^, grad z1, grad z2) with the
-    singular floor clamp z^ = max(z, under).  Interior quadrature points
-    keep negative powers finite because the floor is positive there."""
+def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple, grads: tuple):
+    """Quadrature-point data f_i(x, z1^, z2^, |grad z1|, |grad z2|) of the
+    fields ``z`` with gradient fields ``grads``, under the singular floor
+    clamp z^ = max(z, under).  Interior quadrature points keep negative
+    powers finite because the floor is positive there."""
     mesh = spec.mesh
-    zc1 = np.maximum(z1.values, pair.under[0].values)
-    zc2 = np.maximum(z2.values, pair.under[1].values)
-    s1 = grid.at_quad(mesh, zc1)
-    s2 = grid.at_quad(mesh, zc2)
-    xi1 = grid.cell_gradients(mesh, z1.values)
-    xi2 = grid.cell_gradients(mesh, z2.values)
-    m1 = np.sqrt((xi1 ** 2).sum(axis=1))[mesh.qcells]
-    m2 = np.sqrt((xi2 ** 2).sum(axis=1))[mesh.qcells]
+    s1, s2 = (grid.at_quad(mesh, np.maximum(zi.values, low.values))
+              for zi, low in zip(z, pair.under))
+    m1, m2 = (g.magnitudes[mesh.qcells] for g in grads)
     out = []
     for i in (0, 1):
         hv = spec.evaluate_f(i, mesh.qpoints, s1, s2, m1, m2)

@@ -262,13 +262,13 @@ def _residual(mesh, values, b, scale):
     return r, float(np.abs(r).max() / scale)
 
 
-def weak_residual(p: ExponentField, u, h) -> float:
+def weak_residual(p: ExponentField, u: GridFunction, h) -> float:
     """Max over interior hat functions of the mesh of ``p`` of the
-    unregularized weak-form defect, normalized by int|h| + 1."""
+    unregularized weak-form defect of ``u``, normalized by int|h| + 1."""
     mesh = p.mesh
-    uv = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
+    grid.check_same_mesh(mesh, u)
     hq = grid.as_quad_values(mesh, h)
-    return _residual(mesh, apply_operator(p, uv),
+    return _residual(mesh, apply_operator(p, u.values),
                      grid.load_vector(mesh, hq), _data_scale(mesh, hq))[1]
 
 

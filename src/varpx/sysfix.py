@@ -90,8 +90,8 @@ class SystemState:
         """Data for the decoupled solves: nonlinearities at the clamped
         state, sampled at interior quadrature points only.  The residual
         test of an iterate and the map application that follows share
-        this one evaluation."""
-        return bmod.frozen_rhs_quad(self.spec, *self.z, self.pair)
+        this one evaluation, and it reads the state's own gradients."""
+        return bmod.frozen_rhs_quad(self.spec, self.pair, self.z, self.grad_z)
 
     def extremes(self, regime: Regime) -> list:
         """Cap-free membership inputs per component: (depth below

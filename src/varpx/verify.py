@@ -1,9 +1,9 @@
 """Numerical audits of the a priori estimates and identities.
 
-Each audit measures a candidate constant across a family of scaled
-inputs and certifies boundedness; the constants themselves exist only
-abstractly upstream, so the measured values are regression data, not
-reference values.  The mean-value ratio check evaluates
+Each estimate audit measures a candidate constant across one exponent's
+scale family and certifies boundedness; the constants themselves exist
+only abstractly upstream, so the measured values are regression data,
+not reference values.  The mean-value ratio check evaluates
 
     gamma_hat = int f |grad u|^(p-2) grad u . grad phi dx / int h phi dx
 
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import grid, plaplace, sysfix
 from .barriers import BarrierPair, ProblemSpec, validate_hypotheses
 from .expspace import ExponentField, per_exponent
-from .grid import GridFunction, Mesh, QuadField
+from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
 
 DEFAULT_SCALES = (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
@@ -79,67 +80,74 @@ def _family_verdict(ratios):
     return "pass", spread
 
 
-def _scale_family_audit(name, p: ExponentField, base, field_type, norm, size,
-                        scales, opts, notes=()) -> EstimateAudit:
-    """Ratios size(u) / norm(h)^(1/(p_pm - 1)) of the solves u with the
-    data h = field_type(p.mesh, lam * base) at each scale lam, with p_minus
-    as the branch exponent when norm(h) exceeds one and p_plus otherwise."""
-    if np.any(base > 0) and np.any(base < 0):
-        raise ValueError("h_base must be sign-constant")
-    family = []
-    for lam in scales:
-        h = field_type(p.mesh, lam * base)
-        res = plaplace.solve_dirichlet(p, h, opts)
-        if not res.converged:
-            raise plaplace.SolveError(f"audit solve stalled at scale {lam}")
-        hnorm = norm(h)
-        expo = p.p_minus if hnorm > 1.0 else p.p_plus
-        family.append((float(lam), float(size(res.u) / hnorm ** (1.0 / (expo - 1.0)))))
-    verdict, spread = _family_verdict(family)
-    return EstimateAudit(name=name, measured_ratio=max(r for _, r in family),
-                         scale_family=family, verdict=verdict,
-                         tolerance=_TREND_TOL, spread=spread, notes=list(notes))
+@dataclass
+class ScaleFamily:
+    """One exponent's solves with constant data lam at each scale, run on
+    first read, so the audits reading one family solve each problem once."""
+
+    p: ExponentField
+    scales: tuple = DEFAULT_SCALES
+    opts: SolverOptions | None = None
+
+    @cached_property
+    def solves(self) -> tuple:
+        out = []
+        for lam in self.scales:
+            res = plaplace.solve_dirichlet(self.p, GridFunction.constant(self.p.mesh, lam),
+                                           self.opts)
+            if not res.converged:
+                raise plaplace.SolveError(f"audit solve stalled at scale {lam}")
+            out.append(res.u)
+        return tuple(out)
+
+    def audit(self, name, norm, size, notes=()) -> EstimateAudit:
+        """Ratios size(u) / norm(lam)^(1/(p_pm - 1)) over the solves u, with
+        branch exponent p_minus when norm(lam) exceeds one, else p_plus."""
+        ratios = []
+        for lam, u in zip(self.scales, self.solves):
+            hnorm = norm(lam)
+            expo = self.p.p_minus if hnorm > 1.0 else self.p.p_plus
+            ratios.append((float(lam), float(size(u) / hnorm ** (1.0 / (expo - 1.0)))))
+        verdict, spread = _family_verdict(ratios)
+        return EstimateAudit(name=name, measured_ratio=max(r for _, r in ratios),
+                             scale_family=ratios, verdict=verdict,
+                             tolerance=_TREND_TOL, spread=spread, notes=list(notes))
 
 
-def gradient_estimate_audit(p: ExponentField, h_base: GridFunction,
-                            scales=DEFAULT_SCALES,
-                            opts: SolverOptions | None = None) -> EstimateAudit:
-    """Ratio |grad u|_inf / |h|_inf^(1/(p_pm - 1)) across a scale family
-    of the data, with the branch exponent chosen by whether |h|_inf
-    exceeds one.  Passes when the family stays bounded (no growth trend
-    at the top scales)."""
-    grid.check_same_mesh(p.mesh, h_base)
-    if not np.any(h_base.values != 0):
-        raise ValueError("h_base must be nontrivial")
-    return _scale_family_audit(
-        "gradient_estimate", p, h_base.values, GridFunction,
-        lambda h: float(np.abs(h.values).max()),
-        lambda u: grid.gradient(u).inf_norm, scales, opts)
+def gradient_estimate_audit(family: ScaleFamily) -> EstimateAudit:
+    """Ratio |grad u|_inf / |h|_inf^(1/(p_pm - 1)) across the family, with
+    the branch exponent chosen by whether |h|_inf = |lam| exceeds one.
+    Passes when the family stays bounded (no growth trend at the top
+    scales)."""
+    return family.audit("gradient_estimate", lambda lam: abs(float(lam)),
+                        lambda u: grid.gradient(u).inf_norm)
 
 
-def linfty_estimate_audit(p: ExponentField, h_base, scales=DEFAULT_SCALES,
-                          opts: SolverOptions | None = None) -> EstimateAudit:
-    """Ratio |u|_inf / |h|_LN^(1/(p_pm - 1)) across a scale family.  The
+def linfty_estimate_audit(family: ScaleFamily) -> EstimateAudit:
+    """Ratio |u|_inf / |h|_LN^(1/(p_pm - 1)) across the family.  The
     exponent N is the ambient dimension; on one-dimensional meshes N=2
     is used for the exponent arithmetic and recorded as a deviation."""
-    N = max(p.mesh.dim, 2)
-    notes = ["dim=1: N=2 used for the exponent arithmetic"] if p.mesh.dim < 2 else []
-    return _scale_family_audit(
-        "linfty_estimate", p, grid.as_quad_values(p.mesh, h_base), QuadField,
-        lambda h: float((h.mesh.qweights @ np.abs(h.values) ** N) ** (1.0 / N)),
-        lambda u: float(np.abs(u.values).max()), scales, opts, notes)
+    mesh = family.p.mesh
+    N = max(mesh.dim, 2)
+    notes = ["dim=1: N=2 used for the exponent arithmetic"] if mesh.dim < 2 else []
+    unit = grid.at_quad(mesh, np.ones(mesh.n_nodes))
+    return family.audit(
+        "linfty_estimate",
+        lambda lam: float((mesh.qweights @ np.abs(lam * unit) ** N) ** (1.0 / N)),
+        lambda u: float(np.abs(u.values).max()), notes)
 
 
 def estimate_audits(ps, kinds, opts: SolverOptions | None = None) -> list:
     """Unit-data audits of each kind ("gradient", "linfty") for each
     exponent of ``ps``, component by component, named
-    ``<kind>_estimate_p<i>``; equal exponents share their audits."""
-    ones = GridFunction.constant(ps[0].mesh, 1.0)
+    ``<kind>_estimate_p<i>``; all kinds read one ScaleFamily per distinct
+    exponent."""
 
     def audits(p):
+        family = ScaleFamily(p, opts=opts)
         # looked up per call, so a wrapper bound to the module name applies
         run = {"gradient": gradient_estimate_audit, "linfty": linfty_estimate_audit}
-        return [run[kind](p, ones, opts=opts) for kind in kinds]
+        return [run[kind](family) for kind in kinds]
 
     return [replace(a, name=f"{kind}_estimate_p{i + 1}")
             for i, per in enumerate(per_exponent(ps, audits))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from varpx import (DomainSpec, ExponentField, GridFunction, Regime,
+from varpx import (DomainSpec, ExponentField, GridFunction, Regime, ScaleFamily,
                    SystemState, apply_map, build_mesh, calibrate_barriers,
                    calibrate_caps, distance_power_modular, fixed_point_iterate,
                    gradient_estimate_audit, luxemburg_norm, membership_check,
@@ -161,13 +161,12 @@ def test_acceptance_05_mean_value_property():
 
 def test_acceptance_06_gradient_estimate():
     m = build_mesh(DomainSpec.interval(0, 1), 512)
-    ones = GridFunction.constant(m, 1.0)
     for pc in (2.0, 3.0):
-        a = gradient_estimate_audit(ExponentField.constant(m, pc), ones)
+        a = gradient_estimate_audit(ScaleFamily(ExponentField.constant(m, pc)))
         assert a.verdict == "pass"
         assert a.spread < 0.10, f"constant p={pc}: spread {a.spread}"
     a = gradient_estimate_audit(
-        ExponentField.from_callable(m, lambda x: 2 + x), ones)
+        ScaleFamily(ExponentField.from_callable(m, lambda x: 2 + x)))
     assert a.verdict == "pass"
     ratios = [r for _, r in a.scale_family]
     assert ratios[-1] <= ratios[-2] * 1.05  # no monotone growth at the top

@@ -139,6 +139,18 @@ def test_weak_residual_contract():
     assert weak_residual(p, GridFunction(m, pert), h) > 1e-3
 
 
+def test_weak_residual_rejects_a_field_on_another_mesh():
+    # same node count, other domain: the values alone would fit
+    m = mesh1d(32)
+    p = ExponentField.constant(m, 2.0)
+    h = GridFunction.constant(m, 1.0)
+    u = solve_dirichlet(p, h).u
+    foreign = GridFunction(build_mesh(DomainSpec.interval(0.0, 2.0), 32), u.values,
+                           zero_trace=True)
+    with pytest.raises(MeshCompatibilityError):
+        weak_residual(p, foreign, h)
+
+
 def test_energy_decreases_along_newton():
     m = mesh1d(128)
     p = ExponentField.from_callable(m, lambda x: 2.5 + 0.4 * np.sin(4 * x))

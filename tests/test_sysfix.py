@@ -334,6 +334,30 @@ def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
     assert len(evals) == rep.iters + 1
 
 
+def test_singular_iterate_computes_each_field_gradient_once(monkeypatch):
+    # outside the scalar solves, cell gradients are taken once per field:
+    # the cap norms and the frozen data of a clamped iterate read the same
+    import sys
+    from varpx import grid
+    m = build_mesh(DomainSpec.interval(0, 1), 64)
+    spec = singular_spec(m)
+    cal = calibrate_barriers(spec)
+    orig = grid.cell_gradients
+    callers = []
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "cell_gradients", recorded)
+    _, rep = fixed_point_iterate(spec, cal.pair, regime=Regime.NEGATIVE_SUM)
+    outside = [c for c in callers if c != "varpx.plaplace"]
+    # two fields each: the start, then per iteration the map output
+    # (membership) and the clamped iterate (cap norms, frozen data)
+    assert rep.iters > 1
+    assert len(outside) == 2 * (1 + 2 * rep.iters)
+
+
 @pytest.mark.parametrize("anderson_depth", [0, 2])
 def test_cap_search_reads_caps_off_one_run(monkeypatch, anderson_depth):
     from varpx import expspace, sysfix

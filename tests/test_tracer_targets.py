@@ -36,10 +36,11 @@ def test_every_trace_target_resolves():
 
 def test_traced_run_counts_audit_solves(tmp_path):
     # p1 == p2 in singular.json: the second component reuses the first
-    # one's twelve audit solves.  The bench suite fails on a target no
-    # workload reaches; a singular run and a one-row positive sweep
-    # together reach every target.
+    # one's scale family, whose solves both audits read.  The bench suite
+    # fails on a target no workload reaches; a singular run and a one-row
+    # positive sweep together reach every target.
     from varpx import cli
+    from varpx.verify import DEFAULT_SCALES
 
     with open(os.path.join(REPO_ROOT, "configs", "singular.json")) as f:
         config = cli.parse_config(f.read(), mesh_n=32)
@@ -59,7 +60,9 @@ def test_traced_run_counts_audit_solves(tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.selfcheck() == []
-    assert audit_solves == 12
+    distinct = {p.values.tobytes() for p in config.problem.p}
+    assert len(distinct) == 1
+    assert audit_solves == len(DEFAULT_SCALES) * len(distinct)
     # p = 3 is constant: the power bounds meet at the root, so each
     # Luxemburg norm costs three modular evaluations at most
     assert 0 < modular_evals <= 3 * norms

@@ -3,14 +3,13 @@ import pytest
 
 from varpx import barriers, plaplace
 
-from varpx import (DomainSpec, ExponentField, GridFunction, Regime, build_mesh,
-                   calibrate_barriers, calibrate_caps, fixed_point_iterate,
-                   gradient_estimate_audit, linfty_estimate_audit, mvt_ratio,
-                   sandwich_audit, solution_certificate, solve_dirichlet,
-                   torsion)
+from varpx import (DomainSpec, ExponentField, GridFunction, Regime, ScaleFamily,
+                   build_mesh, calibrate_barriers, calibrate_caps,
+                   fixed_point_iterate, gradient_estimate_audit,
+                   linfty_estimate_audit, mvt_ratio, sandwich_audit,
+                   solution_certificate, solve_dirichlet, torsion)
 from varpx.errors import MeshCompatibilityError
-from varpx.grid import QuadField
-from varpx.verify import (certificate_to_json, mvt_tolerance,
+from varpx.verify import (DEFAULT_SCALES, certificate_to_json, mvt_tolerance,
                           random_lipschitz_field, random_sign_constant_test)
 
 from conftest import benchmark_spec, singular_spec
@@ -121,8 +120,7 @@ def test_mvt_ratio_rejects_fields_on_another_mesh():
 
 def test_gradient_audit_linear_case_is_flat():
     m = mesh1d(512)
-    p = ExponentField.constant(m, 2.0)
-    a = gradient_estimate_audit(p, GridFunction.constant(m, 1.0))
+    a = gradient_estimate_audit(ScaleFamily(ExponentField.constant(m, 2.0)))
     assert a.verdict == "pass"
     assert a.spread < 1e-10
     # |u'|_max = (1-h)/2 for the discrete hat profile
@@ -131,8 +129,7 @@ def test_gradient_audit_linear_case_is_flat():
 
 def test_gradient_audit_p3_flat_by_homogeneity():
     m = mesh1d(512)
-    a = gradient_estimate_audit(ExponentField.constant(m, 3.0),
-                                GridFunction.constant(m, 1.0))
+    a = gradient_estimate_audit(ScaleFamily(ExponentField.constant(m, 3.0)))
     assert a.verdict == "pass" and a.spread < 1e-8
     assert a.measured_ratio == pytest.approx(2 ** -0.5, rel=1e-2)
 
@@ -140,7 +137,7 @@ def test_gradient_audit_p3_flat_by_homogeneity():
 def test_gradient_audit_variable_p_bounded():
     m = mesh1d(512)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
-    a = gradient_estimate_audit(p, GridFunction.constant(m, 1.0))
+    a = gradient_estimate_audit(ScaleFamily(p))
     assert a.verdict == "pass"
     ratios = [r for _, r in a.scale_family]
     assert ratios[-1] <= max(ratios)  # no blow-up at the top scale
@@ -148,8 +145,7 @@ def test_gradient_audit_variable_p_bounded():
 
 def test_linfty_audit_linear_case():
     m = mesh1d(512)
-    p = ExponentField.constant(m, 2.0)
-    a = linfty_estimate_audit(p, GridFunction.constant(m, 1.0))
+    a = linfty_estimate_audit(ScaleFamily(ExponentField.constant(m, 2.0)))
     assert a.verdict == "pass"
     fam = dict((round(np.log10(s)), r) for s, r in a.scale_family)
     # |u|_inf = 1/8 and |h|_L2 = 1 at unit scale; linearity keeps the
@@ -163,27 +159,42 @@ def test_linfty_audit_branch_continuity():
     m = mesh1d(256)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     scales = tuple(float(s) for s in np.linspace(0.9, 1.1, 11))
-    a = linfty_estimate_audit(p, GridFunction.constant(m, 1.0), scales=scales)
+    a = linfty_estimate_audit(ScaleFamily(p, scales=scales))
     ratios = np.array([r for _, r in a.scale_family])
     jumps = np.abs(np.diff(ratios)) / ratios[:-1]
     assert jumps.max() < 0.05
 
 
-def test_linfty_audit_singular_data():
-    m = mesh1d(256)
-    p = ExponentField.constant(m, 2.0)
-    hq = QuadField(m, m.domain.distance(m.qpoints[:, 0]) ** -0.3)
-    a = linfty_estimate_audit(p, hq)
-    assert np.isfinite(a.measured_ratio) and a.measured_ratio > 0
+def test_both_audits_of_one_family_share_its_solves(monkeypatch):
+    m = mesh1d(64)
+    family = ScaleFamily(ExponentField.from_callable(m, lambda x: 2 + x),
+                         scales=(0.5, 2.0, 8.0))
+    solves = []
+    orig = plaplace.solve_dirichlet
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(plaplace, "solve_dirichlet", counted)
+    grad = gradient_estimate_audit(family)
+    # the first audit runs every solve, the second reads them
+    assert len(solves) == len(family.scales)
+    linfty = linfty_estimate_audit(family)
+    assert len(solves) == len(family.scales)
+    for a in (grad, linfty):
+        assert [s for s, _ in a.scale_family] == list(family.scales)
+        assert a.verdict == "pass"
 
 
-@pytest.mark.parametrize("audit", [gradient_estimate_audit, linfty_estimate_audit])
-def test_estimate_audits_reject_data_on_another_mesh(audit):
-    # same node count, other domain: the values alone would fit
-    p = ExponentField.constant(mesh1d(32), 2.0)
-    h_base = GridFunction.constant(build_mesh(DomainSpec.interval(0.0, 2.0), 32), 1.0)
-    with pytest.raises(MeshCompatibilityError):
-        audit(p, h_base)
+def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
+    # N = 2 on the square: |lam|_L2 = |lam| up to quadrature roundoff
+    m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 8)
+    family = ScaleFamily(ExponentField.constant(m, 2.0), scales=(0.5, 4.0))
+    a = linfty_estimate_audit(family)
+    assert not a.notes
+    for (lam, r), u in zip(a.scale_family, family.solves):
+        assert r == pytest.approx(np.abs(u.values).max() / lam, rel=1e-12)
 
 
 # -- sandwich audit ----------------------------------------------------------
@@ -258,8 +269,9 @@ def test_certificate_detects_tampering():
     assert cert["residuals"]["max"] > 1e-3
 
 
-@pytest.mark.parametrize("spec_fn,audit_solves", [(benchmark_spec, 24),
-                                                  (singular_spec, 12)])
+@pytest.mark.parametrize("spec_fn,audit_solves", [
+    (benchmark_spec, 2 * len(DEFAULT_SCALES)),   # p1 != p2
+    (singular_spec, len(DEFAULT_SCALES))])       # p1 == p2
 def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, audit_solves):
     m, spec, cal, sol, rep = _small_run(spec_fn=spec_fn)
     expected = solution_certificate(spec, sol, cal.pair, rep,
@@ -285,6 +297,7 @@ def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, audit_solv
     # solves report their residual from the data they already hold, so
     # only the two component residuals at the solution call weak_residual
     assert calls["residual"] == 2
-    # every solve is an audit solve: six scales per audit and component,
-    # and none for a component whose exponent equals the first one's
+    # every solve is an audit solve: one per scale and distinct exponent,
+    # shared by both audits, and none for a component whose exponent
+    # equals the first one's
     assert calls["solve"] == audit_solves
