@@ -2,7 +2,7 @@
 
 The coupled system's nonlinearities are pinned between a product lower
 envelope m * s1^alpha s2^beta and an upper envelope that adds gradient
-powers.  Validation classifies the signed extremes of each exponent,
+powers.  Validation (``spec.hypotheses``) classifies signed extremes,
 checks the admissibility inequalities, and assigns the solve regime:
 
     POSITIVE_SUM  - every component has signed-extreme sum > 0; barriers
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def signed_extreme(f: ExponentField) -> float:
     return f.p_minus if sign_class(f) == "nonneg" else f.p_plus
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Full description of the coupled system on a fixed mesh."""
 
@@ -95,6 +96,11 @@ class ProblemSpec:
     @property
     def p(self):
         return (self.p1, self.p2)
+
+    @cached_property
+    def hypotheses(self) -> HypothesisReport:
+        """``validate_hypotheses(self)``, evaluated once: the spec is frozen."""
+        return validate_hypotheses(self)
 
     def p_prime_values(self, i: int) -> np.ndarray:
         pv = self.p[i].values
@@ -171,8 +177,8 @@ class HypothesisReport:
 
 def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Classify signed extremes, check every admissibility inequality,
-    and assign the regime.  Pure: identical spec gives an identical
-    report.  Mixed-sign singular exponents raise."""
+    and assign the regime; readers take ``spec.hypotheses``, its cached
+    report.  Pure.  Mixed-sign singular exponents raise."""
     checks = []
     deviations = []
     sums = []
@@ -264,12 +270,9 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
                 f"under exceeds over for component {i+1}; escalate C")
     R = max(1.0, *(_c1_bound(xi[i]) for i in (0, 1)),
             *(_c1_bound(xid[i]) for i in (0, 1)))
-    ii = mesh.interior_nodes
-    d = mesh.distance[ii]
-    c0 = min(float((under[i].values[ii] / d).min()) for i in (0, 1))
-    c1 = max(float((over[i].values[ii] / d).max()) for i in (0, 1))
-    return BarrierPair(under=under, over=over, C=float(C), delta=float(delta),
-                       R=R, c0_measured=c0, c1_measured=c1)
+    return BarrierPair(under=under, over=over, C=float(C), delta=float(delta), R=R,
+                       c0_measured=min(grid.distance_ratio(u)[0] for u in under),
+                       c1_measured=max(grid.distance_ratio(u)[1] for u in over))
 
 
 @dataclass
@@ -378,7 +381,6 @@ def check_barriers_singular_regime(spec: ProblemSpec, pair: BarrierPair,
 @dataclass
 class CalibrationResult:
     pair: BarrierPair
-    regime: Regime
     trajectory: list        # (C, worst_margin) along the doubling search
 
 
@@ -413,13 +415,13 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
     CalibrationError, which cannot distinguish 'C must be larger' from
     'discretization too coarse' and says so.
     """
-    report = validate_hypotheses(spec)
+    report = spec.hypotheses
     if not report.passed:
         bad = ", ".join(f"{c.name} (lhs={c.lhs:.6g}, rhs={c.rhs:.6g})"
                         for c in report.failed_checks())
         raise CalibrationError(f"hypotheses rejected before search: {bad}")
-    regime = report.regime
-    if regime is Regime.NEGATIVE_SUM and L is None:
+    positive = report.regime is Regime.POSITIVE_SUM
+    if not positive and L is None:
         L = 2.0  # provisional cap; refreshed by the cap search afterwards
 
     delta, xi, xid = resolve_delta(spec, opts)
@@ -430,13 +432,13 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
         except OrderingError:
             trajectory.append((C, -np.inf))
             continue
-        if regime is Regime.POSITIVE_SUM:
+        if positive:
             rep = check_barriers_positive_regime(spec, pair)
         else:
             rep = check_barriers_singular_regime(spec, pair, L)
         trajectory.append((C, rep.worst_margin))
         if rep.ok:
-            return CalibrationResult(pair=pair, regime=regime, trajectory=trajectory)
+            return CalibrationResult(pair=pair, trajectory=trajectory)
     raise CalibrationError(
         f"no C <= 2^{_C_MAX_EXP} satisfied the comparison inequalities; "
         "either C must be larger or the discretization is too coarse "

@@ -7,11 +7,11 @@ CSV, the iteration trace JSON, and the certificate JSON.
 
 Exit codes are mapped in ``main`` alone; ``run``, ``audit`` and ``sweep``
 raise.  Before the config is accepted (reading it, the sweep's JSON,
-parameter path and values, ``parse_config``) any exception exits 1 with
-one line, creating nothing; after it, 2 with the traceback and an error
-stub at each stub path the command owns that can be written.  Else 0
-when converged with all audits passed (a sweep: every row), or 2.  Sweep
-rows run in value order.
+parameter path, values and mesh size, ``parse_config``) any exception
+exits 1 with one line, creating nothing; after it, 2 with the traceback
+and an error stub at each stub path the command owns that can be
+written.  Else 0 when converged with all audits passed (a sweep: every
+row), or 2.  Sweep rows run in value order.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class RunConfig:
     iteration: IterationOptions
     outputs: dict
     seed: int
-    hypothesis_report: object
     raw: dict
 
 
@@ -110,13 +109,13 @@ def _options(cls, raw, key):
     return cls(**section)
 
 
-def _parse_domain(obj, path="$.domain"):
-    kind = _get(obj, "kind", path, str)
+def _parse_domain(obj):
+    kind = _get(obj, "kind", "$.domain", str)
     bounds = {"interval": ("a", "b"), "rectangle": ("ax", "bx", "ay", "by")}.get(kind)
     if bounds is None:
-        raise ConfigError(f"{path}.kind", f"unknown domain kind {kind!r}")
-    _known_keys(obj, path, ("kind", *bounds))
-    return getattr(DomainSpec, kind)(*(_get(obj, k, path, _REAL) for k in bounds))
+        raise ConfigError("$.domain.kind", f"unknown domain kind {kind!r}")
+    _known_keys(obj, "$.domain", ("kind", *bounds))
+    return getattr(DomainSpec, kind)(*(_get(obj, k, "$.domain", _REAL) for k in bounds))
 
 
 _EXPONENTS = ("p", "alpha", "beta", "gamma", "gamma_bar")
@@ -163,11 +162,18 @@ def _materialize(raw: dict, mesh) -> ProblemSpec:
         raise ConfigError("$", str(exc))
 
 
+def _resolution(n) -> int:
+    """``n`` as a mesh resolution, which must be at least MIN_RESOLUTION."""
+    if int(n) < MIN_RESOLUTION:
+        raise ConfigError("$.resolution", f"must be >= {MIN_RESOLUTION}")
+    return int(n)
+
+
 def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     """Parse, materialize fields on the mesh, and validate eagerly.
 
-    Hypothesis failures are raised as ConfigError naming the violated
-    inequality with both sides evaluated."""
+    Hypothesis failures (``problem.hypotheses``) are raised as ConfigError
+    naming the violated inequality with both sides evaluated."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -177,10 +183,8 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     _known_keys(raw, "$", _TOP_KEYS)
 
     domain = _parse_domain(_get(raw, "domain", "$", dict))
-    resolution = int(mesh_n if mesh_n is not None else
-                     _get(raw, "resolution", "$", int))
-    if resolution < MIN_RESOLUTION:
-        raise ConfigError("$.resolution", f"must be >= {MIN_RESOLUTION}")
+    resolution = _resolution(mesh_n if mesh_n is not None else
+                             _get(raw, "resolution", "$", int))
     mesh = grid.build_mesh(domain, resolution)
     problem = _materialize(raw, mesh)
 
@@ -192,7 +196,7 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
                           str(exc))
 
     try:
-        report = bmod.validate_hypotheses(problem)
+        report = problem.hypotheses
     except MixedSignError as exc:
         raise ConfigError("$.alpha", str(exc))
     if not report.passed:
@@ -210,7 +214,7 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     outputs = {**_DEFAULT_OUTPUTS, **outputs}
     return RunConfig(domain=domain, resolution=resolution, problem=problem,
                      solver=solver, iteration=iteration, outputs=outputs,
-                     seed=seed, hypothesis_report=report, raw=raw)
+                     seed=seed, raw=raw)
 
 
 @dataclass
@@ -240,10 +244,10 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
         for z in coarse.solution)
 
     cal = bmod.calibrate_barriers(problem, config.solver)
-    if cal.regime is Regime.POSITIVE_SUM:
+    if problem.hypotheses.regime is Regime.POSITIVE_SUM:
         solution, report = sysfix.fixed_point_iterate(
             problem, cal.pair, init=init, opts=config.iteration,
-            solver_opts=config.solver, regime=cal.regime)
+            solver_opts=config.solver)
     else:
         # check each found cap against the pair it ran with, escalating C at
         # that cap until it holds; the check only tightens as L grows, so this
@@ -391,8 +395,11 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             raw = json.loads(text)
             _path_parent(raw, args.param)
-            values = [json.loads(v) for v in args.values.split(",")] \
-                if args.values else []
+            if args.mesh_n is not None:
+                _resolution(args.mesh_n)
+            if not args.values:
+                raise ConfigError("--values", "expected at least one value")
+            values = [json.loads(v) for v in args.values.split(",")]
             stubs = []
         else:
             config = parse_config(text, mesh_n=args.mesh_n)

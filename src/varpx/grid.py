@@ -337,6 +337,13 @@ def gradient(u: GridFunction) -> VectorField:
     return VectorField(u.mesh, cell_gradients(u.mesh, u.values))
 
 
+def distance_ratio(u: GridFunction):
+    """(min, max) of u/d over the interior nodes of the mesh of ``u``."""
+    ii = u.mesh.interior_nodes
+    q = u.values[ii] / u.mesh.distance[ii]
+    return float(q.min()), float(q.max())
+
+
 def integrate(mesh: Mesh, integrand) -> float:
     """Composite quadrature of ``integrand`` (quad-point array, nodal
     array, GridFunction, or callable of the quadrature points)."""

@@ -66,6 +66,12 @@ class ScalarSolveResult:
     converged: bool
     energies: list = field(default_factory=list, repr=False)
 
+    def checked(self, what: str) -> GridFunction:
+        """``u`` if the solve converged; else SolveError naming ``what``."""
+        if not self.converged:
+            raise SolveError(f"{what} stalled at residual {self.residual:.3e}")
+        return self.u
+
 
 class _Layout:
     """Assembly data that depends on the mesh alone.
@@ -350,10 +356,8 @@ def torsion(p: ExponentField, opts: SolverOptions | None = None) -> GridFunction
     """Zero-trace field with unit source on the mesh of ``p``: the
     reference profile whose distance-comparability anchors every
     positivity estimate."""
-    res = solve_dirichlet(p, GridFunction.constant(p.mesh, 1.0), opts)
-    if not res.converged:
-        raise SolveError(f"torsion solve stalled at residual {res.residual:.3e}")
-    return res.u
+    return solve_dirichlet(p, GridFunction.constant(p.mesh, 1.0), opts).checked(
+        "torsion solve")
 
 
 def torsion_delta(p: ExponentField, delta: float, xi: GridFunction,
@@ -369,10 +373,7 @@ def torsion_delta(p: ExponentField, delta: float, xi: GridFunction,
     strip = grid.boundary_strip(mesh, delta)
     hv = np.ones(mesh.n_nodes)
     hv[strip] = -1.0
-    res = solve_dirichlet(p, GridFunction(mesh, hv), opts)
-    if not res.converged:
-        raise SolveError(f"strip solve stalled at residual {res.residual:.3e}")
-    xd = res.u
+    xd = solve_dirichlet(p, GridFunction(mesh, hv), opts).checked("strip solve")
     interior = mesh.interior_nodes
     if np.any(xd.values[interior] <= 0.0):
         raise DeltaTooLargeError(

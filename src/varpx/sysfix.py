@@ -32,7 +32,6 @@ import numpy as np
 from . import barriers as bmod
 from . import expspace, grid, plaplace
 from .barriers import BarrierPair, ProblemSpec, Regime
-from .errors import SolveError
 from .grid import GridFunction
 from .plaplace import SolverOptions
 
@@ -93,15 +92,16 @@ class SystemState:
         this one evaluation, and it reads the state's own gradients."""
         return bmod.frozen_rhs_quad(self.spec, self.pair, self.z, self.grad_z)
 
-    def extremes(self, regime: Regime) -> list:
+    def extremes(self) -> list:
         """Cap-free membership inputs per component: (depth below
         ``under``, excess over ``over`` or the maximum, gradient norm of
-        the regime)."""
+        the spec's regime)."""
+        positive = self.spec.hypotheses.regime is Regime.POSITIVE_SUM
         out = []
         for i in (0, 1):
             zi = self.z[i].values
             low_v = float((self.pair.under[i].values - zi).max())
-            if regime is Regime.POSITIVE_SUM:
+            if positive:
                 out.append((low_v, float((zi - self.pair.over[i].values).max()),
                             self.grad_z[i].inf_norm))
             else:
@@ -140,19 +140,13 @@ class IterationReport:
         }
 
 
-def apply_map(state: SystemState, opts: SolverOptions | None = None):
+def apply_map(state: SystemState, opts: SolverOptions | None = None) -> tuple:
     """One application of the frozen-state map: two independent scalar
-    solves.  Component order is irrelevant because the frozen data
-    decouples them.  Component i's Newton starts at the frozen state's
-    own ``z[i]``, which is exact at a fixed point."""
-    results = []
-    for i, hq in enumerate(state.frozen):
-        res = plaplace.solve_dirichlet(state.spec.p[i], hq, opts, start=state.z[i])
-        if not res.converged:
-            raise SolveError(
-                f"component {i+1} solve stalled at residual {res.residual:.3e}")
-        results.append(res)
-    return (results[0].u, results[1].u), (results[0], results[1])
+    solves, giving the pair (u1, u2).  Component order is irrelevant as
+    the frozen data decouples them.  Component i's Newton starts at the
+    frozen state's own ``z[i]``, which is exact at a fixed point."""
+    return tuple(plaplace.solve_dirichlet(state.spec.p[i], hq, opts, start=state.z[i])
+                 .checked(f"component {i+1} solve") for i, hq in enumerate(state.frozen))
 
 
 def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
@@ -162,7 +156,7 @@ def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
     positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
     negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
     <= L_tilde.  Violations are measured beyond a mixed tolerance.
-    ``extremes`` are a state's ``extremes(regime)``, so a run can judge
+    ``extremes`` are a state's ``extremes()``, so a run can judge
     its iterates once its caps are known.  ``parts`` holds the box and
     gradient verdicts.
     """
@@ -213,8 +207,7 @@ def _anderson_step(x_hist, g_hist, depth):
 def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
                         init: tuple | None = None,
                         opts: IterationOptions | None = None,
-                        solver_opts: SolverOptions | None = None,
-                        regime: Regime | None = None):
+                        solver_opts: SolverOptions | None = None):
     """Damped iteration z <- (1-theta) z + theta T(z), clamped back into
     the invariant box nodewise after every step (clamping preserves the
     zero trace; gradient-cap violations are only flagged, never edited).
@@ -222,14 +215,14 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
     box, else at the lower barrier; each map application starts its
     Newton solves at the current iterate.
 
-    In the negative-sum regime the run is also the cap search: there is
-    no upper clamp, and the caps (L, L_tilde) are the smallest powers of
-    two with 5 percent headroom above the largest sup norm and Luxemburg
-    gradient norm of the clamped iterates, initial state included
-    whether it is the lower barrier or ``init`` (and L > 1 always).  The
-    caps exist for 'large enough' constants only; this run finds
-    concrete ones, and since L clears every clamped iterate, a clamp at
-    L would never have bound.  Each iteration's
+    In the negative-sum regime of ``spec.hypotheses`` the run is also the
+    cap search: there is no upper clamp, and the caps (L, L_tilde) are the
+    smallest powers of two with 5 percent headroom above the largest sup
+    norm and Luxemburg gradient norm of the clamped iterates, initial
+    state included whether it is the lower barrier or ``init`` (and
+    L > 1 always).  The caps exist for 'large enough' constants only;
+    this run finds concrete ones, and since L clears every clamped
+    iterate, a clamp at L would never have bound.  Each iteration's
     membership is judged once the run ends, against the caps in that
     regime.
 
@@ -237,8 +230,7 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
     <= tol_residual.  Returns ((z1, z2), IterationReport).
     """
     opts = opts or IterationOptions()
-    if regime is None:
-        regime = bmod.validate_hypotheses(spec).regime
+    regime = spec.hypotheses.regime
     singular = regime is Regime.NEGATIVE_SUM
 
     z1, z2 = _clamp(pair, [z.values for z in init or pair.under], singular)
@@ -251,8 +243,8 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
     steps, residuals, extremes = [], [], []
     stopped = False
     for it in range(1, opts.max_iters + 1):
-        (u1, u2), _ = apply_map(state, solver_opts)
-        extremes.append(SystemState.build(spec, pair, u1, u2).extremes(regime))
+        u1, u2 = apply_map(state, solver_opts)
+        extremes.append(SystemState.build(spec, pair, u1, u2).extremes())
         x = np.concatenate([z1.values, z2.values])
         g = (1.0 - opts.theta) * x + opts.theta * np.concatenate([u1.values, u2.values])
         if opts.anderson_depth > 0:
@@ -348,10 +340,11 @@ def calibrate_caps(spec: ProblemSpec, pair: BarrierPair,
                    solver_opts: SolverOptions | None = None,
                    init: tuple | None = None) -> CapsResult:
     """Sup-norm cap L and Luxemburg gradient cap L_tilde of the singular
-    regime, read off one negative-sum run of ``fixed_point_iterate`` from
-    ``init`` (default: the lower barrier); the caps cover every clamped
-    iterate of that run, its start included."""
-    solution, report = fixed_point_iterate(
-        spec, pair, init=init, opts=opts, solver_opts=solver_opts,
-        regime=Regime.NEGATIVE_SUM)
-    return CapsResult(solution, report)
+    regime, read off one run of ``fixed_point_iterate`` from ``init``
+    (default: the lower barrier); the caps cover every clamped iterate of
+    that run, its start included.  A positive-sum spec has no caps, so it
+    raises ValueError."""
+    if spec.hypotheses.regime is not Regime.NEGATIVE_SUM:
+        raise ValueError("caps exist in the negative-sum regime only")
+    return CapsResult(*fixed_point_iterate(spec, pair, init=init, opts=opts,
+                                           solver_opts=solver_opts))

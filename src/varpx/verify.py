@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import grid, plaplace, sysfix
-from .barriers import BarrierPair, ProblemSpec, validate_hypotheses
+from .barriers import BarrierPair, ProblemSpec
 from .expspace import ExponentField, per_exponent
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
@@ -95,9 +95,7 @@ class ScaleFamily:
         for lam in self.scales:
             res = plaplace.solve_dirichlet(self.p, GridFunction.constant(self.p.mesh, lam),
                                            self.opts)
-            if not res.converged:
-                raise plaplace.SolveError(f"audit solve stalled at scale {lam}")
-            out.append(res.u)
+            out.append(res.checked(f"audit solve at scale {lam}"))
         return tuple(out)
 
     def audit(self, name, norm, size, notes=()) -> EstimateAudit:
@@ -223,13 +221,6 @@ def random_sign_constant_test(mesh: Mesh, rng: np.random.Generator) -> GridFunct
     return GridFunction(mesh, vals, zero_trace=True)
 
 
-def distance_ratio(u: GridFunction):
-    """(min, max) of u/d over the interior nodes of the mesh of ``u``."""
-    ii = u.mesh.interior_nodes
-    q = u.values[ii] / u.mesh.distance[ii]
-    return float(q.min()), float(q.max())
-
-
 def sandwich_audit(solution, refined=None, refined_report=None) -> dict:
     """Distance-comparability constants of an accepted solution pair:
     c0 = min u_i/d, c1 = max u_i/d over interior nodes.  Pass requires
@@ -238,7 +229,7 @@ def sandwich_audit(solution, refined=None, refined_report=None) -> dict:
     resolution when that part of the audit is wanted, and
     ``refined_report`` the IterationReport of that run: an unconverged
     refined run establishes no stability, so the audit fails."""
-    per = [dict(zip(("c0", "c1"), distance_ratio(u))) for u in solution]
+    per = [dict(zip(("c0", "c1"), grid.distance_ratio(u))) for u in solution]
     c0 = min(p["c0"] for p in per)
     c1 = max(p["c1"] for p in per)
     out = {"c0": c0, "c1": c1, "per_component": per,
@@ -247,7 +238,7 @@ def sandwich_audit(solution, refined=None, refined_report=None) -> dict:
         out["verdict"] = "fail"
         return out
     if refined is not None:
-        f_per = [distance_ratio(u) for u in refined]
+        f_per = [grid.distance_ratio(u) for u in refined]
         fc0 = min(v[0] for v in f_per)
         fc1 = max(v[1] for v in f_per)
         out["stability_checked"] = True
@@ -304,15 +295,13 @@ def mvt_sampling(ps, rng: np.random.Generator,
 
     def sample(p):
         res = plaplace.solve_dirichlet(p, ones, opts)
-        if not res.converged:
-            raise plaplace.SolveError(
-                f"mean-value sampling solve stalled at residual {res.residual:.3e}")
+        u = res.checked("mean-value sampling solve")
         tol = mvt_tolerance(mesh, res.residual)
         checks = []
         for _ in range(_MVT_SAMPLES):
             f = random_lipschitz_field(mesh, rng, *_MVT_RANGE)
             phi = random_sign_constant_test(mesh, rng)
-            checks.append(_mvt_check(p, res.u, ones, f, phi, tol))
+            checks.append(_mvt_check(p, u, ones, f, phi, tol))
         return {"tolerance": tol, "checks": checks,
                 "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
 
@@ -337,7 +326,6 @@ def solution_certificate(spec: ProblemSpec, solution, pair: BarrierPair, report,
     rng = rng or np.random.default_rng(0)
     state = sysfix.SystemState.build(spec, pair, *solution)
     r1, r2 = sysfix.coupled_residual(state)
-    hyp = validate_hypotheses(spec)
     audits = estimate_audits(spec.p, ("gradient", "linfty"), solver_opts)
     sandwich = sandwich_audit(solution, refined=refined, refined_report=refined_report)
     mvt = mvt_spot_checks(spec, solution, state.frozen, (r1, r2), rng)
@@ -356,7 +344,7 @@ def solution_certificate(spec: ProblemSpec, solution, pair: BarrierPair, report,
         "barriers": {"C": pair.C, "delta": pair.delta, "R": pair.R,
                      "c0_measured": pair.c0_measured,
                      "c1_measured": pair.c1_measured},
-        "hypothesis_report": hyp.as_dict(),
+        "hypothesis_report": spec.hypotheses.as_dict(),
         "audits": [a.as_dict() for a in audits],
         "mvt_spot_checks": mvt,
     }

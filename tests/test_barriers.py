@@ -164,7 +164,7 @@ def test_calibration_positive_regime_cooperative():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
     cal = calibrate_barriers(spec)
-    assert cal.regime is Regime.POSITIVE_SUM
+    assert spec.hypotheses.regime is Regime.POSITIVE_SUM
     assert cal.pair.C <= 2 ** 20
     rep = check_barriers_positive_regime(spec, cal.pair)
     assert rep.ok and rep.worst_margin >= 0.0
@@ -277,7 +277,7 @@ def test_benchmark_calibration_regression():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = benchmark_spec(m)
     cal = calibrate_barriers(spec)
-    assert cal.regime is Regime.POSITIVE_SUM
+    assert spec.hypotheses.regime is Regime.POSITIVE_SUM
     assert cal.pair.C == 4.0
     assert cal.pair.delta == pytest.approx(0.05)
     assert cal.pair.c0_measured > 0

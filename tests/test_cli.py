@@ -61,7 +61,7 @@ def minimal_config(**overrides):
 def test_parse_minimal_config():
     cfg = parse_config(json.dumps(minimal_config()))
     assert cfg.resolution == 32
-    assert cfg.hypothesis_report.regime is Regime.POSITIVE_SUM
+    assert cfg.problem.hypotheses.regime is Regime.POSITIVE_SUM
 
 
 def test_parse_rejects_gamma_boundary():
@@ -90,13 +90,13 @@ def test_parse_rejects_envelope_escape():
 def test_benchmark_fixture_parses():
     cfg = parse_config(load("benchmark.json"))
     assert cfg.resolution == 512
-    assert cfg.hypothesis_report.regime is Regime.POSITIVE_SUM
+    assert cfg.problem.hypotheses.regime is Regime.POSITIVE_SUM
     assert cfg.problem.p1.p_minus == pytest.approx(2.2)
 
 
 def test_singular_fixture_parses():
     cfg = parse_config(load("singular.json"))
-    assert cfg.hypothesis_report.regime is Regime.NEGATIVE_SUM
+    assert cfg.problem.hypotheses.regime is Regime.NEGATIVE_SUM
 
 
 def test_mesh_n_override():
@@ -375,6 +375,17 @@ def test_cli_main_parse_phase_error_exit1(tmp_path, capsys, command, key, value,
     assert err.startswith(start)
 
 
+@pytest.mark.parametrize("extra", [["--values", "0.5", "--mesh-n", "4"], ["--values="]],
+                         ids=["mesh-n-below-minimum", "no-values"])
+def test_cli_main_sweep_parse_phase_error_exit1(tmp_path, capsys, extra):
+    # a sweep every row of which would fail on its resolution, or that
+    # would run no row at all, is rejected before it starts, as solve and
+    # audit reject a --mesh-n below the minimum
+    argv = ["sweep", config_path("trivial.json"), "--param", "iteration.theta", *extra]
+    err = _exit1_one_line_nothing_created(capsys, argv, tmp_path / "out")
+    assert err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("command", ["solve", "audit"])
 @pytest.mark.parametrize("key, value", [
     ("barriers", {"C": 2.0}),
@@ -606,6 +617,26 @@ def test_audit_matches_certificate_audits(tmp_path, name):
         "gradient_estimate_p1", "linfty_estimate_p1",
         "gradient_estimate_p2", "linfty_estimate_p2"]
     assert audits[:4] == cert["audits"]
+
+
+@pytest.mark.parametrize("name", ["singular.json", "benchmark.json"])
+def test_run_validates_hypotheses_once_per_mesh(tmp_path, monkeypatch, name):
+    # the spec holds its hypothesis report: parsing evaluates it for the
+    # coarse mesh and the refined rerun for its own; calibration, the
+    # iteration and the certificate read it
+    real = barriers.validate_hypotheses
+    meshes = []
+
+    def counted(spec):
+        meshes.append(spec.mesh.n)
+        return real(spec)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").split(".")[0] == "varpx"
+                and getattr(mod, "validate_hypotheses", None) is real):
+            monkeypatch.setattr(mod, "validate_hypotheses", counted)
+    run(parse_config(load(name), mesh_n=32), out_dir=str(tmp_path))
+    assert meshes == [32, 64]
 
 
 def test_crash_free_on_fixture_corpus(tmp_path):

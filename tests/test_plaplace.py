@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import types
 
 import numpy as np
@@ -8,8 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from varpx import (DomainSpec, ExponentField, GridFunction, SolverOptions,
-                   build_mesh, grid, plaplace, solve_dirichlet, torsion,
-                   torsion_delta, weak_residual)
+                   build_barriers, build_mesh, grid, plaplace, solve_dirichlet,
+                   sysfix, torsion, torsion_delta, verify, weak_residual)
 from varpx.errors import DeltaTooLargeError, MeshCompatibilityError, SolveError
 from varpx.verify import random_lipschitz_field
 
@@ -313,6 +315,36 @@ def test_non_finite_hessian_raises_solve_error(monkeypatch, bad):
     with pytest.raises(plaplace.SolveError):
         solve_dirichlet(ExponentField.constant(m, 3.0),
                         GridFunction.constant(m, 1.0))
+
+
+@pytest.mark.parametrize("site, name", [
+    ("torsion", "torsion solve"),
+    ("strip", "strip solve"),
+    ("map", "component 1 solve"),
+    ("audit", "audit solve at scale 0.01"),
+    ("mvt", "mean-value sampling solve"),
+], ids=["torsion", "strip", "map", "audit", "mvt"])
+def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
+    # every caller that needs a converged scalar solve checks it through
+    # ScalarSolveResult.checked, whose SolveError names the caller
+    from conftest import torsion_pairs, trivial_spec
+    m = mesh1d(32)
+    spec = trivial_spec(m)
+    p = spec.p1
+    xi = torsion(p)
+    pair = build_barriers(spec, 2.0, 0.1, torsion_pairs(m, spec, 0.1))
+    calls = {
+        "torsion": lambda: torsion(p),
+        "strip": lambda: torsion_delta(p, 0.1, xi),
+        "map": lambda: sysfix.apply_map(sysfix.SystemState.build(spec, pair, *pair.under)),
+        "audit": lambda: verify.ScaleFamily(p).solves,
+        "mvt": lambda: verify.mvt_sampling(spec.p, np.random.default_rng(0)),
+    }
+    solve = plaplace.solve_dirichlet
+    monkeypatch.setattr(plaplace, "solve_dirichlet", lambda *args, **kwargs:
+                        dataclasses.replace(solve(*args, **kwargs), converged=False))
+    with pytest.raises(SolveError, match=rf"^{re.escape(name)} stalled at residual "):
+        calls[site]()
 
 
 # Plain per-quadrature-point COO assembly: the reference the cached

@@ -1,7 +1,9 @@
 """Each fact has one owner.  A ProblemSpec carries its mesh, and so does
 every field (ExponentField, GridFunction), so no public function takes a
 mesh beside a spec or beside a field: the separate mesh could only repeat
-the one the spec or field already holds, or disagree with it."""
+the one the spec or field already holds, or disagree with it.  Likewise a
+spec owns its regime (``spec.hypotheses.regime``), so nothing that
+reaches a spec takes a regime."""
 
 import inspect
 
@@ -48,6 +50,20 @@ MESH = (("mesh",), ("Mesh",))
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_no_function_takes_a_spec_and_a_mesh(module):
     assert _taking_both(module, (("spec",), ("ProblemSpec",)), MESH) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_function_that_reaches_a_spec_takes_a_regime(module):
+    # a spec parameter reaches one, and so does every method of a spec or
+    # of a SystemState, which carries its spec
+    both = []
+    for name, fn in _public_functions(module):
+        params = inspect.signature(fn).parameters.values()
+        reaches = (name.startswith(("ProblemSpec.", "SystemState."))
+                   or any(_takes(p, ("spec",), ("ProblemSpec",)) for p in params))
+        if reaches and any(_takes(p, ("regime",), ("Regime",)) for p in params):
+            both.append(name)
+    assert both == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

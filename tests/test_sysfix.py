@@ -40,9 +40,9 @@ def test_constant_map_is_idempotent():
     spec = trivial_spec(m)
     cal = calibrate_barriers(spec)
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
-    (u1, u2), _ = apply_map(st)
+    u1, u2 = apply_map(st)
     st2 = SystemState.build(spec, cal.pair, u1, u2)
-    (v1, v2), _ = apply_map(st2)
+    v1, v2 = apply_map(st2)
     np.testing.assert_allclose(u1.values, v1.values, atol=1e-11)
     np.testing.assert_allclose(u2.values, v2.values, atol=1e-11)
 
@@ -57,7 +57,7 @@ def test_symmetric_spec_gives_equal_components():
 def test_decoupling_matches_componentwise_solves():
     m, spec, cal = setup_positive(128)
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
-    (u1, u2), _ = apply_map(st)
+    u1, u2 = apply_map(st)
     h1, h2 = st.frozen
     d1 = solve_dirichlet(spec.p1, h1, start=st.z[0]).u.values
     d2 = solve_dirichlet(spec.p2, h2, start=st.z[1]).u.values
@@ -97,7 +97,7 @@ def test_barrier_input_maps_into_box():
     m, spec, cal = setup_positive(256)
     pair = cal.pair
     st = SystemState.build(spec, pair, pair.under[0], pair.under[1])
-    (u1, u2), _ = apply_map(st)
+    u1, u2 = apply_map(st)
     tol = 1e-8
     for i, u in ((0, u1), (1, u2)):
         assert np.all(u.values >= pair.under[i].values - tol)
@@ -108,12 +108,12 @@ def test_membership_check_boundary_cases():
     m, spec, cal = setup_positive(128)
     pair = cal.pair
     st = SystemState.build(spec, pair, pair.under[0], pair.under[1])
-    member, worst, parts = membership_check(st.extremes(Regime.POSITIVE_SUM), pair,
+    member, worst, parts = membership_check(st.extremes(), pair,
                                             Regime.POSITIVE_SUM)
     assert member and worst == 0.0 and parts["box_ok"]
     big = GridFunction(m, 2.0 * pair.over[0].values, zero_trace=True)
     st2 = SystemState.build(spec, pair, big, pair.under[1])
-    member2, worst2, _ = membership_check(st2.extremes(Regime.POSITIVE_SUM), pair,
+    member2, worst2, _ = membership_check(st2.extremes(), pair,
                                           Regime.POSITIVE_SUM)
     assert not member2
     assert worst2 == pytest.approx(np.max(pair.over[0].values), rel=1e-4)
@@ -142,8 +142,7 @@ def test_barrier_scale_decides_membership():
     for C in (1.05, 2.0):
         pair = build_barriers(spec, C, delta, (xi, xid))
         _, reports[C] = fixed_point_iterate(spec, pair, opts=opts,
-                                            solver_opts=cfg.solver,
-                                            regime=Regime.POSITIVE_SUM)
+                                            solver_opts=cfg.solver)
     assert False in reports[1.05].membership_trace and not reports[1.05].converged
     assert all(reports[2.0].membership_trace) and reports[2.0].converged
 
@@ -187,9 +186,9 @@ def test_invariance_random_members():
             v[m.boundary_nodes] = 0.0
             z.append(GridFunction(m, v, zero_trace=True))
         st = SystemState.build(spec, pair, z[0], z[1])
-        (u1, u2), _ = apply_map(st)
+        u1, u2 = apply_map(st)
         out = SystemState.build(spec, pair, u1, u2)
-        member, worst, _ = membership_check(out.extremes(Regime.POSITIVE_SUM), pair,
+        member, worst, _ = membership_check(out.extremes(), pair,
                                             Regime.POSITIVE_SUM)
         assert member, f"image left the box by {worst}"
 
@@ -219,11 +218,11 @@ def test_clamped_step_stays_in_box_property(calibrated, dim, name, theta, seed):
                       zero_trace=True) for lo, hi in zip(pair.under, pair.over)]
     (v1, v2), rep = fixed_point_iterate(
         spec, pair, init=tuple(z),
-        opts=IterationOptions(theta=theta, max_iters=1), regime=cal.regime)
+        opts=IterationOptions(theta=theta, max_iters=1))
     assert rep.iters == 1
     for i, v in ((0, v1), (1, v2)):
         assert np.all(v.values >= pair.under[i].values)
-    if cal.regime is Regime.POSITIVE_SUM:
+    if spec.hypotheses.regime is Regime.POSITIVE_SUM:
         assert all(np.all(v.values <= pair.over[i].values) for i, v in enumerate((v1, v2)))
         # the raw map output sits in the box too, up to the membership slack
         assert rep.box_trace == [True]
@@ -241,12 +240,21 @@ def test_singular_regime_full_loop():
     assert np.all(sol[0].values[m.interior_nodes] > 0)
 
 
+def test_calibrate_caps_rejects_a_positive_sum_spec():
+    # the caps belong to the negative-sum regime, and the spec decides its
+    # regime: the benchmark spec has no caps to search for
+    m, spec, cal = setup_positive(64)
+    assert spec.hypotheses.regime is Regime.POSITIVE_SUM
+    with pytest.raises(ValueError, match="negative-sum"):
+        calibrate_caps(spec, cal.pair)
+
+
 def test_negative_sum_membership_needs_caps():
     m = build_mesh(DomainSpec.interval(0, 1), 64)
     spec = singular_spec(m)
     cal = calibrate_barriers(spec)
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
-    ext = st.extremes(Regime.NEGATIVE_SUM)
+    ext = st.extremes()
     for caps in ((), (4.0,), (None, 4.0)):
         with pytest.raises(ValueError):
             membership_check(ext, cal.pair, Regime.NEGATIVE_SUM, *caps)
@@ -283,7 +291,7 @@ def _record_map(monkeypatch, sysfix):
 
     def recorded(state, *args, **kwargs):
         out = orig(state, *args, **kwargs)
-        mapped.append((state.z, out[0]))
+        mapped.append((state.z, out))
         return out
 
     monkeypatch.setattr(sysfix, "apply_map", recorded)
@@ -324,12 +332,10 @@ def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
         m = build_mesh(DomainSpec.interval(0, 1), 64)
         spec = singular_spec(m)
         cal = calibrate_barriers(spec)
-        kw = dict(regime=Regime.NEGATIVE_SUM)
     else:
         m, spec, cal = setup_positive(64)
-        kw = {}
     evals = _count_calls(monkeypatch, barriers, "frozen_rhs_quad")
-    _, rep = fixed_point_iterate(spec, cal.pair, **kw)
+    _, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.iters > 1
     assert len(evals) == rep.iters + 1
 
@@ -350,7 +356,7 @@ def test_singular_iterate_computes_each_field_gradient_once(monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(grid, "cell_gradients", recorded)
-    _, rep = fixed_point_iterate(spec, cal.pair, regime=Regime.NEGATIVE_SUM)
+    _, rep = fixed_point_iterate(spec, cal.pair)
     outside = [c for c in callers if c != "varpx.plaplace"]
     # two fields each: the start, then per iteration the map output
     # (membership) and the clamped iterate (cap norms, frozen data)
@@ -382,6 +388,6 @@ def test_cap_search_reads_caps_off_one_run(monkeypatch, anderson_depth):
     assert caps.L_tilde >= 1.05 * lux and (caps.L_tilde == 1.0 or caps.L_tilde < 2.1 * lux)
     for (u1, u2), member in zip((out for _, out in mapped), rep.membership_trace):
         st = SystemState.build(spec, cal.pair, u1, u2)
-        assert membership_check(st.extremes(Regime.NEGATIVE_SUM), cal.pair,
+        assert membership_check(st.extremes(), cal.pair,
                                 Regime.NEGATIVE_SUM,
                                 caps.L, caps.L_tilde)[0] == member

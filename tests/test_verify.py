@@ -238,7 +238,7 @@ def _small_run(n=128, spec_fn=benchmark_spec):
     m = mesh1d(n)
     spec = spec_fn(m)
     cal = calibrate_barriers(spec)
-    if cal.regime is Regime.POSITIVE_SUM:
+    if spec.hypotheses.regime is Regime.POSITIVE_SUM:
         sol, rep = fixed_point_iterate(spec, cal.pair)
     else:
         caps = calibrate_caps(spec, cal.pair)
