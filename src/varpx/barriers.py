@@ -39,6 +39,10 @@ _INEQ_RTOL = 1e-6
 # The barrier scale search stops at C = 2^_C_MAX_EXP.
 _C_MAX_EXP = 20
 
+# The growth envelope is sampled at this many random states, with this slack.
+_ENVELOPE_SAMPLES = 200
+_ENVELOPE_RTOL = 1e-9
+
 
 class Regime(str, enum.Enum):
     POSITIVE_SUM = "positive_sum"
@@ -114,16 +118,15 @@ class ProblemSpec:
         val = self.f[i].evaluate(env)
         return np.broadcast_to(val, np.shape(s1)).astype(float)
 
-    def envelope_check(self, rng: np.random.Generator, n_samples: int = 200,
-                       rtol: float = 1e-9):
+    def envelope_check(self, rng: np.random.Generator):
         """Sample the two-sided growth envelope at random points and
         states; raises EnvelopeError on any escape."""
-        nodes = rng.integers(0, self.mesh.n_nodes, size=n_samples)
+        nodes = rng.integers(0, self.mesh.n_nodes, size=_ENVELOPE_SAMPLES)
         x = self.mesh.nodes[nodes]
-        s1 = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=n_samples))
-        s2 = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=n_samples))
-        xi1 = np.abs(rng.normal(0.0, 3.0, size=n_samples))
-        xi2 = np.abs(rng.normal(0.0, 3.0, size=n_samples))
+        s1 = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=_ENVELOPE_SAMPLES))
+        s2 = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=_ENVELOPE_SAMPLES))
+        xi1 = np.abs(rng.normal(0.0, 3.0, size=_ENVELOPE_SAMPLES))
+        xi2 = np.abs(rng.normal(0.0, 3.0, size=_ENVELOPE_SAMPLES))
         for i in (0, 1):
             a = self.alpha[i].values[nodes]
             bqq = self.beta[i].values[nodes]
@@ -135,7 +138,7 @@ class ProblemSpec:
                 raise EnvelopeError(f"f[{i}] is non-finite at a sampled state")
             lower = self.m[i] * prod
             upper = self.M[i] * (prod + xi1 ** g + xi2 ** gb)
-            slack = rtol * (1.0 + np.abs(upper))
+            slack = _ENVELOPE_RTOL * (1.0 + np.abs(upper))
             bad = (fv < lower - slack) | (fv > upper + slack)
             if np.any(bad):
                 j = int(np.flatnonzero(bad)[0])
@@ -178,7 +181,15 @@ class HypothesisReport:
 def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Classify signed extremes, check every admissibility inequality,
     and assign the regime; readers take ``spec.hypotheses``, its cached
-    report.  Pure.  Mixed-sign singular exponents raise."""
+    report.  Pure.  A mixed-sign singular exponent raises, naming its ``key``."""
+    signed = {}         # (name, i) -> signed extreme; each exponent classified once
+    for i in (0, 1):
+        for name in ("alpha", "beta"):
+            try:
+                signed[name, i] = signed_extreme(getattr(spec, name)[i])
+            except MixedSignError as exc:
+                exc.key = f"{name}[{i}]"
+                raise
     checks = []
     deviations = []
     sums = []
@@ -189,8 +200,7 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
         if p.p_plus >= spec.N_dim:
             deviations.append(
                 f"p{i+1}_plus={p.p_plus} >= N={spec.N_dim}; recorded, not enforced")
-        a_mp = signed_extreme(spec.alpha[i])
-        b_mp = signed_extreme(spec.beta[i])
+        a_mp, b_mp = signed["alpha", i], signed["beta", i]
         sums.append(a_mp + b_mp)
         checks.append(Check(
             f"singular_budget_{i+1}", abs(a_mp) + abs(b_mp), pm - 1.0,
@@ -207,8 +217,7 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
         if sums[i] >= 0.0:
             continue
         # strongly singular component: smallness caps
-        a_mp = signed_extreme(spec.alpha[i])
-        b_mp = signed_extreme(spec.beta[i])
+        a_mp, b_mp = signed["alpha", i], signed["beta", i]
         ppl = spec.p_prime_values(i)
         cap = 1.0 / (spec.N_dim * float(ppl.max()))
         checks.append(Check(f"singular_smallness_{i+1}",

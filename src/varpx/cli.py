@@ -94,18 +94,17 @@ def _known_keys(obj, path, names):
             raise ConfigError(f"{path}.{name}", "unknown key")
 
 
-def _options(cls, raw, key):
-    """``cls`` from the config section ``key``: every entry names a field
-    of ``cls``, holds a number of its type and passes the checks of ``cls``."""
-    section = _get(raw, key, "$", dict, default={})
+def _options(cls, section, path):
+    """``cls`` from the config object ``section`` at ``path``: every entry names
+    a field of ``cls``, holds a number of its type and passes its checks."""
     types = {f.name: int if type(f.default) is int else _REAL for f in fields(cls)}
-    _known_keys(section, f"$.{key}", types)
+    _known_keys(section, path, types)
     for name in section:
-        _get(section, name, f"$.{key}", types[name])
+        _get(section, name, path, types[name])
         try:
             cls(**{name: section[name]})
         except ValueError as exc:
-            raise ConfigError(f"$.{key}.{name}", str(exc))
+            raise ConfigError(f"{path}.{name}", str(exc))
     return cls(**section)
 
 
@@ -198,15 +197,21 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     try:
         report = problem.hypotheses
     except MixedSignError as exc:
-        raise ConfigError("$.alpha", str(exc))
+        raise ConfigError(f"$.{exc.key}", str(exc))
     if not report.passed:
         c = report.failed_checks()[0]
         raise ConfigError(
             "$.hypotheses",
             f"violated {c.name}: lhs={c.lhs:.6g} vs rhs={c.rhs:.6g}")
 
-    solver = _options(SolverOptions, raw, "solver")
-    iteration = _options(IterationOptions, raw, "iteration")
+    solver = _options(SolverOptions, _get(raw, "solver", "$", dict, default={}),
+                      "$.solver")
+    iteration = dict(_get(raw, "iteration", "$", dict, default={}))
+    # the frozen bench configs pin this retired key to 0; drop it with benchmark v2
+    if _get(iteration, "anderson_depth", "$.iteration", int, default=0) != 0:
+        raise ConfigError("$.iteration.anderson_depth", "retired key; only 0 is accepted")
+    iteration.pop("anderson_depth", None)
+    iteration = _options(IterationOptions, iteration, "$.iteration")
     outputs = _get(raw, "outputs", "$", dict, default={})
     _known_keys(outputs, "$.outputs", _DEFAULT_OUTPUTS)
     for key in outputs:

@@ -37,6 +37,8 @@ class OrderingError(RuntimeError):
 class MixedSignError(ValueError):
     """A singular exponent changes sign inside the domain."""
 
+    key = None      # set by validate_hypotheses to the exponent, as "alpha[0]"
+
 
 class EnvelopeError(ValueError):
     """Nonlinearity escapes its two-sided growth envelope."""

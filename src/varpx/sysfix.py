@@ -45,14 +45,12 @@ class IterationOptions:
     tol_step: float = 1e-8
     tol_residual: float = 1e-6
     max_iters: int = 500
-    anderson_depth: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping theta must lie in (0, 1]")
-        if not (self.tol_step > 0 and self.tol_residual > 0 and self.max_iters >= 1
-                and self.anderson_depth >= 0):
-            raise ValueError("need tolerances > 0, max_iters >= 1, anderson_depth >= 0")
+        if not (self.tol_step > 0 and self.tol_residual > 0 and self.max_iters >= 1):
+            raise ValueError("need tolerances > 0, max_iters >= 1")
 
 
 @dataclass
@@ -186,31 +184,14 @@ def coupled_residual(state: SystemState):
                  for p, z, h in zip(state.spec.p, state.z, state.frozen))
 
 
-def _anderson_step(x_hist, g_hist, depth):
-    """Type-II Anderson mixing on the residuals g - x; falls back to the
-    newest damped target when the least-squares system is degenerate."""
-    f_hist = [g - x for x, g in zip(x_hist, g_hist)]
-    m = min(depth, len(x_hist) - 1)
-    if m < 1:
-        return g_hist[-1]
-    F = np.column_stack([f_hist[-1] - f_hist[-2 - j] for j in range(m)])
-    G = np.column_stack([g_hist[-1] - g_hist[-2 - j] for j in range(m)])
-    try:
-        coef, *_ = np.linalg.lstsq(F, f_hist[-1], rcond=1e-10)
-    except np.linalg.LinAlgError:
-        return g_hist[-1]
-    if not np.all(np.isfinite(coef)):
-        return g_hist[-1]
-    return g_hist[-1] - G @ coef
-
-
 def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
                         init: tuple | None = None,
                         opts: IterationOptions | None = None,
                         solver_opts: SolverOptions | None = None):
-    """Damped iteration z <- (1-theta) z + theta T(z), clamped back into
-    the invariant box nodewise after every step (clamping preserves the
-    zero trace; gradient-cap violations are only flagged, never edited).
+    """Damped iteration z_i <- (1-theta) z_i + theta u_i for each component,
+    where (u1, u2) = T(z) is the frozen-state map, clamped back into the
+    invariant box nodewise after every step (clamping preserves the zero
+    trace; gradient-cap violations are only flagged, never edited).
     The run starts at the fields ``init`` = (z1, z2) clamped into the
     box, else at the lower barrier; each map application starts its
     Newton solves at the current iterate.
@@ -233,40 +214,26 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
     regime = spec.hypotheses.regime
     singular = regime is Regime.NEGATIVE_SUM
 
-    z1, z2 = _clamp(pair, [z.values for z in init or pair.under], singular)
-    state = SystemState.build(spec, pair, z1, z2)
+    z = _clamp(pair, [zi.values for zi in init or pair.under], singular)
+    state = SystemState.build(spec, pair, *z)
     # negative-sum: (sup norm, Luxemburg gradient norm) per clamped iterate
     norms = [_cap_norms(state)] if singular else []
 
-    nn = spec.mesh.n_nodes
-    x_hist, g_hist = [], []
     steps, residuals, extremes = [], [], []
     stopped = False
     for it in range(1, opts.max_iters + 1):
-        u1, u2 = apply_map(state, solver_opts)
-        extremes.append(SystemState.build(spec, pair, u1, u2).extremes())
-        x = np.concatenate([z1.values, z2.values])
-        g = (1.0 - opts.theta) * x + opts.theta * np.concatenate([u1.values, u2.values])
-        if opts.anderson_depth > 0:
-            x_hist.append(x)
-            g_hist.append(g)
-            x_new = _anderson_step(x_hist, g_hist, opts.anderson_depth)
-            keep = opts.anderson_depth + 1
-            x_hist, g_hist = x_hist[-keep:], g_hist[-keep:]
-        else:
-            x_new = g
-        prev = (z1, z2)
-        z1, z2 = _clamp(pair, (x_new[:nn], x_new[nn:]), singular)
-        s1 = float(np.abs(z1.values - prev[0].values).max())
-        s2 = float(np.abs(z2.values - prev[1].values).max())
-        state = SystemState.build(spec, pair, z1, z2)
+        u = apply_map(state, solver_opts)
+        extremes.append(SystemState.build(spec, pair, *u).extremes())
+        prev, z = z, _clamp(pair, [(1.0 - opts.theta) * zi.values + opts.theta * ui.values
+                                   for zi, ui in zip(z, u)], singular)
+        steps.append(tuple(float(np.abs(zi.values - pi.values).max())
+                           for zi, pi in zip(z, prev)))
+        state = SystemState.build(spec, pair, *z)
         if singular:
             norms.append(_cap_norms(state))
 
-        r1, r2 = coupled_residual(state)
-        steps.append((s1, s2))
-        residuals.append(max(r1, r2))
-        if max(s1, s2) <= opts.tol_step and residuals[-1] <= opts.tol_residual:
+        residuals.append(max(coupled_residual(state)))
+        if max(steps[-1]) <= opts.tol_step and residuals[-1] <= opts.tol_residual:
             stopped = True
             break
 
@@ -285,7 +252,7 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
         # final map output to sit inside the invariant set
         converged=stopped and bool(verdicts[-1][0]),
         damping_used=opts.theta, caps=caps)
-    return (z1, z2), report
+    return z, report
 
 
 def _clamp(pair: BarrierPair, values, singular: bool) -> tuple:

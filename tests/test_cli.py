@@ -310,6 +310,8 @@ def test_cli_main_invalid_config_exit1(tmp_path):
     ("iteration", "max_iters", 5.0),
     ("iteration", "max_iter", 5),
     ("iteration", "tol_step", 0.0),
+    ("iteration", "anderson_depth", 2),
+    ("iteration", "anderson_depth", False),
     ("solver", "max_newton", "5"),
     ("solver", "max_newton", True),
     ("solver", "max_newton", -1),
@@ -328,6 +330,15 @@ def test_cli_main_bad_option_exit1(tmp_path, capsys, section, key, value):
     assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert f"config error: $.{section}.{key}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_retired_anderson_depth_zero_parses_to_the_same_options():
+    # the frozen bench configs still pin the retired key to 0
+    raw = json.loads(load("trivial.json"))
+    assert "anderson_depth" not in raw["iteration"]
+    plain = parse_config(json.dumps(raw)).iteration
+    raw["iteration"]["anderson_depth"] = 0
+    assert parse_config(json.dumps(raw)).iteration == plain
 
 
 def test_cli_main_missing_file_exit1():
@@ -373,6 +384,20 @@ def test_cli_main_parse_phase_error_exit1(tmp_path, capsys, command, key, value,
     path.write_text(json.dumps(raw))
     err = _exit1_one_line_nothing_created(capsys, [command, str(path)], tmp_path / "out")
     assert err.startswith(start)
+
+
+@pytest.mark.parametrize("key, base", [("alpha", "s1"), ("beta", "s2")])
+def test_cli_main_mixed_sign_exponent_names_its_key(tmp_path, capsys, key, base):
+    # f[0] = base^e keeps the envelope check passing, so the sign test of
+    # the exponent e itself rejects the config
+    e = {"add": [-0.05, {"mul": [0.1, "x"]}]}
+    raw = json.loads(load("trivial.json"))
+    raw[key] = [e, 0.0]
+    raw["f"] = [{"pow": {"base": base, "exp": e}}, 1.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    err = _exit1_one_line_nothing_created(capsys, ["solve", str(path)], tmp_path / "out")
+    assert err.startswith(f"config error: $.{key}[0]: exponent changes sign")
 
 
 @pytest.mark.parametrize("extra", [["--values", "0.5", "--mesh-n", "4"], ["--values="]],
