@@ -241,7 +241,8 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
 class BarrierPair:
     """Ordered barriers built from torsion fields: under = xi_delta / C,
     over = C * xi, with the measured regularity scale R and the measured
-    distance-comparability constants."""
+    distance-comparability constants.  ``torsion`` keeps the fields xi,
+    the unit-data solves that later audits would otherwise repeat."""
 
     under: tuple            # (GridFunction, GridFunction)
     over: tuple
@@ -250,6 +251,7 @@ class BarrierPair:
     R: float
     c0_measured: float
     c1_measured: float
+    torsion: tuple          # (xi_1, xi_2)
 
 
 def _c1_bound(u: GridFunction) -> float:
@@ -281,7 +283,8 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
             *(_c1_bound(xid[i]) for i in (0, 1)))
     return BarrierPair(under=under, over=over, C=float(C), delta=float(delta), R=R,
                        c0_measured=min(grid.distance_ratio(u)[0] for u in under),
-                       c1_measured=max(grid.distance_ratio(u)[1] for u in over))
+                       c1_measured=max(grid.distance_ratio(u)[1] for u in over),
+                       torsion=tuple(xi))
 
 
 @dataclass
@@ -354,7 +357,7 @@ def check_barriers_positive_regime(spec: ProblemSpec,
     margins = {}
     box = (pair.under, pair.over)
     for i in (0, 1):
-        lhs = plaplace.apply_operator(spec.p[i], pair.under[i].values)
+        lhs = plaplace.apply_operator(spec.p[i], pair.under[i])
         rhs = grid.load_vector(mesh, spec.m[i] * _product_bound(spec, i, box))
         margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
 
@@ -362,7 +365,7 @@ def check_barriers_positive_regime(spec: ProblemSpec,
         bulk = 2.0 * spec.M[i] * (pair.R * pair.C) ** gmax
         rhs2 = grid.load_vector(
             mesh, bulk + spec.M[i] * _product_bound(spec, i, box, upper=True))
-        lhs2 = plaplace.apply_operator(spec.p[i], pair.over[i].values)
+        lhs2 = plaplace.apply_operator(spec.p[i], pair.over[i])
         margins[f"supersolution_{i+1}"] = _weak_inequality(mesh, rhs2, lhs2)
     worst = min(margins.values())
     return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
@@ -379,7 +382,7 @@ def check_barriers_singular_regime(spec: ProblemSpec, pair: BarrierPair,
     mesh = spec.mesh
     margins = {}
     for i in (0, 1):
-        lhs = plaplace.apply_operator(spec.p[i], pair.under[i].values)
+        lhs = plaplace.apply_operator(spec.p[i], pair.under[i])
         rhs = grid.load_vector(
             mesh, spec.m[i] * _product_bound(spec, i, (pair.under, (L, L))))
         margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)

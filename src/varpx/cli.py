@@ -29,10 +29,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import barriers as bmod
-from . import forms, grid, sysfix, verify
+from . import forms, grid, plaplace, sysfix, verify
 from .barriers import ProblemSpec, Regime
 from .errors import ConfigError, EnvelopeError, MixedSignError
-from .expspace import ExponentField
+from .expspace import ExponentField, per_exponent
 from .grid import DomainSpec
 from .plaplace import SolverOptions
 from .sysfix import IterationOptions
@@ -361,10 +361,13 @@ def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "audit.json")
     ps = config.problem.p
+    # every audit reads the unit-data solve of each exponent: solve it once
+    torsions = per_exponent(ps, lambda p: plaplace.torsion(p, config.solver))
     kinds = tuple(name for name in names if name != "mvt")
-    out = [a.as_dict() for a in verify.estimate_audits(ps, kinds, config.solver)]
+    out = [a.as_dict() for a in verify.estimate_audits(ps, kinds, config.solver, torsions)]
     if "mvt" in names:
-        out += verify.mvt_sampling(ps, np.random.default_rng(config.seed), config.solver)
+        out += verify.mvt_sampling(ps, np.random.default_rng(config.seed), config.solver,
+                                   torsions)
     payload = verify.certificate_to_json({"audits": out})
     with open(path, "w") as f:
         f.write(payload)

@@ -21,6 +21,7 @@ and both are checked here to quadrature tolerance whenever requested.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ _BOUND_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class ExponentField:
-    """Per-node exponent with cached extremes.
+    """Per-node exponent with cached extremes and quadrature values.
 
     Exponents used as a p(x) must satisfy p_minus > 1; derived exponents
     (products and differences of exponents) may be negative but must be
@@ -87,7 +88,14 @@ class ExponentField:
         return ExponentField(mesh, np.broadcast_to(vals, (mesh.n_nodes,)).copy())
 
     def at_quad(self) -> np.ndarray:
-        return grid.at_quad(self.mesh, self.values)
+        """The exponent at the quadrature points (read-only), evaluated once."""
+        return self._quad_values
+
+    @cached_property
+    def _quad_values(self) -> np.ndarray:
+        out = grid.at_quad(self.mesh, self.values)
+        out.setflags(write=False)
+        return out
 
 
 def per_exponent(ps, run, *more) -> list:

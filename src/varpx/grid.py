@@ -9,6 +9,7 @@ per triangle) exposed as flat arrays so assembly can be fully vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,10 @@ class Mesh:
             self._build_1d()
         else:
             self._build_2d()
+        # stored as (k, d, cell) in memory, so that each grad_basis[:, k, d]
+        # the cell kernels below read is a contiguous column
+        self.grad_basis = np.ascontiguousarray(
+            self.grad_basis.transpose(1, 2, 0)).transpose(2, 0, 1)
         self.h = float(self.cell_diameters.max())
         self.distance = domain.distance(self.nodes)
         # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first
@@ -221,24 +226,31 @@ def build_mesh(domain: DomainSpec, n: int) -> Mesh:
 
 @dataclass
 class GridFunction:
-    """Nodal scalar field on a mesh."""
+    """Nodal scalar field on a mesh.  The values are a read-only copy of
+    the given ones, so the cell gradients ``grad``, computed on first read,
+    always belong to them."""
 
     mesh: Mesh
     values: np.ndarray
     zero_trace: bool = False
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_nodes,):
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != (self.mesh.n_nodes,):
             raise MeshCompatibilityError(
-                f"expected {self.mesh.n_nodes} nodal values, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+                f"expected {self.mesh.n_nodes} nodal values, got {vals.shape}")
+        if not np.all(np.isfinite(vals)):
             raise NonFiniteFieldError("grid function has non-finite nodal values")
-        if self.zero_trace and np.any(self.values[self.mesh.boundary_nodes] != 0.0):
+        if self.zero_trace and np.any(vals[self.mesh.boundary_nodes] != 0.0):
             raise ValueError("zero-trace field does not vanish on the boundary")
+        vals.setflags(write=False)
+        self.values = vals
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.mesh, self.values.copy(), self.zero_trace)
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """``cell_gradients`` of the values, computed once.  A solver that
+        already holds them for these values may assign them instead."""
+        return cell_gradients(self.mesh, self.values)
 
     @staticmethod
     def constant(mesh: Mesh, c: float) -> "GridFunction":
@@ -250,7 +262,7 @@ class GridFunction:
             vals = fn(mesh.nodes[:, 0])
         else:
             vals = fn(mesh.nodes[:, 0], mesh.nodes[:, 1])
-        return GridFunction(mesh, np.broadcast_to(vals, (mesh.n_nodes,)).copy())
+        return GridFunction(mesh, np.broadcast_to(vals, (mesh.n_nodes,)))
 
 
 @dataclass
@@ -282,17 +294,28 @@ class VectorField:
 class QuadField:
     """Values attached to the quadrature points of a mesh.  Used for data
     that is only evaluable strictly inside cells (singular right-hand
-    sides that blow up on the boundary)."""
+    sides that blow up on the boundary).  The values are a read-only copy
+    of the given ones, so the load vector, computed on first read of
+    ``load``, always belongs to them."""
 
     mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.mesh.qweights.shape:
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != self.mesh.qweights.shape:
             raise MeshCompatibilityError("quadrature value array has wrong length")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(vals)):
             raise NonFiniteFieldError("quadrature field has non-finite values")
+        vals.setflags(write=False)
+        self.values = vals
+
+    @cached_property
+    def load(self) -> np.ndarray:
+        """``load_vector`` of the values (read-only), computed once."""
+        out = _load(self.mesh, self.values)
+        out.setflags(write=False)
+        return out
 
 
 def check_same_mesh(mesh: Mesh, *objs):
@@ -302,9 +325,17 @@ def check_same_mesh(mesh: Mesh, *objs):
 
 
 def at_quad(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
-    """Nodal field evaluated at all quadrature points."""
+    """Nodal field evaluated at all quadrature points.
+
+    The vertex terms t_k = qbasis[:, k] * vals[qconn[:, k]] are added as
+    ``np.einsum("qk,qk->q", qbasis, vals[qconn])`` adds them, (t0 + t2) + t1
+    for three vertices, so the two agree bit for bit."""
     vals = np.asarray(nodal_values, dtype=float)
-    return np.einsum("qk,qk->q", mesh.qbasis, vals[mesh.qconn])
+    k = mesh.qconn.shape[1]
+    out = mesh.qbasis[:, 0] * vals[mesh.qconn[:, 0]]
+    for j in (*range(2, k), 1):
+        out += mesh.qbasis[:, j] * vals[mesh.qconn[:, j]]
+    return out
 
 
 def as_quad_values(mesh: Mesh, h) -> np.ndarray:
@@ -327,14 +358,40 @@ def as_quad_values(mesh: Mesh, h) -> np.ndarray:
 
 
 def cell_gradients(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
-    """Exact per-cell gradient of the P1 interpolant, shape (n_cells, dim)."""
+    """Exact per-cell gradient of the P1 interpolant, shape (n_cells, dim),
+    read-only, each axis a contiguous column.  The vertex terms are added
+    in order k = 0, 1, 2, as ``np.einsum("ckd,ck->cd", grad_basis,
+    vals[cells])`` adds them, so the two agree bit for bit."""
     vals = np.asarray(nodal_values, dtype=float)
-    return np.einsum("ckd,ck->cd", mesh.grad_basis, vals[mesh.cells])
+    gb = mesh.grad_basis
+    v = [vals[mesh.cells[:, k]] for k in range(mesh.cells.shape[1])]
+    out = np.empty((mesh.dim, len(mesh.cells)))
+    for d, row in enumerate(out):
+        np.multiply(gb[:, 0, d], v[0], out=row)
+        for k in range(1, len(v)):
+            row += gb[:, k, d] * v[k]
+    out.setflags(write=False)
+    return out.T
+
+
+def basis_projections(mesh: Mesh, g: np.ndarray) -> np.ndarray:
+    """g . grad(hat_k) on each cell for cell vectors ``g`` of shape
+    (n_cells, dim): shape (n_cells, k), equal bit for bit to
+    ``np.einsum("cd,ckd->ck", g, grad_basis)``."""
+    gb = mesh.grad_basis
+    out = np.empty(mesh.cells.shape)
+    for k in range(mesh.cells.shape[1]):
+        col = out[:, k]
+        np.multiply(g[:, 0], gb[:, k, 0], out=col)
+        for d in range(1, mesh.dim):
+            col += g[:, d] * gb[:, k, d]
+    return out
 
 
 def gradient(u: GridFunction) -> VectorField:
-    """Gradient of the P1 interpolant; exact for affine nodal data."""
-    return VectorField(u.mesh, cell_gradients(u.mesh, u.values))
+    """Gradient of the P1 interpolant; exact for affine nodal data.  Reads
+    the cell gradients ``u`` carries."""
+    return VectorField(u.mesh, u.grad)
 
 
 def distance_ratio(u: GridFunction):
@@ -357,8 +414,15 @@ def integrate(mesh: Mesh, integrand) -> float:
 
 
 def load_vector(mesh: Mesh, h) -> np.ndarray:
-    """Nodal vector of integrals of ``h`` against every hat function."""
-    hq = as_quad_values(mesh, h)
+    """Nodal vector of integrals of ``h`` against every hat function; a
+    QuadField's is the one it holds."""
+    if isinstance(h, QuadField):
+        check_same_mesh(mesh, h)
+        return h.load
+    return _load(mesh, as_quad_values(mesh, h))
+
+
+def _load(mesh: Mesh, hq: np.ndarray) -> np.ndarray:
     contrib = (mesh.qweights * hq)[:, None] * mesh.qbasis
     return np.bincount(mesh.qconn.ravel(), weights=contrib.ravel(),
                        minlength=mesh.n_nodes)

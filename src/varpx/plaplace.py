@@ -77,52 +77,73 @@ class _Layout:
     """Assembly data that depends on the mesh alone.
 
     P1 gradients are constant on each cell, so quadrature-weighted
-    coefficients are summed per cell first; the (cell, k, l) entries of
-    the element matrices are then scattered with one ``bincount`` into
-    the upper band of the interior matrix in LAPACK storage
-    ``ab[bw + i - j, j]``, factorized by ``dpbtrf`` and solved by
-    ``dpbtrs`` from numpy's OpenBLAS (through SciPy where numpy ships
-    none, see the module docstring).  Interior
-    nodes are numbered row-major, so a cell couples nodes at most
-    ``bw`` apart: 1 in 1D, ``n`` in 2D.  Holds no reference to the
-    mesh, so the weak per-mesh cache below can release it.
+    coefficients are summed per cell first.  Of the (cell, k, l) entries
+    of the element matrices only those in the upper band of the interior
+    matrix are formed, through flat index tables built here, and added
+    straight into LAPACK's band storage ``ab[bw + i - j, j]`` laid out
+    column by column, where ``dpbtrf`` factorizes it in place and
+    ``dpbtrs`` solves with it, both from numpy's OpenBLAS (through SciPy
+    where numpy ships none, see the module docstring).  The kept entries
+    stay in (cell, k, l) order, so each band entry sums its terms in the
+    order a scatter of the full element matrices would.  Interior nodes
+    are numbered row-major, so a cell couples nodes at most ``bw`` apart:
+    1 in 1D, ``n`` in 2D.  Holds no reference to the mesh, so the weak
+    per-mesh cache below can release it.
     """
 
     def __init__(self, mesh: Mesh):
         cells, gb = mesh.cells, mesh.grad_basis
         nc, k = cells.shape
         self.q_per_cell = mesh.qweights.size // nc
-        self.dots = np.einsum("ckd,cld->ckl", gb, gb)
         m = mesh.interior_nodes.size
         pos = np.full(mesh.n_nodes, -1)
         pos[mesh.interior_nodes] = np.arange(m)
         rows = np.broadcast_to(pos[cells][:, :, None], (nc, k, k)).ravel()
         cols = np.broadcast_to(pos[cells][:, None, :], (nc, k, k)).ravel()
-        keep = (rows >= 0) & (rows <= cols)
-        self.m = m
+        keep = np.flatnonzero((rows >= 0) & (rows <= cols))
+        self.m, self.k = m, k
         self.bw = 1 if mesh.dim == 1 else mesh.n
-        self.slot = (self.bw + rows[keep] - cols[keep]) * m + cols[keep]
         self.size = (self.bw + 1) * m
-        self.keep = np.flatnonzero(keep)
+        rows, cols = rows[keep], cols[keep]
+        self.slot = cols * (self.bw + 1) + self.bw + rows - cols
+        # kept entry (c, i, j) reads flat (cell, vertex) arrays at c*k + i
+        # and c*k + j; np.take reads 32-bit tables as fast as 64-bit ones
+        self.row_at = (keep // k).astype(np.int32)
+        self.col_at = (keep // (k * k) * k + keep % k).astype(np.int32)
+        self.dots = np.einsum("ckd,cld->ckl", gb, gb).ravel()[keep]
         volumes = self.cell_sum(mesh.qweights)
-        self.poisson = self.factor(self.assemble(volumes[:, None, None] * self.dots))
+        entries = np.take(np.repeat(volumes, k), self.row_at) * self.dots
+        self.poisson = self.factor(self.assemble(entries, np.empty(self.size)))
 
     def cell_sum(self, qvalues: np.ndarray) -> np.ndarray:
         """Per-cell sums of quadrature-point values (points are stored
-        cell by cell)."""
-        return qvalues.reshape(-1, self.q_per_cell).sum(axis=1)
+        cell by cell), added in point order as ``reshape(-1, q).sum(axis=1)``
+        adds them."""
+        q = self.q_per_cell
+        out = qvalues[0::q] + qvalues[1::q]
+        for j in range(2, q):
+            out += qvalues[j::q]
+        return out
 
-    def assemble(self, local: np.ndarray) -> np.ndarray:
-        """Interior matrix data from element matrices of shape (nc, k, k)."""
-        return np.bincount(self.slot, weights=local.ravel()[self.keep],
-                           minlength=self.size)
+    def assemble(self, entries: np.ndarray, band: np.ndarray) -> np.ndarray:
+        """Band data, flat in column-major order, from the values of the
+        kept element-matrix entries, written into ``band`` (of ``size``
+        floats) and returned.  A solve refills one buffer at every Newton
+        step rather than taking fresh memory for each."""
+        band.fill(0.0)
+        np.add.at(band, self.slot, entries)
+        return band
+
+    def band(self, data: np.ndarray) -> np.ndarray:
+        """The (bw + 1, m) band that flat ``data`` holds, as a view."""
+        return data.reshape(self.m, self.bw + 1).T
 
     def factor(self, data: np.ndarray):
-        """Solve function for the interior system with matrix ``data``.
-        Skips LAPACK's finiteness checks: a non-finite Hessian from the
-        assembly yields a non-finite Newton direction, which
-        ``solve_dirichlet`` rejects."""
-        ab = np.array(data.reshape(self.bw + 1, self.m), order="F")
+        """Solve function for the interior system with matrix ``data``,
+        which is factorized in place.  Skips LAPACK's finiteness checks: a
+        non-finite Hessian from the assembly yields a non-finite Newton
+        direction, which ``solve_dirichlet`` rejects."""
+        ab = self.band(data)
         return (_band_cholesky if _PBTRF_PBTRS else _band_cholesky_fallback)(ab)
 
 
@@ -201,10 +222,19 @@ def _layout(mesh: Mesh) -> _Layout:
     return lay
 
 
+def _squared_norms(lay, g):
+    """|g|^2 of the cell vectors ``g``, repeated at each quadrature point
+    of the cell."""
+    g2 = g[:, 0] * g[:, 0]
+    for d in range(1, g.shape[1]):
+        g2 += g[:, d] * g[:, d]
+    return np.repeat(g2, lay.q_per_cell)
+
+
 def _cell_g2(mesh, lay, u_values):
     """Cell gradients and their squared norms repeated per quad point."""
     g = grid.cell_gradients(mesh, u_values)
-    return g, np.repeat((g ** 2).sum(axis=1), lay.q_per_cell)
+    return g, _squared_norms(lay, g)
 
 
 def _unreg_flux_coeff(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
@@ -214,52 +244,73 @@ def _unreg_flux_coeff(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
     return np.where(g2 > 0.0, c, 0.0)
 
 
-def _flux_values(mesh, w, gdot):
-    """Nodal sums of the cell weights ``w`` times grad u . grad(hat_k)."""
-    return np.bincount(mesh.cells.ravel(), weights=(w[:, None] * gdot).ravel(),
-                       minlength=mesh.n_nodes)
+def _flux_values(mesh, wk, gdot):
+    """Nodal sums of the cell weights times grad u . grad(hat_k), both
+    given at each (cell, vertex) pair as flat arrays: ``wk`` repeats each
+    weight once per vertex, ``gdot`` is ``basis_projections`` raveled."""
+    return np.bincount(mesh.cells.ravel(), weights=wk * gdot, minlength=mesh.n_nodes)
 
 
-def apply_operator(p: ExponentField, u_values: np.ndarray) -> np.ndarray:
+def apply_operator(p: ExponentField, u: GridFunction) -> np.ndarray:
     """Nodal vector of int |grad u|^(p-2) grad u . grad(hat_j) dx for
-    every node j of the mesh of ``p``."""
+    every node j of the mesh of ``p``, from the cell gradients ``u``
+    carries."""
     mesh = p.mesh
+    grid.check_same_mesh(mesh, u)
     lay = _layout(mesh)
-    g, g2 = _cell_g2(mesh, lay, u_values)
-    w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(g2, p.at_quad()))
-    return _flux_values(mesh, w, np.einsum("cd,ckd->ck", g, mesh.grad_basis))
+    w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(_squared_norms(lay, u.grad),
+                                                       p.at_quad()))
+    return _flux_values(mesh, np.repeat(w, lay.k),
+                        grid.basis_projections(mesh, u.grad).ravel())
 
 
-def _energy(mesh, lay, pq, b, u_values, eps):
-    """Regularized energy; ``b`` is the load vector of the data, so the
-    linear term int h u is the nodal product b . u."""
-    _, g2 = _cell_g2(mesh, lay, u_values)
-    dens = np.power(g2 + eps * eps, pq / 2.0) / pq
+def _energy(mesh, pq, b, u_values, g2, eps):
+    """Regularized energy of ``u_values``, whose squared gradient norms
+    per quadrature point are ``g2``; ``b`` is the load vector of the data,
+    so the linear term int h u is the nodal product b . u."""
+    dens = g2 + eps * eps
+    np.power(dens, pq / 2.0, out=dens)
+    dens /= pq
     return float(mesh.qweights @ dens) - float(b @ u_values)
 
 
-def _linearize(mesh, lay, pq, u_values, eps):
-    """Regularized operator at ``u_values``, and a function assembling the
-    energy Hessian there from the same cell arrays: isotropic weight plus
-    a rank-one weight along the frozen gradient.  Needs eps > 0 so the
+def _linearize(mesh, lay, pq, grads, eps):
+    """Regularized operator at the iterate whose ``_cell_g2`` are
+    ``grads``, and a function assembling the energy Hessian there from the
+    same cell arrays into a given band buffer: isotropic weight plus a
+    rank-one weight along the frozen gradient.  Needs eps > 0 so the
     weights stay finite at vanishing gradients."""
-    g, g2 = _cell_g2(mesh, lay, u_values)
+    g, g2 = grads
     base = g2 + eps * eps
-    aa = np.power(base, (pq - 2.0) / 2.0)
-    A = lay.cell_sum(mesh.qweights * aa)
-    gdot = np.einsum("cd,ckd->ck", g, mesh.grad_basis)
+    excess = pq - 2.0
+    aa = excess / 2.0
+    np.power(base, aa, out=aa)
+    # cell weights and projections at each (cell, vertex) pair, flat
+    A = np.repeat(lay.cell_sum(mesh.qweights * aa), lay.k)
+    gdot = grid.basis_projections(mesh, g).ravel()
 
-    def hessian():
-        B = lay.cell_sum(mesh.qweights * ((pq - 2.0) * aa / base))
-        return lay.assemble(A[:, None, None] * lay.dots
-                            + B[:, None, None] * gdot[:, :, None] * gdot[:, None, :])
+    def hessian(band):
+        weight = excess * aa
+        weight /= base
+        weight *= mesh.qweights
+        B = np.repeat(lay.cell_sum(weight), lay.k)
+        entries = np.take(A, lay.row_at)
+        entries *= lay.dots
+        rank_one = np.take(B * gdot, lay.row_at)
+        rank_one *= np.take(gdot, lay.col_at)
+        entries += rank_one
+        return lay.assemble(entries, band)
 
     return _flux_values(mesh, A, gdot), hessian
 
 
-def _data_scale(mesh, hq) -> float:
-    """int|h| + 1, the normalization of every reported residual."""
-    return float(mesh.qweights @ np.abs(hq)) + 1.0
+def _data(mesh, h):
+    """The data ``h`` at the quadrature points, its load vector (the one a
+    QuadField holds) and int|h| + 1, the normalization of every reported
+    residual."""
+    hq = grid.as_quad_values(mesh, h)
+    b = grid.load_vector(mesh, h if isinstance(h, grid.QuadField) else hq)
+    return hq, b, float(mesh.qweights @ np.abs(hq)) + 1.0
 
 
 def _residual(mesh, values, b, scale):
@@ -273,9 +324,8 @@ def weak_residual(p: ExponentField, u: GridFunction, h) -> float:
     unregularized weak-form defect of ``u``, normalized by int|h| + 1."""
     mesh = p.mesh
     grid.check_same_mesh(mesh, u)
-    hq = grid.as_quad_values(mesh, h)
-    return _residual(mesh, apply_operator(p, u.values),
-                     grid.load_vector(mesh, hq), _data_scale(mesh, hq))[1]
+    _, b, scale = _data(mesh, h)
+    return _residual(mesh, apply_operator(p, u), b, scale)[1]
 
 
 def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
@@ -299,31 +349,35 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
     mesh = p.mesh
     if p.p_minus <= 1.0:
         raise ValueError(f"solver requires p_minus > 1, got {p.p_minus}")
-    hq = grid.as_quad_values(mesh, h)
+    hq, b, scale = _data(mesh, h)
     if not np.all(np.isfinite(hq)):
         raise NonFiniteFieldError("right-hand side has non-finite values")
 
     lay = _layout(mesh)
     eps = opts.eps_reg
     pq = p.at_quad()
-    b = grid.load_vector(mesh, hq)
-    scale = _data_scale(mesh, hq)
     ii = mesh.interior_nodes
 
     u = np.zeros(mesh.n_nodes)
     if start is None:
         u[ii] = lay.poisson(b[ii])
+        g = grid.cell_gradients(mesh, u)
     else:
         grid.check_same_mesh(mesh, start)
         u[ii] = start.values[ii]
-    energies = [_energy(mesh, lay, pq, b, u, eps)]
+        # a zero-trace start has u's values, so the gradients it carries serve
+        g = start.grad if start.zero_trace else grid.cell_gradients(mesh, u)
+    grads = g, _squared_norms(lay, g)
+    energies = [_energy(mesh, pq, b, u, grads[1], eps)]
+    band = np.empty(lay.size)
     steps = 0
     while steps < opts.max_newton:
-        values, hessian = _linearize(mesh, lay, pq, u, eps)
+        values, hessian = _linearize(mesh, lay, pq, grads, eps)
         r, rnorm = _residual(mesh, values, b, scale)
         if rnorm <= _NEWTON_FORCING * opts.tol_residual:
             break
-        du = lay.factor(hessian())(-r)
+        du = lay.factor(hessian(band))(-r)
+        del values, hessian  # the line search needs neither; free them first
         steps += 1
         if not np.all(np.isfinite(du)):
             raise SolveError("Newton direction is non-finite")
@@ -335,9 +389,10 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
         for _ in range(_MAX_BACKTRACK):
             trial = u.copy()
             trial[ii] += t * du
-            et = _energy(mesh, lay, pq, b, trial, eps)
+            trial_grads = _cell_g2(mesh, lay, trial)
+            et = _energy(mesh, pq, b, trial, trial_grads[1], eps)
             if et <= e0 + _ARMIJO * t * slope or not resolved:
-                u = trial
+                u, grads = trial, trial_grads
                 energies.append(et)
                 accepted = True
                 break
@@ -345,9 +400,10 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
         if not accepted:
             break  # stagnation: the residual check below decides the flag
 
-    res = _residual(mesh, apply_operator(p, u), b, scale)[1]
-    converged = bool(res <= opts.tol_residual)
     uf = GridFunction(mesh, u, zero_trace=True)
+    uf.grad = grads[0]  # taken at u by the last linearization or energy evaluation
+    res = _residual(mesh, apply_operator(p, uf), b, scale)[1]
+    converged = bool(res <= opts.tol_residual)
     return ScalarSolveResult(u=uf, residual=res, newton_iters=steps, converged=converged,
                              energies=energies)
 

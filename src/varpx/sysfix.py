@@ -224,10 +224,12 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
     for it in range(1, opts.max_iters + 1):
         u = apply_map(state, solver_opts)
         extremes.append(SystemState.build(spec, pair, *u).extremes())
-        prev, z = z, _clamp(pair, [(1.0 - opts.theta) * zi.values + opts.theta * ui.values
-                                   for zi, ui in zip(z, u)], singular)
-        steps.append(tuple(float(np.abs(zi.values - pi.values).max())
-                           for zi, pi in zip(z, prev)))
+        damped = _clamp(pair, [(1.0 - opts.theta) * zi.values + opts.theta * ui.values
+                               for zi, ui in zip(z, u)], singular)
+        steps.append(tuple(float(np.abs(di.values - zi.values).max())
+                           for di, zi in zip(damped, z)))
+        z = damped
+        del u  # free the map output's fields before the next map's solves
         state = SystemState.build(spec, pair, *z)
         if singular:
             norms.append(_cap_norms(state))

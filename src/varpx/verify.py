@@ -83,16 +83,22 @@ def _family_verdict(ratios):
 @dataclass
 class ScaleFamily:
     """One exponent's solves with constant data lam at each scale, run on
-    first read, so the audits reading one family solve each problem once."""
+    first read, so the audits reading one family solve each problem once.
+    ``torsion``, when given, is the solve at lam = 1 with these options
+    (the torsion field of ``p``) made before, and stands in for it."""
 
     p: ExponentField
     scales: tuple = DEFAULT_SCALES
     opts: SolverOptions | None = None
+    torsion: GridFunction | None = None
 
     @cached_property
     def solves(self) -> tuple:
         out = []
         for lam in self.scales:
+            if lam == 1.0 and self.torsion is not None:
+                out.append(self.torsion)
+                continue
             res = plaplace.solve_dirichlet(self.p, GridFunction.constant(self.p.mesh, lam),
                                            self.opts)
             out.append(res.checked(f"audit solve at scale {lam}"))
@@ -135,20 +141,22 @@ def linfty_estimate_audit(family: ScaleFamily) -> EstimateAudit:
         lambda u: float(np.abs(u.values).max()), notes)
 
 
-def estimate_audits(ps, kinds, opts: SolverOptions | None = None) -> list:
+def estimate_audits(ps, kinds, opts: SolverOptions | None = None,
+                    torsions=(None, None)) -> list:
     """Unit-data audits of each kind ("gradient", "linfty") for each
     exponent of ``ps``, component by component, named
     ``<kind>_estimate_p<i>``; all kinds read one ScaleFamily per distinct
-    exponent."""
+    exponent, whose lam = 1 solve is the matching entry of ``torsions``
+    when that is given."""
 
-    def audits(p):
-        family = ScaleFamily(p, opts=opts)
+    def audits(p, xi):
+        family = ScaleFamily(p, opts=opts, torsion=xi)
         # looked up per call, so a wrapper bound to the module name applies
         run = {"gradient": gradient_estimate_audit, "linfty": linfty_estimate_audit}
         return [run[kind](family) for kind in kinds]
 
     return [replace(a, name=f"{kind}_estimate_p{i + 1}")
-            for i, per in enumerate(per_exponent(ps, audits))
+            for i, per in enumerate(per_exponent(ps, audits, torsions))
             for kind, a in zip(kinds, per)]
 
 
@@ -171,8 +179,8 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
     den = float(mesh.qweights @ (hq * grid.at_quad(mesh, pv)))
     if abs(den) < 1e-14:
         raise ZeroDivisionError("degenerate test field: int h phi vanishes")
-    gu = grid.cell_gradients(mesh, u.values)[mesh.qcells]
-    gphi = grid.cell_gradients(mesh, pv)[mesh.qcells]
+    gu = u.grad[mesh.qcells]
+    gphi = phi.grad[mesh.qcells]
     g2 = (gu ** 2).sum(axis=1)
     pq = p.at_quad()
     coeff = plaplace._unreg_flux_coeff(g2, pq)
@@ -284,19 +292,21 @@ def _mvt_check(p, u, h, f, phi, tol) -> dict:
     return {"gamma_hat": gam, "ok": bool(lo - tol <= gam <= hi + tol)}
 
 
-def mvt_sampling(ps, rng: np.random.Generator,
-                 opts: SolverOptions | None = None) -> list:
+def mvt_sampling(ps, rng: np.random.Generator, opts: SolverOptions | None = None,
+                 torsions=(None, None)) -> list:
     """Mean-value checks on each exponent's unit-data solve, named
     ``mvt_sampling_p<i>``, drawing a random Lipschitz weight f and then a
     sign-constant test field phi per check from ``rng``, component by
-    component; equal exponents share their checks."""
+    component; equal exponents share their checks.  The unit-data solve
+    is the matching entry of ``torsions`` when that is given (solved
+    with ``opts``), else it is solved here."""
     mesh = ps[0].mesh
     ones = GridFunction.constant(mesh, 1.0)
 
-    def sample(p):
-        res = plaplace.solve_dirichlet(p, ones, opts)
-        u = res.checked("mean-value sampling solve")
-        tol = mvt_tolerance(mesh, res.residual)
+    def sample(p, u):
+        if u is None:
+            u = plaplace.solve_dirichlet(p, ones, opts).checked("mean-value sampling solve")
+        tol = mvt_tolerance(mesh, plaplace.weak_residual(p, u, ones))
         checks = []
         for _ in range(_MVT_SAMPLES):
             f = random_lipschitz_field(mesh, rng, *_MVT_RANGE)
@@ -306,7 +316,7 @@ def mvt_sampling(ps, rng: np.random.Generator,
                 "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
 
     return [{"name": f"mvt_sampling_p{i + 1}", **entry}
-            for i, entry in enumerate(per_exponent(ps, sample))]
+            for i, entry in enumerate(per_exponent(ps, sample, torsions))]
 
 
 def certificate_to_json(cert: dict) -> str:
@@ -326,7 +336,7 @@ def solution_certificate(spec: ProblemSpec, solution, pair: BarrierPair, report,
     rng = rng or np.random.default_rng(0)
     state = sysfix.SystemState.build(spec, pair, *solution)
     r1, r2 = sysfix.coupled_residual(state)
-    audits = estimate_audits(spec.p, ("gradient", "linfty"), solver_opts)
+    audits = estimate_audits(spec.p, ("gradient", "linfty"), solver_opts, pair.torsion)
     sandwich = sandwich_audit(solution, refined=refined, refined_report=refined_report)
     mvt = mvt_spot_checks(spec, solution, state.frozen, (r1, r2), rng)
     cert = {

@@ -337,7 +337,7 @@ def test_sign_case_products_and_margins(case, regime):
                * np.maximum(np.abs(small[ii]), np.abs(large[ii])))
         return float((large[ii] - small[ii] + tol).min())
 
-    sub = plaplace.apply_operator(spec.p1, pair.under[0].values)
+    sub = plaplace.apply_operator(spec.p1, pair.under[0])
     if regime == "singular":
         lower = product("singular")
         np.testing.assert_array_equal(
@@ -352,7 +352,7 @@ def test_sign_case_products_and_margins(case, regime):
         rep = check_barriers_positive_regime(spec, pair)
         gmax = max(spec.gamma[0].p_plus, spec.gamma_bar[0].p_plus)
         bulk = 2.0 * spec.M[0] * (pair.R * pair.C) ** gmax
-        sup = plaplace.apply_operator(spec.p1, pair.over[0].values)
+        sup = plaplace.apply_operator(spec.p1, pair.over[0])
         rhs2 = grid.load_vector(m, bulk + spec.M[0] * upper)
         assert rep.margins["supersolution_1"] == margin(rhs2, sup)
     rhs = grid.load_vector(m, spec.m[0] * lower)

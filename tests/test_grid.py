@@ -4,7 +4,7 @@ import pytest
 from varpx import (DomainSpec, GridFunction, boundary_strip, build_mesh,
                    export_csv, gradient, integrate)
 from varpx.errors import NonFiniteFieldError
-from varpx.grid import at_quad, load_vector
+from varpx.grid import QuadField, at_quad, load_vector
 
 
 def test_interval_mesh_basic():
@@ -129,6 +129,25 @@ def test_gradient_affine_exact_2d():
     g = gradient(u)
     np.testing.assert_allclose(g.values[:, 0], 2.0, atol=1e-13)
     np.testing.assert_allclose(g.values[:, 1], -3.0, atol=1e-13)
+
+
+def test_field_values_are_read_only_copies():
+    # a field's cell gradients (and a QuadField's load vector) are computed
+    # once, so the values they derive from can never change in place
+    m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 4)
+    given = m.nodes[:, 0] * m.nodes[:, 1]
+    u = GridFunction(m, given)
+    grad = gradient(u).values
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grad[0, 0] = 1.0
+    given[0] = 1.0
+    assert u.values[0] == 0.0 and gradient(u).values is grad
+    h = QuadField(m, np.ones(m.qweights.size))
+    with pytest.raises(ValueError, match="read-only"):
+        h.values[0] = 2.0
+    assert load_vector(m, h) is load_vector(m, h)
 
 
 def test_gradient_quadratic_midpoint_values():

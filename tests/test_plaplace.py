@@ -304,13 +304,54 @@ def test_one_linearization_per_newton_step(monkeypatch):
     assert calls == {"apply_operator": 1, "_linearize": res.newton_iters + 1}
 
 
+def test_each_iterate_gradient_taken_once(monkeypatch):
+    # a solve takes the cell gradients of each iterate it evaluates once:
+    # the start and every trial of the line search, whose accepted one
+    # feeds the next linearization; the reported residual and the result
+    # reuse the last.  A zero-trace start brings its own.
+    m = mesh1d(128)
+    p = ExponentField.constant(m, 3.0)
+    one = GridFunction.constant(m, 1.0)
+    taken = []
+    real = grid.cell_gradients
+    monkeypatch.setattr(grid, "cell_gradients", lambda *args: taken.append(1) or real(*args))
+    res = solve_dirichlet(p, one)
+    # every step accepted at the full step, so no trial was rejected
+    assert res.converged and len(res.energies) == res.newton_iters + 1
+    assert len(taken) == len(res.energies)
+    res.u.grad
+    weak_residual(p, res.u, one)
+    assert len(taken) == len(res.energies)
+
+    start = GridFunction(m, 1.01 * res.u.values, zero_trace=True)
+    start.grad
+    taken.clear()
+    warm = solve_dirichlet(p, one, start=start)
+    assert warm.newton_iters >= 1 and len(warm.energies) == warm.newton_iters + 1
+    assert len(taken) == warm.newton_iters
+
+
+def test_exponent_quadrature_values_evaluated_once(monkeypatch):
+    m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 8)
+    p = ExponentField.from_callable(m, lambda x, y: 2.0 + x * y)
+    evaluated = []
+    real = grid.at_quad
+    monkeypatch.setattr(grid, "at_quad", lambda mesh, vals: (
+        evaluated.append(vals is p.values) or real(mesh, vals)))
+    pq = p.at_quad()
+    res = solve_dirichlet(p, 1.0)
+    weak_residual(p, res.u, 1.0)
+    assert p.at_quad() is pq and not pq.flags.writeable
+    assert evaluated.count(True) == 1
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_hessian_raises_solve_error(monkeypatch, bad):
     # the banded factorization skips its own finiteness checks; a
     # non-finite Hessian must still end the solve with SolveError
     linearize = plaplace._linearize
     monkeypatch.setattr(plaplace, "_linearize", lambda mesh, lay, *args: (
-        linearize(mesh, lay, *args)[0], lambda: np.full(lay.size, bad)))
+        linearize(mesh, lay, *args)[0], lambda band: np.full(lay.size, bad)))
     m = mesh1d(64)
     with pytest.raises(plaplace.SolveError):
         solve_dirichlet(ExponentField.constant(m, 3.0),
@@ -389,7 +430,7 @@ def _reference_operator(mesh, p, u, eps):
 
 def _layout_matrix(lay, data):
     """Dense symmetric matrix from the upper band ab[bw + i - j, j]."""
-    ab = data.reshape(lay.bw + 1, lay.m)
+    ab = lay.band(data)
     H = np.zeros((lay.m, lay.m))
     for d in range(lay.bw + 1):  # d = j - i, the superdiagonal
         # the first d entries of row bw - d lie outside the matrix
@@ -427,7 +468,8 @@ def test_layout_hessian_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
     eps = 1e-3
     lay = plaplace._layout(mesh)
-    data = plaplace._linearize(mesh, lay, p.at_quad(), u, eps)[1]()
+    grads = plaplace._cell_g2(mesh, lay, u)
+    data = plaplace._linearize(mesh, lay, p.at_quad(), grads, eps)[1](np.empty(lay.size))
     got = _layout_matrix(lay, data)
     ref = _reference_hessian(mesh, p, u, eps)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -464,7 +506,8 @@ def test_layout_band_property(dim, n, width, aspect, tall, seed):
     eps = 1e-3
     lay = plaplace._layout(mesh)
     assert lay.bw == (n if dim == 2 else 1)
-    data = plaplace._linearize(mesh, lay, p.at_quad(), u, eps)[1]()
+    grads = plaplace._cell_g2(mesh, lay, u)
+    data = plaplace._linearize(mesh, lay, p.at_quad(), grads, eps)[1](np.empty(lay.size))
     H = _layout_matrix(lay, data)
     ref = _reference_hessian(mesh, p, u, eps)
     np.testing.assert_allclose(H, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -473,6 +516,65 @@ def test_layout_band_property(dim, n, width, aspect, tall, seed):
     backward = np.abs(ref @ x - rhs).max()
     assert backward <= 1e-10 * (np.abs(ref).sum(axis=1).max() * np.abs(x).max()
                                 + np.abs(rhs).max())
+
+
+def _dense_band_reference(mesh, A, B, gdot):
+    """The band data the flat kernels replace: full (cell, k, l) element
+    matrices A dots + B gdot gdot^T, scattered into the row-major band
+    ab[bw + i - j, j] with one bincount, as a (bw + 1, m) array."""
+    lay = plaplace._layout(mesh)
+    nc, k = mesh.cells.shape
+    pos = np.full(mesh.n_nodes, -1)
+    pos[mesh.interior_nodes] = np.arange(lay.m)
+    rows = np.broadcast_to(pos[mesh.cells][:, :, None], (nc, k, k)).ravel()
+    cols = np.broadcast_to(pos[mesh.cells][:, None, :], (nc, k, k)).ravel()
+    keep = (rows >= 0) & (rows <= cols)
+    dots = np.einsum("ckd,cld->ckl", mesh.grad_basis, mesh.grad_basis)
+    local = (A[:, None, None] * dots
+             + B[:, None, None] * gdot[:, :, None] * gdot[:, None, :])
+    slot = (lay.bw + rows[keep] - cols[keep]) * lay.m + cols[keep]
+    return np.bincount(slot, weights=local.ravel()[keep],
+                       minlength=lay.size).reshape(lay.bw + 1, lay.m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_MESHES)
+def test_kernels_equal_their_references_bitwise(dim, n, width, aspect, tall, seed):
+    """On random meshes, fields and exponents every flat per-mesh kernel
+    equals with == the einsum, reshape-sum or full-element-matrix
+    computation it replaced: cell gradients, quadrature interpolation,
+    basis projections, per-cell sums, and the Hessian band data, which
+    sits in LAPACK's column-major band order."""
+    mesh = build_mesh(_random_domain(dim, width, aspect, tall), n)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=mesh.n_nodes)
+    u[mesh.boundary_nodes] = 0.0
+    p = ExponentField(mesh, rng.uniform(1.3, 3.5, mesh.n_nodes))
+    lay = plaplace._layout(mesh)
+    q = lay.q_per_cell
+
+    g = grid.cell_gradients(mesh, u)
+    assert np.array_equal(g, np.einsum("ckd,ck->cd", mesh.grad_basis, u[mesh.cells]))
+    assert np.array_equal(grid.at_quad(mesh, u),
+                          np.einsum("qk,qk->q", mesh.qbasis, u[mesh.qconn]))
+    gdot = np.einsum("cd,ckd->ck", g, mesh.grad_basis)
+    assert np.array_equal(grid.basis_projections(mesh, g), gdot)
+    w = rng.uniform(0.0, 2.0, mesh.qweights.size)
+    assert np.array_equal(lay.cell_sum(w), w.reshape(-1, q).sum(axis=1))
+
+    eps = 1e-3
+    pq = p.at_quad()
+    g2 = np.repeat((g ** 2).sum(axis=1), q)
+    assert np.array_equal(plaplace._cell_g2(mesh, lay, u)[1], g2)
+    base = g2 + eps * eps
+    aa = np.power(base, (pq - 2.0) / 2.0)
+    A = (mesh.qweights * aa).reshape(-1, q).sum(axis=1)
+    B = (mesh.qweights * ((pq - 2.0) * aa / base)).reshape(-1, q).sum(axis=1)
+    data = plaplace._linearize(mesh, lay, pq, plaplace._cell_g2(mesh, lay, u),
+                               eps)[1](np.empty(lay.size))
+    ab = lay.band(data)
+    assert ab.flags.f_contiguous and np.shares_memory(ab, data)
+    assert np.array_equal(ab, _dense_band_reference(mesh, A, B, gdot))
 
 
 @settings(max_examples=40, deadline=None)
@@ -526,8 +628,9 @@ def test_apply_operator_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
     lay = plaplace._layout(mesh)
     for eps in (0.0, 1e-3):
-        got = (plaplace._linearize(mesh, lay, p.at_quad(), u, eps)[0] if eps
-               else plaplace.apply_operator(p, u))
+        got = (plaplace._linearize(mesh, lay, p.at_quad(), plaplace._cell_g2(mesh, lay, u),
+                                   eps)[0]
+               if eps else plaplace.apply_operator(p, GridFunction(mesh, u)))
         ref = _reference_operator(mesh, p, u, eps)
         np.testing.assert_allclose(got, ref, rtol=1e-12,
                                    atol=1e-13 * np.abs(ref).max())
@@ -555,7 +658,9 @@ def _random_band_system(lay, rng, spd=True):
     ab = np.zeros((lay.bw + 1, lay.m))
     for d in range(min(lay.bw, lay.m - 1) + 1):
         ab[lay.bw - d, d:] = np.diag(A, d)
-    return ab.ravel(), rng.normal(size=lay.m)
+    data = np.empty(lay.size)
+    lay.band(data)[:] = ab
+    return data, rng.normal(size=lay.m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -572,11 +677,11 @@ def test_band_cholesky_matches_scipy_bitwise(dim, n, log_scale, seed):
     rng = np.random.default_rng(seed)
     data, rhs = _random_band_system(lay, rng)
     data *= 10.0 ** log_scale
-    cf = sla.cholesky_banded(data.reshape(lay.bw + 1, lay.m), check_finite=False)
+    cf = sla.cholesky_banded(lay.band(data), check_finite=False)
     oracle = sla.cho_solve_banded((cf, False), rhs, check_finite=False)
     assert np.array_equal(lay.factor(data)(rhs), oracle)
     bad, _ = _random_band_system(lay, rng, spd=False)
-    ab = np.array(bad.reshape(lay.bw + 1, lay.m), order="F")
+    ab = lay.band(bad)
     for factor in (plaplace._band_cholesky, plaplace._band_cholesky_fallback):
         with pytest.raises(SolveError, match="could not be factorized"):
             factor(ab.copy(order="F"))
@@ -590,7 +695,8 @@ def test_factor_falls_back_to_scipy(monkeypatch, missing):
     for mesh in (mesh1d(40), build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 9)):
         lay = plaplace._layout(mesh)
         data, rhs = _random_band_system(lay, np.random.default_rng(mesh.dim))
-        systems.append((lay, data, rhs, lay.factor(data)(rhs)))
+        # factor works in place, so the binding gets a copy of the data
+        systems.append((lay, data, rhs, lay.factor(data.copy())(rhs)))
 
     def cdll(path):
         if missing == "library":

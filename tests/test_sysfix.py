@@ -332,7 +332,7 @@ def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
 
 def test_singular_iterate_computes_each_field_gradient_once(monkeypatch):
     # outside the scalar solves, cell gradients are taken once per field:
-    # the cap norms and the frozen data of a clamped iterate read the same
+    # everything that reads a clamped iterate shares the ones it carries
     import sys
     from varpx import grid
     m = build_mesh(DomainSpec.interval(0, 1), 64)
@@ -348,10 +348,11 @@ def test_singular_iterate_computes_each_field_gradient_once(monkeypatch):
     monkeypatch.setattr(grid, "cell_gradients", recorded)
     _, rep = fixed_point_iterate(spec, cal.pair)
     outside = [c for c in callers if c != "varpx.plaplace"]
-    # two fields each: the start, then per iteration the map output
-    # (membership) and the clamped iterate (cap norms, frozen data)
+    # two fields each: the start, then per iteration the clamped iterate
+    # (cap norms, frozen data, residual, the next map's Newton start); a
+    # map output carries the gradients its solve took at it (membership)
     assert rep.iters > 1
-    assert len(outside) == 2 * (1 + 2 * rep.iters)
+    assert len(outside) == 2 * (1 + rep.iters)
 
 
 def test_cap_search_reads_caps_off_one_run(monkeypatch):

@@ -269,10 +269,10 @@ def test_certificate_detects_tampering():
     assert cert["residuals"]["max"] > 1e-3
 
 
-@pytest.mark.parametrize("spec_fn,audit_solves", [
+@pytest.mark.parametrize("spec_fn,family_solves", [
     (benchmark_spec, 2 * len(DEFAULT_SCALES)),   # p1 != p2
     (singular_spec, len(DEFAULT_SCALES))])       # p1 == p2
-def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, audit_solves):
+def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, family_solves):
     m, spec, cal, sol, rep = _small_run(spec_fn=spec_fn)
     expected = solution_certificate(spec, sol, cal.pair, rep,
                                     rng=np.random.default_rng(5))
@@ -298,6 +298,7 @@ def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, audit_solv
     # only the two component residuals at the solution call weak_residual
     assert calls["residual"] == 2
     # every solve is an audit solve: one per scale and distinct exponent,
-    # shared by both audits, and none for a component whose exponent
-    # equals the first one's
-    assert calls["solve"] == audit_solves
+    # shared by both audits, none for a component whose exponent equals
+    # the first one's, and none at scale 1, where the pair's torsion serves
+    distinct = family_solves // len(DEFAULT_SCALES)
+    assert calls["solve"] == family_solves - distinct
