@@ -241,8 +241,9 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
 class BarrierPair:
     """Ordered barriers built from torsion fields: under = xi_delta / C,
     over = C * xi, with the measured regularity scale R and the measured
-    distance-comparability constants.  ``torsion`` keeps the fields xi,
-    the unit-data solves that later audits would otherwise repeat."""
+    distance-comparability constants.  ``torsion`` keeps the checked
+    solves of the torsion fields xi, which the certificate's audits reuse
+    with their options."""
 
     under: tuple            # (GridFunction, GridFunction)
     over: tuple
@@ -251,7 +252,7 @@ class BarrierPair:
     R: float
     c0_measured: float
     c1_measured: float
-    torsion: tuple          # (xi_1, xi_2)
+    torsion: tuple          # ScalarSolveResult of xi_1, of xi_2
 
 
 def _c1_bound(u: GridFunction) -> float:
@@ -263,13 +264,14 @@ def _c1_bound(u: GridFunction) -> float:
 def build_barriers(spec: ProblemSpec, C: float, delta: float,
                    torsions: tuple) -> BarrierPair:
     """Construct the barrier pair at scale C > 1 and strip width delta
-    from ``torsions``, the (xi, xi_delta) field pairs that
-    ``resolve_delta`` solved at that delta.  Raises OrderingError if
+    from ``torsions``, the torsion solves xi and strip fields xi_delta
+    that ``resolve_delta`` made at that delta.  Raises OrderingError if
     under > over anywhere (C too small)."""
     if not C > 1.0:
         raise ValueError("barrier scale C must exceed 1")
     mesh = spec.mesh
-    xi, xid = torsions
+    solves, xid = torsions
+    xi = tuple(res.u for res in solves)
     under = tuple(GridFunction(mesh, xid[i].values / C, zero_trace=True)
                   for i in (0, 1))
     over = tuple(GridFunction(mesh, C * xi[i].values, zero_trace=True)
@@ -284,7 +286,7 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
     return BarrierPair(under=under, over=over, C=float(C), delta=float(delta), R=R,
                        c0_measured=min(grid.distance_ratio(u)[0] for u in under),
                        c1_measured=max(grid.distance_ratio(u)[1] for u in over),
-                       torsion=tuple(xi))
+                       torsion=tuple(solves))
 
 
 @dataclass
@@ -400,8 +402,9 @@ def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     """Strip width search: start at 0.1 * max distance and halve until
     the strip-loaded torsion fields stay positive, flooring at 1.5 times
     the largest axis spacing, so the strip always holds the first
-    interior node row.  Returns (delta, xi, xi_delta) with the solved
-    fields; equal exponents share their solves."""
+    interior node row.  Returns (delta, xi, xi_delta): the torsion
+    solves (``plaplace.torsion``) and the strip fields; equal exponents
+    share their solves."""
     mesh = spec.mesh
     delta = 0.1 * mesh.max_distance
     floor = 1.5 * float(np.ptp(mesh.nodes, axis=0).max()) / mesh.n
@@ -409,7 +412,7 @@ def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     while True:
         try:
             xid = tuple(per_exponent(spec.p, lambda p, ref: plaplace.torsion_delta(
-                p, delta, ref, opts), xi))
+                p, delta, ref.u, opts), xi))
             return delta, xi, xid
         except DeltaTooLargeError:
             if delta <= floor:

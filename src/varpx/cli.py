@@ -292,8 +292,7 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
     cert = verify.solution_certificate(
         pipeline.problem, pipeline.solution, pipeline.calibration.pair,
         pipeline.report, refined=refined.solution, refined_report=refined.report,
-        rng=np.random.default_rng(config.seed),
-        solver_opts=config.solver)
+        rng=np.random.default_rng(config.seed))
     _write_fields_csv(paths["fields_csv"], pipeline)
     with open(paths["trace_json"], "w") as f:
         f.write(verify.certificate_to_json(pipeline.report.as_dict()))
@@ -364,10 +363,9 @@ def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int
     # every audit reads the unit-data solve of each exponent: solve it once
     torsions = per_exponent(ps, lambda p: plaplace.torsion(p, config.solver))
     kinds = tuple(name for name in names if name != "mvt")
-    out = [a.as_dict() for a in verify.estimate_audits(ps, kinds, config.solver, torsions)]
+    out = [a.as_dict() for a in verify.estimate_audits(ps, kinds, torsions)]
     if "mvt" in names:
-        out += verify.mvt_sampling(ps, np.random.default_rng(config.seed), config.solver,
-                                   torsions)
+        out += verify.mvt_sampling(ps, np.random.default_rng(config.seed), torsions)
     payload = verify.certificate_to_json({"audits": out})
     with open(path, "w") as f:
         f.write(payload)

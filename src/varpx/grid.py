@@ -89,10 +89,6 @@ class Mesh:
             self._build_1d()
         else:
             self._build_2d()
-        # stored as (k, d, cell) in memory, so that each grad_basis[:, k, d]
-        # the cell kernels below read is a contiguous column
-        self.grad_basis = np.ascontiguousarray(
-            self.grad_basis.transpose(1, 2, 0)).transpose(2, 0, 1)
         self.h = float(self.cell_diameters.max())
         self.distance = domain.distance(self.nodes)
         # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first
@@ -184,6 +180,17 @@ class Mesh:
         self.qbasis = np.tile(_TRI_BARY, (nc, 1))
 
     # -- queries ---------------------------------------------------------
+
+    @cached_property
+    def columns(self) -> tuple:
+        """``cells`` as (k, n_cells) and ``grad_basis`` as (k, dim, n_cells),
+        read-only and C-ordered, so that each vertex's column the cell
+        kernels read is contiguous; built on first use."""
+        out = (np.ascontiguousarray(self.cells.T, dtype=np.int32),
+               np.ascontiguousarray(self.grad_basis.transpose(1, 2, 0)))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     @property
     def n_nodes(self) -> int:
@@ -362,14 +369,11 @@ def cell_gradients(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
     read-only, each axis a contiguous column.  The vertex terms are added
     in order k = 0, 1, 2, as ``np.einsum("ckd,ck->cd", grad_basis,
     vals[cells])`` adds them, so the two agree bit for bit."""
-    vals = np.asarray(nodal_values, dtype=float)
-    gb = mesh.grad_basis
-    v = [vals[mesh.cells[:, k]] for k in range(mesh.cells.shape[1])]
-    out = np.empty((mesh.dim, len(mesh.cells)))
-    for d, row in enumerate(out):
-        np.multiply(gb[:, 0, d], v[0], out=row)
-        for k in range(1, len(v)):
-            row += gb[:, k, d] * v[k]
+    cols, gb = mesh.columns
+    v = np.take(np.asarray(nodal_values, dtype=float), cols)
+    out = gb[0] * v[0]
+    for k in range(1, len(v)):
+        out += gb[k] * v[k]
     out.setflags(write=False)
     return out.T
 
@@ -378,13 +382,12 @@ def basis_projections(mesh: Mesh, g: np.ndarray) -> np.ndarray:
     """g . grad(hat_k) on each cell for cell vectors ``g`` of shape
     (n_cells, dim): shape (n_cells, k), equal bit for bit to
     ``np.einsum("cd,ckd->ck", g, grad_basis)``."""
-    gb = mesh.grad_basis
+    gb = mesh.columns[1]
     out = np.empty(mesh.cells.shape)
-    for k in range(mesh.cells.shape[1]):
-        col = out[:, k]
-        np.multiply(g[:, 0], gb[:, k, 0], out=col)
+    for k, col in enumerate(out.T):
+        np.multiply(g[:, 0], gb[k, 0], out=col)
         for d in range(1, mesh.dim):
-            col += g[:, d] * gb[:, k, d]
+            col += g[:, d] * gb[k, d]
     return out
 
 
@@ -423,7 +426,10 @@ def load_vector(mesh: Mesh, h) -> np.ndarray:
 
 
 def _load(mesh: Mesh, hq: np.ndarray) -> np.ndarray:
-    contrib = (mesh.qweights * hq)[:, None] * mesh.qbasis
+    w = mesh.qweights * hq
+    contrib = np.empty(mesh.qbasis.shape)
+    for k, col in enumerate(contrib.T):
+        np.multiply(w, mesh.qbasis[:, k], out=col)
     return np.bincount(mesh.qconn.ravel(), weights=contrib.ravel(),
                        minlength=mesh.n_nodes)
 

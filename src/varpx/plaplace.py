@@ -64,6 +64,7 @@ class ScalarSolveResult:
     residual: float          # unregularized weak residual, normalized
     newton_iters: int        # Newton systems solved
     converged: bool
+    opts: SolverOptions      # the options of the solve
     energies: list = field(default_factory=list, repr=False)
 
     def checked(self, what: str) -> GridFunction:
@@ -87,14 +88,21 @@ class _Layout:
     stay in (cell, k, l) order, so each band entry sums its terms in the
     order a scatter of the full element matrices would.  Interior nodes
     are numbered row-major, so a cell couples nodes at most ``bw`` apart:
-    1 in 1D, ``n`` in 2D.  Holds no reference to the mesh, so the weak
-    per-mesh cache below can release it.
+    1 in 1D, ``n`` in 2D.  Every Newton system on the mesh is formed in
+    the two kept-entry buffers ``entries`` and assembled and factorized
+    in the one band buffer ``newton``, so a Newton step takes no fresh
+    memory for them (freeing and retaking that much heap at every step
+    costs a page fault per 4 KB); solves on a mesh run one at a time.
+    Holds no reference to the mesh, so the weak per-mesh cache below can
+    release it.
     """
 
     def __init__(self, mesh: Mesh):
         cells, gb = mesh.cells, mesh.grad_basis
         nc, k = cells.shape
         self.q_per_cell = mesh.qweights.size // nc
+        # quadrature weights as (cell, point), a view
+        self.qweights = mesh.qweights.reshape(nc, self.q_per_cell)
         m = mesh.interior_nodes.size
         pos = np.full(mesh.n_nodes, -1)
         pos[mesh.interior_nodes] = np.arange(m)
@@ -106,30 +114,32 @@ class _Layout:
         self.size = (self.bw + 1) * m
         rows, cols = rows[keep], cols[keep]
         self.slot = cols * (self.bw + 1) + self.bw + rows - cols
-        # kept entry (c, i, j) reads flat (cell, vertex) arrays at c*k + i
-        # and c*k + j; np.take reads 32-bit tables as fast as 64-bit ones
+        # kept entry (c, i, j) reads per-cell arrays at c and flat (cell,
+        # vertex) arrays at c*k + i and c*k + j; np.take reads 32-bit
+        # tables as fast as 64-bit ones
+        self.cell_at = (keep // (k * k)).astype(np.int32)
         self.row_at = (keep // k).astype(np.int32)
         self.col_at = (keep // (k * k) * k + keep % k).astype(np.int32)
         self.dots = np.einsum("ckd,cld->ckl", gb, gb).ravel()[keep]
-        volumes = self.cell_sum(mesh.qweights)
-        entries = np.take(np.repeat(volumes, k), self.row_at) * self.dots
+        entries = np.take(self.cell_sum(self.qweights), self.cell_at) * self.dots
         self.poisson = self.factor(self.assemble(entries, np.empty(self.size)))
+        self.newton = np.empty(self.size)
+        self.entries = (np.empty(keep.size), np.empty(keep.size))
 
     def cell_sum(self, qvalues: np.ndarray) -> np.ndarray:
         """Per-cell sums of quadrature-point values (points are stored
-        cell by cell), added in point order as ``reshape(-1, q).sum(axis=1)``
-        adds them."""
-        q = self.q_per_cell
-        out = qvalues[0::q] + qvalues[1::q]
-        for j in range(2, q):
-            out += qvalues[j::q]
+        cell by cell, flat or as (cell, point)), added in point order as
+        ``reshape(-1, q).sum(axis=1)`` adds them."""
+        v = qvalues.reshape(-1, self.q_per_cell)
+        out = v[:, 0] + v[:, 1]
+        for j in range(2, self.q_per_cell):
+            out += v[:, j]
         return out
 
     def assemble(self, entries: np.ndarray, band: np.ndarray) -> np.ndarray:
         """Band data, flat in column-major order, from the values of the
         kept element-matrix entries, written into ``band`` (of ``size``
-        floats) and returned.  A solve refills one buffer at every Newton
-        step rather than taking fresh memory for each."""
+        floats) and returned."""
         band.fill(0.0)
         np.add.at(band, self.slot, entries)
         return band
@@ -159,28 +169,30 @@ def _find_pbtrf_pbtrs():
         trf, trs = lib.scipy_dpbtrf_64_, lib.scipy_dpbtrs_64_
     except (ImportError, OSError, AttributeError):
         return None
-    i64 = ctypes.POINTER(ctypes.c_int64)
-    band, vec = (np.ctypeslib.ndpointer(np.float64, ndim=d, flags="F_CONTIGUOUS,WRITEABLE")
-                 for d in (2, 1))
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     # (uplo, n, kd, [nrhs,] ab, ldab, [b, ldb,] info), then gfortran's
-    # hidden length of the character argument uplo
-    trf.argtypes = [ctypes.c_char_p, i64, i64, band, i64, i64, ctypes.c_size_t]
-    trs.argtypes = [ctypes.c_char_p, i64, i64, i64, band, i64, vec, i64, i64,
+    # hidden length of the character argument uplo; the arrays go by
+    # address, so their layout is checked by the caller
+    trf.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, i64, ctypes.c_size_t]
+    trs.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, i64, ptr, i64, i64,
                     ctypes.c_size_t]
     trf.restype = trs.restype = None
     return trf, trs
 
 
 _PBTRF_PBTRS = _find_pbtrf_pbtrs()
+_ONE = ctypes.c_int64(1)
 
 
 def _band_cholesky(ab: np.ndarray):
     """Solve function for the SPD matrix whose upper band ``ab`` holds
     (Fortran order, ``ab[kd + i - j, j]``), factorized in place."""
+    if not (ab.flags.f_contiguous and ab.flags.writeable and ab.dtype == np.float64):
+        raise ValueError("band must be a writeable Fortran-ordered float64 array")
     trf, trs = _PBTRF_PBTRS
-    ldab, n = (ctypes.c_int64(v) for v in ab.shape)
-    kd, info = ctypes.c_int64(ldab.value - 1), ctypes.c_int64()
-    trf(b"U", n, kd, ab, ldab, info, 1)
+    ldab, n = ab.shape
+    ldab, n, kd, info = (ctypes.c_int64(v) for v in (ldab, n, ldab - 1, 0))
+    trf(b"U", n, kd, ab.ctypes.data, ldab, info, 1)
     if info.value > 0:
         raise SolveError("interior system could not be factorized: "
                          f"{info.value}-th leading minor not positive definite")
@@ -189,10 +201,10 @@ def _band_cholesky(ab: np.ndarray):
                          f"dpbtrf rejected argument {-info.value}")
 
     def solve(rhs):
-        x, info = np.array(rhs, dtype=np.float64), ctypes.c_int64()
+        x = np.array(rhs, dtype=np.float64)
         if x.shape != (n.value,):
             raise ValueError(f"right-hand side of shape {x.shape} for {n.value} unknowns")
-        trs(b"U", n, kd, ctypes.c_int64(1), ab, ldab, x, n, info, 1)
+        trs(b"U", n, kd, _ONE, ab.ctypes.data, ldab, x.ctypes.data, n, info, 1)
         if info.value:
             raise SolveError("interior system could not be solved: "
                              f"dpbtrs rejected argument {-info.value}")
@@ -222,19 +234,32 @@ def _layout(mesh: Mesh) -> _Layout:
     return lay
 
 
-def _squared_norms(lay, g):
-    """|g|^2 of the cell vectors ``g``, repeated at each quadrature point
-    of the cell."""
+class _Powers:
+    """The exponent of a solve at the quadrature points, shaped (cell,
+    point), and the powers its energy and derivatives raise to: p/2,
+    p - 2 and (p - 2)/2, each formed once per solve."""
+
+    def __init__(self, p: ExponentField, q: int):
+        self.p = p.at_quad().reshape(-1, q)
+        self.half = self.p / 2.0
+        self.excess = self.p - 2.0
+        self.half_excess = self.excess / 2.0
+
+
+def _squared_norms(g):
+    """|g|^2 of the cell vectors ``g``, one per cell."""
     g2 = g[:, 0] * g[:, 0]
     for d in range(1, g.shape[1]):
         g2 += g[:, d] * g[:, d]
-    return np.repeat(g2, lay.q_per_cell)
+    return g2
 
 
-def _cell_g2(mesh, lay, u_values):
-    """Cell gradients and their squared norms repeated per quad point."""
-    g = grid.cell_gradients(mesh, u_values)
-    return g, _squared_norms(lay, g)
+def _regularized(lay, g, eps):
+    """|g|^2 + eps^2 of the cell vectors ``g`` at each quadrature point of
+    the cell, shaped (cell, point)."""
+    base = np.empty((len(g), lay.q_per_cell))
+    np.add(_squared_norms(g)[:, None], eps * eps, out=base)
+    return base
 
 
 def _unreg_flux_coeff(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
@@ -244,11 +269,11 @@ def _unreg_flux_coeff(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
     return np.where(g2 > 0.0, c, 0.0)
 
 
-def _flux_values(mesh, wk, gdot):
-    """Nodal sums of the cell weights times grad u . grad(hat_k), both
-    given at each (cell, vertex) pair as flat arrays: ``wk`` repeats each
-    weight once per vertex, ``gdot`` is ``basis_projections`` raveled."""
-    return np.bincount(mesh.cells.ravel(), weights=wk * gdot, minlength=mesh.n_nodes)
+def _flux_values(mesh, w, gdot):
+    """Nodal sums of the cell weights ``w`` times grad u . grad(hat_k),
+    given per (cell, vertex) as ``basis_projections``."""
+    return np.bincount(mesh.cells.ravel(), weights=(w[:, None] * gdot).ravel(),
+                       minlength=mesh.n_nodes)
 
 
 def apply_operator(p: ExponentField, u: GridFunction) -> np.ndarray:
@@ -258,46 +283,41 @@ def apply_operator(p: ExponentField, u: GridFunction) -> np.ndarray:
     mesh = p.mesh
     grid.check_same_mesh(mesh, u)
     lay = _layout(mesh)
-    w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(_squared_norms(lay, u.grad),
-                                                       p.at_quad()))
-    return _flux_values(mesh, np.repeat(w, lay.k),
-                        grid.basis_projections(mesh, u.grad).ravel())
+    g2 = np.repeat(_squared_norms(u.grad), lay.q_per_cell)
+    w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(g2, p.at_quad()))
+    return _flux_values(mesh, w, grid.basis_projections(mesh, u.grad))
 
 
-def _energy(mesh, pq, b, u_values, g2, eps):
-    """Regularized energy of ``u_values``, whose squared gradient norms
-    per quadrature point are ``g2``; ``b`` is the load vector of the data,
-    so the linear term int h u is the nodal product b . u."""
-    dens = g2 + eps * eps
-    np.power(dens, pq / 2.0, out=dens)
-    dens /= pq
-    return float(mesh.qweights @ dens) - float(b @ u_values)
+def _energy(mesh, pw, b, u_values, base):
+    """Regularized energy of ``u_values``, whose ``_regularized`` squared
+    gradient norms are ``base``; ``b`` is the load vector of the data, so
+    the linear term int h u is the nodal product b . u."""
+    dens = np.power(base, pw.half)
+    dens /= pw.p
+    return float(mesh.qweights @ dens.ravel()) - float(b @ u_values)
 
 
-def _linearize(mesh, lay, pq, grads, eps):
-    """Regularized operator at the iterate whose ``_cell_g2`` are
-    ``grads``, and a function assembling the energy Hessian there from the
-    same cell arrays into a given band buffer: isotropic weight plus a
-    rank-one weight along the frozen gradient.  Needs eps > 0 so the
-    weights stay finite at vanishing gradients."""
-    g, g2 = grads
-    base = g2 + eps * eps
-    excess = pq - 2.0
-    aa = excess / 2.0
-    np.power(base, aa, out=aa)
-    # cell weights and projections at each (cell, vertex) pair, flat
-    A = np.repeat(lay.cell_sum(mesh.qweights * aa), lay.k)
-    gdot = grid.basis_projections(mesh, g).ravel()
+def _linearize(mesh, lay, pw, g, base):
+    """Regularized operator at the iterate with cell gradients ``g`` and
+    ``_regularized`` norms ``base``, and a function assembling the energy
+    Hessian there from the same cell arrays into a given band buffer:
+    isotropic weight plus a rank-one weight along the frozen gradient.
+    Needs eps > 0 so the weights stay finite at vanishing gradients."""
+    aa = np.power(base, pw.half_excess)
+    A = lay.cell_sum(lay.qweights * aa)
+    gdot = grid.basis_projections(mesh, g)
 
     def hessian(band):
-        weight = excess * aa
+        weight = pw.excess * aa
         weight /= base
-        weight *= mesh.qweights
-        B = np.repeat(lay.cell_sum(weight), lay.k)
-        entries = np.take(A, lay.row_at)
+        weight *= lay.qweights
+        rank_one, entries = lay.entries
+        # (B g.grad(hat_i)) (g.grad(hat_j)); ``entries`` holds the second
+        # factor until it takes the isotropic part A grad(hat_i).grad(hat_j)
+        np.take(lay.cell_sum(weight)[:, None] * gdot, lay.row_at, out=rank_one)
+        rank_one *= np.take(gdot, lay.col_at, out=entries)
+        np.take(A, lay.cell_at, out=entries)
         entries *= lay.dots
-        rank_one = np.take(B * gdot, lay.row_at)
-        rank_one *= np.take(gdot, lay.col_at)
         entries += rank_one
         return lay.assemble(entries, band)
 
@@ -355,7 +375,7 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
 
     lay = _layout(mesh)
     eps = opts.eps_reg
-    pq = p.at_quad()
+    pw = _Powers(p, lay.q_per_cell)
     ii = mesh.interior_nodes
 
     u = np.zeros(mesh.n_nodes)
@@ -367,16 +387,15 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
         u[ii] = start.values[ii]
         # a zero-trace start has u's values, so the gradients it carries serve
         g = start.grad if start.zero_trace else grid.cell_gradients(mesh, u)
-    grads = g, _squared_norms(lay, g)
-    energies = [_energy(mesh, pq, b, u, grads[1], eps)]
-    band = np.empty(lay.size)
+    base = _regularized(lay, g, eps)
+    energies = [_energy(mesh, pw, b, u, base)]
     steps = 0
     while steps < opts.max_newton:
-        values, hessian = _linearize(mesh, lay, pq, grads, eps)
+        values, hessian = _linearize(mesh, lay, pw, g, base)
         r, rnorm = _residual(mesh, values, b, scale)
         if rnorm <= _NEWTON_FORCING * opts.tol_residual:
             break
-        du = lay.factor(hessian(band))(-r)
+        du = lay.factor(hessian(lay.newton))(-r)
         del values, hessian  # the line search needs neither; free them first
         steps += 1
         if not np.all(np.isfinite(du)):
@@ -389,10 +408,11 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
         for _ in range(_MAX_BACKTRACK):
             trial = u.copy()
             trial[ii] += t * du
-            trial_grads = _cell_g2(mesh, lay, trial)
-            et = _energy(mesh, pq, b, trial, trial_grads[1], eps)
+            trial_g = grid.cell_gradients(mesh, trial)
+            trial_base = _regularized(lay, trial_g, eps)
+            et = _energy(mesh, pw, b, trial, trial_base)
             if et <= e0 + _ARMIJO * t * slope or not resolved:
-                u, grads = trial, trial_grads
+                u, g, base = trial, trial_g, trial_base
                 energies.append(et)
                 accepted = True
                 break
@@ -401,19 +421,22 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
             break  # stagnation: the residual check below decides the flag
 
     uf = GridFunction(mesh, u, zero_trace=True)
-    uf.grad = grads[0]  # taken at u by the last linearization or energy evaluation
+    uf.grad = g  # taken at u by the last linearization or energy evaluation
     res = _residual(mesh, apply_operator(p, uf), b, scale)[1]
     converged = bool(res <= opts.tol_residual)
     return ScalarSolveResult(u=uf, residual=res, newton_iters=steps, converged=converged,
-                             energies=energies)
+                             opts=opts, energies=energies)
 
 
-def torsion(p: ExponentField, opts: SolverOptions | None = None) -> GridFunction:
-    """Zero-trace field with unit source on the mesh of ``p``: the
-    reference profile whose distance-comparability anchors every
-    positivity estimate."""
-    return solve_dirichlet(p, GridFunction.constant(p.mesh, 1.0), opts).checked(
-        "torsion solve")
+def torsion(p: ExponentField, opts: SolverOptions | None = None) -> ScalarSolveResult:
+    """Converged solve with unit source on the mesh of ``p`` (SolveError
+    otherwise).  Its field is the reference profile whose
+    distance-comparability anchors every positivity estimate; the audits
+    that need the same solve read it, residual and options included,
+    from this result."""
+    res = solve_dirichlet(p, GridFunction.constant(p.mesh, 1.0), opts)
+    res.checked("torsion solve")
+    return res
 
 
 def torsion_delta(p: ExponentField, delta: float, xi: GridFunction,

@@ -25,7 +25,7 @@ from . import grid, plaplace, sysfix
 from .barriers import BarrierPair, ProblemSpec
 from .expspace import ExponentField, per_exponent
 from .grid import GridFunction, Mesh
-from .plaplace import SolverOptions
+from .plaplace import ScalarSolveResult
 
 DEFAULT_SCALES = (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -84,23 +84,20 @@ def _family_verdict(ratios):
 class ScaleFamily:
     """One exponent's solves with constant data lam at each scale, run on
     first read, so the audits reading one family solve each problem once.
-    ``torsion``, when given, is the solve at lam = 1 with these options
-    (the torsion field of ``p``) made before, and stands in for it."""
+    ``torsion`` is the checked unit-data solve of ``p`` (``plaplace.torsion``):
+    it is the solve at lam = 1, and the others run with its options."""
 
     p: ExponentField
+    torsion: ScalarSolveResult
     scales: tuple = DEFAULT_SCALES
-    opts: SolverOptions | None = None
-    torsion: GridFunction | None = None
 
     @cached_property
     def solves(self) -> tuple:
+        grid.check_same_mesh(self.p.mesh, self.torsion.u)
         out = []
         for lam in self.scales:
-            if lam == 1.0 and self.torsion is not None:
-                out.append(self.torsion)
-                continue
-            res = plaplace.solve_dirichlet(self.p, GridFunction.constant(self.p.mesh, lam),
-                                           self.opts)
+            res = self.torsion if lam == 1.0 else plaplace.solve_dirichlet(
+                self.p, GridFunction.constant(self.p.mesh, lam), self.torsion.opts)
             out.append(res.checked(f"audit solve at scale {lam}"))
         return tuple(out)
 
@@ -141,16 +138,14 @@ def linfty_estimate_audit(family: ScaleFamily) -> EstimateAudit:
         lambda u: float(np.abs(u.values).max()), notes)
 
 
-def estimate_audits(ps, kinds, opts: SolverOptions | None = None,
-                    torsions=(None, None)) -> list:
+def estimate_audits(ps, kinds, torsions) -> list:
     """Unit-data audits of each kind ("gradient", "linfty") for each
     exponent of ``ps``, component by component, named
     ``<kind>_estimate_p<i>``; all kinds read one ScaleFamily per distinct
-    exponent, whose lam = 1 solve is the matching entry of ``torsions``
-    when that is given."""
+    exponent, built on the matching torsion solve of ``torsions``."""
 
     def audits(p, xi):
-        family = ScaleFamily(p, opts=opts, torsion=xi)
+        family = ScaleFamily(p, xi)
         # looked up per call, so a wrapper bound to the module name applies
         run = {"gradient": gradient_estimate_audit, "linfty": linfty_estimate_audit}
         return [run[kind](family) for kind in kinds]
@@ -292,21 +287,18 @@ def _mvt_check(p, u, h, f, phi, tol) -> dict:
     return {"gamma_hat": gam, "ok": bool(lo - tol <= gam <= hi + tol)}
 
 
-def mvt_sampling(ps, rng: np.random.Generator, opts: SolverOptions | None = None,
-                 torsions=(None, None)) -> list:
-    """Mean-value checks on each exponent's unit-data solve, named
-    ``mvt_sampling_p<i>``, drawing a random Lipschitz weight f and then a
-    sign-constant test field phi per check from ``rng``, component by
-    component; equal exponents share their checks.  The unit-data solve
-    is the matching entry of ``torsions`` when that is given (solved
-    with ``opts``), else it is solved here."""
+def mvt_sampling(ps, rng: np.random.Generator, torsions) -> list:
+    """Mean-value checks on each exponent's unit-data solve, the matching
+    torsion solve of ``torsions``, named ``mvt_sampling_p<i>``, drawing a
+    random Lipschitz weight f and then a sign-constant test field phi per
+    check from ``rng``, component by component; equal exponents share
+    their checks."""
     mesh = ps[0].mesh
     ones = GridFunction.constant(mesh, 1.0)
 
-    def sample(p, u):
-        if u is None:
-            u = plaplace.solve_dirichlet(p, ones, opts).checked("mean-value sampling solve")
-        tol = mvt_tolerance(mesh, plaplace.weak_residual(p, u, ones))
+    def sample(p, res):
+        u = res.checked("mean-value sampling solve")
+        tol = mvt_tolerance(mesh, res.residual)
         checks = []
         for _ in range(_MVT_SAMPLES):
             f = random_lipschitz_field(mesh, rng, *_MVT_RANGE)
@@ -325,18 +317,18 @@ def certificate_to_json(cert: dict) -> str:
 
 
 def solution_certificate(spec: ProblemSpec, solution, pair: BarrierPair, report,
-                         refined=None, refined_report=None, rng=None,
-                         solver_opts: SolverOptions | None = None) -> dict:
+                         refined=None, refined_report=None, rng=None) -> dict:
     """Machine-readable verification record for a completed run:
     residuals, membership, sandwich constants, hypothesis report, the
-    estimate audits, and mean-value spot checks; ``refined`` and
+    estimate audits (on the torsion solves of ``pair``, with their solver
+    options), and mean-value spot checks; ``refined`` and
     ``refined_report`` go to ``sandwich_audit``.  Deterministic given
     the same inputs and rng seed."""
     mesh = spec.mesh
     rng = rng or np.random.default_rng(0)
     state = sysfix.SystemState.build(spec, pair, *solution)
     r1, r2 = sysfix.coupled_residual(state)
-    audits = estimate_audits(spec.p, ("gradient", "linfty"), solver_opts, pair.torsion)
+    audits = estimate_audits(spec.p, ("gradient", "linfty"), pair.torsion)
     sandwich = sandwich_audit(solution, refined=refined, refined_report=refined_report)
     mvt = mvt_spot_checks(spec, solution, state.frozen, (r1, r2), rng)
     cert = {

@@ -42,7 +42,7 @@ def test_acceptance_01_analytic_torsion_reproduction():
     for n in (128, 256, 512, 1024):
         m = build_mesh(DomainSpec.interval(0, 1), n)
         for pc in (2.0, 3.0):
-            u = torsion(ExponentField.constant(m, pc)).values
+            u = torsion(ExponentField.constant(m, pc)).u.values
             errs[pc].append(np.abs(u - exact[pc](m.nodes[:, 0])).max())
     for pc in (2.0, 3.0):
         assert errs[pc][-1] <= 1e-4, f"p={pc}: n=1024 error {errs[pc][-1]}"
@@ -163,11 +163,12 @@ def test_acceptance_05_mean_value_property():
 def test_acceptance_06_gradient_estimate():
     m = build_mesh(DomainSpec.interval(0, 1), 512)
     for pc in (2.0, 3.0):
-        a = gradient_estimate_audit(ScaleFamily(ExponentField.constant(m, pc)))
+        p = ExponentField.constant(m, pc)
+        a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
         assert a.verdict == "pass"
         assert a.spread < 0.10, f"constant p={pc}: spread {a.spread}"
-    a = gradient_estimate_audit(
-        ScaleFamily(ExponentField.from_callable(m, lambda x: 2 + x)))
+    p = ExponentField.from_callable(m, lambda x: 2 + x)
+    a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
     assert a.verdict == "pass"
     ratios = [r for _, r in a.scale_family]
     assert ratios[-1] <= ratios[-2] * 1.05  # no monotone growth at the top

@@ -128,7 +128,7 @@ def test_build_barriers_scalings():
     xi, xid = torsion_pairs(m, spec, 0.1)
     pair = build_barriers(spec, C=2.0, delta=0.1, torsions=(xi, xid))
     np.testing.assert_allclose(pair.under[0].values, xid[0].values / 2, atol=1e-12)
-    np.testing.assert_allclose(pair.over[0].values, 2 * xi[0].values, atol=1e-12)
+    np.testing.assert_allclose(pair.over[0].values, 2 * xi[0].u.values, atol=1e-12)
     assert np.all(pair.under[0].values <= pair.over[0].values)
     for i in (0, 1):
         assert np.all(pair.under[i].values[m.boundary_nodes] == 0)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from varpx import barriers, cli, errors, sysfix, verify
+from varpx import barriers, cli, errors, plaplace, sysfix, verify
 from varpx.cli import main, parse_config, run, run_pipeline, sweep
 from varpx.errors import ConfigError, SolveError
 from varpx import Regime
@@ -609,8 +609,8 @@ def test_audit_mvt_samples_each_exponent(tmp_path, capsys):
     assert all(a["verdict"] == "pass" and len(a["checks"]) == 50 for a in audits)
     assert audits[0]["tolerance"] != audits[1]["tolerance"]
     cfg = parse_config(load("benchmark.json"))
-    alone = verify.mvt_sampling(cfg.problem.p[:1],
-                                np.random.default_rng(cfg.seed), cfg.solver)
+    alone = verify.mvt_sampling(cfg.problem.p[:1], np.random.default_rng(cfg.seed),
+                                [plaplace.torsion(cfg.problem.p1, cfg.solver)])
     assert audits[0] == json.loads(verify.certificate_to_json(alone[0]))
 
 

@@ -69,7 +69,7 @@ def test_zero_data_gives_zero():
 def test_torsion_positive_interior():
     m = mesh1d(128)
     for pc in (2.0, 3.0, 1.6):
-        xi = torsion(ExponentField.constant(m, pc))
+        xi = torsion(ExponentField.constant(m, pc)).u
         assert np.all(xi.values[m.interior_nodes] > 0)
         assert np.all(xi.values[m.boundary_nodes] == 0)
 
@@ -91,7 +91,7 @@ def test_torsion_delta_matches_piecewise_oracle():
     for n in (128, 1024):
         m = mesh1d(n)
         p = ExponentField.constant(m, 2.0)
-        xd = torsion_delta(p, delta, xi=torsion(p))
+        xd = torsion_delta(p, delta, xi=torsion(p).u)
         errs[n] = np.abs(xd.values - strip_torsion_exact(m.nodes[:, 0], delta)).max()
         assert errs[n] < 0.1 * m.h
     assert errs[1024] < errs[128]
@@ -100,7 +100,7 @@ def test_torsion_delta_matches_piecewise_oracle():
 def test_torsion_delta_below_torsion_and_positive():
     m = mesh1d(256)
     p = ExponentField.constant(m, 2.0)
-    xi = torsion(p)
+    xi = torsion(p).u
     xd = torsion_delta(p, 0.05, xi=xi)
     assert np.all(xd.values <= xi.values + 1e-10)
     ii = m.interior_nodes
@@ -112,13 +112,13 @@ def test_torsion_delta_rejects_large_delta():
     m = mesh1d(128)
     p = ExponentField.constant(m, 2.0)
     with pytest.raises(DeltaTooLargeError):
-        torsion_delta(p, 0.4, xi=torsion(p))
+        torsion_delta(p, 0.4, xi=torsion(p).u)
 
 
 def test_torsion_delta_converges_to_torsion():
     m = mesh1d(512)
     p = ExponentField.constant(m, 2.0)
-    xi = torsion(p)
+    xi = torsion(p).u
     gaps = []
     for delta in (0.2, 0.1, 0.05):
         xd = torsion_delta(p, delta, xi=xi)
@@ -199,7 +199,7 @@ def test_mesh_convergence_order():
     for n in (128, 256, 512):
         m = mesh1d(n)
         for pc in (2.0, 3.0):
-            u = torsion(ExponentField.constant(m, pc)).values
+            u = torsion(ExponentField.constant(m, pc)).u.values
             exact = const_p_torsion_exact(m.nodes[:, 0], pc)
             errs[pc].append(np.abs(u - exact).max())
     # p=2 is nodally exact; p=3 must refine at order >= 1
@@ -210,7 +210,7 @@ def test_mesh_convergence_order():
 
 def test_square_torsion_series_oracle():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 32)
-    xi = torsion(ExponentField.constant(m, 2.0))
+    xi = torsion(ExponentField.constant(m, 2.0)).u
 
     def series(x, y, terms=41):
         s = 0.0
@@ -376,10 +376,11 @@ def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
     pair = build_barriers(spec, 2.0, 0.1, torsion_pairs(m, spec, 0.1))
     calls = {
         "torsion": lambda: torsion(p),
-        "strip": lambda: torsion_delta(p, 0.1, xi),
+        "strip": lambda: torsion_delta(p, 0.1, xi.u),
         "map": lambda: sysfix.apply_map(sysfix.SystemState.build(spec, pair, *pair.under)),
-        "audit": lambda: verify.ScaleFamily(p).solves,
-        "mvt": lambda: verify.mvt_sampling(spec.p, np.random.default_rng(0)),
+        "audit": lambda: verify.ScaleFamily(p, xi).solves,
+        "mvt": lambda: verify.mvt_sampling(spec.p, np.random.default_rng(0),
+                                           [plaplace.solve_dirichlet(q, 1.0) for q in spec.p]),
     }
     solve = plaplace.solve_dirichlet
     monkeypatch.setattr(plaplace, "solve_dirichlet", lambda *args, **kwargs:
@@ -463,13 +464,23 @@ def _variable_cases():
     ]
 
 
+def _linearized(mesh, p, u, eps):
+    """(operator values, Hessian band data) of the regularized problem at
+    the nodal values ``u``."""
+    lay = plaplace._layout(mesh)
+    g = grid.cell_gradients(mesh, u)
+    pw = plaplace._Powers(p, lay.q_per_cell)
+    values, hessian = plaplace._linearize(mesh, lay, pw, g,
+                                          plaplace._regularized(lay, g, eps))
+    return values, hessian(np.empty(lay.size))
+
+
 @pytest.mark.parametrize("case", range(len(_CASE_IDS)), ids=_CASE_IDS)
 def test_layout_hessian_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
     eps = 1e-3
     lay = plaplace._layout(mesh)
-    grads = plaplace._cell_g2(mesh, lay, u)
-    data = plaplace._linearize(mesh, lay, p.at_quad(), grads, eps)[1](np.empty(lay.size))
+    data = _linearized(mesh, p, u, eps)[1]
     got = _layout_matrix(lay, data)
     ref = _reference_hessian(mesh, p, u, eps)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -506,8 +517,7 @@ def test_layout_band_property(dim, n, width, aspect, tall, seed):
     eps = 1e-3
     lay = plaplace._layout(mesh)
     assert lay.bw == (n if dim == 2 else 1)
-    grads = plaplace._cell_g2(mesh, lay, u)
-    data = plaplace._linearize(mesh, lay, p.at_quad(), grads, eps)[1](np.empty(lay.size))
+    data = _linearized(mesh, p, u, eps)[1]
     H = _layout_matrix(lay, data)
     ref = _reference_hessian(mesh, p, u, eps)
     np.testing.assert_allclose(H, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -565,13 +575,28 @@ def test_kernels_equal_their_references_bitwise(dim, n, width, aspect, tall, see
     eps = 1e-3
     pq = p.at_quad()
     g2 = np.repeat((g ** 2).sum(axis=1), q)
-    assert np.array_equal(plaplace._cell_g2(mesh, lay, u)[1], g2)
     base = g2 + eps * eps
+    assert np.array_equal(plaplace._regularized(lay, g, eps).ravel(), base)
+    pw = plaplace._Powers(p, q)
+    b = rng.normal(size=mesh.n_nodes)
+    dens = np.power(base, pq / 2.0) / pq
+    assert (plaplace._energy(mesh, pw, b, u, base.reshape(-1, q))
+            == float(mesh.qweights @ dens) - float(b @ u))
     aa = np.power(base, (pq - 2.0) / 2.0)
     A = (mesh.qweights * aa).reshape(-1, q).sum(axis=1)
     B = (mesh.qweights * ((pq - 2.0) * aa / base)).reshape(-1, q).sum(axis=1)
-    data = plaplace._linearize(mesh, lay, pq, plaplace._cell_g2(mesh, lay, u),
-                               eps)[1](np.empty(lay.size))
+    values, data = _linearized(mesh, p, u, eps)
+    k = mesh.cells.shape[1]
+
+    def flux(w):
+        return np.bincount(mesh.cells.ravel(), weights=np.repeat(w, k) * gdot.ravel(),
+                           minlength=mesh.n_nodes)
+
+    assert np.array_equal(values, flux(A))
+    with np.errstate(divide="ignore"):
+        coeff = np.where(g2 > 0.0, np.power(g2, (pq - 2.0) / 2.0), 0.0)
+    assert np.array_equal(plaplace.apply_operator(p, GridFunction(mesh, u)),
+                          flux((mesh.qweights * coeff).reshape(-1, q).sum(axis=1)))
     ab = lay.band(data)
     assert ab.flags.f_contiguous and np.shares_memory(ab, data)
     assert np.array_equal(ab, _dense_band_reference(mesh, A, B, gdot))
@@ -626,10 +651,8 @@ def test_start_independence_property(dim, n, width, aspect, tall, seed, log_scal
 @pytest.mark.parametrize("case", range(len(_CASE_IDS)), ids=_CASE_IDS)
 def test_apply_operator_matches_coo_reference(case):
     mesh, p, u = _variable_cases()[case]
-    lay = plaplace._layout(mesh)
     for eps in (0.0, 1e-3):
-        got = (plaplace._linearize(mesh, lay, p.at_quad(), plaplace._cell_g2(mesh, lay, u),
-                                   eps)[0]
+        got = (_linearized(mesh, p, u, eps)[0]
                if eps else plaplace.apply_operator(p, GridFunction(mesh, u)))
         ref = _reference_operator(mesh, p, u, eps)
         np.testing.assert_allclose(got, ref, rtol=1e-12,

@@ -4,7 +4,7 @@ import pytest
 from varpx import barriers, plaplace
 
 from varpx import (DomainSpec, ExponentField, GridFunction, Regime, ScaleFamily,
-                   build_mesh, calibrate_barriers, calibrate_caps,
+                   SolverOptions, build_mesh, calibrate_barriers, calibrate_caps,
                    fixed_point_iterate, gradient_estimate_audit,
                    linfty_estimate_audit, mvt_ratio, sandwich_audit,
                    solution_certificate, solve_dirichlet, torsion)
@@ -120,7 +120,8 @@ def test_mvt_ratio_rejects_fields_on_another_mesh():
 
 def test_gradient_audit_linear_case_is_flat():
     m = mesh1d(512)
-    a = gradient_estimate_audit(ScaleFamily(ExponentField.constant(m, 2.0)))
+    p = ExponentField.constant(m, 2.0)
+    a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
     assert a.verdict == "pass"
     assert a.spread < 1e-10
     # |u'|_max = (1-h)/2 for the discrete hat profile
@@ -129,7 +130,8 @@ def test_gradient_audit_linear_case_is_flat():
 
 def test_gradient_audit_p3_flat_by_homogeneity():
     m = mesh1d(512)
-    a = gradient_estimate_audit(ScaleFamily(ExponentField.constant(m, 3.0)))
+    p = ExponentField.constant(m, 3.0)
+    a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
     assert a.verdict == "pass" and a.spread < 1e-8
     assert a.measured_ratio == pytest.approx(2 ** -0.5, rel=1e-2)
 
@@ -137,7 +139,7 @@ def test_gradient_audit_p3_flat_by_homogeneity():
 def test_gradient_audit_variable_p_bounded():
     m = mesh1d(512)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
-    a = gradient_estimate_audit(ScaleFamily(p))
+    a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
     assert a.verdict == "pass"
     ratios = [r for _, r in a.scale_family]
     assert ratios[-1] <= max(ratios)  # no blow-up at the top scale
@@ -145,7 +147,8 @@ def test_gradient_audit_variable_p_bounded():
 
 def test_linfty_audit_linear_case():
     m = mesh1d(512)
-    a = linfty_estimate_audit(ScaleFamily(ExponentField.constant(m, 2.0)))
+    p = ExponentField.constant(m, 2.0)
+    a = linfty_estimate_audit(ScaleFamily(p, torsion(p)))
     assert a.verdict == "pass"
     fam = dict((round(np.log10(s)), r) for s, r in a.scale_family)
     # |u|_inf = 1/8 and |h|_L2 = 1 at unit scale; linearity keeps the
@@ -159,7 +162,7 @@ def test_linfty_audit_branch_continuity():
     m = mesh1d(256)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     scales = tuple(float(s) for s in np.linspace(0.9, 1.1, 11))
-    a = linfty_estimate_audit(ScaleFamily(p, scales=scales))
+    a = linfty_estimate_audit(ScaleFamily(p, torsion(p), scales=scales))
     ratios = np.array([r for _, r in a.scale_family])
     jumps = np.abs(np.diff(ratios)) / ratios[:-1]
     assert jumps.max() < 0.05
@@ -167,8 +170,8 @@ def test_linfty_audit_branch_continuity():
 
 def test_both_audits_of_one_family_share_its_solves(monkeypatch):
     m = mesh1d(64)
-    family = ScaleFamily(ExponentField.from_callable(m, lambda x: 2 + x),
-                         scales=(0.5, 2.0, 8.0))
+    p = ExponentField.from_callable(m, lambda x: 2 + x)
+    family = ScaleFamily(p, torsion(p), scales=(0.5, 2.0, 8.0))
     solves = []
     orig = plaplace.solve_dirichlet
 
@@ -190,7 +193,8 @@ def test_both_audits_of_one_family_share_its_solves(monkeypatch):
 def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
     # N = 2 on the square: |lam|_L2 = |lam| up to quadrature roundoff
     m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 8)
-    family = ScaleFamily(ExponentField.constant(m, 2.0), scales=(0.5, 4.0))
+    p = ExponentField.constant(m, 2.0)
+    family = ScaleFamily(p, torsion(p), scales=(0.5, 4.0))
     a = linfty_estimate_audit(family)
     assert not a.notes
     for (lam, r), u in zip(a.scale_family, family.solves):
@@ -201,7 +205,7 @@ def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
 
 def test_sandwich_audit_torsion():
     m = mesh1d(512)
-    xi = torsion(ExponentField.constant(m, 2.0))
+    xi = torsion(ExponentField.constant(m, 2.0)).u
     out = sandwich_audit((xi, xi))
     assert out["verdict"] == "pass"
     # u/d = (1-x)/2 on the left half: extremes 1/4 and (1-h)/2
@@ -226,8 +230,8 @@ def test_sandwich_audit_synthetic_profiles():
 def test_sandwich_stability_accepts_converging_solution():
     m = mesh1d(256)
     m2 = mesh1d(512)
-    xi = torsion(ExponentField.constant(m, 2.0))
-    xi2 = torsion(ExponentField.constant(m2, 2.0))
+    xi = torsion(ExponentField.constant(m, 2.0)).u
+    xi2 = torsion(ExponentField.constant(m2, 2.0)).u
     out = sandwich_audit((xi, xi), refined=(xi2, xi2))
     assert out["verdict"] == "pass" and out["stability_checked"]
 
@@ -302,3 +306,25 @@ def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, family_sol
     # the first one's, and none at scale 1, where the pair's torsion serves
     distinct = family_solves // len(DEFAULT_SCALES)
     assert calls["solve"] == family_solves - distinct
+
+
+def test_certificate_audits_solve_with_the_calibration_options(monkeypatch):
+    # the lam = 1 audit solve is the pair's torsion, so every other scale
+    # must be solved with the options that torsion was solved with
+    m = mesh1d(128)
+    spec = benchmark_spec(m)
+    opts = SolverOptions(tol_residual=1e-9, max_newton=40)
+    cal = calibrate_barriers(spec, opts)
+    sol, rep = fixed_point_iterate(spec, cal.pair, solver_opts=opts)
+    assert all(xi.opts == opts for xi in cal.pair.torsion)
+    seen = []
+    solve = plaplace.solve_dirichlet
+
+    def recording(p, h, opts=None, start=None):
+        seen.append(opts)
+        return solve(p, h, opts, start)
+
+    monkeypatch.setattr(plaplace, "solve_dirichlet", recording)
+    cert = solution_certificate(spec, sol, cal.pair, rep, rng=np.random.default_rng(5))
+    assert seen == [opts] * (2 * (len(DEFAULT_SCALES) - 1))
+    assert all(a["verdict"] == "pass" for a in cert["audits"])
