@@ -302,7 +302,7 @@ def _power_quad(base: GridFunction, expo: ExponentField) -> np.ndarray:
     ev = expo.at_quad()
     with np.errstate(over="ignore", divide="ignore"):
         out = np.power(vals, ev)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OrderingError("barrier power is non-finite at a quadrature point")
     return out
 
@@ -472,7 +472,7 @@ def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple, grads: tuple
     out = []
     for i in (0, 1):
         hv = spec.evaluate_f(i, mesh.qpoints, s1, s2, m1, m2)
-        if not np.all(np.isfinite(hv)):
+        if not np.isfinite(hv).all():
             raise EnvelopeError(
                 f"frozen right-hand side f[{i}] is non-finite at a quadrature point")
         out.append(grid.QuadField(mesh, hv))

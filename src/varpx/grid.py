@@ -246,9 +246,9 @@ class GridFunction:
         if vals.shape != (self.mesh.n_nodes,):
             raise MeshCompatibilityError(
                 f"expected {self.mesh.n_nodes} nodal values, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteFieldError("grid function has non-finite nodal values")
-        if self.zero_trace and np.any(vals[self.mesh.boundary_nodes] != 0.0):
+        if self.zero_trace and (vals[self.mesh.boundary_nodes] != 0.0).any():
             raise ValueError("zero-trace field does not vanish on the boundary")
         vals.setflags(write=False)
         self.values = vals
@@ -285,7 +285,7 @@ class VectorField:
         if self.values.shape != expected:
             raise MeshCompatibilityError(
                 f"expected cell vectors of shape {expected}, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NonFiniteFieldError("vector field has non-finite values")
 
     @property
@@ -312,7 +312,7 @@ class QuadField:
         vals = np.array(self.values, dtype=float)
         if vals.shape != self.mesh.qweights.shape:
             raise MeshCompatibilityError("quadrature value array has wrong length")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteFieldError("quadrature field has non-finite values")
         vals.setflags(write=False)
         self.values = vals
@@ -370,7 +370,7 @@ def cell_gradients(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
     in order k = 0, 1, 2, as ``np.einsum("ckd,ck->cd", grad_basis,
     vals[cells])`` adds them, so the two agree bit for bit."""
     cols, gb = mesh.columns
-    v = np.take(np.asarray(nodal_values, dtype=float), cols)
+    v = np.asarray(nodal_values, dtype=float).take(cols)
     out = gb[0] * v[0]
     for k in range(1, len(v)):
         out += gb[k] * v[k]

@@ -283,7 +283,7 @@ def apply_operator(p: ExponentField, u: GridFunction) -> np.ndarray:
     mesh = p.mesh
     grid.check_same_mesh(mesh, u)
     lay = _layout(mesh)
-    g2 = np.repeat(_squared_norms(u.grad), lay.q_per_cell)
+    g2 = _squared_norms(u.grad).repeat(lay.q_per_cell)
     w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(g2, p.at_quad()))
     return _flux_values(mesh, w, grid.basis_projections(mesh, u.grad))
 
@@ -314,9 +314,9 @@ def _linearize(mesh, lay, pw, g, base):
         rank_one, entries = lay.entries
         # (B g.grad(hat_i)) (g.grad(hat_j)); ``entries`` holds the second
         # factor until it takes the isotropic part A grad(hat_i).grad(hat_j)
-        np.take(lay.cell_sum(weight)[:, None] * gdot, lay.row_at, out=rank_one)
-        rank_one *= np.take(gdot, lay.col_at, out=entries)
-        np.take(A, lay.cell_at, out=entries)
+        (lay.cell_sum(weight)[:, None] * gdot).take(lay.row_at, out=rank_one)
+        rank_one *= gdot.take(lay.col_at, out=entries)
+        A.take(lay.cell_at, out=entries)
         entries *= lay.dots
         entries += rank_one
         return lay.assemble(entries, band)
@@ -370,7 +370,7 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
     if p.p_minus <= 1.0:
         raise ValueError(f"solver requires p_minus > 1, got {p.p_minus}")
     hq, b, scale = _data(mesh, h)
-    if not np.all(np.isfinite(hq)):
+    if not np.isfinite(hq).all():
         raise NonFiniteFieldError("right-hand side has non-finite values")
 
     lay = _layout(mesh)
@@ -398,7 +398,7 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
         du = lay.factor(hessian(lay.newton))(-r)
         del values, hessian  # the line search needs neither; free them first
         steps += 1
-        if not np.all(np.isfinite(du)):
+        if not np.isfinite(du).all():
             raise SolveError("Newton direction is non-finite")
         slope = float(r @ du)
         e0 = energies[-1]
