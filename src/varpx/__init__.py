@@ -2,7 +2,7 @@
 
 Modules:
     grid      meshes, nodal fields, gradients, quadrature
-    expspace  modulars, Luxemburg norms, norm identities
+    expspace  modulars and Luxemburg norms
     plaplace  scalar Dirichlet solves for the p(x)-Laplacian
     barriers  growth hypotheses, barrier construction and calibration
     sysfix    decoupled solves and the damped fixed-point iteration
@@ -10,11 +10,9 @@ Modules:
     cli       configuration, orchestration, artifacts
 """
 
-from .expspace import (ExponentField, ModularReport, distance_power_modular,
-                       luxemburg_norm, modular, modular_norm_bounds,
-                       power_norm_identity)
+from .expspace import ExponentField, luxemburg_norm, modular
 from .grid import (DomainSpec, GridFunction, Mesh, QuadField, VectorField,
-                   boundary_strip, build_mesh, export_csv, gradient, integrate)
+                   boundary_strip, build_mesh, export_csv, gradient)
 from .plaplace import (ScalarSolveResult, SolverOptions, solve_dirichlet,
                        torsion, torsion_delta, weak_residual)
 from .barriers import (BarrierPair, HypothesisReport, ProblemSpec, Regime,

@@ -15,11 +15,6 @@ class BisectionError(RuntimeError):
     decreasing in the scaling parameter)."""
 
 
-class BoundViolationError(AssertionError):
-    """A certified two-sided bound failed beyond tolerance; this points
-    at a quadrature inconsistency, not a modelling choice."""
-
-
 class SolveError(RuntimeError):
     """Nonlinear solve did not reach the requested residual."""
 

@@ -5,17 +5,17 @@ int |u(x)|^p(x) dx.  The Luxemburg norm is the unique tau > 0 with
 modular(u/tau) = 1: tau -> modular(u/tau) is continuous and strictly
 decreasing for u != 0, so the root is safe to bracket and the norm
 inherits homogeneity and the triangle inequality even though the
-modular itself is not homogeneous.  One modular evaluation at
-tau = max|u| and the power bounds below bracket the root; the bracket
-is exact up to rounding when p is constant, and a few bracketed secant
-steps close it otherwise.
+modular itself is not homogeneous.
 
 Between modular and norm the two-sided power bounds hold:
 
     norm^pmin <= modular(u) <= norm^pmax   when norm > 1,
-    norm^pmax <= modular(u) <= norm^pmin   when norm <= 1,
+    norm^pmax <= modular(u) <= norm^pmin   when norm <= 1.
 
-and both are checked here to quadrature tolerance whenever requested.
+They serve here only as the bracket of the Luxemburg root search: one
+modular evaluation at tau = max|u| and the bounds bracket the root.  The
+bracket is exact up to rounding when p is constant, and a few bracketed
+secant steps close it otherwise.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import grid
-from .errors import BisectionError, BoundViolationError, NonFiniteFieldError
+from .errors import BisectionError, NonFiniteFieldError
 from .grid import GridFunction, Mesh
 
 # The Luxemburg root search stops at this relative bracket width; all
@@ -36,10 +36,6 @@ from .grid import GridFunction, Mesh
 _REL_WIDTH = 1e-13
 _WIDEN = _REL_WIDTH / 4
 _MAX_STEPS = 100
-
-# Tolerance for the certified power bounds (quadrature noise floor).
-_BOUND_RTOL = 1e-6
-_BOUND_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,17 +103,6 @@ def per_exponent(ps, run, *more) -> list:
         if key not in done:
             done[key] = run(*args)
     return [done[p.values.tobytes()] for p in ps]
-
-
-@dataclass
-class ModularReport:
-    """Modular, norm, and the certified two-sided power bounds."""
-
-    modular: float
-    norm: float
-    side: str  # "norm_gt_one" | "norm_le_one"
-    lower_bound: float
-    upper_bound: float
 
 
 def _modular_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) -> float:
@@ -221,150 +206,3 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
         raise ValueError(f"norm requires p_minus > 1, got {p.p_minus}")
     uq = np.abs(grid.at_quad(mesh, u.values))
     return _lux_quad(uq, p.at_quad(), mesh.qweights)
-
-
-def modular_norm_bounds(u: GridFunction, p: ExponentField) -> ModularReport:
-    """Compute modular and norm and certify the two-sided power bounds
-    between them, branching on whether the norm exceeds one."""
-    rho = modular(u, p)
-    nrm = luxemburg_norm(u, p)
-    if nrm > 1.0:
-        side = "norm_gt_one"
-        lo, hi = nrm ** p.p_minus, nrm ** p.p_plus
-    else:
-        side = "norm_le_one"
-        lo, hi = nrm ** p.p_plus, nrm ** p.p_minus
-    slack = _BOUND_ATOL + _BOUND_RTOL * max(abs(lo), abs(hi), abs(rho))
-    if not (lo - slack <= rho <= hi + slack):
-        raise BoundViolationError(
-            f"power bounds violated: {lo} <= {rho} <= {hi} failed at tol {slack}")
-    return ModularReport(modular=rho, norm=nrm, side=side,
-                         lower_bound=lo, upper_bound=hi)
-
-
-def power_norm_identity(u: GridFunction, m: ExponentField, k: ExponentField):
-    """Norm of |u|^m(x) in the exponent-k(x)/m(x) space.
-
-    The value equals norm_k(u) raised to m(x0) for some interior point
-    x0, hence it lies in the closed interval between norm^m_minus and
-    norm^m_plus.  Returns (value, lo, hi) and certifies membership; the
-    realizing point itself is not produced.
-    """
-    mesh = u.mesh
-    grid.check_same_mesh(mesh, m, k)
-    if m.p_minus <= 0.0:
-        raise ValueError("m must be strictly positive")
-    if k.p_minus <= 0.0:
-        raise ValueError("k must be strictly positive")
-    uq = np.abs(grid.at_quad(mesh, u.values))
-    mq, kq = m.at_quad(), k.at_quad()
-    if not np.isfinite(_modular_quad(uq, kq, mesh.qweights)):
-        raise NonFiniteFieldError("infinite modular: u is not in the k(x) space")
-    w = mesh.qweights
-    with np.errstate(over="ignore"):
-        powered = np.power(uq, mq)
-    value = _lux_quad(powered, kq / mq, w)
-    base = _lux_quad(uq, kq, w)
-    b_lo, b_hi = base ** m.p_minus, base ** m.p_plus
-    lo, hi = min(b_lo, b_hi), max(b_lo, b_hi)
-    slack = _BOUND_ATOL + _BOUND_RTOL * max(1.0, hi)
-    if not (lo - slack <= value <= hi + slack):
-        raise BoundViolationError(
-            f"power-norm identity violated: {value} outside [{lo}, {hi}]")
-    return value, lo, hi
-
-
-# -- boundary-singular modulars ------------------------------------------
-
-# A decaying geometric tail is declared convergent below this increment
-# ratio; at ratio 1 the layer sums diverge (exponent -1 exactly).
-_TAIL_RATIO_MAX = 0.985
-_STABLE_ATOL = 1e-9
-# Deepest boundary grading of the distance-power quadrature.
-_GRADING_LEVELS = 20
-
-
-def _gauss_batch(a, b):
-    """Gauss-3 points and weights on a batch of subintervals."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = (mid[:, None] + half[:, None] * grid._G3_T[None, :]).ravel()
-    wts = (half[:, None] * grid._G3_W[None, :]).ravel()
-    return pts, wts
-
-
-def _graded_rule_1d(a: float, b: float, n: int, levels: int):
-    """Composite Gauss-3 with geometric grading (ratio 1/2) of the two
-    boundary cells; the innermost remainder is kept with its own rule.
-    Converges for distance powers d^e with e > -1."""
-    h = (b - a) / n
-    pts = []
-    wts = []
-    if n > 2:
-        lo = a + h + h * np.arange(n - 2)
-        p, w = _gauss_batch(lo, lo + h)
-        pts.append(p)
-        wts.append(w)
-    # left boundary cell [a, a+h]: layers [a + h/2^{k+1}, a + h/2^k]
-    k = np.arange(levels)
-    left_hi = a + h / 2.0 ** k
-    left_lo = a + h / 2.0 ** (k + 1)
-    p, w = _gauss_batch(np.append(left_lo, a), np.append(left_hi, a + h / 2.0 ** levels))
-    pts.append(p)
-    wts.append(w)
-    right_lo = b - h / 2.0 ** k
-    right_hi = b - h / 2.0 ** (k + 1)
-    p, w = _gauss_batch(np.append(right_lo, b - h / 2.0 ** levels), np.append(right_hi, b))
-    pts.append(p)
-    wts.append(w)
-    return np.concatenate(pts), np.concatenate(wts)
-
-
-def _distance_power_value(e: ExponentField, levels: int) -> float:
-    """int d(x)^e(x) dx by the graded rule of ``levels`` layers per
-    boundary cell, a tensor product of the axis rules on rectangles."""
-    mesh = e.mesh
-    dom = mesh.domain
-    rules = [_graded_rule_1d(lo, hi, mesh.n, levels)
-             for lo, hi in zip(dom.bounds[::2], dom.bounds[1::2])]
-    if mesh.dim == 1:
-        pts, wts = rules[0]
-    else:
-        (px, wx), (py, wy) = rules
-        X, Y = np.meshgrid(px, py)
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        wts = np.outer(wy, wx).ravel()
-    with np.errstate(over="ignore", divide="ignore"):
-        vals = np.power(dom.distance(pts), mesh.interpolate(e.values, pts))
-    return float(wts @ vals)
-
-
-def distance_power_modular(e: ExponentField):
-    """int d(x)^e(x) dx over the domain of the mesh of ``e``, with
-    boundary-graded quadrature.
-
-    Runs the grading depth from 1 to ``_GRADING_LEVELS`` and inspects
-    the increment sequence.  A geometrically decaying tail (ratio below
-    one) means the singular boundary layers sum to a finite value and
-    the reported value includes the extrapolated tail; a flat or growing
-    tail reports ``finite=False`` (divergence is an answer here, never
-    an error).  Agreement with the analytic criterion min e > -1 near
-    the boundary holds away from the threshold itself.
-    """
-    seq = np.array([_distance_power_value(e, L)
-                    for L in range(1, _GRADING_LEVELS + 1)])
-    incs = np.diff(seq)
-    v = float(seq[-1])
-    last = incs[-1]
-    if abs(last) <= _STABLE_ATOL * (1.0 + abs(v)):
-        return v, True
-    prev = incs[-2]
-    if abs(prev) <= _STABLE_ATOL * (1.0 + abs(v)):
-        return v, True
-    r = abs(last) / abs(prev)
-    if r >= _TAIL_RATIO_MAX or not np.isfinite(v):
-        return v, False
-    # geometric tail extrapolation sharpens slowly converging cases
-    return v + last * r / (1.0 - r), True

@@ -49,14 +49,6 @@ class DomainSpec:
     def dim(self) -> int:
         return 1 if self.kind == "interval" else 2
 
-    @property
-    def measure(self) -> float:
-        if self.kind == "interval":
-            a, b = self.bounds
-            return b - a
-        ax, bx, ay, by = self.bounds
-        return (bx - ax) * (by - ay)
-
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Exact euclidean distance to the boundary for points inside."""
         pts = np.asarray(points, dtype=float)
@@ -133,8 +125,10 @@ class Mesh:
         self.nodes = np.column_stack([X.ravel(), Y.ravel()])
         self.xs, self.ys = xs, ys
 
-        onb = (np.isclose(self.nodes[:, 0], ax) | np.isclose(self.nodes[:, 0], bx)
-               | np.isclose(self.nodes[:, 1], ay) | np.isclose(self.nodes[:, 1], by))
+        # from the grid indices, so no coordinate tolerance can misplace
+        # a node of a far-shifted or tiny rectangle
+        iy, ix = np.divmod(np.arange((n + 1) ** 2), n + 1)
+        onb = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
         self.boundary_nodes = np.flatnonzero(onb)
 
         # Split each quad along a diagonal that never creates a triangle
@@ -402,18 +396,6 @@ def distance_ratio(u: GridFunction):
     ii = u.mesh.interior_nodes
     q = u.values[ii] / u.mesh.distance[ii]
     return float(q.min()), float(q.max())
-
-
-def integrate(mesh: Mesh, integrand) -> float:
-    """Composite quadrature of ``integrand`` (quad-point array, nodal
-    array, GridFunction, or callable of the quadrature points)."""
-    if callable(integrand):
-        vals = np.asarray(integrand(mesh.qpoints), dtype=float)
-    else:
-        vals = as_quad_values(mesh, integrand)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteFieldError("non-finite integrand at a quadrature point")
-    return float(mesh.qweights @ vals)
 
 
 def load_vector(mesh: Mesh, h) -> np.ndarray:

@@ -1,10 +1,13 @@
 import os
 
+import numpy as np
 import pytest
 
 from varpx import (DomainSpec, ExponentField, ProblemSpec, build_mesh, torsion,
                    torsion_delta)
+from varpx.expspace import luxemburg_norm, luxemburg_norm_from_samples, modular
 from varpx.forms import parse_expr
+from varpx.grid import at_quad
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
@@ -12,6 +15,30 @@ CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
 
 def config_path(name):
     return os.path.join(CONFIG_DIR, name)
+
+
+def assert_power_bounds(u, p):
+    """norm^pmin <= modular <= norm^pmax when the norm exceeds one, and
+    norm^pmax <= modular <= norm^pmin otherwise, to quadrature tolerance.
+    Returns (modular, norm)."""
+    rho, nrm = modular(u, p), luxemburg_norm(u, p)
+    lo, hi = sorted((nrm ** p.p_minus, nrm ** p.p_plus))
+    slack = 1e-12 + 1e-6 * max(hi, rho)
+    assert lo - slack <= rho <= hi + slack
+    return rho, nrm
+
+
+def power_norm_bracket(u, m, k):
+    """Norm of |u|^m(x) in the exponent-k(x)/m(x) space, asserted to lie
+    between norm_k(u)^m_minus and norm_k(u)^m_plus (it is norm_k(u)^m(x0)
+    for some x0).  Returns (value, lo, hi)."""
+    mq = m.at_quad()
+    value = luxemburg_norm_from_samples(np.abs(at_quad(u.mesh, u.values)) ** mq,
+                                        k.at_quad() / mq, u.mesh.qweights)
+    lo, hi = sorted(luxemburg_norm(u, k) ** e for e in (m.p_minus, m.p_plus))
+    slack = 1e-12 + 1e-6 * max(1.0, hi)
+    assert lo - slack <= value <= hi + slack
+    return value, lo, hi
 
 
 @pytest.fixture

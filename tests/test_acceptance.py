@@ -15,17 +15,17 @@ import pytest
 
 from varpx import (DomainSpec, ExponentField, GridFunction, Regime, ScaleFamily,
                    SystemState, apply_map, build_mesh, calibrate_barriers,
-                   calibrate_caps, distance_power_modular, fixed_point_iterate,
-                   gradient_estimate_audit, luxemburg_norm, membership_check,
-                   modular, modular_norm_bounds, power_norm_identity,
-                   solve_dirichlet, torsion)
+                   calibrate_caps, fixed_point_iterate, gradient_estimate_audit,
+                   luxemburg_norm, membership_check, modular, solve_dirichlet,
+                   torsion, validate_hypotheses)
 from varpx.cli import parse_config, run
 from varpx.grid import QuadField
 from varpx.grid import distance_ratio
 from varpx.verify import (mvt_ratio, mvt_tolerance, random_lipschitz_field,
                           random_sign_constant_test)
 
-from conftest import benchmark_spec, config_path, singular_spec
+from conftest import (assert_power_bounds, benchmark_spec, config_path, envelope_spec,
+                      power_norm_bracket, singular_spec)
 
 
 def _report(k, name, detail=""):
@@ -70,7 +70,7 @@ def test_acceptance_02_luxemburg_norm_suite():
         ) ** (1 / pc)
         assert luxemburg_norm(u, p) == pytest.approx(classical, rel=1e-10)
     # unit-modular and the two-sided power bounds on 1000 random pairs
-    branch_counts = {"norm_gt_one": 0, "norm_le_one": 0}
+    branch_counts = {True: 0, False: 0}  # keyed by norm > 1
     for i in range(1000):
         scale = 10.0 ** rng.uniform(-2, 2)
         u = GridFunction(m, rng.normal(size=m.n_nodes) * scale)
@@ -80,8 +80,8 @@ def test_acceptance_02_luxemburg_norm_suite():
         if nrm > 0:
             assert modular(GridFunction(m, u.values / nrm), p) == pytest.approx(
                 1.0, abs=1e-8)
-        rep = modular_norm_bounds(u, p)  # raises beyond quadrature tolerance
-        branch_counts[rep.side] += 1
+        assert_power_bounds(u, p)
+        branch_counts[nrm > 1.0] += 1
     assert min(branch_counts.values()) > 100  # both branches exercised
     # homogeneity at 1e-10 and triangle inequality at 1e-12
     p = ExponentField.from_callable(m, lambda x: 2 + x)
@@ -103,30 +103,27 @@ def test_acceptance_02_luxemburg_norm_suite():
 def test_acceptance_03_power_norm_bracket():
     m = build_mesh(DomainSpec.interval(0, 1), 64)
     rng = np.random.default_rng(3)
-    violations = 0
     for _ in range(500):
         u = GridFunction(m, rng.normal(size=m.n_nodes) * 10 ** rng.uniform(-1, 1))
         k = ExponentField.constant(m, rng.uniform(1.2, 3.5))
         a, b = rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.5)
         mm = ExponentField.from_callable(m, lambda x: a + b * x)
-        try:
-            power_norm_identity(u, mm, k)
-        except AssertionError:
-            violations += 1
-    assert violations == 0
+        power_norm_bracket(u, mm, k)
     _report(3, "power-norm bracket on 500 random triples")
 
 
 def test_acceptance_04_distance_power_finiteness():
-    m = build_mesh(DomainSpec.interval(0, 1), 256)
-    expected_finite = {-1.2: False, -0.9: True, -0.5: True, 0.0: True, 1.0: True}
-    for e, want in expected_finite.items():
-        _, fin = distance_power_modular(ExponentField.constant(m, e))
-        assert fin == want, f"e={e}: finite={fin}, expected {want}"
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.5))
-    assert fin and abs(v - 2.0 * np.sqrt(2.0)) <= 1e-3
-    _report(4, "boundary-singular integrability classification",
-            f"(value@-0.5={v:.6f})")
+    # p = 2, alpha_1 = e/2, beta_1 = 0: the singular term's distance power
+    # is (alpha_1 + beta_1) p' = e, integrable near the boundary iff e > -1
+    m = build_mesh(DomainSpec.interval(0, 1), 16)
+    for e, want in {-1.2: False, -0.9: True, -0.5: True}.items():
+        checks = {c.name: c for c in validate_hypotheses(envelope_spec(m, e / 2, 0.0)).checks}
+        check = checks["distance_power_integrability_1"]
+        assert (check.lhs, check.rhs, check.passed) == (e, -1.0, want)
+    # a component with a positive exponent sum is not singular
+    names = [c.name for c in validate_hypotheses(envelope_spec(m, 0.25, 0.0)).checks]
+    assert not any(n.startswith("distance_power_integrability") for n in names)
+    _report(4, "boundary-singular integrability classification")
 
 
 def test_acceptance_05_mean_value_property():

@@ -485,7 +485,7 @@ def test_cli_main_unwritable_certificate_exit2_with_trace_stub(tmp_path):
     assert not (out / "nodir").exists()
 
 
-@pytest.mark.parametrize("exc_type", [errors.BoundViolationError, OSError])
+@pytest.mark.parametrize("exc_type", [AssertionError, OSError])
 def test_sweep_row_error_recorded_exit2(tmp_path, monkeypatch, exc_type):
     real = cli.run_pipeline
 

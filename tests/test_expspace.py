@@ -5,9 +5,10 @@ import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 
 from varpx import (DomainSpec, ExponentField, GridFunction, build_mesh, expspace,
-                   distance_power_modular, grid, luxemburg_norm, modular,
-                   modular_norm_bounds, power_norm_identity)
+                   grid, luxemburg_norm, modular)
 from varpx.errors import BisectionError, NonFiniteFieldError
+
+from conftest import assert_power_bounds, power_norm_bracket
 
 
 def mesh1d(n=256):
@@ -125,12 +126,12 @@ def test_luxemburg_rejects_a_nonpositive_exponent():
 
 # -- the Luxemburg root search against the bisection it replaced ----------
 
-def _bisection_norm(absvals, exps, weights, measure):
-    """Safe bisection over [machine eps, max|u| * measure^(1/pmin) + 1],
+def _bisection_norm(absvals, exps, weights):
+    """Safe bisection over [machine eps, max|u| * |Omega|^(1/pmin) + 1],
     doubling the upper end until the scaled modular drops below one.
     Valid while the norm is above machine epsilon."""
     rho = lambda tau: expspace._modular_quad(absvals / tau, exps, weights)
-    hi = float(absvals.max()) * measure ** (1.0 / float(exps.min())) + 1.0
+    hi = float(absvals.max()) * weights.sum() ** (1.0 / float(exps.min())) + 1.0
     while rho(hi) > 1.0:
         hi *= 2.0
     lo = np.finfo(float).eps
@@ -166,7 +167,7 @@ def _samples(mesh, rng, log_scale, zero_share):
 def _exponent_samples(mesh, kind, rng, uq):
     """(samples, exponents at the quadrature points) for a constant, a
     smooth variable, or a derived exponent k/m; the derived kind powers
-    the samples by m as ``power_norm_identity`` does."""
+    the samples by m, as the norm of |u|^m in the k/m space does."""
     if kind == "constant":
         return uq, ExponentField.constant(mesh, rng.uniform(1.01, 4.0)).at_quad()
     k = _smooth_exponent(mesh, rng.uniform(1.01, 3.0), rng.uniform(0.0, 1.0),
@@ -192,7 +193,7 @@ def test_luxemburg_matches_the_bisection_reference(dim, n, kind, log_scale,
     mesh = _mesh(dim, n)
     rng = np.random.default_rng(seed)
     vals, exps = _exponent_samples(mesh, kind, rng, _samples(mesh, rng, log_scale, zero_share))
-    ref = _bisection_norm(vals, exps, mesh.qweights, mesh.domain.measure)
+    ref = _bisection_norm(vals, exps, mesh.qweights)
     assume(ref > np.finfo(float).eps)  # the reference's own lower end
     assert expspace._lux_quad(vals, exps, mesh.qweights) == pytest.approx(ref, rel=2e-13, abs=0.0)
 
@@ -229,13 +230,73 @@ def test_luxemburg_triangle_inequality_property(dim, n, base, amp, freq, seed, l
     assert ls <= rs * (1.0 + 1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(**_NORM_CASES)
+def test_luxemburg_matches_the_bisection_reference(dim, n, kind, log_scale,
+                                                   zero_share, seed):
+    mesh = _mesh(dim, n)
+    rng = np.random.default_rng(seed)
+    vals, exps = _exponent_samples(mesh, kind, rng, _samples(mesh, rng, log_scale, zero_share))
+    ref = _bisection_norm(vals, exps, mesh.qweights)
+    assume(ref > np.finfo(float).eps)  # the reference's own lower end
+    assert expspace._lux_quad(vals, exps, mesh.qweights) == pytest.approx(ref, rel=2e-13, abs=0.0)
+
+
+# -- Luxemburg norm properties for variable exponents ----------------------
+
+_PROPERTY_CASES = dict(dim=st.sampled_from([1, 2]), n=st.integers(2, 16),
+                       base=st.floats(1.01, 3.0), amp=st.floats(0.0, 1.0),
+                       freq=st.floats(0.5, 6.0), seed=st.integers(0, 2 ** 32 - 1))
+
+
 @settings(max_examples=150, deadline=None)
-@given(**_PROPERTY_CASES, log_scale=st.floats(-4.0, 4.0))
-def test_modular_norm_power_bounds_property(dim, n, base, amp, freq, seed, log_scale):
+@given(**_PROPERTY_CASES, log_lam=st.floats(-20.0, 20.0), negative=st.booleans())
+def test_luxemburg_homogeneity_property(dim, n, base, amp, freq, seed, log_lam, negative):
     mesh = _mesh(dim, n)
     p = _smooth_exponent(mesh, base, amp, freq)
+    u = np.random.default_rng(seed).normal(size=mesh.n_nodes)
+    lam = (-1.0 if negative else 1.0) * 10.0 ** log_lam
+    got = luxemburg_norm(GridFunction(mesh, lam * u), p)
+    assert got == pytest.approx(abs(lam) * luxemburg_norm(GridFunction(mesh, u), p),
+                                rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_PROPERTY_CASES, log_ratio=st.floats(-3.0, 3.0))
+def test_luxemburg_triangle_inequality_property(dim, n, base, amp, freq, seed, log_ratio):
+    mesh = _mesh(dim, n)
+    p = _smooth_exponent(mesh, base, amp, freq)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=mesh.n_nodes)
+    v = rng.normal(size=mesh.n_nodes) * 10.0 ** log_ratio
+    ls = luxemburg_norm(GridFunction(mesh, u + v), p)
+    rs = luxemburg_norm(GridFunction(mesh, u), p) + luxemburg_norm(GridFunction(mesh, v), p)
+    assert ls <= rs * (1.0 + 1e-12)
+
+
+def assert_power_bounds(u, p):
+    """norm^pmin <= modular <= norm^pmax when the norm exceeds one, and
+    norm^pmax <= modular <= norm^pmin otherwise, to quadrature tolerance.
+    Returns (modular, norm)."""
+    rho, nrm = modular(u, p), luxemburg_norm(u, p)
+    lo, hi = sorted((nrm ** p.p_minus, nrm ** p.p_plus))
+    slack = 1e-12 + 1e-6 * max(hi, rho)
+    assert lo - slack <= rho <= hi + slack
+    return rho, nrm
+
+
+@settings(max_examples=300, deadline=None)
+@given(**{**_PROPERTY_CASES, "n": st.integers(2, 48)}, log_scale=st.floats(-4.0, 4.0),
+       affine=st.booleans())
+def test_modular_norm_power_bounds_property(dim, n, base, amp, freq, seed, log_scale,
+                                            affine):
+    # affine exponents as well as oscillating ones
+    mesh = _mesh(dim, n)
+    x = mesh.nodes[:, 0]
+    p = (ExponentField(mesh, base + amp * x / x.max()) if affine
+         else _smooth_exponent(mesh, base, amp, freq))
     u = np.random.default_rng(seed).normal(size=mesh.n_nodes) * 10.0 ** log_scale
-    modular_norm_bounds(GridFunction(mesh, u), p)  # raises BoundViolationError
+    assert_power_bounds(GridFunction(mesh, u), p)
 
 
 # -- how many modular evaluations one norm costs ---------------------------
@@ -282,39 +343,25 @@ def test_variable_exponent_norm_evaluation_count(monkeypatch):
 
 
 def test_modular_norm_bounds_equality_case():
+    # at norm one both bounds are one
     m = mesh1d()
     p = ExponentField.from_callable(m, lambda x: 2 + x)
-    rep = modular_norm_bounds(GridFunction.constant(m, 1.0), p)
-    assert rep.norm == pytest.approx(1.0, abs=1e-10)
-    assert rep.lower_bound == pytest.approx(rep.upper_bound, abs=1e-8)
+    rho, nrm = assert_power_bounds(GridFunction.constant(m, 1.0), p)
+    assert nrm == pytest.approx(1.0, abs=1e-10)
+    assert rho == pytest.approx(1.0, abs=1e-10)
 
 
 def test_modular_norm_bounds_both_sides():
     m = mesh1d()
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     u = GridFunction.constant(m, 2.0)
-    rep = modular_norm_bounds(u, p)
-    assert rep.side == "norm_gt_one"
-    assert rep.norm ** 2 <= rep.modular <= rep.norm ** 3
-    # rescale to norm 1/2: bounds flip
-    nrm = luxemburg_norm(u, p)
-    small = GridFunction(m, u.values / (2 * nrm))
-    rep2 = modular_norm_bounds(small, p)
-    assert rep2.side == "norm_le_one"
-    assert rep2.lower_bound == pytest.approx(0.5 ** 3, rel=1e-9)
-    assert rep2.upper_bound == pytest.approx(0.5 ** 2, rel=1e-9)
-
-
-def test_power_bounds_random_family():
-    m = mesh1d(48)
-    rng = np.random.default_rng(6)
-    for _ in range(300):
-        u = GridFunction(m, rng.normal(size=m.n_nodes)
-                         * 10.0 ** rng.uniform(-2, 2))
-        a = rng.uniform(1.1, 3.0)
-        b = rng.uniform(0.0, 1.0)
-        p = ExponentField.from_callable(m, lambda x: a + b * x)
-        modular_norm_bounds(u, p)  # raises on violation
+    rho, nrm = assert_power_bounds(u, p)
+    assert nrm > 1.0
+    assert nrm ** 2 <= rho <= nrm ** 3
+    # rescaled to norm 1/2 the bounds flip
+    rho, nrm = assert_power_bounds(GridFunction(m, u.values / (2 * nrm)), p)
+    assert nrm == pytest.approx(0.5, rel=1e-12)
+    assert 0.5 ** 3 <= rho <= 0.5 ** 2
 
 
 def test_power_norm_identity_unit_exponent():
@@ -322,7 +369,7 @@ def test_power_norm_identity_unit_exponent():
     u = GridFunction.from_callable(m, lambda x: 1 + x ** 2)
     k = ExponentField.from_callable(m, lambda x: 2 + x)
     one = ExponentField.constant(m, 1.0)
-    value, lo, hi = power_norm_identity(u, one, k)
+    value, lo, hi = power_norm_bracket(u, one, k)
     assert lo == pytest.approx(hi, rel=1e-12)
     assert value == pytest.approx(luxemburg_norm(u, k), rel=1e-10)
 
@@ -332,7 +379,7 @@ def test_power_norm_identity_constant_exponents():
     u = GridFunction.from_callable(m, lambda x: 1 + x)
     k = ExponentField.constant(m, 3.0)
     mm = ExponentField.constant(m, 1.5)
-    value, _, _ = power_norm_identity(u, mm, k)
+    value, _, _ = power_norm_bracket(u, mm, k)
     assert value == pytest.approx(luxemburg_norm(u, k) ** 1.5, rel=1e-9)
 
 
@@ -343,7 +390,7 @@ def test_power_norm_identity_closed_form_case():
     u = GridFunction.constant(m, 2.0)
     k = ExponentField.from_callable(m, lambda x: 2 + x)
     mm = ExponentField.from_callable(m, lambda x: 1 + x / 2)
-    value, lo, hi = power_norm_identity(u, mm, k)
+    value, lo, hi = power_norm_bracket(u, mm, k)
     assert value == pytest.approx(np.sqrt(4.0 / np.log(2.0)), rel=1e-9)
     assert lo == pytest.approx(2.0, rel=1e-9)
     assert hi == pytest.approx(2.0 ** 1.5, rel=1e-9)
@@ -351,44 +398,17 @@ def test_power_norm_identity_closed_form_case():
 
 
 def test_power_norm_identity_random_triples():
+    # variable k here; test_acceptance_03 draws constant ones
     m = mesh1d(48)
     rng = np.random.default_rng(7)
     for _ in range(200):
         u = GridFunction(m, rng.normal(size=m.n_nodes)
                          * 10.0 ** rng.uniform(-1, 1))
-        k = ExponentField.constant(m, rng.uniform(1.2, 3.5))
+        k = ExponentField.from_callable(
+            m, lambda x, a=rng.uniform(1.2, 3.0), b=rng.uniform(0, 0.5): a + b * x)
         mm = ExponentField.from_callable(
             m, lambda x, a=rng.uniform(0.3, 2.0), b=rng.uniform(0, 0.5): a + b * x)
-        power_norm_identity(u, mm, k)  # raises on bracket violation
-
-
-def test_distance_power_trivial_and_closed_forms():
-    m = mesh1d(256)
-    v, fin = distance_power_modular(ExponentField.constant(m, 0.0))
-    assert fin and v == pytest.approx(1.0, abs=1e-10)
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.5))
-    assert fin and v == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-3)
-    v, fin = distance_power_modular(ExponentField.constant(m, 1.0))
-    assert fin and v == pytest.approx(0.25, abs=1e-10)
-
-
-def test_distance_power_divergence():
-    m = mesh1d(256)
-    _, fin = distance_power_modular(ExponentField.constant(m, -1.2))
-    assert not fin
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.9))
-    # int min(x,1-x)^(-0.9) = 2 * 0.5^0.1 / 0.1
-    assert fin and v == pytest.approx(2.0 * 0.5 ** 0.1 / 0.1, rel=0.02)
-
-
-def test_distance_power_2d():
-    m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 16)
-    v, fin = distance_power_modular(ExponentField.constant(m, 0.0))
-    assert fin and v == pytest.approx(1.0, rel=1e-9)
-    v, fin = distance_power_modular(ExponentField.constant(m, -0.5))
-    assert fin and v > 0
-    _, fin = distance_power_modular(ExponentField.constant(m, -1.2))
-    assert not fin
+        power_norm_bracket(u, mm, k)
 
 
 def test_exponent_field_rejects_nonfinite():

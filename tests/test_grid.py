@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from varpx import (DomainSpec, GridFunction, boundary_strip, build_mesh,
-                   export_csv, gradient, integrate)
-from varpx.errors import NonFiniteFieldError
+                   export_csv, gradient)
 from varpx.grid import QuadField, at_quad, load_vector
 
 
@@ -26,6 +25,16 @@ def test_rectangle_mesh_counts():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 2)
     assert m.n_nodes == 9
     assert len(m.cells) == 8
+
+
+def test_rectangle_boundary_marked_from_grid_indices():
+    # a shifted or tiny square has the unit square's boundary nodes; a
+    # coordinate tolerance marks all 289 nodes of the first, 120 of the second
+    unit = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 16).boundary_nodes
+    assert len(unit) == 64
+    for bounds in ((1e6, 1e6 + 1, 0, 1), (0, 1e-7, 0, 1e-7)):
+        np.testing.assert_array_equal(
+            build_mesh(DomainSpec.rectangle(*bounds), 16).boundary_nodes, unit)
 
 
 def test_no_all_boundary_triangles():
@@ -160,33 +169,22 @@ def test_gradient_quadratic_midpoint_values():
     np.testing.assert_allclose(g, (1 - 2 * mid) / 2, atol=1e-12)
 
 
-def test_integrate_constants_and_quadratics():
-    m = build_mesh(DomainSpec.interval(0, 1), 1024)
-    assert integrate(m, GridFunction.constant(m, 1.0)) == pytest.approx(1.0, abs=1e-13)
-    x2 = lambda pts: pts[:, 0] ** 2
-    assert integrate(m, x2) == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-
-def test_integrate_linearity():
-    m = build_mesh(DomainSpec.interval(0, 1), 64)
-    rng = np.random.default_rng(1)
-    f = rng.normal(size=m.n_nodes)
-    g = rng.normal(size=m.n_nodes)
-    lhs = integrate(m, GridFunction(m, f + g))
-    rhs = integrate(m, GridFunction(m, f)) + integrate(m, GridFunction(m, g))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_integrate_2d_affine_exact():
-    m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 6)
-    val = integrate(m, lambda pts: 2 * pts[:, 0] + pts[:, 1])
-    assert val == pytest.approx(1.5, abs=1e-13)
-
-
-def test_integrate_rejects_nonfinite():
-    m = build_mesh(DomainSpec.interval(0, 1), 8)
-    with pytest.raises(NonFiniteFieldError):
-        integrate(m, lambda pts: np.full(len(pts), np.inf))
+@pytest.mark.parametrize("bounds, n, f, degree, exact", [
+    ((0, 1), 1024, lambda x, y: np.ones_like(x), 0, 1.0),
+    ((0, 1), 1024, lambda x, y: x ** 2, 2, 1.0 / 3.0),
+    ((0, 1, 0, 1), 6, lambda x, y: 2 * x + y, 1, 1.5),
+    ((0, 1, 0, 1), 6, lambda x, y: x ** 2 + x * y, 2, 7.0 / 12.0),
+], ids=["1d-constant", "1d-quadratic", "2d-affine", "2d-quadratic"])
+def test_quadrature_exactness(bounds, n, f, degree, exact):
+    # Gauss-3 is exact for quintics on intervals and the interior 3-point
+    # rule for quadratics on triangles; the P1 interpolant of affine nodal
+    # data is the data, so at_quad carries that exactness to nodal fields
+    dom = DomainSpec.interval(*bounds) if len(bounds) == 2 else DomainSpec.rectangle(*bounds)
+    m = build_mesh(dom, n)
+    assert m.qweights @ f(m.qpoints[:, 0], m.qpoints[:, -1]) == pytest.approx(exact, abs=1e-13)
+    if degree <= 1:
+        nodal = f(m.nodes[:, 0], m.nodes[:, -1])
+        assert m.qweights @ at_quad(m, nodal) == pytest.approx(exact, abs=1e-13)
 
 
 def test_load_vector_against_hat_integrals():

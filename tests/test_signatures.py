@@ -3,9 +3,13 @@ every field (ExponentField, GridFunction), so no public function takes a
 mesh beside a spec or beside a field: the separate mesh could only repeat
 the one the spec or field already holds, or disagree with it.  Likewise a
 spec owns its regime (``spec.hypotheses.regime``), so nothing that
-reaches a spec takes a regime."""
+reaches a spec takes a regime.  And the package defines only what it
+uses itself."""
 
+import ast
 import inspect
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +74,26 @@ def test_no_function_that_reaches_a_spec_takes_a_regime(module):
 def test_no_function_takes_a_field_and_a_mesh(module):
     field = (("p", "ps"), ("ExponentField", "GridFunction"))
     assert _taking_both(module, field, MESH) == []
+
+
+# Reached only from the property tests, as the public faces of the
+# Luxemburg root search the run takes through luxemburg_norm_from_samples.
+UNCALLED_FACES = {"modular", "luxemburg_norm"}
+
+
+def _names(tree):
+    """Every identifier a Name or Attribute node of ``tree`` reads or binds."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_is_used_in_the_package():
+    src = Path(barriers.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in UNCALLED_FACES
+              and used[node.name] == _names(node)[node.name]]
+    assert unused == []
