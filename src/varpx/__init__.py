@@ -11,8 +11,8 @@ Modules:
 """
 
 from .expspace import ExponentField, luxemburg_norm, modular
-from .grid import (DomainSpec, GridFunction, Mesh, QuadField, VectorField,
-                   boundary_strip, build_mesh, export_csv, gradient)
+from .grid import (DomainSpec, GridFunction, Mesh, QuadField, boundary_strip,
+                   build_mesh, export_csv, gradient)
 from .plaplace import (ScalarSolveResult, SolverOptions, solve_dirichlet,
                        torsion, torsion_delta, weak_residual)
 from .barriers import (BarrierPair, HypothesisReport, ProblemSpec, Regime,

@@ -28,7 +28,7 @@ from . import grid, plaplace
 from .errors import (CalibrationError, DeltaTooLargeError, EnvelopeError,
                      MixedSignError, OrderingError)
 from .expspace import ExponentField, per_exponent
-from .forms import Expr
+from .forms import Expr, spatial_env
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
 
@@ -111,10 +111,7 @@ class ProblemSpec:
         return pv / (pv - 1.0)
 
     def evaluate_f(self, i: int, x, s1, s2, xi1, xi2) -> np.ndarray:
-        env = {"x": x[..., 0] if np.ndim(x) > 1 else x,
-               "s1": s1, "s2": s2, "xi1": xi1, "xi2": xi2}
-        if np.ndim(x) > 1 and np.shape(x)[-1] > 1:
-            env["y"] = x[..., 1]
+        env = {**spatial_env(x), "s1": s1, "s2": s2, "xi1": xi1, "xi2": xi2}
         val = self.f[i].evaluate(env)
         return np.broadcast_to(val, np.shape(s1)).astype(float)
 
@@ -257,8 +254,7 @@ class BarrierPair:
 
 def _c1_bound(u: GridFunction) -> float:
     """Discrete C1-style size: max nodal value plus max cell gradient."""
-    gmax = grid.gradient(u).inf_norm
-    return float(np.abs(u.values).max()) + gmax
+    return float(np.abs(u.values).max()) + float(u.grad_norm.max())
 
 
 def build_barriers(spec: ProblemSpec, C: float, delta: float,
@@ -460,15 +456,15 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
         "(indistinguishable at this resolution)")
 
 
-def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple, grads: tuple):
+def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple):
     """Quadrature-point data f_i(x, z1^, z2^, |grad z1|, |grad z2|) of the
-    fields ``z`` with gradient fields ``grads``, under the singular floor
+    fields ``z``, with their own ``grad_norm``, under the singular floor
     clamp z^ = max(z, under).  Interior quadrature points keep negative
     powers finite because the floor is positive there."""
     mesh = spec.mesh
     s1, s2 = (grid.at_quad(mesh, np.maximum(zi.values, low.values))
               for zi, low in zip(z, pair.under))
-    m1, m2 = (g.magnitudes[mesh.qcells] for g in grads)
+    m1, m2 = (zi.grad_norm[mesh.qcells] for zi in z)
     out = []
     for i in (0, 1):
         hv = spec.evaluate_f(i, mesh.qpoints, s1, s2, m1, m2)

@@ -20,14 +20,13 @@ secant steps close it otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import grid
 from .errors import BisectionError, NonFiniteFieldError
-from .grid import GridFunction, Mesh
+from .grid import GridFunction
 
 # The Luxemburg root search stops at this relative bracket width; all
 # downstream norm tolerances are dominated by quadrature, not by root
@@ -38,50 +37,23 @@ _WIDEN = _REL_WIDTH / 4
 _MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class ExponentField:
-    """Per-node exponent with cached extremes and quadrature values.
+class ExponentField(GridFunction):
+    """Nodal exponent: a ``GridFunction`` that adds only what an exponent
+    needs, its extremes and its values at the quadrature points, each
+    computed once.
 
     Exponents used as a p(x) must satisfy p_minus > 1; derived exponents
     (products and differences of exponents) may be negative but must be
     finite at every node.
     """
 
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.mesh.n_nodes,):
-            raise grid.MeshCompatibilityError(
-                f"expected {self.mesh.n_nodes} exponent values, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteFieldError("exponent field has non-finite values")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_pmin", float(vals.min()))
-        object.__setattr__(self, "_pmax", float(vals.max()))
-
-    @property
+    @cached_property
     def p_minus(self) -> float:
-        return self._pmin
+        return float(self.values.min())
 
-    @property
+    @cached_property
     def p_plus(self) -> float:
-        return self._pmax
-
-    @staticmethod
-    def constant(mesh: Mesh, c: float) -> "ExponentField":
-        return ExponentField(mesh, np.full(mesh.n_nodes, float(c)))
-
-    @staticmethod
-    def from_callable(mesh: Mesh, fn) -> "ExponentField":
-        if mesh.dim == 1:
-            vals = fn(mesh.nodes[:, 0])
-        else:
-            vals = fn(mesh.nodes[:, 0], mesh.nodes[:, 1])
-        return ExponentField(mesh, np.broadcast_to(vals, (mesh.n_nodes,)).copy())
+        return float(self.values.max())
 
     def at_quad(self) -> np.ndarray:
         """The exponent at the quadrature points (read-only), evaluated once."""
@@ -185,10 +157,8 @@ def luxemburg_norm_from_samples(values, exps, weights) -> float:
 
 def modular(u: GridFunction, p: ExponentField) -> float:
     """Quadrature approximation of int |u|^p(x) dx."""
-    mesh = u.mesh
-    grid.check_same_mesh(mesh, p)
-    uq = np.abs(grid.at_quad(mesh, u.values))
-    val = _modular_quad(uq, p.at_quad(), mesh.qweights)
+    uq = np.abs(grid.as_quad_values(p.mesh, u))
+    val = _modular_quad(uq, p.at_quad(), p.mesh.qweights)
     if not np.isfinite(val):
         raise NonFiniteFieldError("modular overflowed; field values too extreme")
     return val
@@ -200,9 +170,7 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     For constant p this reduces to the classical Lp norm; for u = 0 it
     returns 0.
     """
-    mesh = u.mesh
-    grid.check_same_mesh(mesh, p)
     if p.p_minus <= 1.0:
         raise ValueError(f"norm requires p_minus > 1, got {p.p_minus}")
-    uq = np.abs(grid.at_quad(mesh, u.values))
-    return _lux_quad(uq, p.at_quad(), mesh.qweights)
+    uq = np.abs(grid.as_quad_values(p.mesh, u))
+    return _lux_quad(uq, p.at_quad(), p.mesh.qweights)

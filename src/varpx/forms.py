@@ -18,12 +18,15 @@ Grammar (JSON):
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError
 
 VARIABLES = ("x", "y", "s1", "s2", "xi1", "xi2")
 SPATIAL = ("x", "y")
+_FOLDS = {"add": operator.add, "mul": operator.mul}
 
 
 class Expr:
@@ -49,8 +52,6 @@ class Const(Expr):
 
 class Var(Expr):
     def __init__(self, name):
-        if name not in VARIABLES:
-            raise ConfigError("var", f"unknown variable {name!r}")
         self.name = name
 
     def evaluate(self, env):
@@ -62,40 +63,25 @@ class Var(Expr):
         return {self.name}
 
 
-class Add(Expr):
-    def __init__(self, terms):
+class Fold(Expr):
+    """Sum or product: ``op`` applied left to right over the terms."""
+
+    def __init__(self, op, terms):
+        self.op = op
         self.terms = list(terms)
 
     def evaluate(self, env):
         out = self.terms[0].evaluate(env)
         for t in self.terms[1:]:
-            out = out + t.evaluate(env)
+            out = self.op(out, t.evaluate(env))
         return out
 
     def free_vars(self):
         return set().union(*(t.free_vars() for t in self.terms))
 
 
-class Mul(Expr):
-    def __init__(self, factors):
-        self.factors = list(factors)
-
-    def evaluate(self, env):
-        out = self.factors[0].evaluate(env)
-        for t in self.factors[1:]:
-            out = out * t.evaluate(env)
-        return out
-
-    def free_vars(self):
-        return set().union(*(t.free_vars() for t in self.factors))
-
-
 class Pow(Expr):
     def __init__(self, base, exp):
-        extra = exp.free_vars() - set(SPATIAL)
-        if extra:
-            raise ConfigError("pow.exp",
-                              f"power exponents may only vary in space, got {sorted(extra)}")
         self.base = base
         self.exp = exp
 
@@ -114,9 +100,7 @@ def parse_expr(obj, path="expr") -> Expr:
     if isinstance(obj, (int, float)):
         return _const(obj, path)
     if isinstance(obj, str):
-        if obj not in VARIABLES:
-            raise ConfigError(path, f"unknown variable {obj!r}")
-        return Var(obj)
+        return _var(obj, path)
     if isinstance(obj, dict):
         if len(obj) != 1:
             raise ConfigError(path, "expression node must have exactly one key")
@@ -124,22 +108,26 @@ def parse_expr(obj, path="expr") -> Expr:
         if key == "const":
             return _const(val, f"{path}.const")
         if key == "var":
-            return Var(val)
-        if key == "add":
+            return _var(val, f"{path}.var")
+        if key in _FOLDS:
             if not isinstance(val, list) or not val:
-                raise ConfigError(f"{path}.add", "needs a non-empty list")
-            return Add(parse_expr(t, f"{path}.add[{i}]") for i, t in enumerate(val))
-        if key == "mul":
-            if not isinstance(val, list) or not val:
-                raise ConfigError(f"{path}.mul", "needs a non-empty list")
-            return Mul(parse_expr(t, f"{path}.mul[{i}]") for i, t in enumerate(val))
+                raise ConfigError(f"{path}.{key}", "needs a non-empty list")
+            return Fold(_FOLDS[key], (parse_expr(t, f"{path}.{key}[{i}]")
+                                      for i, t in enumerate(val)))
         if key == "pow":
             if not isinstance(val, dict) or set(val) != {"base", "exp"}:
                 raise ConfigError(f"{path}.pow", "needs {'base':..., 'exp':...}")
+            exp_path = f"{path}.pow.exp"
             return Pow(parse_expr(val["base"], f"{path}.pow.base"),
-                       parse_expr(val["exp"], f"{path}.pow.exp"))
+                       spatial_only(parse_expr(val["exp"], exp_path), exp_path))
         raise ConfigError(path, f"unknown operation {key!r}")
     raise ConfigError(path, f"cannot parse {type(obj).__name__} as an expression")
+
+
+def _var(name, path) -> Var:
+    if name not in VARIABLES:
+        raise ConfigError(path, f"unknown variable {name!r}")
+    return Var(name)
 
 
 def _const(value, path) -> Const:
@@ -156,12 +144,18 @@ def spatial_only(expr: Expr, path="expr"):
     return expr
 
 
-def evaluate_spatial(expr: Expr, points: np.ndarray) -> np.ndarray:
-    """Evaluate a spatial expression at an array of points."""
+def spatial_env(points) -> dict:
+    """The variables x and y (y for two-dimensional points only) at an
+    array of points: one coordinate per point, or one row per point."""
     pts = np.asarray(points, dtype=float)
     env = {"x": pts[..., 0] if pts.ndim > 1 else pts}
     if pts.ndim > 1 and pts.shape[-1] > 1:
         env["y"] = pts[..., 1]
+    return env
+
+
+def evaluate_spatial(expr: Expr, points: np.ndarray) -> np.ndarray:
+    """Evaluate a spatial expression at an array of points."""
+    env = spatial_env(points)
     val = expr.evaluate(env)
-    base = env["x"]
-    return np.broadcast_to(val, np.shape(base)).astype(float)
+    return np.broadcast_to(val, np.shape(env["x"])).astype(float)

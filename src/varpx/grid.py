@@ -4,6 +4,10 @@ Geometric substrate for everything else: node/cell arrays, exact
 distance-to-boundary fields, per-cell P1 gradients, and fixed quadrature
 (3-point Gauss per interval cell, the interior 3-point rule ``_TRI_BARY``
 per triangle) exposed as flat arrays so assembly can be fully vectorized.
+
+A field owns what is derived from its read-only values and computes it
+once, on first read: a ``GridFunction`` its cell gradients ``grad`` and
+their norms ``grad_norm``, a ``QuadField`` its load vector.
 """
 
 from __future__ import annotations
@@ -225,27 +229,32 @@ def build_mesh(domain: DomainSpec, n: int) -> Mesh:
     return Mesh(domain, n)
 
 
+def _frozen_values(values, shape: tuple, what: str) -> np.ndarray:
+    """A read-only float copy of ``values``, of ``shape`` and finite."""
+    vals = np.array(values, dtype=float)
+    if vals.shape != shape:
+        raise MeshCompatibilityError(f"expected {what} of shape {shape}, got {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise NonFiniteFieldError(f"{what} has non-finite values")
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass
 class GridFunction:
     """Nodal scalar field on a mesh.  The values are a read-only copy of
-    the given ones, so the cell gradients ``grad``, computed on first read,
-    always belong to them."""
+    the given ones, so what is derived from them and computed on first
+    read, the cell gradients ``grad`` and their norms ``grad_norm``,
+    always belongs to them."""
 
     mesh: Mesh
     values: np.ndarray
     zero_trace: bool = False
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.mesh.n_nodes,):
-            raise MeshCompatibilityError(
-                f"expected {self.mesh.n_nodes} nodal values, got {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise NonFiniteFieldError("grid function has non-finite nodal values")
-        if self.zero_trace and (vals[self.mesh.boundary_nodes] != 0.0).any():
+        self.values = _frozen_values(self.values, (self.mesh.n_nodes,), "nodal values")
+        if self.zero_trace and (self.values[self.mesh.boundary_nodes] != 0.0).any():
             raise ValueError("zero-trace field does not vanish on the boundary")
-        vals.setflags(write=False)
-        self.values = vals
 
     @cached_property
     def grad(self) -> np.ndarray:
@@ -253,42 +262,19 @@ class GridFunction:
         already holds them for these values may assign them instead."""
         return cell_gradients(self.mesh, self.values)
 
-    @staticmethod
-    def constant(mesh: Mesh, c: float) -> "GridFunction":
-        return GridFunction(mesh, np.full(mesh.n_nodes, float(c)))
+    @cached_property
+    def grad_norm(self) -> np.ndarray:
+        """``gradient`` of the field, |grad u| per cell, computed once."""
+        return gradient(self)
 
-    @staticmethod
-    def from_callable(mesh: Mesh, fn) -> "GridFunction":
-        if mesh.dim == 1:
-            vals = fn(mesh.nodes[:, 0])
-        else:
-            vals = fn(mesh.nodes[:, 0], mesh.nodes[:, 1])
-        return GridFunction(mesh, np.broadcast_to(vals, (mesh.n_nodes,)))
+    @classmethod
+    def constant(cls, mesh: Mesh, c: float):
+        return cls(mesh, np.full(mesh.n_nodes, float(c)))
 
-
-@dataclass
-class VectorField:
-    """Piecewise-constant per-cell vector field (a P1 gradient)."""
-
-    mesh: Mesh
-    values: np.ndarray  # (n_cells, dim)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expected = (len(self.mesh.cells), self.mesh.dim)
-        if self.values.shape != expected:
-            raise MeshCompatibilityError(
-                f"expected cell vectors of shape {expected}, got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise NonFiniteFieldError("vector field has non-finite values")
-
-    @property
-    def magnitudes(self) -> np.ndarray:
-        return np.sqrt((self.values ** 2).sum(axis=1))
-
-    @property
-    def inf_norm(self) -> float:
-        return float(self.magnitudes.max())
+    @classmethod
+    def from_callable(cls, mesh: Mesh, fn):
+        vals = fn(*(mesh.nodes[:, d] for d in range(mesh.dim)))
+        return cls(mesh, np.broadcast_to(vals, (mesh.n_nodes,)))
 
 
 @dataclass
@@ -303,13 +289,8 @@ class QuadField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != self.mesh.qweights.shape:
-            raise MeshCompatibilityError("quadrature value array has wrong length")
-        if not np.isfinite(vals).all():
-            raise NonFiniteFieldError("quadrature field has non-finite values")
-        vals.setflags(write=False)
-        self.values = vals
+        self.values = _frozen_values(self.values, self.mesh.qweights.shape,
+                                     "quadrature values")
 
     @cached_property
     def load(self) -> np.ndarray:
@@ -385,10 +366,13 @@ def basis_projections(mesh: Mesh, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def gradient(u: GridFunction) -> VectorField:
-    """Gradient of the P1 interpolant; exact for affine nodal data.  Reads
-    the cell gradients ``u`` carries."""
-    return VectorField(u.mesh, u.grad)
+def gradient(u: GridFunction) -> np.ndarray:
+    """|grad u| per cell of the P1 interpolant (read-only), from the cell
+    gradients ``u`` carries; exact for affine nodal data.  A field caches
+    it as ``grad_norm``."""
+    out = np.sqrt((u.grad ** 2).sum(axis=1))
+    out.setflags(write=False)
+    return out
 
 
 def distance_ratio(u: GridFunction):

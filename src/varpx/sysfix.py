@@ -57,9 +57,10 @@ class IterationOptions:
 class SystemState:
     """Frozen state of one problem, tested against the invariant set of
     one barrier pair: the two fields, and what the map, the residual and
-    the membership test read from them.  The gradients, their Luxemburg
-    norms and the frozen data are computed on first read, so a state
-    computes each at most once and never one that nothing reads."""
+    the membership test read from them.  The Luxemburg gradient norms and
+    the frozen data are computed on first read, so a state computes each
+    at most once and never one that nothing reads; the gradient norms
+    they share are the fields' own ``grad_norm``."""
 
     z: tuple                  # (GridFunction, GridFunction)
     spec: ProblemSpec = field(repr=False)
@@ -72,23 +73,19 @@ class SystemState:
         return SystemState(z=(z1, z2), spec=spec, pair=pair)
 
     @cached_property
-    def grad_z(self) -> tuple:
-        return tuple(grid.gradient(zi) for zi in self.z)
-
-    @cached_property
     def grad_lux_norm(self) -> tuple:
         mesh = self.spec.mesh
         return tuple(expspace.luxemburg_norm_from_samples(
-            g.magnitudes[mesh.qcells], pi.at_quad(), mesh.qweights)
-            for g, pi in zip(self.grad_z, self.spec.p))
+            zi.grad_norm[mesh.qcells], pi.at_quad(), mesh.qweights)
+            for zi, pi in zip(self.z, self.spec.p))
 
     @cached_property
     def frozen(self) -> tuple:
         """Data for the decoupled solves: nonlinearities at the clamped
         state, sampled at interior quadrature points only.  The residual
         test of an iterate and the map application that follows share
-        this one evaluation, and it reads the state's own gradients."""
-        return bmod.frozen_rhs_quad(self.spec, self.pair, self.z, self.grad_z)
+        this one evaluation."""
+        return bmod.frozen_rhs_quad(self.spec, self.pair, self.z)
 
     def extremes(self) -> list:
         """Cap-free membership inputs per component: (depth below
@@ -101,7 +98,7 @@ class SystemState:
             low_v = float((self.pair.under[i].values - zi).max())
             if positive:
                 out.append((low_v, float((zi - self.pair.over[i].values).max()),
-                            self.grad_z[i].inf_norm))
+                            float(self.z[i].grad_norm.max())))
             else:
                 out.append((low_v, float(zi.max()), self.grad_lux_norm[i]))
         return out
@@ -118,12 +115,16 @@ class IterationReport:
     iters: int
     step_norms: list          # per iteration: (step_1, step_2)
     residuals: list           # per iteration: max coupled weak residual
-    membership_trace: list    # combined membership per iteration
-    box_trace: list           # nodewise-sandwich part only
-    grad_cap_trace: list      # gradient-cap part only
+    box_trace: list           # nodewise-sandwich part of membership
+    grad_cap_trace: list      # gradient-cap part of membership
     converged: bool
     damping_used: float
     caps: tuple | None = None
+
+    @property
+    def membership_trace(self) -> list:
+        """Combined membership per iteration: both parts held."""
+        return [b and g for b, g in zip(self.box_trace, self.grad_cap_trace)]
 
     def as_dict(self):
         return {
@@ -132,7 +133,7 @@ class IterationReport:
             "damping_used": self.damping_used,
             "step_norms": [list(s) for s in self.step_norms],
             "residuals": list(self.residuals),
-            "membership_trace": list(self.membership_trace),
+            "membership_trace": self.membership_trace,
             "box_trace": list(self.box_trace),
             "grad_cap_trace": list(self.grad_cap_trace),
         }
@@ -247,7 +248,6 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
                 for e in extremes]
     report = IterationReport(
         iters=it, step_norms=steps, residuals=residuals,
-        membership_trace=[bool(v[0]) for v in verdicts],
         box_trace=[bool(v[2]["box_ok"]) for v in verdicts],
         grad_cap_trace=[bool(v[2]["grad_ok"]) for v in verdicts],
         # stationary and consistent; success additionally requires the

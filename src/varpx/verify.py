@@ -41,6 +41,7 @@ _SANDWICH_TOL = 0.2
 _MVT_CHECKS = 5
 _MVT_SAMPLES = 50
 _MVT_RANGE = (0.5, 2.0)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -121,7 +122,7 @@ def gradient_estimate_audit(family: ScaleFamily) -> EstimateAudit:
     Passes when the family stays bounded (no growth trend at the top
     scales)."""
     return family.audit("gradient_estimate", lambda lam: abs(float(lam)),
-                        lambda u: grid.gradient(u).inf_norm)
+                        lambda u: float(u.grad_norm.max()))
 
 
 def linfty_estimate_audit(family: ScaleFamily) -> EstimateAudit:
@@ -169,10 +170,13 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
     if np.any(pv[mesh.boundary_nodes] != 0.0):
         raise ValueError("phi must vanish on the boundary")
     hq = grid.as_quad_values(mesh, h)
-    if np.any(hq > 1e-14) and np.any(hq < -1e-14):
+    # relative to max|h| and int|h phi|: no size of h or of the domain is degenerate
+    htol = 1e-14 * float(np.abs(hq).max(initial=0.0))
+    if np.any(hq > htol) and np.any(hq < -htol):
         raise ValueError("h must be sign-constant")
-    den = float(mesh.qweights @ (hq * grid.at_quad(mesh, pv)))
-    if abs(den) < 1e-14:
+    hphi = hq * grid.at_quad(mesh, pv)
+    den = float(mesh.qweights @ hphi)
+    if abs(den) <= 1e-14 * float(mesh.qweights @ np.abs(hphi)):
         raise ZeroDivisionError("degenerate test field: int h phi vanishes")
     gu = u.grad[mesh.qcells]
     gphi = phi.grad[mesh.qcells]
@@ -186,8 +190,10 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
 
 def mvt_tolerance(mesh: Mesh, solver_residual: float) -> float:
     """5 x (solver residual + quadrature tolerance); the quadrature term
-    is the h^2 consistency scale of the P1 pipeline."""
-    return 5.0 * (solver_residual + mesh.h ** 2)
+    is the h^2 consistency scale of the P1 pipeline, but no smaller than
+    the rounding of a sum over the quadrature points, which bounds how
+    well gamma_hat, a ratio of two such sums, is known on any domain."""
+    return 5.0 * (solver_residual + max(mesh.h ** 2, mesh.qweights.size * _EPS))
 
 
 def random_lipschitz_field(mesh: Mesh, rng: np.random.Generator, lo: float,

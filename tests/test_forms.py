@@ -49,3 +49,13 @@ def test_evaluate_spatial_broadcasts_constants():
     expr = parse_expr(2.0)
     pts = np.linspace(0, 1, 5)
     np.testing.assert_allclose(evaluate_spatial(expr, pts), 2.0)
+
+
+@pytest.mark.parametrize("obj, where", [
+    ({"add": [1.0, {"pow": {"base": "s1", "exp": "s2"}}]}, "$.f[0].add[1].pow.exp"),
+    ({"mul": [2.0, {"var": "q"}]}, "$.f[0].mul[1].var"),
+], ids=["pow-exp", "var"])
+def test_nested_errors_name_their_config_path(obj, where):
+    with pytest.raises(ConfigError) as exc:
+        parse_expr(obj, "$.f[0]")
+    assert where in str(exc.value)

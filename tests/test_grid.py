@@ -128,16 +128,18 @@ def test_distance_is_1lipschitz():
 def test_gradient_affine_exact_1d():
     m = build_mesh(DomainSpec.interval(0, 1), 16)
     u = GridFunction(m, 3.0 * m.nodes[:, 0] - 1.0)
-    g = gradient(u)
-    np.testing.assert_allclose(g.values[:, 0], 3.0, atol=1e-14)
+    assert u.grad.shape == (len(m.cells), 1)
+    np.testing.assert_allclose(u.grad[:, 0], 3.0, atol=1e-14)
+    np.testing.assert_allclose(gradient(u), 3.0, atol=1e-14)
 
 
 def test_gradient_affine_exact_2d():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 4)
     u = GridFunction(m, 2.0 * m.nodes[:, 0] - 3.0 * m.nodes[:, 1])
-    g = gradient(u)
-    np.testing.assert_allclose(g.values[:, 0], 2.0, atol=1e-13)
-    np.testing.assert_allclose(g.values[:, 1], -3.0, atol=1e-13)
+    assert u.grad.shape == (len(m.cells), 2)
+    np.testing.assert_allclose(u.grad[:, 0], 2.0, atol=1e-13)
+    np.testing.assert_allclose(u.grad[:, 1], -3.0, atol=1e-13)
+    np.testing.assert_allclose(gradient(u), np.sqrt(13.0), atol=1e-13)
 
 
 def test_field_values_are_read_only_copies():
@@ -146,13 +148,16 @@ def test_field_values_are_read_only_copies():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 4)
     given = m.nodes[:, 0] * m.nodes[:, 1]
     u = GridFunction(m, given)
-    grad = gradient(u).values
+    grad, norm = u.grad, u.grad_norm
     with pytest.raises(ValueError, match="read-only"):
         u.values[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         grad[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        norm[0] = 1.0
     given[0] = 1.0
-    assert u.values[0] == 0.0 and gradient(u).values is grad
+    assert u.values[0] == 0.0 and u.grad is grad and u.grad_norm is norm
+    np.testing.assert_array_equal(norm, gradient(u))
     h = QuadField(m, np.ones(m.qweights.size))
     with pytest.raises(ValueError, match="read-only"):
         h.values[0] = 2.0
@@ -163,10 +168,10 @@ def test_gradient_quadratic_midpoint_values():
     m = build_mesh(DomainSpec.interval(0, 1), 1024)
     x = m.nodes[:, 0]
     u = GridFunction(m, x * (1 - x) / 2)
-    g = gradient(u).values[:, 0]
     mid = 0.5 * (x[:-1] + x[1:])
     # cell slope of the interpolant equals the derivative at the midpoint
-    np.testing.assert_allclose(g, (1 - 2 * mid) / 2, atol=1e-12)
+    np.testing.assert_allclose(u.grad[:, 0], (1 - 2 * mid) / 2, atol=1e-12)
+    np.testing.assert_allclose(gradient(u), np.abs(1 - 2 * mid) / 2, atol=1e-12)
 
 
 @pytest.mark.parametrize("bounds, n, f, degree, exact", [

@@ -330,6 +330,25 @@ def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
     assert len(evals) == rep.iters + 1
 
 
+@pytest.mark.parametrize("singular", [False, True])
+def test_state_takes_each_gradient_norm_once(monkeypatch, singular):
+    # the frozen data, the membership extremes and the Luxemburg gradient
+    # norms all read the fields' own grad_norm, which each field computes once
+    from varpx import grid
+    if singular:
+        m = build_mesh(DomainSpec.interval(0, 1), 64)
+        spec = singular_spec(m)
+        cal = calibrate_barriers(spec)
+    else:
+        m, spec, cal = setup_positive(64)
+    calls = _count_calls(monkeypatch, grid, "gradient")
+    z = [GridFunction(m, u.values, zero_trace=True) for u in cal.pair.over]
+    state = SystemState.build(spec, cal.pair, *z)
+    state.frozen, state.extremes(), state.grad_lux_norm, state.extremes()
+    assert len(calls) == 2
+    assert all(zi.grad_norm is zi.grad_norm for zi in z)
+
+
 def test_singular_iterate_computes_each_field_gradient_once(monkeypatch):
     # outside the scalar solves, cell gradients are taken once per field:
     # everything that reads a clamped iterate shares the ones it carries

@@ -91,6 +91,19 @@ def test_mvt_degenerate_denominator_raises():
         mvt_ratio(p, res.u, h, f, zero_phi)
 
 
+@pytest.mark.parametrize("length, scale", [(1e-7, 1.0), (1.0, 1e-15)],
+                         ids=["small-domain", "small-data"])
+def test_mvt_ratio_judges_against_the_data_scale(length, scale):
+    # gamma_hat is a ratio, so neither the size of the domain nor that of
+    # h may decide whether it is defined; p = 2, f = 1 and phi = u give 1
+    m = build_mesh(DomainSpec.interval(0.0, length), 64)
+    p = ExponentField.constant(m, 2.0)
+    h = GridFunction.constant(m, scale)
+    res = solve_dirichlet(p, h)
+    got = mvt_ratio(p, res.u, h, GridFunction.constant(m, 1.0), res.u)
+    assert got == pytest.approx(1.0, rel=0, abs=mvt_tolerance(m, res.residual))
+
+
 def test_mvt_rejects_sign_changing_phi():
     m = mesh1d(64)
     p = ExponentField.constant(m, 2.0)
