@@ -27,7 +27,7 @@ import numpy as np
 from . import grid, plaplace
 from .errors import (CalibrationError, DeltaTooLargeError, EnvelopeError,
                      MixedSignError, OrderingError)
-from .expspace import ExponentField, per_exponent
+from .expspace import ExponentField, per_distinct
 from .forms import Expr, spatial_env
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
@@ -100,6 +100,12 @@ class ProblemSpec:
     @property
     def p(self):
         return (self.p1, self.p2)
+
+    @cached_property
+    def shared_f(self) -> bool:
+        """Whether f[0] and f[1] are equal trees, so that one evaluation
+        serves both components."""
+        return self.f[0] == self.f[1]
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:
@@ -403,12 +409,12 @@ def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     share their solves."""
     mesh = spec.mesh
     delta = 0.1 * mesh.max_distance
-    floor = 1.5 * float(np.ptp(mesh.nodes, axis=0).max()) / mesh.n
-    xi = tuple(per_exponent(spec.p, lambda p: plaplace.torsion(p, opts)))
+    floor = 1.5 * mesh.longest_side / mesh.n
+    xi = tuple(per_distinct(lambda p: plaplace.torsion(p, opts), spec.p))
     while True:
         try:
-            xid = tuple(per_exponent(spec.p, lambda p, ref: plaplace.torsion_delta(
-                p, delta, ref.u, opts), xi))
+            xid = tuple(per_distinct(lambda p, ref: plaplace.torsion_delta(
+                p, delta, ref.u, opts), spec.p, xi))
             return delta, xi, xid
         except DeltaTooLargeError:
             if delta <= floor:
@@ -460,16 +466,20 @@ def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple):
     """Quadrature-point data f_i(x, z1^, z2^, |grad z1|, |grad z2|) of the
     fields ``z``, with their own ``grad_norm``, under the singular floor
     clamp z^ = max(z, under).  Interior quadrature points keep negative
-    powers finite because the floor is positive there."""
+    powers finite because the floor is positive there.  A spec whose two
+    nonlinearities are equal trees evaluates f once for both."""
     mesh = spec.mesh
     s1, s2 = (grid.at_quad(mesh, np.maximum(zi.values, low.values))
               for zi, low in zip(z, pair.under))
     m1, m2 = (zi.grad_norm[mesh.qcells] for zi in z)
-    out = []
-    for i in (0, 1):
+
+    def data(i):
         hv = spec.evaluate_f(i, mesh.qpoints, s1, s2, m1, m2)
         if not np.isfinite(hv).all():
             raise EnvelopeError(
                 f"frozen right-hand side f[{i}] is non-finite at a quadrature point")
-        out.append(grid.QuadField(mesh, hv))
-    return tuple(out)
+        return grid.QuadField(mesh, hv)
+
+    h1 = data(0)
+    # equal trees in the one environment both read give the same bits
+    return h1, h1 if spec.shared_f else data(1)

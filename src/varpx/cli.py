@@ -32,7 +32,7 @@ from . import barriers as bmod
 from . import forms, grid, plaplace, sysfix, verify
 from .barriers import ProblemSpec, Regime
 from .errors import ConfigError, EnvelopeError, MixedSignError
-from .expspace import ExponentField, per_exponent
+from .expspace import ExponentField, per_distinct
 from .grid import DomainSpec
 from .plaplace import SolverOptions
 from .sysfix import IterationOptions
@@ -361,7 +361,7 @@ def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int
     path = os.path.join(out_dir, "audit.json")
     ps = config.problem.p
     # every audit reads the unit-data solve of each exponent: solve it once
-    torsions = per_exponent(ps, lambda p: plaplace.torsion(p, config.solver))
+    torsions = per_distinct(lambda p: plaplace.torsion(p, config.solver), ps)
     kinds = tuple(name for name in names if name != "mvt")
     out = [a.as_dict() for a in verify.estimate_audits(ps, kinds, torsions)]
     if "mvt" in names:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import grid
 from .errors import BisectionError, NonFiniteFieldError
-from .grid import GridFunction
+from .grid import GridFunction, QuadField
 
 # The Luxemburg root search stops at this relative bracket width; all
 # downstream norm tolerances are dominated by quadrature, not by root
@@ -66,15 +66,29 @@ class ExponentField(GridFunction):
         return out
 
 
-def per_exponent(ps, run, *more) -> list:
-    """run(p, *rest) for each exponent p of ``ps`` and the matching entries
-    of ``more``; an exponent equal to an earlier one's reuses its result."""
-    done = {}
-    for args in zip(ps, *more):
-        key = args[0].values.tobytes()
-        if key not in done:
-            done[key] = run(*args)
-    return [done[p.values.tobytes()] for p in ps]
+def per_distinct(run, *columns) -> list:
+    """run(*args) for each argument tuple of zip(*columns); a tuple equal
+    to an earlier one's reuses that result.  A field argument is compared
+    by its mesh and the bytes of its values, so equal problems share one
+    computation bit for bit; any other argument is compared by identity.  Tuples are
+    compared argument by argument, stopping at the first that differs, so
+    distinct problems cost about one comparison each."""
+    done, out = [], []
+    for args in zip(*columns):
+        for prev, res in done:
+            if all(map(_same, args, prev)):
+                break
+        else:
+            res = run(*args)
+            done.append((args, res))
+        out.append(res)
+    return out
+
+
+def _same(a, b) -> bool:
+    fields = (GridFunction, QuadField)
+    return a is b or (isinstance(a, fields) and isinstance(b, fields)
+                      and a.mesh is b.mesh and a.values.tobytes() == b.values.tobytes())
 
 
 def _modular_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) -> float:

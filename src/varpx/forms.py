@@ -30,13 +30,21 @@ _FOLDS = {"add": operator.add, "mul": operator.mul}
 
 
 class Expr:
-    """Base node; subclasses implement evaluate() and free_vars()."""
+    """Base node; subclasses implement evaluate(), free_vars() and
+    _key(), what two nodes of one type must share to be equal.  Equal
+    trees evaluate to the same bits in the same environment."""
 
     def evaluate(self, env):
         raise NotImplementedError
 
     def free_vars(self):
         raise NotImplementedError
+
+    def _key(self):
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
 
 
 class Const(Expr):
@@ -48,6 +56,9 @@ class Const(Expr):
 
     def free_vars(self):
         return set()
+
+    def _key(self):
+        return self.value.hex()  # bit for bit: 0.0 and -0.0 differ
 
 
 class Var(Expr):
@@ -61,6 +72,9 @@ class Var(Expr):
 
     def free_vars(self):
         return {self.name}
+
+    def _key(self):
+        return self.name
 
 
 class Fold(Expr):
@@ -79,6 +93,9 @@ class Fold(Expr):
     def free_vars(self):
         return set().union(*(t.free_vars() for t in self.terms))
 
+    def _key(self):
+        return self.op, self.terms
+
 
 class Pow(Expr):
     def __init__(self, base, exp):
@@ -91,6 +108,9 @@ class Pow(Expr):
 
     def free_vars(self):
         return self.base.free_vars() | self.exp.free_vars()
+
+    def _key(self):
+        return self.base, self.exp
 
 
 def parse_expr(obj, path="expr") -> Expr:

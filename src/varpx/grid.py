@@ -198,6 +198,11 @@ class Mesh:
     def max_distance(self) -> float:
         return float(self.distance.max())
 
+    @property
+    def longest_side(self) -> float:
+        """Longest side of the domain's bounding box."""
+        return float(np.ptp(self.nodes, axis=0).max())
+
     def interpolate(self, nodal_values: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the nodal interpolant at arbitrary points inside the
         domain (linear on intervals, bilinear on the tensor grid)."""

@@ -3,13 +3,18 @@
 Freezing the state (z1, z2) decouples the system: each component then
 solves an independent scalar Dirichlet problem whose data is the
 nonlinearity evaluated at the frozen state, and whose Newton solve
-starts at the frozen state itself.  Iterating that map with damping,
-starting from the lower barrier (or from a given state clamped into
-the barrier box, such as a coarse solution prolongated to a finer mesh)
-and clamping back into the box after each step, realizes the existence
-argument as a computation: convergence is certified by a small step
-norm AND a small weak residual of the coupled system at the final
-iterate, with set membership recorded at every step.
+starts at the frozen state itself.  When the two problems coincide bit
+for bit (same exponent, data and start, as in a symmetric system), the
+map solves it once, and the residual and the Luxemburg gradient norms
+are likewise evaluated once for both components.
+
+Iterating that map with damping, starting from the lower barrier (or
+from a given state clamped into the barrier box, such as a coarse
+solution prolongated to a finer mesh) and clamping back into the box
+after each step, realizes the existence argument as a computation:
+convergence is certified by a small step norm AND a small weak residual
+of the coupled system at the final iterate, with set membership
+recorded at every step.
 
 A state means nothing apart from its problem and the barrier pair whose
 invariant set it is tested against, so a ``SystemState`` carries both:
@@ -75,9 +80,10 @@ class SystemState:
     @cached_property
     def grad_lux_norm(self) -> tuple:
         mesh = self.spec.mesh
-        return tuple(expspace.luxemburg_norm_from_samples(
-            zi.grad_norm[mesh.qcells], pi.at_quad(), mesh.qweights)
-            for zi, pi in zip(self.z, self.spec.p))
+        return tuple(expspace.per_distinct(
+            lambda p, z: expspace.luxemburg_norm_from_samples(
+                z.grad_norm[mesh.qcells], p.at_quad(), mesh.qweights),
+            self.spec.p, self.z))
 
     @cached_property
     def frozen(self) -> tuple:
@@ -140,12 +146,16 @@ class IterationReport:
 
 
 def apply_map(state: SystemState, opts: SolverOptions | None = None) -> tuple:
-    """One application of the frozen-state map: two independent scalar
-    solves, giving the pair (u1, u2).  Component order is irrelevant as
-    the frozen data decouples them.  Component i's Newton starts at the
-    frozen state's own ``z[i]``, which is exact at a fixed point."""
-    return tuple(plaplace.solve_dirichlet(state.spec.p[i], hq, opts, start=state.z[i])
-                 .checked(f"component {i+1} solve") for i, hq in enumerate(state.frozen))
+    """One application of the frozen-state map: a scalar solve per
+    component, giving the pair (u1, u2).  Component order is irrelevant
+    as the frozen data decouples them.  Component i's Newton starts at
+    the frozen state's own ``z[i]``, which is exact at a fixed point.
+    Two components whose exponent, data and start agree bit for bit pose
+    one problem: it is solved once, and both read the same field."""
+    solves = expspace.per_distinct(
+        lambda p, h, z: plaplace.solve_dirichlet(p, h, opts, start=z),
+        state.spec.p, state.frozen, state.z)
+    return tuple(res.checked(f"component {i+1} solve") for i, res in enumerate(solves))
 
 
 def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
@@ -180,9 +190,9 @@ def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
 def coupled_residual(state: SystemState):
     """Weak residual of each component equation with the nonlinearity
     evaluated at the state itself (zero exactly at a discrete fixed
-    point)."""
-    return tuple(plaplace.weak_residual(p, z, h)
-                 for p, z, h in zip(state.spec.p, state.z, state.frozen))
+    point); components that agree bit for bit share one evaluation."""
+    return tuple(expspace.per_distinct(plaplace.weak_residual,
+                                       state.spec.p, state.z, state.frozen))
 
 
 def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import grid, plaplace, sysfix
 from .barriers import BarrierPair, ProblemSpec
-from .expspace import ExponentField, per_exponent
+from .expspace import ExponentField, per_distinct
 from .grid import GridFunction, Mesh
 from .plaplace import ScalarSolveResult
 
@@ -152,7 +152,7 @@ def estimate_audits(ps, kinds, torsions) -> list:
         return [run[kind](family) for kind in kinds]
 
     return [replace(a, name=f"{kind}_estimate_p{i + 1}")
-            for i, per in enumerate(per_exponent(ps, audits, torsions))
+            for i, per in enumerate(per_distinct(audits, ps, torsions))
             for kind, a in zip(kinds, per)]
 
 
@@ -190,10 +190,13 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
 
 def mvt_tolerance(mesh: Mesh, solver_residual: float) -> float:
     """5 x (solver residual + quadrature tolerance); the quadrature term
-    is the h^2 consistency scale of the P1 pipeline, but no smaller than
-    the rounding of a sum over the quadrature points, which bounds how
-    well gamma_hat, a ratio of two such sums, is known on any domain."""
-    return 5.0 * (solver_residual + max(mesh.h ** 2, mesh.qweights.size * _EPS))
+    is the (h/l)^2 consistency scale of the P1 pipeline, with l the
+    longest side of the domain, so that it is dimensionless like
+    gamma_hat; but no smaller than the rounding of a sum over the
+    quadrature points, which bounds how well gamma_hat, a ratio of two
+    such sums, is known on any domain."""
+    rel_h = mesh.h / mesh.longest_side
+    return 5.0 * (solver_residual + max(rel_h ** 2, mesh.qweights.size * _EPS))
 
 
 def random_lipschitz_field(mesh: Mesh, rng: np.random.Generator, lo: float,
@@ -314,7 +317,7 @@ def mvt_sampling(ps, rng: np.random.Generator, torsions) -> list:
                 "verdict": "pass" if all(c["ok"] for c in checks) else "fail"}
 
     return [{"name": f"mvt_sampling_p{i + 1}", **entry}
-            for i, entry in enumerate(per_exponent(ps, sample, torsions))]
+            for i, entry in enumerate(per_distinct(sample, ps, torsions))]
 
 
 def certificate_to_json(cert: dict) -> str:

@@ -17,6 +17,20 @@ def config_path(name):
     return os.path.join(CONFIG_DIR, name)
 
 
+def count_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of ``owner.name``, which
+    ``monkeypatch`` wraps until it is undone."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def assert_power_bounds(u, p):
     """norm^pmin <= modular <= norm^pmax when the norm exceeds one, and
     norm^pmax <= modular <= norm^pmin otherwise, to quadrature tolerance.

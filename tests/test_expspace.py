@@ -8,7 +8,7 @@ from varpx import (DomainSpec, ExponentField, GridFunction, build_mesh, expspace
                    grid, luxemburg_norm, modular)
 from varpx.errors import BisectionError, NonFiniteFieldError
 
-from conftest import assert_power_bounds, power_norm_bracket
+from conftest import assert_power_bounds, count_calls, power_norm_bracket
 
 
 def mesh1d(n=256):
@@ -243,15 +243,8 @@ def test_modular_norm_power_bounds_property(dim, n, base, amp, freq, seed, log_s
 
 def _modular_evals(monkeypatch, vals, exps, weights):
     """Number of ``_modular_quad`` calls one Luxemburg norm makes."""
-    calls = []
-    orig = expspace._modular_quad
-
-    def counted(*args):
-        calls.append(1)
-        return orig(*args)
-
     with monkeypatch.context() as patch:
-        patch.setattr(expspace, "_modular_quad", counted)
+        calls = count_calls(patch, expspace, "_modular_quad")
         expspace._lux_quad(vals, exps, weights)
     return len(calls)
 

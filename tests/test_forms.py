@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from varpx.cli import parse_config
 from varpx.errors import ConfigError
 from varpx.forms import evaluate_spatial, parse_expr, spatial_only
+
+from conftest import config_path
 
 
 def test_parse_constants_and_variables():
@@ -59,3 +64,38 @@ def test_nested_errors_name_their_config_path(obj, where):
     with pytest.raises(ConfigError) as exc:
         parse_expr(obj, "$.f[0]")
     assert where in str(exc.value)
+
+
+_F = {"add": [{"mul": [{"pow": {"base": "s1", "exp": -0.05}},
+                       {"pow": {"base": "s2", "exp": {"mul": [0.5, "x"]}}}]},
+              {"mul": [0.25, {"pow": {"base": "xi1", "exp": 0.5}}]}]}
+
+
+def test_trees_parsed_from_the_same_json_are_equal():
+    a, b = parse_expr(_F), parse_expr(json.loads(json.dumps(_F)))
+    assert a is not b and a == b
+
+
+@pytest.mark.parametrize("old, new", [
+    ('{"add": [{"mul"', '{"mul": [{"mul"'),            # add against mul
+    ('"exp": -0.05', '"exp": -0.06'),                   # a constant
+    ('[0.5, "x"]', '[0.5, "y"]'),                       # a spatial exponent
+], ids=["fold-op", "const", "spatial-exp"])
+def test_trees_that_differ_are_unequal(old, new):
+    text = json.dumps(_F, separators=(", ", ": "))
+    assert old in text
+    assert parse_expr(json.loads(text)) != parse_expr(json.loads(text.replace(old, new)))
+
+
+def test_signed_zero_constants_are_unequal():
+    # equal trees must give equal bits, and 0.0 and -0.0 can give different ones
+    assert parse_expr(0.0) != parse_expr(-0.0)
+    assert parse_expr(0.0) == parse_expr({"const": 0})
+
+
+@pytest.mark.parametrize("name, shared", [("singular.json", True),
+                                          ("benchmark.json", False)])
+def test_spec_knows_whether_its_nonlinearities_agree(name, shared):
+    with open(config_path(name)) as f:
+        spec = parse_config(f.read(), mesh_n=16).problem
+    assert spec.f[0] is not spec.f[1] and spec.shared_f is shared

@@ -12,8 +12,8 @@ from varpx.barriers import resolve_delta
 from varpx.cli import parse_config
 from varpx.plaplace import solve_dirichlet
 
-from conftest import (benchmark_spec, config_path, envelope_spec, singular_spec,
-                      trivial_spec)
+from conftest import (benchmark_spec, config_path, count_calls, envelope_spec,
+                      singular_spec, trivial_spec)
 
 
 def setup_positive(n=128, spec_fn=benchmark_spec):
@@ -21,6 +21,10 @@ def setup_positive(n=128, spec_fn=benchmark_spec):
     spec = spec_fn(m)
     cal = calibrate_barriers(spec)
     return m, spec, cal
+
+
+def setup_singular(n=64):
+    return setup_positive(n, singular_spec)
 
 
 def test_constant_map_fixed_point_two_iterations():
@@ -64,6 +68,66 @@ def test_decoupling_matches_componentwise_solves():
     # bit-level: the map is literally two independent solves
     assert np.array_equal(u1.values, d1)
     assert np.array_equal(u2.values, d2)
+
+
+def test_symmetric_map_solves_once(monkeypatch):
+    # the singular spec's components pose one problem bit for bit at every
+    # iterate: each map solves it once and both components read the field
+    from varpx import plaplace, sysfix
+    m, spec, cal = setup_singular()
+    mapped = _record_map(monkeypatch, sysfix)
+    solves = count_calls(monkeypatch, plaplace, "solve_dirichlet")
+    _, rep = fixed_point_iterate(spec, cal.pair)
+    assert rep.iters > 1 and len(solves) == len(mapped) == rep.iters
+    assert all(u1 is u2 for _, (u1, u2) in mapped)
+    st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
+    u1, u2 = apply_map(st)
+    h1, h2 = st.frozen
+    d1 = solve_dirichlet(spec.p1, h1, start=st.z[0]).u.values
+    d2 = solve_dirichlet(spec.p2, h2, start=st.z[1]).u.values
+    assert np.array_equal(u1.values, d1) and np.array_equal(u2.values, d2)
+
+
+def test_components_one_ulp_apart_are_solved_apart(monkeypatch):
+    from varpx import expspace, plaplace
+    m, spec, cal = setup_singular()
+    z1 = cal.pair.under[0]
+    v = z1.values.copy()
+    k = m.interior_nodes[len(m.interior_nodes) // 3]
+    v[k] = np.nextafter(v[k], np.inf)
+    z2 = GridFunction(m, v, zero_trace=True)
+    solves = count_calls(monkeypatch, plaplace, "solve_dirichlet")
+    residuals = count_calls(monkeypatch, plaplace, "weak_residual")
+    norms = count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
+    st = SystemState.build(spec, cal.pair, z1, z2)
+    u1, u2 = apply_map(st)
+    coupled_residual(st), st.grad_lux_norm
+    assert (len(solves), len(residuals), len(norms)) == (2, 2, 2)
+    assert u1 is not u2
+
+
+def test_asymmetric_spec_counts_stay_per_component(monkeypatch):
+    from varpx import plaplace
+    from varpx.barriers import ProblemSpec
+    m, spec, cal = setup_positive(64)
+    assert not spec.shared_f
+    solves = count_calls(monkeypatch, plaplace, "solve_dirichlet")
+    residuals = count_calls(monkeypatch, plaplace, "weak_residual")
+    f_evals = count_calls(monkeypatch, ProblemSpec, "evaluate_f")
+    _, rep = fixed_point_iterate(spec, cal.pair)
+    assert rep.iters > 1
+    assert (len(solves), len(residuals)) == (2 * rep.iters, 2 * rep.iters)
+    assert len(f_evals) == 2 * (rep.iters + 1)
+
+
+def test_shared_nonlinearity_evaluated_once(monkeypatch):
+    from varpx.barriers import ProblemSpec
+    m, spec, cal = setup_singular()
+    assert spec.shared_f
+    f_evals = count_calls(monkeypatch, ProblemSpec, "evaluate_f")
+    st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.over[1])
+    h1, h2 = st.frozen
+    assert len(f_evals) == 1 and h1 is h2
 
 
 def test_freeze_rhs_finite_and_positive():
@@ -219,9 +283,7 @@ def test_clamped_step_stays_in_box_property(calibrated, dim, name, theta, seed):
 
 
 def test_singular_regime_full_loop():
-    m = build_mesh(DomainSpec.interval(0, 1), 128)
-    spec = singular_spec(m)
-    cal = calibrate_barriers(spec)
+    m, spec, cal = setup_singular(128)
     caps = calibrate_caps(spec, cal.pair)
     assert caps.L > 1.0 and caps.L_tilde > 0.0
     sol, rep = caps.solution, caps.report
@@ -240,9 +302,7 @@ def test_calibrate_caps_rejects_a_positive_sum_spec():
 
 
 def test_negative_sum_membership_needs_caps():
-    m = build_mesh(DomainSpec.interval(0, 1), 64)
-    spec = singular_spec(m)
-    cal = calibrate_barriers(spec)
+    m, spec, cal = setup_singular()
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
     ext = st.extremes()
     for caps in ((), (4.0,), (None, 4.0)):
@@ -260,18 +320,6 @@ def test_trace_report_roundtrip():
     assert len(d["step_norms"]) == rep.iters
     assert len(d["residuals"]) == rep.iters
     assert d["converged"] is True
-
-
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    orig = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 def _record_map(monkeypatch, sysfix):
@@ -301,7 +349,7 @@ def test_pipeline_maps_once_per_cap_search(monkeypatch):
         return searches[-1]
 
     monkeypatch.setattr(sysfix, "calibrate_caps", recorded)
-    maps = _count_calls(monkeypatch, sysfix, "apply_map")
+    maps = count_calls(monkeypatch, sysfix, "apply_map")
     pv = cli.run_pipeline(cfg)
     assert pv.report is searches[-1].report
     assert len(maps) == sum(s.report.iters for s in searches)
@@ -310,7 +358,7 @@ def test_pipeline_maps_once_per_cap_search(monkeypatch):
 def test_positive_regime_iteration_runs_no_luxemburg_bisection(monkeypatch):
     from varpx import expspace
     m, spec, cal = setup_positive(64)
-    bisections = _count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
+    bisections = count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
     _, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged and bisections == []
 
@@ -318,13 +366,8 @@ def test_positive_regime_iteration_runs_no_luxemburg_bisection(monkeypatch):
 @pytest.mark.parametrize("singular", [False, True])
 def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
     from varpx import barriers
-    if singular:
-        m = build_mesh(DomainSpec.interval(0, 1), 64)
-        spec = singular_spec(m)
-        cal = calibrate_barriers(spec)
-    else:
-        m, spec, cal = setup_positive(64)
-    evals = _count_calls(monkeypatch, barriers, "frozen_rhs_quad")
+    m, spec, cal = setup_singular() if singular else setup_positive(64)
+    evals = count_calls(monkeypatch, barriers, "frozen_rhs_quad")
     _, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.iters > 1
     assert len(evals) == rep.iters + 1
@@ -335,13 +378,8 @@ def test_state_takes_each_gradient_norm_once(monkeypatch, singular):
     # the frozen data, the membership extremes and the Luxemburg gradient
     # norms all read the fields' own grad_norm, which each field computes once
     from varpx import grid
-    if singular:
-        m = build_mesh(DomainSpec.interval(0, 1), 64)
-        spec = singular_spec(m)
-        cal = calibrate_barriers(spec)
-    else:
-        m, spec, cal = setup_positive(64)
-    calls = _count_calls(monkeypatch, grid, "gradient")
+    m, spec, cal = setup_singular() if singular else setup_positive(64)
+    calls = count_calls(monkeypatch, grid, "gradient")
     z = [GridFunction(m, u.values, zero_trace=True) for u in cal.pair.over]
     state = SystemState.build(spec, cal.pair, *z)
     state.frozen, state.extremes(), state.grad_lux_norm, state.extremes()
@@ -354,9 +392,7 @@ def test_singular_iterate_computes_each_field_gradient_once(monkeypatch):
     # everything that reads a clamped iterate shares the ones it carries
     import sys
     from varpx import grid
-    m = build_mesh(DomainSpec.interval(0, 1), 64)
-    spec = singular_spec(m)
-    cal = calibrate_barriers(spec)
+    m, spec, cal = setup_singular()
     orig = grid.cell_gradients
     callers = []
 
@@ -376,16 +412,15 @@ def test_singular_iterate_computes_each_field_gradient_once(monkeypatch):
 
 def test_cap_search_reads_caps_off_one_run(monkeypatch):
     from varpx import expspace, sysfix
-    m = build_mesh(DomainSpec.interval(0, 1), 128)
-    spec = singular_spec(m)
-    cal = calibrate_barriers(spec)
+    m, spec, cal = setup_singular(128)
     mapped = _record_map(monkeypatch, sysfix)
-    bisections = _count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
+    bisections = count_calls(monkeypatch, expspace, "luxemburg_norm_from_samples")
     caps = calibrate_caps(spec, cal.pair)
     rep = caps.report
-    # two components each: the initial state, then per iteration the raw
-    # map output (membership) and the clamped iterate (the cap rule)
-    assert len(bisections) == 2 * (2 * rep.iters + 1)
+    # the initial state, then per iteration the raw map output (membership)
+    # and the clamped iterate (the cap rule); the components agree bit for
+    # bit, so each state takes one norm for both
+    assert len(bisections) == 2 * rep.iters + 1
     assert rep.caps == (caps.L, caps.L_tilde) and "caps" not in rep.as_dict()
     assert caps.pilot_iters == rep.iters == len(mapped) and rep.converged
     clamped = [z for z, _ in mapped] + [caps.solution]

@@ -12,7 +12,7 @@ from varpx.errors import MeshCompatibilityError
 from varpx.verify import (DEFAULT_SCALES, certificate_to_json, mvt_tolerance,
                           random_lipschitz_field, random_sign_constant_test)
 
-from conftest import benchmark_spec, singular_spec
+from conftest import benchmark_spec, count_calls, singular_spec
 
 
 def mesh1d(n):
@@ -102,6 +102,14 @@ def test_mvt_ratio_judges_against_the_data_scale(length, scale):
     res = solve_dirichlet(p, h)
     got = mvt_ratio(p, res.u, h, GridFunction.constant(m, 1.0), res.u)
     assert got == pytest.approx(1.0, rel=0, abs=mvt_tolerance(m, res.residual))
+
+
+def test_mvt_tolerance_is_free_of_the_domain_scale():
+    # gamma_hat is dimensionless, so its tolerance must not grow with the
+    # domain: a squared length there passed every check on a long interval
+    tols = [mvt_tolerance(build_mesh(DomainSpec.interval(0.0, b), 64), 1e-9)
+            for b in (1.0, 1e3)]
+    assert tols[0] == tols[1] < 0.01
 
 
 def test_mvt_rejects_sign_changing_phi():
@@ -293,32 +301,22 @@ def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, family_sol
     m, spec, cal, sol, rep = _small_run(spec_fn=spec_fn)
     expected = solution_certificate(spec, sol, cal.pair, rep,
                                     rng=np.random.default_rng(5))
-    calls = {"frozen": 0, "residual": 0, "solve": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(barriers, "frozen_rhs_quad",
-                        counting("frozen", barriers.frozen_rhs_quad))
-    monkeypatch.setattr(plaplace, "weak_residual",
-                        counting("residual", plaplace.weak_residual))
-    monkeypatch.setattr(plaplace, "solve_dirichlet",
-                        counting("solve", plaplace.solve_dirichlet))
+    frozen = count_calls(monkeypatch, barriers, "frozen_rhs_quad")
+    residuals = count_calls(monkeypatch, plaplace, "weak_residual")
+    solves = count_calls(monkeypatch, plaplace, "solve_dirichlet")
     cert = solution_certificate(spec, sol, cal.pair, rep,
                                 rng=np.random.default_rng(5))
     assert certificate_to_json(cert) == certificate_to_json(expected)
-    assert calls["frozen"] == 1
+    assert len(frozen) == 1
+    distinct = family_solves // len(DEFAULT_SCALES)
     # solves report their residual from the data they already hold, so
-    # only the two component residuals at the solution call weak_residual
-    assert calls["residual"] == 2
+    # only the component residuals at the solution call weak_residual, one
+    # per distinct component: the singular spec's agree bit for bit
+    assert len(residuals) == distinct
     # every solve is an audit solve: one per scale and distinct exponent,
     # shared by both audits, none for a component whose exponent equals
     # the first one's, and none at scale 1, where the pair's torsion serves
-    distinct = family_solves // len(DEFAULT_SCALES)
-    assert calls["solve"] == family_solves - distinct
+    assert len(solves) == family_solves - distinct
 
 
 def test_certificate_audits_solve_with_the_calibration_options(monkeypatch):
