@@ -35,7 +35,7 @@ from .errors import ConfigError, EnvelopeError, MixedSignError
 from .expspace import ExponentField, per_distinct
 from .grid import DomainSpec
 from .plaplace import SolverOptions
-from .sysfix import IterationOptions
+from .sysfix import IterationOptions, SystemState
 
 _DEFAULT_OUTPUTS = {
     "fields_csv": "fields.csv",
@@ -127,7 +127,7 @@ def _exponent_pair(mesh, obj, path):
         raise ConfigError(path, "expected a two-element list of expressions")
     out = []
     for i, e in enumerate(obj):
-        expr = forms.spatial_only(forms.parse_expr(e, f"{path}[{i}]"), f"{path}[{i}]")
+        expr = forms.parse_expr(e, f"{path}[{i}]", forms.SPATIAL[:mesh.dim])
         vals = forms.evaluate_spatial(expr, mesh.nodes)
         if not np.all(np.isfinite(vals)):
             raise ConfigError(f"{path}[{i}]", "exponent is not finite at every mesh node")
@@ -152,7 +152,8 @@ def _materialize(raw: dict, mesh) -> ProblemSpec:
     fobj = _get(raw, "f", "$", list)
     if not isinstance(fobj, list) or len(fobj) != 2:
         raise ConfigError("$.f", "expected a two-element list of expressions")
-    f = tuple(forms.parse_expr(e, f"$.f[{i}]") for i, e in enumerate(fobj))
+    names = forms.SPATIAL[:mesh.dim] + forms.STATE
+    f = tuple(forms.parse_expr(e, f"$.f[{i}]", names) for i, e in enumerate(fobj))
     p1, p2 = ex.pop("p")
     try:
         return ProblemSpec(mesh=mesh, p1=p1, p2=p2, **ex, **mM, f=f,
@@ -182,8 +183,9 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     _known_keys(raw, "$", _TOP_KEYS)
 
     domain = _parse_domain(_get(raw, "domain", "$", dict))
-    resolution = _resolution(mesh_n if mesh_n is not None else
-                             _get(raw, "resolution", "$", int))
+    resolution = _resolution(_get(raw, "resolution", "$", int))
+    if mesh_n is not None:  # the mesh is built at the override
+        resolution = _resolution(mesh_n)
     mesh = grid.build_mesh(domain, resolution)
     problem = _materialize(raw, mesh)
 
@@ -222,64 +224,49 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
                      seed=seed, raw=raw)
 
 
-@dataclass
-class PipelineResult:
-    problem: ProblemSpec
-    calibration: bmod.CalibrationResult
-    solution: tuple
-    report: sysfix.IterationReport
-
-
 def run_pipeline(config: RunConfig, mesh_n: int | None = None,
-                 coarse: PipelineResult | None = None) -> PipelineResult:
-    """Calibrate and iterate; no audits, no artifacts.
+                 coarse: SystemState | None = None) -> tuple:
+    """Calibrate and iterate; no audits, no artifacts.  Returns the
+    iteration's final SystemState, which carries the problem and the
+    barrier pair it ran with, and its IterationReport.
 
-    With ``coarse``, a run on a coarser mesh, the iteration starts at its
-    solution interpolated to this mesh and clamped into this run's
-    barrier box (nested iteration); otherwise at the lower barrier.
-    Membership is judged on every raw map output either way, and in the
-    singular regime the caps are read off this run's own clamped
-    iterates, the interpolated start included."""
+    With ``coarse``, the final state of a run on a coarser mesh, the
+    iteration starts at its fields interpolated to this mesh and clamped
+    into this run's barrier box (nested iteration); otherwise at the
+    lower barrier.  Membership is judged on every raw map output either
+    way, and in the singular regime the caps are read off this run's own
+    clamped iterates, the interpolated start included."""
     problem = config.problem
     if mesh_n is not None and mesh_n != config.resolution:
         problem = _materialize(config.raw, grid.build_mesh(config.domain, mesh_n))
     mesh = problem.mesh
     init = None if coarse is None else tuple(
-        grid.GridFunction(mesh, coarse.problem.mesh.interpolate(z.values, mesh.nodes))
-        for z in coarse.solution)
+        grid.GridFunction(mesh, grid.interpolate(mesh.domain, z.values, mesh.nodes))
+        for z in coarse.z)
 
     cal = bmod.calibrate_barriers(problem, config.solver)
     if problem.hypotheses.regime is Regime.POSITIVE_SUM:
-        solution, report = sysfix.fixed_point_iterate(
-            problem, cal.pair, init=init, opts=config.iteration,
-            solver_opts=config.solver)
-    else:
-        # check each found cap against the pair it ran with, escalating C at
-        # that cap until it holds; the check only tightens as L grows, so this
-        # ends once the cap stops growing or the C search passes 2^20
-        while True:
-            cres = sysfix.calibrate_caps(problem, cal.pair, opts=config.iteration,
-                                         solver_opts=config.solver, init=init)
-            if bmod.check_barriers_singular_regime(problem, cal.pair, cres.L).ok:
-                break
-            cal = bmod.calibrate_barriers(problem, config.solver, L=cres.L)
-        solution, report = cres.solution, cres.report
-    return PipelineResult(problem=problem, calibration=cal,
-                          solution=solution, report=report)
+        return sysfix.fixed_point_iterate(problem, cal.pair, init=init,
+                                          opts=config.iteration,
+                                          solver_opts=config.solver)
+    # check each found cap against the pair it ran with, escalating C at
+    # that cap until it holds; the check only tightens as L grows, so this
+    # ends once the cap stops growing or the C search passes 2^20
+    while True:
+        cres = sysfix.calibrate_caps(problem, cal.pair, opts=config.iteration,
+                                     solver_opts=config.solver, init=init)
+        if bmod.check_barriers_singular_regime(problem, cal.pair, cres.L).ok:
+            return cres.solution, cres.report
+        cal = bmod.calibrate_barriers(problem, config.solver, L=cres.L)
 
 
-def _write_fields_csv(path, pipeline: PipelineResult):
-    mesh = pipeline.problem.mesh
-    cols = {
-        "u1": pipeline.solution[0].values,
-        "u2": pipeline.solution[1].values,
-        "d": mesh.distance,
-        "under1": pipeline.calibration.pair.under[0].values,
-        "over1": pipeline.calibration.pair.over[0].values,
-        "under2": pipeline.calibration.pair.under[1].values,
-        "over2": pipeline.calibration.pair.over[1].values,
-    }
-    grid.export_csv(path, mesh, cols)
+def _write_fields_csv(path, state: SystemState):
+    (u1, u2), pair = state.z, state.pair
+    grid.export_csv(path, state.spec.mesh, {
+        "u1": u1.values, "u2": u2.values, "d": state.spec.mesh.distance,
+        "under1": pair.under[0].values, "over1": pair.over[0].values,
+        "under2": pair.under[1].values, "over2": pair.over[1].values,
+    })
 
 
 def run(config: RunConfig, out_dir: str = ".") -> int:
@@ -287,18 +274,16 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
     (0 converged and all audits pass, else 2) and raises on failure."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {k: os.path.join(out_dir, v) for k, v in config.outputs.items()}
-    pipeline = run_pipeline(config)
-    refined = run_pipeline(config, mesh_n=2 * pipeline.problem.mesh.n, coarse=pipeline)
-    cert = verify.solution_certificate(
-        pipeline.problem, pipeline.solution, pipeline.calibration.pair,
-        pipeline.report, refined=refined.solution, refined_report=refined.report,
-        rng=np.random.default_rng(config.seed))
-    _write_fields_csv(paths["fields_csv"], pipeline)
+    state, report = run_pipeline(config)
+    refined = run_pipeline(config, mesh_n=2 * state.spec.mesh.n, coarse=state)
+    cert = verify.solution_certificate(state, report, refined=refined,
+                                       rng=np.random.default_rng(config.seed))
+    _write_fields_csv(paths["fields_csv"], state)
     with open(paths["trace_json"], "w") as f:
-        f.write(verify.certificate_to_json(pipeline.report.as_dict()))
+        f.write(verify.certificate_to_json(report.as_dict()))
     with open(paths["certificate_json"], "w") as f:
         f.write(verify.certificate_to_json(cert))
-    ok = pipeline.report.converged and cert["all_audits_pass"]
+    ok = report.converged and cert["all_audits_pass"]
     return 0 if ok else 2
 
 
@@ -319,12 +304,12 @@ def _sweep_row(raw, param, value, mesh_n):
            "error": ""}
     try:
         cfg = parse_config(json.dumps(cfg_dict), mesh_n=mesh_n)
-        pv = run_pipeline(cfg)
-        sandwich = verify.sandwich_audit(pv.solution)
-        row.update(converged=pv.report.converged, iters=pv.report.iters,
+        state, report = run_pipeline(cfg)
+        sandwich = verify.sandwich_audit(state.z)
+        row.update(converged=report.converged, iters=report.iters,
                    c0=sandwich["c0"], c1=sandwich["c1"],
-                   member=all(pv.report.membership_trace),
-                   residual=pv.report.residuals[-1])
+                   member=all(report.membership_trace),
+                   residual=report.residuals[-1])
     except Exception as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -402,6 +387,9 @@ def main(argv=None) -> int:
             raw = json.loads(text)
             _path_parent(raw, args.param)
             if args.mesh_n is not None:
+                if args.param == "resolution":
+                    raise ConfigError("--mesh-n", "cannot be combined with "
+                                      "--param resolution, which sets the mesh")
                 _resolution(args.mesh_n)
             if not args.values:
                 raise ConfigError("--values", "expected at least one value")

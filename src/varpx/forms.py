@@ -14,6 +14,10 @@ Grammar (JSON):
     {"pow": {"base": e, "exp": e_spatial}}  -> power; the exponent may
         reference only x and y so that it materializes as an exponent
         field on the mesh.
+
+Which variables a tree may reference is fixed when it is parsed, by the
+names its context allows (an exponent: the coordinates of the mesh's
+dimension), so a parsed tree never reads a variable its context lacks.
 """
 
 from __future__ import annotations
@@ -24,20 +28,18 @@ import numpy as np
 
 from .errors import ConfigError
 
-VARIABLES = ("x", "y", "s1", "s2", "xi1", "xi2")
 SPATIAL = ("x", "y")
+STATE = ("s1", "s2", "xi1", "xi2")
+VARIABLES = SPATIAL + STATE
 _FOLDS = {"add": operator.add, "mul": operator.mul}
 
 
 class Expr:
-    """Base node; subclasses implement evaluate(), free_vars() and
-    _key(), what two nodes of one type must share to be equal.  Equal
-    trees evaluate to the same bits in the same environment."""
+    """Base node; subclasses implement evaluate() and _key(), what two
+    nodes of one type must share to be equal.  Equal trees evaluate to
+    the same bits in the same environment."""
 
     def evaluate(self, env):
-        raise NotImplementedError
-
-    def free_vars(self):
         raise NotImplementedError
 
     def _key(self):
@@ -54,9 +56,6 @@ class Const(Expr):
     def evaluate(self, env):
         return self.value
 
-    def free_vars(self):
-        return set()
-
     def _key(self):
         return self.value.hex()  # bit for bit: 0.0 and -0.0 differ
 
@@ -66,12 +65,7 @@ class Var(Expr):
         self.name = name
 
     def evaluate(self, env):
-        if self.name not in env:
-            raise ConfigError("var", f"variable {self.name!r} not available here")
         return env[self.name]
-
-    def free_vars(self):
-        return {self.name}
 
     def _key(self):
         return self.name
@@ -90,9 +84,6 @@ class Fold(Expr):
             out = self.op(out, t.evaluate(env))
         return out
 
-    def free_vars(self):
-        return set().union(*(t.free_vars() for t in self.terms))
-
     def _key(self):
         return self.op, self.terms
 
@@ -106,21 +97,20 @@ class Pow(Expr):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return np.power(self.base.evaluate(env), self.exp.evaluate(env))
 
-    def free_vars(self):
-        return self.base.free_vars() | self.exp.free_vars()
-
     def _key(self):
         return self.base, self.exp
 
 
-def parse_expr(obj, path="expr") -> Expr:
-    """Parse the JSON form of the grammar; errors carry the offending path."""
+def parse_expr(obj, path="expr", names=VARIABLES) -> Expr:
+    """Parse the JSON form of the grammar, allowing the variables
+    ``names`` (and the spatial ones among them in a power's exponent);
+    errors carry the offending path."""
     if isinstance(obj, bool):
         raise ConfigError(path, "booleans are not expressions")
     if isinstance(obj, (int, float)):
         return _const(obj, path)
     if isinstance(obj, str):
-        return _var(obj, path)
+        return _var(obj, path, names)
     if isinstance(obj, dict):
         if len(obj) != 1:
             raise ConfigError(path, "expression node must have exactly one key")
@@ -128,25 +118,27 @@ def parse_expr(obj, path="expr") -> Expr:
         if key == "const":
             return _const(val, f"{path}.const")
         if key == "var":
-            return _var(val, f"{path}.var")
+            return _var(val, f"{path}.var", names)
         if key in _FOLDS:
             if not isinstance(val, list) or not val:
                 raise ConfigError(f"{path}.{key}", "needs a non-empty list")
-            return Fold(_FOLDS[key], (parse_expr(t, f"{path}.{key}[{i}]")
+            return Fold(_FOLDS[key], (parse_expr(t, f"{path}.{key}[{i}]", names)
                                       for i, t in enumerate(val)))
         if key == "pow":
             if not isinstance(val, dict) or set(val) != {"base", "exp"}:
                 raise ConfigError(f"{path}.pow", "needs {'base':..., 'exp':...}")
-            exp_path = f"{path}.pow.exp"
-            return Pow(parse_expr(val["base"], f"{path}.pow.base"),
-                       spatial_only(parse_expr(val["exp"], exp_path), exp_path))
+            return Pow(parse_expr(val["base"], f"{path}.pow.base", names),
+                       parse_expr(val["exp"], f"{path}.pow.exp",
+                                  tuple(n for n in names if n in SPATIAL)))
         raise ConfigError(path, f"unknown operation {key!r}")
     raise ConfigError(path, f"cannot parse {type(obj).__name__} as an expression")
 
 
-def _var(name, path) -> Var:
+def _var(name, path, names) -> Var:
     if name not in VARIABLES:
         raise ConfigError(path, f"unknown variable {name!r}")
+    if name not in names:
+        raise ConfigError(path, f"variable {name!r} not allowed here, only {list(names)}")
     return Var(name)
 
 
@@ -155,13 +147,6 @@ def _const(value, path) -> Const:
         return Const(value)
     except OverflowError:
         raise ConfigError(path, "expected a number, got an int beyond the float range")
-
-
-def spatial_only(expr: Expr, path="expr"):
-    extra = expr.free_vars() - set(SPATIAL)
-    if extra:
-        raise ConfigError(path, f"only x and y allowed here, got {sorted(extra)}")
-    return expr
 
 
 def spatial_env(points) -> dict:

@@ -12,6 +12,7 @@ their norms ``grad_norm``, a ``QuadField`` its load vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,7 +128,6 @@ class Mesh:
         ys = np.linspace(ay, by, n + 1)
         X, Y = np.meshgrid(xs, ys)  # Y varies along axis 0
         self.nodes = np.column_stack([X.ravel(), Y.ravel()])
-        self.xs, self.ys = xs, ys
 
         # from the grid indices, so no coordinate tolerance can misplace
         # a node of a far-shifted or tiny rectangle
@@ -203,29 +203,28 @@ class Mesh:
         """Longest side of the domain's bounding box."""
         return float(np.ptp(self.nodes, axis=0).max())
 
-    def interpolate(self, nodal_values: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate the nodal interpolant at arbitrary points inside the
-        domain (linear on intervals, bilinear on the tensor grid)."""
-        vals = np.asarray(nodal_values, dtype=float)
-        pts = np.asarray(points, dtype=float)
-        if self.dim == 1:
-            x = pts[..., 0] if pts.ndim > 1 else pts
-            return np.interp(x, self.nodes[:, 0], vals)
-        return bilinear(self.xs, self.ys, vals.reshape(self.n + 1, self.n + 1),
-                        pts[..., 0], pts[..., 1])
 
-
-def bilinear(xs: np.ndarray, ys: np.ndarray, table: np.ndarray, x, y):
-    """Bilinear interpolant of ``table[iy, ix]``, given at the tensor
-    grid of ascending ``xs`` and ``ys``, evaluated at the points (x, y)."""
-    ix = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
-    iy = np.clip(np.searchsorted(ys, y) - 1, 0, len(ys) - 2)
+def interpolate(domain: DomainSpec, table, points: np.ndarray) -> np.ndarray:
+    """Interpolant of the values ``table`` at the uniform grid of k points
+    per direction spanning ``domain``, ordered as a mesh's nodes (x
+    fastest), at ``points`` (one row per point): linear on intervals,
+    bilinear on rectangles.  The nodal values of a mesh are such a table."""
+    vals = np.asarray(table, dtype=float)
+    if domain.dim == 1:
+        return np.interp(points[:, 0], np.linspace(*domain.bounds, vals.size), vals)
+    k = math.isqrt(vals.size)
+    vals = vals.reshape(k, k)
+    ax, bx, ay, by = domain.bounds
+    xs, ys = np.linspace(ax, bx, k), np.linspace(ay, by, k)
+    x, y = points[:, 0], points[:, 1]
+    ix = np.clip(np.searchsorted(xs, x) - 1, 0, k - 2)
+    iy = np.clip(np.searchsorted(ys, y) - 1, 0, k - 2)
     tx = (x - xs[ix]) / (xs[ix + 1] - xs[ix])
     ty = (y - ys[iy]) / (ys[iy + 1] - ys[iy])
-    return ((1 - tx) * (1 - ty) * table[iy, ix]
-            + tx * (1 - ty) * table[iy, ix + 1]
-            + (1 - tx) * ty * table[iy + 1, ix]
-            + tx * ty * table[iy + 1, ix + 1])
+    return ((1 - tx) * (1 - ty) * vals[iy, ix]
+            + tx * (1 - ty) * vals[iy, ix + 1]
+            + (1 - tx) * ty * vals[iy + 1, ix]
+            + tx * ty * vals[iy + 1, ix + 1])
 
 
 def build_mesh(domain: DomainSpec, n: int) -> Mesh:

@@ -19,8 +19,9 @@ recorded at every step.
 A state means nothing apart from its problem and the barrier pair whose
 invariant set it is tested against, so a ``SystemState`` carries both:
 the map, the coupled residual and the membership extremes take the
-state alone, and its frozen data is evaluated once however many of them
-read it.
+state alone, and its frozen data and residuals are evaluated once
+however many of them read it.  The state the loop stops at is the run's
+solution, so what reads it afterwards (the certificate) reuses both.
 
 The underlying existence proof is non-constructive, so non-convergence
 of this particular iteration is a reported outcome, never an assertion
@@ -62,10 +63,10 @@ class IterationOptions:
 class SystemState:
     """Frozen state of one problem, tested against the invariant set of
     one barrier pair: the two fields, and what the map, the residual and
-    the membership test read from them.  The Luxemburg gradient norms and
-    the frozen data are computed on first read, so a state computes each
-    at most once and never one that nothing reads; the gradient norms
-    they share are the fields' own ``grad_norm``."""
+    the membership test read from them.  The Luxemburg gradient norms,
+    the frozen data and the residuals are computed on first read, so a
+    state computes each at most once and never one that nothing reads;
+    the gradient norms they share are the fields' own ``grad_norm``."""
 
     z: tuple                  # (GridFunction, GridFunction)
     spec: ProblemSpec = field(repr=False)
@@ -92,6 +93,13 @@ class SystemState:
         test of an iterate and the map application that follows share
         this one evaluation."""
         return bmod.frozen_rhs_quad(self.spec, self.pair, self.z)
+
+    @cached_property
+    def residuals(self) -> tuple:
+        """Per-component ``coupled_residual`` of the state; the function
+        is looked up by its module name on first read, so a wrapper bound
+        to that name applies."""
+        return coupled_residual(self)
 
     def extremes(self) -> list:
         """Cap-free membership inputs per component: (depth below
@@ -219,14 +227,16 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
     regime.
 
     Stops when the step norm <= tol_step AND the coupled weak residual
-    <= tol_residual.  Returns ((z1, z2), IterationReport).
+    <= tol_residual.  Returns (SystemState, IterationReport): the state
+    of the last iterate, whose frozen data and residuals the stop test
+    has already evaluated.
     """
     opts = opts or IterationOptions()
     regime = spec.hypotheses.regime
     singular = regime is Regime.NEGATIVE_SUM
 
-    z = _clamp(pair, [zi.values for zi in init or pair.under], singular)
-    state = SystemState.build(spec, pair, *z)
+    state = SystemState.build(spec, pair, *_clamp(
+        pair, [zi.values for zi in init or pair.under], singular))
     # negative-sum: (sup norm, Luxemburg gradient norm) per clamped iterate
     norms = [_cap_norms(state)] if singular else []
 
@@ -236,16 +246,15 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
         u = apply_map(state, solver_opts)
         extremes.append(SystemState.build(spec, pair, *u).extremes())
         damped = _clamp(pair, [(1.0 - opts.theta) * zi.values + opts.theta * ui.values
-                               for zi, ui in zip(z, u)], singular)
+                               for zi, ui in zip(state.z, u)], singular)
         steps.append(tuple(float(np.abs(di.values - zi.values).max())
-                           for di, zi in zip(damped, z)))
-        z = damped
+                           for di, zi in zip(damped, state.z)))
         del u  # free the map output's fields before the next map's solves
-        state = SystemState.build(spec, pair, *z)
+        state = SystemState.build(spec, pair, *damped)
         if singular:
             norms.append(_cap_norms(state))
 
-        residuals.append(max(coupled_residual(state)))
+        residuals.append(max(state.residuals))
         if max(steps[-1]) <= opts.tol_step and residuals[-1] <= opts.tol_residual:
             stopped = True
             break
@@ -264,7 +273,7 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
         # final map output to sit inside the invariant set
         converged=stopped and bool(verdicts[-1][0]),
         damping_used=opts.theta, caps=caps)
-    return z, report
+    return state, report
 
 
 def _clamp(pair: BarrierPair, values, singular: bool) -> tuple:
@@ -295,10 +304,10 @@ def _power_of_two_above(norm: float, start: float) -> float:
 
 @dataclass
 class CapsResult:
-    """Caps of the singular regime and the run they were read from, which
-    is the iteration's solution under these caps."""
+    """Caps of the singular regime and the run they were read from, whose
+    last state is the iteration's solution under these caps."""
 
-    solution: tuple
+    solution: SystemState
     report: IterationReport
 
     @property

@@ -21,11 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import grid, plaplace, sysfix
-from .barriers import BarrierPair, ProblemSpec
+from . import grid, plaplace
 from .expspace import ExponentField, per_distinct
 from .grid import GridFunction, Mesh
 from .plaplace import ScalarSolveResult
+from .sysfix import SystemState
 
 DEFAULT_SCALES = (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -204,17 +204,7 @@ def random_lipschitz_field(mesh: Mesh, rng: np.random.Generator, lo: float,
     """Piecewise-linear random field with a mesh-independent Lipschitz
     scale: random values at a coarse knot grid, interpolated, then
     rescaled to attain [lo, hi] exactly."""
-    if mesh.dim == 1:
-        a, b = mesh.domain.bounds
-        kx = np.linspace(a, b, knots)
-        kv = rng.normal(size=knots)
-        vals = np.interp(mesh.nodes[:, 0], kx, kv)
-    else:
-        ax, bx, ay, by = mesh.domain.bounds
-        kx = np.linspace(ax, bx, knots)
-        ky = np.linspace(ay, by, knots)
-        kv = rng.normal(size=(knots, knots))
-        vals = grid.bilinear(kx, ky, kv, mesh.nodes[:, 0], mesh.nodes[:, 1])
+    vals = grid.interpolate(mesh.domain, rng.normal(size=knots ** mesh.dim), mesh.nodes)
     vmin, vmax = vals.min(), vals.max()
     if vmax - vmin < 1e-12:
         vals = np.full_like(vals, 0.5 * (lo + hi))
@@ -270,22 +260,20 @@ def sandwich_audit(solution, refined=None, refined_report=None) -> dict:
     return out
 
 
-def mvt_spot_checks(spec: ProblemSpec, solution, frozen, residuals,
-                    rng: np.random.Generator) -> list:
-    """Mean-value checks on the solution's own component equations with
-    random Lipschitz weights and the solution itself as test field;
-    ``frozen`` holds each component's data at the solution and
-    ``residuals`` its weak residual against that data."""
-    mesh = spec.mesh
+def mvt_spot_checks(state: SystemState, rng: np.random.Generator) -> list:
+    """Mean-value checks on the state's own component equations, against
+    its frozen data, with random Lipschitz weights and the state itself as
+    test field; each tolerance is coupled to the component's residual."""
+    mesh = state.spec.mesh
     lo, hi = _MVT_RANGE
     checks = []
-    for i, (hq, resid) in enumerate(zip(frozen, residuals)):
-        u = solution[i]
+    for i, (p, u, hq, resid) in enumerate(zip(state.spec.p, state.z, state.frozen,
+                                              state.residuals)):
         tol = mvt_tolerance(mesh, resid)
         for _ in range(_MVT_CHECKS):
             f = random_lipschitz_field(mesh, rng, lo, hi)
             checks.append({"component": i + 1, "range": [lo, hi], "tolerance": tol,
-                           **_mvt_check(spec.p[i], u, hq, f, u, tol)})
+                           **_mvt_check(p, u, hq, f, u, tol)})
     return checks
 
 
@@ -325,21 +313,24 @@ def certificate_to_json(cert: dict) -> str:
     return json.dumps(cert, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def solution_certificate(spec: ProblemSpec, solution, pair: BarrierPair, report,
-                         refined=None, refined_report=None, rng=None) -> dict:
-    """Machine-readable verification record for a completed run:
-    residuals, membership, sandwich constants, hypothesis report, the
-    estimate audits (on the torsion solves of ``pair``, with their solver
-    options), and mean-value spot checks; ``refined`` and
-    ``refined_report`` go to ``sandwich_audit``.  Deterministic given
-    the same inputs and rng seed."""
+def solution_certificate(state: SystemState, report, refined=None,
+                         rng=None) -> dict:
+    """Machine-readable verification record for a completed run, the
+    final ``state`` of its iteration and the ``report`` of it: residuals,
+    membership, sandwich constants, hypothesis report, the estimate
+    audits (on the torsion solves of the state's pair, with their solver
+    options), and mean-value spot checks; ``refined``, the (state,
+    report) of the run on the refined mesh, goes to ``sandwich_audit``.
+    The state's frozen data and residuals are read, not recomputed.
+    Deterministic given the same inputs and rng seed."""
+    spec, pair = state.spec, state.pair
     mesh = spec.mesh
     rng = rng or np.random.default_rng(0)
-    state = sysfix.SystemState.build(spec, pair, *solution)
-    r1, r2 = sysfix.coupled_residual(state)
+    r1, r2 = state.residuals
     audits = estimate_audits(spec.p, ("gradient", "linfty"), pair.torsion)
-    sandwich = sandwich_audit(solution, refined=refined, refined_report=refined_report)
-    mvt = mvt_spot_checks(spec, solution, state.frozen, (r1, r2), rng)
+    sandwich = (sandwich_audit(state.z) if refined is None else
+                sandwich_audit(state.z, refined[0].z, refined[1]))
+    mvt = mvt_spot_checks(state, rng)
     cert = {
         "schema_version": 1,
         "mesh": {"dim": mesh.dim, "n": mesh.n, "h": mesh.h},

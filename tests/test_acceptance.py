@@ -178,7 +178,8 @@ def test_acceptance_07_positive_regime_pipeline():
     m = build_mesh(DomainSpec.interval(0, 1), 512)
     spec = benchmark_spec(m)
     cal = calibrate_barriers(spec)
-    sol, rep = fixed_point_iterate(spec, cal.pair)
+    state, rep = fixed_point_iterate(spec, cal.pair)
+    sol = state.z
     assert rep.converged and rep.iters <= 500
     assert rep.residuals[-1] <= 1e-6
     assert all(rep.membership_trace)
@@ -189,7 +190,8 @@ def test_acceptance_07_positive_regime_pipeline():
     m2 = build_mesh(DomainSpec.interval(0, 1), 1024)
     spec2 = benchmark_spec(m2)
     cal2 = calibrate_barriers(spec2)
-    sol2, rep2 = fixed_point_iterate(spec2, cal2.pair)
+    state2, rep2 = fixed_point_iterate(spec2, cal2.pair)
+    sol2 = state2.z
     assert rep2.converged
     c0f = min(distance_ratio(sol2[0])[0], distance_ratio(sol2[1])[0])
     assert abs(c0f - c0) / c0 <= 0.2

@@ -102,6 +102,26 @@ def test_singular_fixture_parses():
 def test_mesh_n_override():
     cfg = parse_config(load("trivial.json"), mesh_n=48)
     assert cfg.problem.mesh.n == 48
+    # the resolution a config records is the one its mesh was built at
+    assert cfg.resolution == 48
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "$.resolution: expected int, got str"),
+    (8, "$.resolution: must be >= 16"),
+])
+def test_mesh_n_override_still_validates_the_resolution(tmp_path, capsys, value,
+                                                        message):
+    raw = json.loads(load("trivial.json"))
+    raw["resolution"] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(raw), mesh_n=32)
+    assert str(exc.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    err = _exit1_one_line_nothing_created(
+        capsys, ["solve", str(path), "--mesh-n", "32"], tmp_path / "out")
+    assert err == f"config error: {message}\n"
 
 
 def test_refined_problem_matches_parsed_problem():
@@ -109,7 +129,7 @@ def test_refined_problem_matches_parsed_problem():
     raw["resolution"] = 32
     raw["p"] = [{"add": [2.0, {"mul": [0.3, "x"]}]}, {"add": [2.2, {"mul": [-0.1, "x"]}]}]
     text = json.dumps(raw)
-    fine = run_pipeline(parse_config(text), mesh_n=64).problem
+    fine = run_pipeline(parse_config(text), mesh_n=64)[0].spec
     ref = parse_config(text, mesh_n=64).problem
     for name in ("p", "alpha", "beta", "gamma", "gamma_bar"):
         for got, want in zip(getattr(fine, name), getattr(ref, name)):
@@ -200,20 +220,61 @@ def test_escalated_cap_is_checked_against_its_pair(monkeypatch):
     monkeypatch.setattr(sysfix, "calibrate_caps", growing_caps)
     monkeypatch.setattr(barriers, "calibrate_barriers", calibrate)
     monkeypatch.setattr(barriers, "check_barriers_singular_regime", check)
-    pv = run_pipeline(cfg)
-    assert pv.report.caps[0] == 8.0 and len(calibrated) == 3
-    assert any(pair is pv.calibration.pair and L == pv.report.caps[0] and ok
+    state, report = run_pipeline(cfg)
+    assert report.caps[0] == 8.0 and len(calibrated) == 3
+    assert any(pair is state.pair and L == report.caps[0] and ok
                for pair, L, ok in checked)
+
+
+@pytest.mark.parametrize("name", ["benchmark.json", "singular.json"])
+def test_run_certificate_reads_the_final_states(tmp_path, monkeypatch, name):
+    # each iterate's frozen data is evaluated once, the start's included,
+    # and the certificate reads the coarse run's final state, which the
+    # loop's last residual test evaluated: it evaluates no frozen data and
+    # no weak residual of its own
+    cfg = parse_config(load(name), mesh_n=32)
+    reports, inside, frozen, residuals = [], [], [], []
+    real_iterate = sysfix.fixed_point_iterate
+    real_certificate = verify.solution_certificate
+
+    def iterate(*args, **kwargs):
+        out = real_iterate(*args, **kwargs)
+        reports.append(out[1])
+        return out
+
+    def certificate(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_certificate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(bool(inside))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sysfix, "fixed_point_iterate", iterate)
+    monkeypatch.setattr(verify, "solution_certificate", certificate)
+    monkeypatch.setattr(barriers, "frozen_rhs_quad",
+                        counted(frozen, barriers.frozen_rhs_quad))
+    monkeypatch.setattr(plaplace, "weak_residual",
+                        counted(residuals, plaplace.weak_residual))
+    run(cfg, out_dir=str(tmp_path))
+    coarse, refined = reports
+    assert len(frozen) == (coarse.iters + 1) + (refined.iters + 1)
+    assert not any(frozen) and not any(residuals)
 
 
 def test_unconverged_refined_run_fails_sandwich(tmp_path, monkeypatch):
     real = cli.run_pipeline
 
     def stalled_refinement(config, mesh_n=None, coarse=None):
-        pv = real(config, mesh_n, coarse)
+        state, report = real(config, mesh_n, coarse)
         if mesh_n is not None:
-            pv.report = dataclasses.replace(pv.report, converged=False)
-        return pv
+            report = dataclasses.replace(report, converged=False)
+        return state, report
 
     monkeypatch.setattr(cli, "run_pipeline", stalled_refinement)
     code = main(["solve", config_path("trivial.json"), "--out-dir", str(tmp_path)])
@@ -229,16 +290,15 @@ def test_unconverged_refined_run_fails_sandwich(tmp_path, monkeypatch):
 def test_nested_iteration_starts_from_coarse_solution(name):
     with open(config_path(name)) as f:
         cfg = parse_config(f.read(), mesh_n=32)
-    coarse = cli.run_pipeline(cfg)
-    nested = cli.run_pipeline(cfg, mesh_n=64, coarse=coarse)
-    fresh = cli.run_pipeline(cfg, mesh_n=64)
-    rep = nested.report
-    assert rep.converged and fresh.report.converged
+    coarse, _ = cli.run_pipeline(cfg)
+    nested, rep = cli.run_pipeline(cfg, mesh_n=64, coarse=coarse)
+    fresh, fresh_rep = cli.run_pipeline(cfg, mesh_n=64)
+    assert rep.converged and fresh_rep.converged
     assert len(rep.membership_trace) == rep.iters and all(rep.membership_trace)
-    assert rep.iters < fresh.report.iters
+    assert rep.iters < fresh_rep.iters
     # singular regime: caps read off the nested run's own iterates
-    assert rep.caps == fresh.report.caps
-    for a, b in zip(nested.solution, fresh.solution):
+    assert rep.caps == fresh_rep.caps
+    for a, b in zip(nested.z, fresh.z):
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-7)
 
 
@@ -296,6 +356,15 @@ def test_sweep_exit0_when_every_row_converges(tmp_path):
     assert code == 0
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
     assert header == "value,converged,iters,c0,c1,residual,member,error"
+
+
+def test_sweep_over_resolution_rejects_a_mesh_override(tmp_path, capsys):
+    # --mesh-n would build every row at one resolution, labelled with the
+    # swept values: the combination is rejected before any row runs
+    argv = ["sweep", config_path("trivial.json"), "--param", "resolution",
+            "--values", "64,128", "--mesh-n", "32"]
+    err = _exit1_one_line_nothing_created(capsys, argv, tmp_path / "out")
+    assert err.startswith("config error: --mesh-n: ")
 
 
 def test_cli_main_invalid_config_exit1(tmp_path):
@@ -513,10 +582,10 @@ def test_sweep_resolution_error_decreasing(tmp_path):
     errs = []
     for n in (64, 128, 256):
         cfg = parse_config(json.dumps({**raw, "resolution": n}))
-        pv = run_pipeline(cfg)
-        x = pv.problem.mesh.nodes[:, 0]
+        state, _ = run_pipeline(cfg)
+        x = state.spec.mesh.nodes[:, 0]
         exact = (2 / 3) * (0.5 ** 1.5 - np.abs(x - 0.5) ** 1.5)
-        errs.append(np.abs(pv.solution[0].values - exact).max())
+        errs.append(np.abs(state.z[0].values - exact).max())
     assert errs[0] > errs[1] > errs[2]
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.0)
@@ -534,10 +603,10 @@ def test_2d_pipeline_trivial(tmp_path):
         "iteration": {"theta": 1.0, "tol_step": 1e-10,
                       "tol_residual": 1e-8, "max_iters": 20},
         "seed": 0}))
-    pv = run_pipeline(cfg)
-    assert pv.report.converged and pv.report.iters <= 3
-    assert all(pv.report.membership_trace)
-    assert np.all(pv.solution[0].values[pv.problem.mesh.interior_nodes] > 0)
+    state, report = run_pipeline(cfg)
+    assert report.converged and report.iters <= 3
+    assert all(report.membership_trace)
+    assert np.all(state.z[0].values[state.spec.mesh.interior_nodes] > 0)
 
 
 def test_2d_pipeline_singular_convective():
@@ -558,10 +627,10 @@ def test_2d_pipeline_singular_convective():
                               {"pow": {"base": "s2", "exp": 0.2}}]},
                      {"mul": [0.5, {"pow": {"base": "xi2", "exp": 0.4}}]}]}],
         "seed": 0}))
-    pv = run_pipeline(cfg)
-    assert pv.report.converged
-    assert all(pv.report.membership_trace)
-    assert pv.report.residuals[-1] <= 1e-6
+    report = run_pipeline(cfg)[1]
+    assert report.converged
+    assert all(report.membership_trace)
+    assert report.residuals[-1] <= 1e-6
 
 
 def test_sweep_empty_values(tmp_path):

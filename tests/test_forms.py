@@ -5,7 +5,7 @@ import pytest
 
 from varpx.cli import parse_config
 from varpx.errors import ConfigError
-from varpx.forms import evaluate_spatial, parse_expr, spatial_only
+from varpx.forms import SPATIAL, evaluate_spatial, parse_expr
 
 from conftest import config_path
 
@@ -43,11 +43,29 @@ def test_unknown_nodes_rejected_with_path():
 
 
 def test_spatial_only_guard():
-    expr = parse_expr({"mul": ["x", "s1"]})
-    with pytest.raises(ConfigError):
-        spatial_only(expr)
-    ok = parse_expr({"add": ["x", 1.0]})
-    assert spatial_only(ok) is ok
+    # a context allowing only the coordinates rejects a state variable at
+    # parse time, naming where it sits
+    with pytest.raises(ConfigError) as exc:
+        parse_expr({"mul": ["x", "s1"]}, "$.p[0]", SPATIAL)
+    assert "$.p[0].mul[1]" in str(exc.value)
+    ok = parse_expr({"add": ["x", 1.0]}, "$.p[0]", SPATIAL)
+    np.testing.assert_allclose(ok.evaluate({"x": np.array([0.0, 2.0])}), [1.0, 3.0])
+
+
+@pytest.mark.parametrize("key, expr, where", [
+    ("f", {"add": [1.0, {"mul": [1.0, "y"]}]}, "$.f[0].add[1].mul[1]"),
+    ("f", {"pow": {"base": "s1", "exp": {"var": "y"}}}, "$.f[0].pow.exp.var"),
+    ("p", {"add": [2.0, {"mul": [0.1, "y"]}]}, "$.p[0].add[1].mul[1]"),
+], ids=["f", "f-pow-exp", "exponent"])
+def test_y_in_a_1d_config_is_rejected_with_its_path(key, expr, where):
+    # an interval has no y: the config is rejected where the y sits
+    with open(config_path("trivial.json")) as f:
+        raw = json.load(f)
+    raw[key][0] = expr
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(raw))
+    assert str(exc.value).startswith(where + ":")
+    assert "'y'" in str(exc.value)
 
 
 def test_evaluate_spatial_broadcasts_constants():

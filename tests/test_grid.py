@@ -3,7 +3,7 @@ import pytest
 
 from varpx import (DomainSpec, GridFunction, boundary_strip, build_mesh,
                    export_csv, gradient)
-from varpx.grid import QuadField, at_quad, load_vector
+from varpx.grid import QuadField, at_quad, interpolate, load_vector
 
 
 def test_interval_mesh_basic():
@@ -236,5 +236,20 @@ def test_interpolate_reproduces_bilinear_on_rectangle():
 
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(-1.0, 2.0, 200), rng.uniform(0.5, 1.25, 200)])
-    got = m.interpolate(f(m.nodes[:, 0], m.nodes[:, 1]), pts)
+    got = interpolate(m.domain, f(m.nodes[:, 0], m.nodes[:, 1]), pts)
     np.testing.assert_allclose(got, f(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.interval(-1.0, 2.0),
+                                    DomainSpec.rectangle(-1.0, 2.0, 0.5, 1.25)],
+                         ids=["interval", "rectangle"])
+def test_interpolate_reads_a_table_coarser_than_the_mesh(domain):
+    # a table of 5 values per direction, at the nodes of the n = 4 mesh,
+    # interpolated to the nodes of the n = 12 mesh reproduces an affine field
+    coarse, fine = build_mesh(domain, 4), build_mesh(domain, 12)
+
+    def f(pts):
+        return 0.3 - 1.7 * pts[:, 0] + 2.2 * pts[:, -1]
+
+    got = interpolate(domain, f(coarse.nodes), fine.nodes)
+    np.testing.assert_allclose(got, f(fine.nodes), rtol=0, atol=1e-13)

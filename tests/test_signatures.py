@@ -3,7 +3,9 @@ every field (ExponentField, GridFunction), so no public function takes a
 mesh beside a spec or beside a field: the separate mesh could only repeat
 the one the spec or field already holds, or disagree with it.  Likewise a
 spec owns its regime (``spec.hypotheses.regime``), so nothing that
-reaches a spec takes a regime.  And the package defines only what it
+reaches a spec takes a regime.  A SystemState carries a solution's
+fields with their spec and their barrier pair, so nothing takes a
+solution beside a spec or a pair.  And the package defines only what it
 uses itself."""
 
 import ast
@@ -74,6 +76,13 @@ def test_no_function_that_reaches_a_spec_takes_a_regime(module):
 def test_no_function_takes_a_field_and_a_mesh(module):
     field = (("p", "ps"), ("ExponentField", "GridFunction"))
     assert _taking_both(module, field, MESH) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_function_takes_a_solution_beside_a_spec_or_a_pair(module):
+    solution = (("solution",), ())
+    assert (_taking_both(module, solution, (("spec",), ("ProblemSpec",)))
+            + _taking_both(module, solution, (("pair",), ("BarrierPair",)))) == []
 
 
 # Reached only from the property tests, as the public faces of the

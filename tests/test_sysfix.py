@@ -31,8 +31,9 @@ def test_constant_map_fixed_point_two_iterations():
     m = build_mesh(DomainSpec.interval(0, 1), 64)
     spec = trivial_spec(m)
     cal = calibrate_barriers(spec)
-    sol, rep = fixed_point_iterate(spec, cal.pair,
-                                   opts=IterationOptions(theta=1.0))
+    state, rep = fixed_point_iterate(spec, cal.pair,
+                                     opts=IterationOptions(theta=1.0))
+    sol = state.z
     assert rep.converged and rep.iters <= 2
     xi = torsion(spec.p1).u
     np.testing.assert_allclose(sol[0].values, xi.values, atol=1e-10)
@@ -53,9 +54,9 @@ def test_constant_map_is_idempotent():
 
 def test_symmetric_spec_gives_equal_components():
     m, spec, cal = setup_positive(128, lambda mm: envelope_spec(mm, 0.2, 0.2))
-    sol, rep = fixed_point_iterate(spec, cal.pair)
+    state, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged
-    np.testing.assert_allclose(sol[0].values, sol[1].values, atol=1e-10)
+    np.testing.assert_allclose(state.z[0].values, state.z[1].values, atol=1e-10)
 
 
 def test_decoupling_matches_componentwise_solves():
@@ -185,13 +186,15 @@ def test_membership_check_boundary_cases():
 
 def test_benchmark_iteration_converges():
     m, spec, cal = setup_positive(256)
-    sol, rep = fixed_point_iterate(spec, cal.pair)
+    state, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged
     assert rep.residuals[-1] <= 1e-6
     assert all(rep.membership_trace)
     assert all(rep.grad_cap_trace)
-    r1, r2 = coupled_residual(SystemState.build(spec, cal.pair, sol[0], sol[1]))
+    r1, r2 = coupled_residual(SystemState.build(spec, cal.pair, *state.z))
     assert max(r1, r2) <= 1e-6
+    # the returned state is the last iterate: its residuals are the stop test's
+    assert state.residuals == (r1, r2) and max(r1, r2) == rep.residuals[-1]
 
 
 def test_barrier_scale_decides_membership():
@@ -217,9 +220,9 @@ def test_monotone_iteration_from_subsolution(monkeypatch):
     from varpx import sysfix
     m, spec, cal = setup_positive(128, lambda mm: envelope_spec(mm, 0.3, 0.3))
     mapped = _record_map(monkeypatch, sysfix)
-    sol, rep = fixed_point_iterate(spec, cal.pair)
+    state, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.converged and len(mapped) == rep.iters
-    iterates = [z[0].values for z, _ in mapped] + [sol[0].values]
+    iterates = [z[0].values for z, _ in mapped] + [state.z[0].values]
     assert np.array_equal(iterates[0], cal.pair.under[0].values)
     for prev, v1 in zip(iterates, iterates[1:]):
         assert np.all(v1 >= prev - 1e-12)
@@ -270,9 +273,10 @@ def test_clamped_step_stays_in_box_property(calibrated, dim, name, theta, seed):
     rng = np.random.default_rng(seed)
     z = [GridFunction(m, lo.values + rng.random(m.n_nodes) * (hi.values - lo.values),
                       zero_trace=True) for lo, hi in zip(pair.under, pair.over)]
-    (v1, v2), rep = fixed_point_iterate(
+    state, rep = fixed_point_iterate(
         spec, pair, init=tuple(z),
         opts=IterationOptions(theta=theta, max_iters=1))
+    v1, v2 = state.z
     assert rep.iters == 1
     for i, v in ((0, v1), (1, v2)):
         assert np.all(v.values >= pair.under[i].values)
@@ -286,7 +290,7 @@ def test_singular_regime_full_loop():
     m, spec, cal = setup_singular(128)
     caps = calibrate_caps(spec, cal.pair)
     assert caps.L > 1.0 and caps.L_tilde > 0.0
-    sol, rep = caps.solution, caps.report
+    sol, rep = caps.solution.z, caps.report
     assert rep.converged
     assert all(rep.membership_trace)
     assert np.all(sol[0].values[m.interior_nodes] > 0)
@@ -350,8 +354,8 @@ def test_pipeline_maps_once_per_cap_search(monkeypatch):
 
     monkeypatch.setattr(sysfix, "calibrate_caps", recorded)
     maps = count_calls(monkeypatch, sysfix, "apply_map")
-    pv = cli.run_pipeline(cfg)
-    assert pv.report is searches[-1].report
+    state, report = cli.run_pipeline(cfg)
+    assert report is searches[-1].report and state is searches[-1].solution
     assert len(maps) == sum(s.report.iters for s in searches)
 
 
@@ -365,12 +369,16 @@ def test_positive_regime_iteration_runs_no_luxemburg_bisection(monkeypatch):
 
 @pytest.mark.parametrize("singular", [False, True])
 def test_frozen_data_evaluated_once_per_iterate(monkeypatch, singular):
-    from varpx import barriers
+    from varpx import barriers, sysfix
     m, spec, cal = setup_singular() if singular else setup_positive(64)
     evals = count_calls(monkeypatch, barriers, "frozen_rhs_quad")
-    _, rep = fixed_point_iterate(spec, cal.pair)
+    state, rep = fixed_point_iterate(spec, cal.pair)
     assert rep.iters > 1
     assert len(evals) == rep.iters + 1
+    # the final state carries what its stop test evaluated
+    residuals = count_calls(monkeypatch, sysfix, "coupled_residual")
+    state.frozen, state.residuals
+    assert len(evals) == rep.iters + 1 and residuals == []
 
 
 @pytest.mark.parametrize("singular", [False, True])
@@ -423,7 +431,7 @@ def test_cap_search_reads_caps_off_one_run(monkeypatch):
     assert len(bisections) == 2 * rep.iters + 1
     assert rep.caps == (caps.L, caps.L_tilde) and "caps" not in rep.as_dict()
     assert caps.pilot_iters == rep.iters == len(mapped) and rep.converged
-    clamped = [z for z, _ in mapped] + [caps.solution]
+    clamped = [z for z, _ in mapped] + [caps.solution.z]
     sup = max(float(np.abs(z.values).max()) for zs in clamped for z in zs)
     assert caps.L >= 1.05 * sup and (caps.L == 2.0 or caps.L < 2.1 * sup)
     lux = max(max(SystemState.build(spec, cal.pair, *zs).grad_lux_norm)

@@ -4,7 +4,8 @@ import pytest
 from varpx import barriers, plaplace
 
 from varpx import (DomainSpec, ExponentField, GridFunction, Regime, ScaleFamily,
-                   SolverOptions, build_mesh, calibrate_barriers, calibrate_caps,
+                   SolverOptions, SystemState, build_mesh, calibrate_barriers,
+                   calibrate_caps,
                    fixed_point_iterate, gradient_estimate_audit,
                    linfty_estimate_audit, mvt_ratio, sandwich_audit,
                    solution_certificate, solve_dirichlet, torsion)
@@ -264,19 +265,17 @@ def _small_run(n=128, spec_fn=benchmark_spec):
     spec = spec_fn(m)
     cal = calibrate_barriers(spec)
     if spec.hypotheses.regime is Regime.POSITIVE_SUM:
-        sol, rep = fixed_point_iterate(spec, cal.pair)
+        state, rep = fixed_point_iterate(spec, cal.pair)
     else:
         caps = calibrate_caps(spec, cal.pair)
-        sol, rep = caps.solution, caps.report
-    return m, spec, cal, sol, rep
+        state, rep = caps.solution, caps.report
+    return m, spec, cal, state, rep
 
 
 def test_certificate_deterministic_and_complete():
-    m, spec, cal, sol, rep = _small_run()
-    c1 = solution_certificate(spec, sol, cal.pair, rep,
-                              rng=np.random.default_rng(5))
-    c2 = solution_certificate(spec, sol, cal.pair, rep,
-                              rng=np.random.default_rng(5))
+    m, spec, cal, state, rep = _small_run()
+    c1 = solution_certificate(state, rep, rng=np.random.default_rng(5))
+    c2 = solution_certificate(state, rep, rng=np.random.default_rng(5))
     assert certificate_to_json(c1) == certificate_to_json(c2)
     for key in ("residuals", "membership", "sandwich", "audits",
                 "hypothesis_report", "mesh"):
@@ -286,11 +285,11 @@ def test_certificate_deterministic_and_complete():
 
 
 def test_certificate_detects_tampering():
-    m, spec, cal, sol, rep = _small_run()
-    bad0 = GridFunction(m, np.where(m.distance > 0, sol[0].values + 0.1, 0.0),
+    m, spec, cal, state, rep = _small_run()
+    bad0 = GridFunction(m, np.where(m.distance > 0, state.z[0].values + 0.1, 0.0),
                         zero_trace=True)
-    cert = solution_certificate(spec, (bad0, sol[1]), cal.pair, rep,
-                                rng=np.random.default_rng(5))
+    cert = solution_certificate(SystemState.build(spec, cal.pair, bad0, state.z[1]),
+                                rep, rng=np.random.default_rng(5))
     assert cert["residuals"]["max"] > 1e-3
 
 
@@ -298,21 +297,22 @@ def test_certificate_detects_tampering():
     (benchmark_spec, 2 * len(DEFAULT_SCALES)),   # p1 != p2
     (singular_spec, len(DEFAULT_SCALES))])       # p1 == p2
 def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, family_solves):
-    m, spec, cal, sol, rep = _small_run(spec_fn=spec_fn)
-    expected = solution_certificate(spec, sol, cal.pair, rep,
-                                    rng=np.random.default_rng(5))
+    m, spec, cal, state, rep = _small_run(spec_fn=spec_fn)
+    # a state rebuilt from the fields evaluates its frozen data and
+    # residuals afresh; the run's final state already holds both
+    fresh = SystemState.build(spec, cal.pair, *state.z)
+    expected = solution_certificate(fresh, rep, rng=np.random.default_rng(5))
     frozen = count_calls(monkeypatch, barriers, "frozen_rhs_quad")
     residuals = count_calls(monkeypatch, plaplace, "weak_residual")
     solves = count_calls(monkeypatch, plaplace, "solve_dirichlet")
-    cert = solution_certificate(spec, sol, cal.pair, rep,
-                                rng=np.random.default_rng(5))
+    cert = solution_certificate(state, rep, rng=np.random.default_rng(5))
     assert certificate_to_json(cert) == certificate_to_json(expected)
-    assert len(frozen) == 1
+    # the loop's last residual test evaluated the frozen data and the
+    # component residuals at the solution; solves report their residual
+    # from the data they already hold: the certificate evaluates neither
+    assert len(frozen) == 0
+    assert len(residuals) == 0
     distinct = family_solves // len(DEFAULT_SCALES)
-    # solves report their residual from the data they already hold, so
-    # only the component residuals at the solution call weak_residual, one
-    # per distinct component: the singular spec's agree bit for bit
-    assert len(residuals) == distinct
     # every solve is an audit solve: one per scale and distinct exponent,
     # shared by both audits, none for a component whose exponent equals
     # the first one's, and none at scale 1, where the pair's torsion serves
@@ -326,7 +326,7 @@ def test_certificate_audits_solve_with_the_calibration_options(monkeypatch):
     spec = benchmark_spec(m)
     opts = SolverOptions(tol_residual=1e-9, max_newton=40)
     cal = calibrate_barriers(spec, opts)
-    sol, rep = fixed_point_iterate(spec, cal.pair, solver_opts=opts)
+    state, rep = fixed_point_iterate(spec, cal.pair, solver_opts=opts)
     assert all(xi.opts == opts for xi in cal.pair.torsion)
     seen = []
     solve = plaplace.solve_dirichlet
@@ -336,6 +336,6 @@ def test_certificate_audits_solve_with_the_calibration_options(monkeypatch):
         return solve(p, h, opts, start)
 
     monkeypatch.setattr(plaplace, "solve_dirichlet", recording)
-    cert = solution_certificate(spec, sol, cal.pair, rep, rng=np.random.default_rng(5))
+    cert = solution_certificate(state, rep, rng=np.random.default_rng(5))
     assert seen == [opts] * (2 * (len(DEFAULT_SCALES) - 1))
     assert all(a["verdict"] == "pass" for a in cert["audits"])
