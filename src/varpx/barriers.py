@@ -28,7 +28,7 @@ from . import grid, plaplace
 from .errors import (CalibrationError, DeltaTooLargeError, EnvelopeError,
                      MixedSignError, OrderingError)
 from .expspace import ExponentField, per_distinct
-from .forms import Expr, spatial_env
+from .forms import Expr, evaluate_spatial
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
 
@@ -68,7 +68,9 @@ def signed_extreme(f: ExponentField) -> float:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full description of the coupled system on a fixed mesh."""
+    """Full description of the coupled system on a fixed mesh.  Two
+    nonlinearities that are equal trees are held as one object, so what
+    ``per_distinct`` maps over ``f`` runs once for both."""
 
     mesh: Mesh
     p1: ExponentField
@@ -96,16 +98,12 @@ class ProblemSpec:
         for i, fe in enumerate(self.f):
             if not isinstance(fe, Expr):
                 raise TypeError(f"f[{i}] must be a parsed expression")
+        if self.f[0] == self.f[1]:
+            object.__setattr__(self, "f", (self.f[0],) * 2)
 
     @property
     def p(self):
         return (self.p1, self.p2)
-
-    @cached_property
-    def shared_f(self) -> bool:
-        """Whether f[0] and f[1] are equal trees, so that one evaluation
-        serves both components."""
-        return self.f[0] == self.f[1]
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:
@@ -115,11 +113,6 @@ class ProblemSpec:
     def p_prime_values(self, i: int) -> np.ndarray:
         pv = self.p[i].values
         return pv / (pv - 1.0)
-
-    def evaluate_f(self, i: int, x, s1, s2, xi1, xi2) -> np.ndarray:
-        env = {**spatial_env(x), "s1": s1, "s2": s2, "xi1": xi1, "xi2": xi2}
-        val = self.f[i].evaluate(env)
-        return np.broadcast_to(val, np.shape(s1)).astype(float)
 
     def envelope_check(self, rng: np.random.Generator):
         """Sample the two-sided growth envelope at random points and
@@ -136,7 +129,7 @@ class ProblemSpec:
             g = self.gamma[i].values[nodes]
             gb = self.gamma_bar[i].values[nodes]
             prod = s1 ** a * s2 ** bqq
-            fv = self.evaluate_f(i, x, s1, s2, xi1, xi2)
+            fv = evaluate_spatial(self.f[i], x, s1=s1, s2=s2, xi1=xi1, xi2=xi2)
             if not np.all(np.isfinite(fv)):
                 raise EnvelopeError(f"f[{i}] is non-finite at a sampled state")
             lower = self.m[i] * prod
@@ -466,20 +459,18 @@ def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple):
     """Quadrature-point data f_i(x, z1^, z2^, |grad z1|, |grad z2|) of the
     fields ``z``, with their own ``grad_norm``, under the singular floor
     clamp z^ = max(z, under).  Interior quadrature points keep negative
-    powers finite because the floor is positive there.  A spec whose two
-    nonlinearities are equal trees evaluates f once for both."""
+    powers finite because the floor is positive there.  A spec that holds
+    one tree for both nonlinearities evaluates it once."""
     mesh = spec.mesh
     s1, s2 = (grid.at_quad(mesh, np.maximum(zi.values, low.values))
               for zi, low in zip(z, pair.under))
     m1, m2 = (zi.grad_norm[mesh.qcells] for zi in z)
 
-    def data(i):
-        hv = spec.evaluate_f(i, mesh.qpoints, s1, s2, m1, m2)
+    def data(fe):
+        hv = evaluate_spatial(fe, mesh.qpoints, s1=s1, s2=s2, xi1=m1, xi2=m2)
         if not np.isfinite(hv).all():
-            raise EnvelopeError(
-                f"frozen right-hand side f[{i}] is non-finite at a quadrature point")
+            raise EnvelopeError(f"frozen right-hand side f[{spec.f.index(fe)}] "
+                                "is non-finite at a quadrature point")
         return grid.QuadField(mesh, hv)
 
-    h1 = data(0)
-    # equal trees in the one environment both read give the same bits
-    return h1, h1 if spec.shared_f else data(1)
+    return tuple(per_distinct(data, spec.f))

@@ -162,10 +162,11 @@ def _materialize(raw: dict, mesh) -> ProblemSpec:
         raise ConfigError("$", str(exc))
 
 
-def _resolution(n) -> int:
-    """``n`` as a mesh resolution, which must be at least MIN_RESOLUTION."""
+def _resolution(n, path) -> int:
+    """``n`` as a mesh resolution, which must be at least MIN_RESOLUTION;
+    an error names ``path``, where the value came from."""
     if int(n) < MIN_RESOLUTION:
-        raise ConfigError("$.resolution", f"must be >= {MIN_RESOLUTION}")
+        raise ConfigError(path, f"must be >= {MIN_RESOLUTION}")
     return int(n)
 
 
@@ -183,9 +184,9 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     _known_keys(raw, "$", _TOP_KEYS)
 
     domain = _parse_domain(_get(raw, "domain", "$", dict))
-    resolution = _resolution(_get(raw, "resolution", "$", int))
+    resolution = _resolution(_get(raw, "resolution", "$", int), "$.resolution")
     if mesh_n is not None:  # the mesh is built at the override
-        resolution = _resolution(mesh_n)
+        resolution = _resolution(mesh_n, "--mesh-n")
     mesh = grid.build_mesh(domain, resolution)
     problem = _materialize(raw, mesh)
 
@@ -390,7 +391,7 @@ def main(argv=None) -> int:
                 if args.param == "resolution":
                     raise ConfigError("--mesh-n", "cannot be combined with "
                                       "--param resolution, which sets the mesh")
-                _resolution(args.mesh_n)
+                _resolution(args.mesh_n, "--mesh-n")
             if not args.values:
                 raise ConfigError("--values", "expected at least one value")
             values = [json.loads(v) for v in args.values.split(",")]

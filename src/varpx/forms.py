@@ -149,18 +149,13 @@ def _const(value, path) -> Const:
         raise ConfigError(path, "expected a number, got an int beyond the float range")
 
 
-def spatial_env(points) -> dict:
-    """The variables x and y (y for two-dimensional points only) at an
-    array of points: one coordinate per point, or one row per point."""
+def evaluate_spatial(expr: Expr, points: np.ndarray, **state) -> np.ndarray:
+    """Evaluate an expression at an array of points (one coordinate per
+    point, or one row per point), given the state variables it reads
+    there by keyword, one value per point."""
     pts = np.asarray(points, dtype=float)
-    env = {"x": pts[..., 0] if pts.ndim > 1 else pts}
+    env = {"x": pts[..., 0] if pts.ndim > 1 else pts, **state}
     if pts.ndim > 1 and pts.shape[-1] > 1:
         env["y"] = pts[..., 1]
-    return env
-
-
-def evaluate_spatial(expr: Expr, points: np.ndarray) -> np.ndarray:
-    """Evaluate a spatial expression at an array of points."""
-    env = spatial_env(points)
     val = expr.evaluate(env)
     return np.broadcast_to(val, np.shape(env["x"])).astype(float)

@@ -1,7 +1,8 @@
 """Structured P1 meshes on intervals and rectangles.
 
 Geometric substrate for everything else: node/cell arrays, exact
-distance-to-boundary fields, per-cell P1 gradients, and fixed quadrature
+distance-to-boundary fields, per-cell P1 gradients and their squared
+norms (``squared_norms``, the one formula for |grad u|^2), and fixed quadrature
 (3-point Gauss per interval cell, the interior 3-point rule ``_TRI_BARY``
 per triangle) exposed as flat arrays so assembly can be fully vectorized.
 
@@ -325,22 +326,18 @@ def at_quad(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
 
 
 def as_quad_values(mesh: Mesh, h) -> np.ndarray:
-    """Coerce scalar / nodal / GridFunction / QuadField data to values at
-    quadrature points."""
+    """Values at the quadrature points of a QuadField, of a GridFunction,
+    or of an array that already holds one value per quadrature point."""
     if isinstance(h, QuadField):
         check_same_mesh(mesh, h)
         return h.values
     if isinstance(h, GridFunction):
         check_same_mesh(mesh, h)
         return at_quad(mesh, h.values)
-    if np.isscalar(h):
-        return np.full_like(mesh.qweights, float(h))
     arr = np.asarray(h, dtype=float)
-    if arr.shape == mesh.qweights.shape:
-        return arr
-    if arr.shape == (mesh.n_nodes,):
-        return at_quad(mesh, arr)
-    raise MeshCompatibilityError(f"cannot interpret data of shape {arr.shape}")
+    if arr.shape != mesh.qweights.shape:
+        raise MeshCompatibilityError(f"cannot interpret data of shape {arr.shape}")
+    return arr
 
 
 def cell_gradients(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
@@ -370,11 +367,20 @@ def basis_projections(mesh: Mesh, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def squared_norms(g: np.ndarray) -> np.ndarray:
+    """|g|^2 of the cell vectors ``g`` of shape (n_cells, dim), one per
+    cell: the one formula for |grad u|^2 in the package."""
+    g2 = g[:, 0] * g[:, 0]
+    for d in range(1, g.shape[1]):
+        g2 += g[:, d] * g[:, d]
+    return g2
+
+
 def gradient(u: GridFunction) -> np.ndarray:
     """|grad u| per cell of the P1 interpolant (read-only), from the cell
     gradients ``u`` carries; exact for affine nodal data.  A field caches
     it as ``grad_norm``."""
-    out = np.sqrt((u.grad ** 2).sum(axis=1))
+    out = np.sqrt(squared_norms(u.grad))
     out.setflags(write=False)
     return out
 

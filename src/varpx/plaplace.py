@@ -9,8 +9,10 @@ over zero-trace P1 fields with damped Newton and Armijo backtracking.
 The eps regularization keeps the Hessian nondegenerate where the
 gradient vanishes (needed for p > 2); the reported residual is always
 that of the UNregularized weak form, tested against every interior hat
-function and normalized by the L1 mass of the data plus one, so
-tolerances behave across the two scaling regimes of the data.
+function and normalized by the L1 mass of the data plus the measure of
+the domain.  Both terms scale with the cell measure as the load entries
+do, so tolerances behave across the two scaling regimes of the data,
+and a small domain does not pass every stop test at once.
 
 Every Newton system is factorized by LAPACK's banded Cholesky
 ``dpbtrf`` and solved by ``dpbtrs``, called through ctypes from the
@@ -246,24 +248,18 @@ class _Powers:
         self.half_excess = self.excess / 2.0
 
 
-def _squared_norms(g):
-    """|g|^2 of the cell vectors ``g``, one per cell."""
-    g2 = g[:, 0] * g[:, 0]
-    for d in range(1, g.shape[1]):
-        g2 += g[:, d] * g[:, d]
-    return g2
-
-
 def _regularized(lay, g, eps):
     """|g|^2 + eps^2 of the cell vectors ``g`` at each quadrature point of
     the cell, shaped (cell, point)."""
     base = np.empty((len(g), lay.q_per_cell))
-    np.add(_squared_norms(g)[:, None], eps * eps, out=base)
+    np.add(grid.squared_norms(g)[:, None], eps * eps, out=base)
     return base
 
 
-def _unreg_flux_coeff(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """|g|^(p-2) with the correct zero limit of the flux at g = 0."""
+def flux_coefficient(g2: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """|g|^(p-2) from the squared norms ``g2`` and the exponent ``pq`` at
+    the same points, with the zero limit of the flux |g|^(p-2) g where
+    g = 0."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c = np.power(g2, (pq - 2.0) / 2.0)
     return np.where(g2 > 0.0, c, 0.0)
@@ -283,16 +279,18 @@ def apply_operator(p: ExponentField, u: GridFunction) -> np.ndarray:
     mesh = p.mesh
     grid.check_same_mesh(mesh, u)
     lay = _layout(mesh)
-    g2 = _squared_norms(u.grad).repeat(lay.q_per_cell)
-    w = lay.cell_sum(mesh.qweights * _unreg_flux_coeff(g2, p.at_quad()))
+    g2 = grid.squared_norms(u.grad).repeat(lay.q_per_cell)
+    w = lay.cell_sum(mesh.qweights * flux_coefficient(g2, p.at_quad()))
     return _flux_values(mesh, w, grid.basis_projections(mesh, u.grad))
 
 
 def _energy(mesh, pw, b, u_values, base):
     """Regularized energy of ``u_values``, whose ``_regularized`` squared
     gradient norms are ``base``; ``b`` is the load vector of the data, so
-    the linear term int h u is the nodal product b . u."""
-    dens = np.power(base, pw.half)
+    the linear term int h u is the nodal product b . u.  A power that
+    overflows makes the energy inf, which the line search rejects."""
+    with np.errstate(over="ignore"):
+        dens = np.power(base, pw.half)
     dens /= pw.p
     return float(mesh.qweights @ dens.ravel()) - float(b @ u_values)
 
@@ -326,11 +324,11 @@ def _linearize(mesh, lay, pw, g, base):
 
 def _data(mesh, h):
     """The data ``h`` at the quadrature points, its load vector (the one a
-    QuadField holds) and int|h| + 1, the normalization of every reported
-    residual."""
+    QuadField holds) and int|h| + |Omega|, the normalization of every
+    reported residual, which scales with the domain as the load does."""
     hq = grid.as_quad_values(mesh, h)
     b = grid.load_vector(mesh, h if isinstance(h, grid.QuadField) else hq)
-    return hq, b, float(mesh.qweights @ np.abs(hq)) + 1.0
+    return hq, b, float(mesh.qweights @ np.abs(hq)) + float(mesh.qweights.sum())
 
 
 def _residual(mesh, values, b, scale):
@@ -341,7 +339,7 @@ def _residual(mesh, values, b, scale):
 
 def weak_residual(p: ExponentField, u: GridFunction, h) -> float:
     """Max over interior hat functions of the mesh of ``p`` of the
-    unregularized weak-form defect of ``u``, normalized by int|h| + 1."""
+    unregularized weak-form defect of ``u``, normalized by int|h| + |Omega|."""
     mesh = p.mesh
     grid.check_same_mesh(mesh, u)
     _, b, scale = _data(mesh, h)
@@ -363,7 +361,9 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
     ``converged`` flag.  Non-convergence returns the best iterate
     flagged ``converged=False`` rather than raising; a singular Newton
     system raises SolveError (impossible for p_minus > 1 with
-    regularization intact).
+    regularization intact), and so does a start whose energy overflows.
+    A trial step whose energy overflows is rejected like one that fails
+    the Armijo test.
     """
     opts = opts or SolverOptions()
     mesh = p.mesh
@@ -389,6 +389,8 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
         g = start.grad if start.zero_trace else grid.cell_gradients(mesh, u)
     base = _regularized(lay, g, eps)
     energies = [_energy(mesh, pw, b, u, base)]
+    if not np.isfinite(energies[0]):
+        raise SolveError("energy of the Newton start is non-finite")
     steps = 0
     while steps < opts.max_newton:
         values, hessian = _linearize(mesh, lay, pw, g, base)
@@ -411,7 +413,7 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
             trial_g = grid.cell_gradients(mesh, trial)
             trial_base = _regularized(lay, trial_g, eps)
             et = _energy(mesh, pw, b, trial, trial_base)
-            if et <= e0 + _ARMIJO * t * slope or not resolved:
+            if np.isfinite(et) and (et <= e0 + _ARMIJO * t * slope or not resolved):
                 u, g, base = trial, trial_g, trial_base
                 energies.append(et)
                 accepted = True

@@ -6,7 +6,8 @@ nonlinearity evaluated at the frozen state, and whose Newton solve
 starts at the frozen state itself.  When the two problems coincide bit
 for bit (same exponent, data and start, as in a symmetric system), the
 map solves it once, and the residual and the Luxemburg gradient norms
-are likewise evaluated once for both components.
+are likewise evaluated once for both components, all through
+``expspace.per_distinct``, the package's one way to share equal work.
 
 Iterating that map with damping, starting from the lower barrier (or
 from a given state clamped into the barrier box, such as a coarse
@@ -168,14 +169,15 @@ def apply_map(state: SystemState, opts: SolverOptions | None = None) -> tuple:
 
 def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
                      L: float | None = None, L_tilde: float | None = None):
-    """(member, worst_violation, parts) for the invariant set of the regime.
+    """(box_ok, grad_ok) for the invariant set of the regime: the
+    nodewise box and the gradient cap each hold, and a state is a member
+    when both do.
 
     positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
     negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
     <= L_tilde.  Violations are measured beyond a mixed tolerance.
     ``extremes`` are a state's ``extremes()``, so a run can judge
-    its iterates once its caps are known.  ``parts`` holds the box and
-    gradient verdicts.
+    its iterates once its caps are known.
     """
     if regime is Regime.NEGATIVE_SUM and (L is None or L_tilde is None):
         raise ValueError("negative-sum membership needs L and L_tilde")
@@ -190,9 +192,7 @@ def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
         tol = _MEMBER_ATOL + _MEMBER_RTOL * scale
         box.append(max(low_v, up_v) - tol)
         grad.append(g_v - tol)
-    worst = max(*box, *grad)
-    return worst <= 0.0, max(worst, 0.0), {"box_ok": max(box) <= 0.0,
-                                           "grad_ok": max(grad) <= 0.0}
+    return max(box) <= 0.0, max(grad) <= 0.0
 
 
 def coupled_residual(state: SystemState):
@@ -267,11 +267,11 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
                 for e in extremes]
     report = IterationReport(
         iters=it, step_norms=steps, residuals=residuals,
-        box_trace=[bool(v[2]["box_ok"]) for v in verdicts],
-        grad_cap_trace=[bool(v[2]["grad_ok"]) for v in verdicts],
+        box_trace=[bool(box) for box, _ in verdicts],
+        grad_cap_trace=[bool(grad) for _, grad in verdicts],
         # stationary and consistent; success additionally requires the
         # final map output to sit inside the invariant set
-        converged=stopped and bool(verdicts[-1][0]),
+        converged=stopped and all(verdicts[-1]),
         damping_used=opts.theta, caps=caps)
     return state, report
 

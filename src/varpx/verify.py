@@ -178,13 +178,11 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
     den = float(mesh.qweights @ hphi)
     if abs(den) <= 1e-14 * float(mesh.qweights @ np.abs(hphi)):
         raise ZeroDivisionError("degenerate test field: int h phi vanishes")
-    gu = u.grad[mesh.qcells]
-    gphi = phi.grad[mesh.qcells]
-    g2 = (gu ** 2).sum(axis=1)
-    pq = p.at_quad()
-    coeff = plaplace._unreg_flux_coeff(g2, pq)
+    coeff = plaplace.flux_coefficient(grid.squared_norms(u.grad)[mesh.qcells],
+                                      p.at_quad())
+    dots = (u.grad * phi.grad).sum(axis=1)[mesh.qcells]
     fq = grid.at_quad(mesh, f.values)
-    num = float(mesh.qweights @ (fq * coeff * (gu * gphi).sum(axis=1)))
+    num = float(mesh.qweights @ (fq * coeff * dots))
     return num / den
 
 
@@ -223,14 +221,14 @@ def random_sign_constant_test(mesh: Mesh, rng: np.random.Generator) -> GridFunct
     return GridFunction(mesh, vals, zero_trace=True)
 
 
-def sandwich_audit(solution, refined=None, refined_report=None) -> dict:
+def sandwich_audit(solution, refined=None) -> dict:
     """Distance-comparability constants of an accepted solution pair:
     c0 = min u_i/d, c1 = max u_i/d over interior nodes.  Pass requires
     c0 > 0 with both constants stable within _SANDWICH_TOL under one mesh
-    refinement; ``refined`` supplies the solution pair at the finer
-    resolution when that part of the audit is wanted, and
-    ``refined_report`` the IterationReport of that run: an unconverged
-    refined run establishes no stability, so the audit fails."""
+    refinement; ``refined``, the (SystemState, IterationReport) of the
+    run at the finer resolution, supplies that part of the audit when it
+    is wanted: an unconverged refined run establishes no stability, so
+    the audit then fails."""
     per = [dict(zip(("c0", "c1"), grid.distance_ratio(u))) for u in solution]
     c0 = min(p["c0"] for p in per)
     c1 = max(p["c1"] for p in per)
@@ -240,23 +238,22 @@ def sandwich_audit(solution, refined=None, refined_report=None) -> dict:
         out["verdict"] = "fail"
         return out
     if refined is not None:
-        f_per = [grid.distance_ratio(u) for u in refined]
+        fine, report = refined
+        f_per = [grid.distance_ratio(u) for u in fine.z]
         fc0 = min(v[0] for v in f_per)
         fc1 = max(v[1] for v in f_per)
         out["stability_checked"] = True
-        out["refined"] = {"c0": fc0, "c1": fc1}
+        out["refined"] = {"c0": fc0, "c1": fc1, "iters": report.iters,
+                          "converged": bool(report.converged)}
         drift0 = abs(fc0 - c0) / max(abs(c0), 1e-30)
         drift1 = abs(fc1 - c1) / max(abs(c1), 1e-30)
         out["drift"] = {"c0": drift0, "c1": drift1}
         if drift0 > _SANDWICH_TOL or drift1 > _SANDWICH_TOL or fc0 <= 0.0:
             out["verdict"] = "fail"
-        if refined_report is not None:
-            out["refined"].update(iters=refined_report.iters,
-                                  converged=bool(refined_report.converged))
-            if not refined_report.converged:
-                out["verdict"] = "fail"
-                out["notes"] = ["refined run did not converge: "
-                                "stability is not established"]
+        if not report.converged:
+            out["verdict"] = "fail"
+            out["notes"] = ["refined run did not converge: "
+                            "stability is not established"]
     return out
 
 
@@ -313,8 +310,8 @@ def certificate_to_json(cert: dict) -> str:
     return json.dumps(cert, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def solution_certificate(state: SystemState, report, refined=None,
-                         rng=None) -> dict:
+def solution_certificate(state: SystemState, report, refined,
+                         rng: np.random.Generator) -> dict:
     """Machine-readable verification record for a completed run, the
     final ``state`` of its iteration and the ``report`` of it: residuals,
     membership, sandwich constants, hypothesis report, the estimate
@@ -325,11 +322,9 @@ def solution_certificate(state: SystemState, report, refined=None,
     Deterministic given the same inputs and rng seed."""
     spec, pair = state.spec, state.pair
     mesh = spec.mesh
-    rng = rng or np.random.default_rng(0)
     r1, r2 = state.residuals
     audits = estimate_audits(spec.p, ("gradient", "linfty"), pair.torsion)
-    sandwich = (sandwich_audit(state.z) if refined is None else
-                sandwich_audit(state.z, refined[0].z, refined[1]))
+    sandwich = sandwich_audit(state.z, refined)
     mvt = mvt_spot_checks(state, rng)
     cert = {
         "schema_version": 1,

@@ -124,6 +124,31 @@ def test_mesh_n_override_still_validates_the_resolution(tmp_path, capsys, value,
     assert err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["solve"], ["audit"], ["sweep", "--param", "iteration.theta", "--values", "0.7"]],
+    ids=["solve", "audit", "sweep"])
+def test_a_small_mesh_override_names_the_flag(tmp_path, capsys, command):
+    # the config's resolution is valid: the bad value is the flag's
+    argv = [command[0], config_path("trivial.json"), *command[1:], "--mesh-n", "8"]
+    err = _exit1_one_line_nothing_created(capsys, argv, tmp_path / "out")
+    assert err == "config error: --mesh-n: must be >= 16\n"
+
+
+def test_a_tiny_square_never_claims_convergence(tmp_path):
+    # every residual is normalized by int|h| + |Omega|, so on a 1e-7
+    # square the stop tests do not pass at once: the run exits 2 without
+    # a converged iteration in its certificate
+    raw = json.loads(load("benchmark.json"))
+    raw.update(domain={"kind": "rectangle", "ax": 0.0, "bx": 1e-7, "ay": 0.0, "by": 1e-7},
+               resolution=16)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out-dir", str(out)]) == 2
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert.get("iteration", {}).get("converged") is not True
+
+
 def test_refined_problem_matches_parsed_problem():
     raw = json.loads(load("trivial.json"))
     raw["resolution"] = 32

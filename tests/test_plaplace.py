@@ -263,7 +263,7 @@ def test_start_at_converged_output_takes_no_newton_step():
 def test_start_on_another_mesh_rejected():
     m = mesh1d(32)
     with pytest.raises(MeshCompatibilityError):
-        solve_dirichlet(ExponentField.constant(m, 2.0), 1.0,
+        solve_dirichlet(ExponentField.constant(m, 2.0), GridFunction.constant(m, 1.0),
                         start=GridFunction.constant(mesh1d(32), 0.0))
 
 
@@ -335,10 +335,28 @@ def test_exponent_quadrature_values_evaluated_once(monkeypatch):
     monkeypatch.setattr(grid, "at_quad", lambda mesh, vals: (
         evaluated.append(vals is p.values) or real(mesh, vals)))
     pq = p.at_quad()
-    res = solve_dirichlet(p, 1.0)
-    weak_residual(p, res.u, 1.0)
+    one = GridFunction.constant(m, 1.0)
+    res = solve_dirichlet(p, one)
+    weak_residual(p, res.u, one)
     assert p.at_quad() is pq and not pq.flags.writeable
     assert evaluated.count(True) == 1
+
+
+def test_large_exponent_torsion_stalls_without_overflow_warnings():
+    # at p = 12 a trial step's energy overflows; it is rejected like a
+    # failed Armijo test, so the solve stalls at the floor p = 8 stalls at
+    p = ExponentField.constant(mesh1d(512), 12.0)
+    with pytest.raises(SolveError, match=r"^torsion solve stalled at residual 9\.766e-04$"):
+        torsion(p)
+
+
+def test_non_finite_start_energy_raises_solve_error():
+    # |grad u|^2 ~ 1e60 is finite, its power p/2 = 6 is not
+    m = mesh1d(16)
+    start = GridFunction(m, np.where(m.distance > 0, 1e29, 0.0), zero_trace=True)
+    with pytest.raises(SolveError, match="energy of the Newton start is non-finite"):
+        solve_dirichlet(ExponentField.constant(m, 12.0), GridFunction.constant(m, 1.0),
+                        start=start)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -370,13 +388,14 @@ def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
     p = spec.p1
     xi = torsion(p)
     pair = build_barriers(spec, 2.0, 0.1, torsion_pairs(m, spec, 0.1))
+    one = GridFunction.constant(m, 1.0)
     calls = {
         "torsion": lambda: torsion(p),
         "strip": lambda: torsion_delta(p, 0.1, xi.u),
         "map": lambda: sysfix.apply_map(sysfix.SystemState.build(spec, pair, *pair.under)),
         "audit": lambda: verify.ScaleFamily(p, xi).solves,
         "mvt": lambda: verify.mvt_sampling(spec.p, np.random.default_rng(0),
-                                           [plaplace.solve_dirichlet(q, 1.0) for q in spec.p]),
+                                           [plaplace.solve_dirichlet(q, one) for q in spec.p]),
     }
     solve = plaplace.solve_dirichlet
     monkeypatch.setattr(plaplace, "solve_dirichlet", lambda *args, **kwargs:
@@ -659,7 +678,7 @@ def test_layout_poisson_factor_matches_sparse_solve():
     for mesh in (mesh1d(33), build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 9)):
         p = ExponentField.constant(mesh, 2.0)
         ref = _reference_hessian(mesh, p, np.zeros(mesh.n_nodes), 1.0)
-        b = grid.load_vector(mesh, 1.0)[mesh.interior_nodes]
+        b = grid.load_vector(mesh, np.ones_like(mesh.qweights))[mesh.interior_nodes]
         np.testing.assert_allclose(plaplace._layout(mesh).poisson(b),
                                    spla.spsolve(sp.csc_matrix(ref), b),
                                    rtol=1e-12, atol=1e-15)

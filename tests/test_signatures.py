@@ -106,3 +106,25 @@ def test_every_definition_is_used_in_the_package():
               and node.name not in UNCALLED_FACES
               and used[node.name] == _names(node)[node.name]]
     assert unused == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a ``_`` name belongs to its module: another module that needs it
+    # needs a public name for it
+    src = Path(barriers.__file__).parent
+    ours = {path.stem for path in src.glob("*.py")}
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # names this module binds to a package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in ours:
+                        modules.add(alias.asname or alias.name)
+                    elif node.module is not None and alias.name.startswith("_"):
+                        reads.append(f"{path.name}: {node.module}.{alias.name}")
+        reads += [f"{path.name}: {n.value.id}.{n.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in modules and n.attr.startswith("_")]
+    assert reads == []

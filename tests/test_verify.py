@@ -10,6 +10,7 @@ from varpx import (DomainSpec, ExponentField, GridFunction, Regime, ScaleFamily,
                    linfty_estimate_audit, mvt_ratio, sandwich_audit,
                    solution_certificate, solve_dirichlet, torsion)
 from varpx.errors import MeshCompatibilityError
+from varpx.sysfix import IterationReport
 from varpx.verify import (DEFAULT_SCALES, certificate_to_json, mvt_tolerance,
                           random_lipschitz_field, random_sign_constant_test)
 
@@ -225,6 +226,14 @@ def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
 
 # -- sandwich audit ----------------------------------------------------------
 
+def _run_of(fields):
+    """(state, report) of a converged one-iteration run ending at
+    ``fields``, as ``sandwich_audit`` reads a refined run."""
+    report = IterationReport(iters=1, step_norms=[], residuals=[], box_trace=[],
+                             grad_cap_trace=[], converged=True, damping_used=0.7)
+    return SystemState(z=tuple(fields), spec=None, pair=None), report
+
+
 def test_sandwich_audit_torsion():
     m = mesh1d(512)
     xi = torsion(ExponentField.constant(m, 2.0)).u
@@ -245,7 +254,7 @@ def test_sandwich_audit_synthetic_profiles():
     m2 = mesh1d(512)
     flat2 = GridFunction(m2, m2.distance ** 2, zero_trace=True)
     paired = sandwich_audit((GridFunction(m, m.distance ** 2, zero_trace=True),) * 2,
-                            refined=(flat2, flat2))
+                            refined=_run_of((flat2, flat2)))
     assert paired["verdict"] == "fail"
 
 
@@ -254,12 +263,16 @@ def test_sandwich_stability_accepts_converging_solution():
     m2 = mesh1d(512)
     xi = torsion(ExponentField.constant(m, 2.0)).u
     xi2 = torsion(ExponentField.constant(m2, 2.0)).u
-    out = sandwich_audit((xi, xi), refined=(xi2, xi2))
+    out = sandwich_audit((xi, xi), refined=_run_of((xi2, xi2)))
     assert out["verdict"] == "pass" and out["stability_checked"]
+    assert out["refined"]["iters"] == 1 and out["refined"]["converged"]
 
 
 # -- certificate -------------------------------------------------------------
 
+# A certificate takes the refined run's (state, report).  These tests check
+# what it reads of the coarse run, so that run stands in for its own
+# refinement, and the sandwich audit's stability part reads zero drift.
 def _small_run(n=128, spec_fn=benchmark_spec):
     m = mesh1d(n)
     spec = spec_fn(m)
@@ -274,8 +287,8 @@ def _small_run(n=128, spec_fn=benchmark_spec):
 
 def test_certificate_deterministic_and_complete():
     m, spec, cal, state, rep = _small_run()
-    c1 = solution_certificate(state, rep, rng=np.random.default_rng(5))
-    c2 = solution_certificate(state, rep, rng=np.random.default_rng(5))
+    c1 = solution_certificate(state, rep, (state, rep), np.random.default_rng(5))
+    c2 = solution_certificate(state, rep, (state, rep), np.random.default_rng(5))
     assert certificate_to_json(c1) == certificate_to_json(c2)
     for key in ("residuals", "membership", "sandwich", "audits",
                 "hypothesis_report", "mesh"):
@@ -289,7 +302,7 @@ def test_certificate_detects_tampering():
     bad0 = GridFunction(m, np.where(m.distance > 0, state.z[0].values + 0.1, 0.0),
                         zero_trace=True)
     cert = solution_certificate(SystemState.build(spec, cal.pair, bad0, state.z[1]),
-                                rep, rng=np.random.default_rng(5))
+                                rep, (state, rep), np.random.default_rng(5))
     assert cert["residuals"]["max"] > 1e-3
 
 
@@ -301,11 +314,11 @@ def test_certificate_evaluates_frozen_data_once(monkeypatch, spec_fn, family_sol
     # a state rebuilt from the fields evaluates its frozen data and
     # residuals afresh; the run's final state already holds both
     fresh = SystemState.build(spec, cal.pair, *state.z)
-    expected = solution_certificate(fresh, rep, rng=np.random.default_rng(5))
+    expected = solution_certificate(fresh, rep, (state, rep), np.random.default_rng(5))
     frozen = count_calls(monkeypatch, barriers, "frozen_rhs_quad")
     residuals = count_calls(monkeypatch, plaplace, "weak_residual")
     solves = count_calls(monkeypatch, plaplace, "solve_dirichlet")
-    cert = solution_certificate(state, rep, rng=np.random.default_rng(5))
+    cert = solution_certificate(state, rep, (state, rep), np.random.default_rng(5))
     assert certificate_to_json(cert) == certificate_to_json(expected)
     # the loop's last residual test evaluated the frozen data and the
     # component residuals at the solution; solves report their residual
@@ -336,6 +349,6 @@ def test_certificate_audits_solve_with_the_calibration_options(monkeypatch):
         return solve(p, h, opts, start)
 
     monkeypatch.setattr(plaplace, "solve_dirichlet", recording)
-    cert = solution_certificate(state, rep, rng=np.random.default_rng(5))
+    cert = solution_certificate(state, rep, (state, rep), np.random.default_rng(5))
     assert seen == [opts] * (2 * (len(DEFAULT_SCALES) - 1))
     assert all(a["verdict"] == "pass" for a in cert["audits"])
