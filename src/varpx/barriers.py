@@ -19,7 +19,7 @@ comparison inequalities hold at every interior hat function.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -267,17 +267,14 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
     mesh = spec.mesh
     solves, xid = torsions
     xi = tuple(res.u for res in solves)
-    under = tuple(GridFunction(mesh, xid[i].values / C, zero_trace=True)
-                  for i in (0, 1))
-    over = tuple(GridFunction(mesh, C * xi[i].values, zero_trace=True)
-                 for i in (0, 1))
+    under = tuple(GridFunction(mesh, x.values / C, zero_trace=True) for x in xid)
+    over = tuple(GridFunction(mesh, C * x.values, zero_trace=True) for x in xi)
     for i in (0, 1):
         gap = over[i].values - under[i].values
         if np.any(gap < 0.0):
             raise OrderingError(
                 f"under exceeds over for component {i+1}; escalate C")
-    R = max(1.0, *(_c1_bound(xi[i]) for i in (0, 1)),
-            *(_c1_bound(xid[i]) for i in (0, 1)))
+    R = max(1.0, *map(_c1_bound, (*xi, *xid)))
     return BarrierPair(under=under, over=over, C=float(C), delta=float(delta), R=R,
                        c0_measured=min(grid.distance_ratio(u)[0] for u in under),
                        c1_measured=max(grid.distance_ratio(u)[1] for u in over),
@@ -292,9 +289,10 @@ class InequalityReport:
 
 
 def _power_quad(base: GridFunction, expo: ExponentField) -> np.ndarray:
-    """base(x)^expo(x) at quadrature points; base must be positive there."""
+    """base(x)^expo(x) at quadrature points; base must be positive there.
+    Only the C search reads ``expo`` here, so it is interpolated, not cached."""
     vals = grid.at_quad(base.mesh, base.values)
-    ev = expo.at_quad()
+    ev = grid.at_quad(expo.mesh, expo.values)
     with np.errstate(over="ignore", divide="ignore"):
         out = np.power(vals, ev)
     if not np.isfinite(out).all():
@@ -393,6 +391,18 @@ class CalibrationResult:
     trajectory: list        # (C, worst_margin) along the doubling search
 
 
+def _values_only(pair: BarrierPair) -> BarrierPair:
+    """``pair`` with fresh fields of its values, so what its checks and its
+    torsion solves derived from them is freed; a shared solve stays one."""
+    def bare(u):
+        return GridFunction(u.mesh, u.values, zero_trace=u.zero_trace)
+
+    return replace(pair, under=tuple(map(bare, pair.under)),
+                   over=tuple(map(bare, pair.over)),
+                   torsion=tuple(per_distinct(lambda r: replace(r, u=bare(r.u)),
+                                              pair.torsion)))
+
+
 def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     """Strip width search: start at 0.1 * max distance and halve until
     the strip-loaded torsion fields stay positive, flooring at 1.5 times
@@ -448,7 +458,7 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
             rep = check_barriers_singular_regime(spec, pair, L)
         trajectory.append((C, rep.worst_margin))
         if rep.ok:
-            return CalibrationResult(pair=pair, trajectory=trajectory)
+            return CalibrationResult(pair=_values_only(pair), trajectory=trajectory)
     raise CalibrationError(
         f"no C <= 2^{_C_MAX_EXP} satisfied the comparison inequalities; "
         "either C must be larger or the discretization is too coarse "
@@ -464,7 +474,7 @@ def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple):
     mesh = spec.mesh
     s1, s2 = (grid.at_quad(mesh, np.maximum(zi.values, low.values))
               for zi, low in zip(z, pair.under))
-    m1, m2 = (zi.grad_norm[mesh.qcells] for zi in z)
+    m1, m2 = (zi.grad_norm.repeat(mesh.q_per_cell) for zi in z)
 
     def data(fe):
         hv = evaluate_spatial(fe, mesh.qpoints, s1=s1, s2=s2, xi1=m1, xi2=m2)

@@ -72,9 +72,9 @@ class Mesh:
     obtained by splitting tensor quads along one diagonal.
 
     Immutable after construction.  Precomputes cell gradients of the P1
-    basis, quadrature points/weights with their owning cell (points are
-    stored cell by cell, the same number per cell), the nodes of each
-    quadrature point's cell, and the basis values at quadrature points.
+    basis, quadrature points and weights, stored cell by cell, the same
+    number per cell (per-cell values repeat ``q_per_cell`` times), and
+    ``qbasis``, the (q, k) values of a cell's k hats at its q points.
     """
 
     def __init__(self, domain: DomainSpec, n: int):
@@ -83,20 +83,22 @@ class Mesh:
         self.domain = domain
         self.n = int(n)
         self.dim = domain.dim
-        if self.dim == 1:
-            self._build_1d()
-        else:
-            self._build_2d()
-        self.h = float(self.cell_diameters.max())
+        gb = self._build_1d() if self.dim == 1 else self._build_2d()
+        self.q_per_cell = len(self.qbasis)
+        # cells as (k, n_cells) and basis gradients as (k, dim, n_cells),
+        # C-ordered, so each vertex's column the cell kernels read is
+        # contiguous; ``grad_basis`` is their (n_cells, k, dim) view
+        self.columns = (np.ascontiguousarray(self.cells.T, dtype=np.int32),
+                        np.ascontiguousarray(gb.transpose(1, 2, 0)))
+        self.grad_basis = self.columns[1].transpose(2, 0, 1)
         self.distance = domain.distance(self.nodes)
         # a mask, not np.setdiff1d: its np.unique imports numpy.ma on first
         # use, a cost every process would pay during set-up
         interior = np.ones(self.nodes.shape[0], dtype=bool)
         interior[self.boundary_nodes] = False
         self.interior_nodes = np.flatnonzero(interior)
-        self.qconn = self.cells[self.qcells]
         for arr in (self.nodes, self.cells, self.qweights, self.qbasis,
-                    self.qconn, self.grad_basis, self.distance):
+                    *self.columns, self.distance):
             arr.setflags(write=False)
 
     def _build_1d(self):
@@ -106,21 +108,19 @@ class Mesh:
         self.nodes = x.reshape(-1, 1)
         self.cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
         self.boundary_nodes = np.array([0, n])
-        h = (b - a) / n
-        self.cell_diameters = np.full(n, h)
+        self.h = h = (b - a) / n
         # gradients of the two hats on each cell
         gb = np.empty((n, 2, 1))
         gb[:, 0, 0] = -1.0 / h
         gb[:, 1, 0] = 1.0 / h
-        self.grad_basis = gb
         # 3-point Gauss per cell
         left = x[:-1]
         qx = (left[:, None] + (0.5 * h) * (1.0 + _G3_T)[None, :]).ravel()
         self.qpoints = qx.reshape(-1, 1)
         self.qweights = np.tile(_G3_W * 0.5 * h, n)
-        self.qcells = np.repeat(np.arange(n), 3)
-        lam_r = np.tile((1.0 + _G3_T) / 2.0, n)
+        lam_r = (1.0 + _G3_T) / 2.0
         self.qbasis = np.column_stack([1.0 - lam_r, lam_r])
+        return gb
 
     def _build_2d(self):
         ax, bx, ay, by = self.domain.bounds
@@ -158,9 +158,9 @@ class Mesh:
         e1, e2 = p1 - p0, p2 - p0
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         area = 0.5 * np.abs(det)
-        self.cell_diameters = np.maximum.reduce([
+        self.h = float(np.maximum.reduce([
             np.hypot(*(p1 - p0).T), np.hypot(*(p2 - p1).T), np.hypot(*(p0 - p2).T)
-        ])
+        ]).max())
         # grad(lambda_1), grad(lambda_2) from the inverse edge matrix
         gb = np.empty((len(self.cells), 3, 2))
         gb[:, 1, 0] = e2[:, 1] / det
@@ -168,28 +168,15 @@ class Mesh:
         gb[:, 2, 0] = -e1[:, 1] / det
         gb[:, 2, 1] = e1[:, 0] / det
         gb[:, 0, :] = -gb[:, 1, :] - gb[:, 2, :]
-        self.grad_basis = gb
 
-        nc = len(self.cells)
         verts = self.nodes[self.cells]  # (nc, 3, 2)
         qp = np.einsum("qk,ckd->cqd", _TRI_BARY, verts).reshape(-1, 2)
         self.qpoints = qp
         self.qweights = np.repeat(area / 3.0, 3)
-        self.qcells = np.repeat(np.arange(nc), 3)
-        self.qbasis = np.tile(_TRI_BARY, (nc, 1))
+        self.qbasis = _TRI_BARY.copy()
+        return gb
 
     # -- queries ---------------------------------------------------------
-
-    @cached_property
-    def columns(self) -> tuple:
-        """``cells`` as (k, n_cells) and ``grad_basis`` as (k, dim, n_cells),
-        read-only and C-ordered, so that each vertex's column the cell
-        kernels read is contiguous; built on first use."""
-        out = (np.ascontiguousarray(self.cells.T, dtype=np.int32),
-               np.ascontiguousarray(self.grad_basis.transpose(1, 2, 0)))
-        for arr in out:
-            arr.setflags(write=False)
-        return out
 
     @property
     def n_nodes(self) -> int:
@@ -339,15 +326,17 @@ def check_same_mesh(mesh: Mesh, *objs):
 def at_quad(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
     """Nodal field evaluated at all quadrature points.
 
-    The vertex terms t_k = qbasis[:, k] * vals[qconn[:, k]] are added as
-    ``np.einsum("qk,qk->q", qbasis, vals[qconn])`` adds them, (t0 + t2) + t1
-    for three vertices, so the two agree bit for bit."""
-    vals = np.asarray(nodal_values, dtype=float)
-    k = mesh.qconn.shape[1]
-    out = mesh.qbasis[:, 0] * vals[mesh.qconn[:, 0]]
-    for j in (*range(2, k), 1):
-        out += mesh.qbasis[:, j] * vals[mesh.qconn[:, j]]
-    return out
+    At the points of each cell the vertex terms t_k = qbasis[:, k] *
+    vals[cells[:, k]] are added as ``np.einsum("qk,qk->q", ...)`` adds
+    them over per-point tables of basis values and vertices, (t0 + t2) +
+    t1 for three vertices, so the two agree bit for bit."""
+    v = np.asarray(nodal_values, dtype=float).take(mesh.columns[0])
+    out = np.empty((v.shape[1], mesh.q_per_cell))
+    for b, col in zip(mesh.qbasis, out.T):  # point by point, long loops
+        np.multiply(v[0], b[0], out=col)
+        for j in (*range(2, len(v)), 1):
+            col += v[j] * b[j]
+    return out.ravel()
 
 
 def as_quad_values(mesh: Mesh, h) -> np.ndarray:
@@ -405,12 +394,13 @@ def load_vector(mesh: Mesh, h) -> np.ndarray:
 
 
 def _load(mesh: Mesh, hq: np.ndarray) -> np.ndarray:
-    w = mesh.qweights * hq
-    contrib = np.empty(mesh.qbasis.shape)
-    for k, col in enumerate(contrib.T):
-        np.multiply(w, mesh.qbasis[:, k], out=col)
-    return np.bincount(mesh.qconn.ravel(), weights=contrib.ravel(),
-                       minlength=mesh.n_nodes)
+    """Nodal sums of hq times each hat, added point by point, vertex by vertex."""
+    w = (mesh.qweights * hq).reshape(-1, mesh.q_per_cell)
+    contrib = np.empty((*w.shape, mesh.cells.shape[1]))  # (cell, point, vertex)
+    for (j, k), b in np.ndenumerate(mesh.qbasis):
+        np.multiply(w[:, j], b, out=contrib[:, j, k])
+    return np.bincount(mesh.cells.repeat(mesh.q_per_cell, axis=0).ravel(),
+                       weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
 def boundary_strip(mesh: Mesh, delta: float) -> np.ndarray:

@@ -84,7 +84,7 @@ class SystemState:
         mesh = self.spec.mesh
         return tuple(expspace.per_distinct(
             lambda p, z: expspace.luxemburg_norm_from_samples(
-                z.grad_norm[mesh.qcells], p.at_quad(), mesh.qweights),
+                z.grad_norm.repeat(mesh.q_per_cell), p.at_quad(), mesh.qweights),
             self.spec.p, self.z))
 
     @cached_property

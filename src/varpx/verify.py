@@ -178,8 +178,8 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
     den = float(mesh.qweights @ hphi)
     if abs(den) <= 1e-14 * float(mesh.qweights @ np.abs(hphi)):
         raise ZeroDivisionError("degenerate test field: int h phi vanishes")
-    coeff = plaplace.flux_coefficient(u.grad_sq[mesh.qcells], p.at_quad())
-    dots = (u.grad * phi.grad).sum(axis=1)[mesh.qcells]
+    coeff = plaplace.flux_coefficient(u.grad_sq.repeat(mesh.q_per_cell), p.at_quad())
+    dots = (u.grad * phi.grad).sum(axis=1).repeat(mesh.q_per_cell)
     fq = grid.at_quad(mesh, f.values)
     num = float(mesh.qweights @ (fq * coeff * dots))
     return num / den

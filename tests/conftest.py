@@ -31,6 +31,16 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def point_tables(mesh):
+    """Per-quadrature-point tables, the reference layout of the mesh's
+    per-cell ones: each point's cell, the hats' values at each point, and
+    the vertices of each point's cell, shapes (n_q,), (n_q, k), (n_q, k).
+    Points are stored cell by cell, the same number per cell."""
+    nc = len(mesh.cells)
+    qcells = np.repeat(np.arange(nc), len(mesh.qbasis))
+    return qcells, np.tile(mesh.qbasis, (nc, 1)), mesh.cells[qcells]
+
+
 def assert_power_bounds(u, p):
     """norm^pmin <= modular <= norm^pmax when the norm exceeds one, and
     norm^pmax <= modular <= norm^pmin otherwise, to quadrature tolerance.

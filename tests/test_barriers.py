@@ -246,6 +246,17 @@ def test_singular_regime_check_and_monotone_L_margin():
     assert rep8.worst_margin <= rep2.worst_margin + 1e-12
 
 
+def test_calibrated_pair_holds_values_only_and_one_shared_torsion_solve():
+    # the accepted pair's fields are fresh, so the arrays the checks and
+    # the Newton solves derived from them are not kept; equal exponents
+    # keep one torsion solve, which the certificate's audits share
+    spec = singular_spec(mesh1d(64))
+    pair = calibrate_barriers(spec, L=2.0).pair
+    assert pair.torsion[0] is pair.torsion[1]
+    for u in (*pair.under, *pair.over, pair.torsion[0].u):
+        assert u.zero_trace and set(vars(u)) == {"mesh", "values", "zero_trace"}
+
+
 def test_supersolution_margin_monotone_in_C():
     m = build_mesh(DomainSpec.interval(0, 1), 256)
     spec = benchmark_spec(m)

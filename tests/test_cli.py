@@ -208,6 +208,37 @@ def test_each_gradient_array_formed_once_per_field(tmp_path, monkeypatch):
     assert 0 < len(formed["projections"]) <= len(taken)
 
 
+def test_a_run_keeps_only_the_arrays_a_later_step_reads(tmp_path, monkeypatch):
+    # the calibrated pair's fields and kept torsion solves carry their
+    # values alone, the growth exponents alpha/beta cache no quadrature
+    # values, and one run of the unit square peaks at most 4.0 MB of
+    # Python-traced memory (4.65 MB while all of these were kept)
+    import tracemalloc
+    specs, calibrate = [], barriers.calibrate_barriers
+
+    def checked(spec, *args, **kwargs):
+        cal = calibrate(spec, *args, **kwargs)
+        pair = cal.pair
+        for u in (*pair.under, *pair.over, *(r.u for r in pair.torsion)):
+            assert not {"grad", "grad_sq", "projections"} & vars(u).keys()
+        specs.append(spec)
+        return cal
+
+    monkeypatch.setattr(barriers, "calibrate_barriers", checked)
+    config = parse_config(_scaled_square(tmp_path, 1.0).read_text())
+    tracemalloc.start()
+    try:
+        assert run(config, out_dir=str(tmp_path / "out")) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.mesh.n for s in specs] == [16, 32]
+    for spec in specs:
+        for e in (*spec.alpha, *spec.beta):
+            assert "_quad_values" not in vars(e)
+    assert peak <= 4.0e6
+
+
 @pytest.mark.skipif(plaplace._THREAD_COUNT is None,
                     reason="numpy's OpenBLAS has no thread-count calls here")
 @pytest.mark.parametrize("fails", [False, True])

@@ -15,7 +15,7 @@ from varpx import (DomainSpec, ExponentField, GridFunction, SolverOptions,
 from varpx.errors import DeltaTooLargeError, MeshCompatibilityError, SolveError
 from varpx.verify import random_lipschitz_field
 
-from conftest import count_calls
+from conftest import count_calls, point_tables
 
 
 def mesh1d(n):
@@ -416,7 +416,7 @@ def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
 # per-mesh layout must reproduce.
 
 def _coo_scatter(mesh, local):
-    conn = mesh.cells[mesh.qcells]
+    conn = point_tables(mesh)[2]
     k = conn.shape[1]
     rows = np.repeat(conn, k, axis=1).ravel()
     cols = np.tile(conn, (1, k)).ravel()
@@ -428,11 +428,12 @@ def _coo_scatter(mesh, local):
 
 def _reference_hessian(mesh, p, u, eps):
     pq = p.at_quad()
-    gq = grid.cell_gradients(mesh, u)[mesh.qcells]
+    qcells = point_tables(mesh)[0]
+    gq = grid.cell_gradients(mesh, u)[qcells]
     base = (gq ** 2).sum(axis=1) + eps * eps
     aa = np.power(base, (pq - 2.0) / 2.0)
     bb = (pq - 2.0) * np.power(base, (pq - 4.0) / 2.0)
-    gb = mesh.grad_basis[mesh.qcells]
+    gb = mesh.grad_basis[qcells]
     gdot = np.einsum("qd,qkd->qk", gq, gb)
     dots = np.einsum("qkd,qld->qkl", gb, gb)
     local = (aa[:, None, None] * dots
@@ -442,13 +443,14 @@ def _reference_hessian(mesh, p, u, eps):
 
 def _reference_operator(mesh, p, u, eps):
     pq = p.at_quad()
-    gq = grid.cell_gradients(mesh, u)[mesh.qcells]
+    qcells, _, qconn = point_tables(mesh)
+    gq = grid.cell_gradients(mesh, u)[qcells]
     g2 = (gq ** 2).sum(axis=1)
     coeff = np.power(g2 + eps * eps, (pq - 2.0) / 2.0)
-    gb = mesh.grad_basis[mesh.qcells]
+    gb = mesh.grad_basis[qcells]
     contrib = np.einsum("qd,qkd->qk", coeff[:, None] * gq, gb)
     out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.cells[mesh.qcells], contrib * mesh.qweights[:, None])
+    np.add.at(out, qconn, contrib * mesh.qweights[:, None])
     return out
 
 
@@ -576,8 +578,8 @@ def test_kernels_equal_their_references_bitwise(dim, n, width, aspect, tall, see
     """On random meshes, fields and exponents every flat per-mesh kernel
     equals with == the einsum, reshape-sum or full-element-matrix
     computation it replaced: cell gradients, quadrature interpolation,
-    basis projections, per-cell sums, and the Hessian band data, which
-    sits in LAPACK's column-major band order."""
+    load vectors, basis projections, per-cell sums, and the Hessian band
+    data, which sits in LAPACK's column-major band order."""
     mesh = build_mesh(_random_domain(dim, width, aspect, tall), n)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=mesh.n_nodes)
@@ -590,8 +592,12 @@ def test_kernels_equal_their_references_bitwise(dim, n, width, aspect, tall, see
     g = grid.cell_gradients(mesh, u)
     assert np.array_equal(g, np.einsum("ckd,ck->cd", mesh.grad_basis, u[mesh.cells]))
     assert np.array_equal(uf.grad, g)
-    assert np.array_equal(grid.at_quad(mesh, u),
-                          np.einsum("qk,qk->q", mesh.qbasis, u[mesh.qconn]))
+    _, qbasis, qconn = point_tables(mesh)
+    assert np.array_equal(grid.at_quad(mesh, u), np.einsum("qk,qk->q", qbasis, u[qconn]))
+    hq = rng.normal(size=mesh.qweights.size)
+    assert np.array_equal(grid._load(mesh, hq), np.bincount(
+        qconn.ravel(), weights=((mesh.qweights * hq)[:, None] * qbasis).ravel(),
+        minlength=mesh.n_nodes))
     gdot = np.einsum("cd,ckd->ck", g, mesh.grad_basis)
     assert np.array_equal(uf.projections, gdot)
     w = rng.uniform(0.0, 2.0, mesh.qweights.size)
