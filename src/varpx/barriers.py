@@ -32,7 +32,7 @@ from .forms import Expr, evaluate_spatial
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
 
-# Weak inequalities are asserted with this slack (quadrature noise floor).
+# Weak inequalities and set membership hold up to ``slack`` (quadrature noise).
 _INEQ_ATOL = 1e-8
 _INEQ_RTOL = 1e-6
 
@@ -73,16 +73,14 @@ class ProblemSpec:
     ``per_distinct`` maps over ``f`` runs once for both."""
 
     mesh: Mesh
-    p1: ExponentField
-    p2: ExponentField
-    alpha: tuple            # (ExponentField, ExponentField), one per component
+    p: tuple                # (ExponentField, ExponentField), one per component
+    alpha: tuple
     beta: tuple
     gamma: tuple
     gamma_bar: tuple
     m: tuple                # positive lower-envelope constants
     M: tuple                # upper-envelope constants
     f: tuple                # (Expr, Expr) nonlinearities
-    N_dim: int = 2
 
     def __post_init__(self):
         for i in (0, 1):
@@ -90,20 +88,13 @@ class ProblemSpec:
                 raise ValueError("lower envelope constants m must be positive")
             if self.m[i] > self.M[i]:
                 raise ValueError("need m <= M")
-        fields = [self.p1, self.p2, *self.alpha, *self.beta,
-                  *self.gamma, *self.gamma_bar]
+        fields = [*self.p, *self.alpha, *self.beta, *self.gamma, *self.gamma_bar]
         grid.check_same_mesh(self.mesh, *fields)
-        if self.N_dim < 1:
-            raise ValueError("N_dim must be a positive integer")
         for i, fe in enumerate(self.f):
             if not isinstance(fe, Expr):
                 raise TypeError(f"f[{i}] must be a parsed expression")
         if self.f[0] == self.f[1]:
             object.__setattr__(self, "f", (self.f[0],) * 2)
-
-    @property
-    def p(self):
-        return (self.p1, self.p2)
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:
@@ -186,6 +177,7 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
             except MixedSignError as exc:
                 exc.key = f"{name}[{i}]"
                 raise
+    N = spec.mesh.N
     checks = []
     deviations = []
     sums = []
@@ -193,9 +185,8 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
         p = spec.p[i]
         pm = p.p_minus
         checks.append(Check(f"p{i+1}_lower", pm, 1.0, pm > 1.0))
-        if p.p_plus >= spec.N_dim:
-            deviations.append(
-                f"p{i+1}_plus={p.p_plus} >= N={spec.N_dim}; recorded, not enforced")
+        if p.p_plus >= N:
+            deviations.append(f"p{i+1}_plus={p.p_plus} >= N={N}; recorded, not enforced")
         a_mp, b_mp = signed["alpha", i], signed["beta", i]
         sums.append(a_mp + b_mp)
         checks.append(Check(
@@ -215,13 +206,12 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
         # strongly singular component: smallness caps
         a_mp, b_mp = signed["alpha", i], signed["beta", i]
         ppl = spec.p_prime_values(i)
-        cap = 1.0 / (spec.N_dim * float(ppl.max()))
+        cap = 1.0 / (N * float(ppl.max()))
         checks.append(Check(f"singular_smallness_{i+1}",
                             abs(a_mp) + abs(b_mp), cap,
                             abs(a_mp) + abs(b_mp) <= cap))
-        g_margin = float((spec.p1.values / (spec.N_dim * ppl)
-                          - spec.gamma[i].values).min())
-        gb_margin = float((spec.p2.values / (spec.N_dim * ppl)
+        g_margin = float((spec.p[0].values / (N * ppl) - spec.gamma[i].values).min())
+        gb_margin = float((spec.p[1].values / (N * ppl)
                            - spec.gamma_bar[i].values).min())
         checks.append(Check(f"gradient_cap_{i+1}", -g_margin, 0.0, g_margin >= 0.0))
         checks.append(Check(f"gradient_cap_bar_{i+1}", -gb_margin, 0.0,
@@ -328,34 +318,40 @@ def _product_bound(spec, i, ends, upper=False):
     return out
 
 
+def slack(scale):
+    """How far a weak inequality or membership bound of ``scale`` may fail."""
+    return _INEQ_ATOL + _INEQ_RTOL * scale
+
+
 def _weak_inequality(mesh, small, large) -> float:
     """Smallest margin of large >= small over the interior hats, slacked
-    by _INEQ_ATOL + _INEQ_RTOL * max(|small|, |large|)."""
+    by ``slack(max(|small|, |large|))``."""
     ii = mesh.interior_nodes
     s, g = small[ii], large[ii]
-    tol = _INEQ_ATOL + _INEQ_RTOL * np.maximum(np.abs(s), np.abs(g))
+    tol = slack(np.maximum(np.abs(s), np.abs(g)))
     return float((g - s + tol).min())
 
 
-def check_barriers_positive_regime(spec: ProblemSpec,
-                                   pair: BarrierPair) -> InequalityReport:
-    """Weak-form comparison inequalities for the positive-sum regime.
+def _comparison(spec: ProblemSpec, pair: BarrierPair, top) -> InequalityReport:
+    """Weak-form comparison inequalities over the box from ``pair.under``
+    to ``top``, which is ``pair.over`` or the singular regime's (L, L).
 
     Subsolution side: the operator applied to ``under`` tested against
     every nonnegative interior hat must not exceed m_i times the
-    case-selected barrier product.  Supersolution side: the operator on
-    ``over`` must dominate 2 M_i (R C)^gamma_max plus M_i times the
-    majorized product.  Pointwise second derivatives do not exist for P1
-    fields, so both are asserted in the tested sense.
+    case-selected product over the box.  Supersolution side, only when
+    the top is ``over``: the operator on ``over`` must dominate 2 M_i
+    (R C)^gamma_max plus M_i times the majorized product.  P1 fields have
+    no pointwise second derivatives, so both hold in the tested sense.
     """
     mesh = spec.mesh
     margins = {}
-    box = (pair.under, pair.over)
+    box = (pair.under, top)
     for i in (0, 1):
         lhs = plaplace.apply_operator(spec.p[i], pair.under[i])
         rhs = grid.load_vector(mesh, spec.m[i] * _product_bound(spec, i, box))
         margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
-
+        if top is not pair.over:
+            continue
         gmax = max(spec.gamma[i].p_plus, spec.gamma_bar[i].p_plus)
         bulk = 2.0 * spec.M[i] * (pair.R * pair.C) ** gmax
         rhs2 = grid.load_vector(
@@ -366,6 +362,12 @@ def check_barriers_positive_regime(spec: ProblemSpec,
     return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
 
 
+def check_barriers_positive_regime(spec: ProblemSpec,
+                                   pair: BarrierPair) -> InequalityReport:
+    """Both sides of the positive-sum comparison, over ``under``..``over``."""
+    return _comparison(spec, pair, pair.over)
+
+
 def check_barriers_singular_regime(spec: ProblemSpec, pair: BarrierPair,
                                    L: float) -> InequalityReport:
     """Subsolution inequalities for the strongly singular regime, where
@@ -374,15 +376,7 @@ def check_barriers_singular_regime(spec: ProblemSpec, pair: BarrierPair,
     exponent."""
     if not L > 1.0:
         raise ValueError("sup-norm cap L must exceed 1")
-    mesh = spec.mesh
-    margins = {}
-    for i in (0, 1):
-        lhs = plaplace.apply_operator(spec.p[i], pair.under[i])
-        rhs = grid.load_vector(
-            mesh, spec.m[i] * _product_bound(spec, i, (pair.under, (L, L))))
-        margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
-    worst = min(margins.values())
-    return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
+    return _comparison(spec, pair, (L, L))
 
 
 @dataclass

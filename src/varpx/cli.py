@@ -124,42 +124,40 @@ _TOP_KEYS = ("domain", "resolution", *_EXPONENTS, "m", "M", "f", "N_dim", "seed"
              "solver", "iteration", "outputs")
 
 
-def _exponent_pair(mesh, obj, path):
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise ConfigError(path, "expected a two-element list of expressions")
+def _pair(raw, key, what):
+    """(path, entry) for both entries of the config list ``key``, which
+    must hold two ``what``."""
+    pair = _get(raw, key, "$", list)
+    if len(pair) != 2:
+        raise ConfigError(f"$.{key}", f"expected a two-element list of {what}")
+    return [(f"$.{key}[{i}]", v) for i, v in enumerate(pair)]
+
+
+def _exponent_pair(mesh, raw, key):
     out = []
-    for i, e in enumerate(obj):
-        expr = forms.parse_expr(e, f"{path}[{i}]", forms.SPATIAL[:mesh.dim])
-        vals = forms.evaluate_spatial(expr, mesh.nodes)
+    for path, e in _pair(raw, key, "expressions"):
+        vals = forms.evaluate_spatial(
+            forms.parse_expr(e, path, forms.SPATIAL[:mesh.dim]), mesh.nodes)
         if not np.all(np.isfinite(vals)):
-            raise ConfigError(f"{path}[{i}]", "exponent is not finite at every mesh node")
+            raise ConfigError(path, "exponent is not finite at every mesh node")
         out.append(ExponentField(mesh, vals))
     return tuple(out)
 
 
-def _number_pair(raw, key):
-    """The two numbers of the config list ``key``, as floats."""
-    pair = _get(raw, key, "$", list)
-    if len(pair) != 2:
-        raise ConfigError(f"$.{key}", "expected a two-element list of numbers")
-    return tuple(float(_checked(v, f"$.{key}[{i}]", _REAL)) for i, v in enumerate(pair))
-
-
 def _materialize(raw: dict, mesh) -> ProblemSpec:
     """The configured problem on ``mesh``: the five exponent pairs, the
-    envelope constants m and M, the nonlinearities f and N_dim."""
-    ex = {k: _exponent_pair(mesh, _get(raw, k, "$", list), f"$.{k}")
-          for k in _EXPONENTS}
-    mM = {k: _number_pair(raw, k) for k in ("m", "M")}
-    fobj = _get(raw, "f", "$", list)
-    if not isinstance(fobj, list) or len(fobj) != 2:
-        raise ConfigError("$.f", "expected a two-element list of expressions")
+    envelope constants m and M and the nonlinearities f.  The key N_dim
+    is accepted only at ``mesh.N``, the one N the problem is posed in."""
+    ex = {k: _exponent_pair(mesh, raw, k) for k in _EXPONENTS}
+    mM = {k: tuple(float(_checked(v, path, _REAL)) for path, v in _pair(raw, k, "numbers"))
+          for k in ("m", "M")}
     names = forms.SPATIAL[:mesh.dim] + forms.STATE
-    f = tuple(forms.parse_expr(e, f"$.f[{i}]", names) for i, e in enumerate(fobj))
-    p1, p2 = ex.pop("p")
+    f = tuple(forms.parse_expr(e, path, names) for path, e in _pair(raw, "f", "expressions"))
+    # the frozen bench configs carry "N_dim": 2; drop the key with benchmark v2
+    if _get(raw, "N_dim", "$", int, default=mesh.N) != mesh.N:
+        raise ConfigError("$.N_dim", f"only the mesh's N={mesh.N} is accepted")
     try:
-        return ProblemSpec(mesh=mesh, p1=p1, p2=p2, **ex, **mM, f=f,
-                           N_dim=int(_get(raw, "N_dim", "$", int, default=2)))
+        return ProblemSpec(mesh=mesh, **ex, **mM, f=f)
     except (ValueError, TypeError) as exc:
         raise ConfigError("$", str(exc))
 
@@ -192,7 +190,9 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     mesh = grid.build_mesh(domain, resolution)
     problem = _materialize(raw, mesh)
 
-    seed = int(_get(raw, "seed", "$", int, default=0))
+    seed = _get(raw, "seed", "$", int, default=0)
+    if seed < 0:
+        raise ConfigError("$.seed", "must be >= 0")
     try:
         problem.envelope_check(np.random.default_rng(seed))
     except (ValueError, TypeError, EnvelopeError) as exc:
@@ -222,6 +222,11 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     for key in outputs:
         _get(outputs, key, "$.outputs", str)
     outputs = {**_DEFAULT_OUTPUTS, **outputs}
+    named = {}
+    for key, path in outputs.items():
+        other = named.setdefault(os.path.normpath(path), key)
+        if other != key:
+            raise ConfigError("$.outputs", f"{other} and {key} name one file {path!r}")
     return RunConfig(domain=domain, resolution=resolution, problem=problem,
                      solver=solver, iteration=iteration, outputs=outputs,
                      seed=seed, raw=raw)
@@ -299,12 +304,15 @@ def _path_parent(d, dotted):
     return parent
 
 
+# a sweep row's keys, in the order of sweep.csv's columns
+_SWEEP_COLUMNS = ("value", "converged", "iters", "c0", "c1", "residual", "member", "error")
+
+
 def _sweep_row(raw, param, value, mesh_n):
     cfg_dict = copy.deepcopy(raw)
     _path_parent(cfg_dict, param)[param.split(".")[-1]] = value
-    row = {"value": value, "converged": False, "iters": None,
-           "c0": None, "c1": None, "residual": None, "member": None,
-           "error": ""}
+    row = dict.fromkeys(_SWEEP_COLUMNS)
+    row.update(value=value, converged=False, error="")
     try:
         cfg = parse_config(json.dumps(cfg_dict), mesh_n=mesh_n)
         state, report = run_pipeline(cfg)
@@ -326,12 +334,11 @@ def sweep(raw_config: dict, param: str, values: list,
     rows = [_sweep_row(raw_config, param, v, mesh_n) for v in values]
     path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w") as f:
-        f.write("value,converged,iters,c0,c1,residual,member,error\n")
+        f.write(",".join(_SWEEP_COLUMNS) + "\n")
         for r in rows:
             f.write(",".join("" if r[k] is None else
                              (repr(r[k]) if isinstance(r[k], float) else str(r[k]))
-                             for k in ("value", "converged", "iters", "c0", "c1",
-                                       "residual", "member", "error")) + "\n")
+                             for k in _SWEEP_COLUMNS) + "\n")
     return rows
 
 

@@ -96,9 +96,11 @@ def _modular_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) ->
         return float(weights @ np.power(absvals, exps))
 
 
-def _lux_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) -> float:
-    """Luxemburg norm from quadrature-point samples: the midpoint of a
-    bracket [lo, hi] with modular(u/lo) > 1 >= modular(u/hi), both sides
+def luxemburg_norm_from_samples(values, exps, weights) -> float:
+    """Luxemburg norm straight from quadrature-point samples, for data
+    that never exists nodally (cellwise gradient magnitudes, powered
+    integrands) and for ``luxemburg_norm``: the midpoint of a bracket
+    [lo, hi] with modular(u/lo) > 1 >= modular(u/hi), both sides
     evaluated, once hi - lo <= _REL_WIDTH * hi.
 
     Requires min(exps) > 0.  f(x) = log modular(u/e^x) is convex and
@@ -109,6 +111,9 @@ def _lux_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) -> flo
     side is widened further.  Illinois steps (regula falsi on f against
     log tau, halving the value of a side kept twice) close the rest.
     """
+    absvals = np.abs(np.asarray(values, dtype=float))
+    exps = np.asarray(exps, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     t0 = float(absvals.max(initial=0.0))
     if not 0.0 < t0 < np.inf:  # zero field, or samples that overflowed
         return t0
@@ -160,15 +165,6 @@ def _lux_quad(absvals: np.ndarray, exps: np.ndarray, weights: np.ndarray) -> flo
     raise BisectionError("Luxemburg bracket did not close")
 
 
-def luxemburg_norm_from_samples(values, exps, weights) -> float:
-    """Luxemburg norm straight from quadrature-point samples, for data
-    that never exists nodally (cellwise gradient magnitudes, powered
-    integrands).  Same bracket contract as the nodal entry point."""
-    return _lux_quad(np.abs(np.asarray(values, dtype=float)),
-                     np.asarray(exps, dtype=float),
-                     np.asarray(weights, dtype=float))
-
-
 def modular(u: GridFunction, p: ExponentField) -> float:
     """Quadrature approximation of int |u|^p(x) dx."""
     uq = np.abs(grid.as_quad_values(p.mesh, u))
@@ -186,5 +182,5 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     """
     if p.p_minus <= 1.0:
         raise ValueError(f"norm requires p_minus > 1, got {p.p_minus}")
-    uq = np.abs(grid.as_quad_values(p.mesh, u))
-    return _lux_quad(uq, p.at_quad(), p.mesh.qweights)
+    return luxemburg_norm_from_samples(grid.as_quad_values(p.mesh, u), p.at_quad(),
+                                       p.mesh.qweights)

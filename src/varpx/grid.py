@@ -83,6 +83,7 @@ class Mesh:
         self.domain = domain
         self.n = int(n)
         self.dim = domain.dim
+        self.N = max(self.dim, 2)  # N of the exponent arithmetic: at least 2
         gb = self._build_1d() if self.dim == 1 else self._build_2d()
         self.q_per_cell = len(self.qbasis)
         # cells as (k, n_cells) and basis gradients as (k, dim, n_cells),

@@ -42,10 +42,6 @@ from .barriers import BarrierPair, ProblemSpec, Regime
 from .grid import GridFunction
 from .plaplace import SolverOptions
 
-_MEMBER_ATOL = 1e-8
-_MEMBER_RTOL = 1e-6
-
-
 @dataclass
 class IterationOptions:
     theta: float = 0.7
@@ -175,7 +171,7 @@ def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
 
     positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
     negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
-    <= L_tilde.  Violations are measured beyond a mixed tolerance.
+    <= L_tilde.  Violations count beyond ``barriers.slack`` of the bound's scale.
     ``extremes`` are a state's ``extremes()``, so a run can judge
     its iterates once its caps are known.
     """
@@ -189,7 +185,7 @@ def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
         else:
             # max(z) - L rounds exactly as max(z - L) does
             up_v, g_v, scale = up - L, g - L_tilde, L
-        tol = _MEMBER_ATOL + _MEMBER_RTOL * scale
+        tol = bmod.slack(scale)
         box.append(max(low_v, up_v) - tol)
         grad.append(g_v - tol)
     return max(box) <= 0.0, max(grad) <= 0.0

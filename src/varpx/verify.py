@@ -127,11 +127,12 @@ def gradient_estimate_audit(family: ScaleFamily) -> EstimateAudit:
 
 def linfty_estimate_audit(family: ScaleFamily) -> EstimateAudit:
     """Ratio |u|_inf / |h|_LN^(1/(p_pm - 1)) across the family.  The
-    exponent N is the ambient dimension; on one-dimensional meshes N=2
-    is used for the exponent arithmetic and recorded as a deviation."""
+    exponent N is the mesh's ``N``; where it exceeds the dimension (N=2
+    on one-dimensional meshes) that is recorded as a deviation."""
     mesh = family.p.mesh
-    N = max(mesh.dim, 2)
-    notes = ["dim=1: N=2 used for the exponent arithmetic"] if mesh.dim < 2 else []
+    N = mesh.N
+    notes = ([f"dim={mesh.dim}: N={N} used for the exponent arithmetic"]
+             if N != mesh.dim else [])
     unit = grid.at_quad(mesh, np.ones(mesh.n_nodes))
     return family.audit(
         "linfty_estimate",

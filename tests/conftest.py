@@ -88,7 +88,7 @@ def constant_fields(mesh, values):
 
 def benchmark_spec(mesh):
     """Singular-cooperative two-component system with convection terms:
-    p1=2.2, p2=2.4, alpha/beta = (0.3, -0.1) and (-0.1, 0.3)."""
+    p = (2.2, 2.4), alpha/beta = (0.3, -0.1) and (-0.1, 0.3)."""
     cf = lambda c: ExponentField.constant(mesh, c)
     f1 = parse_expr({"add": [
         {"mul": [{"pow": {"base": "s1", "exp": 0.3}},
@@ -100,10 +100,10 @@ def benchmark_spec(mesh):
                  {"pow": {"base": "s2", "exp": 0.3}}]},
         {"mul": [0.5, {"pow": {"base": "xi1", "exp": 0.5}}]},
         {"mul": [0.5, {"pow": {"base": "xi2", "exp": 0.5}}]}]})
-    return ProblemSpec(mesh=mesh, p1=cf(2.2), p2=cf(2.4),
+    return ProblemSpec(mesh=mesh, p=(cf(2.2), cf(2.4)),
                        alpha=(cf(0.3), cf(-0.1)), beta=(cf(-0.1), cf(0.3)),
                        gamma=(cf(0.5), cf(0.5)), gamma_bar=(cf(0.5), cf(0.5)),
-                       m=(1.0, 1.0), M=(1.0, 1.0), f=(f1, f2), N_dim=2)
+                       m=(1.0, 1.0), M=(1.0, 1.0), f=(f1, f2))
 
 
 def singular_spec(mesh):
@@ -115,10 +115,10 @@ def singular_spec(mesh):
                  {"pow": {"base": "s2", "exp": -0.06}}]},
         {"mul": [0.25, {"pow": {"base": "xi1", "exp": 0.5}}]},
         {"mul": [0.25, {"pow": {"base": "xi2", "exp": 0.5}}]}]})
-    return ProblemSpec(mesh=mesh, p1=cf(3.0), p2=cf(3.0),
+    return ProblemSpec(mesh=mesh, p=(cf(3.0), cf(3.0)),
                        alpha=(cf(-0.05), cf(-0.05)), beta=(cf(-0.06), cf(-0.06)),
                        gamma=(cf(0.5), cf(0.5)), gamma_bar=(cf(0.5), cf(0.5)),
-                       m=(1.0, 1.0), M=(1.0, 1.0), f=(fexpr, fexpr), N_dim=2)
+                       m=(1.0, 1.0), M=(1.0, 1.0), f=(fexpr, fexpr))
 
 
 def trivial_spec(mesh, p=2.0):
@@ -126,10 +126,10 @@ def trivial_spec(mesh, p=2.0):
     point is the torsion pair."""
     cf = lambda c: ExponentField.constant(mesh, c)
     one = parse_expr(1.0)
-    return ProblemSpec(mesh=mesh, p1=cf(p), p2=cf(p),
+    return ProblemSpec(mesh=mesh, p=(cf(p), cf(p)),
                        alpha=(cf(0.0), cf(0.0)), beta=(cf(0.0), cf(0.0)),
                        gamma=(cf(0.0), cf(0.0)), gamma_bar=(cf(0.0), cf(0.0)),
-                       m=(1.0, 1.0), M=(1.0, 1.0), f=(one, one), N_dim=2)
+                       m=(1.0, 1.0), M=(1.0, 1.0), f=(one, one))
 
 
 def envelope_spec(mesh, alpha, beta, m=1.0, M=1.0, p=2.0):
@@ -138,7 +138,7 @@ def envelope_spec(mesh, alpha, beta, m=1.0, M=1.0, p=2.0):
     cf = lambda c: ExponentField.constant(mesh, c)
     f = parse_expr({"mul": [m, {"pow": {"base": "s1", "exp": alpha}},
                             {"pow": {"base": "s2", "exp": beta}}]})
-    return ProblemSpec(mesh=mesh, p1=cf(p), p2=cf(p),
+    return ProblemSpec(mesh=mesh, p=(cf(p), cf(p)),
                        alpha=(cf(alpha), cf(alpha)), beta=(cf(beta), cf(beta)),
                        gamma=(cf(0.0), cf(0.0)), gamma_bar=(cf(0.0), cf(0.0)),
-                       m=(m, m), M=(M, M), f=(f, f), N_dim=2)
+                       m=(m, m), M=(M, M), f=(f, f))

@@ -45,10 +45,10 @@ def test_hypotheses_positive_regime_arithmetic():
     cf = lambda c: ExponentField.constant(m, c)
     f = parse_expr({"mul": [{"pow": {"base": "s1", "exp": -0.2}},
                             {"pow": {"base": "s2", "exp": 0.3}}]})
-    spec = ProblemSpec(mesh=m, p1=cf(2.0), p2=cf(2.0),
+    spec = ProblemSpec(mesh=m, p=(cf(2.0), cf(2.0)),
                        alpha=(cf(-0.2), cf(-0.2)), beta=(cf(0.3), cf(0.3)),
                        gamma=(cf(0.4), cf(0.4)), gamma_bar=(cf(0.4), cf(0.4)),
-                       m=(1.0, 1.0), M=(1.0, 1.0), f=(f, f), N_dim=2)
+                       m=(1.0, 1.0), M=(1.0, 1.0), f=(f, f))
     rep = validate_hypotheses(spec)
     assert rep.regime is Regime.POSITIVE_SUM
     assert rep.passed
@@ -74,10 +74,10 @@ def test_hypotheses_smallness_cap_pass():
     cf = lambda c: ExponentField.constant(m, c)
     f = parse_expr({"mul": [{"pow": {"base": "s1", "exp": -0.05}},
                             {"pow": {"base": "s2", "exp": -0.06}}]})
-    spec = ProblemSpec(mesh=m, p1=cf(3.0), p2=cf(3.0),
+    spec = ProblemSpec(mesh=m, p=(cf(3.0), cf(3.0)),
                        alpha=(cf(-0.05), cf(-0.05)), beta=(cf(-0.06), cf(-0.06)),
                        gamma=(cf(0.9), cf(0.9)), gamma_bar=(cf(0.9), cf(0.9)),
-                       m=(1.0, 1.0), M=(1.0, 1.0), f=(f, f), N_dim=2)
+                       m=(1.0, 1.0), M=(1.0, 1.0), f=(f, f))
     rep = validate_hypotheses(spec)
     assert rep.regime is Regime.NEGATIVE_SUM
     assert rep.passed
@@ -89,11 +89,10 @@ def test_hypotheses_smallness_cap_pass():
 def test_hypotheses_gamma_boundary_rejected():
     m = mesh1d(16)
     spec = envelope_spec(m, alpha=0.1, beta=0.1, p=2.0)
-    bad = ProblemSpec(mesh=m, p1=spec.p1, p2=spec.p2, alpha=spec.alpha,
-                      beta=spec.beta,
+    bad = ProblemSpec(mesh=m, p=spec.p, alpha=spec.alpha, beta=spec.beta,
                       gamma=(ExponentField.constant(m, 1.0),) * 2,
                       gamma_bar=(ExponentField.constant(m, 1.0),) * 2,
-                      m=spec.m, M=spec.M, f=spec.f, N_dim=2)
+                      m=spec.m, M=spec.M, f=spec.f)
     rep = validate_hypotheses(bad)
     assert not rep.passed
     assert any(c.name.startswith("gradient_power_growth") and not c.passed
@@ -112,10 +111,10 @@ def test_envelope_check_catches_escape():
     m = mesh1d(16)
     cf = lambda c: ExponentField.constant(m, c)
     bad_f = parse_expr({"mul": [5.0, {"pow": {"base": "s1", "exp": 0.1}}]})
-    spec = ProblemSpec(mesh=m, p1=cf(2.0), p2=cf(2.0),
+    spec = ProblemSpec(mesh=m, p=(cf(2.0), cf(2.0)),
                        alpha=(cf(0.1), cf(0.1)), beta=(cf(0.0), cf(0.0)),
                        gamma=(cf(0.0), cf(0.0)), gamma_bar=(cf(0.0), cf(0.0)),
-                       m=(1.0, 1.0), M=(1.0, 1.0), f=(bad_f, bad_f), N_dim=2)
+                       m=(1.0, 1.0), M=(1.0, 1.0), f=(bad_f, bad_f))
     with pytest.raises(EnvelopeError):
         spec.envelope_check(np.random.default_rng(0))
 
@@ -327,10 +326,10 @@ def test_sign_case_products_and_margins(case, regime):
     alpha = ExponentField.from_callable(m, lambda x: a0 * (1.0 + 0.3 * x))
     f = parse_expr({"mul": [{"pow": {"base": "s1", "exp": a0}},
                             {"pow": {"base": "s2", "exp": b0}}]})
-    spec = ProblemSpec(mesh=m, p1=cf(2.5), p2=cf(2.5), alpha=(alpha, alpha),
+    spec = ProblemSpec(mesh=m, p=(cf(2.5), cf(2.5)), alpha=(alpha, alpha),
                        beta=(cf(b0), cf(b0)), gamma=(cf(0.0), cf(0.0)),
                        gamma_bar=(cf(0.0), cf(0.0)), m=(1.3, 1.3), M=(1.5, 1.5),
-                       f=(f, f), N_dim=2)
+                       f=(f, f))
     delta, xi, xid = resolve_delta(spec)
     pair = build_barriers(spec, 4.0, delta, torsions=(xi, xid))
     L = 4.0
@@ -348,12 +347,21 @@ def test_sign_case_products_and_margins(case, regime):
                * np.maximum(np.abs(small[ii]), np.abs(large[ii])))
         return float((large[ii] - small[ii] + tol).min())
 
-    sub = plaplace.apply_operator(spec.p1, pair.under[0])
+    sub = plaplace.apply_operator(spec.p[0], pair.under[0])
     if regime == "singular":
         lower = product("singular")
         np.testing.assert_array_equal(
             barriers._product_bound(spec, 0, (pair.under, (L, L))), lower)
         rep = check_barriers_singular_regime(spec, pair, L)
+        if min(case) >= 0.0:
+            # the lower product reads only the floor, so no cap moves the
+            # subsolution margins off the positive regime's
+            pos = check_barriers_positive_regime(spec, pair).margins
+            for cap in (1.0 + 1e-9, L, 1e6):
+                got = check_barriers_singular_regime(spec, pair, cap).margins
+                assert list(got) == ["subsolution_1", "subsolution_2"]
+                for name in got:
+                    assert np.float64(got[name]).tobytes() == np.float64(pos[name]).tobytes()
     else:
         lower, upper = product("lower"), product("upper")
         box = (pair.under, pair.over)
@@ -361,9 +369,11 @@ def test_sign_case_products_and_margins(case, regime):
         np.testing.assert_array_equal(
             barriers._product_bound(spec, 0, box, upper=True), upper)
         rep = check_barriers_positive_regime(spec, pair)
+        assert list(rep.margins) == ["subsolution_1", "supersolution_1",
+                                     "subsolution_2", "supersolution_2"]
         gmax = max(spec.gamma[0].p_plus, spec.gamma_bar[0].p_plus)
         bulk = 2.0 * spec.M[0] * (pair.R * pair.C) ** gmax
-        sup = plaplace.apply_operator(spec.p1, pair.over[0])
+        sup = plaplace.apply_operator(spec.p[0], pair.over[0])
         rhs2 = grid.load_vector(m, bulk + spec.M[0] * upper)
         assert rep.margins["supersolution_1"] == margin(rhs2, sup)
     rhs = grid.load_vector(m, spec.m[0] * lower)

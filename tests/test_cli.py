@@ -91,7 +91,7 @@ def test_benchmark_fixture_parses():
     cfg = parse_config(load("benchmark.json"))
     assert cfg.resolution == 512
     assert cfg.problem.hypotheses.regime is Regime.POSITIVE_SUM
-    assert cfg.problem.p1.p_minus == pytest.approx(2.2)
+    assert cfg.problem.p[0].p_minus == pytest.approx(2.2)
 
 
 def test_singular_fixture_parses():
@@ -278,7 +278,7 @@ def test_refined_problem_matches_parsed_problem():
         for got, want in zip(getattr(fine, name), getattr(ref, name)):
             assert got.mesh is fine.mesh
             assert got.values.tobytes() == want.values.tobytes()
-    assert (fine.m, fine.M, fine.N_dim) == (ref.m, ref.M, ref.N_dim)
+    assert (fine.m, fine.M, fine.mesh.N) == (ref.m, ref.M, ref.mesh.N)
 
 
 def test_run_trivial_exit0(tmp_path):
@@ -541,6 +541,55 @@ def test_cli_main_bad_option_exit1(tmp_path, capsys, section, key, value):
     path.write_text(json.dumps(raw))
     assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert f"config error: $.{section}.{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, key, value, message", [
+    ("trivial.json", "seed", -1, "must be >= 0"),
+    ("trivial.json", "seed", 1.0, "expected int"),
+    # N comes from the mesh; the key is accepted only at it
+    ("singular.json", "N_dim", 1, "only the mesh's N=2 is accepted"),
+    ("trivial.json", "N_dim", 3, "only the mesh's N=2 is accepted"),
+    ("trivial.json", "N_dim", 2.0, "expected int"),
+])
+def test_cli_main_bad_top_level_key_exit1(tmp_path, capsys, config, key, value, message):
+    raw = json.loads(load(config))
+    raw[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"config error: $.{key}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_n_dim_at_the_mesh_dimension_parses_to_the_same_problem():
+    raw = json.loads(load("singular.json"))
+    assert raw.pop("N_dim") == 2
+    plain = parse_config(json.dumps(raw)).problem
+    raw["N_dim"] = 2
+    keyed = parse_config(json.dumps(raw)).problem
+    assert plain.mesh.N == keyed.mesh.N == 2
+    for name in ("p", "alpha", "beta", "gamma", "gamma_bar"):
+        for got, want in zip(getattr(keyed, name), getattr(plain, name)):
+            assert got.values.tobytes() == want.values.tobytes()
+    assert (keyed.m, keyed.M, keyed.f) == (plain.m, plain.M, plain.f)
+    assert keyed.hypotheses.as_dict() == plain.hypotheses.as_dict()
+
+
+@pytest.mark.parametrize("outputs", [
+    {"fields_csv": "certificate.json"},
+    {"trace_json": "./fields.csv"},
+    {"fields_csv": "a/../x.csv", "certificate_json": "x.csv"},
+])
+def test_cli_main_outputs_naming_one_file_exit1(tmp_path, capsys, outputs):
+    # else the later artifact overwrites the earlier one
+    raw = json.loads(load("trivial.json"))
+    raw["outputs"] = outputs
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: $.outputs: " in err and "name one file" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -822,7 +871,7 @@ def test_audit_mvt_samples_each_exponent(tmp_path, capsys):
     assert audits[0]["tolerance"] != audits[1]["tolerance"]
     cfg = parse_config(load("benchmark.json"))
     alone = verify.mvt_sampling(cfg.problem.p[:1], np.random.default_rng(cfg.seed),
-                                [plaplace.torsion(cfg.problem.p1, cfg.solver)])
+                                [plaplace.torsion(cfg.problem.p[0], cfg.solver)])
     assert audits[0] == json.loads(verify.certificate_to_json(alone[0]))
 
 

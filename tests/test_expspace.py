@@ -121,7 +121,7 @@ def test_luxemburg_rejects_a_nonpositive_exponent():
     m = mesh1d(16)
     uq = np.ones(m.qweights.shape)
     with pytest.raises(BisectionError):
-        expspace._lux_quad(uq, np.zeros(uq.shape), m.qweights)
+        expspace.luxemburg_norm_from_samples(uq, np.zeros(uq.shape), m.qweights)
 
 
 # -- the Luxemburg root search against the bisection it replaced ----------
@@ -195,7 +195,8 @@ def test_luxemburg_matches_the_bisection_reference(dim, n, kind, log_scale,
     vals, exps = _exponent_samples(mesh, kind, rng, _samples(mesh, rng, log_scale, zero_share))
     ref = _bisection_norm(vals, exps, mesh.qweights)
     assume(ref > np.finfo(float).eps)  # the reference's own lower end
-    assert expspace._lux_quad(vals, exps, mesh.qweights) == pytest.approx(ref, rel=2e-13, abs=0.0)
+    got = expspace.luxemburg_norm_from_samples(vals, exps, mesh.qweights)
+    assert got == pytest.approx(ref, rel=2e-13, abs=0.0)
 
 
 # -- Luxemburg norm properties for variable exponents ----------------------
@@ -245,7 +246,7 @@ def _modular_evals(monkeypatch, vals, exps, weights):
     """Number of ``_modular_quad`` calls one Luxemburg norm makes."""
     with monkeypatch.context() as patch:
         calls = count_calls(patch, expspace, "_modular_quad")
-        expspace._lux_quad(vals, exps, weights)
+        expspace.luxemburg_norm_from_samples(vals, exps, weights)
     return len(calls)
 
 

@@ -393,7 +393,7 @@ def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
     from conftest import torsion_pairs, trivial_spec
     m = mesh1d(32)
     spec = trivial_spec(m)
-    p = spec.p1
+    p = spec.p[0]
     xi = torsion(p)
     pair = build_barriers(spec, 2.0, 0.1, torsion_pairs(m, spec, 0.1))
     one = GridFunction.constant(m, 1.0)

@@ -8,10 +8,9 @@ from varpx import (DomainSpec, GridFunction, IterationOptions, Regime,
                    SystemState, apply_map, build_barriers, build_mesh,
                    calibrate_barriers, calibrate_caps, coupled_residual,
                    fixed_point_iterate, membership_check, torsion)
-from varpx.barriers import resolve_delta
+from varpx.barriers import resolve_delta, slack
 from varpx.cli import parse_config
 from varpx.plaplace import solve_dirichlet
-from varpx.sysfix import _MEMBER_ATOL, _MEMBER_RTOL
 
 from conftest import (benchmark_spec, config_path, count_calls, envelope_spec,
                       singular_spec, trivial_spec)
@@ -36,7 +35,7 @@ def test_constant_map_fixed_point_two_iterations():
                                      opts=IterationOptions(theta=1.0))
     sol = state.z
     assert rep.converged and rep.iters <= 2
-    xi = torsion(spec.p1).u
+    xi = torsion(spec.p[0]).u
     np.testing.assert_allclose(sol[0].values, xi.values, atol=1e-10)
     np.testing.assert_allclose(sol[1].values, xi.values, atol=1e-10)
 
@@ -65,8 +64,8 @@ def test_decoupling_matches_componentwise_solves():
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
     u1, u2 = apply_map(st)
     h1, h2 = st.frozen
-    d1 = solve_dirichlet(spec.p1, h1, start=st.z[0]).u.values
-    d2 = solve_dirichlet(spec.p2, h2, start=st.z[1]).u.values
+    d1 = solve_dirichlet(spec.p[0], h1, start=st.z[0]).u.values
+    d2 = solve_dirichlet(spec.p[1], h2, start=st.z[1]).u.values
     # bit-level: the map is literally two independent solves
     assert np.array_equal(u1.values, d1)
     assert np.array_equal(u2.values, d2)
@@ -85,8 +84,8 @@ def test_symmetric_map_solves_once(monkeypatch):
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
     u1, u2 = apply_map(st)
     h1, h2 = st.frozen
-    d1 = solve_dirichlet(spec.p1, h1, start=st.z[0]).u.values
-    d2 = solve_dirichlet(spec.p2, h2, start=st.z[1]).u.values
+    d1 = solve_dirichlet(spec.p[0], h1, start=st.z[0]).u.values
+    d2 = solve_dirichlet(spec.p[1], h2, start=st.z[1]).u.values
     assert np.array_equal(u1.values, d1) and np.array_equal(u2.values, d2)
 
 
@@ -181,7 +180,7 @@ def test_membership_check_boundary_cases():
     st2 = SystemState.build(spec, pair, big, pair.under[1])
     assert not membership_check(st2.extremes(), pair, Regime.POSITIVE_SUM)[0]
     # an excess over ``over`` counts only beyond the mixed slack
-    tol = _MEMBER_ATOL + _MEMBER_RTOL * float(np.abs(pair.over[0].values).max())
+    tol = slack(float(np.abs(pair.over[0].values).max()))
     for excess, ok in ((0.5 * tol, True), (2.0 * tol, False)):
         ext = st.extremes()
         ext[0] = (ext[0][0], excess, ext[0][2])
