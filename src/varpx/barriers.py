@@ -348,14 +348,14 @@ def _comparison(spec: ProblemSpec, pair: BarrierPair, top) -> InequalityReport:
     box = (pair.under, top)
     for i in (0, 1):
         lhs = plaplace.apply_operator(spec.p[i], pair.under[i])
-        rhs = grid.load_vector(mesh, spec.m[i] * _product_bound(spec, i, box))
+        rhs = grid.as_quad(mesh, spec.m[i] * _product_bound(spec, i, box)).load
         margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
         if top is not pair.over:
             continue
         gmax = max(spec.gamma[i].p_plus, spec.gamma_bar[i].p_plus)
         bulk = 2.0 * spec.M[i] * (pair.R * pair.C) ** gmax
-        rhs2 = grid.load_vector(
-            mesh, bulk + spec.M[i] * _product_bound(spec, i, box, upper=True))
+        rhs2 = grid.as_quad(
+            mesh, bulk + spec.M[i] * _product_bound(spec, i, box, upper=True)).load
         lhs2 = plaplace.apply_operator(spec.p[i], pair.over[i])
         margins[f"supersolution_{i+1}"] = _weak_inequality(mesh, rhs2, lhs2)
     worst = min(margins.values())

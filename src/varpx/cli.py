@@ -221,14 +221,9 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     _known_keys(outputs, "$.outputs", _DEFAULT_OUTPUTS)
     for key in outputs:
         _get(outputs, key, "$.outputs", str)
-    outputs = {**_DEFAULT_OUTPUTS, **outputs}
-    named = {}
-    for key, path in outputs.items():
-        other = named.setdefault(os.path.normpath(path), key)
-        if other != key:
-            raise ConfigError("$.outputs", f"{other} and {key} name one file {path!r}")
     return RunConfig(domain=domain, resolution=resolution, problem=problem,
-                     solver=solver, iteration=iteration, outputs=outputs,
+                     solver=solver, iteration=iteration,
+                     outputs={**_DEFAULT_OUTPUTS, **outputs},
                      seed=seed, raw=raw)
 
 
@@ -277,11 +272,23 @@ def _write_fields_csv(path, state: SystemState):
     })
 
 
+def artifact_paths(outputs: dict, out_dir: str = ".") -> dict:
+    """Each output's path joined with ``out_dir`` and normalized; two
+    outputs that name one file are a config error."""
+    paths, named = {}, {}
+    for key, path in outputs.items():
+        paths[key] = full = os.path.normpath(os.path.join(out_dir, path))
+        other = named.setdefault(full, key)
+        if other != key:
+            raise ConfigError("$.outputs", f"{other} and {key} name one file {full!r}")
+    return paths
+
+
 def run(config: RunConfig, out_dir: str = ".") -> int:
     """Full pipeline with audits and artifacts; returns the verdict status
     (0 converged and all audits pass, else 2) and raises on failure."""
+    paths = artifact_paths(config.outputs, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    paths = {k: os.path.join(out_dir, v) for k, v in config.outputs.items()}
     state, report = run_pipeline(config)
     refined = run_pipeline(config, mesh_n=2 * state.spec.mesh.n, coarse=state)
     cert = verify.solution_certificate(state, report, refined=refined,
@@ -407,8 +414,10 @@ def main(argv=None) -> int:
             stubs = []
         else:
             config = parse_config(text, mesh_n=args.mesh_n)
-            stubs = ([config.outputs["certificate_json"], config.outputs["trace_json"]]
-                     if args.command == "solve" else ["audit.json"])
+            paths = artifact_paths(config.outputs, args.out_dir)
+            stubs = ([paths["certificate_json"], paths["trace_json"]]
+                     if args.command == "solve"
+                     else [os.path.join(args.out_dir, "audit.json")])
     except Exception as exc:
         kind = "config error" if isinstance(exc, ConfigError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
@@ -428,9 +437,8 @@ def main(argv=None) -> int:
     except Exception as exc:
         traceback.print_exc()
         stub = verify.certificate_to_json({"error": str(exc), "schema_version": 1})
-        for name in stubs:
-            with contextlib.suppress(OSError), \
-                    open(os.path.join(args.out_dir, name), "w") as f:
+        for path in stubs:
+            with contextlib.suppress(OSError), open(path, "w") as f:
                 f.write(stub)
         return 2
 

@@ -167,7 +167,7 @@ def luxemburg_norm_from_samples(values, exps, weights) -> float:
 
 def modular(u: GridFunction, p: ExponentField) -> float:
     """Quadrature approximation of int |u|^p(x) dx."""
-    uq = np.abs(grid.as_quad_values(p.mesh, u))
+    uq = np.abs(grid.as_quad(p.mesh, u).values)
     val = _modular_quad(uq, p.at_quad(), p.mesh.qweights)
     if not np.isfinite(val):
         raise NonFiniteFieldError("modular overflowed; field values too extreme")
@@ -182,5 +182,5 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     """
     if p.p_minus <= 1.0:
         raise ValueError(f"norm requires p_minus > 1, got {p.p_minus}")
-    return luxemburg_norm_from_samples(grid.as_quad_values(p.mesh, u), p.at_quad(),
+    return luxemburg_norm_from_samples(grid.as_quad(p.mesh, u).values, p.at_quad(),
                                        p.mesh.qweights)

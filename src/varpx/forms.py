@@ -115,10 +115,6 @@ def parse_expr(obj, path="expr", names=VARIABLES) -> Expr:
         if len(obj) != 1:
             raise ConfigError(path, "expression node must have exactly one key")
         key, val = next(iter(obj.items()))
-        if key == "const":
-            return _const(val, f"{path}.const")
-        if key == "var":
-            return _var(val, f"{path}.var", names)
         if key in _FOLDS:
             if not isinstance(val, list) or not val:
                 raise ConfigError(f"{path}.{key}", "needs a non-empty list")

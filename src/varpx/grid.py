@@ -307,7 +307,8 @@ class QuadField:
 
     @cached_property
     def load(self) -> np.ndarray:
-        """``load_vector`` of the values (read-only), computed once."""
+        """Integrals of the values against every hat function (read-only),
+        computed once."""
         out = _load(self.mesh, self.values)
         out.setflags(write=False)
         return out
@@ -340,19 +341,17 @@ def at_quad(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def as_quad_values(mesh: Mesh, h) -> np.ndarray:
-    """Values at the quadrature points of a QuadField, of a GridFunction,
-    or of an array that already holds one value per quadrature point."""
+def as_quad(mesh: Mesh, h) -> QuadField:
+    """The one way data reaches the quadrature points of ``mesh``: a
+    QuadField of the mesh as it is, so its load and l1_norm are shared, a
+    GridFunction interpolated, or an array of one value per point wrapped."""
     if isinstance(h, QuadField):
         check_same_mesh(mesh, h)
-        return h.values
+        return h
     if isinstance(h, GridFunction):
         check_same_mesh(mesh, h)
-        return at_quad(mesh, h.values)
-    arr = np.asarray(h, dtype=float)
-    if arr.shape != mesh.qweights.shape:
-        raise MeshCompatibilityError(f"cannot interpret data of shape {arr.shape}")
-    return arr
+        h = at_quad(mesh, h.values)
+    return QuadField(mesh, h)
 
 
 def cell_gradients(mesh: Mesh, nodal_values: np.ndarray) -> np.ndarray:
@@ -383,15 +382,6 @@ def distance_ratio(u: GridFunction):
     ii = u.mesh.interior_nodes
     q = u.values[ii] / u.mesh.distance[ii]
     return float(q.min()), float(q.max())
-
-
-def load_vector(mesh: Mesh, h) -> np.ndarray:
-    """Nodal vector of integrals of ``h`` against every hat function; a
-    QuadField's is the one it holds."""
-    if isinstance(h, QuadField):
-        check_same_mesh(mesh, h)
-        return h.load
-    return _load(mesh, as_quad_values(mesh, h))
 
 
 def _load(mesh: Mesh, hq: np.ndarray) -> np.ndarray:

@@ -369,9 +369,7 @@ def _data(mesh, h):
     normalization of every reported residual, which scales with the domain
     as the load does; a QuadField's own serve, formed once however many
     solves and residuals read it."""
-    if not isinstance(h, grid.QuadField):
-        h = grid.QuadField(mesh, grid.as_quad_values(mesh, h))
-    grid.check_same_mesh(mesh, h)
+    h = grid.as_quad(mesh, h)
     return h.load, h.l1_norm + float(mesh.qweights.sum())
 
 

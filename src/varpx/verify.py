@@ -170,7 +170,7 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
         raise ValueError("phi must be sign-constant")
     if np.any(pv[mesh.boundary_nodes] != 0.0):
         raise ValueError("phi must vanish on the boundary")
-    hq = grid.as_quad_values(mesh, h)
+    hq = grid.as_quad(mesh, h).values
     # relative to max|h| and int|h phi|: no size of h or of the domain is degenerate
     htol = 1e-14 * float(np.abs(hq).max(initial=0.0))
     if np.any(hq > htol) and np.any(hq < -htol):
@@ -288,7 +288,7 @@ def mvt_sampling(ps, rng: np.random.Generator, torsions) -> list:
     check from ``rng``, component by component; equal exponents share
     their checks."""
     mesh = ps[0].mesh
-    ones = GridFunction.constant(mesh, 1.0)
+    ones = grid.as_quad(mesh, GridFunction.constant(mesh, 1.0))
 
     def sample(p, res):
         u = res.checked("mean-value sampling solve")

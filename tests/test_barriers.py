@@ -8,7 +8,7 @@ from varpx import (DomainSpec, ExponentField, Regime, build_barriers,
 from varpx import barriers
 from varpx.barriers import (ProblemSpec, resolve_delta, sign_class,
                            signed_extreme)
-from varpx.errors import CalibrationError, EnvelopeError, MixedSignError
+from varpx.errors import CalibrationError, EnvelopeError, MixedSignError, OrderingError
 from varpx.forms import parse_expr
 
 from conftest import (benchmark_spec, envelope_spec, singular_spec, torsion_pairs,
@@ -173,6 +173,24 @@ def test_calibration_positive_regime_cooperative():
     assert cal.pair.C == 512.0
     margins = [w for _, w in cal.trajectory]
     assert margins == sorted(margins)
+
+
+def test_calibration_records_an_ordering_failure_and_moves_on(monkeypatch):
+    m = build_mesh(DomainSpec.interval(0, 1), 64)
+    spec = envelope_spec(m, alpha=0.3, beta=0.3, p=2.0)
+    plain = calibrate_barriers(spec)
+    orig = barriers.build_barriers
+
+    def unordered_at_2(spec, C, *args):
+        if C == 2.0:
+            raise OrderingError("barriers not ordered")
+        return orig(spec, C, *args)
+
+    monkeypatch.setattr(barriers, "build_barriers", unordered_at_2)
+    cal = calibrate_barriers(spec)
+    assert cal.trajectory[0] == (2.0, -np.inf)
+    assert cal.trajectory[1:] == plain.trajectory[1:]
+    assert cal.pair.C == plain.pair.C > 2.0
 
 
 def test_small_C_violates():
@@ -374,8 +392,8 @@ def test_sign_case_products_and_margins(case, regime):
         gmax = max(spec.gamma[0].p_plus, spec.gamma_bar[0].p_plus)
         bulk = 2.0 * spec.M[0] * (pair.R * pair.C) ** gmax
         sup = plaplace.apply_operator(spec.p[0], pair.over[0])
-        rhs2 = grid.load_vector(m, bulk + spec.M[0] * upper)
+        rhs2 = grid.as_quad(m, bulk + spec.M[0] * upper).load
         assert rep.margins["supersolution_1"] == margin(rhs2, sup)
-    rhs = grid.load_vector(m, spec.m[0] * lower)
+    rhs = grid.as_quad(m, spec.m[0] * lower).load
     assert rep.margins["subsolution_1"] == margin(sub, rhs)
     assert rep.worst_margin == min(rep.margins.values())

@@ -580,11 +580,13 @@ def test_n_dim_at_the_mesh_dimension_parses_to_the_same_problem():
     {"fields_csv": "certificate.json"},
     {"trace_json": "./fields.csv"},
     {"fields_csv": "a/../x.csv", "certificate_json": "x.csv"},
+    {"fields_csv": "{out}/x.csv", "certificate_json": "x.csv"},
 ])
 def test_cli_main_outputs_naming_one_file_exit1(tmp_path, capsys, outputs):
-    # else the later artifact overwrites the earlier one
+    # else the later artifact overwrites the earlier one; outputs are
+    # compared after joining --out-dir, which an absolute path ignores
     raw = json.loads(load("trivial.json"))
-    raw["outputs"] = outputs
+    raw["outputs"] = {k: v.format(out=tmp_path / "out") for k, v in outputs.items()}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert main(["solve", str(path), "--out-dir", str(tmp_path / "out")]) == 1

@@ -12,7 +12,7 @@ from conftest import config_path
 
 def test_parse_constants_and_variables():
     assert parse_expr(2.5).evaluate({}) == 2.5
-    assert parse_expr({"const": 3}).evaluate({}) == 3.0
+    assert parse_expr(3).evaluate({}) == 3.0
     e = parse_expr("s1")
     assert e.evaluate({"s1": np.array([1.0, 4.0])}).tolist() == [1.0, 4.0]
 
@@ -36,6 +36,8 @@ def test_unknown_nodes_rejected_with_path():
     assert "add[1]" in str(exc.value)
     with pytest.raises(ConfigError):
         parse_expr("unknown_var")
+    with pytest.raises(ConfigError, match="unknown operation 'const'"):
+        parse_expr({"const": 3})
     with pytest.raises(ConfigError):
         parse_expr(True)
     with pytest.raises(ConfigError):
@@ -54,7 +56,7 @@ def test_spatial_only_guard():
 
 @pytest.mark.parametrize("key, expr, where", [
     ("f", {"add": [1.0, {"mul": [1.0, "y"]}]}, "$.f[0].add[1].mul[1]"),
-    ("f", {"pow": {"base": "s1", "exp": {"var": "y"}}}, "$.f[0].pow.exp.var"),
+    ("f", {"pow": {"base": "s1", "exp": "y"}}, "$.f[0].pow.exp"),
     ("p", {"add": [2.0, {"mul": [0.1, "y"]}]}, "$.p[0].add[1].mul[1]"),
 ], ids=["f", "f-pow-exp", "exponent"])
 def test_y_in_a_1d_config_is_rejected_with_its_path(key, expr, where):
@@ -76,7 +78,7 @@ def test_evaluate_spatial_broadcasts_constants():
 
 @pytest.mark.parametrize("obj, where", [
     ({"add": [1.0, {"pow": {"base": "s1", "exp": "s2"}}]}, "$.f[0].add[1].pow.exp"),
-    ({"mul": [2.0, {"var": "q"}]}, "$.f[0].mul[1].var"),
+    ({"mul": [2.0, "q"]}, "$.f[0].mul[1]"),
 ], ids=["pow-exp", "var"])
 def test_nested_errors_name_their_config_path(obj, where):
     with pytest.raises(ConfigError) as exc:
@@ -108,7 +110,7 @@ def test_trees_that_differ_are_unequal(old, new):
 def test_signed_zero_constants_are_unequal():
     # equal trees must give equal bits, and 0.0 and -0.0 can give different ones
     assert parse_expr(0.0) != parse_expr(-0.0)
-    assert parse_expr(0.0) == parse_expr({"const": 0})
+    assert parse_expr(0.0) == parse_expr(0)
 
 
 @pytest.mark.parametrize("name, shared", [("singular.json", True),

@@ -9,6 +9,7 @@ the test skips and says why."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,16 @@ DIGESTS = {
         "trace.json": "b2adcab0eb9b44449d301ee52551d85eb93a6cd92e0f135eed82de6defd197c3",
         "fields.csv": "01baf2bb3d47854d3517fc23250f2c799e9e244044302bb596886c3b376bc0eb",
     },
+    # the interval-singular bench workload; its seed moves the certificate
+    # (the mean-value draws) but not the trace or the fields of "singular"
+    "interval_singular": {
+        "certificate.json": "d6f6c73ad6ec7b306d3234e803dd24a2d642052c9b5bf013c117bf6af488b002",
+        "trace.json": "18444e0f7b7fe157ddb37dc5603db2796f94346294a84ff96a85b31badab4b5c",
+        "fields.csv": "25e4e08e6013cd2027f4d751b5206bc0ee806fe9261f4e87cc49289e10c75e0c",
+    },
 }
+
+_BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 # p = (2.0 + 0.4x, 2.6 - 0.4x): the one pinned case whose exponents vary
 _VARIABLE_P = [{"add": [2.0, {"mul": [0.4, "x"]}]},
@@ -60,19 +70,32 @@ def _unit_square_config(tmp_path, name):
     return str(path)
 
 
+def _interval_singular_config(tmp_path):
+    """bench/configs/singular.json at seed 7, as the bench runs it."""
+    raw = json.loads((_BENCH_CONFIGS / "singular.json").read_text())
+    raw["seed"] = 7
+    path = tmp_path / "interval_singular.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
 @pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY or plaplace._PBTRF_PBTRS is None,
     reason=f"digests are pinned for numpy {PINNED_NUMPY} with its bundled OpenBLAS; "
            f"this is numpy {np.__version__}"
            + ("" if plaplace._PBTRF_PBTRS else " without that OpenBLAS"))
 @pytest.mark.parametrize("name, exit_code", [
-    ("trivial", 0), ("singular", 0),
+    ("trivial", 0), ("singular", 0), ("interval_singular", 0),
     # the sandwich constants drift under refinement
     ("unit_square", 2), ("variable_square", 2),
 ])
 def test_artifact_digests(tmp_path, name, exit_code):
-    config = (_unit_square_config(tmp_path, name) if name.endswith("_square")
-              else config_path(f"{name}.json"))
+    if name.endswith("_square"):
+        config = _unit_square_config(tmp_path, name)
+    elif name == "interval_singular":
+        config = _interval_singular_config(tmp_path)
+    else:
+        config = config_path(f"{name}.json")
     out = tmp_path / "out"
     assert cli.main(["solve", config, "--out-dir", str(out)]) == exit_code
     got = {art: hashlib.sha256((out / art).read_bytes()).hexdigest()

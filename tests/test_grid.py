@@ -3,7 +3,7 @@ import pytest
 
 from varpx import (DomainSpec, GridFunction, boundary_strip, build_mesh,
                    export_csv, gradient)
-from varpx.grid import QuadField, at_quad, interpolate, load_vector
+from varpx.grid import QuadField, as_quad, at_quad, interpolate
 
 from conftest import point_tables
 
@@ -163,7 +163,7 @@ def test_field_values_are_read_only_copies():
     h = QuadField(m, np.ones(m.qweights.size))
     with pytest.raises(ValueError, match="read-only"):
         h.values[0] = 2.0
-    assert load_vector(m, h) is load_vector(m, h)
+    assert as_quad(m, h) is h and as_quad(m, h).load is as_quad(m, h).load
 
 
 def test_gradient_quadratic_midpoint_values():
@@ -196,7 +196,7 @@ def test_quadrature_exactness(bounds, n, f, degree, exact):
 
 def test_load_vector_against_hat_integrals():
     m = build_mesh(DomainSpec.interval(0, 1), 10)
-    b = load_vector(m, GridFunction.constant(m, 1.0))
+    b = as_quad(m, GridFunction.constant(m, 1.0)).load
     # interior hat integral is h, boundary half-hats h/2
     np.testing.assert_allclose(b[m.interior_nodes], 0.1, atol=1e-14)
     np.testing.assert_allclose(b[m.boundary_nodes], 0.05, atol=1e-14)
@@ -209,7 +209,7 @@ def test_load_vector_matches_add_at_reference():
         _, qbasis, qconn = point_tables(m)
         ref = np.zeros(m.n_nodes)
         np.add.at(ref, qconn, (m.qweights * hq)[:, None] * qbasis)
-        np.testing.assert_allclose(load_vector(m, hq), ref, rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(as_quad(m, hq).load, ref, rtol=1e-14, atol=1e-16)
 
 
 def test_at_quad_reproduces_affine():

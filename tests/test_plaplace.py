@@ -694,7 +694,7 @@ def test_layout_poisson_factor_matches_sparse_solve():
     for mesh in (mesh1d(33), build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 9)):
         p = ExponentField.constant(mesh, 2.0)
         ref = _reference_hessian(mesh, p, np.zeros(mesh.n_nodes), 1.0)
-        b = grid.load_vector(mesh, np.ones_like(mesh.qweights))[mesh.interior_nodes]
+        b = grid.as_quad(mesh, np.ones_like(mesh.qweights)).load[mesh.interior_nodes]
         np.testing.assert_allclose(plaplace._layout(mesh).poisson(b),
                                    spla.spsolve(sp.csc_matrix(ref), b),
                                    rtol=1e-12, atol=1e-15)

@@ -213,6 +213,20 @@ def test_both_audits_of_one_family_share_its_solves(monkeypatch):
         assert a.verdict == "pass"
 
 
+def test_scale_family_fails_on_a_top_scale_trend_or_a_nonfinite_ratio():
+    m = mesh1d(64)
+    p = ExponentField.constant(m, 2.0)
+    family = ScaleFamily(p, torsion(p), scales=(0.5, 2.0, 8.0))
+    # p = 2 is linear, so |u|_inf^2 / lam grows like lam at the top scales
+    grows = family.audit("grows", abs, lambda u: float(np.abs(u.values).max()) ** 2)
+    ratios = [r for _, r in grows.scale_family]
+    assert grows.verdict == "fail" and ratios[-1] > (1 + grows.tolerance) * ratios[0]
+    assert 0.0 < grows.spread < 1.0
+    inf = family.audit("inf", abs, lambda u: float("inf"))
+    assert inf.verdict == "fail" and inf.spread == 0.0
+    assert inf.as_dict()["measured_ratio"] is None
+
+
 def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
     # N = 2 on the square: |lam|_L2 = |lam| up to quadrature roundoff
     m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 8)
@@ -256,6 +270,17 @@ def test_sandwich_audit_synthetic_profiles():
     paired = sandwich_audit((GridFunction(m, m.distance ** 2, zero_trace=True),) * 2,
                             refined=_run_of((flat2, flat2)))
     assert paired["verdict"] == "fail"
+
+
+def test_sandwich_audit_fails_without_a_positive_c0():
+    # a field that vanishes inside has c0 = 0: the audit fails before it
+    # reads the refined run
+    m = mesh1d(64)
+    d = GridFunction(m, m.distance.copy(), zero_trace=True)
+    zero = GridFunction.constant(m, 0.0)
+    out = sandwich_audit((d, zero), refined=_run_of((d, d)))
+    assert out["verdict"] == "fail" and out["c0"] == 0.0 and out["c1"] == 1.0
+    assert not out["stability_checked"] and "refined" not in out
 
 
 def test_sandwich_stability_accepts_converging_solution():
