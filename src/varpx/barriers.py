@@ -19,7 +19,7 @@ comparison inequalities hold at every interior hat function.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -156,13 +156,7 @@ class HypothesisReport:
         return [c for c in self.checks if not c.passed]
 
     def as_dict(self):
-        return {
-            "regime": self.regime.value,
-            "passed": self.passed,
-            "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                        "passed": c.passed} for c in self.checks],
-            "deviations": list(self.deviations),
-        }
+        return {**asdict(self), "regime": self.regime.value, "passed": self.passed}
 
 
 def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
@@ -266,8 +260,8 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
                 f"under exceeds over for component {i+1}; escalate C")
     R = max(1.0, *map(_c1_bound, (*xi, *xid)))
     return BarrierPair(under=under, over=over, C=float(C), delta=float(delta), R=R,
-                       c0_measured=min(grid.distance_ratio(u)[0] for u in under),
-                       c1_measured=max(grid.distance_ratio(u)[1] for u in over),
+                       c0_measured=grid.distance_ratio(*under)[0],
+                       c1_measured=grid.distance_ratio(*over)[1],
                        torsion=tuple(solves))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import csv
 import json
 import math
 import os
@@ -78,7 +79,6 @@ def _get(d, key, path, types=None, default=_REQUIRED):
 
 @dataclass
 class RunConfig:
-    domain: DomainSpec
     resolution: int
     problem: ProblemSpec
     solver: SolverOptions
@@ -116,7 +116,11 @@ def _parse_domain(obj):
     if bounds is None:
         raise ConfigError("$.domain.kind", f"unknown domain kind {kind!r}")
     _known_keys(obj, "$.domain", ("kind", *bounds))
-    return getattr(DomainSpec, kind)(*(_get(obj, k, "$.domain", _REAL) for k in bounds))
+    values = [_get(obj, k, "$.domain", _REAL) for k in bounds]
+    try:
+        return getattr(DomainSpec, kind)(*values)
+    except ValueError as exc:  # a degenerate domain
+        raise ConfigError("$.domain", str(exc))
 
 
 _EXPONENTS = ("p", "alpha", "beta", "gamma", "gamma_bar")
@@ -221,9 +225,8 @@ def parse_config(text: str, mesh_n: int | None = None) -> RunConfig:
     _known_keys(outputs, "$.outputs", _DEFAULT_OUTPUTS)
     for key in outputs:
         _get(outputs, key, "$.outputs", str)
-    return RunConfig(domain=domain, resolution=resolution, problem=problem,
-                     solver=solver, iteration=iteration,
-                     outputs={**_DEFAULT_OUTPUTS, **outputs},
+    return RunConfig(resolution=resolution, problem=problem, solver=solver,
+                     iteration=iteration, outputs={**_DEFAULT_OUTPUTS, **outputs},
                      seed=seed, raw=raw)
 
 
@@ -241,7 +244,7 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
     clamped iterates, the interpolated start included."""
     problem = config.problem
     if mesh_n is not None and mesh_n != config.resolution:
-        problem = _materialize(config.raw, grid.build_mesh(config.domain, mesh_n))
+        problem = _materialize(config.raw, grid.build_mesh(problem.mesh.domain, mesh_n))
     mesh = problem.mesh
     init = None if coarse is None else tuple(
         grid.GridFunction(mesh, grid.interpolate(mesh.domain, z.values, mesh.nodes))
@@ -340,12 +343,10 @@ def sweep(raw_config: dict, param: str, values: list,
     os.makedirs(out_dir, exist_ok=True)
     rows = [_sweep_row(raw_config, param, v, mesh_n) for v in values]
     path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w") as f:
-        f.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for r in rows:
-            f.write(",".join("" if r[k] is None else
-                             (repr(r[k]) if isinstance(r[k], float) else str(r[k]))
-                             for k in _SWEEP_COLUMNS) + "\n")
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, _SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return rows
 
 
@@ -436,7 +437,8 @@ def main(argv=None) -> int:
             return audit(config, only=args.only, out_dir=args.out_dir)
     except Exception as exc:
         traceback.print_exc()
-        stub = verify.certificate_to_json({"error": str(exc), "schema_version": 1})
+        stub = verify.certificate_to_json({"error": str(exc),
+                                           "schema_version": verify.SCHEMA_VERSION})
         for path in stubs:
             with contextlib.suppress(OSError), open(path, "w") as f:
                 f.write(stub)

@@ -377,10 +377,12 @@ def gradient(u: GridFunction) -> np.ndarray:
     return out
 
 
-def distance_ratio(u: GridFunction):
-    """(min, max) of u/d over the interior nodes of the mesh of ``u``."""
-    ii = u.mesh.interior_nodes
-    q = u.values[ii] / u.mesh.distance[ii]
+def distance_ratio(*fields: GridFunction):
+    """(min, max) of u/d over the interior nodes and the ``fields`` u of one mesh."""
+    mesh = fields[0].mesh
+    check_same_mesh(mesh, *fields)
+    ii = mesh.interior_nodes
+    q = np.stack([u.values[ii] for u in fields]) / mesh.distance[ii]
     return float(q.min()), float(q.max())
 
 

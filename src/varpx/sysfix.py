@@ -31,7 +31,7 @@ failure of the theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -121,7 +121,7 @@ class IterationReport:
     the raw map output of each iteration (the invariance evidence);
     clamped iterates sit inside the value box by construction, so
     recording them would be vacuous.  ``caps`` holds (L, L_tilde) when
-    the run was a negative-sum cap search."""
+    the run was a negative-sum cap search, else None, as membership reads it."""
 
     iters: int
     step_norms: list          # per iteration: (step_1, step_2)
@@ -138,16 +138,9 @@ class IterationReport:
         return [b and g for b, g in zip(self.box_trace, self.grad_cap_trace)]
 
     def as_dict(self):
-        return {
-            "iters": self.iters,
-            "converged": self.converged,
-            "damping_used": self.damping_used,
-            "step_norms": [list(s) for s in self.step_norms],
-            "residuals": list(self.residuals),
-            "membership_trace": self.membership_trace,
-            "box_trace": list(self.box_trace),
-            "grad_cap_trace": list(self.grad_cap_trace),
-        }
+        out = asdict(self)
+        del out["caps"]
+        return {**out, "membership_trace": self.membership_trace}
 
 
 def apply_map(state: SystemState, opts: SolverOptions | None = None) -> tuple:
@@ -163,28 +156,25 @@ def apply_map(state: SystemState, opts: SolverOptions | None = None) -> tuple:
     return tuple(res.checked(f"component {i+1} solve") for i, res in enumerate(solves))
 
 
-def membership_check(extremes: list, pair: BarrierPair, regime: Regime,
-                     L: float | None = None, L_tilde: float | None = None):
-    """(box_ok, grad_ok) for the invariant set of the regime: the
-    nodewise box and the gradient cap each hold, and a state is a member
-    when both do.
+def membership_check(extremes: list, pair: BarrierPair, caps: tuple | None = None):
+    """(box_ok, grad_ok) for the invariant set of a run with ``caps``:
+    the nodewise box and the gradient cap each hold, and a state is a
+    member when both do.
 
-    positive_sum: under <= z <= over nodewise and |grad z|_inf <= C R.
-    negative_sum: under <= z <= L nodewise and Luxemburg gradient norm
-    <= L_tilde.  Violations count beyond ``barriers.slack`` of the bound's scale.
-    ``extremes`` are a state's ``extremes()``, so a run can judge
-    its iterates once its caps are known.
+    None (positive sum): under <= z <= over nodewise and |grad z|_inf <= C R.
+    (L, L_tilde) (negative sum): under <= z <= L nodewise and Luxemburg
+    gradient norm <= L_tilde.  Violations count beyond ``barriers.slack`` of
+    the bound's scale.  ``extremes`` are a state's ``extremes()``, so a run
+    can judge its iterates once its caps are known.
     """
-    if regime is Regime.NEGATIVE_SUM and (L is None or L_tilde is None):
-        raise ValueError("negative-sum membership needs L and L_tilde")
     box, grad = [], []
     for i, (low_v, up, g) in enumerate(extremes):
-        if regime is Regime.POSITIVE_SUM:
+        if caps is None:
             up_v, g_v = up, g - pair.C * pair.R
             scale = float(np.abs(pair.over[i].values).max())
         else:
             # max(z) - L rounds exactly as max(z - L) does
-            up_v, g_v, scale = up - L, g - L_tilde, L
+            up_v, g_v, scale = up - caps[0], g - caps[1], caps[0]
         tol = bmod.slack(scale)
         box.append(max(low_v, up_v) - tol)
         grad.append(g_v - tol)
@@ -231,8 +221,7 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
     evaluated.
     """
     opts = opts or IterationOptions()
-    regime = spec.hypotheses.regime
-    singular = regime is Regime.NEGATIVE_SUM
+    singular = spec.hypotheses.regime is Regime.NEGATIVE_SUM
 
     state = SystemState.build(spec, pair, *_clamp(
         pair, [zi.values for zi in init or pair.under], singular))
@@ -262,12 +251,9 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
         if stationary:
             break
 
-    caps = None
-    if singular:
-        caps = (_power_of_two_above(max(n[0] for n in norms), 2.0),
-                _power_of_two_above(max(n[1] for n in norms), 1.0))
-    verdicts = [membership_check(e, pair, regime, *(caps or (None, None)))
-                for e in extremes]
+    caps = (_power_of_two_above(max(n[0] for n in norms), 2.0),
+            _power_of_two_above(max(n[1] for n in norms), 1.0)) if singular else None
+    verdicts = [membership_check(e, pair, caps) for e in extremes]
     report = IterationReport(
         iters=it, step_norms=steps, residuals=residuals,
         box_trace=[bool(box) for box, _ in verdicts],

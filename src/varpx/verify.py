@@ -29,6 +29,8 @@ from .sysfix import SystemState
 
 DEFAULT_SCALES = (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
+SCHEMA_VERSION = 1  # of the certificate's layout, which the failure stub shares
+
 # An audit family fails if the top-of-scale trend still grows by more
 # than this fraction (blow-up), or if any ratio is non-finite.
 _TREND_TOL = 0.05
@@ -239,9 +241,7 @@ def sandwich_audit(solution, refined=None) -> dict:
         return out
     if refined is not None:
         fine, report = refined
-        f_per = [grid.distance_ratio(u) for u in fine.z]
-        fc0 = min(v[0] for v in f_per)
-        fc1 = max(v[1] for v in f_per)
+        fc0, fc1 = grid.distance_ratio(*fine.z)
         out["stability_checked"] = True
         out["refined"] = {"c0": fc0, "c1": fc1, "iters": report.iters,
                           "converged": bool(report.converged)}
@@ -327,7 +327,7 @@ def solution_certificate(state: SystemState, report, refined,
     sandwich = sandwich_audit(state.z, refined)
     mvt = mvt_spot_checks(state, rng)
     cert = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "mesh": {"dim": mesh.dim, "n": mesh.n, "h": mesh.h},
         "residuals": {"component_1": r1, "component_2": r2, "max": max(r1, r2)},
         "membership": {

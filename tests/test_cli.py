@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -369,6 +370,38 @@ def test_escalated_cap_is_checked_against_its_pair(monkeypatch):
                for pair, L, ok in checked)
 
 
+def test_cap_escalation_on_real_data(tmp_path, monkeypatch):
+    # singular.json on (0, 4) with m = 0.28 escalates without forged caps:
+    # the pair calibrated at the provisional cap (C = 2) fails the check at
+    # the cap L = 4 its run finds, so C is recalibrated at L = 4 (C = 4),
+    # and that pair passes with the caps its own run finds
+    raw = json.loads(load("singular.json"))
+    raw["domain"]["b"], raw["m"] = 4.0, [0.28, 0.28]
+    cfg = parse_config(json.dumps(raw), mesh_n=16)
+    real_calibrate = barriers.calibrate_barriers
+    calibrated = []
+
+    def calibrate(spec, opts=None, L=None):
+        res = real_calibrate(spec, opts, L=L)
+        calibrated.append((L, res.pair))
+        return res
+
+    monkeypatch.setattr(barriers, "calibrate_barriers", calibrate)
+    state, report = run_pipeline(cfg)
+    assert [(L, pair.C) for L, pair in calibrated] == [(None, 2.0), (4.0, 4.0)]
+    assert report.caps == (4.0, 4.0) and state.pair is calibrated[-1][1]
+    check = barriers.check_barriers_singular_regime
+    assert not check(state.spec, calibrated[0][1], 4.0).ok
+    assert check(state.spec, state.pair, 4.0).ok
+    monkeypatch.undo()
+    path = tmp_path / "escalate.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--mesh-n", "16", "--out-dir", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["caps"] == {"L": 4.0, "L_tilde": 4.0}
+
+
 @pytest.mark.parametrize("name", ["benchmark.json", "singular.json"])
 def test_run_certificate_reads_the_final_states(tmp_path, monkeypatch, name):
     # each iterate's frozen data is evaluated once, the start's included,
@@ -634,6 +667,9 @@ _PARSE_ERRORS = [  # (key, value, start of the one error line)
     ("p", [{"pow": {"base": "x", "exp": -1}}, 2.0], "config error: $.p[0]: "),
     ("p", [2.0, 10 ** 400], "config error: $.p[1]: "),
     ("f", [10 ** 400, 1.0], "config error: $.f[0]: "),
+    ("domain", {"kind": "interval", "a": 0.0, "b": 0.0}, "config error: $.domain: "),
+    ("domain", {"kind": "rectangle", "ax": 0.0, "bx": 1.0, "ay": 1.0, "by": 1.0},
+     "config error: $.domain: "),
 ]
 
 
@@ -764,6 +800,19 @@ def test_sweep_row_error_recorded_exit2(tmp_path, monkeypatch, exc_type):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[1].split(",")[1] == "True" and rows[1].endswith(",")
     assert rows[2].endswith(f",{exc_type.__name__}: injected fault")
+
+
+def test_sweep_csv_quotes_an_error_that_holds_a_comma(tmp_path):
+    # "degenerate interval (0.0, 0.0)" holds a comma: the csv module quotes
+    # it, so the row keeps its eight cells and the error cell its message
+    code = main(["sweep", config_path("trivial.json"), "--param", "domain.b",
+                 "--values", "0.0,1.0", "--mesh-n", "16", "--out-dir", str(tmp_path)])
+    assert code == 2
+    with open(tmp_path / "sweep.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 3 and all(len(row) == 8 for row in rows)
+    assert rows[1][-1] == "ConfigError: $.domain: degenerate interval (0.0, 0.0)"
+    assert rows[2][1] == "True" and rows[2][-1] == ""
 
 
 def test_sweep_resolution_error_decreasing(tmp_path):

@@ -210,6 +210,29 @@ def test_mesh_convergence_order():
     assert np.all(orders >= 1.0)
 
 
+@pytest.mark.parametrize("pc", [
+    2.0, 1.7, 2.5, 4.0,
+    pytest.param(1.5, marks=pytest.mark.xfail(
+        raises=SolveError, reason="the torsion solve stalls at p = 1.5 (ROADMAP item 7)")),
+], ids=lambda pc: f"p{pc}")
+def test_constant_p_torsion_converges_to_the_exact_solution(pc):
+    # relative max nodal error against the closed form; P1 is nodally
+    # exact at p = 2, and otherwise refines at min(2, 1 + 1/(p-1)), the
+    # regularity of u at its ridge x = 1/2
+    errs = []
+    for n in (64, 128, 256, 512):
+        m = mesh1d(n)
+        exact = const_p_torsion_exact(m.nodes[:, 0], pc)
+        u = torsion(ExponentField.constant(m, pc)).u.values
+        errs.append(np.abs(u - exact).max() / np.abs(exact).max())
+    if pc == 2.0:
+        assert max(errs) <= 1e-12
+        return
+    assert np.all(np.diff(errs) < 0)
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(orders - min(2.0, 1.0 + 1.0 / (pc - 1.0))) <= 0.1), orders
+
+
 def test_square_torsion_series_oracle():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 32)
     xi = torsion(ExponentField.constant(m, 2.0)).u

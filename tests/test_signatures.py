@@ -2,10 +2,10 @@
 every field (ExponentField, GridFunction), so no public function takes a
 mesh beside a spec or beside a field: the separate mesh could only repeat
 the one the spec or field already holds, or disagree with it.  Likewise a
-spec owns its regime (``spec.hypotheses.regime``), so nothing that
-reaches a spec takes a regime.  A SystemState carries a solution's
-fields with their spec and their barrier pair, so nothing takes a
-solution beside a spec or a pair.  And the package defines only what it
+spec owns its regime (``spec.hypotheses.regime``), so no public function
+takes a regime: a run's membership reads its caps.  A SystemState
+carries a solution's fields with their spec and their barrier pair, so
+nothing takes a solution beside a spec or a pair.  And the package defines only what it
 uses itself."""
 
 import ast
@@ -60,16 +60,13 @@ def test_no_function_takes_a_spec_and_a_mesh(module):
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_no_function_that_reaches_a_spec_takes_a_regime(module):
-    # a spec parameter reaches one, and so does every method of a spec or
-    # of a SystemState, which carries its spec
-    both = []
-    for name, fn in _public_functions(module):
-        params = inspect.signature(fn).parameters.values()
-        reaches = (name.startswith(("ProblemSpec.", "SystemState."))
-                   or any(_takes(p, ("spec",), ("ProblemSpec",)) for p in params))
-        if reaches and any(_takes(p, ("regime",), ("Regime",)) for p in params):
-            both.append(name)
-    assert both == []
+    # nor does any other public function: what depends on the regime
+    # reads it from a spec, or from a run's caps, which are None exactly
+    # in the positive-sum regime
+    takes = [name for name, fn in _public_functions(module)
+             if any(_takes(p, ("regime",), ("Regime",))
+                    for p in inspect.signature(fn).parameters.values())]
+    assert takes == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

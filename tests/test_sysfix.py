@@ -175,16 +175,16 @@ def test_membership_check_boundary_cases():
     m, spec, cal = setup_positive(128)
     pair = cal.pair
     st = SystemState.build(spec, pair, pair.under[0], pair.under[1])
-    assert membership_check(st.extremes(), pair, Regime.POSITIVE_SUM) == (True, True)
+    assert membership_check(st.extremes(), pair) == (True, True)
     big = GridFunction(m, 2.0 * pair.over[0].values, zero_trace=True)
     st2 = SystemState.build(spec, pair, big, pair.under[1])
-    assert not membership_check(st2.extremes(), pair, Regime.POSITIVE_SUM)[0]
+    assert not membership_check(st2.extremes(), pair)[0]
     # an excess over ``over`` counts only beyond the mixed slack
     tol = slack(float(np.abs(pair.over[0].values).max()))
     for excess, ok in ((0.5 * tol, True), (2.0 * tol, False)):
         ext = st.extremes()
         ext[0] = (ext[0][0], excess, ext[0][2])
-        assert membership_check(ext, pair, Regime.POSITIVE_SUM)[0] is ok
+        assert membership_check(ext, pair)[0] is ok
 
 
 def test_benchmark_iteration_converges():
@@ -248,7 +248,7 @@ def test_invariance_random_members():
         st = SystemState.build(spec, pair, z[0], z[1])
         u1, u2 = apply_map(st)
         out = SystemState.build(spec, pair, u1, u2)
-        box_ok, grad_ok = membership_check(out.extremes(), pair, Regime.POSITIVE_SUM)
+        box_ok, grad_ok = membership_check(out.extremes(), pair)
         assert box_ok and grad_ok, "image left the invariant set"
 
 
@@ -310,11 +310,7 @@ def test_calibrate_caps_rejects_a_positive_sum_spec():
 def test_negative_sum_membership_needs_caps():
     m, spec, cal = setup_singular()
     st = SystemState.build(spec, cal.pair, cal.pair.under[0], cal.pair.under[1])
-    ext = st.extremes()
-    for caps in ((), (4.0,), (None, 4.0)):
-        with pytest.raises(ValueError):
-            membership_check(ext, cal.pair, Regime.NEGATIVE_SUM, *caps)
-    assert membership_check(ext, cal.pair, Regime.NEGATIVE_SUM, 4.0, 4.0) == (True, True)
+    assert membership_check(st.extremes(), cal.pair, (4.0, 4.0)) == (True, True)
 
 
 def test_trace_report_roundtrip():
@@ -443,5 +439,5 @@ def test_cap_search_reads_caps_off_one_run(monkeypatch):
     assert caps.L_tilde >= 1.05 * lux and (caps.L_tilde == 1.0 or caps.L_tilde < 2.1 * lux)
     for (u1, u2), member in zip((out for _, out in mapped), rep.membership_trace):
         st = SystemState.build(spec, cal.pair, u1, u2)
-        assert all(membership_check(st.extremes(), cal.pair, Regime.NEGATIVE_SUM,
-                                    caps.L, caps.L_tilde)) == member
+        assert all(membership_check(st.extremes(), cal.pair,
+                                    (caps.L, caps.L_tilde))) == member
