@@ -39,6 +39,9 @@ _INEQ_RTOL = 1e-6
 # The barrier scale search stops at C = 2^_C_MAX_EXP.
 _C_MAX_EXP = 20
 
+# The smallest sup-norm cap L: the calibration's provisional cap, the cap search's floor.
+MIN_CAP = 2.0
+
 # The growth envelope is sampled at this many random states, with this slack.
 _ENVELOPE_SAMPLES = 200
 _ENVELOPE_RTOL = 1e-9
@@ -430,7 +433,7 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
         raise CalibrationError(f"hypotheses rejected before search: {bad}")
     positive = report.regime is Regime.POSITIVE_SUM
     if not positive and L is None:
-        L = 2.0  # provisional cap; refreshed by the cap search afterwards
+        L = MIN_CAP  # provisional; refreshed by the cap search afterwards
 
     delta, xi, xid = resolve_delta(spec, opts)
     trajectory = []

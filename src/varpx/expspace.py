@@ -55,12 +55,9 @@ class ExponentField(GridFunction):
     def p_plus(self) -> float:
         return float(self.values.max())
 
+    @cached_property
     def at_quad(self) -> np.ndarray:
         """The exponent at the quadrature points (read-only), evaluated once."""
-        return self._quad_values
-
-    @cached_property
-    def _quad_values(self) -> np.ndarray:
         out = grid.at_quad(self.mesh, self.values)
         out.setflags(write=False)
         return out
@@ -168,7 +165,7 @@ def luxemburg_norm_from_samples(values, exps, weights) -> float:
 def modular(u: GridFunction, p: ExponentField) -> float:
     """Quadrature approximation of int |u|^p(x) dx."""
     uq = np.abs(grid.as_quad(p.mesh, u).values)
-    val = _modular_quad(uq, p.at_quad(), p.mesh.qweights)
+    val = _modular_quad(uq, p.at_quad, p.mesh.qweights)
     if not np.isfinite(val):
         raise NonFiniteFieldError("modular overflowed; field values too extreme")
     return val
@@ -182,5 +179,5 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> float:
     """
     if p.p_minus <= 1.0:
         raise ValueError(f"norm requires p_minus > 1, got {p.p_minus}")
-    return luxemburg_norm_from_samples(grid.as_quad(p.mesh, u).values, p.at_quad(),
+    return luxemburg_norm_from_samples(grid.as_quad(p.mesh, u).values, p.at_quad,
                                        p.mesh.qweights)

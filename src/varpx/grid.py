@@ -13,6 +13,7 @@ and ``projections``, a ``QuadField`` its load vector and ``l1_norm``.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -408,10 +409,9 @@ def export_csv(path, mesh: Mesh, columns: dict):
     """One row per node: coordinates then the named nodal columns.  The
     header line lists 'x[,y]' followed by the column names."""
     names = list(columns)
-    coord_names = ["x"] if mesh.dim == 1 else ["x", "y"]
-    with open(path, "w") as f:
-        f.write(",".join(coord_names + names) + "\n")
-        cols = [mesh.nodes[:, d] for d in range(mesh.dim)]
-        cols += [np.asarray(columns[k], dtype=float) for k in names]
-        for row in zip(*cols):
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = np.column_stack([mesh.nodes, *(np.asarray(columns[k], dtype=float)
+                                          for k in names)])
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["x", "y"][:mesh.dim] + names)
+        writer.writerows(rows.tolist())

@@ -286,7 +286,7 @@ class _Powers:
     p - 2 and (p - 2)/2, each formed once per solve."""
 
     def __init__(self, p: ExponentField, q: int):
-        self.p = p.at_quad().reshape(-1, q)
+        self.p = p.at_quad.reshape(-1, q)
         self.half = self.p / 2.0
         self.excess = self.p - 2.0
         self.half_excess = self.excess / 2.0
@@ -322,7 +322,7 @@ def apply_operator(p: ExponentField, u: GridFunction) -> np.ndarray:
     grid.check_same_mesh(mesh, u)
     lay = _layout(mesh)
     g2 = u.grad_sq.repeat(lay.q_per_cell)
-    w = lay.cell_sum(mesh.qweights * flux_coefficient(g2, p.at_quad()))
+    w = lay.cell_sum(mesh.qweights * flux_coefficient(g2, p.at_quad))
     return _flux_values(mesh, w, u.projections)
 
 

@@ -80,7 +80,7 @@ class SystemState:
         mesh = self.spec.mesh
         return tuple(expspace.per_distinct(
             lambda p, z: expspace.luxemburg_norm_from_samples(
-                z.grad_norm.repeat(mesh.q_per_cell), p.at_quad(), mesh.qweights),
+                z.grad_norm.repeat(mesh.q_per_cell), p.at_quad, mesh.qweights),
             self.spec.p, self.z))
 
     @cached_property
@@ -251,7 +251,7 @@ def fixed_point_iterate(spec: ProblemSpec, pair: BarrierPair,
         if stationary:
             break
 
-    caps = (_power_of_two_above(max(n[0] for n in norms), 2.0),
+    caps = (_power_of_two_above(max(n[0] for n in norms), bmod.MIN_CAP),
             _power_of_two_above(max(n[1] for n in norms), 1.0)) if singular else None
     verdicts = [membership_check(e, pair, caps) for e in extremes]
     report = IterationReport(

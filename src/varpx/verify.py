@@ -16,7 +16,7 @@ identity is exact only for the exact weak solution).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -52,9 +52,8 @@ class EstimateAudit:
     measured_ratio: float            # candidate constant: max of the family
     scale_family: list               # (input_scale, ratio) pairs
     verdict: str                     # "pass" | "fail"
-    tolerance: float
-    spread: float = 0.0              # (max-min)/max over the family
-    notes: list = field(default_factory=list)
+    spread: float                    # (max-min)/max over the family
+    notes: list
 
     def as_dict(self):
         def safe(v):
@@ -65,7 +64,7 @@ class EstimateAudit:
             "measured_ratio": safe(self.measured_ratio),
             "ratios": [[safe(s), safe(r)] for s, r in self.scale_family],
             "verdict": self.verdict,
-            "tolerance": self.tolerance,
+            "tolerance": _TREND_TOL,
             "spread": safe(self.spread),
             "notes": list(self.notes),
         }
@@ -115,7 +114,7 @@ class ScaleFamily:
         verdict, spread = _family_verdict(ratios)
         return EstimateAudit(name=name, measured_ratio=max(r for _, r in ratios),
                              scale_family=ratios, verdict=verdict,
-                             tolerance=_TREND_TOL, spread=spread, notes=list(notes))
+                             spread=spread, notes=list(notes))
 
 
 def gradient_estimate_audit(family: ScaleFamily) -> EstimateAudit:
@@ -181,7 +180,7 @@ def mvt_ratio(p: ExponentField, u: GridFunction, h, f: GridFunction,
     den = float(mesh.qweights @ hphi)
     if abs(den) <= 1e-14 * float(mesh.qweights @ np.abs(hphi)):
         raise ZeroDivisionError("degenerate test field: int h phi vanishes")
-    coeff = plaplace.flux_coefficient(u.grad_sq.repeat(mesh.q_per_cell), p.at_quad())
+    coeff = plaplace.flux_coefficient(u.grad_sq.repeat(mesh.q_per_cell), p.at_quad)
     dots = (u.grad * phi.grad).sum(axis=1).repeat(mesh.q_per_cell)
     fq = grid.at_quad(mesh, f.values)
     num = float(mesh.qweights @ (fq * coeff * dots))

@@ -56,9 +56,9 @@ def power_norm_bracket(u, m, k):
     """Norm of |u|^m(x) in the exponent-k(x)/m(x) space, asserted to lie
     between norm_k(u)^m_minus and norm_k(u)^m_plus (it is norm_k(u)^m(x0)
     for some x0).  Returns (value, lo, hi)."""
-    mq = m.at_quad()
+    mq = m.at_quad
     value = luxemburg_norm_from_samples(np.abs(at_quad(u.mesh, u.values)) ** mq,
-                                        k.at_quad() / mq, u.mesh.qweights)
+                                        k.at_quad / mq, u.mesh.qweights)
     lo, hi = sorted(luxemburg_norm(u, k) ** e for e in (m.p_minus, m.p_plus))
     slack = 1e-12 + 1e-6 * max(1.0, hi)
     assert lo - slack <= value <= hi + slack

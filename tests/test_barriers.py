@@ -353,7 +353,7 @@ def test_sign_case_products_and_margins(case, regime):
     L = 4.0
 
     def pq(base, e):
-        return grid.at_quad(m, base.values) ** e.at_quad()
+        return grid.at_quad(m, base.values) ** e.at_quad
 
     def product(side):
         return _SIGN_CASE_PRODUCTS[case][side](pq, pair.under, pair.over,

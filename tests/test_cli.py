@@ -236,7 +236,7 @@ def test_a_run_keeps_only_the_arrays_a_later_step_reads(tmp_path, monkeypatch):
     assert [s.mesh.n for s in specs] == [16, 32]
     for spec in specs:
         for e in (*spec.alpha, *spec.beta):
-            assert "_quad_values" not in vars(e)
+            assert "at_quad" not in vars(e)
     assert peak <= 4.0e6
 
 

@@ -169,15 +169,15 @@ def _exponent_samples(mesh, kind, rng, uq):
     smooth variable, or a derived exponent k/m; the derived kind powers
     the samples by m, as the norm of |u|^m in the k/m space does."""
     if kind == "constant":
-        return uq, ExponentField.constant(mesh, rng.uniform(1.01, 4.0)).at_quad()
+        return uq, ExponentField.constant(mesh, rng.uniform(1.01, 4.0)).at_quad
     k = _smooth_exponent(mesh, rng.uniform(1.01, 3.0), rng.uniform(0.0, 1.0),
                          rng.uniform(0.5, 6.0))
     if kind == "variable":
-        return uq, k.at_quad()
+        return uq, k.at_quad
     mq = _smooth_exponent(mesh, rng.uniform(0.3, 1.5), rng.uniform(0.0, 1.0),
-                          rng.uniform(0.5, 6.0)).at_quad()
+                          rng.uniform(0.5, 6.0)).at_quad
     powered = np.power(uq / uq.max(), mq) * uq.max()
-    return powered, k.at_quad() / mq
+    return powered, k.at_quad / mq
 
 
 _NORM_CASES = dict(dim=st.sampled_from([1, 2]), n=st.integers(2, 16),
@@ -257,7 +257,7 @@ def test_constant_exponent_norm_takes_three_modular_evaluations(monkeypatch):
     for i in range(200):
         mesh = _mesh(1 + i % 2, int(rng.integers(2, 17)))
         uq = _samples(mesh, rng, rng.uniform(-30.0, 30.0), 0.3 * (i % 3 == 0))
-        exps = ExponentField.constant(mesh, rng.uniform(0.25, 4.0)).at_quad()
+        exps = ExponentField.constant(mesh, rng.uniform(0.25, 4.0)).at_quad
         assert _modular_evals(monkeypatch, uq, exps, mesh.qweights) <= 3
 
 

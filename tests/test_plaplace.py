@@ -365,11 +365,11 @@ def test_exponent_quadrature_values_evaluated_once(monkeypatch):
     real = grid.at_quad
     monkeypatch.setattr(grid, "at_quad", lambda mesh, vals: (
         evaluated.append(vals is p.values) or real(mesh, vals)))
-    pq = p.at_quad()
+    pq = p.at_quad
     one = GridFunction.constant(m, 1.0)
     res = solve_dirichlet(p, one)
     weak_residual(p, res.u, one)
-    assert p.at_quad() is pq and not pq.flags.writeable
+    assert p.at_quad is pq and not pq.flags.writeable
     assert evaluated.count(True) == 1
 
 
@@ -450,7 +450,7 @@ def _coo_scatter(mesh, local):
 
 
 def _reference_hessian(mesh, p, u, eps):
-    pq = p.at_quad()
+    pq = p.at_quad
     qcells = point_tables(mesh)[0]
     gq = grid.cell_gradients(mesh, u)[qcells]
     base = (gq ** 2).sum(axis=1) + eps * eps
@@ -465,7 +465,7 @@ def _reference_hessian(mesh, p, u, eps):
 
 
 def _reference_operator(mesh, p, u, eps):
-    pq = p.at_quad()
+    pq = p.at_quad
     qcells, _, qconn = point_tables(mesh)
     gq = grid.cell_gradients(mesh, u)[qcells]
     g2 = (gq ** 2).sum(axis=1)
@@ -627,7 +627,7 @@ def test_kernels_equal_their_references_bitwise(dim, n, width, aspect, tall, see
     assert np.array_equal(lay.cell_sum(w), w.reshape(-1, q).sum(axis=1))
 
     eps = 1e-3
-    pq = p.at_quad()
+    pq = p.at_quad
     g2 = np.repeat((g ** 2).sum(axis=1), q)
     base = g2 + eps * eps
     assert np.array_equal(plaplace._regularized(lay, uf, eps).ravel(), base)

@@ -220,7 +220,8 @@ def test_scale_family_fails_on_a_top_scale_trend_or_a_nonfinite_ratio():
     # p = 2 is linear, so |u|_inf^2 / lam grows like lam at the top scales
     grows = family.audit("grows", abs, lambda u: float(np.abs(u.values).max()) ** 2)
     ratios = [r for _, r in grows.scale_family]
-    assert grows.verdict == "fail" and ratios[-1] > (1 + grows.tolerance) * ratios[0]
+    tol = grows.as_dict()["tolerance"]
+    assert grows.verdict == "fail" and ratios[-1] > (1 + tol) * ratios[0]
     assert 0.0 < grows.spread < 1.0
     inf = family.audit("inf", abs, lambda u: float("inf"))
     assert inf.verdict == "fail" and inf.spread == 0.0
