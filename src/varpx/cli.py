@@ -291,7 +291,8 @@ def run(config: RunConfig, out_dir: str = ".") -> int:
     """Full pipeline with audits and artifacts; returns the verdict status
     (0 converged and all audits pass, else 2) and raises on failure."""
     paths = artifact_paths(config.outputs, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    for path in paths.values():
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     state, report = run_pipeline(config)
     refined = run_pipeline(config, mesh_n=2 * state.spec.mesh.n, coarse=state)
     cert = verify.solution_certificate(state, report, refined=refined,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,20 @@ def test_build_barriers_requires_C_above_one():
     spec = trivial_spec(m)
     with pytest.raises(ValueError):
         build_barriers(spec, C=1.0, delta=0.1, torsions=torsion_pairs(m, spec, 0.1))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda spec, pair: check_barriers_singular_regime(spec, pair, 1.0), ValueError,
+     "sup-norm cap L must exceed 1"),
+    (lambda spec, pair: dataclasses.replace(spec, f=(1.0, spec.f[1])), TypeError,
+     r"f\[0\] must be a parsed expression"),
+], ids=["cap-at-one", "unparsed-f"])
+def test_malformed_spec_or_cap_rejected(call, exc, message):
+    m = mesh1d(64)
+    spec = trivial_spec(m)
+    pair = build_barriers(spec, C=2.0, delta=0.1, torsions=torsion_pairs(m, spec, 0.1))
+    with pytest.raises(exc, match=message):
+        call(spec, pair)
 
 
 # -- inequality checks and calibration --------------------------------------

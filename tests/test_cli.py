@@ -504,6 +504,18 @@ def test_cli_import_leaves_scipy_sparse_unloaded(tmp_path):
     assert (tmp_path / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("config, code", [("trivial.json", 0), ("missing.json", 1)])
+def test_python_m_varpx_runs_the_command_line(tmp_path, config, code):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "varpx", "solve", config_path(config),
+                           "--mesh-n", "16", "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert (out / "certificate.json").exists() == (code == 0)
+
+
 def test_audit_time_zero_division_exit2_with_stubs(tmp_path, monkeypatch):
     def degenerate(*args, **kwargs):
         raise ZeroDivisionError("degenerate test field: int h phi vanishes")
@@ -670,6 +682,10 @@ _PARSE_ERRORS = [  # (key, value, start of the one error line)
     ("domain", {"kind": "interval", "a": 0.0, "b": 0.0}, "config error: $.domain: "),
     ("domain", {"kind": "rectangle", "ax": 0.0, "bx": 1.0, "ay": 1.0, "by": 1.0},
      "config error: $.domain: "),
+    ("domain", {"kind": "disk"}, "config error: $.domain.kind: unknown domain kind 'disk'"),
+    ("m", [2.0, 1.0], "config error: $: need m <= M"),
+    ("iteration", {"theta": 0.0},
+     "config error: $.iteration.theta: damping theta must lie in (0, 1]"),
 ]
 
 
@@ -730,23 +746,32 @@ def test_cli_main_unknown_key_exit1(tmp_path, capsys, command, key, value):
     assert err == f"config error: $.{key}: unknown key\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "{dir}"],
-    ["audit", "{dir}"],
-    ["sweep", "{dir}", "--param", "seed", "--values", "2"],
-    ["sweep", "{text}", "--param", "seed", "--values", "2"],
-    ["sweep", "{trivial}", "--param", "seed", "--values", "2,x"],
-    ["sweep", "{trivial}", "--param", "nope", "--values", "1"],
-])
-def test_cli_main_unreadable_input_exit1(tmp_path, capsys, argv):
+_UNREADABLE = [  # (argv, start of the one error line)
+    (["solve", "{dir}"], "error: [Errno 21] Is a directory"),
+    (["audit", "{dir}"], "error: [Errno 21] Is a directory"),
+    (["sweep", "{dir}", "--param", "seed", "--values", "2"],
+     "error: [Errno 21] Is a directory"),
+    (["sweep", "{text}", "--param", "seed", "--values", "2"], "error: Expecting value"),
+    (["sweep", "{trivial}", "--param", "seed", "--values", "2,x"], "error: Expecting value"),
+    (["sweep", "{trivial}", "--param", "nope", "--values", "1"],
+     "config error: nope: path does not address an existing key"),
+    (["solve", "{array}"], "config error: $: top level must be an object"),
+]
+
+
+@pytest.mark.parametrize("argv, start", _UNREADABLE,
+                         ids=[f"argv{i}" for i in range(len(_UNREADABLE))])
+def test_cli_main_unreadable_input_exit1(tmp_path, capsys, argv, start):
     # a directory as the config file, a config that is not JSON, a value
-    # that is not JSON, a sweep parameter that addresses no key
+    # that is not JSON, a sweep parameter that addresses no key, a config
+    # that is JSON but not an object
     (tmp_path / "dir").mkdir()
     (tmp_path / "text").write_text("not json")
+    (tmp_path / "array").write_text("[1, 2]")
     paths = {"dir": tmp_path / "dir", "text": tmp_path / "text",
-             "trivial": config_path("trivial.json")}
+             "array": tmp_path / "array", "trivial": config_path("trivial.json")}
     argv = [a.format(**paths) for a in argv]
-    _exit1_one_line_nothing_created(capsys, argv, tmp_path / "out")
+    assert _exit1_one_line_nothing_created(capsys, argv, tmp_path / "out").startswith(start)
 
 
 @pytest.mark.parametrize("command, blocked", [
@@ -771,17 +796,27 @@ def test_cli_main_unwritable_output_exit2(tmp_path, capsys, command, blocked):
 
 
 def test_cli_main_unwritable_certificate_exit2_with_trace_stub(tmp_path):
-    # the solve runs, then the certificate cannot be written: the trace
-    # path still takes the stub
+    # the solve runs, then the certificate cannot be written because a
+    # directory stands at its path: the trace path still takes the stub
+    out = tmp_path / "out"
+    (out / "certificate.json").mkdir(parents=True)
+    assert main(["solve", config_path("trivial.json"), "--mesh-n", "16",
+                 "--out-dir", str(out)]) == 2
+    stub = json.loads((out / "trace.json").read_text())
+    assert stub["schema_version"] == 1 and "certificate.json" in stub["error"]
+    assert (out / "certificate.json").is_dir()
+
+
+def test_cli_main_creates_the_directory_of_each_output(tmp_path):
     raw = json.loads(load("trivial.json"))
-    raw["outputs"] = {"certificate_json": "nodir/certificate.json"}
+    raw["outputs"] = {"fields_csv": "nodir/f.csv", "trace_json": "a/b/trace.json"}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main(["solve", str(path), "--mesh-n", "16", "--out-dir", str(out)]) == 2
-    stub = json.loads((out / "trace.json").read_text())
-    assert stub["schema_version"] == 1 and "nodir" in stub["error"]
-    assert not (out / "nodir").exists()
+    assert main(["solve", str(path), "--mesh-n", "16", "--out-dir", str(out)]) == 0
+    assert (out / "nodir" / "f.csv").read_text().startswith("x,u1,u2,d,")
+    assert json.loads((out / "a" / "b" / "trace.json").read_text())["converged"] is True
+    assert json.loads((out / "certificate.json").read_text())["all_audits_pass"] is True
 
 
 @pytest.mark.parametrize("exc_type", [AssertionError, OSError])
@@ -888,6 +923,14 @@ def test_sweep_partial_failure_recorded(tmp_path):
     rows = sweep(raw, "resolution", [64, 4], out_dir=str(tmp_path))
     assert rows[0]["converged"]
     assert rows[1]["error"]
+
+
+def test_audit_rejects_an_unknown_name_before_any_solve(tmp_path):
+    # the command line offers only the known names; a direct call is checked too
+    config = parse_config(load("trivial.json"))
+    with pytest.raises(ConfigError, match=r"^--only: unknown audit 'sandwich'"):
+        cli.audit(config, only="sandwich", out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_command(tmp_path, capsys):

@@ -357,6 +357,12 @@ def test_power_norm_identity_random_triples():
         power_norm_bracket(u, mm, k)
 
 
+def test_modular_overflow_raises():
+    m = mesh1d(16)
+    with pytest.raises(NonFiniteFieldError, match="modular overflowed"):
+        modular(GridFunction.constant(m, 1e300), ExponentField.constant(m, 4.0))
+
+
 def test_exponent_field_rejects_nonfinite():
     m = mesh1d(16)
     vals = np.ones(m.n_nodes)

@@ -79,7 +79,11 @@ def test_evaluate_spatial_broadcasts_constants():
 @pytest.mark.parametrize("obj, where", [
     ({"add": [1.0, {"pow": {"base": "s1", "exp": "s2"}}]}, "$.f[0].add[1].pow.exp"),
     ({"mul": [2.0, "q"]}, "$.f[0].mul[1]"),
-], ids=["pow-exp", "var"])
+    ({"add": [1.0, {"add": [1.0], "mul": [2.0]}]},
+     "$.f[0].add[1]: expression node must have exactly one key"),
+    ({"mul": [2.0, {"pow": {"base": "s1"}}]}, "$.f[0].mul[1].pow: needs {'base'"),
+    ({"add": [1.0, [2.0]]}, "$.f[0].add[1]: cannot parse list as an expression"),
+], ids=["pow-exp", "var", "two-keys", "pow-without-exp", "list"])
 def test_nested_errors_name_their_config_path(obj, where):
     with pytest.raises(ConfigError) as exc:
         parse_expr(obj, "$.f[0]")

@@ -3,6 +3,7 @@ import pytest
 
 from varpx import (DomainSpec, GridFunction, boundary_strip, build_mesh,
                    export_csv, gradient)
+from varpx.errors import MeshCompatibilityError
 from varpx.grid import QuadField, as_quad, at_quad, interpolate
 
 from conftest import point_tables
@@ -86,6 +87,19 @@ def test_degenerate_domain_rejected():
         DomainSpec.interval(1.0, 1.0)
     with pytest.raises(ValueError):
         DomainSpec.rectangle(0, 1, 2, 2)
+
+
+@pytest.mark.parametrize("make, exc, message", [
+    (lambda m: build_mesh(m.domain, 1), ValueError, "need at least 2 cells"),
+    (lambda m: QuadField(m, np.ones(3)), MeshCompatibilityError,
+     r"expected quadrature values of shape \(12,\), got \(3,\)"),
+    (lambda m: GridFunction(m, np.ones(m.n_nodes), zero_trace=True), ValueError,
+     "zero-trace field does not vanish on the boundary"),
+], ids=["one-cell", "quad-shape", "zero-trace"])
+def test_malformed_mesh_or_field_rejected(make, exc, message):
+    m = build_mesh(DomainSpec.interval(0, 1), 4)
+    with pytest.raises(exc, match=message):
+        make(m)
 
 
 def test_boundary_strip_interval():

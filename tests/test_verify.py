@@ -124,6 +124,20 @@ def test_mvt_rejects_sign_changing_phi():
         mvt_ratio(p, res.u, h, GridFunction.constant(m, 1.0), phi)
 
 
+@pytest.mark.parametrize("h, phi, message", [
+    (lambda m: GridFunction.constant(m, 1.0), lambda m: GridFunction.constant(m, 1.0),
+     "phi must vanish on the boundary"),
+    (lambda m: GridFunction.from_callable(m, lambda x: x - 0.5),
+     lambda m: GridFunction(m, m.distance), "h must be sign-constant"),
+], ids=["phi-on-the-boundary", "sign-changing-h"])
+def test_mvt_ratio_rejects_malformed_data(h, phi, message):
+    m = mesh1d(64)
+    p = ExponentField.constant(m, 2.0)
+    u = solve_dirichlet(p, GridFunction.constant(m, 1.0)).u
+    with pytest.raises(ValueError, match=message):
+        mvt_ratio(p, u, h(m), GridFunction.constant(m, 1.0), phi(m))
+
+
 def test_mvt_ratio_rejects_fields_on_another_mesh():
     # a field carries its mesh, so two fields on equal but distinct
     # meshes are still two meshes
