@@ -419,12 +419,13 @@ def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
 
 
 def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
-                       L: float | None = None) -> CalibrationResult:
+                       L: float = MIN_CAP) -> CalibrationResult:
     """Doubling search C in {2, 4, ..., 2^_C_MAX_EXP} with delta halved
     from 0.1 * max distance on positivity failure (floor 1.5 axis
     spacings).  Returns the first success; exhaustion raises
     CalibrationError, which cannot distinguish 'C must be larger' from
-    'discretization too coarse' and says so.
+    'discretization too coarse' and says so.  The singular regime is
+    checked at the sup-norm cap ``L``; before any cap search, the smallest.
     """
     report = spec.hypotheses
     if not report.passed:
@@ -432,8 +433,6 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
                         for c in report.failed_checks())
         raise CalibrationError(f"hypotheses rejected before search: {bad}")
     positive = report.regime is Regime.POSITIVE_SUM
-    if not positive and L is None:
-        L = MIN_CAP  # provisional; refreshed by the cap search afterwards
 
     delta, xi, xid = resolve_delta(spec, opts)
     trajectory = []

@@ -349,9 +349,9 @@ def test_escalated_cap_is_checked_against_its_pair(monkeypatch):
                                          caps=(next(caps), res.report.caps[1]))
         return res
 
-    def calibrate(spec, opts=None, L=None):
+    def calibrate(spec, opts=None, L=barriers.MIN_CAP):
         res = real_calibrate(spec, opts, L=L)
-        calibrated.append((res.pair, 2.0 if L is None else L))
+        calibrated.append((res.pair, L))
         return res
 
     def check(spec, pair, L):
@@ -381,14 +381,14 @@ def test_cap_escalation_on_real_data(tmp_path, monkeypatch):
     real_calibrate = barriers.calibrate_barriers
     calibrated = []
 
-    def calibrate(spec, opts=None, L=None):
+    def calibrate(spec, opts=None, L=barriers.MIN_CAP):
         res = real_calibrate(spec, opts, L=L)
         calibrated.append((L, res.pair))
         return res
 
     monkeypatch.setattr(barriers, "calibrate_barriers", calibrate)
     state, report = run_pipeline(cfg)
-    assert [(L, pair.C) for L, pair in calibrated] == [(None, 2.0), (4.0, 4.0)]
+    assert [(L, pair.C) for L, pair in calibrated] == [(2.0, 2.0), (4.0, 4.0)]
     assert report.caps == (4.0, 4.0) and state.pair is calibrated[-1][1]
     check = barriers.check_barriers_singular_regime
     assert not check(state.spec, calibrated[0][1], 4.0).ok
