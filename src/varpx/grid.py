@@ -414,4 +414,4 @@ def export_csv(path, mesh: Mesh, columns: dict):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["x", "y"][:mesh.dim] + names)
-        writer.writerows(rows.tolist())
+        writer.writerows(row.tolist() for row in rows)
