@@ -223,18 +223,15 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
 @dataclass
 class BarrierPair:
     """Ordered barriers built from torsion fields: under = xi_delta / C,
-    over = C * xi, with the measured regularity scale R and the measured
-    distance-comparability constants.  ``torsion`` keeps the checked
-    solves of the torsion fields xi, which the certificate's audits reuse
-    with their options."""
+    over = C * xi, with the measured regularity scale R.  ``torsion`` keeps
+    the checked solves of the torsion fields xi, which the certificate's
+    audits reuse with their options."""
 
     under: tuple            # (GridFunction, GridFunction)
     over: tuple
     C: float
     delta: float
     R: float
-    c0_measured: float
-    c1_measured: float
     torsion: tuple          # ScalarSolveResult of xi_1, of xi_2
 
 
@@ -263,8 +260,6 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
                 f"under exceeds over for component {i+1}; escalate C")
     R = max(1.0, *map(_c1_bound, (*xi, *xid)))
     return BarrierPair(under=under, over=over, C=float(C), delta=float(delta), R=R,
-                       c0_measured=grid.distance_ratio(*under)[0],
-                       c1_measured=grid.distance_ratio(*over)[1],
                        torsion=tuple(solves))
 
 
@@ -396,11 +391,12 @@ def _values_only(pair: BarrierPair) -> BarrierPair:
 
 def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     """Strip width search: start at 0.1 * max distance and halve until
-    the strip-loaded torsion fields stay positive, flooring at 1.5 times
-    the largest axis spacing, so the strip always holds the first
-    interior node row.  Returns (delta, xi, xi_delta): the torsion
-    solves (``plaplace.torsion``) and the strip fields; equal exponents
-    share their solves."""
+    the strip-loaded torsion fields stay positive; a failing width at or
+    below 1.5 times the largest axis spacing raises CalibrationError.  For
+    n < 30 the unit interval's or square's start lies below that floor, so
+    the strip may hold no interior node.  Returns (delta, xi, xi_delta):
+    the torsion solves (``plaplace.torsion``) and the strip fields; equal
+    exponents share their solves."""
     mesh = spec.mesh
     delta = 0.1 * mesh.max_distance
     floor = 1.5 * mesh.longest_side / mesh.n

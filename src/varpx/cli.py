@@ -367,7 +367,7 @@ def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int
     # every audit reads the unit-data solve of each exponent: solve it once
     torsions = per_distinct(lambda p: plaplace.torsion(p, config.solver), ps)
     kinds = tuple(name for name in names if name != "mvt")
-    out = [a.as_dict() for a in verify.estimate_audits(ps, kinds, torsions)]
+    out = verify.estimate_audits(ps, kinds, torsions)
     if "mvt" in names:
         out += verify.mvt_sampling(ps, np.random.default_rng(config.seed), torsions)
     payload = verify.certificate_to_json({"audits": out})

@@ -68,12 +68,18 @@ class ScalarSolveResult:
     newton_iters: int        # Newton systems solved
     converged: bool
     opts: SolverOptions      # the options of the solve
+    stop: str                # what ended Newton: "forcing", "stall" or "max_newton"
     energies: list = field(default_factory=list, repr=False)
 
     def checked(self, what: str) -> GridFunction:
-        """``u`` if the solve converged; else SolveError naming ``what``."""
+        """``u`` if the solve converged; else SolveError naming ``what`` and ``stop``."""
         if not self.converged:
-            raise SolveError(f"{what} stalled at residual {self.residual:.3e}")
+            res = f"residual {self.residual:.3e}"
+            raise SolveError(f"{what} " + {
+                "stall": f"stalled at {res}",
+                "max_newton": f"used all {self.newton_iters} Newton steps at {res}",
+                "forcing": f"passed the forcing test, but its unregularized {res} exceeds "
+                           f"tol_residual {self.opts.tol_residual:.1e}"}[self.stop])
         return self.u
 
 
@@ -398,9 +404,9 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
 
     Newton stops when the regularized residual, normalized like the
     reported one, reaches ``_NEWTON_FORCING * tol_residual``, when the
-    line search stagnates, or after ``max_newton`` steps; the
-    unregularized residual against ``tol_residual`` then sets the
-    ``converged`` flag.  Non-convergence returns the best iterate
+    line search stagnates, or after ``max_newton`` steps (``stop``
+    says which); the unregularized residual against ``tol_residual``
+    then sets the ``converged`` flag.  Non-convergence returns the best iterate
     flagged ``converged=False`` rather than raising; a singular Newton
     system raises SolveError (impossible for p_minus > 1 with
     regularization intact), and so does a start whose energy overflows.
@@ -432,10 +438,12 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
     if not np.isfinite(energies[0]):
         raise SolveError("energy of the Newton start is non-finite")
     steps = 0
+    stop = "max_newton"
     while steps < opts.max_newton:
         values, hessian = _linearize(mesh, lay, pw, u, base)
         r, rnorm = _residual(mesh, values, b, scale)
         if rnorm <= _NEWTON_FORCING * opts.tol_residual:
+            stop = "forcing"
             break
         du = lay.factor(hessian(lay.newton))(-r)
         del values, hessian  # the line search needs neither; free them first
@@ -460,12 +468,13 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
                 break
             t *= _SHRINK
         if not accepted:
-            break  # stagnation: the residual check below decides the flag
+            stop = "stall"  # the residual check below decides the flag
+            break
 
     res = _residual(mesh, apply_operator(p, u), b, scale)[1]
     converged = bool(res <= opts.tol_residual)
     return ScalarSolveResult(u=u, residual=res, newton_iters=steps, converged=converged,
-                             opts=opts, energies=energies)
+                             opts=opts, stop=stop, energies=energies)
 
 
 def torsion(p: ExponentField, opts: SolverOptions | None = None) -> ScalarSolveResult:

@@ -16,7 +16,7 @@ identity is exact only for the exact weak solution).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,28 +46,9 @@ _MVT_RANGE = (0.5, 2.0)
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass
-class EstimateAudit:
-    name: str
-    measured_ratio: float            # candidate constant: max of the family
-    scale_family: list               # (input_scale, ratio) pairs
-    verdict: str                     # "pass" | "fail"
-    spread: float                    # (max-min)/max over the family
-    notes: list
-
-    def as_dict(self):
-        def safe(v):
-            return float(v) if np.isfinite(v) else None
-
-        return {
-            "name": self.name,
-            "measured_ratio": safe(self.measured_ratio),
-            "ratios": [[safe(s), safe(r)] for s, r in self.scale_family],
-            "verdict": self.verdict,
-            "tolerance": _TREND_TOL,
-            "spread": safe(self.spread),
-            "notes": list(self.notes),
-        }
+def _finite(v):
+    """``v`` as a float, or None where it is not finite (JSON has no inf)."""
+    return float(v) if np.isfinite(v) else None
 
 
 def _family_verdict(ratios):
@@ -103,21 +84,23 @@ class ScaleFamily:
             out.append(res.checked(f"audit solve at scale {lam}"))
         return tuple(out)
 
-    def audit(self, name, norm, size, notes=()) -> EstimateAudit:
-        """Ratios size(u) / norm(lam)^(1/(p_pm - 1)) over the solves u, with
-        branch exponent p_minus when norm(lam) exceeds one, else p_plus."""
+    def audit(self, name, norm, size, notes=()) -> dict:
+        """The audit record of the ratios size(u) / norm(lam)^(1/(p_pm - 1))
+        over the solves u, with branch exponent p_minus when norm(lam)
+        exceeds one, else p_plus; non-finite values are written as None."""
         ratios = []
         for lam, u in zip(self.scales, self.solves):
             hnorm = norm(lam)
             expo = self.p.p_minus if hnorm > 1.0 else self.p.p_plus
             ratios.append((float(lam), float(size(u) / hnorm ** (1.0 / (expo - 1.0)))))
         verdict, spread = _family_verdict(ratios)
-        return EstimateAudit(name=name, measured_ratio=max(r for _, r in ratios),
-                             scale_family=ratios, verdict=verdict,
-                             spread=spread, notes=list(notes))
+        return {"name": name, "measured_ratio": _finite(max(r for _, r in ratios)),
+                "ratios": [[_finite(s), _finite(r)] for s, r in ratios],
+                "verdict": verdict, "tolerance": _TREND_TOL, "spread": _finite(spread),
+                "notes": list(notes)}
 
 
-def gradient_estimate_audit(family: ScaleFamily) -> EstimateAudit:
+def gradient_estimate_audit(family: ScaleFamily) -> dict:
     """Ratio |grad u|_inf / |h|_inf^(1/(p_pm - 1)) across the family, with
     the branch exponent chosen by whether |h|_inf = |lam| exceeds one.
     Passes when the family stays bounded (no growth trend at the top
@@ -126,7 +109,7 @@ def gradient_estimate_audit(family: ScaleFamily) -> EstimateAudit:
                         lambda u: float(u.grad_norm.max()))
 
 
-def linfty_estimate_audit(family: ScaleFamily) -> EstimateAudit:
+def linfty_estimate_audit(family: ScaleFamily) -> dict:
     """Ratio |u|_inf / |h|_LN^(1/(p_pm - 1)) across the family.  The
     exponent N is the mesh's ``N``; where it exceeds the dimension (N=2
     on one-dimensional meshes) that is recorded as a deviation."""
@@ -153,7 +136,7 @@ def estimate_audits(ps, kinds, torsions) -> list:
         run = {"gradient": gradient_estimate_audit, "linfty": linfty_estimate_audit}
         return [run[kind](family) for kind in kinds]
 
-    return [replace(a, name=f"{kind}_estimate_p{i + 1}")
+    return [{**a, "name": f"{kind}_estimate_p{i + 1}"}
             for i, per in enumerate(per_distinct(audits, ps, torsions))
             for kind, a in zip(kinds, per)]
 
@@ -338,15 +321,15 @@ def solution_certificate(state: SystemState, report, refined,
                       "damping": report.damping_used},
         "sandwich": sandwich,
         "barriers": {"C": pair.C, "delta": pair.delta, "R": pair.R,
-                     "c0_measured": pair.c0_measured,
-                     "c1_measured": pair.c1_measured},
+                     "c0_measured": grid.distance_ratio(*pair.under)[0],
+                     "c1_measured": grid.distance_ratio(*pair.over)[1]},
         "hypothesis_report": spec.hypotheses.as_dict(),
-        "audits": [a.as_dict() for a in audits],
+        "audits": audits,
         "mvt_spot_checks": mvt,
     }
     if report.caps is not None:
         cert["caps"] = {"L": report.caps[0], "L_tilde": report.caps[1]}
-    audits_pass = (all(a.verdict == "pass" for a in audits)
+    audits_pass = (all(a["verdict"] == "pass" for a in audits)
                    and sandwich["verdict"] == "pass"
                    and all(c["ok"] for c in mvt))
     cert["all_audits_pass"] = bool(audits_pass)

@@ -163,15 +163,15 @@ def test_acceptance_06_gradient_estimate():
     for pc in (2.0, 3.0):
         p = ExponentField.constant(m, pc)
         a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
-        assert a.verdict == "pass"
-        assert a.spread < 0.10, f"constant p={pc}: spread {a.spread}"
+        assert a["verdict"] == "pass"
+        assert a["spread"] < 0.10, f"constant p={pc}: spread {a['spread']}"
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
-    assert a.verdict == "pass"
-    ratios = [r for _, r in a.scale_family]
+    assert a["verdict"] == "pass"
+    ratios = [r for _, r in a["ratios"]]
     assert ratios[-1] <= ratios[-2] * 1.05  # no monotone growth at the top
     _report(6, "gradient estimate scaling",
-            f"(variable-p candidate {a.measured_ratio:.4f})")
+            f"(variable-p candidate {a['measured_ratio']:.4f})")
 
 
 def test_acceptance_07_positive_regime_pipeline():

@@ -134,7 +134,7 @@ def test_build_barriers_scalings():
     for i in (0, 1):
         assert np.all(pair.under[i].values[m.boundary_nodes] == 0)
         assert np.all(pair.over[i].values[m.boundary_nodes] == 0)
-    assert pair.c0_measured > 0
+    assert grid.distance_ratio(*pair.under)[0] > 0
     assert pair.R >= 1.0
 
 
@@ -312,7 +312,7 @@ def test_barrier_constants_stable_under_refinement():
         spec = trivial_spec(m)
         pair = build_barriers(spec, C=2.0, delta=0.05,
                               torsions=torsion_pairs(m, spec, 0.05))
-        c0s[n] = pair.c0_measured
+        c0s[n] = grid.distance_ratio(*pair.under)[0]
         deltas[n] = pair.delta
     assert abs(c0s[512] - c0s[256]) / c0s[256] <= 0.2
 
@@ -324,7 +324,16 @@ def test_benchmark_calibration_regression():
     assert spec.hypotheses.regime is Regime.POSITIVE_SUM
     assert cal.pair.C == 4.0
     assert cal.pair.delta == pytest.approx(0.05)
-    assert cal.pair.c0_measured > 0
+    assert grid.distance_ratio(*cal.pair.under)[0] > 0
+
+
+def test_calibration_measures_no_distance_ratio(monkeypatch):
+    # only the certificate reads the pair's c0/c1, so the C search over
+    # its candidate pairs measures none of them
+    from conftest import count_calls
+    ratios = count_calls(monkeypatch, grid, "distance_ratio")
+    cal = calibrate_barriers(benchmark_spec(mesh1d(64)))
+    assert len(cal.trajectory) >= 2 and ratios == []
 
 
 # Barrier products per sign case of (alpha, beta), written out: pq(base, e)

@@ -275,6 +275,45 @@ def test_affine_p_torsion_converges_to_the_exact_solution(p, errs_at_head):
     assert np.all(np.array(errs) <= 1.25 * np.array(errs_at_head)), errs
 
 
+def sine_square_data(x, y, p, dp):
+    """h = -div(|grad u|^(p-2) grad u) for u = sin(pi x) sin(pi y) at the
+    points (x, y), with p and its constant gradient dp there:
+    h = -|g|^(p-2) (lap u + (p-2) g.Hg/|g|^2 + ln|g| g.grad p), g = grad u
+    and H its Hessian."""
+    s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+    t, d = np.sin(np.pi * y), np.cos(np.pi * y)
+    gx, gy = np.pi * c * t, np.pi * s * d
+    g2 = gx ** 2 + gy ** 2
+    gHg = np.pi ** 2 * (-s * t * g2 + 2.0 * c * d * gx * gy)
+    lap = -2.0 * np.pi ** 2 * s * t
+    return -g2 ** (0.5 * p - 1.0) * (lap + (p - 2.0) * gHg / g2
+                                      + 0.5 * np.log(g2) * (dp[0] * gx + dp[1] * gy))
+
+
+@pytest.mark.parametrize("p, dp, orders_at_head", [
+    (lambda x, y: 2.0 + 0.0 * x, (0.0, 0.0), (1.980, 1.996, 1.999)),
+    (lambda x, y: 2.5 + 0.0 * x, (0.0, 0.0), (1.798, 1.999, 1.996)),
+    (lambda x, y: 3.0 + 0.0 * x, (0.0, 0.0), (1.946, 1.899, 1.941)),
+    (lambda x, y: 2.5 + 0.5 * x, (0.5, 0.0), (1.789, 1.986, 1.971)),
+], ids=["2", "2.5", "3", "2.5+0.5x"])
+def test_sine_square_manufactured_solution_converges(p, dp, orders_at_head):
+    # u* = sin(pi x) sin(pi y) on the unit square with its data in closed
+    # form at the quadrature points (p < 2 is out: |grad u*|^(p-2) is
+    # singular where grad u* vanishes); the max nodal error falls with n,
+    # and its orders stay within 0.05 of those measured when the case was added
+    errs = []
+    for n in (8, 16, 32, 64):
+        m = build_mesh(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
+        x, y = m.qpoints.T
+        h = sine_square_data(x, y, p(x, y), dp)
+        res = solve_dirichlet(ExponentField.from_callable(m, p), grid.as_quad(m, h))
+        exact = np.sin(np.pi * m.nodes[:, 0]) * np.sin(np.pi * m.nodes[:, 1])
+        errs.append(np.abs(res.checked("manufactured solve").values - exact).max())
+    assert np.all(np.diff(errs) < 0)
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(np.abs(orders - orders_at_head) <= 0.05), orders
+
+
 def test_square_torsion_series_oracle():
     m = build_mesh(DomainSpec.rectangle(0, 1, 0, 1), 32)
     xi = torsion(ExponentField.constant(m, 2.0)).u
@@ -363,7 +402,23 @@ def test_max_newton_caps_steps():
                           GridFunction.constant(m, 1.0),
                           SolverOptions(max_newton=2))
     assert res.newton_iters == 2
-    assert not res.converged
+    assert not res.converged and res.stop == "max_newton"
+    with pytest.raises(SolveError, match=r"^capped solve used all 2 Newton steps "
+                                         r"at residual \d\.\d{3}e-\d\d$"):
+        res.checked("capped solve")
+
+
+def test_forcing_stop_above_tolerance_is_named():
+    # at p = 1.2 the eps-regularized residual passes the forcing test while
+    # the unregularized one sits on the floor that eps sets, far above
+    # tol_residual (ROADMAP item 7)
+    m = mesh1d(64)
+    res = solve_dirichlet(ExponentField.constant(m, 1.2), GridFunction.constant(m, 1.0))
+    assert res.stop == "forcing" and not res.converged and res.residual > 1e-3
+    with pytest.raises(SolveError, match=r"^torsion solve passed the forcing test, but "
+                                         r"its unregularized residual \d\.\d{3}e-\d\d "
+                                         r"exceeds tol_residual 1\.0e-06$"):
+        res.checked("torsion solve")
 
 
 def test_one_linearization_per_newton_step(monkeypatch):
@@ -377,6 +432,7 @@ def test_one_linearization_per_newton_step(monkeypatch):
                           GridFunction.constant(m, 1.0), opts)
     # every step accepted and fewer than max_newton: the forcing test stopped it
     assert res.converged and res.newton_iters < opts.max_newton
+    assert res.stop == "forcing"
     assert len(res.energies) == res.newton_iters + 1
     assert (len(applied), len(linearized)) == (1, res.newton_iters + 1)
 
@@ -460,7 +516,8 @@ def test_non_finite_hessian_raises_solve_error(monkeypatch, bad):
 ], ids=["torsion", "strip", "map", "audit", "mvt"])
 def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
     # every caller that needs a converged scalar solve checks it through
-    # ScalarSolveResult.checked, whose SolveError names the caller
+    # ScalarSolveResult.checked, whose SolveError names the caller and the
+    # stop its solve recorded: these real solves stop on the forcing test
     from conftest import torsion_pairs, trivial_spec
     m = mesh1d(32)
     spec = trivial_spec(m)
@@ -479,7 +536,8 @@ def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
     solve = plaplace.solve_dirichlet
     monkeypatch.setattr(plaplace, "solve_dirichlet", lambda *args, **kwargs:
                         dataclasses.replace(solve(*args, **kwargs), converged=False))
-    with pytest.raises(SolveError, match=rf"^{re.escape(name)} stalled at residual "):
+    with pytest.raises(SolveError, match=rf"^{re.escape(name)} passed the forcing test, "
+                                         r"but its unregularized residual "):
         calls[site]()
 
 

@@ -159,26 +159,26 @@ def test_gradient_audit_linear_case_is_flat():
     m = mesh1d(512)
     p = ExponentField.constant(m, 2.0)
     a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
-    assert a.verdict == "pass"
-    assert a.spread < 1e-10
+    assert a["verdict"] == "pass"
+    assert a["spread"] < 1e-10
     # |u'|_max = (1-h)/2 for the discrete hat profile
-    assert a.measured_ratio == pytest.approx((1 - m.h) / 2, rel=1e-10)
+    assert a["measured_ratio"] == pytest.approx((1 - m.h) / 2, rel=1e-10)
 
 
 def test_gradient_audit_p3_flat_by_homogeneity():
     m = mesh1d(512)
     p = ExponentField.constant(m, 3.0)
     a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
-    assert a.verdict == "pass" and a.spread < 1e-8
-    assert a.measured_ratio == pytest.approx(2 ** -0.5, rel=1e-2)
+    assert a["verdict"] == "pass" and a["spread"] < 1e-8
+    assert a["measured_ratio"] == pytest.approx(2 ** -0.5, rel=1e-2)
 
 
 def test_gradient_audit_variable_p_bounded():
     m = mesh1d(512)
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     a = gradient_estimate_audit(ScaleFamily(p, torsion(p)))
-    assert a.verdict == "pass"
-    ratios = [r for _, r in a.scale_family]
+    assert a["verdict"] == "pass"
+    ratios = [r for _, r in a["ratios"]]
     assert ratios[-1] <= max(ratios)  # no blow-up at the top scale
 
 
@@ -186,13 +186,13 @@ def test_linfty_audit_linear_case():
     m = mesh1d(512)
     p = ExponentField.constant(m, 2.0)
     a = linfty_estimate_audit(ScaleFamily(p, torsion(p)))
-    assert a.verdict == "pass"
-    fam = dict((round(np.log10(s)), r) for s, r in a.scale_family)
+    assert a["verdict"] == "pass"
+    fam = dict((round(np.log10(s)), r) for s, r in a["ratios"])
     # |u|_inf = 1/8 and |h|_L2 = 1 at unit scale; linearity keeps the
     # ratio at 1/8 on the |h| > 1 branch
     assert fam[0] == pytest.approx(0.125, rel=1e-9)
     assert fam[2] == pytest.approx(0.125, rel=1e-9)
-    assert a.notes  # records the N=2-in-1D deviation
+    assert a["notes"]  # records the N=2-in-1D deviation
 
 
 def test_linfty_audit_branch_continuity():
@@ -200,7 +200,7 @@ def test_linfty_audit_branch_continuity():
     p = ExponentField.from_callable(m, lambda x: 2 + x)
     scales = tuple(float(s) for s in np.linspace(0.9, 1.1, 11))
     a = linfty_estimate_audit(ScaleFamily(p, torsion(p), scales=scales))
-    ratios = np.array([r for _, r in a.scale_family])
+    ratios = np.array([r for _, r in a["ratios"]])
     jumps = np.abs(np.diff(ratios)) / ratios[:-1]
     assert jumps.max() < 0.05
 
@@ -223,8 +223,8 @@ def test_both_audits_of_one_family_share_its_solves(monkeypatch):
     linfty = linfty_estimate_audit(family)
     assert len(solves) == len(family.scales)
     for a in (grad, linfty):
-        assert [s for s, _ in a.scale_family] == list(family.scales)
-        assert a.verdict == "pass"
+        assert [s for s, _ in a["ratios"]] == list(family.scales)
+        assert a["verdict"] == "pass"
 
 
 def test_scale_family_fails_on_a_top_scale_trend_or_a_nonfinite_ratio():
@@ -233,13 +233,13 @@ def test_scale_family_fails_on_a_top_scale_trend_or_a_nonfinite_ratio():
     family = ScaleFamily(p, torsion(p), scales=(0.5, 2.0, 8.0))
     # p = 2 is linear, so |u|_inf^2 / lam grows like lam at the top scales
     grows = family.audit("grows", abs, lambda u: float(np.abs(u.values).max()) ** 2)
-    ratios = [r for _, r in grows.scale_family]
-    tol = grows.as_dict()["tolerance"]
-    assert grows.verdict == "fail" and ratios[-1] > (1 + tol) * ratios[0]
-    assert 0.0 < grows.spread < 1.0
+    ratios = [r for _, r in grows["ratios"]]
+    tol = grows["tolerance"]
+    assert grows["verdict"] == "fail" and ratios[-1] > (1 + tol) * ratios[0]
+    assert 0.0 < grows["spread"] < 1.0
     inf = family.audit("inf", abs, lambda u: float("inf"))
-    assert inf.verdict == "fail" and inf.spread == 0.0
-    assert inf.as_dict()["measured_ratio"] is None
+    assert inf["verdict"] == "fail" and inf["spread"] == 0.0
+    assert inf["measured_ratio"] is None
 
 
 def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
@@ -248,8 +248,8 @@ def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
     p = ExponentField.constant(m, 2.0)
     family = ScaleFamily(p, torsion(p), scales=(0.5, 4.0))
     a = linfty_estimate_audit(family)
-    assert not a.notes
-    for (lam, r), u in zip(a.scale_family, family.solves):
+    assert not a["notes"]
+    for (lam, r), u in zip(a["ratios"], family.solves):
         assert r == pytest.approx(np.abs(u.values).max() / lam, rel=1e-12)
 
 
