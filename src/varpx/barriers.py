@@ -28,7 +28,7 @@ from . import grid, plaplace
 from .errors import (CalibrationError, DeltaTooLargeError, EnvelopeError,
                      MixedSignError, OrderingError)
 from .expspace import ExponentField, per_distinct
-from .forms import Expr, evaluate_spatial
+from .forms import Expr, evaluate_spatial, shared_subtrees
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
 
@@ -104,6 +104,12 @@ class ProblemSpec:
         """``validate_hypotheses(self)``, evaluated once: the spec is frozen."""
         return validate_hypotheses(self)
 
+    @cached_property
+    def shared_f(self) -> tuple:
+        """``forms.shared_subtrees`` of the nonlinearities, found once: the
+        subtrees an evaluation of both at one state computes once."""
+        return shared_subtrees(self.f)
+
     def p_prime_values(self, i: int) -> np.ndarray:
         pv = self.p[i].values
         return pv / (pv - 1.0)
@@ -117,13 +123,14 @@ class ProblemSpec:
         s2 = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=_ENVELOPE_SAMPLES))
         xi1 = np.abs(rng.normal(0.0, 3.0, size=_ENVELOPE_SAMPLES))
         xi2 = np.abs(rng.normal(0.0, 3.0, size=_ENVELOPE_SAMPLES))
+        memo = dict.fromkeys(self.shared_f)  # both f at the same states
         for i in (0, 1):
             a = self.alpha[i].values[nodes]
             bqq = self.beta[i].values[nodes]
             g = self.gamma[i].values[nodes]
             gb = self.gamma_bar[i].values[nodes]
             prod = s1 ** a * s2 ** bqq
-            fv = evaluate_spatial(self.f[i], x, s1=s1, s2=s2, xi1=xi1, xi2=xi2)
+            fv = evaluate_spatial(self.f[i], x, memo, s1=s1, s2=s2, xi1=xi1, xi2=xi2)
             if not np.all(np.isfinite(fv)):
                 raise EnvelopeError(f"f[{i}] is non-finite at a sampled state")
             lower = self.m[i] * prod
@@ -225,7 +232,8 @@ class BarrierPair:
     """Ordered barriers built from torsion fields: under = xi_delta / C,
     over = C * xi, with the measured regularity scale R.  ``torsion`` keeps
     the checked solves of the torsion fields xi, which the certificate's
-    audits reuse with their options."""
+    audits reuse with their options.  Its fields carry their values alone
+    until a later reader derives from them."""
 
     under: tuple            # (GridFunction, GridFunction)
     over: tuple
@@ -235,17 +243,23 @@ class BarrierPair:
     torsion: tuple          # ScalarSolveResult of xi_1, of xi_2
 
 
-def _c1_bound(u: GridFunction) -> float:
-    """Discrete C1-style size: max nodal value plus max cell gradient."""
-    return float(np.abs(u.values).max()) + float(u.grad_norm.max())
+def _regularity_scale(torsions: tuple) -> float:
+    """R of the barriers built from ``torsions``: at least 1 and the
+    discrete C1-style size (max nodal value plus max cell gradient) of
+    each torsion and strip field, whose gradients are taken on a
+    value-only copy, so the field keeps none."""
+    solves, xid = torsions
+    return max(1.0, *(float(np.abs(u.values).max()) + float(u.values_only().grad_norm.max())
+                      for u in (*(res.u for res in solves), *xid)))
 
 
 def build_barriers(spec: ProblemSpec, C: float, delta: float,
-                   torsions: tuple) -> BarrierPair:
+                   torsions: tuple, R: float | None = None) -> BarrierPair:
     """Construct the barrier pair at scale C > 1 and strip width delta
     from ``torsions``, the torsion solves xi and strip fields xi_delta
-    that ``resolve_delta`` made at that delta.  Raises OrderingError if
-    under > over anywhere (C too small)."""
+    that ``resolve_delta`` made at that delta, with the regularity scale
+    ``R`` of ``torsions`` (measured here if not given).  Raises
+    OrderingError if under > over anywhere (C too small)."""
     if not C > 1.0:
         raise ValueError("barrier scale C must exceed 1")
     mesh = spec.mesh
@@ -258,7 +272,8 @@ def build_barriers(spec: ProblemSpec, C: float, delta: float,
         if np.any(gap < 0.0):
             raise OrderingError(
                 f"under exceeds over for component {i+1}; escalate C")
-    R = max(1.0, *map(_c1_bound, (*xi, *xid)))
+    if R is None:
+        R = _regularity_scale(torsions)
     return BarrierPair(under=under, over=over, C=float(C), delta=float(delta), R=R,
                        torsion=tuple(solves))
 
@@ -334,12 +349,14 @@ def _comparison(spec: ProblemSpec, pair: BarrierPair, top) -> InequalityReport:
     the top is ``over``: the operator on ``over`` must dominate 2 M_i
     (R C)^gamma_max plus M_i times the majorized product.  P1 fields have
     no pointwise second derivatives, so both hold in the tested sense.
+    The operator reads value-only copies of the pair's fields, so the
+    pair keeps nothing it derived.
     """
     mesh = spec.mesh
     margins = {}
     box = (pair.under, top)
     for i in (0, 1):
-        lhs = plaplace.apply_operator(spec.p[i], pair.under[i])
+        lhs = plaplace.apply_operator(spec.p[i], pair.under[i].values_only())
         rhs = grid.as_quad(mesh, spec.m[i] * _product_bound(spec, i, box)).load
         margins[f"subsolution_{i+1}"] = _weak_inequality(mesh, lhs, rhs)
         if top is not pair.over:
@@ -348,7 +365,7 @@ def _comparison(spec: ProblemSpec, pair: BarrierPair, top) -> InequalityReport:
         bulk = 2.0 * spec.M[i] * (pair.R * pair.C) ** gmax
         rhs2 = grid.as_quad(
             mesh, bulk + spec.M[i] * _product_bound(spec, i, box, upper=True)).load
-        lhs2 = plaplace.apply_operator(spec.p[i], pair.over[i])
+        lhs2 = plaplace.apply_operator(spec.p[i], pair.over[i].values_only())
         margins[f"supersolution_{i+1}"] = _weak_inequality(mesh, rhs2, lhs2)
     worst = min(margins.values())
     return InequalityReport(ok=worst >= 0.0, worst_margin=worst, margins=margins)
@@ -375,18 +392,12 @@ def check_barriers_singular_regime(spec: ProblemSpec, pair: BarrierPair,
 class CalibrationResult:
     pair: BarrierPair
     trajectory: list        # (C, worst_margin) along the doubling search
+    resolved: tuple         # (delta, xi, xi_delta) of ``resolve_delta``, values only
 
 
-def _values_only(pair: BarrierPair) -> BarrierPair:
-    """``pair`` with fresh fields of its values, so what its checks and its
-    torsion solves derived from them is freed; a shared solve stays one."""
-    def bare(u):
-        return GridFunction(u.mesh, u.values, zero_trace=u.zero_trace)
-
-    return replace(pair, under=tuple(map(bare, pair.under)),
-                   over=tuple(map(bare, pair.over)),
-                   torsion=tuple(per_distinct(lambda r: replace(r, u=bare(r.u)),
-                                              pair.torsion)))
+def _values_only(res):
+    """The solve ``res`` with a value-only copy of its field."""
+    return replace(res, u=res.u.values_only())
 
 
 def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
@@ -395,16 +406,16 @@ def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     below 1.5 times the largest axis spacing raises CalibrationError.  For
     n < 30 the unit interval's or square's start lies below that floor, so
     the strip may hold no interior node.  Returns (delta, xi, xi_delta):
-    the torsion solves (``plaplace.torsion``) and the strip fields; equal
-    exponents share their solves."""
+    the torsion solves (``plaplace.torsion``) and the strip fields, each
+    field of its values alone; equal exponents share their solves."""
     mesh = spec.mesh
     delta = 0.1 * mesh.max_distance
     floor = 1.5 * mesh.longest_side / mesh.n
-    xi = tuple(per_distinct(lambda p: plaplace.torsion(p, opts), spec.p))
+    xi = tuple(per_distinct(lambda p: _values_only(plaplace.torsion(p, opts)), spec.p))
     while True:
         try:
             xid = tuple(per_distinct(lambda p, ref: plaplace.torsion_delta(
-                p, delta, ref.u, opts), spec.p, xi))
+                p, delta, ref.u, opts).values_only(), spec.p, xi))
             return delta, xi, xid
         except DeltaTooLargeError:
             if delta <= floor:
@@ -415,13 +426,17 @@ def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
 
 
 def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
-                       L: float = MIN_CAP) -> CalibrationResult:
+                       L: float = MIN_CAP, resolved: tuple | None = None
+                       ) -> CalibrationResult:
     """Doubling search C in {2, 4, ..., 2^_C_MAX_EXP} with delta halved
     from 0.1 * max distance on positivity failure (floor 1.5 axis
     spacings).  Returns the first success; exhaustion raises
     CalibrationError, which cannot distinguish 'C must be larger' from
     'discretization too coarse' and says so.  The singular regime is
     checked at the sup-norm cap ``L``; before any cap search, the smallest.
+    ``resolved``, the ``resolved`` of an earlier calibration of ``spec``
+    with ``opts``, spares the strip width search, whose fields do not
+    depend on ``L``.
     """
     report = spec.hypotheses
     if not report.passed:
@@ -430,11 +445,13 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
         raise CalibrationError(f"hypotheses rejected before search: {bad}")
     positive = report.regime is Regime.POSITIVE_SUM
 
-    delta, xi, xid = resolve_delta(spec, opts)
+    resolved = resolved or resolve_delta(spec, opts)
+    delta, *torsions = resolved
+    R = _regularity_scale(torsions)
     trajectory = []
     for C in [2.0 ** k for k in range(1, _C_MAX_EXP + 1)]:
         try:
-            pair = build_barriers(spec, C, delta, (xi, xid))
+            pair = build_barriers(spec, C, delta, torsions, R)
         except OrderingError:
             trajectory.append((C, -np.inf))
             continue
@@ -444,7 +461,7 @@ def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,
             rep = check_barriers_singular_regime(spec, pair, L)
         trajectory.append((C, rep.worst_margin))
         if rep.ok:
-            return CalibrationResult(pair=_values_only(pair), trajectory=trajectory)
+            return CalibrationResult(pair=pair, trajectory=trajectory, resolved=resolved)
     raise CalibrationError(
         f"no C <= 2^{_C_MAX_EXP} satisfied the comparison inequalities; "
         "either C must be larger or the discretization is too coarse "
@@ -456,14 +473,16 @@ def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple):
     fields ``z``, with their own ``grad_norm``, under the singular floor
     clamp z^ = max(z, under).  Interior quadrature points keep negative
     powers finite because the floor is positive there.  A spec that holds
-    one tree for both nonlinearities evaluates it once."""
+    one tree for both nonlinearities evaluates it once, and two trees
+    evaluate a subtree they share once."""
     mesh = spec.mesh
     s1, s2 = (grid.at_quad(mesh, np.maximum(zi.values, low.values))
               for zi, low in zip(z, pair.under))
     m1, m2 = (zi.grad_norm.repeat(mesh.q_per_cell) for zi in z)
+    memo = dict.fromkeys(spec.shared_f)
 
     def data(fe):
-        hv = evaluate_spatial(fe, mesh.qpoints, s1=s1, s2=s2, xi1=m1, xi2=m2)
+        hv = evaluate_spatial(fe, mesh.qpoints, memo, s1=s1, s2=s2, xi1=m1, xi2=m2)
         if not np.isfinite(hv).all():
             raise EnvelopeError(f"frozen right-hand side f[{spec.f.index(fe)}] "
                                 "is non-finite at a quadrature point")

@@ -11,9 +11,9 @@ parameter path, values and mesh size, ``parse_config``) any exception
 exits 1 with one line, creating nothing; after it, 2 with the traceback
 and an error stub at each stub path the command owns that can be
 written.  Else 0 when converged with all audits passed (a sweep: every
-row), or 2.  Sweep rows run in value order.  Once the config is
-accepted, the command runs with numpy's OpenBLAS on one thread, and
-``main`` restores the thread count before it returns.
+row), or 2.  Sweep rows run in value order.  ``run``, ``sweep`` and
+``audit`` run with numpy's OpenBLAS on one thread and restore its thread
+count before they return, whether ``main`` or a library caller calls them.
 """
 
 from __future__ import annotations
@@ -257,13 +257,16 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
                                           solver_opts=config.solver)
     # check each found cap against the pair it ran with, escalating C at
     # that cap until it holds; the check only tightens as L grows, so this
-    # ends once the cap stops growing or the C search passes 2^20
+    # ends once the cap stops growing or the C search passes 2^20; the
+    # torsion and strip fields do not depend on L, so each escalation
+    # reuses them
     while True:
         cres = sysfix.calibrate_caps(problem, cal.pair, opts=config.iteration,
                                      solver_opts=config.solver, init=init)
         if bmod.check_barriers_singular_regime(problem, cal.pair, cres.L).ok:
             return cres.solution, cres.report
-        cal = bmod.calibrate_barriers(problem, config.solver, L=cres.L)
+        cal = bmod.calibrate_barriers(problem, config.solver, L=cres.L,
+                                      resolved=cal.resolved)
 
 
 def _write_fields_csv(path, state: SystemState):
@@ -287,6 +290,7 @@ def artifact_paths(outputs: dict, out_dir: str = ".") -> dict:
     return paths
 
 
+@plaplace.one_blas_thread()
 def run(config: RunConfig, out_dir: str = ".") -> int:
     """Full pipeline with audits and artifacts; returns the verdict status
     (0 converged and all audits pass, else 2) and raises on failure."""
@@ -337,6 +341,7 @@ def _sweep_row(raw, param, value, mesh_n):
     return row
 
 
+@plaplace.one_blas_thread()
 def sweep(raw_config: dict, param: str, values: list,
           out_dir: str = ".", mesh_n: int | None = None) -> list:
     """Run the pipeline once per parameter value; partial failures are
@@ -354,6 +359,7 @@ def sweep(raw_config: dict, param: str, values: list,
 _AUDIT_NAMES = ("gradient", "linfty", "mvt")
 
 
+@plaplace.one_blas_thread()
 def audit(config: RunConfig, only: str | None = None, out_dir: str = ".") -> int:
     """Standalone estimate audits on the configured exponents with unit
     data, in the certificate's order; 'mvt' then runs the mean-value
@@ -426,16 +432,15 @@ def main(argv=None) -> int:
         return 1
 
     try:  # the config was accepted, so any failure is exit 2
-        with plaplace.one_blas_thread():
-            if args.command == "sweep":
-                rows = sweep(raw, args.param, values, out_dir=args.out_dir,
-                             mesh_n=args.mesh_n)
-                for r in rows:
-                    print(r)
-                return 2 if any(r["error"] or not r["converged"] for r in rows) else 0
-            if args.command == "solve":
-                return run(config, out_dir=args.out_dir)
-            return audit(config, only=args.only, out_dir=args.out_dir)
+        if args.command == "sweep":
+            rows = sweep(raw, args.param, values, out_dir=args.out_dir,
+                         mesh_n=args.mesh_n)
+            for r in rows:
+                print(r)
+            return 2 if any(r["error"] or not r["converged"] for r in rows) else 0
+        if args.command == "solve":
+            return run(config, out_dir=args.out_dir)
+        return audit(config, only=args.only, out_dir=args.out_dir)
     except Exception as exc:
         traceback.print_exc()
         stub = verify.certificate_to_json({"error": str(exc),

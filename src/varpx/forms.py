@@ -23,6 +23,7 @@ dimension), so a parsed tree never reads a variable its context lacks.
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 
 import numpy as np
 
@@ -35,11 +36,22 @@ _FOLDS = {"add": operator.add, "mul": operator.mul}
 
 
 class Expr:
-    """Base node; subclasses implement evaluate() and _key(), what two
-    nodes of one type must share to be equal.  Equal trees evaluate to
-    the same bits in the same environment."""
+    """Base node; subclasses implement _key(), what two nodes of one type
+    must share to be equal, and _evaluate(env, memo) or, for a leaf,
+    evaluate(env, memo) itself.  Equal trees evaluate to the same bits in
+    the same environment, so they share one evaluation through a memo."""
 
-    def evaluate(self, env):
+    def evaluate(self, env, memo=None):
+        """The value in ``env``.  ``memo``, shared by calls in one
+        environment, maps subtrees to their values, None until computed
+        (see ``shared_subtrees``): a subtree it holds is computed once."""
+        if memo is None or self not in memo:
+            return self._evaluate(env, memo)
+        if memo[self] is None:
+            memo[self] = self._evaluate(env, memo)
+        return memo[self]
+
+    def _evaluate(self, env, memo):
         raise NotImplementedError
 
     def _key(self):
@@ -48,12 +60,20 @@ class Expr:
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The hash of the type and key: parsed trees are never changed."""
+        return hash((type(self), self._key()))
+
 
 class Const(Expr):
     def __init__(self, value):
         self.value = float(value)
 
-    def evaluate(self, env):
+    def evaluate(self, env, memo=None):
         return self.value
 
     def _key(self):
@@ -64,7 +84,7 @@ class Var(Expr):
     def __init__(self, name):
         self.name = name
 
-    def evaluate(self, env):
+    def evaluate(self, env, memo=None):
         return env[self.name]
 
     def _key(self):
@@ -78,14 +98,14 @@ class Fold(Expr):
         self.op = op
         self.terms = list(terms)
 
-    def evaluate(self, env):
-        out = self.terms[0].evaluate(env)
+    def _evaluate(self, env, memo):
+        out = self.terms[0].evaluate(env, memo)
         for t in self.terms[1:]:
-            out = self.op(out, t.evaluate(env))
+            out = self.op(out, t.evaluate(env, memo))
         return out
 
     def _key(self):
-        return self.op, self.terms
+        return self.op, tuple(self.terms)
 
 
 class Pow(Expr):
@@ -93,12 +113,30 @@ class Pow(Expr):
         self.base = base
         self.exp = exp
 
-    def evaluate(self, env):
+    def _evaluate(self, env, memo):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.power(self.base.evaluate(env), self.exp.evaluate(env))
+            return np.power(self.base.evaluate(env, memo), self.exp.evaluate(env, memo))
 
     def _key(self):
         return self.base, self.exp
+
+
+def shared_subtrees(exprs) -> tuple:
+    """The subtrees that evaluating each distinct tree of ``exprs`` once,
+    in one environment, meets again; a subtree inside one of them is met
+    once, inside it.  ``dict.fromkeys`` of them is a memo for
+    ``evaluate`` that keeps only their values."""
+    seen, again, todo = set(), [], list(dict.fromkeys(exprs))
+    while todo:
+        e = todo.pop()
+        if isinstance(e, (Const, Var)):
+            continue
+        if e in seen:
+            again.append(e)
+        else:
+            seen.add(e)
+            todo.extend(e.terms if isinstance(e, Fold) else (e.base, e.exp))
+    return tuple(dict.fromkeys(again))
 
 
 def parse_expr(obj, path="expr", names=VARIABLES) -> Expr:
@@ -145,13 +183,16 @@ def _const(value, path) -> Const:
         raise ConfigError(path, "expected a number, got an int beyond the float range")
 
 
-def evaluate_spatial(expr: Expr, points: np.ndarray, **state) -> np.ndarray:
+def evaluate_spatial(expr: Expr, points: np.ndarray, memo: dict | None = None,
+                     **state) -> np.ndarray:
     """Evaluate an expression at an array of points (one coordinate per
     point, or one row per point), given the state variables it reads
-    there by keyword, one value per point."""
+    there by keyword, one value per point.  Calls that pass one ``memo``
+    (see ``Expr.evaluate``) with the same points and state compute each
+    subtree it holds once."""
     pts = np.asarray(points, dtype=float)
     env = {"x": pts[..., 0] if pts.ndim > 1 else pts, **state}
     if pts.ndim > 1 and pts.shape[-1] > 1:
         env["y"] = pts[..., 1]
-    val = expr.evaluate(env)
+    val = expr.evaluate(env, memo)
     return np.broadcast_to(val, np.shape(env["x"])).astype(float)

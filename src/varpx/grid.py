@@ -281,6 +281,11 @@ class GridFunction:
         out.setflags(write=False)
         return out
 
+    def values_only(self) -> "GridFunction":
+        """A fresh field of the same values, which has derived nothing yet,
+        so what this one derived is freed with it."""
+        return GridFunction(self.mesh, self.values, zero_trace=self.zero_trace)
+
     @classmethod
     def constant(cls, mesh: Mesh, c: float):
         return cls(mesh, np.full(mesh.n_nodes, float(c)))

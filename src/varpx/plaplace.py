@@ -102,8 +102,10 @@ class _Layout:
     in the one band buffer ``newton``, so a Newton step takes no fresh
     memory for them (freeing and retaking that much heap at every step
     costs a page fault per 4 KB); solves on a mesh run one at a time.
-    Holds no reference to the mesh, so the weak per-mesh cache below can
-    release it.
+    The Poisson system of a cold start is factorized in ``newton`` too,
+    which that solve's Newton steps overwrite next, so no second band
+    stays alive.  Holds no reference to the mesh, so the weak per-mesh
+    cache below can release it.
     """
 
     def __init__(self, mesh: Mesh):
@@ -130,8 +132,6 @@ class _Layout:
         self.row_at = (keep // k).astype(np.int32)
         self.col_at = (keep // (k * k) * k + keep % k).astype(np.int32)
         self.dots = np.einsum("ckd,cld->ckl", gb, gb).ravel()[keep]
-        entries = np.take(self.cell_sum(self.qweights), self.cell_at) * self.dots
-        self.poisson = self.factor(self.assemble(entries, np.empty(self.size)))
         self.newton = np.empty(self.size)
         self.entries = (np.empty(keep.size), np.empty(keep.size))
 
@@ -152,6 +152,14 @@ class _Layout:
         band.fill(0.0)
         np.add.at(band, self.slot, entries)
         return band
+
+    def poisson_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Interior solution of the Poisson system with right-hand side
+        ``rhs`` (at the interior nodes), its band assembled and factorized
+        in ``newton``."""
+        entries = np.take(self.cell_sum(self.qweights), self.cell_at, out=self.entries[1])
+        entries *= self.dots
+        return self.factor(self.assemble(entries, self.newton))(rhs)
 
     def band(self, data: np.ndarray) -> np.ndarray:
         """The (bw + 1, m) band that flat ``data`` holds, as a view."""
@@ -357,10 +365,12 @@ def _linearize(mesh, lay, pw, u, base):
         weight = pw.excess * aa
         weight /= base
         weight *= lay.qweights
+        B = lay.cell_sum(weight)
+        del weight  # freed before the products below take as much again
         rank_one, entries = lay.entries
         # (B g.grad(hat_i)) (g.grad(hat_j)); ``entries`` holds the second
         # factor until it takes the isotropic part A grad(hat_i).grad(hat_j)
-        (lay.cell_sum(weight)[:, None] * gdot).take(lay.row_at, out=rank_one)
+        (B[:, None] * gdot).take(lay.row_at, out=rank_one)
         rank_one *= gdot.take(lay.col_at, out=entries)
         A.take(lay.cell_at, out=entries)
         entries *= lay.dots
@@ -420,19 +430,32 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
     b, scale = _data(mesh, h)
 
     lay = _layout(mesh)
-    eps = opts.eps_reg
-    pw = _Powers(p, lay.q_per_cell)
-    ii = mesh.interior_nodes
-
     if start is None:
+        ii = mesh.interior_nodes
         u = np.zeros(mesh.n_nodes)
-        u[ii] = lay.poisson(b[ii])
+        u[ii] = lay.poisson_solve(b[ii])
         u = GridFunction(mesh, u, zero_trace=True)
     else:
         grid.check_same_mesh(mesh, start)
         if not start.zero_trace:
             raise ValueError("the Newton start must be a zero-trace field")
         u = start
+    # the Newton loop's arrays are freed before the reported residual forms its own
+    u, energies, steps, stop = _newton(mesh, lay, _Powers(p, lay.q_per_cell), b, scale,
+                                       u, opts)
+    res = _residual(mesh, apply_operator(p, u), b, scale)[1]
+    converged = bool(res <= opts.tol_residual)
+    return ScalarSolveResult(u=u, residual=res, newton_iters=steps, converged=converged,
+                             opts=opts, stop=stop, energies=energies)
+
+
+def _newton(mesh, lay, pw, b, scale, u, opts):
+    """Damped Newton from the field ``u`` on the energy with powers ``pw``
+    and load vector ``b``, residuals normalized by ``scale``, as
+    ``solve_dirichlet`` describes; returns the last iterate, the energies
+    of the iterates, the Newton systems solved and what stopped it."""
+    eps = opts.eps_reg
+    ii = mesh.interior_nodes
     base = _regularized(lay, u, eps)
     energies = [_energy(mesh, pw, b, u, base)]
     if not np.isfinite(energies[0]):
@@ -442,11 +465,12 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
     while steps < opts.max_newton:
         values, hessian = _linearize(mesh, lay, pw, u, base)
         r, rnorm = _residual(mesh, values, b, scale)
+        del values  # the Hessian and the line search need only r
         if rnorm <= _NEWTON_FORCING * opts.tol_residual:
             stop = "forcing"
             break
         du = lay.factor(hessian(lay.newton))(-r)
-        del values, hessian  # the line search needs neither; free them first
+        del hessian, base  # an accepted trial brings its own base
         steps += 1
         if not np.isfinite(du).all():
             raise SolveError("Newton direction is non-finite")
@@ -468,13 +492,9 @@ def solve_dirichlet(p: ExponentField, h, opts: SolverOptions | None = None,
                 break
             t *= _SHRINK
         if not accepted:
-            stop = "stall"  # the residual check below decides the flag
+            stop = "stall"  # the residual check in solve_dirichlet decides the flag
             break
-
-    res = _residual(mesh, apply_operator(p, u), b, scale)[1]
-    converged = bool(res <= opts.tol_residual)
-    return ScalarSolveResult(u=u, residual=res, newton_iters=steps, converged=converged,
-                             opts=opts, stop=stop, energies=energies)
+    return u, energies, steps, stop
 
 
 def torsion(p: ExponentField, opts: SolverOptions | None = None) -> ScalarSolveResult:

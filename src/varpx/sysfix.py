@@ -7,7 +7,7 @@ starts at the frozen state itself.  When the two problems coincide bit
 for bit (same exponent, data and start, as in a symmetric system), the
 map solves it once, and the residual and the Luxemburg gradient norms
 are likewise evaluated once for both components, all through
-``expspace.per_distinct``, the package's one way to share equal work.
+``expspace.per_distinct``, the package's one way to share equal problems.
 
 Iterating that map with damping, starting from the lower barrier (or
 from a given state clamped into the barrier box, such as a coarse

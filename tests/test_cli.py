@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -210,21 +211,47 @@ def test_each_gradient_array_formed_once_per_field(tmp_path, monkeypatch):
 
 
 def test_a_run_keeps_only_the_arrays_a_later_step_reads(tmp_path, monkeypatch):
-    # the calibrated pair's fields and kept torsion solves carry their
-    # values alone, the growth exponents alpha/beta cache no quadrature
-    # values, and one run of the unit square peaks at most 4.0 MB of
-    # Python-traced memory (4.65 MB while all of these were kept)
+    # the C search reads the torsion and strip fields as values alone and
+    # applies the operator to copies of its candidate pairs, so none of
+    # them, nor the calibrated pair, keeps gradients, squared norms or
+    # projections; no mesh keeps a factorized Poisson band beside its
+    # Newton band; the growth exponents alpha/beta cache no quadrature
+    # values; and one run of the unit square peaks at most 2.85 MB of
+    # Python-traced memory (2.77 MB measured, plus 3% for what another
+    # Python or numpy may allocate; 3.17 MB while the Poisson band and
+    # the search's derived arrays were kept)
     import tracemalloc
-    specs, calibrate = [], barriers.calibrate_barriers
+    derived = {"grad", "grad_sq", "grad_norm", "projections"}
+    specs = []
+    build, compare = barriers.build_barriers, barriers.check_barriers_positive_regime
+    calibrate = barriers.calibrate_barriers
+
+    def assert_bare(*fields):
+        assert not any(derived & vars(u).keys() for u in fields)
+
+    def built(spec, C, delta, torsions, *args):
+        solves, xid = torsions
+        assert_bare(*(r.u for r in solves), *xid)
+        return build(spec, C, delta, torsions, *args)
+
+    def compared(spec, pair):
+        rep = compare(spec, pair)
+        assert_bare(*pair.under, *pair.over)
+        return rep
 
     def checked(spec, *args, **kwargs):
         cal = calibrate(spec, *args, **kwargs)
         pair = cal.pair
-        for u in (*pair.under, *pair.over, *(r.u for r in pair.torsion)):
-            assert not {"grad", "grad_sq", "projections"} & vars(u).keys()
+        assert_bare(*pair.under, *pair.over, *(r.u for r in pair.torsion))
+        lay = plaplace._layout(spec.mesh)
+        bands = [name for name, v in vars(lay).items()
+                 if isinstance(v, np.ndarray) and v.size == lay.size]
+        assert bands == ["newton"] and not any(map(callable, vars(lay).values()))
         specs.append(spec)
         return cal
 
+    monkeypatch.setattr(barriers, "build_barriers", built)
+    monkeypatch.setattr(barriers, "check_barriers_positive_regime", compared)
     monkeypatch.setattr(barriers, "calibrate_barriers", checked)
     config = parse_config(_scaled_square(tmp_path, 1.0).read_text())
     tracemalloc.start()
@@ -237,7 +264,42 @@ def test_a_run_keeps_only_the_arrays_a_later_step_reads(tmp_path, monkeypatch):
     for spec in specs:
         for e in (*spec.alpha, *spec.beta):
             assert "at_quad" not in vars(e)
-    assert peak <= 4.0e6
+    assert peak <= 2.85e6
+
+
+@pytest.mark.skipif(plaplace._THREAD_COUNT is None,
+                    reason="numpy's OpenBLAS has no thread-count calls here")
+@pytest.mark.parametrize("call, fails", [
+    (lambda cfg, out: run(cfg, out_dir=out), False),
+    (lambda cfg, out: run(cfg, out_dir=out), True),
+    (lambda cfg, out: sweep(cfg.raw, "iteration.theta", [0.7], out_dir=out), False),
+    (lambda cfg, out: cli.audit(cfg, out_dir=out), False),
+], ids=["run", "run-fails", "sweep", "audit"])
+def test_library_calls_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeypatch,
+                                                                  call, fails):
+    # a library caller of run, sweep or audit gets one BLAS thread as main does
+    get, set_ = plaplace._THREAD_COUNT
+    old = get()
+    set_(2)  # capped at the cores OpenBLAS found, so it may read 1
+    try:
+        before = get()
+        seen = []
+        solve = plaplace.solve_dirichlet
+
+        def recorded(*args, **kwargs):
+            seen.append(get())
+            if fails:
+                raise SolveError("injected fault")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(plaplace, "solve_dirichlet", recorded)
+        config = parse_config(load("trivial.json"))
+        with pytest.raises(SolveError) if fails else contextlib.nullcontext():
+            call(config, str(tmp_path))
+        assert seen and set(seen) == {1}
+        assert get() == before
+    finally:
+        set_(old)
 
 
 @pytest.mark.skipif(plaplace._THREAD_COUNT is None,
@@ -349,8 +411,8 @@ def test_escalated_cap_is_checked_against_its_pair(monkeypatch):
                                          caps=(next(caps), res.report.caps[1]))
         return res
 
-    def calibrate(spec, opts=None, L=barriers.MIN_CAP):
-        res = real_calibrate(spec, opts, L=L)
+    def calibrate(spec, opts=None, L=barriers.MIN_CAP, **kwargs):
+        res = real_calibrate(spec, opts, L=L, **kwargs)
         calibrated.append((res.pair, L))
         return res
 
@@ -381,8 +443,8 @@ def test_cap_escalation_on_real_data(tmp_path, monkeypatch):
     real_calibrate = barriers.calibrate_barriers
     calibrated = []
 
-    def calibrate(spec, opts=None, L=barriers.MIN_CAP):
-        res = real_calibrate(spec, opts, L=L)
+    def calibrate(spec, opts=None, L=barriers.MIN_CAP, **kwargs):
+        res = real_calibrate(spec, opts, L=L, **kwargs)
         calibrated.append((L, res.pair))
         return res
 
@@ -400,6 +462,38 @@ def test_cap_escalation_on_real_data(tmp_path, monkeypatch):
     assert main(["solve", str(path), "--mesh-n", "16", "--out-dir", str(out)]) == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["caps"] == {"L": 4.0, "L_tilde": 4.0}
+
+
+def test_cap_escalation_reuses_the_strip_width_search(tmp_path, monkeypatch):
+    # the recalibration at L = 4 reuses the first calibration's delta,
+    # torsion and strip solves, none of which depend on L: at n = 64 the
+    # pipeline makes 37 scalar solves and one strip width search (39 and
+    # two when the recalibration solved them afresh), and a solve writes
+    # the bytes of one whose recalibrations solve them afresh
+    raw = json.loads(load("singular.json"))
+    raw["domain"]["b"], raw["m"] = 4.0, [0.28, 0.28]
+    path = tmp_path / "escalate.json"
+    path.write_text(json.dumps(raw))
+    solves = count_calls(monkeypatch, plaplace, "solve_dirichlet")
+    searches = count_calls(monkeypatch, barriers, "resolve_delta")
+    state, report = run_pipeline(parse_config(path.read_text(), mesh_n=64))
+    assert report.caps == (4.0, 4.0) and state.pair.C == 4.0
+    assert (len(solves), len(searches)) == (37, 1)
+
+    def artifacts(out):
+        searches.clear()
+        assert main(["solve", str(path), "--mesh-n", "64", "--out-dir", str(out)]) == 0
+        return len(searches), {name: (out / name).read_bytes()
+                               for name in ("certificate.json", "trace.json", "fields.csv")}
+
+    reused_searches, reused = artifacts(tmp_path / "reused")
+    real_calibrate = barriers.calibrate_barriers
+    monkeypatch.setattr(barriers, "calibrate_barriers",
+                        lambda spec, opts=None, L=barriers.MIN_CAP, resolved=None:
+                        real_calibrate(spec, opts, L=L))
+    fresh_searches, fresh = artifacts(tmp_path / "fresh")
+    assert fresh_searches > reused_searches
+    assert fresh == reused
 
 
 @pytest.mark.parametrize("name", ["benchmark.json", "singular.json"])
