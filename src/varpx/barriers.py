@@ -28,7 +28,7 @@ from . import grid, plaplace
 from .errors import (CalibrationError, DeltaTooLargeError, EnvelopeError,
                      MixedSignError, OrderingError)
 from .expspace import ExponentField, per_distinct
-from .forms import Expr, evaluate_spatial, shared_subtrees
+from .forms import Expr, evaluate_spatial
 from .grid import GridFunction, Mesh
 from .plaplace import SolverOptions
 
@@ -104,12 +104,6 @@ class ProblemSpec:
         """``validate_hypotheses(self)``, evaluated once: the spec is frozen."""
         return validate_hypotheses(self)
 
-    @cached_property
-    def shared_f(self) -> tuple:
-        """``forms.shared_subtrees`` of the nonlinearities, found once: the
-        subtrees an evaluation of both at one state computes once."""
-        return shared_subtrees(self.f)
-
     def p_prime_values(self, i: int) -> np.ndarray:
         pv = self.p[i].values
         return pv / (pv - 1.0)
@@ -123,14 +117,13 @@ class ProblemSpec:
         s2 = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=_ENVELOPE_SAMPLES))
         xi1 = np.abs(rng.normal(0.0, 3.0, size=_ENVELOPE_SAMPLES))
         xi2 = np.abs(rng.normal(0.0, 3.0, size=_ENVELOPE_SAMPLES))
-        memo = dict.fromkeys(self.shared_f)  # both f at the same states
         for i in (0, 1):
             a = self.alpha[i].values[nodes]
             bqq = self.beta[i].values[nodes]
             g = self.gamma[i].values[nodes]
             gb = self.gamma_bar[i].values[nodes]
             prod = s1 ** a * s2 ** bqq
-            fv = evaluate_spatial(self.f[i], x, memo, s1=s1, s2=s2, xi1=xi1, xi2=xi2)
+            fv = evaluate_spatial(self.f[i], x, s1=s1, s2=s2, xi1=xi1, xi2=xi2)
             if not np.all(np.isfinite(fv)):
                 raise EnvelopeError(f"f[{i}] is non-finite at a sampled state")
             lower = self.m[i] * prod
@@ -473,16 +466,14 @@ def frozen_rhs_quad(spec: ProblemSpec, pair: BarrierPair, z: tuple):
     fields ``z``, with their own ``grad_norm``, under the singular floor
     clamp z^ = max(z, under).  Interior quadrature points keep negative
     powers finite because the floor is positive there.  A spec that holds
-    one tree for both nonlinearities evaluates it once, and two trees
-    evaluate a subtree they share once."""
+    one tree for both nonlinearities evaluates it once."""
     mesh = spec.mesh
     s1, s2 = (grid.at_quad(mesh, np.maximum(zi.values, low.values))
               for zi, low in zip(z, pair.under))
     m1, m2 = (zi.grad_norm.repeat(mesh.q_per_cell) for zi in z)
-    memo = dict.fromkeys(spec.shared_f)
 
     def data(fe):
-        hv = evaluate_spatial(fe, mesh.qpoints, memo, s1=s1, s2=s2, xi1=m1, xi2=m2)
+        hv = evaluate_spatial(fe, mesh.qpoints, s1=s1, s2=s2, xi1=m1, xi2=m2)
         if not np.isfinite(hv).all():
             raise EnvelopeError(f"frozen right-hand side f[{spec.f.index(fe)}] "
                                 "is non-finite at a quadrature point")

@@ -23,7 +23,6 @@ dimension), so a parsed tree never reads a variable its context lacks.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 
 import numpy as np
 
@@ -36,22 +35,11 @@ _FOLDS = {"add": operator.add, "mul": operator.mul}
 
 
 class Expr:
-    """Base node; subclasses implement _key(), what two nodes of one type
-    must share to be equal, and _evaluate(env, memo) or, for a leaf,
-    evaluate(env, memo) itself.  Equal trees evaluate to the same bits in
-    the same environment, so they share one evaluation through a memo."""
+    """Base node; subclasses implement evaluate() and _key(), what two
+    nodes of one type must share to be equal.  Equal trees evaluate to
+    the same bits in the same environment."""
 
-    def evaluate(self, env, memo=None):
-        """The value in ``env``.  ``memo``, shared by calls in one
-        environment, maps subtrees to their values, None until computed
-        (see ``shared_subtrees``): a subtree it holds is computed once."""
-        if memo is None or self not in memo:
-            return self._evaluate(env, memo)
-        if memo[self] is None:
-            memo[self] = self._evaluate(env, memo)
-        return memo[self]
-
-    def _evaluate(self, env, memo):
+    def evaluate(self, env):
         raise NotImplementedError
 
     def _key(self):
@@ -60,20 +48,12 @@ class Expr:
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
-        """The hash of the type and key: parsed trees are never changed."""
-        return hash((type(self), self._key()))
-
 
 class Const(Expr):
     def __init__(self, value):
         self.value = float(value)
 
-    def evaluate(self, env, memo=None):
+    def evaluate(self, env):
         return self.value
 
     def _key(self):
@@ -84,7 +64,7 @@ class Var(Expr):
     def __init__(self, name):
         self.name = name
 
-    def evaluate(self, env, memo=None):
+    def evaluate(self, env):
         return env[self.name]
 
     def _key(self):
@@ -98,14 +78,14 @@ class Fold(Expr):
         self.op = op
         self.terms = list(terms)
 
-    def _evaluate(self, env, memo):
-        out = self.terms[0].evaluate(env, memo)
+    def evaluate(self, env):
+        out = self.terms[0].evaluate(env)
         for t in self.terms[1:]:
-            out = self.op(out, t.evaluate(env, memo))
+            out = self.op(out, t.evaluate(env))
         return out
 
     def _key(self):
-        return self.op, tuple(self.terms)
+        return self.op, self.terms
 
 
 class Pow(Expr):
@@ -113,30 +93,12 @@ class Pow(Expr):
         self.base = base
         self.exp = exp
 
-    def _evaluate(self, env, memo):
+    def evaluate(self, env):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.power(self.base.evaluate(env, memo), self.exp.evaluate(env, memo))
+            return np.power(self.base.evaluate(env), self.exp.evaluate(env))
 
     def _key(self):
         return self.base, self.exp
-
-
-def shared_subtrees(exprs) -> tuple:
-    """The subtrees that evaluating each distinct tree of ``exprs`` once,
-    in one environment, meets again; a subtree inside one of them is met
-    once, inside it.  ``dict.fromkeys`` of them is a memo for
-    ``evaluate`` that keeps only their values."""
-    seen, again, todo = set(), [], list(dict.fromkeys(exprs))
-    while todo:
-        e = todo.pop()
-        if isinstance(e, (Const, Var)):
-            continue
-        if e in seen:
-            again.append(e)
-        else:
-            seen.add(e)
-            todo.extend(e.terms if isinstance(e, Fold) else (e.base, e.exp))
-    return tuple(dict.fromkeys(again))
 
 
 def parse_expr(obj, path="expr", names=VARIABLES) -> Expr:
@@ -183,16 +145,13 @@ def _const(value, path) -> Const:
         raise ConfigError(path, "expected a number, got an int beyond the float range")
 
 
-def evaluate_spatial(expr: Expr, points: np.ndarray, memo: dict | None = None,
-                     **state) -> np.ndarray:
+def evaluate_spatial(expr: Expr, points: np.ndarray, **state) -> np.ndarray:
     """Evaluate an expression at an array of points (one coordinate per
     point, or one row per point), given the state variables it reads
-    there by keyword, one value per point.  Calls that pass one ``memo``
-    (see ``Expr.evaluate``) with the same points and state compute each
-    subtree it holds once."""
+    there by keyword, one value per point."""
     pts = np.asarray(points, dtype=float)
     env = {"x": pts[..., 0] if pts.ndim > 1 else pts, **state}
     if pts.ndim > 1 and pts.shape[-1] > 1:
         env["y"] = pts[..., 1]
-    val = expr.evaluate(env, memo)
+    val = expr.evaluate(env)
     return np.broadcast_to(val, np.shape(env["x"])).astype(float)

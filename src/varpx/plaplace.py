@@ -71,15 +71,21 @@ class ScalarSolveResult:
     stop: str                # what ended Newton: "forcing", "stall" or "max_newton"
     energies: list = field(default_factory=list, repr=False)
 
+    def failure(self, what: str) -> str | None:
+        """None if the solve converged; else a message naming ``what`` and ``stop``."""
+        if self.converged:
+            return None
+        res = f"residual {self.residual:.3e}"
+        return f"{what} " + {
+            "stall": f"stalled at {res}",
+            "max_newton": f"used all {self.newton_iters} Newton steps at {res}",
+            "forcing": f"passed the forcing test, but its unregularized {res} exceeds "
+                       f"tol_residual {self.opts.tol_residual:.1e}"}[self.stop]
+
     def checked(self, what: str) -> GridFunction:
-        """``u`` if the solve converged; else SolveError naming ``what`` and ``stop``."""
+        """``u`` if the solve converged; else SolveError with ``failure(what)``."""
         if not self.converged:
-            res = f"residual {self.residual:.3e}"
-            raise SolveError(f"{what} " + {
-                "stall": f"stalled at {res}",
-                "max_newton": f"used all {self.newton_iters} Newton steps at {res}",
-                "forcing": f"passed the forcing test, but its unregularized {res} exceeds "
-                           f"tol_residual {self.opts.tol_residual:.1e}"}[self.stop])
+            raise SolveError(self.failure(what))
         return self.u
 
 

@@ -77,27 +77,32 @@ class ScaleFamily:
     @cached_property
     def solves(self) -> tuple:
         grid.check_same_mesh(self.p.mesh, self.torsion.u)
-        out = []
-        for lam in self.scales:
-            res = self.torsion if lam == 1.0 else plaplace.solve_dirichlet(
-                self.p, GridFunction.constant(self.p.mesh, lam), self.torsion.opts)
-            out.append(res.checked(f"audit solve at scale {lam}"))
-        return tuple(out)
+        return tuple(self.torsion if lam == 1.0 else plaplace.solve_dirichlet(
+            self.p, GridFunction.constant(self.p.mesh, lam), self.torsion.opts)
+            for lam in self.scales)
 
     def audit(self, name, norm, size, notes=()) -> dict:
         """The audit record of the ratios size(u) / norm(lam)^(1/(p_pm - 1))
         over the solves u, with branch exponent p_minus when norm(lam)
-        exceeds one, else p_plus; non-finite values are written as None."""
-        ratios = []
-        for lam, u in zip(self.scales, self.solves):
+        exceeds one, else p_plus; non-finite values are written as None.
+        A solve that failed has no ratio and fails the record, whose notes
+        say at which scale and how it stopped."""
+        ratios, notes = [], list(notes)
+        for lam, res in zip(self.scales, self.solves):
+            failed = res.failure(f"audit solve at scale {lam}")
+            if failed:
+                notes.append(failed)
+                ratios.append((float(lam), np.nan))
+                continue
             hnorm = norm(lam)
             expo = self.p.p_minus if hnorm > 1.0 else self.p.p_plus
-            ratios.append((float(lam), float(size(u) / hnorm ** (1.0 / (expo - 1.0)))))
+            ratios.append((float(lam), float(size(res.u) / hnorm ** (1.0 / (expo - 1.0)))))
         verdict, spread = _family_verdict(ratios)
-        return {"name": name, "measured_ratio": _finite(max(r for _, r in ratios)),
+        measured = max((r for _, r in ratios if not np.isnan(r)), default=np.nan)
+        return {"name": name, "measured_ratio": _finite(measured),
                 "ratios": [[_finite(s), _finite(r)] for s, r in ratios],
                 "verdict": verdict, "tolerance": _TREND_TOL, "spread": _finite(spread),
-                "notes": list(notes)}
+                "notes": notes}
 
 
 def gradient_estimate_audit(family: ScaleFamily) -> dict:

@@ -368,6 +368,32 @@ def test_run_nonconvergence_exit2(tmp_path):
     assert (tmp_path / "trace.json").exists()
 
 
+def test_a_failed_audit_solve_fails_the_audit_not_the_run(tmp_path):
+    # trivial.json with p = (2, 7) at n = 64: both runs converge, but the
+    # p = 7 audit solve at scale 0.01 stalls from its Poisson start.  That
+    # fails the audit, and the run still writes its real artifacts
+    raw = json.loads(load("trivial.json"))
+    raw["p"] = [2.0, 7.0]
+    path = tmp_path / "p27.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--mesh-n", "64", "--out-dir", str(out)]) == 2
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["converged"] and trace["iters"] >= 1
+    assert (out / "fields.csv").exists()
+    cert = json.loads((out / "certificate.json").read_text())
+    assert not cert["all_audits_pass"]
+    failed = {a["name"]: a for a in cert["audits"] if a["verdict"] == "fail"}
+    assert set(failed) == {"gradient_estimate_p2", "linfty_estimate_p2"}
+    for a in failed.values():
+        assert any(n.startswith("audit solve at scale 0.01 stalled at residual ")
+                   for n in a["notes"])
+    assert main(["audit", str(path), "--mesh-n", "64", "--only", "gradient",
+                 "--out-dir", str(tmp_path / "audit")]) == 2
+    audits = json.loads((tmp_path / "audit" / "audit.json").read_text())["audits"]
+    assert audits == [a for a in cert["audits"] if a["name"].startswith("gradient")]
+
+
 @pytest.mark.parametrize("exc_type", FAULTS + [ValueError])
 def test_solve_time_error_exit2_with_stubs(tmp_path, monkeypatch, exc_type):
     exc = injected(exc_type)

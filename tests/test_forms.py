@@ -5,9 +5,9 @@ import pytest
 
 from varpx.cli import parse_config
 from varpx.errors import ConfigError
-from varpx.forms import SPATIAL, STATE, evaluate_spatial, parse_expr, shared_subtrees
+from varpx.forms import SPATIAL, evaluate_spatial, parse_expr
 
-from conftest import config_path, count_calls
+from conftest import config_path
 
 
 def test_parse_constants_and_variables():
@@ -98,29 +98,6 @@ _F = {"add": [{"mul": [{"pow": {"base": "s1", "exp": -0.05}},
 def test_trees_parsed_from_the_same_json_are_equal():
     a, b = parse_expr(_F), parse_expr(json.loads(json.dumps(_F)))
     assert a is not b and a == b
-
-
-def test_equal_trees_hash_alike():
-    a, b = parse_expr(_F), parse_expr(json.loads(json.dumps(_F)))
-    assert hash(a) == hash(b) and len({a, b}) == 1
-
-
-def test_one_memo_computes_a_shared_subtree_once_with_its_bits(monkeypatch):
-    # benchmark.json's two nonlinearities share 0.5 xi1^0.5 and 0.5 xi2^0.5:
-    # their memo holds these two alone, computes each once, and every
-    # value keeps the bits of an evaluation without it
-    with open(config_path("benchmark.json")) as f:
-        trees = [parse_expr(e) for e in json.load(f)["f"]]
-    memo = dict.fromkeys(shared_subtrees(trees))
-    assert set(memo) == {parse_expr({"mul": [0.5, {"pow": {"base": v, "exp": 0.5}}]})
-                         for v in ("xi1", "xi2")}
-    assert shared_subtrees([trees[0], trees[0]]) == ()
-    rng = np.random.default_rng(0)
-    env = {v: rng.uniform(0.1, 2.0, 64) for v in STATE}
-    plain = [t.evaluate(env).tobytes() for t in trees]
-    powers = count_calls(monkeypatch, np, "power")
-    assert [t.evaluate(env, memo).tobytes() for t in trees] == plain
-    assert len(powers) == 6  # 8 without the memo
 
 
 @pytest.mark.parametrize("old, new", [

@@ -511,9 +511,8 @@ def test_non_finite_hessian_raises_solve_error(monkeypatch, bad):
     ("torsion", "torsion solve"),
     ("strip", "strip solve"),
     ("map", "component 1 solve"),
-    ("audit", "audit solve at scale 0.01"),
     ("mvt", "mean-value sampling solve"),
-], ids=["torsion", "strip", "map", "audit", "mvt"])
+], ids=["torsion", "strip", "map", "mvt"])
 def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
     # every caller that needs a converged scalar solve checks it through
     # ScalarSolveResult.checked, whose SolveError names the caller and the
@@ -529,7 +528,6 @@ def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
         "torsion": lambda: torsion(p),
         "strip": lambda: torsion_delta(p, 0.1, xi.u),
         "map": lambda: sysfix.apply_map(sysfix.SystemState.build(spec, pair, *pair.under)),
-        "audit": lambda: verify.ScaleFamily(p, xi).solves,
         "mvt": lambda: verify.mvt_sampling(spec.p, np.random.default_rng(0),
                                            [plaplace.solve_dirichlet(q, one) for q in spec.p]),
     }
@@ -539,6 +537,26 @@ def test_unconverged_solve_raises_naming_its_site(monkeypatch, site, name):
     with pytest.raises(SolveError, match=rf"^{re.escape(name)} passed the forcing test, "
                                          r"but its unregularized residual "):
         calls[site]()
+
+
+def test_unconverged_audit_solve_fails_its_record_naming_the_scale(monkeypatch):
+    # an audit solve is checked too, but its failure is the audit's verdict:
+    # the record fails, and its notes carry the message checked() raises
+    m = mesh1d(32)
+    p = ExponentField.constant(m, 2.0)
+    xi = torsion(p)
+    solve = plaplace.solve_dirichlet
+    monkeypatch.setattr(plaplace, "solve_dirichlet", lambda *args, **kwargs:
+                        dataclasses.replace(solve(*args, **kwargs), converged=False))
+    family = verify.ScaleFamily(p, xi)
+    rec = verify.gradient_estimate_audit(family)
+    assert rec["verdict"] == "fail"
+    assert re.match(r"^audit solve at scale 0\.01 passed the forcing test, "
+                    r"but its unregularized residual ", rec["notes"][0])
+    # every scale but the torsion's failed and has no ratio
+    assert [r for _, r in rec["ratios"]].count(None) == len(rec["notes"]) == 5
+    with pytest.raises(SolveError, match=re.escape(rec["notes"][0])):
+        family.solves[0].checked("audit solve at scale 0.01")
 
 
 # Plain per-quadrature-point COO assembly: the reference the cached

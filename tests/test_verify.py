@@ -249,8 +249,8 @@ def test_linfty_audit_reads_the_Ln_norm_of_the_data_in_2d():
     family = ScaleFamily(p, torsion(p), scales=(0.5, 4.0))
     a = linfty_estimate_audit(family)
     assert not a["notes"]
-    for (lam, r), u in zip(a["ratios"], family.solves):
-        assert r == pytest.approx(np.abs(u.values).max() / lam, rel=1e-12)
+    for (lam, r), res in zip(a["ratios"], family.solves):
+        assert r == pytest.approx(np.abs(res.u.values).max() / lam, rel=1e-12)
 
 
 # -- sandwich audit ----------------------------------------------------------
