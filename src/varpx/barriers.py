@@ -19,14 +19,14 @@ comparison inequalities hold at every interior hat function.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import grid, plaplace
-from .errors import (CalibrationError, DeltaTooLargeError, EnvelopeError,
-                     MixedSignError, OrderingError)
+from .errors import (CalibrationError, EnvelopeError, MixedSignError,
+                     OrderingError)
 from .expspace import ExponentField, per_distinct
 from .forms import Expr, evaluate_spatial
 from .grid import GridFunction, Mesh
@@ -388,34 +388,28 @@ class CalibrationResult:
     resolved: tuple         # (delta, xi, xi_delta) of ``resolve_delta``, values only
 
 
-def _values_only(res):
-    """The solve ``res`` with a value-only copy of its field."""
-    return replace(res, u=res.u.values_only())
-
-
 def resolve_delta(spec: ProblemSpec, opts: SolverOptions | None = None):
     """Strip width search: start at 0.1 * max distance and halve until
-    the strip-loaded torsion fields stay positive; a failing width at or
-    below 1.5 times the largest axis spacing raises CalibrationError.  For
-    n < 30 the unit interval's or square's start lies below that floor, so
-    the strip may hold no interior node.  Returns (delta, xi, xi_delta):
-    the torsion solves (``plaplace.torsion``) and the strip fields, each
-    field of its values alone; equal exponents share their solves."""
+    the strip-loaded torsion fields stay positive at every interior node;
+    a failing width at or below 1.5 times the largest axis spacing raises
+    CalibrationError.  For n < 30 the unit interval's or square's start
+    lies below that floor, so the strip may hold no interior node.
+    Returns (delta, xi, xi_delta): the torsion solves (``plaplace.torsion``)
+    and the strip fields; equal exponents share their solves."""
     mesh = spec.mesh
     delta = 0.1 * mesh.max_distance
     floor = 1.5 * mesh.longest_side / mesh.n
-    xi = tuple(per_distinct(lambda p: _values_only(plaplace.torsion(p, opts)), spec.p))
+    xi = tuple(per_distinct(lambda p: plaplace.torsion(p, opts), spec.p))
     while True:
-        try:
-            xid = tuple(per_distinct(lambda p, ref: plaplace.torsion_delta(
-                p, delta, ref.u, opts).values_only(), spec.p, xi))
+        xid = tuple(per_distinct(lambda p, ref: plaplace.torsion_delta(
+            p, delta, ref.u, opts), spec.p, xi))
+        if all(np.all(x.values[mesh.interior_nodes] > 0.0) for x in xid):
             return delta, xi, xid
-        except DeltaTooLargeError:
-            if delta <= floor:
-                raise CalibrationError(
-                    f"strip field not positive even at delta={delta}; "
-                    "resolution too coarse for this exponent pair")
-            delta = max(delta / 2.0, floor)
+        if delta <= floor:
+            raise CalibrationError(
+                f"strip field not positive even at delta={delta}; "
+                "resolution too coarse for this exponent pair")
+        delta = max(delta / 2.0, floor)
 
 
 def calibrate_barriers(spec: ProblemSpec, opts: SolverOptions | None = None,

@@ -263,9 +263,10 @@ def run_pipeline(config: RunConfig, mesh_n: int | None = None,
     while True:
         cres = sysfix.calibrate_caps(problem, cal.pair, opts=config.iteration,
                                      solver_opts=config.solver, init=init)
-        if bmod.check_barriers_singular_regime(problem, cal.pair, cres.L).ok:
+        L, _ = cres.report.caps
+        if bmod.check_barriers_singular_regime(problem, cal.pair, L).ok:
             return cres.solution, cres.report
-        cal = bmod.calibrate_barriers(problem, config.solver, L=cres.L,
+        cal = bmod.calibrate_barriers(problem, config.solver, L=L,
                                       resolved=cal.resolved)
 
 

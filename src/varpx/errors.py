@@ -19,11 +19,6 @@ class SolveError(RuntimeError):
     """Nonlinear solve did not reach the requested residual."""
 
 
-class DeltaTooLargeError(RuntimeError):
-    """Interior positivity of the strip-loaded torsion field failed.
-    Callers should halve the strip width and retry."""
-
-
 class OrderingError(RuntimeError):
     """Lower barrier exceeded upper barrier somewhere; the scale
     constant is too small and should be escalated."""

@@ -29,12 +29,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import grid
-from .errors import DeltaTooLargeError, SolveError
+from .errors import SolveError
 from .expspace import ExponentField
 from .grid import GridFunction, Mesh
 
@@ -505,35 +505,30 @@ def _newton(mesh, lay, pw, b, scale, u, opts):
 
 def torsion(p: ExponentField, opts: SolverOptions | None = None) -> ScalarSolveResult:
     """Converged solve with unit source on the mesh of ``p`` (SolveError
-    otherwise).  Its field is the reference profile whose
-    distance-comparability anchors every positivity estimate; the audits
-    that need the same solve read it, residual and options included,
-    from this result."""
+    otherwise), its field of its values alone.  That field is the
+    reference profile whose distance-comparability anchors every
+    positivity estimate; the audits that need the same solve read it,
+    residual and options included, from this result."""
     res = solve_dirichlet(p, GridFunction.constant(p.mesh, 1.0), opts)
-    res.checked("torsion solve")
-    return res
+    return replace(res, u=res.checked("torsion solve").values_only())
 
 
 def torsion_delta(p: ExponentField, delta: float, xi: GridFunction,
                   opts: SolverOptions | None = None) -> GridFunction:
     """Torsion-like field on the mesh of ``p`` with source +1 away from
-    the boundary and -1 on the strip {d < delta}.
+    the boundary and -1 on the strip {d < delta}, of its values alone.
 
-    Checks a posteriori that the result stays positive at interior nodes
-    (raises DeltaTooLargeError otherwise, so callers can halve delta)
-    and that it sits below ``xi``, the plain torsion field, nodewise.
+    Checks a posteriori that it sits below ``xi``, the plain torsion
+    field, nodewise; whether it stays positive is the strip-width
+    search's test (``barriers.resolve_delta``).
     """
     mesh = p.mesh
     strip = grid.boundary_strip(mesh, delta)
     hv = np.ones(mesh.n_nodes)
     hv[strip] = -1.0
     xd = solve_dirichlet(p, GridFunction(mesh, hv), opts).checked("strip solve")
-    interior = mesh.interior_nodes
-    if np.any(xd.values[interior] <= 0.0):
-        raise DeltaTooLargeError(
-            f"strip field loses positivity for delta={delta}; halve delta")
     tol = 1e-10 * (1.0 + float(np.abs(xi.values).max()))
     if np.any(xd.values > xi.values + tol):
         raise SolveError("strip field exceeds the torsion field; "
                          "comparison violated beyond tolerance")
-    return xd
+    return xd.values_only()

@@ -293,19 +293,11 @@ def _power_of_two_above(norm: float, start: float) -> float:
 
 @dataclass
 class CapsResult:
-    """Caps of the singular regime and the run they were read from, whose
-    last state is the iteration's solution under these caps."""
+    """The run the singular regime's caps are read from, as
+    ``report.caps``; its last state is the solution under these caps."""
 
     solution: SystemState
     report: IterationReport
-
-    @property
-    def L(self) -> float:
-        return self.report.caps[0]
-
-    @property
-    def L_tilde(self) -> float:
-        return self.report.caps[1]
 
     @property
     def pilot_iters(self) -> int:

@@ -230,6 +230,40 @@ def test_resolve_delta_on_the_unit_square(n):
         assert np.all(x.values[m.interior_nodes] > 0.0)
 
 
+def _strip_search(monkeypatch, positive_at):
+    """Runs resolve_delta on the singular spec (p1 = p2) at n=128 with a
+    strip field that is the torsion field, made negative at an interior
+    node wherever ``positive_at(delta)`` is false; returns the mesh, the
+    widths tried, one per strip solve, and the search's result."""
+    m = mesh1d(128)
+    widths = []
+
+    def strip(p, delta, xi, opts=None):
+        widths.append(delta)
+        v = xi.values.copy()
+        if not positive_at(delta):
+            v[m.interior_nodes[len(m.interior_nodes) // 2]] = -1e-3
+        return grid.GridFunction(m, v, zero_trace=True)
+
+    monkeypatch.setattr(plaplace, "torsion_delta", strip)
+    return m, widths, lambda: resolve_delta(singular_spec(m))
+
+
+def test_resolve_delta_returns_the_first_width_whose_strip_fields_are_positive(monkeypatch):
+    m, widths, search = _strip_search(monkeypatch, lambda delta: delta <= 0.02)
+    delta, xi, xid = search()
+    assert widths == [0.05, 0.025, 0.0125] and delta == 0.0125
+    assert xid[0] is xid[1] and np.all(xid[0].values == xi[0].u.values)
+
+
+def test_resolve_delta_fails_at_the_floor_width(monkeypatch):
+    m, widths, search = _strip_search(monkeypatch, lambda delta: False)
+    floor = 1.5 * m.longest_side / m.n
+    with pytest.raises(CalibrationError, match=rf"not positive even at delta={floor};"):
+        search()
+    assert widths == [0.05, 0.025, 0.0125, floor]
+
+
 def test_vanishing_lower_envelope_fails_outside_strip():
     # as m -> 0 the subsolution requirement degenerates to -Lap(under) <= 0,
     # which can only hold where the strip data is negative; this is why

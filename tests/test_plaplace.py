@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 from varpx import (DomainSpec, ExponentField, GridFunction, SolverOptions,
                    build_barriers, build_mesh, grid, plaplace, solve_dirichlet,
                    sysfix, torsion, torsion_delta, verify, weak_residual)
-from varpx.errors import DeltaTooLargeError, MeshCompatibilityError, SolveError
+from varpx.errors import MeshCompatibilityError, SolveError
 from varpx.verify import random_lipschitz_field
 
 from conftest import count_calls, point_tables
@@ -129,10 +129,20 @@ def test_torsion_delta_below_torsion_and_positive():
 
 
 def test_torsion_delta_rejects_large_delta():
+    # the strip-width search (barriers.resolve_delta) rejects such a width
     m = mesh1d(128)
     p = ExponentField.constant(m, 2.0)
-    with pytest.raises(DeltaTooLargeError):
-        torsion_delta(p, 0.4, xi=torsion(p).u)
+    xd = torsion_delta(p, 0.4, xi=torsion(p).u)
+    assert np.any(xd.values[m.interior_nodes] <= 0.0)
+
+
+def test_torsion_and_strip_fields_come_back_of_their_values_alone():
+    # a run keeps these fields, so nothing the solve derived rides along
+    m = mesh1d(64)
+    p = ExponentField.constant(m, 2.5)
+    xi = torsion(p).u
+    for u in (xi, torsion_delta(p, 0.05, xi=xi)):
+        assert not {"grad", "grad_sq", "grad_norm", "projections"} & set(vars(u))
 
 
 def test_torsion_delta_converges_to_torsion():
